@@ -39,6 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows.push((gap, r.summary));
     }
     println!("\n(gap 7 is the default linker-like layout; gap 0 is ideal packing)");
-    vtx_bench::save_json("ablation_layout", &rows);
+    vtx_bench::save_artifact("ablation_layout", &rows);
     Ok(())
 }

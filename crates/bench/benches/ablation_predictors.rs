@@ -38,6 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         rows.push((kind.table_name().to_owned(), r.summary));
     }
-    vtx_bench::save_json("ablation_predictors", &rows);
+    vtx_bench::save_artifact("ablation_predictors", &rows);
     Ok(())
 }

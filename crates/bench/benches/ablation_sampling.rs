@@ -51,6 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             full.profile.counts.instructions
         );
     }
-    vtx_bench::save_json("ablation_sampling", &rows);
+    vtx_bench::save_artifact("ablation_sampling", &rows);
     Ok(())
 }

@@ -32,6 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  refs ^ => speed v     : {}", d.refs_slow_down);
     println!("  all hold              : {}", d.all_hold());
 
-    vtx_bench::save_json("fig2_triangle", &report);
+    vtx_bench::save_artifact("fig2_triangle", &report);
     Ok(())
 }

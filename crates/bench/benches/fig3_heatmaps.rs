@@ -75,6 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hi.summary.topdown.bad_speculation * 100.0
     );
 
-    vtx_bench::save_json("fig3_heatmaps", &points);
+    vtx_bench::save_artifact("fig3_heatmaps", &points);
     Ok(())
 }

@@ -63,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  - low crf lines are longer (benefit more from refs)");
     println!("  - every series flattens as refs grows (diminishing returns)");
 
-    vtx_bench::save_json("fig4_projections", &points);
+    vtx_bench::save_artifact("fig4_projections", &points);
     Ok(())
 }

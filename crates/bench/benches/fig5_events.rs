@@ -93,6 +93,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hi.summary.stalls.sb
     );
 
-    vtx_bench::save_json("fig5_events", &points);
+    vtx_bench::save_artifact("fig5_events", &points);
     Ok(())
 }

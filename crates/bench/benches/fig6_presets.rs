@@ -80,6 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  - bitrate improves sharply up to veryfast, then diminishing returns");
     println!("  - back-end share falls with slower presets (higher operational intensity)");
 
-    vtx_bench::save_json("fig6_presets", &runs);
+    vtx_bench::save_artifact("fig6_presets", &runs);
     Ok(())
 }

@@ -82,6 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hi.summary.topdown.backend() * 100.0
     );
 
-    vtx_bench::save_json("fig7_videos", &runs);
+    vtx_bench::save_artifact("fig7_videos", &runs);
     Ok(())
 }

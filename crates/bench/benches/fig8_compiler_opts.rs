@@ -71,6 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("(paper reports +4.66% and +4.42% on the real FFmpeg/Xeon setup)");
 
-    vtx_bench::save_json("fig8_compiler_opts", &runs);
+    vtx_bench::save_artifact("fig8_compiler_opts", &runs);
     Ok(())
 }

@@ -46,6 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         study.smart_match_rate * 100.0
     );
 
-    vtx_bench::save_json("fig9_scheduler", &study);
+    vtx_bench::save_artifact("fig9_scheduler", &study);
     Ok(())
 }

@@ -479,10 +479,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    vtx_bench::save_json("fig9_serving", &reports);
-    vtx_bench::save_json("fig9_serving_faulted", &faulted);
-    vtx_bench::save_json("fig9_serving_segmented", &segmented);
-    vtx_bench::save_json("fig9_serving_cached", &cached);
+    vtx_bench::save_artifact("fig9_serving", &reports);
+    vtx_bench::save_artifact("fig9_serving_faulted", &faulted);
+    vtx_bench::save_artifact("fig9_serving_segmented", &segmented);
+    vtx_bench::save_artifact("fig9_serving_cached", &cached);
 
     // Machine-readable trajectory: one row per (scenario, policy), every
     // field integral, schema-validated before it is written. CI regenerates

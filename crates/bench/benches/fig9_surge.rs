@@ -250,9 +250,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // log included — a cheap in-process check ahead of CI's two-run cmp.
     let rerun = simulate(&workload, Fleet::sized(10)?, policy(seed), surge_cfg(4, 10))?;
     assert_eq!(
-        serde_json::to_string(&auto.report)?,
-        serde_json::to_string(&rerun.report)?,
-        "same-seed autoscaled reruns must serialize identically"
+        format!("{:?}", auto.report),
+        format!("{:?}", rerun.report),
+        "same-seed autoscaled reruns must print identically"
     );
     assert_eq!(
         vtx_serve::service::render_event_log(&auto.event_log),
@@ -306,9 +306,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let f_rerun =
         vtx_serve::sim::simulate_trace(&jobs, seed, Fleet::sized(8)?, policy(seed), faulted_cfg())?;
     assert_eq!(
-        serde_json::to_string(&faulted.report)?,
-        serde_json::to_string(&f_rerun.report)?,
-        "same-seed surge x faults reruns must serialize identically"
+        format!("{:?}", faulted.report),
+        format!("{:?}", f_rerun.report),
+        "same-seed surge x faults reruns must print identically"
     );
     println!("[determinism] surge x faults rerun is byte-identical");
 
@@ -451,10 +451,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&path, &json)?;
     println!("\n[artifact] {} (+9 surge rows)", path.display());
 
-    vtx_bench::save_json(
+    vtx_bench::save_artifact(
         "fig9_surge_flash",
         &[&static_min.report, &control.report, &auto.report],
     );
-    vtx_bench::save_json("fig9_surge_frontier", &frontier);
+    vtx_bench::save_artifact("fig9_surge_frontier", &frontier);
     Ok(())
 }

@@ -10,7 +10,7 @@
 //!   appended to the `BENCH_serving.json` trajectory produced by the
 //!   `fig9_serving` bench, so the committed artifact carries the XL
 //!   evidence and CI byte-compares it like every other row. The `smart`
-//!   scenario runs twice and the two reports must serialize identically —
+//!   scenario runs twice and the two reports must print identically —
 //!   a cheap in-process determinism check ahead of CI's two-run `cmp`.
 //! * **xl_full** (`VTX_XL_FULL=1`): 10 000 servers / 1 000 000 jobs,
 //!   `random` vs `smart`, written to a separate `BENCH_serving_xl.json`
@@ -148,9 +148,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // to be byte-deterministic, so the two reports must match exactly.
     let (rerun, _) = run(&workload, smoke_servers, "smart")?;
     assert_eq!(
-        serde_json::to_string(smart)?,
-        serde_json::to_string(&rerun.report)?,
-        "same-seed xl_smoke reruns must serialize identically"
+        format!("{:?}", smart),
+        format!("{:?}", rerun.report),
+        "same-seed xl_smoke reruns must print identically"
     );
     println!("\n[determinism] smart xl_smoke rerun is byte-identical");
 

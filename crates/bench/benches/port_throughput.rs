@@ -8,14 +8,12 @@
 //! Reported per config: per-preset relative error, the mean relative error,
 //! and solver wall time (inference + all twenty solves).
 
-use serde::Serialize;
-
 use vtx_codec::preset::Preset;
 use vtx_port::infer::{infer, BlockedPortBench};
 use vtx_port::{solve, PortLayout, UopMix};
 use vtx_uarch::config::UarchConfig;
 
-#[derive(Serialize)]
+#[derive(Debug)]
 struct PresetRow {
     preset: &'static str,
     rank: usize,
@@ -24,7 +22,9 @@ struct PresetRow {
     rel_error: f64,
 }
 
-#[derive(Serialize)]
+// Read only through the `Debug` dump, which the dead-code lint ignores.
+#[allow(dead_code)]
+#[derive(Debug)]
 struct ConfigReport {
     config: String,
     ports: usize,
@@ -106,6 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    vtx_bench::save_json("port_throughput", &reports);
+    vtx_bench::save_artifact("port_throughput", &reports);
     Ok(())
 }

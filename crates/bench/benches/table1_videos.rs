@@ -23,5 +23,5 @@ fn main() {
             v.sim_frames
         );
     }
-    vtx_bench::save_json("table1_videos", &catalog);
+    vtx_bench::save_artifact("table1_videos", &catalog);
 }

@@ -44,5 +44,5 @@ fn main() {
         );
         rows.push((p.name().to_owned(), c));
     }
-    vtx_bench::save_json("table2_presets", &rows);
+    vtx_bench::save_artifact("table2_presets", &rows);
 }

@@ -19,5 +19,5 @@ fn main() {
             t.preset.name()
         );
     }
-    vtx_bench::save_json("table3_tasks", &tasks);
+    vtx_bench::save_artifact("table3_tasks", &tasks);
 }

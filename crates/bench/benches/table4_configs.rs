@@ -39,5 +39,5 @@ fn main() {
             c.predictor.table_name()
         );
     }
-    vtx_bench::save_json("table4_configs", &configs);
+    vtx_bench::save_artifact("table4_configs", &configs);
 }

@@ -2,7 +2,7 @@
 //!
 //! Every `[[bench]]` target in this crate regenerates one table or figure of
 //! the paper (see DESIGN.md's experiment index). Each harness prints the
-//! rows/series the paper reports and saves a JSON artifact under
+//! rows/series the paper reports and saves a `Debug` dump of them under
 //! `target/vtx-results/` so runs are diffable.
 //!
 //! Grids default to strided subsets so `cargo bench` finishes quickly; set
@@ -38,7 +38,7 @@ pub fn sweep_options() -> TranscodeOptions {
     TranscodeOptions::default().with_sample_shift(1)
 }
 
-/// Directory for JSON artifacts (`target/vtx-results`).
+/// Directory for artifacts (`target/vtx-results`).
 pub fn results_dir() -> PathBuf {
     let dir =
         PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_owned()))
@@ -47,11 +47,10 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Saves a serializable artifact as pretty JSON and reports the path.
-pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize artifact");
-    std::fs::write(&path, json).expect("write artifact");
+/// Saves an artifact as a pretty `Debug` dump and reports the path.
+pub fn save_artifact<T: std::fmt::Debug>(name: &str, value: &T) {
+    let path = results_dir().join(format!("{name}.txt"));
+    std::fs::write(&path, format!("{value:#?}\n")).expect("write artifact");
     println!("\n[artifact] {}", path.display());
 }
 

@@ -10,7 +10,6 @@
 //! key order itself as the final tie-break. No wall clock, no randomness —
 //! a logical tick counter orders recency.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identity of one encoded segment artifact.
@@ -41,7 +40,7 @@ impl CacheKey {
 }
 
 /// Which entry to sacrifice when the byte budget runs out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictPolicy {
     /// Least-recently-used: evict the entry with the oldest access tick.
     #[default]
@@ -76,7 +75,7 @@ impl EvictPolicy {
 }
 
 /// Configuration for a [`SegmentCache`], carried inside `ServeConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheSpec {
     /// Byte budget; zero disables admission entirely (all misses).
     pub capacity_bytes: u64,
@@ -97,7 +96,7 @@ impl Default for CacheSpec {
 }
 
 /// Cumulative counters, exported into the serving report.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found the key.
     pub hits: u64,

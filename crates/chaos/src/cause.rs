@@ -7,10 +7,8 @@
 //! cause is part of the deterministic event stream, so postmortems of a
 //! seeded run can attribute every degradation step without guesswork.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a detector transition or degrade step happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cause {
     /// The failure detector missed enough heartbeats.
     HeartbeatMiss,

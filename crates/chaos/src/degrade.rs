@@ -9,12 +9,10 @@
 //! de-escalation threshold sits well below the escalation threshold) keeps
 //! it from thrashing at a boundary.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::Preset;
 
 /// Ladder tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeConfig {
     /// Master switch (off by default: failures alone never change output
     /// quality unless the operator opts in).

@@ -14,10 +14,8 @@
 //! server's beats stopped (the fault injector knows, since it scripted the
 //! crash) and ask for the classification at any timestamp.
 
-use serde::{Deserialize, Serialize};
-
 /// Detector view of one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
     /// Heartbeats current; dispatchable.
     Up,
@@ -39,7 +37,7 @@ impl Health {
 }
 
 /// Detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Heartbeat period (µs).
     pub heartbeat_us: u64,

@@ -35,7 +35,6 @@ pub mod degrade;
 pub mod detector;
 pub mod error;
 pub mod plan;
-pub mod rng;
 
 pub use cause::Cause;
 pub use degrade::{DegradeConfig, DegradeLadder};

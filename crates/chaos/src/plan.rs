@@ -9,13 +9,11 @@
 //! discrete-event engine and the real threaded executor can consume the
 //! *same* script and be compared under identical failures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ChaosError;
-use crate::rng::{derive, SplitMix64};
+use vtx_rng::{derive, SplitMix64};
 
 /// The kinds of fault a plan can schedule, for event logs and accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Fail-stop: the server dies and never returns.
     Crash,
@@ -38,7 +36,7 @@ impl FaultKind {
 
 /// A fail-slow window: work on the server takes `factor`× its nominal time
 /// while `from_us <= t < until_us`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Slowdown {
     /// Window start (µs).
     pub from_us: u64,
@@ -49,7 +47,7 @@ pub struct Slowdown {
 }
 
 /// A transient stall: zero progress while `at_us <= t < at_us + dur_us`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stall {
     /// Stall start (µs).
     pub at_us: u64,
@@ -58,7 +56,7 @@ pub struct Stall {
 }
 
 /// Everything scheduled against one server.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerFaults {
     /// Fail-stop instant, if any.
     pub crash_us: Option<u64>,
@@ -75,7 +73,7 @@ impl ServerFaults {
 }
 
 /// Per-kind fault totals across a plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Scheduled fail-stop crashes.
     pub crashes: u64,
@@ -89,7 +87,7 @@ pub struct FaultCounts {
 ///
 /// Queries against servers beyond the plan's length report "no faults", so
 /// the all-healthy default ([`FaultPlan::default`]) works for any fleet.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     servers: Vec<ServerFaults>,
 }

@@ -1,12 +1,10 @@
 //! Encoder configuration: every option the paper varies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::MeMethod;
 use crate::CodecError;
 
 /// Which block partitions the mode decision may use (x264 `partitions`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSet {
     /// Allow 8x8 inter partitions in P macroblocks.
     pub p8x8: bool,
@@ -73,7 +71,7 @@ impl Default for PartitionSet {
 }
 
 /// Rate-control mode (§II-B.1 lists all six).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateControlMode {
     /// Constant quantizer.
     Cqp(u8),
@@ -123,7 +121,7 @@ impl RateControlMode {
 ///
 /// `Default` is the `medium` preset with CRF 23 and `refs` 3, matching the
 /// paper's profiling setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncoderConfig {
     /// Rate control mode.
     pub rc: RateControlMode,
@@ -158,7 +156,6 @@ pub struct EncoderConfig {
     /// `1` = serial (the default), `0` = one worker per available core,
     /// `n` = at most `n` workers. The parallel path is bit-identical to
     /// the serial one — bitstream and profiler counts do not change.
-    #[serde(default = "default_threads")]
     pub threads: u32,
     /// Display-frame indices at which an IDR keyframe is forced (segment
     /// boundaries for the CMAF-style segmenter). A forced cut is *closed-
@@ -166,12 +163,7 @@ pub struct EncoderConfig {
     /// encoder clears the reference anchors, so every record from the cut
     /// onward decodes without any state from before it. Empty (the default)
     /// leaves the bitstream byte-identical to pre-`force_kf` encoders.
-    #[serde(default)]
     pub force_kf: Vec<u32>,
-}
-
-fn default_threads() -> u32 {
-    1
 }
 
 impl Default for EncoderConfig {
@@ -191,7 +183,7 @@ impl Default for EncoderConfig {
             partitions: PartitionSet::standard(),
             cabac: true,
             keyint: 250,
-            threads: default_threads(),
+            threads: 1,
             force_kf: Vec::new(),
         }
     }

@@ -1,12 +1,10 @@
 //! The ten x264 presets — Table II of the paper, reproduced option by option.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{EncoderConfig, PartitionSet};
 use crate::types::MeMethod;
 
 /// An x264 speed/quality preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Preset {
     /// Fastest, lowest quality/compression.
     Ultrafast,

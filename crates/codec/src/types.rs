@@ -1,10 +1,9 @@
 //! Fundamental codec value types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quantization parameter, 0..=51 (H.264 range; 0 = near-lossless).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Qp(u8);
 
 impl Qp {
@@ -57,7 +56,7 @@ impl fmt::Display for Qp {
 }
 
 /// Picture type, §II-A of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Intra-coded: no reference to other frames.
     I,
@@ -80,7 +79,7 @@ impl fmt::Display for FrameType {
 
 /// Integer-pixel motion estimation method (§II-B.2), in increasing order of
 /// search effort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MeMethod {
     /// Small diamond search.
     Dia,
@@ -120,9 +119,7 @@ impl MeMethod {
 }
 
 /// A motion vector in half-pel units.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MotionVector {
     /// Horizontal component, half-pel units.
     pub x: i16,

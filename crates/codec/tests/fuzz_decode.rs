@@ -12,26 +12,10 @@ use vtx_codec::decoder::decode_video;
 use vtx_codec::encoder::{encode_video, Bitstream};
 use vtx_codec::EncoderConfig;
 use vtx_frame::{synth, vbench};
+use vtx_rng::SplitMix64;
 use vtx_trace::layout::CodeLayout;
 use vtx_trace::Profiler;
 use vtx_uarch::config::UarchConfig;
-
-/// SplitMix64 — self-contained so the test depends on nothing but the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 fn prof() -> Profiler {
     let kernels = vtx_codec::instr::kernel_table();
@@ -69,15 +53,15 @@ fn thousand_bit_flips_never_panic() {
     )
     .is_ok());
 
-    let mut rng = Rng(0xC0DE_C0DE);
+    let mut rng = SplitMix64::new(0xC0DE_C0DE);
     let (mut oks, mut errs) = (0u32, 0u32);
     for round in 0..1_000 {
         let mut data = clean.clone();
         // 1–4 bit flips anywhere in the stream, header included.
-        let flips = 1 + rng.below(4);
+        let flips = 1 + rng.next_range(4);
         for _ in 0..flips {
-            let byte = rng.below(data.len());
-            data[byte] ^= 1 << rng.below(8);
+            let byte = rng.next_range(data.len() as u64) as usize;
+            data[byte] ^= 1 << rng.next_range(8);
         }
         match decode_video(&Bitstream { data }, &mut p) {
             Ok(out) => {
@@ -104,9 +88,9 @@ fn thousand_bit_flips_never_panic() {
 fn random_truncations_never_panic() {
     let clean = encoded_stream();
     let mut p = prof();
-    let mut rng = Rng(0x7EA2);
+    let mut rng = SplitMix64::new(0x7EA2);
     for _ in 0..200 {
-        let cut = rng.below(clean.len());
+        let cut = rng.next_range(clean.len() as u64) as usize;
         let bs = Bitstream {
             data: clean[..cut].to_vec(),
         };
@@ -118,9 +102,9 @@ fn random_truncations_never_panic() {
 #[test]
 fn pure_garbage_never_panics() {
     let mut p = prof();
-    let mut rng = Rng(0x0BAD_5EED);
+    let mut rng = SplitMix64::new(0x0BAD_5EED);
     for len in [0usize, 1, 4, 16, 17, 64, 256, 4096] {
-        let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let _ = decode_video(&Bitstream { data }, &mut p);
     }
 }

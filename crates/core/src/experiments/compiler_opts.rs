@@ -7,8 +7,6 @@
 //! a set of (crf, refs, preset) combinations and reported as a speedup over
 //! baseline.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::{instr, Preset};
 use vtx_opt::{compile, BinaryVariant};
 use vtx_telemetry::Span;
@@ -18,7 +16,7 @@ use super::parallel_map;
 use crate::{CoreError, TranscodeOptions, Transcoder};
 
 /// Speedups for one video (Figure 8's bars).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptRun {
     /// Video short name.
     pub video: String,

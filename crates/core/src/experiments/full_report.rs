@@ -2,8 +2,6 @@
 //! and renders a single Markdown report — the paper's evaluation in
 //! miniature, for any corpus subset.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::{EncoderConfig, Preset};
 
 use super::presets::{preset_study_subset, PresetRun};
@@ -13,7 +11,7 @@ use crate::export::{presets_markdown, sweep_markdown, videos_markdown};
 use crate::{CoreError, TranscodeOptions, Transcoder};
 
 /// Scope of a characterization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportScope {
     /// Video used for the crf × refs sweep and the preset study.
     pub sweep_video: String,
@@ -53,7 +51,7 @@ impl Default for ReportScope {
 }
 
 /// The assembled characterization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Characterization {
     /// Scope that produced this report.
     pub scope: ReportScope,

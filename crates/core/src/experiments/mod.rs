@@ -46,12 +46,13 @@ where
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
     let (tx, rx) = mpsc::channel::<(usize, Result<O, CoreError>)>();
 
-    crossbeam::thread::scope(|scope| {
+    // A panicking worker re-panics here once every thread has been joined.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
             let queue = &queue;
             let f = &f;
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let job = queue.lock().expect("queue poisoned").pop_front();
                 let Some((idx, item)) = job else { break };
                 let out = f(item);
@@ -60,8 +61,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     drop(tx);
 
     let mut slots: Vec<Option<Result<O, CoreError>>> = (0..n).map(|_| None).collect();

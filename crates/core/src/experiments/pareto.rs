@@ -6,8 +6,6 @@
 //! space; an adaptive-streaming ladder wants the rate/quality *efficient
 //! frontier*, and an operator wants rungs that respect a compute budget.
 
-use serde::{Deserialize, Serialize};
-
 use super::sweep::SweepPoint;
 
 /// A point is rate-quality dominated if another point has both no more
@@ -46,7 +44,7 @@ pub fn pareto_front(points: &[SweepPoint]) -> Vec<SweepPoint> {
 }
 
 /// An encoding-ladder recommendation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LadderPlan {
     /// Chosen operating points, ascending bitrate.
     pub rungs: Vec<SweepPoint>,

@@ -8,8 +8,6 @@
 //! side, showing how much backend-core share the flat-width model hides and
 //! which configurations (the core-widened `be_op2`) buy it back.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::EncoderConfig;
 use vtx_frame::{synth, vbench};
 use vtx_port::{refine_report, PortRefinement};
@@ -20,7 +18,7 @@ use super::parallel_map;
 use crate::{CoreError, RunSummary, TranscodeOptions, Transcoder};
 
 /// One configuration's flat-width vs port-aware accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortStudyRun {
     /// Configuration name (Table IV column).
     pub config_name: String,

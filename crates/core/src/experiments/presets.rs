@@ -3,8 +3,6 @@
 //! All ten x264 presets on one video, with `crf = 23` and `refs = 3` fixed
 //! (the paper studies those two parameters separately).
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::Preset;
 use vtx_telemetry::Span;
 
@@ -12,7 +10,7 @@ use super::parallel_map;
 use crate::{CoreError, RunSummary, TranscodeOptions, Transcoder};
 
 /// One preset's measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PresetRun {
     /// The preset.
     pub preset: Preset,

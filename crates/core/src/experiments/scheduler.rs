@@ -7,8 +7,6 @@
 //! (which Top-down category dominates each task); the best scheduler picks
 //! each task's measured optimum without the constraint.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_sched::affinity::benefit_from_characterization;
 use vtx_sched::scheduler::{
     best_assignment, match_rate, random_expected_time, smart_assignment, ScheduleOutcome,
@@ -21,7 +19,7 @@ use super::parallel_map;
 use crate::{CoreError, TranscodeOptions, Transcoder};
 
 /// Everything Figure 9 plots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerStudy {
     /// The tasks (Table III).
     pub tasks: Vec<TranscodeTask>,
@@ -81,7 +79,7 @@ pub fn scheduler_study(seed: u64, sample_shift: u32) -> Result<SchedulerStudy, C
 
 /// Measured (task × config) matrices: the raw material of the Figure 9
 /// study and the calibration input of `vtx-serve`'s cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredMatrix {
     /// Modified configuration names, column order of `times`.
     pub config_names: Vec<String>,

@@ -8,8 +8,6 @@
 //! that keeps the default bench run fast, while the full 816-point grid is
 //! available through [`full_crf_grid`]/[`full_refs_grid`].
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::EncoderConfig;
 use vtx_telemetry::{progress::ProgressReporter, Span};
 
@@ -17,7 +15,7 @@ use super::parallel_map;
 use crate::{CoreError, RunSummary, TranscodeOptions, Transcoder};
 
 /// One grid point of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// CRF value of this point.
     pub crf: u8,

@@ -7,15 +7,13 @@
 //! [`TriangleReport::directions`] checks each arrow of the diagram
 //! empirically.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::EncoderConfig;
 
 use super::sweep::{crf_refs_sweep, SweepPoint};
 use crate::{CoreError, TranscodeOptions, Transcoder};
 
 /// Empirical verification of Figure 2's arrows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriangleDirections {
     /// Raising crf lowers PSNR (active effect, red arrow).
     pub crf_degrades_quality: bool,
@@ -41,7 +39,7 @@ impl TriangleDirections {
 }
 
 /// The measured grid plus its direction summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TriangleReport {
     /// Measured grid points.
     pub points: Vec<SweepPoint>,

@@ -4,8 +4,6 @@
 //! `medium`; results are grouped by resolution and ordered by entropy, like
 //! the paper's figure.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::EncoderConfig;
 use vtx_frame::{synth, vbench, VideoSpec};
 use vtx_telemetry::{progress::ProgressReporter, Span};
@@ -14,7 +12,7 @@ use super::parallel_map;
 use crate::{CoreError, RunSummary, TranscodeOptions, Transcoder};
 
 /// One video's measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoRun {
     /// Catalog metadata (name, resolution, fps, entropy).
     pub spec: VideoSpec,

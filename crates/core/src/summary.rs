@@ -1,12 +1,10 @@
 //! Compact per-run summaries — the rows of the paper's figures.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_trace::report::{MpkiReport, ProfileReport, StallPki};
 use vtx_uarch::topdown::TopDown;
 
 /// Everything a figure needs from one transcoding run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Simulated transcoding time in seconds.
     pub seconds: f64,
@@ -81,8 +79,5 @@ mod tests {
         let s = RunSummary::from_profile(&p);
         assert_eq!(s.instructions, 42);
         assert!((s.seconds - 1.5).abs() < 1e-12);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: RunSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

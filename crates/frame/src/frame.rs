@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{FrameError, Plane};
 
 /// A YUV 4:2:0 picture: full-resolution luma plus half-resolution chroma.
@@ -17,7 +15,7 @@ use crate::{FrameError, Plane};
 /// assert_eq!(f.u().width(), 32);
 /// assert_eq!(f.v().height(), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     y: Plane,
     u: Plane,

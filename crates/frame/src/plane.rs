@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::FrameError;
 
 /// A single 8-bit sample plane (luma or one chroma component).
@@ -19,7 +17,7 @@ use crate::FrameError;
 /// // out-of-range access clamps to the nearest edge sample
 /// assert_eq!(p.get_clamped(-5, 4), p.get(0, 4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plane {
     width: usize,
     height: usize,
@@ -314,38 +312,40 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use vtx_rng::Xoshiro256pp;
 
-    proptest! {
-        /// write_block followed by copy_block_clamped is the identity for
-        /// in-bounds blocks of any geometry.
-        #[test]
-        fn block_write_read_roundtrip(
-            w in 8usize..40,
-            h in 8usize..40,
-            bx in 0usize..8,
-            by in 0usize..8,
-            fill in proptest::collection::vec(any::<u8>(), 16),
-        ) {
+    /// write_block followed by copy_block_clamped is the identity for
+    /// in-bounds blocks of any geometry.
+    #[test]
+    fn block_write_read_roundtrip() {
+        let mut rng = Xoshiro256pp::new(0x9147E);
+        for _ in 0..256 {
+            let w = 8 + rng.next_range(32) as usize;
+            let h = 8 + rng.next_range(32) as usize;
+            let bx = rng.next_range(8) as usize;
+            let by = rng.next_range(8) as usize;
+            let fill: [u8; 16] = std::array::from_fn(|_| rng.next_u8());
             let mut p = Plane::new(w.max(bx + 4), h.max(by + 4));
             p.write_block(bx, by, 4, 4, &fill);
             let mut out = [0u8; 16];
             p.copy_block_clamped(bx as isize, by as isize, 4, 4, &mut out);
-            prop_assert_eq!(&out[..], &fill[..]);
+            assert_eq!(out, fill, "{w}x{h} block at ({bx}, {by})");
         }
+    }
 
-        /// Clamped reads always return a value present in the plane.
-        #[test]
-        fn clamped_read_in_range(
-            x in -100isize..100,
-            y in -100isize..100,
-            seed in any::<u8>(),
-        ) {
+    /// Clamped reads always return a value present in the plane.
+    #[test]
+    fn clamped_read_in_range() {
+        let mut rng = Xoshiro256pp::new(0xC1A39);
+        for _ in 0..256 {
+            let x = rng.next_i64_in(-100, 100) as isize;
+            let y = rng.next_i64_in(-100, 100) as isize;
+            let seed = rng.next_u8();
             let mut p = Plane::new(16, 12);
             p.fill(seed);
-            prop_assert_eq!(p.get_clamped(x, y), seed);
+            assert_eq!(p.get_clamped(x, y), seed, "({x}, {y})");
         }
     }
 }

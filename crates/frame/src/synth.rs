@@ -12,8 +12,7 @@
 //! Everything is seeded; identical `(spec, seed)` inputs produce identical
 //! videos on every platform.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use vtx_rng::Xoshiro256pp;
 
 use crate::{Frame, Video, VideoSpec};
 
@@ -86,30 +85,30 @@ struct Scene {
 }
 
 impl Scene {
-    fn random(rng: &mut SmallRng, profile: &ContentProfile, w: f64, h: f64) -> Self {
+    fn random(rng: &mut Xoshiro256pp, profile: &ContentProfile, w: f64, h: f64) -> Self {
         let mut objects = Vec::with_capacity(profile.object_count);
         for _ in 0..profile.object_count {
-            let speed = profile.motion_px * rng.gen_range(0.4..1.0);
-            let dir = rng.gen_range(0.0..std::f64::consts::TAU);
+            let speed = profile.motion_px * rng.next_f64_in(0.4, 1.0);
+            let dir = rng.next_f64_in(0.0, std::f64::consts::TAU);
             objects.push(MovingObject {
-                x: rng.gen_range(0.0..w),
-                y: rng.gen_range(0.0..h),
+                x: rng.next_f64_in(0.0, w),
+                y: rng.next_f64_in(0.0, h),
                 vx: speed * dir.cos(),
                 vy: speed * dir.sin(),
-                w: rng.gen_range(w * 0.08..w * 0.3),
-                h: rng.gen_range(h * 0.08..h * 0.3),
-                luma: rng.gen_range(40.0..220.0),
-                tint_u: rng.gen_range(-40.0..40.0),
-                tint_v: rng.gen_range(-40.0..40.0),
-                tex_phase: rng.gen_range(0.0..std::f64::consts::TAU),
+                w: rng.next_f64_in(w * 0.08, w * 0.3),
+                h: rng.next_f64_in(h * 0.08, h * 0.3),
+                luma: rng.next_f64_in(40.0, 220.0),
+                tint_u: rng.next_f64_in(-40.0, 40.0),
+                tint_v: rng.next_f64_in(-40.0, 40.0),
+                tex_phase: rng.next_f64_in(0.0, std::f64::consts::TAU),
             });
         }
-        let pan_dir = rng.gen_range(0.0..std::f64::consts::TAU);
+        let pan_dir = rng.next_f64_in(0.0, std::f64::consts::TAU);
         Scene {
             objects,
-            bg_phase_x: rng.gen_range(0.0..std::f64::consts::TAU),
-            bg_phase_y: rng.gen_range(0.0..std::f64::consts::TAU),
-            bg_base: rng.gen_range(90.0..160.0),
+            bg_phase_x: rng.next_f64_in(0.0, std::f64::consts::TAU),
+            bg_phase_y: rng.next_f64_in(0.0, std::f64::consts::TAU),
+            bg_base: rng.next_f64_in(90.0, 160.0),
             pan_dir: (pan_dir.cos(), pan_dir.sin()),
         }
     }
@@ -168,7 +167,7 @@ pub fn generate(spec: &VideoSpec, seed: u64) -> Video {
 pub fn generate_with_profile(spec: &VideoSpec, profile: &ContentProfile, seed: u64) -> Video {
     let w = spec.sim_width as usize;
     let h = spec.sim_height as usize;
-    let mut rng = SmallRng::seed_from_u64(seed ^ name_hash(&spec.short_name));
+    let mut rng = Xoshiro256pp::new(seed ^ name_hash(&spec.short_name));
     let mut scene = Scene::random(&mut rng, profile, w as f64, h as f64);
     let mut pan = (0.0f64, 0.0f64);
 
@@ -194,7 +193,7 @@ fn render_frame(
     scene: &Scene,
     pan: (f64, f64),
     profile: &ContentProfile,
-    rng: &mut SmallRng,
+    rng: &mut Xoshiro256pp,
 ) -> Frame {
     let mut frame = Frame::new(w, h);
     let fx = profile.texture_freq;
@@ -218,7 +217,7 @@ fn render_frame(
                 }
             }
             if profile.noise_amp > 0.0 {
-                v += rng.gen_range(-profile.noise_amp..=profile.noise_amp);
+                v += rng.next_f64_in_inclusive(-profile.noise_amp, profile.noise_amp);
             }
             frame.y_mut().set(x, y, v.clamp(0.0, 255.0) as u8);
         }

@@ -11,10 +11,8 @@
 //! frame-rate differences still matter while the full 816-point parameter
 //! sweep of Figure 3 remains tractable.
 
-use serde::{Deserialize, Serialize};
-
 /// Metadata for one benchmark video (one row of Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoSpec {
     /// Full vbench file name, e.g. `bike_1280x720_29.mkv`.
     pub full_name: String,

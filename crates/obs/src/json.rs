@@ -1,12 +1,13 @@
-//! Minimal JSON reader used for self-validation.
+//! Minimal JSON reader used for self-validation — the workspace's only one.
 //!
-//! The trajectory writer ([`crate::trajectory`]) emits JSON by hand (this
-//! crate takes no serialization dependency); this module is the matching
-//! hand-rolled reader, so schema validation of `BENCH_serving.json` — in
-//! tests and in CI — does not depend on an external parser either. It is a
-//! strict recursive-descent parser over the JSON subset the writer emits
-//! (no exponent floats are *produced*, but the reader accepts full JSON
-//! numbers so externally edited files still validate or fail loudly).
+//! The trajectory writer ([`crate::trajectory`]) emits JSON by hand (the
+//! workspace takes no serialization dependency); this module is the matching
+//! hand-rolled reader, so schema validation of `BENCH_serving.json` and of
+//! the Chrome-trace export — in tests and in CI — does not depend on an
+//! external parser either. It is a strict recursive-descent parser over the
+//! JSON subset the writer emits (no exponent floats are *produced*, but the
+//! reader accepts full JSON numbers so externally edited files still
+//! validate or fail loudly).
 
 use std::collections::BTreeMap;
 
@@ -186,11 +187,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf8".to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one slice.
+                // Both delimiters are ASCII, so the run ends on a scalar
+                // boundary of the `&str` this came from.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - *pos);
+                let text = std::str::from_utf8(&b[*pos..*pos + run])
+                    .map_err(|_| "bad utf8".to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -315,5 +322,19 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+    }
+
+    #[test]
+    fn megabyte_of_strings_parses_in_linear_time() {
+        // Every string has an escape and a multi-byte scalar, so both the
+        // run copy and the escape path run 20 000 times over > 1 MB.
+        let item = format!("{}\\n{}é", "x".repeat(30), "y".repeat(30));
+        let doc = format!("[{}]", vec![format!("\"{item}\""); 20_000].join(","));
+        assert!(doc.len() >= 1 << 20);
+        let v = parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), 20_000);
+        let want = format!("{}\n{}é", "x".repeat(30), "y".repeat(30));
+        assert!(items.iter().all(|s| s.as_str() == Some(want.as_str())));
     }
 }

@@ -40,10 +40,8 @@ pub use trace::{ConservationStats, JobTracker, Terminal, JOB_PID};
 pub use trajectory::{milli, wall_clock_enabled, BenchTrajectory, TrajectoryRow};
 pub use window::WindowedQuantiles;
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the observability plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Master switch; when false every hook is a cheap no-op.
     pub enabled: bool,
@@ -52,39 +50,16 @@ pub struct ObsConfig {
     /// Recent windows merged into a live quantile reading.
     pub windows_kept: usize,
     /// SLO burn-rate alerting parameters.
-    pub slo: SloParams,
-}
-
-/// Serializable mirror of [`slo::SloConfig`] (kept separate so the monitor
-/// itself stays free of serialization concerns).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SloParams {
-    /// Allowed bad-outcome fraction, milli-units (50 ⇒ 5%).
-    pub budget_milli: u64,
-    /// Burn-rate multiple that fires, milli-units (2000 ⇒ 2×).
-    pub fire_burn_milli: u64,
-    /// Fast alert window, microseconds.
-    pub fast_window_us: u64,
-    /// Slow alert window, microseconds.
-    pub slow_window_us: u64,
-    /// Minimum fast-window outcomes before the alert can fire.
-    pub min_events: u64,
+    pub slo: SloConfig,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        let slo = SloConfig::default();
         ObsConfig {
             enabled: true,
             window_us: 2_000_000,
             windows_kept: 5,
-            slo: SloParams {
-                budget_milli: slo.budget_milli,
-                fire_burn_milli: slo.fire_burn_milli,
-                fast_window_us: slo.fast_window_us,
-                slow_window_us: slo.slow_window_us,
-                min_events: slo.min_events,
-            },
+            slo: SloConfig::default(),
         }
     }
 }
@@ -97,20 +72,10 @@ impl ObsConfig {
             ..ObsConfig::default()
         }
     }
-
-    fn slo_config(&self) -> SloConfig {
-        SloConfig {
-            budget_milli: self.slo.budget_milli,
-            fire_burn_milli: self.slo.fire_burn_milli,
-            fast_window_us: self.slo.fast_window_us,
-            slow_window_us: self.slo.slow_window_us,
-            min_events: self.slo.min_events,
-        }
-    }
 }
 
 /// One autoscaler decision as seen by the observability plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleEvent {
     /// When the decision was committed (µs).
     pub t_us: u64,
@@ -140,7 +105,7 @@ impl ObsPlane {
     /// A plane over `classes` service classes.
     pub fn new(cfg: ObsConfig, classes: usize) -> Self {
         let windows = WindowedQuantiles::new(classes, cfg.window_us, cfg.windows_kept);
-        let monitor = BurnRateMonitor::new(classes, cfg.slo_config());
+        let monitor = BurnRateMonitor::new(classes, cfg.slo.clone());
         ObsPlane {
             cfg,
             tracker: JobTracker::new(),

@@ -200,6 +200,7 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vtx_rng::SplitMix64;
 
     fn exact_quantile(samples: &[u64], q_permille: u32) -> u64 {
         let mut s = samples.to_vec();
@@ -208,18 +209,6 @@ mod tests {
             .div_ceil(1000)
             .clamp(1, s.len() as u128) as usize;
         s[rank - 1]
-    }
-
-    /// Deterministic pseudo-random stream (SplitMix64).
-    fn stream(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
     }
 
     #[test]
@@ -269,14 +258,14 @@ mod tests {
 
     #[test]
     fn quantiles_stay_within_relative_error_bound() {
-        let mut next = stream(7);
+        let mut rng = SplitMix64::new(7);
         for dist in 0..5 {
             let samples: Vec<u64> = (0..4000)
                 .map(|i| match dist {
-                    0 => next() % 1_000_000,
-                    1 => 1u64 << (next() % 30),
-                    2 => (next() % 1000).pow(2),
-                    3 => 10_000 + next() % 64,
+                    0 => rng.next_u64() % 1_000_000,
+                    1 => 1u64 << (rng.next_u64() % 30),
+                    2 => (rng.next_u64() % 1000).pow(2),
+                    3 => 10_000 + rng.next_u64() % 64,
                     _ => i,
                 })
                 .collect();
@@ -299,8 +288,8 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_everything_in_one_sketch() {
-        let mut next = stream(42);
-        let samples: Vec<u64> = (0..3000).map(|_| next() % 500_000).collect();
+        let mut rng = SplitMix64::new(42);
+        let samples: Vec<u64> = (0..3000).map(|_| rng.next_u64() % 500_000).collect();
         let mut whole = QuantileSketch::new();
         for &v in &samples {
             whole.record(v);

@@ -10,10 +10,8 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An affine memory access within a loop-nest body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Access {
     /// Base byte address.
     pub base: u64,
@@ -24,7 +22,7 @@ pub struct Access {
 }
 
 /// A data dependence summarized as a constant distance vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependence {
     /// Per-dimension iteration distance (outermost first).
     pub distance: Vec<i64>,
@@ -96,7 +94,7 @@ impl fmt::Display for TransformError {
 impl Error for TransformError {}
 
 /// A perfect affine loop nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     /// Human-readable name (for reports).
     pub name: String,
@@ -502,55 +500,71 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use vtx_rng::Xoshiro256pp;
 
-    proptest! {
-        /// Interchange never changes the multiset of touched addresses.
-        #[test]
-        fn interchange_preserves_address_set(
-            e0 in 1i64..8,
-            e1 in 1i64..8,
-            s0 in -64i64..64,
-            s1 in -64i64..64,
-        ) {
+    fn sorted_addresses(nest: &LoopNest) -> Vec<u64> {
+        let mut a: Vec<u64> = nest.address_stream().map(|(x, _)| x).collect();
+        a.sort_unstable();
+        a
+    }
+
+    fn one_dim(extent: i64, stride: i64) -> LoopNest {
+        LoopNest::new(
+            "p",
+            vec![extent],
+            vec![Access {
+                base: 4096,
+                strides: vec![stride],
+                is_store: false,
+            }],
+            vec![],
+        )
+    }
+
+    /// Interchange never changes the multiset of touched addresses.
+    #[test]
+    fn interchange_preserves_address_set() {
+        let mut rng = Xoshiro256pp::new(0x1C4A);
+        for _ in 0..256 {
             let nest = LoopNest::new(
                 "p",
-                vec![e0, e1],
-                vec![Access { base: 1 << 20, strides: vec![s0, s1], is_store: false }],
+                vec![rng.next_i64_in(1, 8), rng.next_i64_in(1, 8)],
+                vec![Access {
+                    base: 1 << 20,
+                    strides: vec![rng.next_i64_in(-64, 64), rng.next_i64_in(-64, 64)],
+                    is_store: false,
+                }],
                 vec![],
             );
             let ic = nest.interchange(0, 1).unwrap();
-            let mut a: Vec<u64> = nest.address_stream().map(|(x, _)| x).collect();
-            let mut b: Vec<u64> = ic.address_stream().map(|(x, _)| x).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
+            assert_eq!(sorted_addresses(&nest), sorted_addresses(&ic), "{nest:?}");
         }
+    }
 
-        /// Tiling preserves the touched address set and the iteration count.
-        #[test]
-        fn tiling_preserves_address_set(
-            tiles in 1i64..8,
-            tile in 1i64..8,
-            stride in 1i64..64,
-        ) {
-            let extent = tiles * tile; // the IR requires dividing tiles
-            let nest = LoopNest::new(
-                "p",
-                vec![extent],
-                vec![Access { base: 4096, strides: vec![stride], is_store: false }],
-                vec![],
-            );
+    /// Tiling preserves the touched address set and the iteration count.
+    #[test]
+    fn tiling_preserves_address_set() {
+        // The one case proptest ever recorded (extent 16, stride 1, tile 3):
+        // the IR requires dividing tiles, so the property only draws those.
+        assert_eq!(
+            one_dim(16, 1).tile(0, 3),
+            Err(TransformError::NonDivisibleTile {
+                extent: 16,
+                tile: 3
+            })
+        );
+        let mut rng = Xoshiro256pp::new(0x711E);
+        for _ in 0..256 {
+            let tile = rng.next_i64_in(1, 8);
+            let nest = one_dim(rng.next_i64_in(1, 8) * tile, rng.next_i64_in(1, 64));
             let tiled = nest.tile(0, tile).unwrap();
-            let mut a: Vec<u64> = nest.address_stream().map(|(x, _)| x).collect();
-            let mut b: Vec<u64> = tiled.address_stream().map(|(x, _)| x).collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            prop_assert_eq!(a, b);
+            assert_eq!(
+                sorted_addresses(&nest),
+                sorted_addresses(&tiled),
+                "{nest:?} tile {tile}"
+            );
         }
     }
 }

@@ -18,15 +18,19 @@
 //! so two runs with the same seed are byte-identical — the determinism CI
 //! job compares full rendered reports across runs.
 
-use serde::{Deserialize, Serialize};
-
+use vtx_rng::SplitMix64;
 use vtx_uarch::config::UarchConfig;
 
 use crate::error::PortError;
 use crate::layout::{ClassMask, PortLayout, PortMask, UopClass, NUM_CLASSES};
 use crate::mix::UopMix;
-use crate::rng::derive;
 use crate::solver::solve;
+
+/// One-shot hash of a seed and a discriminator into a derived seed —
+/// gives every (class, blocked-mask) experiment its own stream.
+fn derive(seed: u64, salt: u64) -> u64 {
+    SplitMix64::new(seed ^ salt.wrapping_mul(0xD6E8_FEB8_6659_FD93)).next_u64()
+}
 
 /// Relative half-width of the multiplicative measurement noise the bench
 /// injects (±1%). Inference thresholds sit far above this.
@@ -120,7 +124,7 @@ impl BlockedPortBench {
 
 /// One abstract resource of the PALMED-style conjunctive model: classes
 /// mapped to `classes` share the `ports.count_ones()` slots of `ports`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbstractResource {
     /// Ports pooled by this resource.
     pub ports: PortMask,
@@ -131,7 +135,7 @@ pub struct AbstractResource {
 }
 
 /// A port mapping recovered purely from measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferredModel {
     /// Recovered layout (same shape as the hidden truth when inference
     /// succeeds).
@@ -266,7 +270,7 @@ fn conjunctive_resources(layout: &PortLayout) -> Vec<AbstractResource> {
 /// Validation of an inferred model against its bench: worst relative error
 /// between predicted and measured throughput over the standard mix suite
 /// (every table kernel plus the ten preset blends).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Validation {
     /// Worst relative error across the suite.
     pub max_rel_error: f64,
@@ -356,6 +360,13 @@ pub fn render_inference_report(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn derive_separates_streams() {
+        assert_ne!(derive(42, 1), derive(42, 2));
+        assert_ne!(derive(42, 1), derive(43, 1));
+        assert_eq!(derive(42, 1), derive(42, 1));
+    }
 
     #[test]
     fn recovers_gainestown_exactly() {

@@ -8,8 +8,6 @@
 //! profiled report's cycle accounting under that bound — inflating the
 //! backend-core Top-down share exactly where port contention lives.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_trace::ProfileReport;
 use vtx_uarch::config::UarchConfig;
 use vtx_uarch::interval::CoreModel;
@@ -21,7 +19,7 @@ use crate::mix::UopMix;
 use crate::solver::{solve, ThroughputSolve};
 
 /// What the port refinement of one report did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortRefinement {
     /// Config the refinement ran under.
     pub config_name: String,

@@ -10,8 +10,6 @@
 //! issue-at-dispatch) and gets a seventh ALU/SIMD-capable port, the way a
 //! real generation bump (Nehalem → Haswell) widened the issue stage.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_uarch::config::UarchConfig;
 
 use crate::error::PortError;
@@ -19,7 +17,7 @@ use crate::error::PortError;
 /// The uop classes the model distinguishes — coarse enough to classify
 /// every codec kernel, fine enough that port contention separates
 /// SATD/DCT-heavy presets from motion-search-heavy ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UopClass {
     /// Scalar integer arithmetic/logic.
     Alu,
@@ -86,7 +84,7 @@ pub type PortMask = u16;
 pub type ClassMask = u16;
 
 /// Ports × accepted uop classes for one core generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortLayout {
     /// Layout name (shown in reports; usually the config name).
     pub name: String,

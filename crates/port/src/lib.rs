@@ -57,7 +57,6 @@ pub mod infer;
 pub mod integrate;
 pub mod layout;
 pub mod mix;
-pub mod rng;
 pub mod solver;
 
 pub use error::PortError;

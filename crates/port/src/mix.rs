@@ -14,15 +14,13 @@
 //!   each x264 preset (Figure 6's speed ladder) blended without profiling,
 //!   for callers that must price a task before running it.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_trace::kernel::KernelProfile;
 use vtx_trace::KernelDesc;
 
 use crate::layout::{UopClass, NUM_CLASSES};
 
 /// Fractions of dynamic uops per [`UopClass`]; always sums to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UopMix {
     fractions: [f64; NUM_CLASSES],
 }

@@ -19,14 +19,12 @@
 //! and throughput `min(width, 1 / L*)` uops/cycle. With only seven classes
 //! the `2^7` subset enumeration is exact and effectively free.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PortError;
 use crate::layout::{ClassMask, PortLayout, PortMask, UopClass, NUM_CLASSES};
 use crate::mix::UopMix;
 
 /// Result of a steady-state solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputSolve {
     /// Sustained uops per cycle (already clamped to the dispatch width).
     pub uops_per_cycle: f64,

@@ -8,10 +8,8 @@
 //! schedule minimizing the makespan with the classic LPT (longest processing
 //! time first) greedy for unrelated machines.
 
-use serde::{Deserialize, Serialize};
-
 /// A many-to-one schedule: which tasks each server runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchSchedule {
     /// `per_server[s]` lists the task indices placed on server `s`.
     pub per_server: Vec<Vec<usize>>,

@@ -5,13 +5,11 @@
 //! scheduler may peek at it — the smart scheduler decides from predicted
 //! benefit scores alone.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{validate_matrix, SchedError};
 use crate::hungarian;
 
 /// Result of running one scheduling policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
     /// Configuration index chosen for each task.
     pub assignment: Vec<usize>,

@@ -1,11 +1,9 @@
 //! Transcoding tasks — Table III of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::{EncoderConfig, Preset};
 
 /// One transcoding job: a video plus its parameter combination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscodeTask {
     /// Short video name from the vbench catalog.
     pub video: String,

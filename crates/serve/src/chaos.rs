@@ -7,14 +7,14 @@
 //! and because the config is plain data, a faulted simulation remains a
 //! pure function of `(workload, fleet, policy, config, seed)`.
 
-use serde::{Deserialize, Serialize};
+use crate::rng::{derive, SplitMix64};
 
 pub use vtx_chaos::{
     DegradeConfig, DetectorConfig, FailureDetector, FaultCounts, FaultKind, FaultPlan, Health,
 };
 
 /// Fault-injection and recovery configuration for a serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// The failure script (default: no faults).
     pub plan: FaultPlan,
@@ -30,14 +30,11 @@ pub struct ChaosConfig {
     /// Seeded capped-exponential backoff on requeue after a fault or
     /// timeout (disabled by default: requeues rejoin the queue
     /// immediately, exactly as before).
-    #[serde(default)]
     pub backoff: BackoffConfig,
     /// Per-server circuit breaker (disabled by default).
-    #[serde(default)]
     pub breaker: BreakerConfig,
     /// Deterministic autoscaler (disabled by default: the whole fleet is
     /// active for the entire run, exactly as before).
-    #[serde(default)]
     pub autoscale: AutoscaleConfig,
 }
 
@@ -61,7 +58,7 @@ impl Default for ChaosConfig {
 /// with a per-job delay that doubles per attempt, is capped, and carries
 /// deterministic per-job jitter so released jobs do not re-arrive in
 /// lockstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffConfig {
     /// First-retry delay (µs). 0 disables backoff entirely (the legacy
     /// immediate-requeue path, byte-identical).
@@ -103,7 +100,7 @@ impl BackoffConfig {
             .checked_shl(shift)
             .unwrap_or(self.cap_us)
             .min(self.cap_us);
-        let mut rng = vtx_chaos::rng::SplitMix64::new(vtx_chaos::rng::derive(
+        let mut rng = SplitMix64::new(derive(
             seed,
             id.wrapping_mul(0x9E3779B1)
                 .wrapping_add(u64::from(attempts)),
@@ -124,7 +121,7 @@ impl BackoffConfig {
 /// failure detector: the breaker catches servers the detector still calls
 /// `Up` (fail-slow boxes timing out work) without waiting for heartbeats
 /// to stop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Master switch (off by default).
     pub enabled: bool,
@@ -151,7 +148,7 @@ impl Default for BreakerConfig {
 /// capacity estimate over *active* servers and scales out (with a seeded
 /// warm-up delay before the new server takes work) or scales in (draining
 /// any running job through the existing stranded-work requeue path).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Master switch (off by default: every server is active for the
     /// whole run and nothing changes).
@@ -198,10 +195,7 @@ impl AutoscaleConfig {
     /// seeded per-server jitter of up to `warmup_jitter_milli/1000` of the
     /// base. Pure in `(seed, server)`.
     pub fn warmup_delay_us(&self, seed: u64, server: usize) -> u64 {
-        let mut rng = vtx_chaos::rng::SplitMix64::new(vtx_chaos::rng::derive(
-            seed,
-            0x5CA1E0u64.wrapping_add(server as u64),
-        ));
+        let mut rng = SplitMix64::new(derive(seed, 0x5CA1E0u64.wrapping_add(server as u64)));
         let jitter_milli = if self.warmup_jitter_milli == 0 {
             0
         } else {
@@ -255,7 +249,7 @@ impl ChaosConfig {
     /// disjoint straggler).
     pub fn kill_two_straggle_one(seed: u64, servers: usize, horizon_us: u64) -> Self {
         assert!(servers >= 3, "scenario needs at least 3 servers");
-        let mut rng = vtx_chaos::rng::SplitMix64::new(vtx_chaos::rng::derive(seed, 0xFA17));
+        let mut rng = SplitMix64::new(derive(seed, 0xFA17));
         let a = rng.next_range(servers as u64) as usize;
         let mut b = rng.next_range(servers as u64) as usize;
         while b == a {

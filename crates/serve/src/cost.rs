@@ -27,8 +27,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use vtx_codec::Preset;
 use vtx_frame::vbench;
 use vtx_port::{dispatch_bound, UopMix};
@@ -52,7 +50,7 @@ const PIXEL_RATE: f64 = 80.0e6;
 const CLIP_SECONDS: f64 = 5.0;
 
 /// Deterministic service-time model over a video catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Noise seed (usually the workload seed).
     pub seed: u64,

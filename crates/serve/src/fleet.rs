@@ -1,7 +1,5 @@
 //! Heterogeneous worker fleets built from the Table IV configurations.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_sched::affinity::CONFIG_NAMES;
 use vtx_uarch::config::UarchConfig;
 
@@ -9,7 +7,7 @@ use crate::error::ServeError;
 
 /// One server: a microarchitecture plus a relative speed grade (cloud
 /// fleets mix CPU generations; 1.0 = the paper's reference part).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     /// Display name (unique within a fleet).
     pub name: String,
@@ -28,7 +26,7 @@ impl ServerSpec {
 }
 
 /// A validated, nonempty set of servers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     servers: Vec<ServerSpec>,
 }

@@ -113,7 +113,8 @@ pub mod fleet;
 pub mod policy;
 pub mod queue;
 pub mod report;
-pub mod rng;
+/// The serving layer's deterministic PRNG (`vtx-rng`).
+pub use vtx_rng as rng;
 pub mod segment;
 pub mod service;
 pub mod sim;

@@ -23,8 +23,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::{JobSpec, Priority};
 
 /// First sequence key handed out; front-insertions count down from here.
@@ -117,7 +115,7 @@ impl ClassQueue {
 }
 
 /// Why a job was shed rather than served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// Its class queue (and anything lower-priority it could displace) was
     /// full at arrival.
@@ -148,7 +146,7 @@ impl ShedReason {
 }
 
 /// Queue sizing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Per-class capacity, [`Priority::ALL`] order.
     pub per_class_cap: [usize; 3],
@@ -164,7 +162,7 @@ impl Default for QueueConfig {
 
 /// A job waiting in (or flowing through) the service: the immutable spec
 /// plus its service history so far.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingJob {
     /// The trace entry.
     pub spec: JobSpec,

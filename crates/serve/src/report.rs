@@ -7,12 +7,10 @@
 //! samples (rank = ⌈q·n⌉), not histogram-bucketed, so two runs with the same
 //! seed render identical bytes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::Priority;
 
 /// Exact order statistics of a latency sample set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: u64,
@@ -75,7 +73,7 @@ impl LatencyStats {
 }
 
 /// Per-server accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
     /// Server name.
     pub name: String,
@@ -88,7 +86,7 @@ pub struct ServerStats {
 }
 
 /// What the chaos layer injected and what recovery did about it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultAccounting {
     /// Fail-stop crashes scheduled by the plan.
     pub crashes: u64,
@@ -114,7 +112,7 @@ pub struct FaultAccounting {
 /// Segment-granular accounting for a run whose dispatch units are
 /// per-(segment, rung) pieces of catalog jobs (see [`crate::segment`]).
 /// `None` on whole-clip runs, so legacy reports render byte-identically.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Catalog jobs the workload described.
     pub parents: u64,
@@ -124,7 +122,6 @@ pub struct SegmentStats {
     /// Parents serving a *degraded* manifest: at least one rung finished
     /// every segment, but not all rungs did (see
     /// [`crate::segment::SegmentPlan::manifests_partial`]).
-    #[serde(default)]
     pub parents_degraded: u64,
     /// Dispatch units offered (Σ segments × rungs over parents).
     pub units: u64,
@@ -137,7 +134,7 @@ pub struct SegmentStats {
 }
 
 /// Everything a serving run produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Dispatch policy name.
     pub policy: String,
@@ -178,28 +175,23 @@ pub struct ServingReport {
     pub servers: Vec<ServerStats>,
     /// Segment-granular accounting; `None` on whole-clip runs (the driver
     /// fills this in from the segment plan after the run).
-    #[serde(default)]
     pub segments: Option<SegmentStats>,
     /// Segment-cache accounting; `None` when no cache was configured, so
     /// legacy reports render byte-identically.
-    #[serde(default)]
     pub cache: Option<vtx_cache::CacheStats>,
     /// Shed counts by ladder rung index (0 = `hi`); empty when the run had
     /// no per-unit rung table ([`crate::service::ServeConfig::unit_rungs`]).
-    #[serde(default)]
     pub shed_by_rung: Vec<u64>,
     /// Shed counts by tenant index; empty when the run had no tenant
     /// admission config ([`crate::service::ServeConfig::tenants`]), so
     /// legacy reports render byte-identically.
-    #[serde(default)]
     pub shed_by_tenant: Vec<u64>,
     /// Autoscaler accounting; `None` when autoscaling was disabled.
-    #[serde(default)]
     pub scale: Option<ScaleStats>,
 }
 
 /// What the deterministic autoscaler did over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleStats {
     /// Scale-out decisions committed (servers launched into warm-up).
     pub scale_outs: u64,

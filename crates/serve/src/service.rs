@@ -11,8 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use vtx_cache::{CacheKey, CacheSpec, SegmentCache};
 use vtx_chaos::degrade::{downgrade, DegradeLadder};
 use vtx_chaos::{Cause, FaultKind, Health};
@@ -30,7 +28,7 @@ use crate::report::{FaultAccounting, LatencyStats, ScaleStats, ServerStats, Serv
 use crate::workload::{JobSpec, Priority};
 
 /// Service-layer tuning knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Admission-queue sizing.
     pub queue: QueueConfig,
@@ -50,40 +48,33 @@ pub struct ServeConfig {
     /// Cell count for XL two-level dispatch (0 = auto-size at
     /// [`crate::cells::DEFAULT_CELL_SIZE`] servers per cell). Only read by
     /// the simulator's XL fast path; small fleets ignore it.
-    #[serde(default)]
     pub cells: usize,
     /// Per-unit `(frames, total_frames)` when jobs are per-(segment, rung)
     /// dispatch units (see [`crate::segment`]), indexed by dense job id.
     /// Scales true service time by the unit's share of the clip. Empty =
     /// whole-clip jobs; service times are untouched.
-    #[serde(default)]
     pub unit_frames: Vec<(u32, u32)>,
     /// Popularity-aware segment cache (`None` = caching disabled; the
     /// legacy path is byte-identical). When set, both drivers consult the
     /// cache at dispatch time: a hit skips the transcode entirely and
     /// bills only the cache's lookup cost.
-    #[serde(default)]
     pub cache: Option<CacheSpec>,
     /// Per-unit ladder rung indexed by dense job id (0 = highest rung).
     /// Feeds rung-ordered displacement ([`AdmissionQueue::set_rung_table`])
     /// and per-rung shed accounting. Empty = whole-clip jobs.
-    #[serde(default)]
     pub unit_rungs: Vec<u8>,
     /// Per-unit segment index within the parent clip, indexed by dense job
     /// id. Empty = whole-clip jobs (cache keys use segment 0).
-    #[serde(default)]
     pub unit_segs: Vec<u32>,
     /// Per-unit muxed artifact size in bytes, indexed by dense job id.
     /// Sizes cache insertions; empty falls back to a bitrate-model
     /// estimate from the job's knobs.
-    #[serde(default)]
     pub unit_bytes: Vec<u64>,
     /// Per-tenant token-bucket admission (`None` = disabled; the legacy
     /// path is byte-identical). Tenants are decoded from job ids via
     /// [`crate::workload::tenant_of`]; a job arriving to an empty bucket
     /// is shed with [`ShedReason::Throttled`] before it can displace
     /// anyone, so one tenant's flood cannot starve the others.
-    #[serde(default)]
     pub tenants: Option<TenantAdmissionConfig>,
 }
 
@@ -114,7 +105,7 @@ impl Default for ServeConfig {
 /// milli-tokens. Refill is integer arithmetic over a
 /// microsecond-times-milli-rate accumulator, so admission decisions are
 /// exact and byte-deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantAdmissionConfig {
     /// Tenant count (must match the workload's tenant encoding).
     pub n_tenants: usize,
@@ -197,7 +188,7 @@ impl TokenBuckets {
 pub const CLASS_NAMES: [&str; 3] = ["interactive", "standard", "batch"];
 
 /// One service-layer event, timestamped in microseconds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventRecord {
     /// A job arrived from the load generator.
     Arrive {

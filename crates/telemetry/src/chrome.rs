@@ -9,8 +9,8 @@
 //! `pid`.
 //!
 //! The writer is hand-rolled string building (this crate takes no
-//! dependencies); the unit tests in the workspace test crate re-parse the
-//! output with `serde_json` to keep it honest.
+//! dependencies); the workspace test crate re-parses the output with
+//! `vtx_obs::json` to keep it honest.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -290,8 +290,8 @@ mod tests {
     }
 
     /// Structural sanity without a JSON parser: balanced braces/brackets and
-    /// no raw control characters. (Full serde_json validation lives in the
-    /// workspace `vtx-tests` crate, which may take heavy deps.)
+    /// no raw control characters. (Full parsing lives in the workspace
+    /// `vtx-tests` crate, which may depend on `vtx-obs`.)
     #[test]
     fn output_is_structurally_balanced() {
         let json = ChromeTrace::from_trace(&sample_trace()).to_json();

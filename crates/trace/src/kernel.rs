@@ -6,13 +6,11 @@
 //! [`crate::Profiler::kernel`] call charges instructions and instruction
 //! fetches to that region.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a kernel within its workload's descriptor table.
 pub type KernelId = usize;
 
 /// Static description of one instrumented kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDesc {
     /// Function name (shown in hotspot reports).
     pub name: &'static str,
@@ -39,7 +37,7 @@ impl KernelDesc {
 
 /// Per-kernel execution profile collected by the profiler — the input that
 /// the AutoFDO-style optimizer consumes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelProfile {
     /// Invocation count per kernel.
     pub invocations: Vec<u64>,

@@ -11,8 +11,6 @@
 //! * [`CodeLayout::packed`] — a given order, hot parts packed back to back
 //!   (what Pettis–Hansen clustering in `vtx-opt` produces).
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::{KernelDesc, KernelId};
 
 /// Cold-code multiplier used by the default (unoptimized) layout: for every
@@ -26,7 +24,7 @@ pub const DEFAULT_GAP_FACTOR: u32 = 7;
 pub const TEXT_BASE: u64 = 0x40_0000;
 
 /// An assignment of code address ranges to kernels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeLayout {
     /// `bases[k]` is the first byte address of kernel `k`'s hot region.
     bases: Vec<u64>,

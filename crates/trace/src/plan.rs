@@ -7,15 +7,13 @@
 //! stream* fed to the cache simulation — the optimization's effect on cache
 //! misses emerges from simulation rather than being asserted.
 
-use serde::{Deserialize, Serialize};
-
 /// Loop transformations applied to the workload's data-traversal loops.
 ///
 /// The default plan is fully canonical (no transformation) — what an
 /// unoptimized compile produces. `vtx-opt`'s Graphite analog derives an
 /// optimized plan by running legality-checked loop transformations over
 /// models of these loops.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataPlan {
     /// Fuse the in-loop deblocking filter into the macroblock loop instead
     /// of a separate whole-frame sweep (loop fusion): the filtered lines are

@@ -1,14 +1,12 @@
 //! Profiling reports: the counters the paper's figures are built from.
 
-use serde::{Deserialize, Serialize};
-
 use vtx_uarch::interval::{CycleBreakdown, ExecutionCounts};
 use vtx_uarch::topdown::TopDown;
 
 use crate::kernel::KernelProfile;
 
 /// Misses per kilo-instruction, as reported by `perf` in the paper (§III-B.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MpkiReport {
     /// L1 instruction-cache MPKI.
     pub l1i: f64,
@@ -25,7 +23,7 @@ pub struct MpkiReport {
 }
 
 /// Resource-stall cycles per kilo-instruction (Figure 5e–h).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StallPki {
     /// Stalls due to any resource (Figure 5e).
     pub any: f64,
@@ -38,7 +36,7 @@ pub struct StallPki {
 }
 
 /// Everything one profiled execution produces — the VTune + perf view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Name of the simulated microarchitecture configuration.
     pub config_name: String,
@@ -141,13 +139,5 @@ mod tests {
         r.hotspots = vec![("me_sad".into(), 900), ("idct".into(), 100)];
         let text = r.collapsed_stacks().render();
         assert_eq!(text, "baseline;idct 100\nbaseline;me_sad 900\n");
-    }
-
-    #[test]
-    fn serializable() {
-        let r = dummy(1.0);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: ProfileReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
     }
 }

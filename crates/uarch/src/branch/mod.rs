@@ -19,10 +19,8 @@ pub use gshare::Gshare;
 pub use pentium_m::PentiumM;
 pub use tage::Tage;
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated branch prediction statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Conditional branches observed.
     pub branches: u64,
@@ -55,7 +53,7 @@ pub trait BranchPredictor: std::fmt::Debug + Send {
 }
 
 /// Selectable predictor family, as named in Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// Per-PC 2-bit counters.
     Bimodal,

@@ -189,10 +189,9 @@ mod tests {
 
     #[test]
     fn random_branches_are_hard() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut rng = vtx_rng::Xoshiro256pp::new(1);
         let mut p = PentiumM::new();
-        let outcomes: Vec<bool> = (0..4000).map(|_| rng.gen()).collect();
+        let outcomes: Vec<bool> = (0..4000).map(|_| rng.next_bool()).collect();
         let acc = accuracy(&mut p, outcomes.iter().map(|&t| (0x77u64, t)), 1000);
         assert!(acc < 0.65, "random stream should not be predictable: {acc}");
     }

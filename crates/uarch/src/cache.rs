@@ -5,12 +5,10 @@
 //! 64-byte cache-line addresses, which is the granularity at which the
 //! instrumented transcoder emits memory events.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ConfigError;
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -79,7 +77,7 @@ impl CacheParams {
 }
 
 /// Hit/miss counters for one cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
     pub accesses: u64,
@@ -337,28 +335,40 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use vtx_rng::Xoshiro256pp;
 
-    proptest! {
-        /// Whatever the access sequence, the just-accessed line is resident
-        /// and the stats identity holds.
-        #[test]
-        fn accessed_line_is_resident(lines in proptest::collection::vec(0u64..10_000, 1..500)) {
+    /// `1..max_len` line numbers below `universe`.
+    fn lines(rng: &mut Xoshiro256pp, universe: u64, max_len: u64) -> Vec<u64> {
+        let len = 1 + rng.next_range(max_len - 1);
+        (0..len).map(|_| rng.next_range(universe)).collect()
+    }
+
+    /// Whatever the access sequence, the just-accessed line is resident
+    /// and the stats identity holds.
+    #[test]
+    fn accessed_line_is_resident() {
+        let mut rng = Xoshiro256pp::new(0xACCE55);
+        for _ in 0..256 {
+            let lines = lines(&mut rng, 10_000, 500);
             let mut c = Cache::new(CacheParams::new(4, 2, 1)).unwrap();
             for &l in &lines {
                 c.access_line(l);
-                prop_assert!(c.contains_line(l));
+                assert!(c.contains_line(l));
             }
-            prop_assert_eq!(c.stats().accesses, lines.len() as u64);
-            prop_assert!(c.stats().misses <= c.stats().accesses);
+            assert_eq!(c.stats().accesses, lines.len() as u64);
+            assert!(c.stats().misses <= c.stats().accesses);
         }
+    }
 
-        /// Repeating any sequence back-to-back never misses more the second
-        /// time if the working set fits.
-        #[test]
-        fn second_pass_of_small_set_hits(lines in proptest::collection::vec(0u64..16, 1..64)) {
+    /// Repeating any sequence back-to-back never misses more the second
+    /// time if the working set fits.
+    #[test]
+    fn second_pass_of_small_set_hits() {
+        let mut rng = Xoshiro256pp::new(0x5EC09D);
+        for _ in 0..256 {
+            let lines = lines(&mut rng, 16, 64);
             // 4 KiB, 8-way = 64 lines: a 16-line universe always fits.
             let mut c = Cache::new(CacheParams::new(4, 8, 1)).unwrap();
             for &l in &lines {
@@ -366,9 +376,9 @@ mod proptests {
             }
             let misses_after_warm = c.stats().misses;
             for &l in &lines {
-                prop_assert!(c.access_line(l), "line {} should hit", l);
+                assert!(c.access_line(l), "line {l} should hit");
             }
-            prop_assert_eq!(c.stats().misses, misses_after_warm);
+            assert_eq!(c.stats().misses, misses_after_warm);
         }
     }
 }

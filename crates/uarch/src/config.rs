@@ -10,15 +10,13 @@
 //! | `be_op2`   | 256-entry ROB, 72-entry RS, issue-at-dispatch        | back-end (core)   |
 //! | `bs_op`    | TAGE instead of the Pentium-M hybrid                 | bad speculation   |
 
-use serde::{Deserialize, Serialize};
-
 use crate::branch::PredictorKind;
 use crate::cache::CacheParams;
 use crate::prefetch::PrefetcherKind;
 use crate::ConfigError;
 
 /// A complete core + memory-hierarchy configuration (one column of Table IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UarchConfig {
     /// Configuration name as used in the paper ("baseline", "fe_op", ...).
     pub name: String,
@@ -48,7 +46,6 @@ pub struct UarchConfig {
     /// Branch direction predictor.
     pub predictor: PredictorKind,
     /// L1d hardware prefetcher (extension; Table IV implies none).
-    #[serde(default)]
     pub l1d_prefetcher: PrefetcherKind,
     /// Core frequency in GHz (the paper's Xeon E3 runs at 3.5 GHz).
     pub freq_ghz: f64,
@@ -262,25 +259,6 @@ mod tests {
                 "{field}"
             );
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_all_configs() {
-        for cfg in UarchConfig::table_iv() {
-            let json = serde_json::to_string(&cfg).unwrap();
-            let back: UarchConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(cfg, back, "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn old_configs_without_prefetcher_field_deserialize() {
-        // The l1d_prefetcher field is a post-Table-IV extension with
-        // #[serde(default)]: configs serialized before it must still load.
-        let mut json: serde_json::Value = serde_json::to_value(UarchConfig::baseline()).unwrap();
-        json.as_object_mut().unwrap().remove("l1d_prefetcher");
-        let back: UarchConfig = serde_json::from_value(json).unwrap();
-        assert_eq!(back.l1d_prefetcher, crate::prefetch::PrefetcherKind::None);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! write-allocate stores, so a store miss traverses the hierarchy like a
 //! load.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{Cache, CacheStats};
 use crate::config::UarchConfig;
 use crate::prefetch::{PrefetchStats, Prefetcher};
@@ -15,7 +13,7 @@ use crate::tlb::{Tlb, TlbStats};
 use crate::ConfigError;
 
 /// The level at which an access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HitLevel {
     /// Satisfied by the first-level cache (L1i or L1d depending on side).
     L1,
@@ -30,7 +28,7 @@ pub enum HitLevel {
 }
 
 /// Per-level hit counters for one access stream (instruction, load or store).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelCounters {
     /// Accesses satisfied in L1.
     pub l1: u64,

@@ -13,15 +13,13 @@
 //! [`CycleBreakdown`] whose penalty ledger feeds both the Top-down summary
 //! and the Figure-5 resource-stall counters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::UarchConfig;
 use crate::error::ConfigError;
 use crate::hierarchy::LevelCounters;
 use crate::topdown::TopDown;
 
 /// Aggregated events from one profiled execution region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutionCounts {
     /// Retired instructions.
     pub instructions: u64,
@@ -84,7 +82,7 @@ fn merge_levels(a: &mut LevelCounters, b: &LevelCounters) {
 ///
 /// The defaults are calibrated against the shapes the paper reports; they
 /// are exposed so ablation studies can vary them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Fraction of an instruction-fetch miss penalty actually exposed
     /// (fetch-ahead hides the rest).
@@ -121,7 +119,7 @@ impl Default for ModelParams {
 }
 
 /// Result of running the interval model: the cycle/penalty ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleBreakdown {
     /// Dispatch-limited baseline cycles (`uops / width`, rounded up).
     pub base_cycles: f64,

@@ -9,10 +9,8 @@
 //! * [`PrefetcherKind::Stream`] — a small table of stream detectors that
 //!   lock onto constant-stride sequences and run ahead of them.
 
-use serde::{Deserialize, Serialize};
-
 /// Selectable prefetcher model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No prefetching (the paper's implicit setting).
     #[default]
@@ -24,7 +22,7 @@ pub enum PrefetcherKind {
 }
 
 /// Prefetch issue statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
     /// Prefetches issued to the hierarchy.
     pub issued: u64,

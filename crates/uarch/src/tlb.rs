@@ -4,15 +4,13 @@
 //! (`fe_op`), so the front-end model needs a page-level structure. The TLB is
 //! modelled as 4-way set-associative with true LRU over 4 KiB pages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ConfigError;
 
 /// Page size assumed by the TLB model (4 KiB, as on the paper's Xeon E3).
 pub const PAGE_BYTES: u64 = 4096;
 
 /// Hit/miss counters for a TLB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Total translations requested.
     pub accesses: u64,

@@ -9,10 +9,8 @@
 //! blocked), with back-end further split into *memory bound* and *core
 //! bound*.
 
-use serde::{Deserialize, Serialize};
-
 /// Fractional Top-down breakdown; the five fields sum to 1.0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopDown {
     /// Slots that retired useful uops.
     pub retiring: f64,
@@ -55,7 +53,7 @@ impl TopDown {
 }
 
 /// The dominant bottleneck class — what the smart scheduler keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bottleneck {
     /// Fetch/decode limited: bigger L1i / iTLB helps (`fe_op`).
     FrontEnd,

@@ -1,8 +1,8 @@
 //! Figure 9 at fleet scale — the XL restatement of the dispatch-policy
 //! comparison. The small-fleet benches prove the placement claim on the
 //! Table IV fleet; this one proves it survives the two-level
-//! (consistent-hash cells + auction) dispatch path that engages at
-//! [`vtx_serve::cells::XL_FLEET_THRESHOLD`] servers and above.
+//! (consistent-hash cells + auction) solver the model-driven policies
+//! switch to at [`vtx_serve::cells::XL_FLEET_THRESHOLD`] servers and above.
 //!
 //! Two tiers:
 //!

@@ -1,4 +1,4 @@
-//! An indexed calendar queue for the XL discrete-event engine.
+//! An indexed calendar queue for the discrete-event engine.
 //!
 //! A binary heap costs O(log pending) per operation and, more importantly
 //! for determinism audits, hides the event order inside `Ord` impls. The

@@ -13,8 +13,9 @@
 //! indexed) tree over the per-server idle bits with per-cell counters. It
 //! answers "k-th idle server" (random policy), "first idle server at or
 //! after s" (round-robin) and "how idle is cell c" (routing) in
-//! O(log fleet), and is maintained incrementally by the XL event loop
-//! instead of the O(fleet) scan the small engine performs per event.
+//! O(log fleet). The in-flight machine ([`crate::inflight`]) maintains it
+//! incrementally for both drivers, and every dispatch round at every fleet
+//! size reads it; it holds only servers that may take work.
 
 use crate::rng::derive;
 
@@ -25,9 +26,12 @@ const VNODES_PER_CELL: usize = 16;
 /// Default servers per cell when the caller does not force a cell count.
 pub const DEFAULT_CELL_SIZE: usize = 64;
 
-/// Fleets at or above this size take the indexed two-level dispatch path;
-/// below it the engines keep the historical full-scan path (which the
-/// committed fig9 artifacts pin byte-for-byte).
+/// The assignment-solver crossover, in servers: below it the model-driven
+/// policies solve a round exactly (Hungarian, which the committed fig9
+/// artifacts pin byte-for-byte), from it up by cell routing plus a
+/// per-cell auction. Measured, not planned: Hungarian wins a quarter of
+/// the auction's time at n = 8 and loses six-fold at n = 500
+/// (EXPERIMENTS.md, fig9-XL). Nothing else in the crate branches on it.
 pub const XL_FLEET_THRESHOLD: usize = 64;
 
 /// Static sharding of `n_servers` into contiguous cells, plus the seeded
@@ -251,6 +255,17 @@ impl IdleIndex {
     pub fn to_vec(&self) -> Vec<usize> {
         (0..self.idle.len()).filter(|&s| self.idle[s]).collect()
     }
+}
+
+/// An index over `n_servers` in which exactly the servers in `idle` are
+/// idle — what the dispatch unit tests hand to the one surface.
+#[cfg(test)]
+pub(crate) fn idle_only(n_servers: usize, idle: &[usize]) -> IdleIndex {
+    let mut idx = IdleIndex::new(CellPlan::build(n_servers, 0, 0));
+    for s in (0..n_servers).filter(|s| !idle.contains(s)) {
+        idx.set_busy(s);
+    }
+    idx
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //!
 //! This is the proof that the serving layer is not simulation-only: admission,
 //! shedding, dispatch and accounting all run through the identical
-//! [`ServiceCore`] entry points the discrete-event engine uses — only the
-//! clock (wall time) and the service process (a profiled transcode on the
-//! server's Table IV microarchitecture) differ. Wall-clock runs are not
+//! [`ServiceCore`] entry points, and every in-flight decision through the
+//! identical [`InFlight`] handlers, that the discrete-event engine uses —
+//! only the clock (wall time) and the transport (worker threads running a
+//! profiled transcode on the server's Table IV microarchitecture) differ. Wall-clock runs are not
 //! byte-reproducible; the determinism story belongs to [`crate::sim`].
 //!
 //! The same [`crate::chaos::ChaosConfig`] the simulator obeys applies here,
@@ -15,7 +16,7 @@
 //! worker's observed service time, and hedged duplicates race real
 //! transcodes with first-completion-wins accounting.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -23,19 +24,20 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use vtx_chaos::{FailureDetector, FaultKind, Health};
-use vtx_core::{CoreError, TranscodeOptions, Transcoder};
+use vtx_core::{TranscodeOptions, Transcoder};
 use vtx_frame::{synth, vbench, Video};
 use vtx_telemetry::Span;
 
 use crate::cost::CostModel;
 use crate::error::ServeError;
 use crate::fleet::Fleet;
+use crate::inflight::{InFlight, Outcome, Started};
 use crate::policy::DispatchPolicy;
 use crate::queue::PendingJob;
 use crate::segment::SegmentPlan;
-use crate::service::{ServeConfig, ServiceCore};
+use crate::service::{ScaleAction, ServeConfig, ServiceCore};
 use crate::sim::SimOutcome;
-use crate::workload::{JobSpec, Priority, WorkloadSpec};
+use crate::workload::{JobSpec, WorkloadSpec};
 
 /// Real-executor tuning.
 #[derive(Debug, Clone)]
@@ -78,11 +80,13 @@ pub fn compress_arrivals(jobs: &mut [JobSpec], divisor: u64) {
 
 struct Done {
     server: usize,
-    job: PendingJob,
-    started_us: u64,
-    /// `Ok` carries the encoded artifact size in bytes (from the report's
-    /// bitrate × duration), which sizes the segment-cache insertion.
-    result: Result<u64, CoreError>,
+    /// Which copy this reports ([`Started::instance`]); the coordinator
+    /// drops the report if the server no longer holds that copy.
+    instance: u64,
+    /// A good run carries the encoded artifact size in bytes (from the
+    /// report's bitrate × duration), which sizes the segment-cache
+    /// insertion; a failed transcode is booked like a timeout.
+    outcome: Outcome,
 }
 
 /// Replays a workload with real transcodes on worker threads.
@@ -224,19 +228,20 @@ fn run_real_inner(
 
     let model = CostModel::new(seed);
     let mut core = ServiceCore::new(cfg.serve.clone(), fleet, model, policy);
+    let mut flight = InFlight::new(&core);
     let n_servers = core.fleet().len();
     let plan = cfg.serve.chaos.plan.clone();
-    let hedge_after = cfg.serve.chaos.hedge_after;
 
     let start = Instant::now();
 
-    // Per-server worker threads: each owns its uarch and pulls (job, start)
-    // work items; completions funnel into one channel. Fail-stop crashes
-    // are coordinator-driven: when a planned crash fires, the coordinator
-    // raises the worker's crash flag and closes its work channel, so the
-    // worker dies deterministically (a blocked-idle worker wakes on the
-    // closed channel, a mid-transcode worker sees the flag and loses its
-    // finished work) no matter how the wall clock raced the workload.
+    // Per-server worker threads: each owns its uarch and pulls (job,
+    // instance) work items; completions funnel into one channel. Fail-stop
+    // crashes are coordinator-driven: when a planned crash fires, the
+    // coordinator raises the worker's crash flag and closes its work
+    // channel, so the worker dies deterministically (a blocked-idle worker
+    // wakes on the closed channel, a mid-transcode worker sees the flag and
+    // loses its finished work) no matter how the wall clock raced the
+    // workload.
     let (done_tx, done_rx) = mpsc::channel::<Done>();
     let crash_flags: Vec<Arc<AtomicBool>> = (0..n_servers)
         .map(|_| Arc::new(AtomicBool::new(false)))
@@ -254,7 +259,7 @@ fn run_real_inner(
         let dead = crash_flags[idx].clone();
         let seg_map = seg_of.clone();
         workers.push(thread::spawn(move || {
-            while let Ok((job, started_us)) = rx.recv() {
+            while let Ok((job, instance)) = rx.recv() {
                 if dead.load(Ordering::Acquire) {
                     // Fail-stop: die without reporting; the detector's down
                     // verdict recovers the job.
@@ -266,11 +271,13 @@ fn run_real_inner(
                     Some(m) => format!("{}#{}", job.spec.task.video, m[job.spec.id as usize]),
                     None => job.spec.task.video.clone(),
                 };
-                let result = pool
+                let outcome = pool
                     .get(&key)
                     .expect("transcoder pre-built for every trace video")
                     .transcode(&job.spec.task.encoder_config(), &opts)
-                    .map(|r| ((r.bitrate_kbps * r.seconds * 125.0) as u64).max(1));
+                    .map_or(Outcome::TimedOut, |r| Outcome::Finished {
+                        bytes: Some(((r.bitrate_kbps * r.seconds * 125.0) as u64).max(1)),
+                    });
                 let now = start.elapsed().as_micros() as u64;
                 if dead.load(Ordering::Acquire) {
                     // Died mid-transcode: the finished work is lost.
@@ -284,15 +291,12 @@ fn run_real_inner(
                     thread::sleep(Duration::from_micros(wall - elapsed));
                 }
                 // Receiver gone = run aborted; nothing left to report.
-                if done
-                    .send(Done {
-                        server: idx,
-                        job,
-                        started_us,
-                        result,
-                    })
-                    .is_err()
-                {
+                let report = Done {
+                    server: idx,
+                    instance,
+                    outcome,
+                };
+                if done.send(report).is_err() {
                     break;
                 }
             }
@@ -305,10 +309,6 @@ fn run_real_inner(
     let mut arrivals: Vec<JobSpec> = jobs.to_vec();
     arrivals.sort_by_key(|j| (j.arrival_us, j.id));
     let mut next_arrival = 0usize;
-    // Inactive (not-yet-scaled-out) servers sit out of dispatch exactly
-    // like busy ones until their warm-up completes.
-    let mut busy: Vec<bool> = (0..n_servers).map(|s| !core.is_active(s)).collect();
-    let mut in_flight = 0usize;
     let mut makespan = 0u64;
 
     // Autoscaler cadence against the wall clock, mirroring the simulated
@@ -317,12 +317,9 @@ fn run_real_inner(
     let mut next_tick: Option<u64> = autoscale.enabled.then(|| autoscale.eval_every_us.max(1));
     let mut pending_ready: Vec<(u64, usize)> = Vec::new();
 
-    // Fault bookkeeping (all empty without a plan): a copy of every
-    // in-flight job so down verdicts can requeue work a dead worker will
-    // never report, a pre-loaded detector (a crashed server's heartbeats
-    // stop at its crash time), hedge triggers, and copy counts so hedged
-    // jobs terminate exactly once.
-    let mut running: Vec<Option<(PendingJob, u64, bool)>> = (0..n_servers).map(|_| None).collect();
+    // The clock's side of fault handling (all empty without a plan): a
+    // pre-loaded detector (a crashed server's heartbeats stop at its crash
+    // time), the plan's faults in firing order, and armed hedge triggers.
     let mut detector = FailureDetector::new(cfg.serve.chaos.detector, n_servers);
     let mut fault_due: Vec<(u64, usize, FaultKind)> = Vec::new();
     for s in 0..n_servers {
@@ -341,9 +338,6 @@ fn run_real_inner(
     fault_due.sort_unstable_by_key(|&(t, s, _)| (t, s));
     let mut next_fault = 0usize;
     let mut hedges_due: Vec<(u64, u64)> = Vec::new(); // (due_us, job id)
-    let mut copies: BTreeMap<u64, u8> = BTreeMap::new();
-    let mut done_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut lost: BTreeSet<(u64, u32)> = BTreeSet::new(); // (id, attempt)
 
     // A run may not end before every planned crash has fired AND matured
     // to a down verdict: exiting early is exactly the wall-clock race that
@@ -373,26 +367,7 @@ fn run_real_inner(
                 Health::Suspected => core.mark_suspected(s, t),
                 Health::Down => {
                     core.mark_down(s, t);
-                    if let Some((job, started_us, _)) = running[s].take() {
-                        busy[s] = false;
-                        in_flight -= 1;
-                        let id = job.spec.id;
-                        let left = copies
-                            .get_mut(&id)
-                            .map(|c| {
-                                *c -= 1;
-                                *c
-                            })
-                            .unwrap_or(0);
-                        if left == 0 {
-                            copies.remove(&id);
-                        }
-                        // A Done for this copy may still race in; drop it.
-                        lost.insert((id, job.attempts));
-                        if !done_ids.contains(&id) && left == 0 {
-                            core.fail(job, s, started_us, t);
-                        }
-                    }
+                    flight.server_lost(&mut core, s, t);
                 }
             }
         }
@@ -402,121 +377,46 @@ fn run_real_inner(
         if next_tick.is_some_and(|due| due <= t) {
             for action in core.autoscale_tick(t) {
                 match action {
-                    crate::service::ScaleAction::Out { server, ready_us } => {
-                        pending_ready.push((ready_us, server));
-                    }
-                    crate::service::ScaleAction::In { server } => {
-                        busy[server] = true;
-                        if let Some((job, started_us, _)) = running[server].take() {
-                            in_flight -= 1;
-                            let id = job.spec.id;
-                            let left = copies
-                                .get_mut(&id)
-                                .map(|c| {
-                                    *c -= 1;
-                                    *c
-                                })
-                                .unwrap_or(0);
-                            if left == 0 {
-                                copies.remove(&id);
-                            }
-                            // The drained worker may still report; drop it.
-                            lost.insert((id, job.attempts));
-                            if !done_ids.contains(&id) && left == 0 {
-                                core.fail(job, server, started_us, t);
-                            }
-                        }
-                    }
+                    ScaleAction::Out { server, ready_us } => pending_ready.push((ready_us, server)),
+                    ScaleAction::In { server } => flight.server_lost(&mut core, server, t),
                 }
             }
             next_tick = Some(t.saturating_add(autoscale.eval_every_us.max(1)));
         }
-        let mut i = 0;
-        while i < pending_ready.len() {
-            if pending_ready[i].0 <= t {
-                let (_, server) = pending_ready.swap_remove(i);
-                if core.server_ready(server, t) && running[server].is_none() {
-                    busy[server] = false;
-                }
-            } else {
-                i += 1;
-            }
+        for (_, server) in pending_ready.extract_if(.., |&mut (due, _)| due <= t) {
+            flight.server_ready(&mut core, server, work_txs[server].is_some(), t);
         }
         core.release_parked(t);
         while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_us <= t {
             core.offer(arrivals[next_arrival].clone(), t);
             next_arrival += 1;
         }
-        let idle: Vec<usize> = (0..n_servers).filter(|&s| !busy[s]).collect();
+        // Hands a started copy to its worker. A dead worker's channel is
+        // closed; the copy stays in flight until the down verdict above
+        // recovers it.
+        let send = |flight: &InFlight, copy: Started| {
+            if let Some(tx) = &work_txs[copy.server] {
+                let _ = tx.send((flight.job(copy.server).clone(), copy.instance));
+            }
+        };
         let t = now_us();
-        for (job, server) in core.dispatch(&idle, t) {
+        for copy in flight.dispatch(&mut core, t) {
             // A cache hit never reaches a worker: the artifact already
             // exists, so the job completes on the spot for the lookup cost
             // (sub-millisecond against the wall clock — booked as zero).
-            if core.cache_lookup(&job, server, t).is_some() {
-                core.complete(&job, server, t, t);
-                done_ids.insert(job.spec.id);
+            if copy.cached_us.is_some() {
+                flight.finish(&mut core, copy.server, Outcome::Finished { bytes: None }, t);
                 makespan = makespan.max(t);
                 continue;
             }
-            busy[server] = true;
-            in_flight += 1;
-            let id = job.spec.id;
-            *copies.entry(id).or_insert(0) += 1;
-            if job.spec.priority == Priority::Interactive && job.attempts == 1 {
-                if let Some(due) = crate::chaos::hedge_due_us(
-                    job.spec.arrival_us,
-                    job.spec.deadline_us,
-                    hedge_after,
-                ) {
-                    if due > t && due < job.spec.deadline_us {
-                        hedges_due.push((due, id));
-                    }
-                }
-            }
-            running[server] = Some((job.clone(), t, false));
-            // A dead worker's channel is closed; the job copy in
-            // `running` is recovered by the down verdict above.
-            if let Some(tx) = &work_txs[server] {
-                let _ = tx.send((job, t));
-            }
+            hedges_due.extend(copy.hedge_due_us.map(|due| (due, copy.id)));
+            send(&flight, copy);
         }
-        // Launch due hedges: a duplicate of the original copy on the best
-        // detected-up idle server; first completion wins.
+        // Launch due hedges; first completion wins.
         let t = now_us();
-        let mut i = 0;
-        while i < hedges_due.len() {
-            if hedges_due[i].0 > t {
-                i += 1;
-                continue;
-            }
-            let (_, id) = hedges_due.swap_remove(i);
-            if done_ids.contains(&id) || copies.get(&id) != Some(&1) {
-                continue;
-            }
-            let Some(origin) = (0..n_servers)
-                .find(|&s| running[s].as_ref().is_some_and(|(j, _, _)| j.spec.id == id))
-            else {
-                continue;
-            };
-            let job = running[origin].as_ref().expect("found above").0.clone();
-            let pick = (0..n_servers)
-                .filter(|&s| !busy[s] && core.hedgeable(s, t))
-                .min_by_key(|&s| {
-                    (
-                        core.model().predicted_us(&job.spec, core.fleet().server(s)),
-                        s,
-                    )
-                });
-            if let Some(server) = pick {
-                core.hedge_dispatch(&job, server, t);
-                copies.insert(id, 2);
-                busy[server] = true;
-                in_flight += 1;
-                running[server] = Some((job.clone(), t, true));
-                if let Some(tx) = &work_txs[server] {
-                    let _ = tx.send((job, t));
-                }
+        for (_, id) in hedges_due.extract_if(.., |&mut (due, _)| due <= t) {
+            if let Some(copy) = flight.hedge(&mut core, id, t) {
+                send(&flight, copy);
             }
         }
         makespan = makespan.max(now_us());
@@ -524,7 +424,7 @@ fn run_real_inner(
             && crash_victims
                 .iter()
                 .all(|&s| core.health()[s] == Health::Down);
-        if next_arrival == arrivals.len() && in_flight == 0 {
+        if next_arrival == arrivals.len() && flight.is_empty() {
             if core.queued() == 0 && core.parked_count() == 0 && crashes_matured {
                 break;
             }
@@ -545,56 +445,19 @@ fn run_real_inner(
         }
         .clamp(100, 5_000);
         match done_rx.recv_timeout(Duration::from_micros(wait_us)) {
-            Ok(done) => {
+            // A report for a copy already drained off a lost server (it
+            // raced the down verdict or the scale-in) is dropped.
+            Ok(done) if flight.holds(done.server, done.instance) => {
                 let t = now_us();
-                let id = done.job.spec.id;
-                if lost.remove(&(id, done.job.attempts)) {
-                    // Raced a down verdict that already requeued this copy.
-                    continue;
-                }
-                busy[done.server] = false;
-                let was_hedge = running[done.server].take().is_some_and(|(_, _, h)| h);
-                in_flight -= 1;
-                let left = copies
-                    .get_mut(&id)
-                    .map(|c| {
-                        *c -= 1;
-                        *c
-                    })
-                    .unwrap_or(0);
-                if left == 0 {
-                    copies.remove(&id);
-                }
-                match done.result {
-                    Ok(bytes) => {
-                        if done_ids.contains(&id) {
-                            // The other copy already won; bill the work.
-                            core.hedge_discard(id, done.server, done.started_us, t);
-                        } else {
-                            core.complete(&done.job, done.server, done.started_us, t);
-                            done_ids.insert(id);
-                            if was_hedge {
-                                core.note_hedge_won();
-                            }
-                            core.cache_insert(&done.job, done.server, Some(bytes));
-                        }
-                    }
-                    Err(_) => {
-                        if done_ids.contains(&id) || left > 0 {
-                            core.hedge_discard(id, done.server, done.started_us, t);
-                        } else {
-                            core.timeout(done.job, done.server, done.started_us, t);
-                        }
-                    }
-                }
+                flight.finish(&mut core, done.server, done.outcome, t);
                 makespan = makespan.max(t);
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 // Every worker is gone (all crashed). Keep sweeping so the
                 // detector's down verdicts recover what they held, but
                 // don't spin while waiting for them to mature.
-                if in_flight == 0
+                if flight.is_empty()
                     && core.queued() == 0
                     && core.parked_count() == 0
                     && next_arrival == arrivals.len()

@@ -14,10 +14,14 @@
 //!   [`workload::parse_trace`]) for reproducible experiments.
 //! * [`queue`] — bounded per-class admission queues with backpressure,
 //!   priority load-shedding and deadline expiry.
-//! * [`policy`] — one [`policy::DispatchPolicy`] trait, three policies:
-//!   `random` and `round_robin` baselines and `smart`, which prices
+//! * [`policy`] — one [`policy::DispatchPolicy`] trait with one `assign`
+//!   method over the [`cells::IdleIndex`], at every fleet size: `random`
+//!   and `round_robin` baselines, and `smart` / `port`, which price
 //!   (job × idle-server) pairs with the affinity model of `vtx-sched` and
-//!   solves the rectangular assignment with the Hungarian solver.
+//!   solve the rectangular assignment — exactly (Hungarian) below
+//!   [`cells::XL_FLEET_THRESHOLD`] servers, by two-level dispatch
+//!   (consistent-hash + power-of-two-choices across [`cells::CellPlan`]
+//!   cells, ε-scaling auction within a cell) from there up.
 //! * [`fleet`] — heterogeneous fleets of Table IV microarchitectures with
 //!   mixed speed grades.
 //! * [`cost`] — the two-faced service-time model: a policy-visible
@@ -25,16 +29,17 @@
 //!   `(seed, job, server)`, so policies compete on identical ground.
 //! * [`service`] — the shared [`service::ServiceCore`] (admission, dispatch,
 //!   accounting, event log) used by **both** drivers.
+//! * [`inflight`] — the shared [`inflight::InFlight`] state machine: which
+//!   server runs which copy of which job, the incrementally maintained
+//!   idle index, hedge arming, server-lost drains and finish resolution.
+//!   Both drivers call its handlers; neither keeps in-flight state.
 //! * [`sim`] — the deterministic discrete-event fleet engine: same seed in,
-//!   byte-identical event log, assignment vector and report out. Fleets at
-//!   XL scale (≥ [`cells::XL_FLEET_THRESHOLD`] servers) run on an indexed
-//!   fast path: a [`calendar`] queue instead of a heap, an incremental
-//!   [`cells::IdleIndex`] instead of per-event idle scans, and two-level
-//!   dispatch (consistent-hash + power-of-two-choices across
-//!   [`cells::CellPlan`] cells, ε-scaling auction within a cell).
+//!   byte-identical event log, assignment vector and report out. Its own
+//!   parts are a [`calendar`] queue, the ground truth of which servers
+//!   crashed, and the service-time computation.
 //! * [`exec`] — the real executor: wall-clock time, per-server worker
 //!   threads running actual profiled [`vtx_core::Transcoder`] jobs through
-//!   the same service core.
+//!   the same service core and in-flight machine.
 //! * [`segment`] — segmented ABR serving: a catalog job decomposes into
 //!   per-(segment, rung) dispatch units ([`segment::SegmentPlan`]) that
 //!   flow through the same machinery; completed jobs package into CMAF
@@ -110,6 +115,7 @@ pub mod cost;
 pub mod error;
 pub mod exec;
 pub mod fleet;
+pub mod inflight;
 pub mod policy;
 pub mod queue;
 pub mod report;

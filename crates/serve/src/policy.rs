@@ -7,17 +7,15 @@
 //! discrete-event engine and the real threaded executor drive them through
 //! the same code path.
 //!
-//! Two dispatch surfaces exist on the trait:
-//!
-//! * [`DispatchPolicy::assign`] — the historical small-fleet path over a
-//!   materialized idle slice (exact Hungarian solve for the model-driven
-//!   policies). The committed fig9 artifacts pin its output byte-for-byte.
-//! * [`DispatchPolicy::assign_indexed`] — the XL path over an incremental
-//!   [`IdleIndex`]: the model-driven policies route each candidate to one
-//!   of two consistent-hashed cells (power-of-two-choices on idle
-//!   capacity) and run a warm-started ε-scaling auction *within* the
-//!   chosen cell; the baselines sample the Fenwick tree directly. Nothing
-//!   here is O(fleet).
+//! There is one dispatch surface, [`DispatchPolicy::assign`], over the
+//! incremental [`IdleIndex`], at every fleet size. The baselines sample the
+//! index's Fenwick tree directly. The model-driven policies pick their
+//! assignment solver from the fleet size they observe: below
+//! [`XL_FLEET_THRESHOLD`] servers an exact Hungarian solve over the idle
+//! set (faster there, and what the committed fig9 artifacts pin); from the
+//! threshold up each candidate is routed to one of two consistent-hashed
+//! cells (power-of-two-choices on idle capacity) and a warm-started
+//! ε-scaling auction runs *within* the chosen cell, so nothing is O(fleet).
 //!
 //! The model-driven policies also memoize predictions: the cost model is a
 //! pure function of (task parameters, server class), so each (task, class)
@@ -31,7 +29,7 @@ use std::fmt;
 use vtx_chaos::Health;
 use vtx_codec::Preset;
 
-use crate::cells::IdleIndex;
+use crate::cells::{IdleIndex, XL_FLEET_THRESHOLD};
 use crate::cost::CostModel;
 use crate::fleet::Fleet;
 use crate::queue::PendingJob;
@@ -82,34 +80,15 @@ pub trait DispatchPolicy: fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Chooses assignments among `jobs` (queue candidates, priority/EDF
-    /// order) and `idle` (idle server indices, ascending). Returns
-    /// `(job_pos, idle_pos)` pairs into those slices; each position may be
-    /// used at most once. Unmatched jobs stay queued.
+    /// order) and the servers idle in `idle`. Returns `(job_pos,
+    /// server_index)` pairs: each job and each server at most once, servers
+    /// drawn from the index's idle set. Unmatched jobs stay queued.
     fn assign(
-        &mut self,
-        jobs: &[&PendingJob],
-        idle: &[usize],
-        ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)>;
-
-    /// XL variant of [`Self::assign`] over the incremental idle index.
-    /// Returns `(job_pos, server_index)` pairs — **server indices, not
-    /// idle positions** — each job and server at most once, servers drawn
-    /// from the index's idle set. The default materializes the idle set
-    /// and delegates; the built-in policies override it with sublinear
-    /// implementations.
-    fn assign_indexed(
         &mut self,
         jobs: &[&PendingJob],
         idle: &IdleIndex,
         ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)> {
-        let idle_vec = idle.to_vec();
-        self.assign(jobs, &idle_vec, ctx)
-            .into_iter()
-            .map(|(job_pos, idle_pos)| (job_pos, idle_vec[idle_pos]))
-            .collect()
-    }
+    ) -> Vec<(usize, usize)>;
 }
 
 /// Uniform-random placement (the paper's random scheduler, online).
@@ -133,24 +112,6 @@ impl DispatchPolicy for RandomPolicy {
     }
 
     fn assign(
-        &mut self,
-        jobs: &[&PendingJob],
-        idle: &[usize],
-        _ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)> {
-        let n = jobs.len().min(idle.len());
-        // Partial Fisher–Yates over the idle positions.
-        let mut slots: Vec<usize> = (0..idle.len()).collect();
-        let mut out = Vec::with_capacity(n);
-        for (job_pos, _) in jobs.iter().enumerate().take(n) {
-            let pick = job_pos + self.rng.next_range((slots.len() - job_pos) as u64) as usize;
-            slots.swap(job_pos, pick);
-            out.push((job_pos, slots[job_pos]));
-        }
-        out
-    }
-
-    fn assign_indexed(
         &mut self,
         jobs: &[&PendingJob],
         idle: &IdleIndex,
@@ -201,33 +162,6 @@ impl DispatchPolicy for RoundRobinPolicy {
     fn assign(
         &mut self,
         jobs: &[&PendingJob],
-        idle: &[usize],
-        ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)> {
-        let fleet_len = ctx.fleet.len();
-        let n = jobs.len().min(idle.len());
-        let mut used = vec![false; idle.len()];
-        let mut out = Vec::with_capacity(n);
-        for job_pos in 0..n {
-            // First unused idle server at or after the cursor (cyclic).
-            let pick = (0..idle.len())
-                .map(|off| {
-                    let target = (self.cursor + off) % fleet_len;
-                    idle.iter().position(|&s| s == target).filter(|&p| !used[p])
-                })
-                .find_map(|p| p)
-                .or_else(|| used.iter().position(|&u| !u));
-            let Some(idle_pos) = pick else { break };
-            used[idle_pos] = true;
-            self.cursor = (idle[idle_pos] + 1) % fleet_len;
-            out.push((job_pos, idle_pos));
-        }
-        out
-    }
-
-    fn assign_indexed(
-        &mut self,
-        jobs: &[&PendingJob],
         idle: &IdleIndex,
         _ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
@@ -276,13 +210,13 @@ enum PredictionKind {
 /// the same ×64 as [`SUSPECT_PENALTY`], kept integral so bids stay exact.
 const SUSPECT_PENALTY_INT: u64 = SUSPECT_PENALTY as u64;
 
-/// Shared machinery of the model-driven policies (`smart` / `port`): the
-/// prediction memo, the per-server auction prices, and both dispatch
-/// surfaces.
 /// Prediction memo keys: (crf, refs, preset rank, server class) within a
 /// video's entry.
 type KnobKey = (u8, u8, u8, u16);
 
+/// Shared machinery of the model-driven policies (`smart` / `port`): the
+/// prediction memo, the per-server auction prices, and the two assignment
+/// solvers [`ModelCore::assign`] chooses between.
 #[derive(Debug)]
 struct ModelCore {
     kind: PredictionKind,
@@ -292,11 +226,9 @@ struct ModelCore {
     cache: BTreeMap<String, BTreeMap<KnobKey, u64>>,
     /// Detector epoch the memo was filled under; any mismatch clears it.
     cache_epoch: u64,
-    /// Whether the memo is consulted at all (equivalence tests disable it).
-    cache_enabled: bool,
     /// Server index → class id, rebuilt when the fleet size changes.
     class_of: Vec<u16>,
-    /// Warm-start auction prices per server index (XL path only).
+    /// Warm-start auction prices per server index (cell-auction solver only).
     prices: BTreeMap<usize, i64>,
 }
 
@@ -306,13 +238,13 @@ impl ModelCore {
             kind,
             cache: BTreeMap::new(),
             cache_epoch: 0,
-            cache_enabled: true,
             class_of: Vec::new(),
             prices: BTreeMap::new(),
         }
     }
 
-    /// Raw (un-cached, un-penalized) prediction for this kind.
+    /// Raw (un-cached, un-penalized) prediction for this kind — the
+    /// reference the memo is tested against.
     fn predict_raw(&self, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
         let server = ctx.fleet.server(s);
         match self.kind {
@@ -338,11 +270,8 @@ impl ModelCore {
         self.cache.clear();
     }
 
-    /// Base (un-penalized) predicted µs, through the memo when enabled.
+    /// Base (un-penalized) predicted µs, through the memo.
     fn predicted_base(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
-        if !self.cache_enabled {
-            return self.predict_raw(ctx, job, s);
-        }
         if self.cache_epoch != ctx.health_epoch {
             self.cache.clear();
             self.cache_epoch = ctx.health_epoch;
@@ -371,18 +300,32 @@ impl ModelCore {
         }
     }
 
-    /// The historical exact path: Hungarian over the full (jobs × idle)
-    /// f64 matrix. Costs are byte-identical to the pre-memo implementation
-    /// (the memo returns the very same `u64` the model would).
+    /// One dispatch round, by whichever solver is the faster one at the
+    /// observed fleet size (see [`XL_FLEET_THRESHOLD`] for the measurement).
+    fn assign(
+        &mut self,
+        jobs: &[&PendingJob],
+        idle: &IdleIndex,
+        ctx: &DispatchCtx<'_>,
+    ) -> Vec<(usize, usize)> {
+        if jobs.is_empty() || idle.total() == 0 {
+            Vec::new()
+        } else if idle.plan().n_servers() < XL_FLEET_THRESHOLD {
+            self.assign_exact(jobs, &idle.to_vec(), ctx)
+        } else {
+            self.assign_cells(jobs, idle, ctx)
+        }
+    }
+
+    /// The exact solver: Hungarian over the full (jobs × idle) f64 matrix.
+    /// Costs are byte-identical to the pre-memo implementation (the memo
+    /// returns the very same `u64` the model would).
     fn assign_exact(
         &mut self,
         jobs: &[&PendingJob],
         idle: &[usize],
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
-        if jobs.is_empty() || idle.is_empty() {
-            return Vec::new();
-        }
         let cost: Vec<Vec<f64>> = jobs
             .iter()
             .map(|j| {
@@ -395,32 +338,23 @@ impl ModelCore {
             Ok(assignment) => assignment
                 .into_iter()
                 .enumerate()
-                .filter_map(|(job_pos, slot)| slot.map(|idle_pos| (job_pos, idle_pos)))
+                .filter_map(|(job_pos, slot)| slot.map(|idle_pos| (job_pos, idle[idle_pos])))
                 .collect(),
             // The matrix is rectangular by construction; a solver error
             // would be a bug — fall back to in-order greedy rather than
             // crash the serving loop.
-            Err(_) => jobs
-                .iter()
-                .enumerate()
-                .take(idle.len())
-                .map(|(i, _)| (i, i))
-                .collect(),
+            Err(_) => idle.iter().copied().enumerate().take(jobs.len()).collect(),
         }
     }
 
-    /// The XL two-level path: consistent-hash + power-of-two-choices cell
+    /// The two-level solver: consistent-hash + power-of-two-choices cell
     /// routing, then a warm-started ε-scaling auction within each cell.
-    /// Returns `(job_pos, server_index)` pairs.
     fn assign_cells(
         &mut self,
         jobs: &[&PendingJob],
         idle: &IdleIndex,
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
-        if jobs.is_empty() || idle.total() == 0 {
-            return Vec::new();
-        }
         // Level 1: route each candidate to the roomier of its two hashed
         // cells, debiting capacity as jobs land so a burst spreads out.
         let mut routed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -482,10 +416,10 @@ impl ModelCore {
 /// The characterization-driven policy: minimum predicted total service time
 /// over the (candidates × idle servers) matrix — the smart scheduler of
 /// Figure 9 run continuously over whatever is currently queued and idle.
-/// Small fleets get the exact Hungarian solve; XL fleets get two-level
-/// cell-auction dispatch. When queued jobs outnumber idle servers the
-/// rectangular solve picks which jobs run *now* (the rest wait), still
-/// minimizing predicted cost.
+/// Fleets below [`XL_FLEET_THRESHOLD`] servers get the exact Hungarian
+/// solve, larger ones two-level cell-auction dispatch. When queued jobs
+/// outnumber idle servers the rectangular solve picks which jobs run *now*
+/// (the rest wait), still minimizing predicted cost.
 #[derive(Debug)]
 pub struct SmartPolicy {
     core: ModelCore,
@@ -504,15 +438,6 @@ impl SmartPolicy {
             core: ModelCore::new(PredictionKind::Affinity),
         }
     }
-
-    /// Creates the policy with the prediction memo disabled — every cost is
-    /// recomputed from the model. Exists so tests can pin that the memo
-    /// never changes an assignment.
-    pub fn uncached() -> Self {
-        let mut core = ModelCore::new(PredictionKind::Affinity);
-        core.cache_enabled = false;
-        SmartPolicy { core }
-    }
 }
 
 impl DispatchPolicy for SmartPolicy {
@@ -523,19 +448,10 @@ impl DispatchPolicy for SmartPolicy {
     fn assign(
         &mut self,
         jobs: &[&PendingJob],
-        idle: &[usize],
-        ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)> {
-        self.core.assign_exact(jobs, idle, ctx)
-    }
-
-    fn assign_indexed(
-        &mut self,
-        jobs: &[&PendingJob],
         idle: &IdleIndex,
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
-        self.core.assign_cells(jobs, idle, ctx)
+        self.core.assign(jobs, idle, ctx)
     }
 }
 
@@ -563,13 +479,6 @@ impl PortPolicy {
             core: ModelCore::new(PredictionKind::Port),
         }
     }
-
-    /// Memo-disabled variant, mirroring [`SmartPolicy::uncached`].
-    pub fn uncached() -> Self {
-        let mut core = ModelCore::new(PredictionKind::Port);
-        core.cache_enabled = false;
-        PortPolicy { core }
-    }
 }
 
 impl DispatchPolicy for PortPolicy {
@@ -580,19 +489,10 @@ impl DispatchPolicy for PortPolicy {
     fn assign(
         &mut self,
         jobs: &[&PendingJob],
-        idle: &[usize],
-        ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)> {
-        self.core.assign_exact(jobs, idle, ctx)
-    }
-
-    fn assign_indexed(
-        &mut self,
-        jobs: &[&PendingJob],
         idle: &IdleIndex,
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
-        self.core.assign_cells(jobs, idle, ctx)
+        self.core.assign(jobs, idle, ctx)
     }
 }
 
@@ -610,6 +510,7 @@ pub fn policy_by_name(name: &str, seed: u64) -> Option<Box<dyn DispatchPolicy>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::idle_only;
     use crate::queue::PendingJob;
     use crate::workload::{JobSpec, Priority};
     use vtx_codec::Preset;
@@ -646,7 +547,7 @@ mod tests {
         let model = CostModel::new(42);
         let jobs: Vec<PendingJob> = (0..8).map(|i| pending(i, "bike", Preset::Medium)).collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
-        let idle = vec![0, 2, 4];
+        let idle = idle_only(5, &[0, 2, 4]);
         for mut p in [
             Box::new(RandomPolicy::new(1)) as Box<dyn DispatchPolicy>,
             Box::new(RoundRobinPolicy::new()),
@@ -656,11 +557,12 @@ mod tests {
             let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
             assert_eq!(a.len(), 3, "{} should fill all idle servers", p.name());
             let mut seen_jobs = vec![false; refs.len()];
-            let mut seen_slots = vec![false; idle.len()];
+            let mut seen_servers = [false; 5];
             for (j, s) in a {
-                assert!(!seen_jobs[j] && !seen_slots[s], "{}", p.name());
+                assert!(idle.is_idle(s), "{} picked busy server {s}", p.name());
+                assert!(!seen_jobs[j] && !seen_servers[s], "{}", p.name());
                 seen_jobs[j] = true;
-                seen_slots[s] = true;
+                seen_servers[s] = true;
             }
         }
     }
@@ -672,12 +574,54 @@ mod tests {
         let mut p = RoundRobinPolicy::new();
         let jobs: Vec<PendingJob> = (0..2).map(|i| pending(i, "bike", Preset::Fast)).collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
-        let all = vec![0, 1, 2, 3, 4];
+        let all = idle_only(5, &[0, 1, 2, 3, 4]);
         let a1 = p.assign(&refs[..1], &all, &ctx(&fleet, &model));
         assert_eq!(a1, vec![(0, 0)]);
         // Cursor advanced: next single job goes to server 1.
         let a2 = p.assign(&refs[..1], &all, &ctx(&fleet, &model));
         assert_eq!(a2, vec![(0, 1)]);
+        // Sparse idle set, cursor now at 2: the next idle server *at or
+        // after the cursor* is 4, not the lowest-numbered idle one.
+        let sparse = idle_only(5, &[0, 4]);
+        let a3 = p.assign(&refs[..1], &sparse, &ctx(&fleet, &model));
+        assert_eq!(a3, vec![(0, 4)]);
+        // The cursor wraps, and skips a dead server (2 never rejoins the
+        // index): two jobs from cursor 0 with {1, 3, 4} idle take 1 and 3.
+        let dead = idle_only(5, &[1, 3, 4]);
+        let a4 = p.assign(&refs, &dead, &ctx(&fleet, &model));
+        assert_eq!(a4, vec![(0, 1), (1, 3)]);
+        let a5 = p.assign(&refs, &dead, &ctx(&fleet, &model));
+        assert_eq!(a5, vec![(0, 4), (1, 1)], "wraps past the dead server");
+    }
+
+    #[test]
+    fn cost_memo_returns_exactly_what_the_model_would() {
+        // The memo must be a pure speedup: for every catalog video × knob
+        // × server it returns `predict_raw`'s value, when filling and when
+        // hitting, across detector-epoch bumps and fleet-size changes.
+        let model = CostModel::new(42);
+        let fleets = [Fleet::table_iv(), Fleet::sized(8).unwrap()];
+        for kind in [PredictionKind::Affinity, PredictionKind::Port] {
+            let mut core = ModelCore::new(kind);
+            for (health_epoch, fleet) in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0)] {
+                let fleet = &fleets[fleet];
+                let ctx = DispatchCtx {
+                    health_epoch,
+                    ..ctx(fleet, &model)
+                };
+                for video in vtx_frame::vbench::catalog() {
+                    for (crf, refs, preset) in [(18, 1, Preset::Ultrafast), (35, 8, Preset::Slow)] {
+                        let mut j = pending(0, &video.short_name, preset);
+                        j.spec.task = TranscodeTask::new(&video.short_name, crf, refs, preset);
+                        for s in 0..fleet.len() {
+                            let want = core.predict_raw(&ctx, &j, s);
+                            assert_eq!(core.predicted_base(&ctx, &j, s), want, "fill");
+                            assert_eq!(core.predicted_base(&ctx, &j, s), want, "hit");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -687,17 +631,14 @@ mod tests {
         // One job, all servers idle: smart must pick the predicted-fastest.
         let j = pending(0, "hall", Preset::Medium);
         let refs = vec![&j];
-        let idle = vec![0, 1, 2, 3, 4];
+        let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p = SmartPolicy::new();
         let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
         assert_eq!(a.len(), 1);
-        let picked = idle[a[0].1];
-        let best = idle
-            .iter()
-            .copied()
+        let best = (0..5)
             .min_by_key(|&s| model.predicted_us(&j.spec, fleet.server(s)))
             .unwrap();
-        assert_eq!(picked, best);
+        assert_eq!(a[0].1, best);
     }
 
     #[test]
@@ -708,7 +649,7 @@ mod tests {
             .map(|i| pending(i, "girl", Preset::Veryfast))
             .collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
-        let idle = vec![1, 3];
+        let idle = idle_only(5, &[1, 3]);
         let mut p = SmartPolicy::new();
         let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
         assert_eq!(a.len(), 2, "exactly the idle servers get work");
@@ -720,7 +661,7 @@ mod tests {
         let model = CostModel::new(42);
         let jobs: Vec<PendingJob> = (0..5).map(|i| pending(i, "cat", Preset::Fast)).collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
-        let idle = vec![0, 1, 2, 3, 4];
+        let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p1 = RandomPolicy::new(9);
         let mut p2 = RandomPolicy::new(9);
         assert_eq!(
@@ -744,11 +685,9 @@ mod tests {
         let model = CostModel::new(42);
         let j = pending(0, "hall", Preset::Medium);
         let refs = vec![&j];
-        let idle = vec![0, 1, 2, 3, 4];
+        let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p = SmartPolicy::new();
-        let best = idle
-            .iter()
-            .copied()
+        let best = (0..5)
             .min_by_key(|&s| model.predicted_us(&j.spec, fleet.server(s)))
             .unwrap();
         // Suspect the predicted-best server: smart must pick another one.
@@ -763,7 +702,7 @@ mod tests {
         };
         let a = p.assign(&refs, &idle, &ctx);
         assert_eq!(a.len(), 1);
-        assert_ne!(idle[a[0].1], best, "suspected server is avoided");
+        assert_ne!(a[0].1, best, "suspected server is avoided");
         // With everything suspected the penalty cancels out: still assigns.
         let all = vec![Health::Suspected; 5];
         let ctx = DispatchCtx {
@@ -801,16 +740,13 @@ mod tests {
         // Slow preset → SATD/trellis-heavy mix → be_op2's extra port pays.
         let j = pending(0, "bike", Preset::Veryslow);
         let refs = vec![&j];
-        let idle = vec![0, 1, 2, 3, 4];
+        let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p = PortPolicy::new();
         let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
         assert_eq!(a.len(), 1);
-        let picked = idle[a[0].1];
-        let best = idle
-            .iter()
-            .copied()
+        let best = (0..5)
             .min_by_key(|&s| model.port_predicted_us(&j.spec, fleet.server(s)))
             .unwrap();
-        assert_eq!(picked, best);
+        assert_eq!(a[0].1, best);
     }
 }

@@ -1,13 +1,13 @@
 //! The shared service core: admission, dispatch, and accounting.
 //!
 //! Both drivers — the discrete-event fleet engine ([`crate::sim`]) and the
-//! real threaded executor ([`crate::exec`]) — own a [`ServiceCore`] and call
-//! the same four entry points (`offer`, `dispatch`, `complete`, `timeout`).
-//! The core holds the queue, the policy, the event log and all counters;
-//! the drivers only decide *when* those entry points fire and what a
-//! completed job costs. That split is what makes the simulated and real
-//! paths comparable: a policy bug or queueing bug shows up identically in
-//! both.
+//! real threaded executor ([`crate::exec`]) — own a [`ServiceCore`] and,
+//! beside it, one [`crate::inflight::InFlight`] that tracks what runs where
+//! between a dispatch and its terminal booking. The core holds the queue,
+//! the policy, the event log and all counters; the drivers only decide
+//! *when* the shared handlers fire and what a started copy costs. That
+//! split is what makes the simulated and real paths comparable: a policy
+//! bug or queueing bug shows up identically in both.
 
 use std::collections::BTreeMap;
 
@@ -45,9 +45,11 @@ pub struct ServeConfig {
     /// burn-rate alerting (enabled by default; alerting only changes the
     /// event stream when an SLO actually burns).
     pub obs: ObsConfig,
-    /// Cell count for XL two-level dispatch (0 = auto-size at
-    /// [`crate::cells::DEFAULT_CELL_SIZE`] servers per cell). Only read by
-    /// the simulator's XL fast path; small fleets ignore it.
+    /// Cell count the idle index shards the fleet into (0 = auto-size at
+    /// [`crate::cells::DEFAULT_CELL_SIZE`] servers per cell), in both
+    /// drivers. Cells steer the model-driven policies' two-level solver;
+    /// below [`crate::cells::XL_FLEET_THRESHOLD`] servers those solve the
+    /// whole idle set exactly, whatever the sharding.
     pub cells: usize,
     /// Per-unit `(frames, total_frames)` when jobs are per-(segment, rung)
     /// dispatch units (see [`crate::segment`]), indexed by dense job id.
@@ -540,6 +542,9 @@ pub struct ServiceCore {
     breaker_fails: Vec<u32>,
     /// Breaker-open horizon per server (0 = closed).
     breaker_until: Vec<u64>,
+    /// Servers whose breaker tripped and has not been seen closed again, so
+    /// [`ServiceCore::closed_breakers`] never scans the fleet.
+    open_breakers: Vec<usize>,
     /// Which servers currently take work. All-true unless the autoscaler
     /// is enabled, in which case only the first `min_servers` start
     /// active.
@@ -669,6 +674,7 @@ impl ServiceCore {
             parked: BTreeMap::new(),
             breaker_fails: vec![0; n],
             breaker_until: vec![0; n],
+            open_breakers: Vec::new(),
             active,
             warming: vec![false; n],
             active_since,
@@ -724,11 +730,6 @@ impl ServiceCore {
             }
             _ => t,
         }
-    }
-
-    /// Whether a segment cache is configured.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Cache key for a dispatch unit: the knobs that determine the encoded
@@ -820,6 +821,11 @@ impl ServiceCore {
         &self.cfg.chaos
     }
 
+    /// [`ServeConfig::cells`], for whoever builds the idle index.
+    pub(crate) fn cells(&self) -> usize {
+        self.cfg.cells
+    }
+
     /// Detector belief per server, fleet order.
     pub fn health(&self) -> &[Health] {
         &self.health
@@ -872,13 +878,6 @@ impl ServiceCore {
             });
             self.publish_health();
         }
-    }
-
-    /// Whether `server` is currently active (takes work under the
-    /// autoscaler; always true when autoscaling is disabled). Drivers use
-    /// this to seed their idle/busy bookkeeping.
-    pub fn is_active(&self, server: usize) -> bool {
-        self.active[server]
     }
 
     /// Advances the provisioned-capacity integral to `now_us`.
@@ -1051,33 +1050,43 @@ impl ServiceCore {
             attempt: job.attempts,
         });
         self.breaker_note_failure(server, now_us);
+        self.retry_or_shed(job, true, now_us);
+    }
+
+    /// What happens to a job whose attempt was lost (`front`: requeued off
+    /// a lost server) or timed out: shed when the retry budget or the
+    /// deadline is spent; otherwise back through admission — at once, or,
+    /// with backoff enabled, parked for a seeded delay instead of storming
+    /// straight back.
+    fn retry_or_shed(&mut self, job: PendingJob, front: bool, now_us: u64) {
         if job.attempts > self.cfg.max_retries {
-            self.shed_job(&job, ShedReason::RetriesExhausted, now_us);
-            return;
+            return self.shed_job(&job, ShedReason::RetriesExhausted, now_us);
         }
         if job.spec.deadline_us <= now_us {
-            self.shed_job(&job, ShedReason::Expired, now_us);
-            return;
+            return self.shed_job(&job, ShedReason::Expired, now_us);
         }
-        // With backoff enabled the recovered job is parked for a seeded
-        // delay instead of storming straight back to the queue front.
-        let delay =
-            self.cfg
-                .chaos
-                .backoff
-                .delay_us(self.model.seed, job.spec.id, job.attempts.max(1));
-        if let Some(delay_us) = delay {
-            self.park(job, true, now_us, delay_us);
-            return;
+        let backoff = self.cfg.chaos.backoff;
+        match backoff.delay_us(self.model.seed, job.spec.id, job.attempts.max(1)) {
+            Some(delay_us) => self.park(job, front, now_us, delay_us),
+            None => self.readmit(job, front, now_us),
         }
-        match self.queue.offer_front(job) {
+    }
+
+    /// Re-offers a job the queue has held before: requeue-path jobs rejoin
+    /// the front of their class queue (they already waited their turn
+    /// once), timeout-path jobs the back.
+    fn readmit(&mut self, job: PendingJob, front: bool, now_us: u64) {
+        let admission = if front {
+            self.queue.offer_front(job)
+        } else {
+            self.queue.offer(job)
+        };
+        match admission {
             Admission::Admitted => {}
             Admission::AdmittedDisplacing(victim) => {
                 self.shed_job(&victim, ShedReason::Displaced, now_us);
             }
-            Admission::Refused(job) => {
-                self.shed_job(&job, ShedReason::QueueFull, now_us);
-            }
+            Admission::Refused(job) => self.shed_job(&job, ShedReason::QueueFull, now_us),
         }
     }
 
@@ -1104,9 +1113,7 @@ impl ServiceCore {
         self.parked.len()
     }
 
-    /// Re-admits every parked job whose delay has elapsed, due order.
-    /// Requeue-path jobs rejoin the front of their class queue (they
-    /// already waited their turn once), timeout-path jobs the back —
+    /// Re-admits every parked job whose delay has elapsed, due order —
     /// the same admission rules as the immediate path, just later.
     pub fn release_parked(&mut self, now_us: u64) {
         while let Some(&(due, id)) = self.parked.keys().next() {
@@ -1116,21 +1123,8 @@ impl ServiceCore {
             let (job, front) = self.parked.remove(&(due, id)).expect("key just observed");
             if job.spec.deadline_us <= now_us {
                 self.shed_job(&job, ShedReason::Expired, now_us);
-                continue;
-            }
-            let admission = if front {
-                self.queue.offer_front(job)
             } else {
-                self.queue.offer(job)
-            };
-            match admission {
-                Admission::Admitted => {}
-                Admission::AdmittedDisplacing(victim) => {
-                    self.shed_job(&victim, ShedReason::Displaced, now_us);
-                }
-                Admission::Refused(job) => {
-                    self.shed_job(&job, ShedReason::QueueFull, now_us);
-                }
+                self.readmit(job, front, now_us);
             }
         }
     }
@@ -1146,6 +1140,7 @@ impl ServiceCore {
         if self.breaker_fails[server] >= cfg.failures && self.breaker_until[server] <= now_us {
             let until = now_us.saturating_add(cfg.open_us);
             self.breaker_until[server] = until;
+            self.open_breakers.push(server);
             self.breaker_fails[server] = 0;
             chaos_metrics::breaker_trips().add(1);
             self.record(EventRecord::Breaker {
@@ -1158,18 +1153,22 @@ impl ServiceCore {
 
     /// Whether a server may take new work at `now_us`: not detected down,
     /// active under the autoscaler, and not held out by an open breaker.
-    fn takes_work(&self, server: usize, now_us: u64) -> bool {
+    /// Servers failing this are kept out of the idle index, so no policy
+    /// ever sees them.
+    pub(crate) fn takes_work(&self, server: usize, now_us: u64) -> bool {
         self.health[server] != Health::Down
             && self.active[server]
             && self.breaker_until[server] <= now_us
     }
 
-    /// Whether a server is a valid hedge target at `now_us`: detected-up
-    /// (not merely "not down"), active, breaker closed.
-    pub fn hedgeable(&self, server: usize, now_us: u64) -> bool {
-        self.health[server] == Health::Up
-            && self.active[server]
-            && self.breaker_until[server] <= now_us
+    /// Drains the servers whose breaker open window has elapsed by
+    /// `now_us`, for the idle index to take back.
+    pub(crate) fn closed_breakers(&mut self, now_us: u64) -> Vec<usize> {
+        let (closed, open) = std::mem::take(&mut self.open_breakers)
+            .into_iter()
+            .partition(|&s| self.breaker_until[s] <= now_us);
+        self.open_breakers = open;
+        closed
     }
 
     /// Books a hedged duplicate dispatch (the driver schedules the copy).
@@ -1306,43 +1305,10 @@ impl ServiceCore {
 
     /// Runs one dispatch round: expire stale jobs, show the policy the
     /// front of the queue and the idle servers, and commit its choices.
-    /// Returns `(job, server index)` pairs for the driver to start.
-    pub fn dispatch(&mut self, idle: &[usize], now_us: u64) -> Vec<(PendingJob, usize)> {
-        let level = self.pre_dispatch(now_us);
-        // Never place work on a server the detector has declared down,
-        // the autoscaler has deactivated, or whose breaker is open.
-        let idle: Vec<usize> = idle
-            .iter()
-            .copied()
-            .filter(|&s| self.takes_work(s, now_us))
-            .collect();
-        if idle.is_empty() || self.queue.is_empty() {
-            return Vec::new();
-        }
-        let picks: Vec<(u64, usize)> = {
-            let candidates = self.queue.candidates(self.cfg.candidate_window);
-            let ctx = DispatchCtx {
-                fleet: &self.fleet,
-                model: &self.model,
-                now_us,
-                health: &self.health,
-                health_epoch: self.health_epoch,
-            };
-            self.policy
-                .assign(&candidates, &idle, &ctx)
-                .into_iter()
-                .map(|(job_pos, idle_pos)| (candidates[job_pos].spec.id, idle[idle_pos]))
-                .collect()
-        };
-        self.start_picks(picks, level, now_us)
-    }
-
-    /// The indexed dispatch round used by the XL engine: identical
-    /// semantics to [`ServiceCore::dispatch`] but the policy sees the
-    /// fleet-wide [`IdleIndex`] (which never contains `Down` servers)
-    /// instead of a materialized idle slice, and returns server indices
-    /// directly.
-    pub fn dispatch_indexed(&mut self, idle: &IdleIndex, now_us: u64) -> Vec<(PendingJob, usize)> {
+    /// Returns `(job, server index)` pairs for the driver to start. `idle`
+    /// must hold only servers that may take work — down, deactivated and
+    /// breaker-open servers stay out of it (see [`crate::inflight`]).
+    pub fn dispatch(&mut self, idle: &IdleIndex, now_us: u64) -> Vec<(PendingJob, usize)> {
         let level = self.pre_dispatch(now_us);
         if idle.total() == 0 || self.queue.is_empty() {
             return Vec::new();
@@ -1357,63 +1323,13 @@ impl ServiceCore {
                 health_epoch: self.health_epoch,
             };
             self.policy
-                .assign_indexed(&candidates, idle, &ctx)
+                .assign(&candidates, idle, &ctx)
                 .into_iter()
                 .map(|(job_pos, server)| (candidates[job_pos].spec.id, server))
                 .collect()
         };
-        // The IdleIndex already excludes Down and inactive servers (the
-        // engine maintains it), but breaker state lives here — drop picks
-        // aimed at a server whose breaker is open.
-        let picks: Vec<(u64, usize)> = picks
-            .into_iter()
-            .filter(|&(_, server)| self.takes_work(server, now_us))
-            .collect();
-        self.start_picks(picks, level, now_us)
-    }
-
-    /// Shared dispatch preamble: expire stale jobs and feed the
-    /// degradation ladder. Returns the (possibly stepped) degrade level.
-    fn pre_dispatch(&mut self, now_us: u64) -> u8 {
-        for victim in self.queue.drop_expired(now_us) {
-            self.shed_job(&victim, ShedReason::Expired, now_us);
-        }
-        // Feed the degradation ladder: backlog vs detected-up capacity.
-        // A disabled ladder (the default) never leaves level 0, so the
-        // legacy path is untouched.
-        let prev_level = self.ladder.level();
-        let level = self.ladder.observe(self.queue.len(), self.up_capacity);
-        if level != prev_level {
-            // A preset downgrade changes what a dispatch costs, so cached
-            // predictions must not outlive the step.
-            self.health_epoch += 1;
-            // Attribute the step: if an SLO burn-rate alert is firing the
-            // ladder is reacting to burn, otherwise to raw backlog.
-            let cause = if self.obs.alert_firing() {
-                Cause::SloBurn
-            } else {
-                Cause::BacklogPressure
-            };
-            self.record(EventRecord::Degrade {
-                t: now_us,
-                level,
-                cause,
-            });
-            chaos_metrics::degrade_level_gauge().set(f64::from(level));
-            self.peak_degrade = self.peak_degrade.max(level);
-        }
-        level
-    }
-
-    /// Commits the policy's `(job id, server)` picks: pulls each job out
-    /// of the queue, applies the degrade ladder's preset downgrade, and
-    /// books the dispatch.
-    fn start_picks(
-        &mut self,
-        picks: Vec<(u64, usize)>,
-        level: u8,
-        now_us: u64,
-    ) -> Vec<(PendingJob, usize)> {
+        // Commit the picks: pull each job out of the queue, apply the
+        // degrade ladder's preset downgrade, and book the dispatch.
         let mut started = Vec::with_capacity(picks.len());
         for (id, server) in picks {
             // A policy returning stale or duplicate ids is a bug; skip
@@ -1444,6 +1360,39 @@ impl ServiceCore {
             started.push((job, server));
         }
         started
+    }
+
+    /// Dispatch preamble: expire stale jobs and feed the degradation
+    /// ladder. Returns the (possibly stepped) degrade level.
+    fn pre_dispatch(&mut self, now_us: u64) -> u8 {
+        for victim in self.queue.drop_expired(now_us) {
+            self.shed_job(&victim, ShedReason::Expired, now_us);
+        }
+        // Feed the degradation ladder: backlog vs detected-up capacity.
+        // A disabled ladder (the default) never leaves level 0, so the
+        // legacy path is untouched.
+        let prev_level = self.ladder.level();
+        let level = self.ladder.observe(self.queue.len(), self.up_capacity);
+        if level != prev_level {
+            // A preset downgrade changes what a dispatch costs, so cached
+            // predictions must not outlive the step.
+            self.health_epoch += 1;
+            // Attribute the step: if an SLO burn-rate alert is firing the
+            // ladder is reacting to burn, otherwise to raw backlog.
+            let cause = if self.obs.alert_firing() {
+                Cause::SloBurn
+            } else {
+                Cause::BacklogPressure
+            };
+            self.record(EventRecord::Degrade {
+                t: now_us,
+                level,
+                cause,
+            });
+            chaos_metrics::degrade_level_gauge().set(f64::from(level));
+            self.peak_degrade = self.peak_degrade.max(level);
+        }
+        level
     }
 
     /// Books a finished job: `started_us` is when the dispatch began.
@@ -1496,32 +1445,7 @@ impl ServiceCore {
             attempt: job.attempts,
         });
         self.breaker_note_failure(server, now_us);
-        if job.attempts > self.cfg.max_retries {
-            self.shed_job(&job, ShedReason::RetriesExhausted, now_us);
-            return;
-        }
-        if job.spec.deadline_us <= now_us {
-            self.shed_job(&job, ShedReason::Expired, now_us);
-            return;
-        }
-        let delay =
-            self.cfg
-                .chaos
-                .backoff
-                .delay_us(self.model.seed, job.spec.id, job.attempts.max(1));
-        if let Some(delay_us) = delay {
-            self.park(job, false, now_us, delay_us);
-            return;
-        }
-        match self.queue.offer(job) {
-            Admission::Admitted => {}
-            Admission::AdmittedDisplacing(victim) => {
-                self.shed_job(&victim, ShedReason::Displaced, now_us);
-            }
-            Admission::Refused(job) => {
-                self.shed_job(&job, ShedReason::QueueFull, now_us);
-            }
-        }
+        self.retry_or_shed(job, false, now_us);
     }
 
     /// The `(job id, server)` sequence committed so far, dispatch order.
@@ -1696,6 +1620,11 @@ mod tests {
     use crate::policy::RoundRobinPolicy;
     use crate::workload::WorkloadSpec;
 
+    /// Table IV's five servers with exactly `servers` idle.
+    fn idle(servers: &[usize]) -> IdleIndex {
+        crate::cells::idle_only(5, servers)
+    }
+
     fn core_with(cfg: ServeConfig) -> ServiceCore {
         ServiceCore::new(
             cfg,
@@ -1719,7 +1648,7 @@ mod tests {
             core.offer(j.clone(), j.arrival_us);
         }
         assert_eq!(core.queued(), 3);
-        let started = core.dispatch(&[0, 1, 2, 3, 4], 1_000_000);
+        let started = core.dispatch(&idle(&[0, 1, 2, 3, 4]), 1_000_000);
         assert_eq!(started.len(), 3);
         assert_eq!(core.queued(), 0);
         for (job, server) in &started {
@@ -1744,12 +1673,12 @@ mod tests {
         });
         let jobs = spec_jobs(1);
         core.offer(jobs[0].clone(), 0);
-        let started = core.dispatch(&[0], 10);
+        let started = core.dispatch(&idle(&[0]), 10);
         let (job, server) = started.into_iter().next().unwrap();
         assert_eq!(job.attempts, 1);
         core.timeout(job, server, 10, 20);
         assert_eq!(core.queued(), 1, "first timeout re-queues");
-        let started = core.dispatch(&[1], 30);
+        let started = core.dispatch(&idle(&[1]), 30);
         let (job, server) = started.into_iter().next().unwrap();
         assert_eq!(job.attempts, 2);
         core.timeout(job, server, 30, 40);
@@ -1766,7 +1695,7 @@ mod tests {
         let mut jobs = spec_jobs(1);
         jobs[0].deadline_us = 5;
         core.offer(jobs[0].clone(), 0);
-        let started = core.dispatch(&[0], 1);
+        let started = core.dispatch(&idle(&[0]), 1);
         let (job, server) = started.into_iter().next().unwrap();
         core.complete(&job, server, 1, 100);
         let (report, _) = core.into_report(7, 100);
@@ -1783,7 +1712,7 @@ mod tests {
         for j in &jobs {
             core.offer(j.clone(), 0);
         }
-        let started = core.dispatch(&[0], 10);
+        let started = core.dispatch(&idle(&[0]), 10);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].0.spec.id, jobs[1].id);
         let (report, _) = core.into_report(7, 10);
@@ -1863,7 +1792,7 @@ mod tests {
         let mut core = core_with(cfg);
         let jobs = spec_jobs(1);
         core.offer(jobs[0].clone(), 0);
-        let (job, server) = core.dispatch(&[0], 10).into_iter().next().unwrap();
+        let (job, server) = core.dispatch(&idle(&[0]), 10).into_iter().next().unwrap();
         core.fail(job, server, 10, 1_000);
         assert_eq!(core.queued(), 0, "requeue parks instead of re-admitting");
         assert_eq!(core.parked_count(), 1);
@@ -1897,7 +1826,7 @@ mod tests {
         core.offer(jobs[0].clone(), 0);
         let mut t = 10;
         for _ in 0..2 {
-            let (job, server) = core.dispatch(&[0], t).into_iter().next().unwrap();
+            let (job, server) = core.dispatch(&idle(&[0]), t).into_iter().next().unwrap();
             assert_eq!(server, 0);
             core.fail(job, server, t, t + 5);
             t += 10;
@@ -1905,14 +1834,14 @@ mod tests {
         let log = render_event_log(core.event_log());
         assert!(log.contains("breaker"), "two consecutive fails trip it");
         assert!(
-            core.dispatch(&[0], t).is_empty(),
+            !core.takes_work(0, t) && core.closed_breakers(t).is_empty(),
             "an open breaker holds the server out of dispatch"
         );
         let after = t + 1_000_000;
-        assert_eq!(
-            core.dispatch(&[0], after).len(),
-            1,
-            "the breaker re-admits the server after open_us"
+        assert_eq!(core.closed_breakers(after), vec![0]);
+        assert!(
+            core.takes_work(0, after) && core.closed_breakers(after).is_empty(),
+            "the breaker re-admits the server, once, after open_us"
         );
     }
 
@@ -1937,7 +1866,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut core = core_with(cfg);
-        assert!(core.is_active(0) && !core.is_active(1));
+        assert!(core.takes_work(0, 0) && !core.takes_work(1, 0));
         let jobs = spec_jobs(5);
         for j in &jobs {
             core.offer(j.clone(), 0);
@@ -1962,13 +1891,13 @@ mod tests {
         assert!(core.server_ready(2, 250_000));
         // Drain the queue; an idle over-provisioned fleet scales back in,
         // highest index first, never below min_servers.
-        let started = core.dispatch(&[0, 1, 2], 300_000);
+        let started = core.dispatch(&idle(&[0, 1, 2]), 300_000);
         assert!(started.len() >= 2, "activated servers take work");
         for (job, server) in started {
             core.complete(&job, server, 300_000, 310_000);
         }
         while core.queued() > 0 {
-            for (job, server) in core.dispatch(&[0, 1, 2], 320_000) {
+            for (job, server) in core.dispatch(&idle(&[0, 1, 2]), 320_000) {
                 core.complete(&job, server, 320_000, 330_000);
             }
         }

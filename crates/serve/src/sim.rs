@@ -8,15 +8,13 @@
 //!
 //! # Scale
 //!
-//! The engine carries no per-event O(fleet) work: events live in an
-//! amortized-O(1) [`CalendarQueue`] (popping in exactly the `(time, seq)`
-//! order the historical binary heap produced) and the idle set lives in an
-//! incrementally maintained [`IdleIndex`] (a Fenwick tree with per-cell
-//! counters). Fleets of at least [`XL_FLEET_THRESHOLD`] servers dispatch
-//! through [`ServiceCore::dispatch_indexed`] — two-level cell routing with
-//! an ε-scaling auction per cell — while smaller fleets keep the
-//! historical exact path whose outputs the committed artifacts pin
-//! byte-for-byte.
+//! The engine is a clock and a transport over the shared [`ServiceCore`]
+//! and [`InFlight`] machine, and carries no per-event O(fleet) work at any
+//! fleet size: events live in an amortized-O(1) [`CalendarQueue`] (popping
+//! in exactly the `(time, seq)` order the historical binary heap produced),
+//! and every dispatch round — 5 servers or 10 000 — reads the machine's
+//! incrementally maintained idle index. Which assignment solver a round
+//! runs is the policy's choice, not the engine's.
 //!
 //! # Fault injection
 //!
@@ -37,22 +35,20 @@
 //!   detected-up idle server; first completion wins, the loser's work is
 //!   discarded (and billed — the server really did it).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use vtx_chaos::{FaultKind, FaultPlan};
 use vtx_telemetry::Span;
 
 use crate::calendar::CalendarQueue;
-use crate::cells::{CellPlan, IdleIndex, XL_FLEET_THRESHOLD};
-use crate::chaos::hedge_due_us;
 use crate::cost::CostModel;
 use crate::error::ServeError;
 use crate::fleet::Fleet;
+use crate::inflight::{InFlight, Outcome, Started};
 use crate::policy::DispatchPolicy;
-use crate::queue::PendingJob;
 use crate::report::ServingReport;
-use crate::service::{EventRecord, ServeConfig, ServiceCore};
-use crate::workload::{JobSpec, Priority, WorkloadSpec};
+use crate::service::{EventRecord, ScaleAction, ServeConfig, ServiceCore};
+use crate::workload::{JobSpec, WorkloadSpec};
 
 /// What a simulated serving run produced.
 #[derive(Debug)]
@@ -69,19 +65,19 @@ pub struct SimOutcome {
 }
 
 /// Event payload. `Finish` names a `(server, instance)` pair rather than
-/// carrying the job: the job lives in the engine's `running` slot so a
-/// crash (or requeue) can invalidate a stale finish without queue surgery.
+/// carrying the job: the job lives in the [`InFlight`] slot so a crash (or
+/// requeue) can invalidate a stale finish without queue surgery.
 #[derive(Debug)]
 enum SimEvent {
     Arrive(JobSpec),
     Finish {
         server: usize,
         instance: u64,
+        /// The run was cut at the job's timeout (known when it started).
+        timed_out: bool,
     },
-    Crash {
-        server: usize,
-    },
-    Note {
+    /// A planned fault fires; a crash also flips the engine's ground truth.
+    Fault {
         server: usize,
         kind: FaultKind,
     },
@@ -104,17 +100,54 @@ enum SimEvent {
     },
 }
 
-/// One in-flight copy of a job on one server.
-#[derive(Debug)]
-struct Running {
-    job: PendingJob,
-    started_us: u64,
-    instance: u64,
-    is_hedge: bool,
-    timed_out: bool,
-    /// Satisfied from the segment cache: the server only fronts the
-    /// lookup, and completion must not re-insert the artifact.
-    cached: bool,
+/// What only the simulator knows: the event calendar, the fault plan's
+/// ground truth, and from them what a started copy costs.
+struct Engine {
+    events: CalendarQueue<SimEvent>,
+    /// Tie-breaker making the pop order total — identical to the binary
+    /// heap the calendar replaced.
+    seq: u64,
+    plan: FaultPlan,
+    /// Which servers have really crashed (the detector learns later).
+    crashed: Vec<bool>,
+}
+
+impl Engine {
+    fn push(&mut self, t: u64, ev: SimEvent) {
+        self.events.push(t, self.seq, ev);
+        self.seq += 1;
+    }
+
+    /// Schedules the finish of a copy that just started: on a live server
+    /// after the fault-inflated service time (capped at the job's timeout),
+    /// or after just the cache lookup cost when `cached_us` is set — a hit
+    /// skips the transcode and fault inflation entirely. On a
+    /// crashed-but-undetected server the copy is simply stuck: no finish is
+    /// scheduled and the down verdict will requeue it.
+    fn start(&mut self, core: &ServiceCore, flight: &InFlight, s: Started, now: u64) {
+        if self.crashed[s.server] {
+            return;
+        }
+        let spec = &flight.job(s.server).spec;
+        // A run longer than the job's timeout is killed at the timeout
+        // mark; the server is occupied (and billed) until then.
+        let (dur, timed_out) = match s.cached_us {
+            Some(lookup) => (lookup.min(spec.timeout_us), false),
+            None => {
+                let true_us = core.true_service_us(spec, s.server, core.fleet().server(s.server));
+                let wall = self.plan.inflate(s.server, now, true_us);
+                (wall.min(spec.timeout_us), wall > spec.timeout_us)
+            }
+        };
+        self.push(
+            now.saturating_add(dur),
+            SimEvent::Finish {
+                server: s.server,
+                instance: s.instance,
+                timed_out,
+            },
+        );
+    }
 }
 
 /// Runs a workload through a fleet under a policy, fully simulated.
@@ -162,102 +195,42 @@ pub fn simulate_trace(
         a.u64("seed", seed);
     });
 
-    let plan: FaultPlan = cfg.chaos.plan.clone();
     let detector = cfg.chaos.detector;
-    let hedge_after = cfg.chaos.hedge_after;
     let autoscale = cfg.chaos.autoscale;
-    let cells = cfg.cells;
-
-    let mut core = ServiceCore::new(cfg, fleet, model, policy);
-    let n_servers = core.fleet().len();
-    let xl = n_servers >= XL_FLEET_THRESHOLD;
-    let mut idle = IdleIndex::new(CellPlan::build(n_servers, cells, seed));
-    // Inactive (not-yet-scaled-out) servers are provisioned but take no
-    // work; they leave the idle index until their warm-up completes.
-    if autoscale.enabled {
-        for s in 0..n_servers {
-            if !core.is_active(s) {
-                idle.set_busy(s);
-            }
-        }
-    }
-    let mut running: Vec<Option<Running>> = (0..n_servers).map(|_| None).collect();
-    // Servers each in-flight copy of a job occupies, so hedge triggers
-    // find the origin without scanning the fleet.
-    let mut running_ids: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut crashed = vec![false; n_servers];
-    // Copies in flight per job id, and the ids already completed — the
-    // bookkeeping that makes hedged jobs terminate exactly once.
-    let mut copies: BTreeMap<u64, u8> = BTreeMap::new();
-    let mut done_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut instance: u64 = 0;
-
-    // Events pop in ascending (time, seq); seq is a tie-breaker making the
-    // pop order total — identical to the binary heap this replaced.
     let horizon = jobs.iter().map(|j| j.arrival_us).max().unwrap_or(0) + 1;
-    let mut events: CalendarQueue<SimEvent> = CalendarQueue::new(horizon, jobs.len() * 2 + 64);
-    let mut seq: u64 = 0;
-    let push = |events: &mut CalendarQueue<SimEvent>, seq: &mut u64, t: u64, ev: SimEvent| {
-        events.push(t, *seq, ev);
-        *seq += 1;
+    let mut eng = Engine {
+        events: CalendarQueue::new(horizon, jobs.len() * 2 + 64),
+        seq: 0,
+        plan: cfg.chaos.plan.clone(),
+        crashed: vec![false; fleet.len()],
     };
+    let mut core = ServiceCore::new(cfg, fleet, model, policy);
+    let mut flight = InFlight::new(&core);
+
     // Plan events first: at equal timestamps a fault precedes the arrival
     // or finish it affects, and suspicion precedes the down verdict.
-    for server in 0..n_servers {
-        let faults = plan.server(server);
+    for server in 0..core.fleet().len() {
+        let faults = eng.plan.server(server);
         if let Some(c) = faults.crash_us {
-            push(&mut events, &mut seq, c, SimEvent::Crash { server });
-            push(
-                &mut events,
-                &mut seq,
-                detector.suspect_at(c),
-                SimEvent::Suspect { server },
-            );
-            push(
-                &mut events,
-                &mut seq,
-                detector.down_at(c),
-                SimEvent::Down { server },
-            );
+            let kind = FaultKind::Crash;
+            eng.push(c, SimEvent::Fault { server, kind });
+            eng.push(detector.suspect_at(c), SimEvent::Suspect { server });
+            eng.push(detector.down_at(c), SimEvent::Down { server });
         }
         for w in &faults.slowdowns {
-            push(
-                &mut events,
-                &mut seq,
-                w.from_us,
-                SimEvent::Note {
-                    server,
-                    kind: FaultKind::SlowDown,
-                },
-            );
+            let kind = FaultKind::SlowDown;
+            eng.push(w.from_us, SimEvent::Fault { server, kind });
         }
         for st in &faults.stalls {
-            push(
-                &mut events,
-                &mut seq,
-                st.at_us,
-                SimEvent::Note {
-                    server,
-                    kind: FaultKind::Stall,
-                },
-            );
+            let kind = FaultKind::Stall;
+            eng.push(st.at_us, SimEvent::Fault { server, kind });
         }
     }
     for j in jobs {
-        push(
-            &mut events,
-            &mut seq,
-            j.arrival_us,
-            SimEvent::Arrive(j.clone()),
-        );
+        eng.push(j.arrival_us, SimEvent::Arrive(j.clone()));
     }
     if autoscale.enabled {
-        push(
-            &mut events,
-            &mut seq,
-            autoscale.eval_every_us.max(1),
-            SimEvent::AutoscaleTick,
-        );
+        eng.push(autoscale.eval_every_us.max(1), SimEvent::AutoscaleTick);
     }
 
     // Backoff wake-ups already scheduled (dedup so each due instant gets
@@ -266,134 +239,51 @@ pub fn simulate_trace(
     let mut arrivals_left = jobs.len();
 
     let mut now: u64 = 0;
-    while let Some((t, _, ev)) = events.pop() {
+    while let Some((t, _, ev)) = eng.events.pop() {
         now = t;
         match ev {
             SimEvent::Arrive(spec) => {
                 arrivals_left -= 1;
                 core.offer(spec, now);
             }
-            SimEvent::Crash { server } => {
-                crashed[server] = true;
-                core.record_fault(server, FaultKind::Crash, now);
-                // Whatever is running there is stuck until detection; its
-                // pending Finish (if any) is ignored below.
-            }
-            SimEvent::Note { server, kind } => {
+            SimEvent::Fault { server, kind } => {
+                // Whatever runs on a crashed server is stuck until
+                // detection; its pending Finish (if any) is ignored below.
+                eng.crashed[server] |= kind == FaultKind::Crash;
                 core.record_fault(server, kind, now);
             }
-            SimEvent::Suspect { server } => {
-                core.mark_suspected(server, now);
-            }
+            SimEvent::Suspect { server } => core.mark_suspected(server, now),
             SimEvent::Down { server } => {
                 core.mark_down(server, now);
-                // Down is terminal: the server leaves the idle index for
-                // good, whether it was idle or holding a doomed job.
-                idle.set_busy(server);
-                if let Some(r) = running[server].take() {
-                    let id = r.job.spec.id;
-                    forget_copy(&mut running_ids, id, server);
-                    let left = copies
-                        .get_mut(&id)
-                        .map(|c| {
-                            *c -= 1;
-                            *c
-                        })
-                        .unwrap_or(0);
-                    if left == 0 {
-                        copies.remove(&id);
-                    }
-                    // Requeue only if no other copy can still finish it.
-                    if !done_ids.contains(&id) && left == 0 {
-                        core.fail(r.job, server, r.started_us, now);
-                    }
-                }
+                flight.server_lost(&mut core, server, now);
             }
             SimEvent::Finish {
                 server,
-                instance: i,
+                instance,
+                timed_out,
             } => {
-                let stale = running[server].as_ref().is_none_or(|r| r.instance != i);
-                if stale || crashed[server] {
-                    // Stale finish, or the server died mid-run: the job (if
-                    // still held) stays stuck until the down verdict.
-                } else {
-                    let r = running[server].take().expect("checked above");
-                    idle.set_idle(server);
-                    let id = r.job.spec.id;
-                    forget_copy(&mut running_ids, id, server);
-                    let left = copies
-                        .get_mut(&id)
-                        .map(|c| {
-                            *c -= 1;
-                            *c
-                        })
-                        .unwrap_or(0);
-                    if left == 0 {
-                        copies.remove(&id);
-                    }
-                    if done_ids.contains(&id) {
-                        // The other copy already won; this work is wasted.
-                        core.hedge_discard(id, server, r.started_us, now);
-                    } else if r.timed_out {
-                        if left > 0 {
-                            // A copy is still running; let it decide the
-                            // job's fate, just bill this server's time.
-                            core.hedge_discard(id, server, r.started_us, now);
-                        } else {
-                            core.timeout(r.job, server, r.started_us, now);
-                        }
+                // A stale finish, or one from a server that died mid-run,
+                // is ignored: the job (if still held) stays stuck until the
+                // down verdict.
+                if flight.holds(server, instance) && !eng.crashed[server] {
+                    let outcome = if timed_out {
+                        Outcome::TimedOut
                     } else {
-                        core.complete(&r.job, server, r.started_us, now);
-                        done_ids.insert(id);
-                        if r.is_hedge {
-                            core.note_hedge_won();
-                        }
-                        // A real transcode populates the cache; a hit never
-                        // re-inserts what it just read.
-                        if !r.cached {
-                            core.cache_insert(&r.job, server, None);
-                        }
-                    }
+                        Outcome::Finished { bytes: None }
+                    };
+                    flight.finish(&mut core, server, outcome, now);
                 }
             }
-            SimEvent::RequeueDue => {
-                core.release_parked(now);
-            }
+            SimEvent::RequeueDue => core.release_parked(now),
             SimEvent::AutoscaleTick => {
                 for action in core.autoscale_tick(now) {
                     match action {
-                        crate::service::ScaleAction::Out { server, ready_us } => {
-                            push(
-                                &mut events,
-                                &mut seq,
-                                ready_us,
-                                SimEvent::ServerReady { server },
-                            );
+                        ScaleAction::Out { server, ready_us } => {
+                            eng.push(ready_us, SimEvent::ServerReady { server });
                         }
-                        crate::service::ScaleAction::In { server } => {
-                            // Drain: the deactivated server gives up any
-                            // running job through the same requeue path a
-                            // down verdict uses.
-                            idle.set_busy(server);
-                            if let Some(r) = running[server].take() {
-                                let id = r.job.spec.id;
-                                forget_copy(&mut running_ids, id, server);
-                                let left = copies
-                                    .get_mut(&id)
-                                    .map(|c| {
-                                        *c -= 1;
-                                        *c
-                                    })
-                                    .unwrap_or(0);
-                                if left == 0 {
-                                    copies.remove(&id);
-                                }
-                                if !done_ids.contains(&id) && left == 0 {
-                                    core.fail(r.job, server, r.started_us, now);
-                                }
-                            }
-                        }
+                        // Drain: the deactivated server gives up any running
+                        // job through the same path a down verdict uses.
+                        ScaleAction::In { server } => flight.server_lost(&mut core, server, now),
                     }
                 }
                 // Re-arm only while work can still exist — the tick chain
@@ -401,116 +291,33 @@ pub fn simulate_trace(
                 let work_left = arrivals_left > 0
                     || core.queued() > 0
                     || core.parked_count() > 0
-                    || running.iter().any(Option::is_some);
+                    || !flight.is_empty();
                 if work_left {
-                    push(
-                        &mut events,
-                        &mut seq,
-                        now.saturating_add(autoscale.eval_every_us.max(1)),
-                        SimEvent::AutoscaleTick,
-                    );
+                    let next = now.saturating_add(autoscale.eval_every_us.max(1));
+                    eng.push(next, SimEvent::AutoscaleTick);
                 }
             }
             SimEvent::ServerReady { server } => {
-                if core.server_ready(server, now) && running[server].is_none() && !crashed[server] {
-                    idle.set_idle(server);
-                }
+                flight.server_ready(&mut core, server, !eng.crashed[server], now);
             }
             SimEvent::HedgeDue { id } => {
-                // Fire only if exactly the original copy is still in
-                // flight (not done, not requeued, not already hedged).
-                if !done_ids.contains(&id) && copies.get(&id) == Some(&1) {
-                    let origin = running_ids.get(&id).and_then(|v| v.iter().copied().min());
-                    if let Some(origin) = origin {
-                        let pick = idle
-                            .to_vec()
-                            .into_iter()
-                            .filter(|&s| core.hedgeable(s, now))
-                            .min_by_key(|&s| {
-                                let job = &running[origin].as_ref().expect("indexed above").job;
-                                (
-                                    core.model().predicted_us(&job.spec, core.fleet().server(s)),
-                                    s,
-                                )
-                            });
-                        if let Some(server) = pick {
-                            let job = running[origin].as_ref().expect("indexed above").job.clone();
-                            core.hedge_dispatch(&job, server, now);
-                            copies.insert(id, 2);
-                            instance += 1;
-                            start_copy(
-                                &mut running,
-                                &mut running_ids,
-                                &mut idle,
-                                &mut events,
-                                &mut seq,
-                                &core,
-                                &plan,
-                                &crashed,
-                                job,
-                                server,
-                                now,
-                                instance,
-                                true,
-                                None,
-                            );
-                        }
-                    }
+                if let Some(copy) = flight.hedge(&mut core, id, now) {
+                    eng.start(&core, &flight, copy, now);
                 }
             }
         }
-        // Every state change is a dispatch opportunity. Small fleets keep
-        // the historical materialized-slice path; XL fleets go through the
-        // index (two-level cell-auction dispatch, nothing O(fleet)).
-        let started = if xl {
-            core.dispatch_indexed(&idle, now)
-        } else {
-            let idle_vec = idle.to_vec();
-            core.dispatch(&idle_vec, now)
-        };
-        for (job, server) in started {
-            let id = job.spec.id;
-            *copies.entry(id).or_insert(0) += 1;
-            // A cache hit skips the transcode: the server is occupied only
-            // for the lookup cost, and hedging it would be pointless.
-            let cached_us = core.cache_lookup(&job, server, now);
-            // Arm the hedge trigger on the first dispatch of an
-            // interactive job.
-            if cached_us.is_none()
-                && job.spec.priority == Priority::Interactive
-                && job.attempts == 1
-            {
-                if let Some(due) =
-                    hedge_due_us(job.spec.arrival_us, job.spec.deadline_us, hedge_after)
-                {
-                    if due > now && due < job.spec.deadline_us {
-                        push(&mut events, &mut seq, due, SimEvent::HedgeDue { id });
-                    }
-                }
+        // Every state change is a dispatch opportunity.
+        for copy in flight.dispatch(&mut core, now) {
+            if let Some(due) = copy.hedge_due_us {
+                eng.push(due, SimEvent::HedgeDue { id: copy.id });
             }
-            instance += 1;
-            start_copy(
-                &mut running,
-                &mut running_ids,
-                &mut idle,
-                &mut events,
-                &mut seq,
-                &core,
-                &plan,
-                &crashed,
-                job,
-                server,
-                now,
-                instance,
-                false,
-                cached_us,
-            );
+            eng.start(&core, &flight, copy, now);
         }
         // Any event can park a job under backoff; make sure the earliest
         // due instant has a wake-up scheduled (deduplicated per instant).
         if let Some(due) = core.next_parked_due() {
             if requeue_wakeups.insert(due) {
-                push(&mut events, &mut seq, due, SimEvent::RequeueDue);
+                eng.push(due, SimEvent::RequeueDue);
             }
         }
     }
@@ -530,83 +337,6 @@ pub fn simulate_trace(
         assignments,
         obs,
     })
-}
-
-/// Drops one server from a job's set of in-flight copies.
-fn forget_copy(running_ids: &mut BTreeMap<u64, Vec<usize>>, id: u64, server: usize) {
-    if let Some(v) = running_ids.get_mut(&id) {
-        v.retain(|&s| s != server);
-        if v.is_empty() {
-            running_ids.remove(&id);
-        }
-    }
-}
-
-/// Starts one copy of a job on a server: on a live server the finish time
-/// is the fault-inflated service time (capped at the job's timeout), or
-/// just the cache lookup cost when `cached_us` is set; on a
-/// crashed-but-undetected server the copy is simply stuck — no finish is
-/// scheduled and the down verdict will requeue it.
-#[allow(clippy::too_many_arguments)]
-fn start_copy(
-    running: &mut [Option<Running>],
-    running_ids: &mut BTreeMap<u64, Vec<usize>>,
-    idle: &mut IdleIndex,
-    events: &mut CalendarQueue<SimEvent>,
-    seq: &mut u64,
-    core: &ServiceCore,
-    plan: &FaultPlan,
-    crashed: &[bool],
-    job: PendingJob,
-    server: usize,
-    now: u64,
-    instance: u64,
-    is_hedge: bool,
-    cached_us: Option<u64>,
-) {
-    idle.set_busy(server);
-    running_ids.entry(job.spec.id).or_default().push(server);
-    if crashed[server] {
-        running[server] = Some(Running {
-            job,
-            started_us: now,
-            instance,
-            is_hedge,
-            timed_out: false,
-            cached: cached_us.is_some(),
-        });
-        return;
-    }
-    // A run longer than the job's timeout is killed at the timeout mark;
-    // the server is occupied (and billed) until then. A cache hit skips
-    // the transcode and fault inflation entirely — only the lookup cost
-    // occupies the server.
-    let (dur, timed_out) = match cached_us {
-        Some(lookup) => (lookup.min(job.spec.timeout_us), false),
-        None => {
-            let true_us = core.true_service_us(&job.spec, server, core.fleet().server(server));
-            let wall = plan.inflate(server, now, true_us);
-            if wall > job.spec.timeout_us {
-                (job.spec.timeout_us, true)
-            } else {
-                (wall, false)
-            }
-        }
-    };
-    running[server] = Some(Running {
-        job,
-        started_us: now,
-        instance,
-        is_hedge,
-        timed_out,
-        cached: cached_us.is_some(),
-    });
-    events.push(
-        now.saturating_add(dur),
-        *seq,
-        SimEvent::Finish { server, instance },
-    );
-    *seq += 1;
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 
 use vtx_obs::ObsConfig;
 use vtx_sched::{auction, hungarian};
-use vtx_serve::chaos::ChaosConfig;
 use vtx_serve::exec::{run_real, ExecConfig};
 use vtx_serve::fleet::Fleet;
-use vtx_serve::policy::{policy_by_name, DispatchPolicy, PortPolicy, SmartPolicy};
+use vtx_serve::policy::policy_by_name;
 use vtx_serve::queue::QueueConfig;
 use vtx_serve::service::{render_event_log, ServeConfig};
 use vtx_serve::sim::{simulate, simulate_trace, SimOutcome};
@@ -262,59 +261,6 @@ fn auction_matches_hungarian_on_fig9_sized_matrices() {
             auction_total, hungarian_total,
             "trial {trial} ({m}x{n}): auction total must equal the Hungarian optimum"
         );
-    }
-}
-
-#[test]
-fn cost_cache_does_not_change_fig9_output() {
-    // The smart/port cost cache must be a pure speedup: the faulted fig9
-    // scenario (Suspect and Down transitions invalidate the cache) must
-    // produce byte-identical reports, event logs and assignments with the
-    // cache on and off.
-    let w = WorkloadSpec::bundled(42);
-    let jobs = w.generate().unwrap();
-    let horizon = jobs.iter().map(|j| j.arrival_us).max().unwrap();
-    type PolicyCtor = fn() -> Box<dyn DispatchPolicy>;
-    let pairs: [(&str, PolicyCtor, PolicyCtor); 2] = [
-        (
-            "smart",
-            || Box::new(SmartPolicy::new()),
-            || Box::new(SmartPolicy::uncached()),
-        ),
-        (
-            "port",
-            || Box::new(PortPolicy::new()),
-            || Box::new(PortPolicy::uncached()),
-        ),
-    ];
-    for (name, cached, uncached) in pairs {
-        for faulted in [false, true] {
-            let cfg = if faulted {
-                ServeConfig {
-                    chaos: ChaosConfig::kill_two_straggle_one(w.seed, 8, horizon),
-                    ..ServeConfig::default()
-                }
-            } else {
-                ServeConfig::default()
-            };
-            let fleet = if faulted {
-                Fleet::sized(8).unwrap()
-            } else {
-                Fleet::table_iv()
-            };
-            let a = simulate_trace(&jobs, w.seed, fleet.clone(), cached(), cfg.clone()).unwrap();
-            let b = simulate_trace(&jobs, w.seed, fleet, uncached(), cfg).unwrap();
-            assert_eq!(
-                a.assignments, b.assignments,
-                "{name} faulted={faulted}: assignments"
-            );
-            assert_eq!(
-                render_event_log(&a.event_log),
-                render_event_log(&b.event_log),
-                "{name} faulted={faulted}: event log"
-            );
-            assert_eq!(a.report, b.report, "{name} faulted={faulted}: report");
-        }
     }
 }
 

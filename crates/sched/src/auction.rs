@@ -1,17 +1,21 @@
 //! Bertsekas ε-scaling auction for minimum-cost one-to-one assignment over
-//! integer costs.
+//! integer costs — the **integer oracle for the Hungarian**, not on the
+//! dispatch path.
 //!
-//! The Hungarian solver in [`crate::hungarian`] is exact but O(n³) per call
-//! and works on `f64` matrices. An online dispatcher at fleet scale solves
-//! many *small, related* assignment problems per second (the same servers
-//! show up round after round), which is exactly the regime the auction
-//! algorithm was designed for:
+//! Nothing in `vtx-serve` calls this module: every dispatch round, at every
+//! fleet size, is solved by [`crate::hungarian::solve_padded`], whose cost
+//! follows the real (rows × cols) matrix. This solver **pads thin matrices
+//! to a square** of dummy bidders — a 1 × 40 round becomes a 40 × 40
+//! `i128` problem and a dozen ε-phases to find the minimum of 40 numbers —
+//! so do not call it per event. It stays as an independent implementation
+//! on exact integer arithmetic that the tests check the `f64` Hungarian
+//! against, and for the `sched.auction_us.*` probes of `perf/`.
 //!
 //! * costs are **integers** (milli-units chosen by the caller), so every
 //!   bid, price and benefit is exact — determinism survives reordering;
-//! * prices persist across rounds (**warm start**): when the next round's
-//!   matrix resembles the last one, most persons bid straight into their
-//!   final objects;
+//! * prices may persist across calls (**warm start**,
+//!   [`solve_padded_warm`]): when the next matrix resembles the last one,
+//!   most persons bid straight into their final objects;
 //! * ε-scaling with a final phase at ε = 1 over benefits pre-scaled by
 //!   `rows + 1` yields an *exactly* optimal assignment (Bertsekas 1988):
 //!   any two distinct assignment totals differ by at least `rows + 1`

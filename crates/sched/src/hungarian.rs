@@ -230,6 +230,20 @@ mod tests {
     }
 
     #[test]
+    fn one_row_ties_break_to_the_lowest_column() {
+        // The shape online dispatch produces most (1 job × k idle servers,
+        // servers of one class priced alike): the lowest tied column wins,
+        // in both orientations. The fig9-XL rows are pinned on this.
+        let row = vec![vec![5.0, 3.0, 9.0, 3.0, 3.0]];
+        assert_eq!(solve(&row), vec![1]);
+        assert_eq!(solve_padded(&row), Ok(vec![Some(1)]));
+        let col: Vec<Vec<f64>> = row[0].iter().map(|&c| vec![c]).collect();
+        let mut want = vec![None; 5];
+        want[1] = Some(0);
+        assert_eq!(solve_padded(&col), Ok(want));
+    }
+
+    #[test]
     #[should_panic(expected = "columns")]
     fn more_rows_than_cols_panics() {
         let cost = vec![vec![1.0], vec![2.0]];

@@ -26,11 +26,14 @@ const VNODES_PER_CELL: usize = 16;
 /// Default servers per cell when the caller does not force a cell count.
 pub const DEFAULT_CELL_SIZE: usize = 64;
 
-/// The assignment-solver crossover, in servers: below it the model-driven
-/// policies solve a round exactly (Hungarian, which the committed fig9
-/// artifacts pin byte-for-byte), from it up by cell routing plus a
-/// per-cell auction. Measured, not planned: Hungarian wins a quarter of
-/// the auction's time at n = 8 and loses six-fold at n = 500
+/// The routing threshold, in servers: below it the model-driven policies
+/// solve a round over the whole idle set (which the committed fig9
+/// artifacts pin byte-for-byte), from it up they route each candidate to a
+/// cell and solve per cell. It chooses *routing*, not a solver — both
+/// sides run the same exact rectangular Hungarian, whose cost follows the
+/// matrix it is handed, and a round never has more rows than the queue's
+/// candidate window (8 by default): on `fleet_xl` every solve — 5 000 of
+/// 5 000 a pass — is 1 job × 25–63 (mean 40) idle servers
 /// (EXPERIMENTS.md, fig9-XL). Nothing else in the crate branches on it.
 pub const XL_FLEET_THRESHOLD: usize = 64;
 

@@ -18,10 +18,10 @@
 //!   method over the [`cells::IdleIndex`], at every fleet size: `random`
 //!   and `round_robin` baselines, and `smart` / `port`, which price
 //!   (job × idle-server) pairs with the affinity model of `vtx-sched` and
-//!   solve the rectangular assignment — exactly (Hungarian) below
-//!   [`cells::XL_FLEET_THRESHOLD`] servers, by two-level dispatch
-//!   (consistent-hash + power-of-two-choices across [`cells::CellPlan`]
-//!   cells, ε-scaling auction within a cell) from there up.
+//!   solve the rectangular assignment exactly (Hungarian) — over the
+//!   whole idle set below [`cells::XL_FLEET_THRESHOLD`] servers, within
+//!   each routed cell (consistent-hash + power-of-two-choices across
+//!   [`cells::CellPlan`] cells) from there up.
 //! * [`fleet`] — heterogeneous fleets of Table IV microarchitectures with
 //!   mixed speed grades.
 //! * [`cost`] — the two-faced service-time model: a policy-visible

@@ -8,14 +8,16 @@
 //! the same code path.
 //!
 //! There is one dispatch surface, [`DispatchPolicy::assign`], over the
-//! incremental [`IdleIndex`], at every fleet size. The baselines sample the
-//! index's Fenwick tree directly. The model-driven policies pick their
-//! assignment solver from the fleet size they observe: below
-//! [`XL_FLEET_THRESHOLD`] servers an exact Hungarian solve over the idle
-//! set (faster there, and what the committed fig9 artifacts pin); from the
-//! threshold up each candidate is routed to one of two consistent-hashed
-//! cells (power-of-two-choices on idle capacity) and a warm-started
-//! ε-scaling auction runs *within* the chosen cell, so nothing is O(fleet).
+//! incremental [`IdleIndex`], at every fleet size, and one assignment
+//! solver under the model-driven policies: the exact rectangular Hungarian,
+//! whose cost follows the matrix it is given (a round never has more rows
+//! than the queue's candidate window). The baselines sample the index's
+//! Fenwick tree directly. The model-driven policies choose only the
+//! *routing* from the fleet size they observe: below
+//! [`XL_FLEET_THRESHOLD`] servers one solve over the whole idle set; from
+//! the threshold up each candidate is routed to one of two
+//! consistent-hashed cells (power-of-two-choices on idle capacity) and the
+//! same solve runs *within* each chosen cell, so nothing is O(fleet).
 //!
 //! The model-driven policies also memoize predictions: the cost model is a
 //! pure function of (task parameters, server class), so each (task, class)
@@ -34,7 +36,7 @@ use crate::cost::CostModel;
 use crate::fleet::Fleet;
 use crate::queue::PendingJob;
 use crate::rng::SplitMix64;
-use vtx_sched::{auction, hungarian};
+use vtx_sched::hungarian;
 
 /// Cost multiplier the model-driven policies apply to servers the failure
 /// detector currently suspects: high enough that a suspected server is only
@@ -206,17 +208,13 @@ enum PredictionKind {
     Port,
 }
 
-/// Integer suspect penalty applied to milli-costs on the auction path —
-/// the same ×64 as [`SUSPECT_PENALTY`], kept integral so bids stay exact.
-const SUSPECT_PENALTY_INT: u64 = SUSPECT_PENALTY as u64;
-
 /// Prediction memo keys: (crf, refs, preset rank, server class) within a
 /// video's entry.
 type KnobKey = (u8, u8, u8, u16);
 
 /// Shared machinery of the model-driven policies (`smart` / `port`): the
-/// prediction memo, the per-server auction prices, and the two assignment
-/// solvers [`ModelCore::assign`] chooses between.
+/// prediction memo, the exact solve, and the two routings
+/// [`ModelCore::assign`] chooses between.
 #[derive(Debug)]
 struct ModelCore {
     kind: PredictionKind,
@@ -228,8 +226,6 @@ struct ModelCore {
     cache_epoch: u64,
     /// Server index → class id, rebuilt when the fleet size changes.
     class_of: Vec<u16>,
-    /// Warm-start auction prices per server index (cell-auction solver only).
-    prices: BTreeMap<usize, i64>,
 }
 
 impl ModelCore {
@@ -239,7 +235,6 @@ impl ModelCore {
             cache: BTreeMap::new(),
             cache_epoch: 0,
             class_of: Vec::new(),
-            prices: BTreeMap::new(),
         }
     }
 
@@ -291,17 +286,8 @@ impl ModelCore {
         val
     }
 
-    /// Suspect-penalized integer milli-µs cost for the auction path.
-    fn milli_cost(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
-        let base = self.predicted_base(ctx, job, s).saturating_mul(1000);
-        match ctx.health.get(s) {
-            Some(Health::Suspected) => base.saturating_mul(SUSPECT_PENALTY_INT),
-            _ => base,
-        }
-    }
-
-    /// One dispatch round, by whichever solver is the faster one at the
-    /// observed fleet size (see [`XL_FLEET_THRESHOLD`] for the measurement).
+    /// One dispatch round: one global solve below [`XL_FLEET_THRESHOLD`]
+    /// servers, the same solve per routed cell from there up.
     fn assign(
         &mut self,
         jobs: &[&PendingJob],
@@ -317,9 +303,10 @@ impl ModelCore {
         }
     }
 
-    /// The exact solver: Hungarian over the full (jobs × idle) f64 matrix.
-    /// Costs are byte-identical to the pre-memo implementation (the memo
-    /// returns the very same `u64` the model would).
+    /// The exact solver: rectangular Hungarian over the (jobs × idle) f64
+    /// matrix, O(min(r,c)²·max(r,c)). Costs are byte-identical to the
+    /// pre-memo implementation (the memo returns the very same `u64` the
+    /// model would); among equally priced servers the lowest index wins.
     fn assign_exact(
         &mut self,
         jobs: &[&PendingJob],
@@ -347,8 +334,8 @@ impl ModelCore {
         }
     }
 
-    /// The two-level solver: consistent-hash + power-of-two-choices cell
-    /// routing, then a warm-started ε-scaling auction within each cell.
+    /// Two-level dispatch: consistent-hash + power-of-two-choices cell
+    /// routing, then [`ModelCore::assign_exact`] within each cell.
     fn assign_cells(
         &mut self,
         jobs: &[&PendingJob],
@@ -358,15 +345,13 @@ impl ModelCore {
         // Level 1: route each candidate to the roomier of its two hashed
         // cells, debiting capacity as jobs land so a burst spreads out.
         let mut routed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut taken: BTreeMap<usize, usize> = BTreeMap::new();
         for (job_pos, j) in jobs.iter().enumerate() {
             let (a, b) = idle.plan().candidates(j.spec.id);
-            let room_a = idle
-                .idle_in_cell(a)
-                .saturating_sub(*taken.get(&a).unwrap_or(&0));
-            let room_b = idle
-                .idle_in_cell(b)
-                .saturating_sub(*taken.get(&b).unwrap_or(&0));
+            let room = |c: usize| {
+                idle.idle_in_cell(c)
+                    .saturating_sub(routed.get(&c).map_or(0, Vec::len))
+            };
+            let (room_a, room_b) = (room(a), room(b));
             let cell = if room_a == 0 && room_b == 0 {
                 continue; // both candidate cells saturated — job waits
             } else if room_b > room_a {
@@ -374,40 +359,14 @@ impl ModelCore {
             } else {
                 a
             };
-            *taken.entry(cell).or_insert(0) += 1;
             routed.entry(cell).or_default().push(job_pos);
         }
-        // Level 2: auction within each cell, prices warm across rounds.
+        // Level 2: the exact solve within each cell.
         let mut out = Vec::new();
         for (cell, job_ps) in routed {
-            let servers = idle.cell_idle(cell);
-            if servers.is_empty() {
-                continue;
-            }
-            let cost: Vec<Vec<u64>> = job_ps
-                .iter()
-                .map(|&jp| {
-                    servers
-                        .iter()
-                        .map(|&s| self.milli_cost(ctx, jobs[jp], s))
-                        .collect()
-                })
-                .collect();
-            let mut prices: Vec<i64> = servers
-                .iter()
-                .map(|&s| self.prices.get(&s).copied().unwrap_or(0))
-                .collect();
-            let Ok(assignment) = auction::solve_padded_warm(&cost, &mut prices) else {
-                continue; // unreachable: matrix is rectangular by construction
-            };
-            for (&s, &p) in servers.iter().zip(&prices) {
-                self.prices.insert(s, p);
-            }
-            for (row, slot) in assignment.iter().enumerate() {
-                if let Some(col) = slot {
-                    out.push((job_ps[row], servers[*col]));
-                }
-            }
+            let cell_jobs: Vec<&PendingJob> = job_ps.iter().map(|&jp| jobs[jp]).collect();
+            let picks = self.assign_exact(&cell_jobs, &idle.cell_idle(cell), ctx);
+            out.extend(picks.into_iter().map(|(row, s)| (job_ps[row], s)));
         }
         out
     }
@@ -416,10 +375,10 @@ impl ModelCore {
 /// The characterization-driven policy: minimum predicted total service time
 /// over the (candidates × idle servers) matrix — the smart scheduler of
 /// Figure 9 run continuously over whatever is currently queued and idle.
-/// Fleets below [`XL_FLEET_THRESHOLD`] servers get the exact Hungarian
-/// solve, larger ones two-level cell-auction dispatch. When queued jobs
-/// outnumber idle servers the rectangular solve picks which jobs run *now*
-/// (the rest wait), still minimizing predicted cost.
+/// Fleets below [`XL_FLEET_THRESHOLD`] servers get one exact Hungarian
+/// solve, larger ones the same solve per consistent-hashed cell. When
+/// queued jobs outnumber idle servers the rectangular solve picks which
+/// jobs run *now* (the rest wait), still minimizing predicted cost.
 #[derive(Debug)]
 pub struct SmartPolicy {
     core: ModelCore,
@@ -713,6 +672,115 @@ mod tests {
             health_epoch: 0,
         };
         assert_eq!(p.assign(&refs, &idle, &ctx).len(), 1);
+    }
+
+    #[test]
+    fn tied_servers_resolve_to_the_lowest_index_and_skip_suspects() {
+        // Servers s and s + 5 of a sized fleet share a class, so a job's
+        // row is full of exact ties; the pinned fig9-XL rows depend on how
+        // they break. Both routings: one global solve (10 servers) and per
+        // cell (200 servers, the twins spread over every cell).
+        let model = CostModel::new(42);
+        let j = pending(7, "hall", Preset::Medium);
+        for n in [10, 200] {
+            let fleet = Fleet::sized(n).unwrap();
+            let twins: Vec<usize> = (3..n).step_by(5).collect();
+            let idle = idle_only(n, &twins);
+            let mut p = SmartPolicy::new();
+            let a = p.assign(&[&j], &idle, &ctx(&fleet, &model));
+            assert_eq!(a.len(), 1);
+            // The idle twins the solve saw: all of them, or the routed cell's.
+            let seen = if n < XL_FLEET_THRESHOLD {
+                twins.clone()
+            } else {
+                idle.cell_idle(idle.plan().cell_of(a[0].1))
+            };
+            assert_eq!(a[0].1, seen[0], "n={n}: lowest index among the ties");
+            let mut health = vec![Health::Up; n];
+            health[seen[0]] = Health::Suspected;
+            let ctx = DispatchCtx {
+                health: &health,
+                health_epoch: 1,
+                ..ctx(&fleet, &model)
+            };
+            let b = p.assign(&[&j], &idle, &ctx);
+            assert_eq!(
+                b,
+                vec![(0, seen[1])],
+                "n={n}: the suspected twin is avoided"
+            );
+        }
+    }
+
+    #[test]
+    fn assign_cells_is_injective_routed_and_optimal_per_cell() {
+        let n = 200;
+        let fleet = Fleet::sized(n).unwrap();
+        let model = CostModel::new(42);
+        let mut rng = SplitMix64::new(0xCE11);
+        let mut idle = IdleIndex::new(crate::cells::CellPlan::build(n, 0, 42));
+        let mut health = vec![Health::Up; n];
+        for (s, h) in health.iter_mut().enumerate() {
+            match rng.next_range(8) {
+                0..=4 => _ = idle.set_busy(s),
+                5 => *h = Health::Suspected,
+                _ => {}
+            }
+        }
+        let videos = ["bike", "hall", "cat", "girl"];
+        let jobs: Vec<PendingJob> = (0..8)
+            .map(|i| {
+                let id = rng.next_range(1 << 40);
+                let preset = Preset::ALL[rng.next_range(10) as usize];
+                pending(id, videos[i % videos.len()], preset)
+            })
+            .collect();
+        let refs: Vec<&PendingJob> = jobs.iter().collect();
+        let ctx = DispatchCtx {
+            health: &health,
+            ..ctx(&fleet, &model)
+        };
+        for kind in [PredictionKind::Affinity, PredictionKind::Port] {
+            let mut core = ModelCore::new(kind);
+            let picks = core.assign_cells(&refs, &idle, &ctx);
+            assert_eq!(picks.len(), refs.len(), "every cell has room");
+            let mut by_cell: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+            let mut seen_jobs = vec![false; refs.len()];
+            let mut seen_servers = vec![false; n];
+            for &(jp, s) in &picks {
+                assert!(idle.is_idle(s), "picked busy server {s}");
+                assert!(
+                    !seen_jobs[jp] && !seen_servers[s],
+                    "pick ({jp}, {s}) repeats"
+                );
+                seen_jobs[jp] = true;
+                seen_servers[s] = true;
+                let cell = idle.plan().cell_of(s);
+                let (a, b) = idle.plan().candidates(jobs[jp].spec.id);
+                assert!(cell == a || cell == b, "job {jp} left its candidate cells");
+                by_cell.entry(cell).or_default().push((jp, s));
+            }
+            assert!(
+                by_cell.values().any(|g| g.len() > 1),
+                "some cell solves > 1 row"
+            );
+            let total = |core: &mut ModelCore, picks: &[(usize, usize)], js: &[&PendingJob]| {
+                picks
+                    .iter()
+                    .map(|&(jp, s)| ctx.penalized(core.predicted_base(&ctx, js[jp], s) as f64, s))
+                    .sum::<f64>()
+            };
+            for (cell, group) in by_cell {
+                let cell_jobs: Vec<&PendingJob> = group.iter().map(|&(jp, _)| refs[jp]).collect();
+                let alone =
+                    ModelCore::new(kind).assign_exact(&cell_jobs, &idle.cell_idle(cell), &ctx);
+                assert_eq!(
+                    total(&mut core, &group, &refs),
+                    total(&mut core, &alone, &cell_jobs),
+                    "cell {cell}: same optimum as the exact solve over that cell alone"
+                );
+            }
+        }
     }
 
     #[test]

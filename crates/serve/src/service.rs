@@ -47,9 +47,9 @@ pub struct ServeConfig {
     pub obs: ObsConfig,
     /// Cell count the idle index shards the fleet into (0 = auto-size at
     /// [`crate::cells::DEFAULT_CELL_SIZE`] servers per cell), in both
-    /// drivers. Cells steer the model-driven policies' two-level solver;
+    /// drivers. Cells steer the model-driven policies' two-level routing;
     /// below [`crate::cells::XL_FLEET_THRESHOLD`] servers those solve the
-    /// whole idle set exactly, whatever the sharding.
+    /// whole idle set in one piece, whatever the sharding.
     pub cells: usize,
     /// Per-unit `(frames, total_frames)` when jobs are per-(segment, rung)
     /// dispatch units (see [`crate::segment`]), indexed by dense job id.

@@ -222,11 +222,11 @@ fn xl_config(cells: usize) -> ServeConfig {
 
 #[test]
 fn auction_matches_hungarian_on_fig9_sized_matrices() {
-    // The XL path replaces per-dispatch Hungarian with an ε-scaling
-    // auction. On fig9-sized problems (≤ 8 jobs × 8 servers) both must
-    // find an assignment of identical total cost: the auction scales
-    // costs internally so its final ε guarantees exact optimality on
-    // integer inputs.
+    // Dispatch solves every round with the f64 Hungarian; the ε-scaling
+    // auction is its integer oracle. On fig9-sized problems (≤ 8 jobs × 8
+    // servers) both must find an assignment of identical total cost: the
+    // auction scales costs internally so its final ε guarantees exact
+    // optimality on integer inputs.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
         state = state
@@ -265,9 +265,61 @@ fn auction_matches_hungarian_on_fig9_sized_matrices() {
 }
 
 #[test]
+fn hungarian_matches_auction_oracle_on_dispatch_shaped_matrices() {
+    // The shapes dispatch really produces: at most `candidate_window` (8)
+    // jobs against up to a cell's worth (≤ 72) of idle servers, and the
+    // transposed backlog case, with servers priced by class — five classes,
+    // so most of a row is exact ties — and a few suspects at ×64.
+    let mut state = 0x0D15_9A7C_4ED5_EED5u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    for trial in 0..120usize {
+        let r = 1 + next(8) as usize;
+        let c = 1 + next(72) as usize;
+        let suspect: Vec<bool> = (0..c).map(|_| next(10) == 0).collect();
+        let wide: Vec<Vec<u64>> = (0..r)
+            .map(|_| {
+                let by_class: Vec<u64> = (0..5).map(|_| 1 + next(30_000_000)).collect();
+                (0..c)
+                    .map(|s| by_class[s % 5] * if suspect[s] { 64 } else { 1 })
+                    .collect()
+            })
+            .collect();
+        let tall: Vec<Vec<u64>> = (0..c)
+            .map(|s| (0..r).map(|j| wide[j][s]).collect())
+            .collect();
+        for cost_u in [wide, tall] {
+            let cost_f: Vec<Vec<f64>> = cost_u
+                .iter()
+                .map(|row| row.iter().map(|&c| c as f64).collect())
+                .collect();
+            let h = hungarian::solve_padded(&cost_f).expect("hungarian solves");
+            let a = auction::solve_padded(&cost_u).expect("auction solves");
+            let mut cols_seen = vec![false; cost_u[0].len()];
+            for col in h.iter().flatten() {
+                assert!(!cols_seen[*col], "trial {trial}: column {col} twice");
+                cols_seen[*col] = true;
+            }
+            assert_eq!(h.iter().flatten().count(), r.min(c), "trial {trial}");
+            assert_eq!(
+                auction::assignment_cost(&cost_u, &h),
+                auction::assignment_cost(&cost_u, &a),
+                "trial {trial} ({}x{}): Hungarian total must equal the integer optimum",
+                cost_u.len(),
+                cost_u[0].len()
+            );
+        }
+    }
+}
+
+#[test]
 fn xl_smoke_is_byte_deterministic_and_conserves_jobs() {
     // Scaled-down XL (500 servers / 20k jobs) through the two-level
-    // cell + auction dispatch path: two same-seed runs must agree exactly,
+    // cell dispatch path: two same-seed runs must agree exactly,
     // and every admitted job must reach exactly one terminal state.
     let w = WorkloadSpec::xl_smoke(42);
     let run = || {

@@ -226,6 +226,8 @@ struct ModelCore {
     cache_epoch: u64,
     /// Server index → class id, rebuilt when the fleet size changes.
     class_of: Vec<u16>,
+    /// Number of distinct classes in `class_of`.
+    n_classes: usize,
 }
 
 impl ModelCore {
@@ -235,6 +237,7 @@ impl ModelCore {
             cache: BTreeMap::new(),
             cache_epoch: 0,
             class_of: Vec::new(),
+            n_classes: 0,
         }
     }
 
@@ -262,6 +265,7 @@ impl ModelCore {
                 *ids.entry(key).or_insert(next)
             })
             .collect();
+        self.n_classes = ids.len();
         self.cache.clear();
     }
 
@@ -284,6 +288,25 @@ impl ModelCore {
             .or_default()
             .insert(key, val);
         val
+    }
+
+    /// One job's row of the cost matrix over `servers`: the memo is probed
+    /// once per server *class* and the row filled through `class_of`, then
+    /// suspects are penalized per server.
+    fn cost_row(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, servers: &[usize]) -> Vec<f64> {
+        self.ensure_classes(ctx.fleet);
+        let mut by_class: Vec<Option<u64>> = vec![None; self.n_classes];
+        servers
+            .iter()
+            .map(|&s| {
+                let class = usize::from(self.class_of[s]);
+                let base = match by_class[class] {
+                    Some(base) => base,
+                    None => *by_class[class].insert(self.predicted_base(ctx, job, s)),
+                };
+                ctx.penalized(base as f64, s)
+            })
+            .collect()
     }
 
     /// One dispatch round: one global solve below [`XL_FLEET_THRESHOLD`]
@@ -313,14 +336,7 @@ impl ModelCore {
         idle: &[usize],
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
-        let cost: Vec<Vec<f64>> = jobs
-            .iter()
-            .map(|j| {
-                idle.iter()
-                    .map(|&s| ctx.penalized(self.predicted_base(ctx, j, s) as f64, s))
-                    .collect()
-            })
-            .collect();
+        let cost: Vec<Vec<f64>> = jobs.iter().map(|j| self.cost_row(ctx, j, idle)).collect();
         match hungarian::solve_padded(&cost) {
             Ok(assignment) => assignment
                 .into_iter()
@@ -557,21 +573,32 @@ mod tests {
     fn cost_memo_returns_exactly_what_the_model_would() {
         // The memo must be a pure speedup: for every catalog video × knob
         // × server it returns `predict_raw`'s value, when filling and when
-        // hitting, across detector-epoch bumps and fleet-size changes.
+        // hitting, across detector-epoch bumps and fleet-size changes — and
+        // a row filled once per class (server 1 suspected, its class twin 6
+        // not) equals the row priced server by server.
         let model = CostModel::new(42);
         let fleets = [Fleet::table_iv(), Fleet::sized(8).unwrap()];
+        let health = [Health::Up, Health::Suspected];
         for kind in [PredictionKind::Affinity, PredictionKind::Port] {
             let mut core = ModelCore::new(kind);
             for (health_epoch, fleet) in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0)] {
                 let fleet = &fleets[fleet];
                 let ctx = DispatchCtx {
+                    health: &health,
                     health_epoch,
                     ..ctx(fleet, &model)
                 };
+                let servers: Vec<usize> = (0..fleet.len()).rev().collect();
                 for video in vtx_frame::vbench::catalog() {
                     for (crf, refs, preset) in [(18, 1, Preset::Ultrafast), (35, 8, Preset::Slow)] {
                         let mut j = pending(0, &video.short_name, preset);
                         j.spec.task = TranscodeTask::new(&video.short_name, crf, refs, preset);
+                        let by_server: Vec<f64> = servers
+                            .iter()
+                            .map(|&s| ctx.penalized(core.predict_raw(&ctx, &j, s) as f64, s))
+                            .collect();
+                        assert_eq!(core.cost_row(&ctx, &j, &servers), by_server, "row fill");
+                        assert_eq!(core.cost_row(&ctx, &j, &servers), by_server, "row hit");
                         for s in 0..fleet.len() {
                             let want = core.predict_raw(&ctx, &j, s);
                             assert_eq!(core.predicted_base(&ctx, &j, s), want, "fill");

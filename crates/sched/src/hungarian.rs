@@ -26,12 +26,14 @@ pub fn solve(cost: &[Vec<f64>]) -> Vec<usize> {
     let mut v = vec![0.0f64; m + 1];
     let mut p = vec![0usize; m + 1]; // p[j] = row matched to column j (0 = none)
     let mut way = vec![0usize; m + 1];
+    let mut minv = vec![inf; m + 1];
+    let mut used = vec![false; m + 1];
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![inf; m + 1];
-        let mut used = vec![false; m + 1];
+        minv.fill(inf);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];

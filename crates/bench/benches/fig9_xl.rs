@@ -1,21 +1,22 @@
 //! Figure 9 at fleet scale — the XL restatement of the dispatch-policy
 //! comparison. The small-fleet benches prove the placement claim on the
-//! Table IV fleet; this one proves it survives the two-level
-//! (consistent-hash cells + auction) solver the model-driven policies
-//! switch to at [`vtx_serve::cells::XL_FLEET_THRESHOLD`] servers and above.
+//! Table IV fleet; this one proves it survives the two-level routing
+//! (consistent-hash cells, the exact solve per cell) the model-driven
+//! policies switch to at [`vtx_serve::cells::XL_FLEET_THRESHOLD`] servers
+//! and above.
 //!
-//! Two tiers:
+//! Two tiers, both always run (~20 s together):
 //!
-//! * **xl_smoke** (always): 500 servers / 20k jobs per policy. Rows are
-//!   appended to the `BENCH_serving.json` trajectory produced by the
-//!   `fig9_serving` bench, so the committed artifact carries the XL
-//!   evidence and CI byte-compares it like every other row. The `smart`
-//!   scenario runs twice and the two reports must print identically —
-//!   a cheap in-process determinism check ahead of CI's two-run `cmp`.
-//! * **xl_full** (`VTX_XL_FULL=1`): 10 000 servers / 1 000 000 jobs,
-//!   `random` vs `smart`, written to a separate `BENCH_serving_xl.json`
-//!   (not committed — it exists to demonstrate wall-clock feasibility and
-//!   the tail-latency win at the paper-motivated fleet size).
+//! * **xl_smoke**: 500 servers / 20k jobs per policy. Rows are appended to
+//!   the `BENCH_serving.json` trajectory produced by the `fig9_serving`
+//!   bench, so the committed artifact carries the XL evidence and CI
+//!   byte-compares it like every other row. The `smart` scenario runs
+//!   twice and the two reports must print identically — a cheap in-process
+//!   determinism check ahead of CI's two-run `cmp`.
+//! * **xl_full**: 10 000 servers / 1 000 000 jobs, `random` vs `smart`,
+//!   written to its own `BENCH_serving_xl.json`, committed beside
+//!   `BENCH_serving.json` and byte-compared by CI the same way — the
+//!   tail-latency win at the paper-motivated fleet size.
 
 use vtx_obs::{milli, BenchTrajectory, ObsConfig, TrajectoryRow};
 use vtx_serve::cells::CellPlan;
@@ -68,7 +69,13 @@ fn xl_row(
         served_capacity_milli: 0,
         alerts: 0,
         makespan_us: r.makespan_us,
-        wall_ms,
+        // Real timings only on request, so the committed files stay
+        // byte-deterministic.
+        wall_ms: if vtx_obs::wall_clock_enabled() {
+            wall_ms
+        } else {
+            0
+        },
     }
 }
 
@@ -108,7 +115,7 @@ fn print_table(reports: &[(ServingReport, u64)]) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    vtx_bench::banner("Figure 9 (serving, XL): two-level auction dispatch at fleet scale");
+    vtx_bench::banner("Figure 9 (serving, XL): two-level cell dispatch at fleet scale");
 
     // ---- xl_smoke: 500 servers, 20k jobs, all four policies -------------
     let smoke_servers = 500usize;
@@ -130,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smart = &smoke[2].0;
     assert!(
         smart.sojourn.p99_us < random.sojourn.p99_us,
-        "two-level auction dispatch must beat random on p99 at XL scale \
+        "two-level cell dispatch must beat random on p99 at XL scale \
          ({} vs {})",
         smart.sojourn.p99_us,
         random.sojourn.p99_us
@@ -174,11 +181,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r,
             smoke_servers as u64,
             smoke_cells,
-            if vtx_obs::wall_clock_enabled() {
-                *wall
-            } else {
-                0
-            },
+            *wall,
         ));
     }
     let json = traj.to_json();
@@ -190,52 +193,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         smoke.len()
     );
 
-    // ---- xl_full: 10k servers / 1M jobs, opt-in ------------------------
-    if std::env::var("VTX_XL_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        vtx_bench::banner("Figure 9 (serving, XL full): 10k servers / 1M jobs");
-        let xl_servers = 10_000usize;
-        let xl_workload = WorkloadSpec::xl(vtx_bench::SEED);
-        let xl_cells = CellPlan::build(xl_servers, 0, xl_workload.seed).n_cells() as u64;
-        println!(
-            "xl_full: {} jobs, {} Hz arrivals, {} servers, {} cells\n",
-            xl_workload.jobs, xl_workload.arrival_rate_hz, xl_servers, xl_cells
-        );
-        let mut full: Vec<(ServingReport, u64)> = Vec::new();
-        for name in ["random", "smart"] {
-            let (out, wall) = run(&xl_workload, xl_servers, name)?;
-            full.push((out.report, wall));
-        }
-        print_table(&full);
-        assert!(
-            full[1].0.sojourn.p99_us < full[0].0.sojourn.p99_us,
-            "smart must beat random on p99 at 10k servers ({} vs {})",
-            full[1].0.sojourn.p99_us,
-            full[0].0.sojourn.p99_us
-        );
-        let mut xl_traj = BenchTrajectory::new("fig9_xl_full");
-        for (r, wall) in &full {
-            xl_traj.push(xl_row(
-                "xl_full",
-                r,
-                xl_servers as u64,
-                xl_cells,
-                if vtx_obs::wall_clock_enabled() {
-                    *wall
-                } else {
-                    0
-                },
-            ));
-        }
-        let xl_json = xl_traj.to_json();
-        BenchTrajectory::validate_str(&xl_json).expect("xl trajectory validates");
-        let xl_path = vtx_bench::results_dir().join("BENCH_serving_xl.json");
-        std::fs::write(&xl_path, &xl_json)?;
-        println!("[artifact] {}", xl_path.display());
-    } else {
-        println!("\n(set VTX_XL_FULL=1 for the 10k-server / 1M-job tier)");
+    // ---- xl_full: 10k servers / 1M jobs ---------------------------------
+    vtx_bench::banner("Figure 9 (serving, XL full): 10k servers / 1M jobs");
+    let xl_servers = 10_000usize;
+    let xl_workload = WorkloadSpec::xl(vtx_bench::SEED);
+    let xl_cells = CellPlan::build(xl_servers, 0, xl_workload.seed).n_cells() as u64;
+    println!(
+        "xl_full: {} jobs, {} Hz arrivals, {} servers, {} cells\n",
+        xl_workload.jobs, xl_workload.arrival_rate_hz, xl_servers, xl_cells
+    );
+    let mut full: Vec<(ServingReport, u64)> = Vec::new();
+    for name in ["random", "smart"] {
+        let (out, wall) = run(&xl_workload, xl_servers, name)?;
+        full.push((out.report, wall));
     }
+    print_table(&full);
+    assert!(
+        full[1].0.sojourn.p99_us < full[0].0.sojourn.p99_us,
+        "smart must beat random on p99 at 10k servers ({} vs {})",
+        full[1].0.sojourn.p99_us,
+        full[0].0.sojourn.p99_us
+    );
+    let mut xl_traj = BenchTrajectory::new("fig9_xl_full");
+    for (r, wall) in &full {
+        xl_traj.push(xl_row("xl_full", r, xl_servers as u64, xl_cells, *wall));
+    }
+    let xl_json = xl_traj.to_json();
+    BenchTrajectory::validate_str(&xl_json).expect("xl trajectory validates");
+    let xl_path = vtx_bench::results_dir().join("BENCH_serving_xl.json");
+    std::fs::write(&xl_path, &xl_json)?;
+    println!("[artifact] {}", xl_path.display());
     Ok(())
 }

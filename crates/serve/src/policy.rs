@@ -300,10 +300,7 @@ impl ModelCore {
             .iter()
             .map(|&s| {
                 let class = usize::from(self.class_of[s]);
-                let base = match by_class[class] {
-                    Some(base) => base,
-                    None => *by_class[class].insert(self.predicted_base(ctx, job, s)),
-                };
+                let base = *by_class[class].get_or_insert_with(|| self.predicted_base(ctx, job, s));
                 ctx.penalized(base as f64, s)
             })
             .collect()
@@ -718,7 +715,7 @@ mod tests {
             assert_eq!(a.len(), 1);
             // The idle twins the solve saw: all of them, or the routed cell's.
             let seen = if n < XL_FLEET_THRESHOLD {
-                twins.clone()
+                idle.to_vec()
             } else {
                 idle.cell_idle(idle.plan().cell_of(a[0].1))
             };

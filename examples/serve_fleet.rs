@@ -9,10 +9,10 @@
 //!
 //! `--xl` runs the fleet-scale restatement: 500 servers (20k jobs) by
 //! default, `--xl --full` for 10 000 servers and a million jobs. XL runs
-//! take the two-level dispatch path (consistent-hash cells + auction) and
-//! print the compact per-fleet report instead of 10k per-server lines;
-//! `--cells N` overrides the auto-sized cell count. Still byte-
-//! deterministic per seed.
+//! take the two-level dispatch path (consistent-hash cells, the exact
+//! solve per cell) and print the compact per-fleet report instead of 10k
+//! per-server lines; `--cells N` overrides the auto-sized cell count.
+//! Still byte-deterministic per seed.
 //!
 //! `--faults` switches on the chaos study: an 8-way fleet where two
 //! servers are killed at 30% of the run and a third is a 3× fail-slow

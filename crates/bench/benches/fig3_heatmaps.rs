@@ -1,13 +1,11 @@
 //! Figure 3 — heat maps of front-end, back-end and bad-speculation bound
 //! pipeline slots over the crf × refs plane.
 //!
-//! Default: a strided 11 x 5 grid. `VTX_FULL=1` runs the paper's full 816
-//! combinations (crf 1–51 × refs 1–16).
+//! Always the paper's full 816 combinations (crf 1–51 × refs 1–16): a few
+//! seconds on two cores.
 
 use vtx_codec::EncoderConfig;
-use vtx_core::experiments::sweep::{
-    crf_refs_sweep, default_crf_grid, default_refs_grid, full_crf_grid, full_refs_grid, SweepPoint,
-};
+use vtx_core::experiments::sweep::{crf_refs_sweep, full_crf_grid, full_refs_grid, SweepPoint};
 
 fn heatmap(points: &[SweepPoint], crfs: &[u8], refs: &[u8], f: impl Fn(&SweepPoint) -> f64) {
     print!("{:>4} |", "crf");
@@ -29,11 +27,7 @@ fn heatmap(points: &[SweepPoint], crfs: &[u8], refs: &[u8], f: impl Fn(&SweepPoi
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (crfs, refs) = if vtx_bench::full_run() {
-        (full_crf_grid(), full_refs_grid())
-    } else {
-        (default_crf_grid(), default_refs_grid())
-    };
+    let (crfs, refs) = (full_crf_grid(), full_refs_grid());
     vtx_bench::banner(&format!(
         "Figure 3: FE / BE / bad-speculation bound slots (%) over {} crf x {} refs",
         crfs.len(),

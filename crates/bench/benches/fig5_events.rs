@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &vtx_bench::sweep_options(),
     )?;
 
-    let panels: [(&str, Box<dyn Fn(&SweepPoint) -> f64>); 8] = [
+    type Panel = (&'static str, Box<dyn Fn(&SweepPoint) -> f64>);
+    let panels: [Panel; 8] = [
         ("(a) branch MPKI", Box::new(|p| p.summary.mpki.branch)),
         ("(b) L1d MPKI", Box::new(|p| p.summary.mpki.l1d)),
         ("(c) L2 MPKI", Box::new(|p| p.summary.mpki.l2)),

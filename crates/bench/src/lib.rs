@@ -5,9 +5,10 @@
 //! rows/series the paper reports and saves a `Debug` dump of them under
 //! `target/vtx-results/` so runs are diffable.
 //!
-//! Grids default to strided subsets so `cargo bench` finishes quickly; set
-//! `VTX_FULL=1` to run the paper's full parameter grids (e.g. all 816
-//! crf × refs combinations of Figure 3).
+//! Figure 3 always runs its full 816-point crf × refs plane. The other grids
+//! default to strided subsets so `cargo bench` finishes quickly; set
+//! `VTX_FULL=1` to run their paper-sized versions (e.g. the same 816
+//! combinations for Figure 5).
 
 use std::path::PathBuf;
 

@@ -357,14 +357,20 @@ mod tests {
         assert!(EncoderConfig::default().with_refs(0).validate().is_err());
         assert!(EncoderConfig::default().with_refs(17).validate().is_err());
         assert!(EncoderConfig::default().with_crf(99.0).validate().is_err());
-        let mut c = EncoderConfig::default();
-        c.subme = 12;
+        let c = EncoderConfig {
+            subme: 12,
+            ..EncoderConfig::default()
+        };
         assert!(c.validate().is_err());
-        let mut c = EncoderConfig::default();
-        c.rc = RateControlMode::Abr { bitrate_kbps: 0 };
+        let c = EncoderConfig {
+            rc: RateControlMode::Abr { bitrate_kbps: 0 },
+            ..EncoderConfig::default()
+        };
         assert!(c.validate().is_err());
-        let mut c = EncoderConfig::default();
-        c.merange = 0;
+        let c = EncoderConfig {
+            merange: 0,
+            ..EncoderConfig::default()
+        };
         assert!(c.validate().is_err());
     }
 

@@ -613,22 +613,28 @@ mod tests {
 
     #[test]
     fn decode_matches_encoder_recon_cavlc() {
-        let mut cfg = EncoderConfig::default();
-        cfg.cabac = false;
+        let cfg = EncoderConfig {
+            cabac: false,
+            ..EncoderConfig::default()
+        };
         roundtrip("cricket", &cfg);
     }
 
     #[test]
     fn decode_matches_with_bframes_disabled() {
-        let mut cfg = EncoderConfig::default();
-        cfg.bframes = 0;
+        let cfg = EncoderConfig {
+            bframes: 0,
+            ..EncoderConfig::default()
+        };
         roundtrip("girl", &cfg);
     }
 
     #[test]
     fn decode_matches_without_deblock() {
-        let mut cfg = EncoderConfig::default();
-        cfg.deblock = None;
+        let cfg = EncoderConfig {
+            deblock: None,
+            ..EncoderConfig::default()
+        };
         roundtrip("bike", &cfg);
     }
 

@@ -1510,14 +1510,18 @@ mod tests {
         // QPs that make it much cheaper than the one-pass ABR encode it is
         // compared with (1.1-1.5x across seeds on `cricket`, 1.6x on `girl`).
         let v = tiny_video("girl");
-        let mut cfg = EncoderConfig::default();
-        cfg.rc = RateControlMode::TwoPassAbr { bitrate_kbps: 300 };
+        let cfg = EncoderConfig {
+            rc: RateControlMode::TwoPassAbr { bitrate_kbps: 300 },
+            ..EncoderConfig::default()
+        };
         let mut p_two = prof();
         let two = encode_video(&v, &cfg, &mut p_two).unwrap();
         let rep_two = p_two.finish();
 
-        let mut cfg1 = EncoderConfig::default();
-        cfg1.rc = RateControlMode::Abr { bitrate_kbps: 300 };
+        let cfg1 = EncoderConfig {
+            rc: RateControlMode::Abr { bitrate_kbps: 300 },
+            ..EncoderConfig::default()
+        };
         let mut p_one = prof();
         let _ = encode_video(&v, &cfg1, &mut p_one).unwrap();
         let rep_one = p_one.finish();

@@ -273,8 +273,10 @@ mod tests {
     #[test]
     fn no_b_frames_when_disabled() {
         let v = video("cricket");
-        let mut cfg = EncoderConfig::default();
-        cfg.bframes = 0;
+        let cfg = EncoderConfig {
+            bframes: 0,
+            ..EncoderConfig::default()
+        };
         let r = analyze(&v, &cfg, &mut prof());
         assert!(r.types.iter().all(|&t| t != FrameType::B));
         // Coding order equals display order with no Bs.
@@ -284,10 +286,12 @@ mod tests {
     #[test]
     fn b_frames_appear_with_fixed_pattern() {
         let v = video("desktop"); // calm content
-        let mut cfg = EncoderConfig::default();
-        cfg.b_adapt = 0;
-        cfg.bframes = 2;
-        cfg.scenecut = 0;
+        let cfg = EncoderConfig {
+            b_adapt: 0,
+            bframes: 2,
+            scenecut: 0,
+            ..EncoderConfig::default()
+        };
         let r = analyze(&v, &cfg, &mut prof());
         let b_count = r.types.iter().filter(|&&t| t == FrameType::B).count();
         assert!(b_count > 0, "fixed pattern must emit B frames");
@@ -314,8 +318,10 @@ mod tests {
     #[test]
     fn scenecut_zero_disables_detection() {
         let v = video("hall");
-        let mut cfg = EncoderConfig::default();
-        cfg.scenecut = 0;
+        let cfg = EncoderConfig {
+            scenecut: 0,
+            ..EncoderConfig::default()
+        };
         let r = analyze(&v, &cfg, &mut prof());
         let i_count = r.types.iter().filter(|&&t| t == FrameType::I).count();
         assert_eq!(i_count, 1);

@@ -35,22 +35,45 @@ pub fn mc_luma(
         return;
     }
 
+    let avg2 = |a: u8, b: u8| (u32::from(a) + u32::from(b)).div_ceil(2) as u8;
+    let avg4 = |a: u8, b: u8, c: u8, d: u8| {
+        ((u32::from(a) + u32::from(b) + u32::from(c) + u32::from(d) + 2) / 4) as u8
+    };
+
+    // The block and its +1 taps inside the plane: whole rows, no clamping.
+    if let Some((ix, iy)) = reference.interior(bx, by, bw + hx as usize, bh + hy as usize) {
+        for row in 0..bh {
+            let out = &mut out[row * bw..(row + 1) * bw];
+            let top = &reference.row(iy + row)[ix..];
+            // The row below when `hy == 1`; `top` again (and unread) otherwise.
+            let bot = &reference.row(iy + row + hy as usize)[ix..];
+            match (hx, hy) {
+                (1, 0) => {
+                    for (o, t) in out.iter_mut().zip(top.windows(2)) {
+                        *o = avg2(t[0], t[1]);
+                    }
+                }
+                (0, 1) => average(&top[..bw], &bot[..bw], out),
+                _ => {
+                    for ((o, t), b) in out.iter_mut().zip(top.windows(2)).zip(bot.windows(2)) {
+                        *o = avg4(t[0], t[1], b[0], b[1]);
+                    }
+                }
+            }
+        }
+        return;
+    }
+
     for row in 0..bh {
         for col in 0..bw {
             let px = bx + col as isize;
             let py = by + row as isize;
-            let p00 = u32::from(reference.get_clamped(px, py));
-            let v = match (hx, hy) {
-                (1, 0) => (p00 + u32::from(reference.get_clamped(px + 1, py))).div_ceil(2),
-                (0, 1) => (p00 + u32::from(reference.get_clamped(px, py + 1))).div_ceil(2),
-                _ => {
-                    let p10 = u32::from(reference.get_clamped(px + 1, py));
-                    let p01 = u32::from(reference.get_clamped(px, py + 1));
-                    let p11 = u32::from(reference.get_clamped(px + 1, py + 1));
-                    (p00 + p10 + p01 + p11 + 2) / 4
-                }
+            let at = |dx, dy| reference.get_clamped(px + dx, py + dy);
+            out[row * bw + col] = match (hx, hy) {
+                (1, 0) => avg2(at(0, 0), at(1, 0)),
+                (0, 1) => avg2(at(0, 0), at(0, 1)),
+                _ => avg4(at(0, 0), at(1, 0), at(0, 1), at(1, 1)),
             };
-            out[row * bw + col] = v as u8;
         }
     }
 }
@@ -139,6 +162,41 @@ mod tests {
             + 2)
             / 4;
         assert_eq!(u32::from(out[0]), e);
+    }
+
+    /// Every half-pel phase at every block position from wholly outside,
+    /// across each edge, to wholly inside equals the per-sample definition
+    /// — the interior fast path and the clamped path agree at their seam.
+    #[test]
+    fn every_phase_and_position_matches_the_per_sample_definition() {
+        let p = ramp_plane();
+        let mut out = [0u8; 64];
+        for (mvx, mvy) in [(0, 0), (1, 0), (0, 1), (1, 1), (-3, 5), (7, -1)] {
+            let mv = MotionVector::new(mvx, mvy);
+            let (fx, fy) = mv.fullpel();
+            let (hx, hy) = ((mvx & 1) as isize, (mvy & 1) as isize);
+            for y in 0..32 {
+                for x in 0..32 {
+                    mc_luma(&p, mv, x, y, 8, 8, &mut out);
+                    for (i, &got) in out.iter().enumerate() {
+                        let px = x as isize + fx as isize + (i % 8) as isize;
+                        let py = y as isize + fy as isize + (i / 8) as isize;
+                        let at = |dx, dy| u32::from(p.get_clamped(px + dx, py + dy));
+                        let want = match (hx, hy) {
+                            (0, 0) => at(0, 0),
+                            (1, 0) => (at(0, 0) + at(1, 0)).div_ceil(2),
+                            (0, 1) => (at(0, 0) + at(0, 1)).div_ceil(2),
+                            _ => (at(0, 0) + at(1, 0) + at(0, 1) + at(1, 1) + 2) / 4,
+                        };
+                        assert_eq!(
+                            u32::from(got),
+                            want,
+                            "mv ({mvx}, {mvy}) block ({x}, {y}) #{i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -136,8 +136,10 @@ mod tests {
         let opts = TranscodeOptions::default().with_sample_shift(2);
         // All-P encode so every frame becomes an anchor: the 10-frame test
         // clip then genuinely exercises refs 1 vs 4.
-        let mut cfg = EncoderConfig::default();
-        cfg.bframes = 0;
+        let cfg = EncoderConfig {
+            bframes: 0,
+            ..EncoderConfig::default()
+        };
         let report =
             triangle_study_with(&t, vec![16, 24, 32, 40], vec![1, 2, 4], &cfg, &opts).unwrap();
         assert_eq!(report.points.len(), 12);

@@ -144,6 +144,14 @@ impl Plane {
         self.data.fill(v);
     }
 
+    /// `(x, y)` as in-bounds coordinates if the `bw x bh` block there lies
+    /// wholly inside the plane, so that reading it needs no edge extension.
+    #[inline]
+    pub fn interior(&self, x: isize, y: isize, bw: usize, bh: usize) -> Option<(usize, usize)> {
+        let (ux, uy) = (usize::try_from(x).ok()?, usize::try_from(y).ok()?);
+        (ux + bw <= self.width && uy + bh <= self.height).then_some((ux, uy))
+    }
+
     /// Copies a `bw x bh` block with its top-left corner at `(x, y)` into `dst`
     /// (row-major), edge-extending reads that fall outside the plane.
     ///
@@ -152,6 +160,12 @@ impl Plane {
     /// Panics if `dst.len() < bw * bh`.
     pub fn copy_block_clamped(&self, x: isize, y: isize, bw: usize, bh: usize, dst: &mut [u8]) {
         assert!(dst.len() >= bw * bh, "destination block too small");
+        if let Some((x, y)) = self.interior(x, y, bw, bh) {
+            for by in 0..bh {
+                dst[by * bw..(by + 1) * bw].copy_from_slice(&self.row(y + by)[x..x + bw]);
+            }
+            return;
+        }
         for by in 0..bh {
             let sy = (y + by as isize).clamp(0, self.height as isize - 1) as usize;
             let row = self.row(sy);
@@ -332,6 +346,25 @@ mod properties {
             let mut out = [0u8; 16];
             p.copy_block_clamped(bx as isize, by as isize, 4, 4, &mut out);
             assert_eq!(out, fill, "{w}x{h} block at ({bx}, {by})");
+        }
+    }
+
+    /// A block copy equals sample-by-sample clamped reads wherever the
+    /// block sits: outside, straddling each edge, or wholly inside.
+    #[test]
+    fn block_copy_matches_clamped_reads_everywhere() {
+        let mut rng = Xoshiro256pp::new(0xB10C);
+        let mut p = Plane::new(20, 14);
+        p.samples_mut().fill_with(|| rng.next_u8());
+        let mut out = [0u8; 30];
+        for y in -8..20isize {
+            for x in -8..26isize {
+                p.copy_block_clamped(x, y, 6, 5, &mut out);
+                for (i, &got) in out.iter().enumerate() {
+                    let want = p.get_clamped(x + (i % 6) as isize, y + (i / 6) as isize);
+                    assert_eq!(got, want, "block ({x}, {y}) #{i}");
+                }
+            }
         }
     }
 

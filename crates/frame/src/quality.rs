@@ -183,7 +183,7 @@ mod tests {
     fn sequence_psnr_rejects_empty_and_mismatch() {
         let f = Frame::new(16, 16);
         assert!(sequence_psnr(&[], &[]).is_err());
-        assert!(sequence_psnr(&[f.clone()], &[]).is_err());
+        assert!(sequence_psnr(std::slice::from_ref(&f), &[]).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use vtx_uarch::branch::BranchPredictor;
 use vtx_uarch::config::UarchConfig;
-use vtx_uarch::hierarchy::{LevelCounters, MemoryHierarchy};
+use vtx_uarch::hierarchy::{HitLevel, LevelCounters, MemoryHierarchy};
 use vtx_uarch::interval::{CoreModel, ExecutionCounts};
 use vtx_uarch::ConfigError;
 
@@ -47,6 +47,22 @@ pub enum ProfEvent {
     Straightline(u64),
 }
 
+/// Where a profiler's events go.
+// The hierarchy stays inline: it is touched on every event, and a few
+// hundred spare bytes in a shard cost nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Backend {
+    /// Into the cache, TLB and branch-predictor models.
+    Simulate {
+        hierarchy: MemoryHierarchy,
+        predictor: Box<dyn BranchPredictor>,
+    },
+    /// Into a buffer, for a later [`Profiler::replay`]: a recording shard
+    /// (see [`Profiler::recording_shard`]) owns no model to drive.
+    Record(Vec<ProfEvent>),
+}
+
 /// An online profiler for one execution of an instrumented workload.
 ///
 /// See the [crate documentation](crate) for the full event vocabulary and an
@@ -66,8 +82,7 @@ pub struct Profiler {
     kernels: Vec<KernelDesc>,
     layout: CodeLayout,
     cfg: UarchConfig,
-    hierarchy: MemoryHierarchy,
-    predictor: Box<dyn BranchPredictor>,
+    backend: Backend,
 
     // Exact (always-on) accounting.
     instructions: u64,
@@ -87,11 +102,6 @@ pub struct Profiler {
 
     data_cursor: u64,
     allocations: Vec<(String, u64, u64)>,
-
-    /// When `Some`, this profiler is a recording shard: events are appended
-    /// here instead of driving the simulations (see
-    /// [`Profiler::recording_shard`]).
-    recording: Option<Vec<ProfEvent>>,
 }
 
 impl Profiler {
@@ -112,12 +122,25 @@ impl Profiler {
             kernels.len(),
             "layout must cover the kernel table"
         );
-        Ok(Profiler {
+        let backend = Backend::Simulate {
+            hierarchy: MemoryHierarchy::new(cfg)?,
+            predictor: cfg.predictor.build(),
+        };
+        Ok(Self::fresh(cfg, kernels, layout, backend))
+    }
+
+    /// A profiler with nothing counted yet, on the given back end.
+    fn fresh(
+        cfg: &UarchConfig,
+        kernels: &[KernelDesc],
+        layout: CodeLayout,
+        backend: Backend,
+    ) -> Self {
+        Profiler {
             kernels: kernels.to_vec(),
             layout,
             cfg: cfg.clone(),
-            hierarchy: MemoryHierarchy::new(cfg)?,
-            predictor: cfg.predictor.build(),
+            backend,
             instructions: 0,
             heavy_ops: 0,
             profile: KernelProfile::new(kernels.len()),
@@ -131,8 +154,7 @@ impl Profiler {
             plan: DataPlan::default(),
             data_cursor: DATA_BASE,
             allocations: Vec::new(),
-            recording: None,
-        })
+        }
     }
 
     /// Creates a *recording shard* of this profiler: a lightweight clone that
@@ -149,39 +171,29 @@ impl Profiler {
     #[must_use]
     pub fn recording_shard(&self) -> Profiler {
         Profiler {
-            kernels: self.kernels.clone(),
-            layout: self.layout.clone(),
-            cfg: self.cfg.clone(),
-            hierarchy: MemoryHierarchy::new(&self.cfg).expect("config already validated"),
-            predictor: self.cfg.predictor.build(),
-            instructions: 0,
-            heavy_ops: 0,
-            profile: KernelProfile::new(self.kernels.len()),
-            last_kernel: None,
-            current_kernel: None,
-            branches: 0,
-            mispredicts: 0,
-            redirects: 0,
             sample_shift: self.sample_shift,
-            active: true,
             plan: self.plan,
             data_cursor: self.data_cursor,
-            allocations: Vec::new(),
-            recording: Some(Vec::new()),
+            ..Self::fresh(
+                &self.cfg,
+                &self.kernels,
+                self.layout.clone(),
+                Backend::Record(Vec::new()),
+            )
         }
     }
 
     /// Whether this profiler is a recording shard.
     pub fn is_recording(&self) -> bool {
-        self.recording.is_some()
+        matches!(self.backend, Backend::Record(_))
     }
 
     /// Drains the events buffered by a recording shard (empty for a normal
     /// profiler). The shard stays usable and keeps recording.
     pub fn take_events(&mut self) -> Vec<ProfEvent> {
-        match &mut self.recording {
-            Some(events) => std::mem::take(events),
-            None => Vec::new(),
+        match &mut self.backend {
+            Backend::Record(events) => std::mem::take(events),
+            Backend::Simulate { .. } => Vec::new(),
         }
     }
 
@@ -246,7 +258,7 @@ impl Profiler {
         // A shard records the boundary so replay reproduces the same
         // active/skip pattern on the parent (`active` is a pure function of
         // the unit index and the shared sampling shift).
-        if let Some(rec) = &mut self.recording {
+        if let Backend::Record(rec) = &mut self.backend {
             rec.push(ProfEvent::BeginUnit(index));
         }
     }
@@ -271,10 +283,16 @@ impl Profiler {
     /// loop's branches, and updates the call-pair profile.
     pub fn kernel(&mut self, k: KernelId, iters: u32, insns_per_iter: u32, heavy_per_iter: u32) {
         debug_assert!(k < self.kernels.len());
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::Kernel(k, iters, insns_per_iter, heavy_per_iter));
-            return;
-        }
+        let (hierarchy, predictor) = match &mut self.backend {
+            Backend::Record(rec) => {
+                rec.push(ProfEvent::Kernel(k, iters, insns_per_iter, heavy_per_iter));
+                return;
+            }
+            Backend::Simulate {
+                hierarchy,
+                predictor,
+            } => (hierarchy, predictor),
+        };
         let insns = CALL_OVERHEAD_INSNS + u64::from(iters) * u64::from(insns_per_iter);
         self.instructions += insns;
         self.heavy_ops += u64::from(iters) * u64::from(heavy_per_iter);
@@ -297,18 +315,18 @@ impl Profiler {
             self.redirects += 1;
             // A transition streams the kernel's hot lines through the front end.
             for line in self.layout.lines(k) {
-                self.hierarchy.fetch_line(line);
+                hierarchy.fetch_line(line);
             }
         } else if let Some(first) = self.layout.lines(k).next() {
             // Re-entry keeps the entry line warm (LRU recency).
-            self.hierarchy.fetch_line(first);
+            hierarchy.fetch_line(first);
         }
 
         // Loop control: `iters` taken back-edges plus one fall-through exit.
         if iters > 0 {
             let pc = self.layout.base(k) + 8;
-            let body_ok = self.predictor.observe(pc, true);
-            let exit_ok = self.predictor.observe(pc, false);
+            let body_ok = predictor.observe(pc, true);
+            let exit_ok = predictor.observe(pc, false);
             self.branches += u64::from(iters) + 1;
             if !body_ok {
                 self.mispredicts += 1;
@@ -331,88 +349,79 @@ impl Profiler {
         if !self.active {
             return;
         }
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::Branch(site, taken));
-            return;
-        }
-        let k = self.current_kernel.unwrap_or(0);
-        let pc = self.layout.branch_pc(k, site);
-        let ok = self.predictor.observe(pc, taken);
-        self.branches += 1;
-        if !ok {
-            self.mispredicts += 1;
+        match &mut self.backend {
+            Backend::Record(rec) => rec.push(ProfEvent::Branch(site, taken)),
+            Backend::Simulate { predictor, .. } => {
+                let k = self.current_kernel.unwrap_or(0);
+                let pc = self.layout.branch_pc(k, site);
+                let ok = predictor.observe(pc, taken);
+                self.branches += 1;
+                if !ok {
+                    self.mispredicts += 1;
+                }
+            }
         }
     }
 
     /// Records a data load at a virtual byte address.
     #[inline]
     pub fn load(&mut self, addr: u64) {
-        if !self.active {
-            return;
-        }
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::Load(addr));
-            return;
-        }
-        self.hierarchy.load_line(addr >> 6);
+        self.data(ProfEvent::Load(addr), addr, 1, MemoryHierarchy::load_line);
     }
 
     /// Records a data store at a virtual byte address.
     #[inline]
     pub fn store(&mut self, addr: u64) {
-        if !self.active {
-            return;
-        }
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::Store(addr));
-            return;
-        }
-        self.hierarchy.store_line(addr >> 6);
+        self.data(ProfEvent::Store(addr), addr, 1, MemoryHierarchy::store_line);
     }
 
     /// Records a contiguous read of `bytes` starting at `addr` (touches each
     /// spanned cache line once).
     pub fn load_range(&mut self, addr: u64, bytes: u64) {
-        if !self.active || bytes == 0 {
-            return;
-        }
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::LoadRange(addr, bytes));
-            return;
-        }
-        let first = addr >> 6;
-        let last = (addr + bytes - 1) >> 6;
-        for line in first..=last {
-            self.hierarchy.load_line(line);
-        }
+        let event = ProfEvent::LoadRange(addr, bytes);
+        self.data(event, addr, bytes, MemoryHierarchy::load_line);
     }
 
     /// Records a contiguous write of `bytes` starting at `addr`.
     pub fn store_range(&mut self, addr: u64, bytes: u64) {
+        let event = ProfEvent::StoreRange(addr, bytes);
+        self.data(event, addr, bytes, MemoryHierarchy::store_line);
+    }
+
+    /// One data-side event of an active unit: buffered by a shard, otherwise
+    /// every cache line of `addr..addr + bytes` goes through `access`.
+    #[inline]
+    fn data(
+        &mut self,
+        event: ProfEvent,
+        addr: u64,
+        bytes: u64,
+        access: impl Fn(&mut MemoryHierarchy, u64) -> HitLevel,
+    ) {
         if !self.active || bytes == 0 {
             return;
         }
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::StoreRange(addr, bytes));
-            return;
-        }
-        let first = addr >> 6;
-        let last = (addr + bytes - 1) >> 6;
-        for line in first..=last {
-            self.hierarchy.store_line(line);
+        match &mut self.backend {
+            Backend::Record(rec) => rec.push(event),
+            Backend::Simulate { hierarchy, .. } => {
+                for line in addr >> 6..=(addr + bytes - 1) >> 6 {
+                    access(hierarchy, line);
+                }
+            }
         }
     }
 
     /// Adds plain (non-loop) instructions to the current kernel's account
     /// without any fetch or branch modelling — for straight-line sections.
     pub fn straightline(&mut self, insns: u64) {
-        if let Some(rec) = &mut self.recording {
-            rec.push(ProfEvent::Straightline(insns));
-            return;
-        }
-        self.instructions += insns;
-        if let Some(k) = self.current_kernel {
-            self.profile.instructions[k] += insns;
+        match &mut self.backend {
+            Backend::Record(rec) => rec.push(ProfEvent::Straightline(insns)),
+            Backend::Simulate { .. } => {
+                self.instructions += insns;
+                if let Some(k) = self.current_kernel {
+                    self.profile.instructions[k] += insns;
+                }
+            }
         }
     }
 
@@ -433,15 +442,25 @@ impl Profiler {
             mem: c.mem * scale,
         };
 
+        // A shard simulated nothing: every sampled-domain count is zero.
+        let (inst_fetch, itlb_misses, loads, stores) = match &self.backend {
+            Backend::Simulate { hierarchy, .. } => (
+                hierarchy.inst_counters(),
+                hierarchy.itlb_stats().misses,
+                hierarchy.load_counters(),
+                hierarchy.store_counters(),
+            ),
+            Backend::Record(_) => Default::default(),
+        };
         let counts = ExecutionCounts {
             instructions: self.instructions,
             uops: self.instructions + self.heavy_ops,
             branches: self.branches * scale,
             branch_mispredicts: self.mispredicts * scale,
-            inst_fetch: scale_levels(self.hierarchy.inst_counters()),
-            itlb_misses: self.hierarchy.itlb_stats().misses * scale,
-            loads: scale_levels(self.hierarchy.load_counters()),
-            stores: scale_levels(self.hierarchy.store_counters()),
+            inst_fetch: scale_levels(inst_fetch),
+            itlb_misses: itlb_misses * scale,
+            loads: scale_levels(loads),
+            stores: scale_levels(stores),
             heavy_ops: self.heavy_ops,
             redirects: self.redirects * scale,
         };
@@ -770,6 +789,9 @@ mod tests {
         assert_eq!(buf, buf2);
         let mut shard = main.recording_shard();
         assert!(shard.is_recording() && !main.is_recording());
+        // By construction, not by convention: the variant a shard is has no
+        // hierarchy or predictor field it could drive.
+        assert!(matches!(shard.backend, Backend::Record(_)));
         mixed_stream(&mut shard, buf2);
         let events = shard.take_events();
         assert!(shard.take_events().is_empty(), "take drains the buffer");

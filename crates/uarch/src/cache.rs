@@ -114,16 +114,9 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
-    set_mask: u64,
-    set_shift: u32,
-    // ways[set * assoc + way] = line tag (u64::MAX = invalid)
-    tags: Vec<u64>,
-    // LRU order: lower = more recently used
-    lru: Vec<u32>,
+    sets: LruSets,
     stats: CacheStats,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Builds a cache from validated parameters.
@@ -133,16 +126,9 @@ impl Cache {
     /// Propagates [`CacheParams::validate`] failures.
     pub fn new(params: CacheParams) -> Result<Self, ConfigError> {
         params.validate()?;
-        let sets = params.num_sets();
-        let ways = params.assoc as usize;
         Ok(Cache {
             params,
-            set_mask: sets - 1,
-            set_shift: sets.trailing_zeros(),
-            tags: vec![INVALID; sets as usize * ways],
-            lru: (0..sets as usize * ways)
-                .map(|i| (i % ways) as u32)
-                .collect(),
+            sets: LruSets::new(params.num_sets(), params.assoc as usize),
             stats: CacheStats::default(),
         })
     }
@@ -163,65 +149,100 @@ impl Cache {
     }
 
     /// Looks up a line, inserting it on miss. Returns `true` on hit.
+    #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
         self.stats.accesses += 1;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_shift;
-        let ways = self.params.assoc as usize;
-        let base = set * ways;
-
-        let mut hit_way = None;
-        for w in 0..ways {
-            if self.tags[base + w] == tag {
-                hit_way = Some(w);
-                break;
-            }
-        }
-        match hit_way {
-            Some(w) => {
-                self.touch(base, ways, w);
-                true
-            }
-            None => {
-                self.stats.misses += 1;
-                // Find LRU victim (highest lru value).
-                let mut victim = 0;
-                let mut worst = 0;
-                for w in 0..ways {
-                    if self.lru[base + w] >= worst {
-                        worst = self.lru[base + w];
-                        victim = w;
-                    }
-                }
-                self.tags[base + victim] = tag;
-                self.touch(base, ways, victim);
-                false
-            }
-        }
+        let hit = self.sets.access(line);
+        self.stats.misses += u64::from(!hit);
+        hit
     }
 
     /// Probes for a line without updating contents or statistics.
     pub fn contains_line(&self, line: u64) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_shift;
-        let ways = self.params.assoc as usize;
-        (0..ways).any(|w| self.tags[set * ways + w] == tag)
+        self.sets.contains(line)
     }
 
     /// Invalidates all contents (statistics are preserved).
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
+        self.sets.flush();
+    }
+}
+
+/// The set-associative true-LRU store under both [`Cache`] and
+/// [`crate::tlb::Tlb`]: one row of `ways` slots per set, kept in recency
+/// order (most recently used first).
+///
+/// A slot holds `tag + 1`, so `0` means empty, a fresh store is all-zero
+/// (one `calloc`, no per-slot initialisation) and an empty slot can never
+/// match a lookup. Empty slots are always the tail of their row: a miss
+/// shifts the row right by one, dropping the last slot — the least recently
+/// used entry, or an empty one while the set is still filling — and a hit at
+/// position `p` rotates `row[0..=p]` right by one. That is exactly the order
+/// per-way age counters would maintain, without the counters.
+#[derive(Debug, Clone)]
+pub(crate) struct LruSets {
+    ways: usize,
+    set_mask: u64,
+    set_shift: u32,
+    rows: Vec<u64>,
+}
+
+impl LruSets {
+    /// `sets` must be a power of two and `ways` non-zero (the callers'
+    /// validation guarantees both).
+    pub(crate) fn new(sets: u64, ways: usize) -> Self {
+        debug_assert!(sets.is_power_of_two() && ways > 0);
+        LruSets {
+            ways,
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
+            rows: vec![0; sets as usize * ways],
+        }
     }
 
+    /// Start of `key`'s row and the slot value that stands for `key` there.
     #[inline]
-    fn touch(&mut self, base: usize, ways: usize, used: usize) {
-        let cur = self.lru[base + used];
-        for w in 0..ways {
-            if self.lru[base + w] < cur {
-                self.lru[base + w] += 1;
+    fn locate(&self, key: u64) -> (usize, u64) {
+        let tag = key >> self.set_shift;
+        // The one key a `+ 1` slot cannot hold. It needs a single-set store
+        // and key `u64::MAX`; no line or page number gets there (addresses
+        // are divided by at least 64 first).
+        debug_assert!(tag != u64::MAX, "key {key:#x} has no slot encoding");
+        ((key & self.set_mask) as usize * self.ways, tag + 1)
+    }
+
+    /// Looks `key` up and makes it the most recently used entry of its set,
+    /// evicting the least recently used one if it was absent. Returns `true`
+    /// on hit.
+    #[inline]
+    pub(crate) fn access(&mut self, key: u64) -> bool {
+        let (base, slot) = self.locate(key);
+        let row = &mut self.rows[base..base + self.ways];
+        // The walk below would find this too; re-touching the MRU entry is
+        // the common case and measurably cheaper as one compare, no store.
+        if row[0] == slot {
+            return true;
+        }
+        // Walk the row carrying the entry that slides one place down.
+        let mut carry = slot;
+        for s in row.iter_mut() {
+            std::mem::swap(s, &mut carry);
+            if carry == slot {
+                return true;
             }
         }
-        self.lru[base + used] = 0;
+        false
+    }
+
+    /// Probes for `key` without touching recency.
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        let (base, slot) = self.locate(key);
+        self.rows[base..base + self.ways].contains(&slot)
+    }
+
+    /// Empties every set.
+    pub(crate) fn flush(&mut self) {
+        self.rows.fill(0);
     }
 }
 
@@ -334,6 +355,65 @@ mod tests {
     }
 }
 
+/// The per-way rank-counter LRU that [`LruSets`] replaced, kept as the
+/// oracle: tags beside ranks (lower = more recent, always a permutation of
+/// the ways), every rank below the touched one bumped on each access.
+#[cfg(test)]
+pub(crate) mod oracle {
+    const INVALID: u64 = u64::MAX;
+
+    pub(crate) struct RankLru {
+        ways: usize,
+        set_mask: u64,
+        set_shift: u32,
+        tags: Vec<u64>,
+        lru: Vec<u32>,
+    }
+
+    impl RankLru {
+        pub(crate) fn new(sets: u64, ways: usize) -> Self {
+            RankLru {
+                ways,
+                set_mask: sets - 1,
+                set_shift: sets.trailing_zeros(),
+                tags: vec![INVALID; sets as usize * ways],
+                lru: (0..sets as usize * ways)
+                    .map(|i| (i % ways) as u32)
+                    .collect(),
+            }
+        }
+
+        pub(crate) fn access(&mut self, key: u64) -> bool {
+            let base = (key & self.set_mask) as usize * self.ways;
+            let tag = key >> self.set_shift;
+            let ways = base..base + self.ways;
+            let hit = ways.clone().find(|&w| self.tags[w] == tag);
+            let used = hit.unwrap_or_else(|| {
+                // No ties: ranks are a permutation, so this is the oldest way.
+                ways.clone().max_by_key(|&w| self.lru[w]).expect("ways > 0")
+            });
+            self.tags[used] = tag;
+            let cur = self.lru[used];
+            for w in ways {
+                if self.lru[w] < cur {
+                    self.lru[w] += 1;
+                }
+            }
+            self.lru[used] = 0;
+            hit.is_some()
+        }
+
+        pub(crate) fn contains(&self, key: u64) -> bool {
+            let base = (key & self.set_mask) as usize * self.ways;
+            self.tags[base..base + self.ways].contains(&(key >> self.set_shift))
+        }
+
+        pub(crate) fn flush(&mut self) {
+            self.tags.fill(INVALID);
+        }
+    }
+}
+
 #[cfg(test)]
 mod properties {
     use super::*;
@@ -379,6 +459,53 @@ mod properties {
                 assert!(c.access_line(l), "line {l} should hit");
             }
             assert_eq!(c.stats().misses, misses_after_warm);
+        }
+    }
+
+    /// The row store against the rank-counter oracle: same hit/miss
+    /// sequence, same residency answers and same statistics, for working
+    /// sets below, at and above capacity, across a mid-stream flush.
+    #[test]
+    fn rows_match_the_rank_counter_oracle() {
+        let mut rng = Xoshiro256pp::new(0x0AC1E);
+        for ways in [1usize, 2, 4, 8, 16] {
+            for sets in [1u64, 4, 1024] {
+                let capacity = sets * ways as u64;
+                for universe in [capacity.div_ceil(2), capacity, 4 * capacity] {
+                    let mut cache = Cache::new(CacheParams {
+                        size_bytes: capacity * 64,
+                        assoc: ways as u32,
+                        line_bytes: 64,
+                        latency: 1,
+                    })
+                    .unwrap();
+                    let mut oracle = oracle::RankLru::new(sets, ways);
+                    let mut want = CacheStats::default();
+                    let accesses = (6 * universe).max(2_000);
+                    for i in 0..accesses {
+                        if i == accesses / 2 {
+                            cache.flush();
+                            oracle.flush();
+                        }
+                        let line = rng.next_range(universe);
+                        let hit = oracle.access(line);
+                        want.accesses += 1;
+                        want.misses += u64::from(!hit);
+                        assert_eq!(
+                            cache.access_line(line),
+                            hit,
+                            "{ways} ways, {sets} sets, universe {universe}, #{i}"
+                        );
+                        let probe = rng.next_range(universe);
+                        assert_eq!(
+                            cache.contains_line(probe),
+                            oracle.contains(probe),
+                            "{ways} ways, {sets} sets, universe {universe}, #{i}"
+                        );
+                    }
+                    assert_eq!(cache.stats(), want);
+                }
+            }
         }
     }
 }

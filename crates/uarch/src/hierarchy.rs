@@ -126,26 +126,18 @@ impl MemoryHierarchy {
     pub fn fetch_line(&mut self, line: u64) -> HitLevel {
         // 64 B lines, 4 KiB pages -> 64 lines per page.
         self.itlb.access_page(line >> 6);
-        let level = Self::walk(
-            &mut self.l1i,
-            &mut self.l2,
-            &mut self.l3,
-            self.l4.as_mut(),
-            line,
-        );
+        let level = if self.l1i.access_line(line) {
+            HitLevel::L1
+        } else {
+            self.below_l1(line)
+        };
         self.inst.record(level);
         level
     }
 
     /// Loads a data cache line.
     pub fn load_line(&mut self, line: u64) -> HitLevel {
-        let level = Self::walk(
-            &mut self.l1d,
-            &mut self.l2,
-            &mut self.l3,
-            self.l4.as_mut(),
-            line,
-        );
+        let level = self.data_line(line);
         self.loads.record(level);
         self.run_prefetcher(line, level != HitLevel::L1);
         level
@@ -153,13 +145,7 @@ impl MemoryHierarchy {
 
     /// Stores to a data cache line (write-allocate).
     pub fn store_line(&mut self, line: u64) -> HitLevel {
-        let level = Self::walk(
-            &mut self.l1d,
-            &mut self.l2,
-            &mut self.l3,
-            self.l4.as_mut(),
-            line,
-        );
+        let level = self.data_line(line);
         self.stores.record(level);
         level
     }
@@ -171,37 +157,33 @@ impl MemoryHierarchy {
         if self.prefetcher.kind() == crate::prefetch::PrefetcherKind::None {
             return;
         }
-        for pf in self.prefetcher.on_access(line, missed) {
-            Self::walk(
-                &mut self.l1d,
-                &mut self.l2,
-                &mut self.l3,
-                self.l4.as_mut(),
-                pf,
-            );
+        let (lines, n) = self.prefetcher.on_access(line, missed);
+        for &pf in &lines[..n] {
+            self.data_line(pf);
         }
     }
 
-    fn walk(
-        l1: &mut Cache,
-        l2: &mut Cache,
-        l3: &mut Cache,
-        l4: Option<&mut Cache>,
-        line: u64,
-    ) -> HitLevel {
-        if l1.access_line(line) {
-            return HitLevel::L1;
+    /// A data-side access: L1d, then the shared levels.
+    #[inline]
+    fn data_line(&mut self, line: u64) -> HitLevel {
+        if self.l1d.access_line(line) {
+            HitLevel::L1
+        } else {
+            self.below_l1(line)
         }
-        if l2.access_line(line) {
+    }
+
+    /// The unified levels, after either L1 missed.
+    #[inline]
+    fn below_l1(&mut self, line: u64) -> HitLevel {
+        if self.l2.access_line(line) {
             return HitLevel::L2;
         }
-        if l3.access_line(line) {
+        if self.l3.access_line(line) {
             return HitLevel::L3;
         }
-        if let Some(l4) = l4 {
-            if l4.access_line(line) {
-                return HitLevel::L4;
-            }
+        if self.l4.as_mut().is_some_and(|l4| l4.access_line(line)) {
+            return HitLevel::L4;
         }
         HitLevel::Memory
     }
@@ -343,5 +325,64 @@ mod tests {
         let mut m = MemoryHierarchy::new(&UarchConfig::baseline()).unwrap();
         assert_eq!(m.store_line(77), HitLevel::Memory);
         assert_eq!(m.load_line(77), HitLevel::L1);
+    }
+
+    /// Per-level counters and iTLB misses after a seeded mixed
+    /// fetch/load/store stream over hot, warm and cold regions, so every
+    /// level both hits and evicts.
+    fn golden_stream(cfg: &UarchConfig) -> ([LevelCounters; 3], u64) {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x601D);
+        let mut m = MemoryHierarchy::new(cfg).unwrap();
+        for _ in 0..400_000 {
+            let line = match rng.next_range(10) {
+                0..=4 => rng.next_range(2_000),
+                5..=7 => 10_000 + rng.next_range(100_000),
+                _ => 1_000_000 + rng.next_range(1_000_000),
+            };
+            match rng.next_range(4) {
+                0 => m.fetch_line(line),
+                1 | 2 => m.load_line(line),
+                _ => m.store_line(line),
+            };
+        }
+        (
+            [m.inst_counters(), m.load_counters(), m.store_counters()],
+            m.itlb_stats().misses,
+        )
+    }
+
+    /// Pinned from the per-way rank-counter model this one replaced: the
+    /// representation of LRU state is free to change, these numbers are not.
+    #[test]
+    fn golden_counters_on_baseline_and_be_op1() {
+        let c = |l1, l2, l3, l4, mem| LevelCounters {
+            l1,
+            l2,
+            l3,
+            l4,
+            mem,
+        };
+        assert_eq!(
+            golden_stream(&UarchConfig::baseline()),
+            (
+                [
+                    c(6356, 30659, 25256, 0, 37854),
+                    c(12430, 61408, 50734, 0, 75419),
+                    c(6242, 30360, 25459, 0, 37823),
+                ],
+                52150
+            )
+        );
+        assert_eq!(
+            golden_stream(&UarchConfig::be_op1()),
+            (
+                [
+                    c(6356, 41551, 10405, 4399, 37414),
+                    c(24044, 71972, 20796, 8677, 74502),
+                    c(11969, 35736, 10450, 4343, 37386),
+                ],
+                52150
+            )
+        );
     }
 }

@@ -36,6 +36,8 @@ struct Stream {
     lru: u8,
 }
 
+const NO_PREFETCH: ([u64; 2], usize) = ([0; 2], 0);
+
 /// A stream prefetcher: observes the demand-miss line sequence and emits
 /// lines to fetch ahead.
 #[derive(Debug, Clone)]
@@ -66,23 +68,24 @@ impl Prefetcher {
     }
 
     /// Observes a demand access on `line` (`missed` = it left the L1) and
-    /// returns the lines to prefetch (at most 2).
+    /// returns the lines to prefetch as `(lines, n)`: the first `n` (at most
+    /// 2) entries of `lines` are valid.
     ///
     /// Stream detectors train on *all* accesses — hits keep a stream's
     /// position current so run-ahead continues once the stream is covered
     /// by its own prefetches.
-    pub fn on_access(&mut self, line: u64, missed: bool) -> Vec<u64> {
+    pub fn on_access(&mut self, line: u64, missed: bool) -> ([u64; 2], usize) {
         let out = match self.kind {
-            PrefetcherKind::None => Vec::new(),
-            PrefetcherKind::NextLine if missed => vec![line + 1],
-            PrefetcherKind::NextLine => Vec::new(),
+            PrefetcherKind::None => NO_PREFETCH,
+            PrefetcherKind::NextLine if missed => ([line + 1, 0], 1),
+            PrefetcherKind::NextLine => NO_PREFETCH,
             PrefetcherKind::Stream => self.observe_stream(line),
         };
-        self.stats.issued += out.len() as u64;
+        self.stats.issued += out.1 as u64;
         out
     }
 
-    fn observe_stream(&mut self, line: u64) -> Vec<u64> {
+    fn observe_stream(&mut self, line: u64) -> ([u64; 2], usize) {
         // Age every stream; reset on use.
         for s in &mut self.streams {
             s.lru = s.lru.saturating_add(1);
@@ -97,9 +100,9 @@ impl Prefetcher {
                     // Run ahead: degree 2 once confident.
                     let p1 = (line as i64 + s.stride).max(0) as u64;
                     let p2 = (line as i64 + 2 * s.stride).max(0) as u64;
-                    return vec![p1, p2];
+                    return ([p1, p2], 2);
                 }
-                return Vec::new();
+                return NO_PREFETCH;
             }
         }
         // Try to pair the miss with an existing stream head to learn a stride.
@@ -111,7 +114,7 @@ impl Prefetcher {
                     s.last = line;
                     s.lru = 0;
                     s.confidence = 1;
-                    return Vec::new();
+                    return NO_PREFETCH;
                 }
             }
         }
@@ -127,7 +130,7 @@ impl Prefetcher {
             confidence: 0,
             lru: 0,
         };
-        Vec::new()
+        NO_PREFETCH
     }
 }
 
@@ -135,30 +138,36 @@ impl Prefetcher {
 mod tests {
     use super::*;
 
+    /// The issued lines as a `Vec`, for comparing against literals.
+    fn on_access(p: &mut Prefetcher, line: u64, missed: bool) -> Vec<u64> {
+        let (lines, n) = p.on_access(line, missed);
+        lines[..n].to_vec()
+    }
+
     #[test]
     fn none_never_prefetches() {
         let mut p = Prefetcher::new(PrefetcherKind::None);
-        assert!(p.on_access(10, true).is_empty());
+        assert!(on_access(&mut p, 10, true).is_empty());
         assert_eq!(p.stats().issued, 0);
     }
 
     #[test]
     fn next_line_fetches_successor_on_miss_only() {
         let mut p = Prefetcher::new(PrefetcherKind::NextLine);
-        assert_eq!(p.on_access(10, true), vec![11]);
-        assert!(p.on_access(11, false).is_empty());
+        assert_eq!(on_access(&mut p, 10, true), vec![11]);
+        assert!(on_access(&mut p, 11, false).is_empty());
         assert_eq!(p.stats().issued, 1);
     }
 
     #[test]
     fn stream_locks_onto_unit_stride() {
         let mut p = Prefetcher::new(PrefetcherKind::Stream);
-        assert!(p.on_access(100, true).is_empty()); // head
-        assert!(p.on_access(101, true).is_empty()); // stride learned
-        let pf = p.on_access(102, true); // confidence reached
+        assert!(on_access(&mut p, 100, true).is_empty()); // head
+        assert!(on_access(&mut p, 101, true).is_empty()); // stride learned
+        let pf = on_access(&mut p, 102, true); // confidence reached
         assert_eq!(pf, vec![103, 104], "confident stream runs ahead");
         // Hits keep the stream current.
-        let pf = p.on_access(103, false);
+        let pf = on_access(&mut p, 103, false);
         assert_eq!(pf, vec![104, 105]);
     }
 
@@ -168,7 +177,7 @@ mod tests {
         let mut p = Prefetcher::new(PrefetcherKind::Stream);
         let mut got = Vec::new();
         for i in 0..6u64 {
-            got = p.on_access(1000 + i * 20, true);
+            got = on_access(&mut p, 1000 + i * 20, true);
         }
         assert_eq!(got, vec![1120, 1140]);
     }
@@ -180,7 +189,7 @@ mod tests {
         let mut x: u64 = 0x9E37_79B9;
         for _ in 0..200 {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            issued += p.on_access((x >> 20) & 0xFFFF, true).len();
+            issued += on_access(&mut p, (x >> 20) & 0xFFFF, true).len();
         }
         assert!(
             issued < 40,
@@ -194,8 +203,8 @@ mod tests {
         // Interleave two unit-stride streams far apart.
         let mut fetched = 0;
         for i in 0..8u64 {
-            fetched += p.on_access(1000 + i, true).len();
-            fetched += p.on_access(900_000 + i, true).len();
+            fetched += on_access(&mut p, 1000 + i, true).len();
+            fetched += on_access(&mut p, 900_000 + i, true).len();
         }
         assert!(fetched >= 8, "both streams should trigger: {fetched}");
     }

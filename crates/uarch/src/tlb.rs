@@ -2,8 +2,10 @@
 //!
 //! Table IV varies the iTLB between 128 entries (baseline) and 256 entries
 //! (`fe_op`), so the front-end model needs a page-level structure. The TLB is
-//! modelled as 4-way set-associative with true LRU over 4 KiB pages.
+//! modelled as 4-way set-associative with true LRU over 4 KiB pages, on the
+//! same recency-ordered rows as the caches.
 
+use crate::cache::LruSets;
 use crate::ConfigError;
 
 /// Page size assumed by the TLB model (4 KiB, as on the paper's Xeon E3).
@@ -32,15 +34,9 @@ pub struct TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: u32,
-    ways: usize,
-    set_mask: u64,
-    set_shift: u32,
-    tags: Vec<u64>,
-    lru: Vec<u32>,
+    sets: LruSets,
     stats: TlbStats,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Tlb {
     /// Builds a TLB with the given total entry count (4-way set-associative).
@@ -72,13 +68,7 @@ impl Tlb {
         }
         Ok(Tlb {
             entries,
-            ways,
-            set_mask: sets - 1,
-            set_shift: sets.trailing_zeros(),
-            tags: vec![INVALID; sets as usize * ways],
-            lru: (0..sets as usize * ways)
-                .map(|i| (i % ways) as u32)
-                .collect(),
+            sets: LruSets::new(sets, ways),
             stats: TlbStats::default(),
         })
     }
@@ -94,51 +84,24 @@ impl Tlb {
     }
 
     /// Translates a page number, filling on miss. Returns `true` on hit.
+    #[inline]
     pub fn access_page(&mut self, page: u64) -> bool {
         self.stats.accesses += 1;
-        let set = (page & self.set_mask) as usize;
-        let tag = page >> self.set_shift;
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == tag {
-                self.touch(base, w);
-                return true;
-            }
-        }
-        self.stats.misses += 1;
-        let mut victim = 0;
-        let mut worst = 0;
-        for w in 0..self.ways {
-            if self.lru[base + w] >= worst {
-                worst = self.lru[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = tag;
-        self.touch(base, victim);
-        false
+        let hit = self.sets.access(page);
+        self.stats.misses += u64::from(!hit);
+        hit
     }
 
     /// Translates a code byte address (convenience over [`Tlb::access_page`]).
     pub fn access_addr(&mut self, addr: u64) -> bool {
         self.access_page(addr / PAGE_BYTES)
     }
-
-    #[inline]
-    fn touch(&mut self, base: usize, used: usize) {
-        let cur = self.lru[base + used];
-        for w in 0..self.ways {
-            if self.lru[base + w] < cur {
-                self.lru[base + w] += 1;
-            }
-        }
-        self.lru[base + used] = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::oracle::RankLru;
 
     #[test]
     fn capacity_behaviour() {
@@ -198,5 +161,36 @@ mod tests {
             }
         }
         assert!(big.stats().misses < small.stats().misses);
+    }
+
+    /// Same hit/miss sequence and statistics as the rank-counter oracle, for
+    /// page sets below, at and above the entry count.
+    #[test]
+    fn matches_the_rank_counter_oracle() {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x71B);
+        for entries in [4u32, 16, 128, 256] {
+            for pages in [entries / 2, entries, 4 * entries] {
+                let mut tlb = Tlb::new(entries).unwrap();
+                let mut oracle = RankLru::new(u64::from(entries) / 4, 4);
+                let mut misses = 0;
+                for i in 0..20_000 {
+                    let page = rng.next_range(u64::from(pages));
+                    let hit = oracle.access(page);
+                    misses += u64::from(!hit);
+                    assert_eq!(
+                        tlb.access_page(page),
+                        hit,
+                        "{entries} entries, {pages} pages, #{i}"
+                    );
+                }
+                assert_eq!(
+                    tlb.stats(),
+                    TlbStats {
+                        accesses: 20_000,
+                        misses
+                    }
+                );
+            }
+        }
     }
 }

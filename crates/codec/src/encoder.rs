@@ -423,6 +423,9 @@ struct FrameCtx<'a> {
     display: usize,
     ftype: FrameType,
     base_qp: Qp,
+    /// Luma variance of each macroblock of `src` in raster order, computed
+    /// once per frame; empty unless `aq_mode == 1`.
+    mb_var: Vec<u32>,
     avg_var: f64,
     lambda: f64,
     me_params: MeParams,
@@ -452,22 +455,23 @@ fn encode_frame<W: EntropyWriter>(
     let (list0, list1) = ref_lists(&st.anchors, display, cfg.refs);
     let mbs_total = (st.mb_w * st.mb_h) as u32;
 
-    // Average luma variance for AQ.
-    let avg_var = if cfg.aq_mode == 1 {
-        let mut acc = 0f64;
-        for mb_y in 0..st.mb_h {
-            for mb_x in 0..st.mb_w {
-                acc += f64::from(src.y().block_variance(
-                    (mb_x * 16) as isize,
-                    (mb_y * 16) as isize,
-                    16,
-                    16,
-                ));
-            }
-        }
-        (acc / f64::from(mbs_total)).max(1.0)
+    // Per-macroblock luma variance for AQ, and its frame average.
+    let mb_var: Vec<u32> = if cfg.aq_mode == 1 {
+        (0..st.mb_w * st.mb_h)
+            .map(|mb_i| {
+                let (mb_x, mb_y) = (mb_i % st.mb_w, mb_i / st.mb_w);
+                src.y()
+                    .block_variance((mb_x * 16) as isize, (mb_y * 16) as isize, 16, 16)
+            })
+            .collect()
     } else {
+        Vec::new()
+    };
+    let avg_var = if mb_var.is_empty() {
         1.0
+    } else {
+        let acc: f64 = mb_var.iter().map(|&v| f64::from(v)).sum();
+        (acc / f64::from(mbs_total)).max(1.0)
     };
 
     let lambda = base_qp.lambda();
@@ -482,6 +486,7 @@ fn encode_frame<W: EntropyWriter>(
         display,
         ftype,
         base_qp,
+        mb_var,
         avg_var,
         lambda,
         me_params: MeParams {
@@ -685,10 +690,7 @@ fn encode_mb<S: MbSink>(
     // Per-MB QP: adaptive quantization + CBR feedback.
     let mut qp = fc.base_qp;
     if cfg.aq_mode == 1 {
-        let var = src
-            .y()
-            .block_variance((mb_x * 16) as isize, (mb_y * 16) as isize, 16, 16);
-        qp = Qp::new(i32::from(qp.value()) + aq_offset(var, fc.avg_var));
+        qp = Qp::new(i32::from(qp.value()) + aq_offset(fc.mb_var[mb_i], fc.avg_var));
     }
     qp = rc.mb_qp_adjust(qp, mb_i as u32, fc.mbs_total, w.bits_estimate());
 

@@ -7,7 +7,7 @@
 
 use vtx_frame::Plane;
 
-use crate::transform::satd4x4;
+use crate::transform::satd16x16;
 
 /// Intra 16x16 luma prediction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -264,25 +264,6 @@ fn dc_value(
     }
 }
 
-/// SATD between a 16x16 source block and a 16x16 prediction.
-pub fn satd16(src: &[u8; 256], pred: &[u8; 256]) -> u32 {
-    let mut total = 0;
-    let mut a = [0u8; 16];
-    let mut b = [0u8; 16];
-    for by in 0..4 {
-        for bx in 0..4 {
-            for r in 0..4 {
-                for c in 0..4 {
-                    a[r * 4 + c] = src[(by * 4 + r) * 16 + bx * 4 + c];
-                    b[r * 4 + c] = pred[(by * 4 + r) * 16 + bx * 4 + c];
-                }
-            }
-            total += satd4x4(&a, &b);
-        }
-    }
-    total
-}
-
 /// Chooses the cheapest 16x16 intra mode by SATD against the source block.
 /// Returns the mode, its prediction, and its cost.
 pub fn decide16(
@@ -294,7 +275,7 @@ pub fn decide16(
     let mut best = (Intra16Mode::Dc, [0u8; 256], u32::MAX);
     for mode in Intra16Mode::ALL {
         let pred = predict16(recon, x, y, mode);
-        let cost = satd16(src, &pred);
+        let cost = satd16x16(src, &pred);
         if cost < best.2 {
             best = (mode, pred, cost);
         }
@@ -375,7 +356,7 @@ mod tests {
         let (mode, _, cost) = decide16(&src, &p, 16, 16);
         assert_eq!(mode, Intra16Mode::Plane);
         let dc_pred = predict16(&p, 16, 16, Intra16Mode::Dc);
-        assert!(cost < satd16(&src, &dc_pred));
+        assert!(cost < satd16x16(&src, &dc_pred));
     }
 
     #[test]

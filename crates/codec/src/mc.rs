@@ -25,8 +25,8 @@ pub fn mc_luma(
 ) {
     assert!(out.len() >= bw * bh);
     let (fx, fy) = mv.fullpel();
-    let hx = (mv.x & 1) as i32;
-    let hy = (mv.y & 1) as i32;
+    let hx = (mv.x & 1) as usize;
+    let hy = (mv.y & 1) as usize;
     let bx = x as isize + fx as isize;
     let by = y as isize + fy as isize;
 
@@ -35,45 +35,60 @@ pub fn mc_luma(
         return;
     }
 
+    // Interpolating reads the block plus one more column (`hx`) and row
+    // (`hy`) of taps. Inside the plane those are plane rows as they stand;
+    // across a border they are fetched edge-extended first, so both cases
+    // run the same row-slice interpolation.
+    let (tw, th) = (bw + hx, bh + hy);
+    if let Some((ix, iy)) = reference.interior(bx, by, tw, th) {
+        interpolate(hx, hy, bw, bh, |r| &reference.row(iy + r)[ix..], out);
+        return;
+    }
+    let mut stack = [0u8; 17 * 17];
+    let mut heap = Vec::new();
+    let taps = match stack.get_mut(..tw * th) {
+        Some(taps) => taps,
+        None => {
+            // Larger than any macroblock partition.
+            heap.resize(tw * th, 0);
+            &mut heap[..]
+        }
+    };
+    reference.copy_block_clamped(bx, by, tw, th, taps);
+    interpolate(hx, hy, bw, bh, |r| &taps[r * tw..], out);
+}
+
+/// Half-pel bilinear interpolation of a `bw x bh` block into `out`.
+/// `taps(r)` is source row `r` (of `bh + hy`), at least `bw + hx` samples.
+fn interpolate<'a>(
+    hx: usize,
+    hy: usize,
+    bw: usize,
+    bh: usize,
+    taps: impl Fn(usize) -> &'a [u8],
+    out: &mut [u8],
+) {
     let avg2 = |a: u8, b: u8| (u32::from(a) + u32::from(b)).div_ceil(2) as u8;
     let avg4 = |a: u8, b: u8, c: u8, d: u8| {
         ((u32::from(a) + u32::from(b) + u32::from(c) + u32::from(d) + 2) / 4) as u8
     };
-
-    // The block and its +1 taps inside the plane: whole rows, no clamping.
-    if let Some((ix, iy)) = reference.interior(bx, by, bw + hx as usize, bh + hy as usize) {
-        for row in 0..bh {
-            let out = &mut out[row * bw..(row + 1) * bw];
-            let top = &reference.row(iy + row)[ix..];
-            // The row below when `hy == 1`; `top` again (and unread) otherwise.
-            let bot = &reference.row(iy + row + hy as usize)[ix..];
-            match (hx, hy) {
-                (1, 0) => {
-                    for (o, t) in out.iter_mut().zip(top.windows(2)) {
-                        *o = avg2(t[0], t[1]);
-                    }
-                }
-                (0, 1) => average(&top[..bw], &bot[..bw], out),
-                _ => {
-                    for ((o, t), b) in out.iter_mut().zip(top.windows(2)).zip(bot.windows(2)) {
-                        *o = avg4(t[0], t[1], b[0], b[1]);
-                    }
+    for row in 0..bh {
+        let out = &mut out[row * bw..(row + 1) * bw];
+        let top = &taps(row)[..bw + hx];
+        // The row below when `hy == 1`; `top` again (and unread) otherwise.
+        let bot = &taps(row + hy)[..bw + hx];
+        match (hx, hy) {
+            (1, 0) => {
+                for (o, t) in out.iter_mut().zip(top.windows(2)) {
+                    *o = avg2(t[0], t[1]);
                 }
             }
-        }
-        return;
-    }
-
-    for row in 0..bh {
-        for col in 0..bw {
-            let px = bx + col as isize;
-            let py = by + row as isize;
-            let at = |dx, dy| reference.get_clamped(px + dx, py + dy);
-            out[row * bw + col] = match (hx, hy) {
-                (1, 0) => avg2(at(0, 0), at(1, 0)),
-                (0, 1) => avg2(at(0, 0), at(0, 1)),
-                _ => avg4(at(0, 0), at(1, 0), at(0, 1), at(1, 1)),
-            };
+            (0, 1) => average(top, bot, out),
+            _ => {
+                for ((o, t), b) in out.iter_mut().zip(top.windows(2)).zip(bot.windows(2)) {
+                    *o = avg4(t[0], t[1], b[0], b[1]);
+                }
+            }
         }
     }
 }
@@ -164,36 +179,77 @@ mod tests {
         assert_eq!(u32::from(out[0]), e);
     }
 
-    /// Every half-pel phase at every block position from wholly outside,
-    /// across each edge, to wholly inside equals the per-sample definition
-    /// — the interior fast path and the clamped path agree at their seam.
+    /// `mc_luma` against the per-sample definition: each output sample is
+    /// the rounded mean of its 1, 2 or 4 edge-extended taps.
+    fn assert_matches_per_sample(
+        p: &Plane,
+        mv: MotionVector,
+        x: usize,
+        y: usize,
+        bw: usize,
+        bh: usize,
+    ) {
+        let mut out = vec![0u8; bw * bh];
+        mc_luma(p, mv, x, y, bw, bh, &mut out);
+        let (fx, fy) = mv.fullpel();
+        let (hx, hy) = (mv.x & 1, mv.y & 1);
+        for (i, &got) in out.iter().enumerate() {
+            let px = x as isize + fx as isize + (i % bw) as isize;
+            let py = y as isize + fy as isize + (i / bw) as isize;
+            let at = |dx, dy| u32::from(p.get_clamped(px + dx, py + dy));
+            let want = match (hx, hy) {
+                (0, 0) => at(0, 0),
+                (1, 0) => (at(0, 0) + at(1, 0)).div_ceil(2),
+                (0, 1) => (at(0, 0) + at(0, 1)).div_ceil(2),
+                _ => (at(0, 0) + at(1, 0) + at(0, 1) + at(1, 1) + 2) / 4,
+            };
+            assert_eq!(
+                u32::from(got),
+                want,
+                "{}x{} plane, mv ({}, {}), {bw}x{bh} block ({x}, {y}) #{i}",
+                p.width(),
+                p.height(),
+                mv.x,
+                mv.y
+            );
+        }
+    }
+
+    /// Every half-pel phase at every block position from across each edge
+    /// to wholly inside equals the per-sample definition — the interior
+    /// path and the edge-extended path agree at their seam.
     #[test]
     fn every_phase_and_position_matches_the_per_sample_definition() {
         let p = ramp_plane();
-        let mut out = [0u8; 64];
         for (mvx, mvy) in [(0, 0), (1, 0), (0, 1), (1, 1), (-3, 5), (7, -1)] {
-            let mv = MotionVector::new(mvx, mvy);
-            let (fx, fy) = mv.fullpel();
-            let (hx, hy) = ((mvx & 1) as isize, (mvy & 1) as isize);
             for y in 0..32 {
                 for x in 0..32 {
-                    mc_luma(&p, mv, x, y, 8, 8, &mut out);
-                    for (i, &got) in out.iter().enumerate() {
-                        let px = x as isize + fx as isize + (i % 8) as isize;
-                        let py = y as isize + fy as isize + (i / 8) as isize;
-                        let at = |dx, dy| u32::from(p.get_clamped(px + dx, py + dy));
-                        let want = match (hx, hy) {
-                            (0, 0) => at(0, 0),
-                            (1, 0) => (at(0, 0) + at(1, 0)).div_ceil(2),
-                            (0, 1) => (at(0, 0) + at(0, 1)).div_ceil(2),
-                            _ => (at(0, 0) + at(1, 0) + at(0, 1) + at(1, 1) + 2) / 4,
-                        };
-                        assert_eq!(
-                            u32::from(got),
-                            want,
-                            "mv ({mvx}, {mvy}) block ({x}, {y}) #{i}"
-                        );
-                    }
+                    assert_matches_per_sample(&p, MotionVector::new(mvx, mvy), x, y, 8, 8);
+                }
+            }
+        }
+    }
+
+    /// Every vector from a block wholly outside the plane on one side to
+    /// wholly outside on the other, in all four phases — on blocks wider
+    /// and taller than the plane, planes one sample wide or tall, and a
+    /// block larger than a macroblock (taps beyond the stack buffer).
+    #[test]
+    fn every_vector_matches_on_degenerate_geometries() {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x3C_1A);
+        for (w, h, bw, bh) in [
+            (16, 16, 8, 8),
+            (5, 4, 8, 8),
+            (12, 3, 4, 16),
+            (1, 7, 4, 4),
+            (7, 1, 4, 4),
+            (9, 9, 20, 18),
+        ] {
+            let mut p = Plane::new(w, h);
+            p.samples_mut().fill_with(|| rng.next_u8());
+            for mvy in -2 * (bh as i16 + 2)..=2 * (h as i16 + 2) + 1 {
+                for mvx in -2 * (bw as i16 + 2)..=2 * (w as i16 + 2) + 1 {
+                    assert_matches_per_sample(&p, MotionVector::new(mvx, mvy), 0, 0, bw, bh);
                 }
             }
         }

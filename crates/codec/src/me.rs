@@ -12,7 +12,7 @@ use vtx_trace::Profiler;
 
 use crate::instr::{K_HPEL, K_ME_DIA, K_ME_ESA, K_ME_HEX, K_ME_UMH, K_SAD, K_SATD};
 use crate::mc::mc_luma;
-use crate::transform::{sad, satd4x4};
+use crate::transform::{sad, satd16x16};
 use crate::types::{se_len, MeMethod, MotionVector};
 
 /// A reference picture plus its virtual base address for cache tracing.
@@ -161,11 +161,35 @@ const SQUARE_OFFSETS: [(i32, i32); 8] = [
     (1, 1),
 ];
 
+/// Most sub-pel candidates one search can visit at a valid `subme`: four
+/// refinement rounds (`subme` 10-11) of eight positions.
+const MAX_SUBPEL_VISITS: usize = 32;
+
+#[cfg(test)]
+thread_local! {
+    /// Sub-pel candidates this thread actually interpolated and scored.
+    static SUBPEL_SCORED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 /// Searches one reference frame for the best motion vector for the 16x16
 /// block at `(x, y)` of `src`, starting from the `pred_mv` predictor.
 ///
 /// Emits kernel, cache-line and branch events to `prof` as a side effect.
 pub fn search_ref(
+    src: &[u8; 256],
+    reference: &RefView<'_>,
+    x: usize,
+    y: usize,
+    pred_mv: MotionVector,
+    params: &MeParams,
+    prof: &mut Profiler,
+) -> MeResult {
+    let full = search_fullpel(src, reference, x, y, pred_mv, params, prof);
+    refine_subpel(src, reference, x, y, pred_mv, params, full, prof)
+}
+
+/// The integer-pel stage of [`search_ref`].
+fn search_fullpel(
     src: &[u8; 256],
     reference: &RefView<'_>,
     x: usize,
@@ -236,55 +260,101 @@ pub fn search_ref(
         MeMethod::Esa | MeMethod::Tesa => K_ME_ESA,
     };
     let cands = st.candidates;
-    let best_mv = st.best_mv;
-    let mut best_cost = st.best_cost;
-    let mut best_metric = st.best_metric;
+    let full = MeResult {
+        mv: MotionVector::from_fullpel(st.best_mv.0 as i16, st.best_mv.1 as i16),
+        cost: st.best_cost,
+        metric: st.best_metric,
+    };
     prof.kernel(kernel, cands, 30, 0);
     prof.kernel(K_SAD, cands, 64, 0);
+    full
+}
 
-    let mut mv = MotionVector::from_fullpel(best_mv.0 as i16, best_mv.1 as i16);
-
-    // Sub-pel refinement: deeper subme levels run more refinement rounds
-    // (x264's subme ladder adds qpel iterations and RD checks), and levels
-    // >= 5 always complete their scan instead of breaking early.
-    if params.subme >= 1 {
-        let use_satd = params.subme >= 4;
-        let rounds = u32::from(params.subme).div_ceil(3);
-        let exhaustive_rounds = if params.subme >= 5 { 2 } else { 0 };
-        let mut hpel_cands = 0u32;
-        for round in 0..rounds {
-            let mut improved = false;
-            for (dx, dy) in SQUARE_OFFSETS {
-                let cand = MotionVector::new(mv.x + dx as i16, mv.y + dy as i16);
-                if !cand.has_halfpel() {
-                    continue; // full-pel positions were already searched
-                }
-                hpel_cands += 1;
-                let mut pred_blk = [0u8; 256];
-                mc_luma(reference.plane, cand, x, y, 16, 16, &mut pred_blk);
-                let metric = if use_satd {
-                    satd16_blocks(src, &pred_blk)
-                } else {
-                    sad(src, &pred_blk)
-                };
-                let cost = metric.saturating_add(mv_cost(params.lambda, cand, pred_mv));
-                let better = cost < best_cost;
-                prof.branch(2, better);
-                if better {
-                    best_cost = cost;
-                    best_metric = metric;
-                    mv = cand;
-                    improved = true;
-                }
+/// The sub-pel stage of [`search_ref`]: refines the integer-pel result
+/// `full` over the eight half-pel neighbours of the running best. Deeper
+/// subme levels run more refinement rounds (x264's subme ladder adds qpel
+/// iterations and RD checks), and levels >= 5 always complete their scan
+/// instead of breaking early.
+#[allow(clippy::too_many_arguments)]
+fn refine_subpel(
+    src: &[u8; 256],
+    reference: &RefView<'_>,
+    x: usize,
+    y: usize,
+    pred_mv: MotionVector,
+    params: &MeParams,
+    full: MeResult,
+    prof: &mut Profiler,
+) -> MeResult {
+    if params.subme == 0 {
+        return full;
+    }
+    let MeResult {
+        mut mv,
+        cost: mut best_cost,
+        metric: mut best_metric,
+    } = full;
+    let use_satd = params.subme >= 4;
+    let rounds = u32::from(params.subme).div_ceil(3);
+    let exhaustive_rounds = if params.subme >= 5 { 2 } else { 0 };
+    // A round whose centre did not move revisits the previous round's
+    // positions, and a moved centre shares neighbours with the old one. The
+    // sub-pel metric has no early-out — it is a pure function of source,
+    // reference and vector — so a revisit reuses the value scored here.
+    // Only the host work is skipped: the visit count, every branch event
+    // and the kernel charges below stay per visit, as the model defines
+    // them. (With `best_cost` only ever falling a revisit cannot win today;
+    // keeping the value leaves that a property of the loop, not the memo.)
+    let mut scored = [(MotionVector::ZERO, 0u32); MAX_SUBPEL_VISITS];
+    let mut n_scored = 0;
+    let mut hpel_cands = 0u32;
+    for round in 0..rounds {
+        let mut improved = false;
+        for (dx, dy) in SQUARE_OFFSETS {
+            let cand = MotionVector::new(mv.x + dx as i16, mv.y + dy as i16);
+            if !cand.has_halfpel() {
+                continue; // full-pel positions were already searched
             }
-            if !improved && round >= exhaustive_rounds {
-                break;
+            hpel_cands += 1;
+            let known = scored[..n_scored].iter().find(|(v, _)| *v == cand);
+            let metric = match known {
+                Some(&(_, metric)) => metric,
+                None => {
+                    let mut pred_blk = [0u8; 256];
+                    mc_luma(reference.plane, cand, x, y, 16, 16, &mut pred_blk);
+                    let metric = if use_satd {
+                        satd16x16(src, &pred_blk)
+                    } else {
+                        sad(src, &pred_blk)
+                    };
+                    // Never full at a valid `subme` (<= 11); past that a
+                    // search would just stop remembering.
+                    if let Some(slot) = scored.get_mut(n_scored) {
+                        *slot = (cand, metric);
+                        n_scored += 1;
+                    }
+                    #[cfg(test)]
+                    SUBPEL_SCORED.with(|n| n.set(n.get() + 1));
+                    metric
+                }
+            };
+            let cost = metric.saturating_add(mv_cost(params.lambda, cand, pred_mv));
+            let better = cost < best_cost;
+            prof.branch(2, better);
+            if better {
+                best_cost = cost;
+                best_metric = metric;
+                mv = cand;
+                improved = true;
             }
         }
-        prof.kernel(K_HPEL, hpel_cands, 90, 16);
-        if use_satd {
-            prof.kernel(K_SATD, hpel_cands, 160, 0);
+        if !improved && round >= exhaustive_rounds {
+            break;
         }
+    }
+    prof.kernel(K_HPEL, hpel_cands, 90, 16);
+    if use_satd {
+        prof.kernel(K_SATD, hpel_cands, 160, 0);
     }
 
     MeResult {
@@ -292,24 +362,6 @@ pub fn search_ref(
         cost: best_cost,
         metric: best_metric,
     }
-}
-
-fn satd16_blocks(a: &[u8; 256], b: &[u8; 256]) -> u32 {
-    let mut total = 0;
-    let mut pa = [0u8; 16];
-    let mut pb = [0u8; 16];
-    for by in 0..4 {
-        for bx in 0..4 {
-            for r in 0..4 {
-                for c in 0..4 {
-                    pa[r * 4 + c] = a[(by * 4 + r) * 16 + bx * 4 + c];
-                    pb[r * 4 + c] = b[(by * 4 + r) * 16 + bx * 4 + c];
-                }
-            }
-            total += satd4x4(&pa, &pb);
-        }
-    }
-    total
 }
 
 fn diamond_search(st: &mut SearchState<'_, '_>) {
@@ -407,7 +459,7 @@ fn esa_search(st: &mut SearchState<'_, '_>, satd_rerank: bool) {
                 16,
                 &mut blk,
             );
-            let metric = satd16_blocks(st.src, &blk);
+            let metric = satd16x16(st.src, &blk);
             let mv = MotionVector::from_fullpel(mx as i16, my as i16);
             let cost = metric.saturating_add(mv_cost(st.lambda, mv, st.pred));
             if cost < best.0 {
@@ -418,6 +470,75 @@ fn esa_search(st: &mut SearchState<'_, '_>, satd_rerank: bool) {
             st.best_mv = best.1;
             st.best_cost = best.0;
             st.best_metric = best.0;
+        }
+    }
+}
+
+/// The sub-pel stage as it was before candidates were memoised and before
+/// `satd16x16` — every visit interpolated and scored, SATD gathered 4x4 by
+/// 4x4 (`transform::oracle`) — kept as the oracle for [`refine_subpel`].
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::transform::oracle::satd16_blocks;
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn refine_subpel(
+        src: &[u8; 256],
+        reference: &RefView<'_>,
+        x: usize,
+        y: usize,
+        pred_mv: MotionVector,
+        params: &MeParams,
+        full: MeResult,
+        prof: &mut Profiler,
+    ) -> MeResult {
+        let mut mv = full.mv;
+        let mut best_cost = full.cost;
+        let mut best_metric = full.metric;
+        if params.subme >= 1 {
+            let use_satd = params.subme >= 4;
+            let rounds = u32::from(params.subme).div_ceil(3);
+            let exhaustive_rounds = if params.subme >= 5 { 2 } else { 0 };
+            let mut hpel_cands = 0u32;
+            for round in 0..rounds {
+                let mut improved = false;
+                for (dx, dy) in SQUARE_OFFSETS {
+                    let cand = MotionVector::new(mv.x + dx as i16, mv.y + dy as i16);
+                    if !cand.has_halfpel() {
+                        continue;
+                    }
+                    hpel_cands += 1;
+                    let mut pred_blk = [0u8; 256];
+                    mc_luma(reference.plane, cand, x, y, 16, 16, &mut pred_blk);
+                    let metric = if use_satd {
+                        satd16_blocks(src, &pred_blk)
+                    } else {
+                        sad(src, &pred_blk)
+                    };
+                    let cost = metric.saturating_add(mv_cost(params.lambda, cand, pred_mv));
+                    let better = cost < best_cost;
+                    prof.branch(2, better);
+                    if better {
+                        best_cost = cost;
+                        best_metric = metric;
+                        mv = cand;
+                        improved = true;
+                    }
+                }
+                if !improved && round >= exhaustive_rounds {
+                    break;
+                }
+            }
+            prof.kernel(K_HPEL, hpel_cands, 90, 16);
+            if use_satd {
+                prof.kernel(K_SATD, hpel_cands, 160, 0);
+            }
+        }
+        MeResult {
+            mv,
+            cost: best_cost,
+            metric: best_metric,
         }
     }
 }
@@ -627,6 +748,151 @@ mod tests {
     fn tesa_runs_and_finds_displacement() {
         let r = run(MeMethod::Tesa, 0);
         assert_eq!(r.mv, MotionVector::from_fullpel(8, 8));
+    }
+
+    /// Reference / source plane pairs of 64x48 (4x3 macroblocks: every
+    /// corner and edge position, two interior): two catalog clips two
+    /// frames apart, and unrelated noise, where the best vector wanders.
+    fn seeded_scenes() -> Vec<(Plane, Plane)> {
+        let mut scenes = Vec::new();
+        for (name, seed) in [("holi", 3), ("bike", 9)] {
+            let mut spec = vtx_frame::vbench::by_name(name).unwrap();
+            (spec.sim_width, spec.sim_height, spec.sim_frames) = (64, 48, 3);
+            let clip = vtx_frame::synth::generate(&spec, seed);
+            scenes.push((clip.frames[0].y().clone(), clip.frames[2].y().clone()));
+        }
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x5CE4E);
+        let mut noise = || {
+            let mut p = Plane::new(64, 48);
+            p.samples_mut().fill_with(|| rng.next_u8());
+            p
+        };
+        scenes.push((noise(), noise()));
+        scenes
+    }
+
+    /// Memoised sub-pel refinement against the loop it replaced: the same
+    /// `MeResult` at every macroblock position and the same simulated
+    /// counts, for every method and every `subme`.
+    #[test]
+    fn memoised_subpel_matches_the_unmemoised_oracle() {
+        let scenes = seeded_scenes();
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x0AC1E);
+        for method in [
+            MeMethod::Dia,
+            MeMethod::Hex,
+            MeMethod::Umh,
+            MeMethod::Esa,
+            MeMethod::Tesa,
+        ] {
+            let exhaustive = matches!(method, MeMethod::Esa | MeMethod::Tesa);
+            for subme in 0..=11u8 {
+                let params = MeParams {
+                    method,
+                    merange: if exhaustive { 4 } else { 16 },
+                    subme,
+                    lambda: 1.0 + f64::from(subme),
+                };
+                for (si, (reference, source)) in scenes.iter().enumerate() {
+                    let rv = RefView {
+                        plane: reference,
+                        vaddr: 0x2000_0000,
+                        scale: 8,
+                    };
+                    let (mut p_new, mut p_old) = (prof(), prof());
+                    for mb in 0..12 {
+                        let (x, y) = (mb % 4 * 16, mb / 4 * 16);
+                        let mut src = [0u8; 256];
+                        source.copy_block_clamped(x as isize, y as isize, 16, 16, &mut src);
+                        let pred = MotionVector::new(
+                            rng.next_i64_in(-9, 9) as i16,
+                            rng.next_i64_in(-9, 9) as i16,
+                        );
+                        let got = search_ref(&src, &rv, x, y, pred, &params, &mut p_new);
+                        let full = search_fullpel(&src, &rv, x, y, pred, &params, &mut p_old);
+                        let want =
+                            oracle::refine_subpel(&src, &rv, x, y, pred, &params, full, &mut p_old);
+                        assert_eq!(got, want, "{method:?} subme {subme} scene {si} mb {mb}");
+                    }
+                    let (new, old) = (p_new.finish(), p_old.finish());
+                    assert_eq!(
+                        new.counts, old.counts,
+                        "{method:?} subme {subme} scene {si}"
+                    );
+                    assert_eq!(
+                        new.profile, old.profile,
+                        "{method:?} subme {subme} scene {si}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a static scene at `subme` 7 the centre never moves: three rounds
+    /// visit the same eight half-pel neighbours, the model is charged all
+    /// 24 visits, and the host interpolates and scores each position once.
+    #[test]
+    fn revisited_subpel_candidates_are_scored_once() {
+        let (plane, _) = shifted_scene();
+        let mut src = [0u8; 256];
+        plane.copy_block_clamped(24, 24, 16, 16, &mut src);
+        let rv = RefView {
+            plane: &plane,
+            vaddr: 0x2000_0000,
+            scale: 1,
+        };
+        let params = MeParams {
+            method: MeMethod::Hex,
+            merange: 16,
+            subme: 7,
+            lambda: 4.0,
+        };
+        let mut p = prof();
+        let before = SUBPEL_SCORED.get();
+        let r = search_ref(&src, &rv, 24, 24, MotionVector::ZERO, &params, &mut p);
+        assert_eq!((r.mv, r.metric), (MotionVector::ZERO, 0));
+        assert_eq!(SUBPEL_SCORED.get() - before, 8, "distinct candidates");
+        // K_HPEL is the only kernel of a search with heavy ops: 16 a visit.
+        assert_eq!(p.finish().counts.heavy_ops, 24 * 16, "visits charged");
+    }
+
+    /// `MeParams` is public and does not validate: a `subme` past the
+    /// encoder's 0..=11 can walk through more distinct candidates than the
+    /// memo holds. The search then stops remembering and stays correct.
+    #[test]
+    fn a_full_memo_stops_remembering_and_still_matches_the_oracle() {
+        // A 4-pixel diamond search leaves the (8, 8) displacement half
+        // covered; sixty sub-pel rounds walk the rest in half-pel steps.
+        let (plane, src) = shifted_scene();
+        let rv = RefView {
+            plane: &plane,
+            vaddr: 0x2000_0000,
+            scale: 1,
+        };
+        let params = MeParams {
+            method: MeMethod::Dia,
+            merange: 4,
+            subme: 180,
+            lambda: 0.0,
+        };
+        let (mut p_new, mut p_old) = (prof(), prof());
+        let before = SUBPEL_SCORED.get();
+        let got = search_ref(&src, &rv, 16, 16, MotionVector::ZERO, &params, &mut p_new);
+        let scored = SUBPEL_SCORED.get() - before;
+        assert!(scored as usize > MAX_SUBPEL_VISITS, "scored {scored}");
+        let full = search_fullpel(&src, &rv, 16, 16, MotionVector::ZERO, &params, &mut p_old);
+        let want = oracle::refine_subpel(
+            &src,
+            &rv,
+            16,
+            16,
+            MotionVector::ZERO,
+            &params,
+            full,
+            &mut p_old,
+        );
+        assert_eq!(got, want);
+        assert_eq!(p_new.finish().counts, p_old.finish().counts);
     }
 
     #[test]

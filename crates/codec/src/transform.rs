@@ -110,6 +110,48 @@ pub fn satd4x4(a: &[u8], b: &[u8]) -> u32 {
     d.iter().map(|&v| v.unsigned_abs()).sum::<u32>() / 2
 }
 
+/// SATD between two 16x16 pixel blocks: the sum of [`satd4x4`] over their
+/// sixteen 4x4 sub-blocks, each halved on its own as `satd4x4` halves it.
+///
+/// Works on strips of four rows. Differences fit `i16` with room for both
+/// butterfly passes (|d| <= 255, <= 4 080 after them): the horizontal pass
+/// stays within each group of four samples, the vertical pass then runs
+/// across all sixteen columns at once, and a column's four absolute
+/// coefficients (<= 16 320) sum in `u16`.
+pub fn satd16x16(a: &[u8; 256], b: &[u8; 256]) -> u32 {
+    let mut total = 0;
+    for (sa, sb) in a.chunks_exact(64).zip(b.chunks_exact(64)) {
+        let mut d = [0i16; 64];
+        for ((d, &x), &y) in d.iter_mut().zip(sa).zip(sb) {
+            *d = i16::from(x) - i16::from(y);
+        }
+        let mut h = [0i16; 64];
+        for (o, q) in h.chunks_exact_mut(4).zip(d.chunks_exact(4)) {
+            let (s0, s1, d0, d1) = (q[0] + q[1], q[2] + q[3], q[0] - q[1], q[2] - q[3]);
+            o[0] = s0 + s1;
+            o[1] = s0 - s1;
+            o[2] = d0 + d1;
+            o[3] = d0 - d1;
+        }
+        let (r0, rest) = h.split_at(16);
+        let (r1, rest) = rest.split_at(16);
+        let (r2, r3) = rest.split_at(16);
+        let mut col = [0u16; 16];
+        for (c, col) in col.iter_mut().enumerate() {
+            let (s0, s1) = (r0[c] + r1[c], r2[c] + r3[c]);
+            let (d0, d1) = (r0[c] - r1[c], r2[c] - r3[c]);
+            *col = (s0 + s1).unsigned_abs()
+                + (s0 - s1).unsigned_abs()
+                + (d0 + d1).unsigned_abs()
+                + (d0 - d1).unsigned_abs();
+        }
+        for block in col.chunks_exact(4) {
+            total += block.iter().map(|&v| u32::from(v)).sum::<u32>() / 2;
+        }
+    }
+    total
+}
+
 /// Sum of absolute differences between two equal-size pixel blocks.
 pub fn sad(a: &[u8], b: &[u8]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
@@ -117,6 +159,31 @@ pub fn sad(a: &[u8], b: &[u8]) -> u32 {
         .zip(b.iter())
         .map(|(&x, &y)| u32::from(x.abs_diff(y)))
         .sum()
+}
+
+/// The definition [`satd16x16`] replaced — gather each 4x4, call `satd4x4`
+/// sixteen times — kept as its oracle (and `me::oracle`'s metric).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::satd4x4;
+
+    pub(crate) fn satd16_blocks(a: &[u8; 256], b: &[u8; 256]) -> u32 {
+        let mut total = 0;
+        let mut pa = [0u8; 16];
+        let mut pb = [0u8; 16];
+        for by in 0..4 {
+            for bx in 0..4 {
+                for r in 0..4 {
+                    for c in 0..4 {
+                        pa[r * 4 + c] = a[(by * 4 + r) * 16 + bx * 4 + c];
+                        pb[r * 4 + c] = b[(by * 4 + r) * 16 + bx * 4 + c];
+                    }
+                }
+                total += satd4x4(&pa, &pb);
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -161,6 +228,53 @@ mod tests {
         let mut b = a;
         b[5] = 110;
         assert!(satd4x4(&a, &b) > 0);
+    }
+
+    #[test]
+    fn satd16x16_is_the_sum_of_sixteen_satd4x4() {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x005A_7D16);
+        for i in 0..10_000 {
+            let a: [u8; 256] = std::array::from_fn(|_| rng.next_u8());
+            // Alternate unrelated blocks with near matches (small residuals
+            // with odd 4x4 sums, where the per-block halving truncates).
+            let b: [u8; 256] = if i % 2 == 0 {
+                std::array::from_fn(|_| rng.next_u8())
+            } else {
+                std::array::from_fn(|j| a[j].wrapping_add(rng.next_u8() % 4))
+            };
+            assert_eq!(satd16x16(&a, &b), oracle::satd16_blocks(&a, &b), "pair {i}");
+        }
+    }
+
+    /// The inputs that drive the `i16` intermediates to their bounds: a
+    /// +-255 difference everywhere, concentrated into one coefficient per
+    /// 4x4 (flat, 1-sample checkerboard) or per strip column (4-sample).
+    #[test]
+    fn satd16x16_extremes_stay_in_range() {
+        let flat = |v: u8| [v; 256];
+        let checker = |pitch: usize, phase: usize| -> [u8; 256] {
+            std::array::from_fn(|i| {
+                if (i / 16 / pitch + i % 16 / pitch + phase).is_multiple_of(2) {
+                    0
+                } else {
+                    255
+                }
+            })
+        };
+        let cases = [
+            (flat(0), flat(255)),
+            (flat(255), flat(0)),
+            (checker(1, 0), checker(1, 1)),
+            (checker(4, 0), checker(4, 1)),
+            (checker(1, 0), flat(0)),
+            (checker(4, 1), flat(255)),
+        ];
+        for (i, (a, b)) in cases.iter().enumerate() {
+            assert_eq!(satd16x16(a, b), oracle::satd16_blocks(a, b), "case {i}");
+        }
+        // 16 blocks x (one coefficient of 16 * 255) / 2.
+        assert_eq!(satd16x16(&flat(0), &flat(255)), 16 * 16 * 255 / 2);
+        assert_eq!(satd16x16(&checker(1, 0), &checker(1, 1)), 16 * 16 * 255 / 2);
     }
 
     #[test]

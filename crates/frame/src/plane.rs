@@ -160,18 +160,24 @@ impl Plane {
     /// Panics if `dst.len() < bw * bh`.
     pub fn copy_block_clamped(&self, x: isize, y: isize, bw: usize, bh: usize, dst: &mut [u8]) {
         assert!(dst.len() >= bw * bh, "destination block too small");
-        if let Some((x, y)) = self.interior(x, y, bw, bh) {
-            for by in 0..bh {
-                dst[by * bw..(by + 1) * bw].copy_from_slice(&self.row(y + by)[x..x + bw]);
-            }
-            return;
-        }
+        // Edge extension by spans: the samples of a row that fall left of
+        // the plane repeat its first sample, those right of it its last, and
+        // the rest are one contiguous run — the same split for every row.
+        // A block inside the plane is the case with nothing to repeat.
+        let left = x.saturating_neg().clamp(0, bw as isize) as usize;
+        let right = (x + bw as isize - self.width as isize).clamp(0, bw as isize) as usize;
+        let mid = bw - left - right;
+        let sx = x.clamp(0, self.width as isize) as usize;
         for by in 0..bh {
-            let sy = (y + by as isize).clamp(0, self.height as isize - 1) as usize;
-            let row = self.row(sy);
-            for bx in 0..bw {
-                let sx = (x + bx as isize).clamp(0, self.width as isize - 1) as usize;
-                dst[by * bw + bx] = row[sx];
+            let row = self.row((y + by as isize).clamp(0, self.height as isize - 1) as usize);
+            let dst = &mut dst[by * bw..(by + 1) * bw];
+            // An empty `fill` is still a call: skip it.
+            if left > 0 {
+                dst[..left].fill(row[0]);
+            }
+            dst[left..left + mid].copy_from_slice(&row[sx..sx + mid]);
+            if right > 0 {
+                dst[left + mid..].fill(row[self.width - 1]);
             }
         }
     }
@@ -180,18 +186,14 @@ impl Plane {
     /// fall outside the plane.
     pub fn write_block(&mut self, x: usize, y: usize, bw: usize, bh: usize, src: &[u8]) {
         debug_assert!(src.len() >= bw * bh);
-        for by in 0..bh {
-            let py = y + by;
-            if py >= self.height {
-                break;
-            }
-            for bx in 0..bw {
-                let px = x + bx;
-                if px >= self.width {
-                    break;
-                }
-                self.data[py * self.width + px] = src[by * bw + bx];
-            }
+        let w = bw.min(self.width.saturating_sub(x));
+        if w == 0 {
+            return; // wholly right of the plane: `start` below may be past the end
+        }
+        let h = bh.min(self.height.saturating_sub(y));
+        for by in 0..h {
+            let start = (y + by) * self.width + x;
+            self.data[start..start + w].copy_from_slice(&src[by * bw..by * bw + w]);
         }
     }
 
@@ -217,11 +219,20 @@ impl Plane {
     pub fn block_variance(&self, x: isize, y: isize, bw: usize, bh: usize) -> u32 {
         let mut sum = 0u32;
         let mut sq = 0u64;
-        for by in 0..bh {
-            for bx in 0..bw {
-                let v = u32::from(self.get_clamped(x + bx as isize, y + by as isize));
-                sum += v;
-                sq += u64::from(v * v);
+        let mut add = |v: u8| {
+            let v = u32::from(v);
+            sum += v;
+            sq += u64::from(v * v);
+        };
+        if let Some((x, y)) = self.interior(x, y, bw, bh) {
+            for by in 0..bh {
+                self.row(y + by)[x..x + bw].iter().for_each(|&v| add(v));
+            }
+        } else {
+            for by in 0..bh {
+                for bx in 0..bw {
+                    add(self.get_clamped(x + bx as isize, y + by as isize));
+                }
             }
         }
         let n = (bw * bh) as u64;
@@ -350,20 +361,77 @@ mod properties {
     }
 
     /// A block copy equals sample-by-sample clamped reads wherever the
-    /// block sits: outside, straddling each edge, or wholly inside.
+    /// block sits — wholly outside on each side, straddling each edge and
+    /// corner, wholly inside — including blocks wider or taller than the
+    /// plane and planes one sample wide or tall.
     #[test]
     fn block_copy_matches_clamped_reads_everywhere() {
         let mut rng = Xoshiro256pp::new(0xB10C);
-        let mut p = Plane::new(20, 14);
-        p.samples_mut().fill_with(|| rng.next_u8());
-        let mut out = [0u8; 30];
-        for y in -8..20isize {
-            for x in -8..26isize {
-                p.copy_block_clamped(x, y, 6, 5, &mut out);
-                for (i, &got) in out.iter().enumerate() {
-                    let want = p.get_clamped(x + (i % 6) as isize, y + (i / 6) as isize);
-                    assert_eq!(got, want, "block ({x}, {y}) #{i}");
+        for (w, h, bw, bh) in [
+            (20, 14, 6, 5),
+            (5, 4, 8, 3),
+            (6, 3, 4, 7),
+            (3, 3, 9, 9),
+            (1, 9, 4, 4),
+            (9, 1, 4, 4),
+            (1, 1, 3, 2),
+        ] {
+            let mut p = Plane::new(w, h);
+            p.samples_mut().fill_with(|| rng.next_u8());
+            let mut out = vec![0u8; bw * bh];
+            for y in -(bh as isize) - 2..h as isize + 3 {
+                for x in -(bw as isize) - 2..w as isize + 3 {
+                    p.copy_block_clamped(x, y, bw, bh, &mut out);
+                    for (i, &got) in out.iter().enumerate() {
+                        let want = p.get_clamped(x + (i % bw) as isize, y + (i / bw) as isize);
+                        assert_eq!(got, want, "{w}x{h} plane, {bw}x{bh} block ({x}, {y}) #{i}");
+                    }
                 }
+            }
+        }
+    }
+
+    /// Row-wise `write_block` clips exactly as sample-by-sample writes do:
+    /// partly or wholly past the right and bottom edges, `x` beyond the
+    /// width, blocks larger than the plane.
+    #[test]
+    fn block_write_clips_like_per_sample_writes() {
+        for (w, h, bw, bh) in [(8, 6, 4, 4), (3, 2, 5, 4), (1, 5, 3, 3)] {
+            let src: Vec<u8> = (0..bw * bh).map(|i| i as u8 + 1).collect();
+            for y in 0..h + 3 {
+                for x in 0..w + 3 {
+                    let mut got = Plane::new(w, h);
+                    got.write_block(x, y, bw, bh, &src);
+                    let mut want = Plane::new(w, h);
+                    for (i, &v) in src.iter().enumerate() {
+                        let (px, py) = (x + i % bw, y + i / bw);
+                        if px < w && py < h {
+                            want.set(px, py, v);
+                        }
+                    }
+                    assert_eq!(got, want, "{w}x{h} plane, {bw}x{bh} block ({x}, {y})");
+                }
+            }
+        }
+    }
+
+    /// The interior row path of `block_variance` and its clamped path are
+    /// one definition: sum of squares minus squared sum over the area.
+    #[test]
+    fn block_variance_matches_the_per_sample_definition() {
+        let mut rng = Xoshiro256pp::new(0x7A21);
+        let mut p = Plane::new(24, 20);
+        p.samples_mut().fill_with(|| rng.next_u8());
+        for y in -5..22isize {
+            for x in -5..26isize {
+                let (mut sum, mut sq) = (0u64, 0u64);
+                for i in 0..16 * 8 {
+                    let v = u64::from(p.get_clamped(x + i % 16, y + i / 16));
+                    sum += v;
+                    sq += v * v;
+                }
+                let want = (sq - sum * sum / 128) as u32;
+                assert_eq!(p.block_variance(x, y, 16, 8), want, "block ({x}, {y})");
             }
         }
     }

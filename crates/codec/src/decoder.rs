@@ -512,8 +512,7 @@ fn intra4_decode<R: EntropyReader>(
                 },
             )?;
             let pred = predict4(recon.y(), x, y, mode);
-            let mut blk = read_coef_block(r, false, prof)?;
-            let nz = blk.iter().filter(|&&v| v != 0).count();
+            let (mut blk, nz) = read_coef_block(r, false, prof)?;
             let mut out = pred;
             if nz > 0 {
                 dequant4x4(&mut blk, qp);

@@ -3,12 +3,16 @@
 use crate::CodecError;
 
 /// An MSB-first bit writer.
+///
+/// Bits collect in a 64-bit accumulator and leave it four bytes at a time,
+/// so a whole code costs one shift-or and, every fourth byte, one append.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    acc: u32,
+    /// The low `nbits` bits are pending output, oldest bit highest.
+    acc: u64,
+    /// Always below 32 between calls.
     nbits: u32,
-    total_bits: u64,
 }
 
 impl BitWriter {
@@ -20,14 +24,7 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | u32::from(bit);
-        self.nbits += 1;
-        self.total_bits += 1;
-        if self.nbits == 8 {
-            self.buf.push(self.acc as u8);
-            self.acc = 0;
-            self.nbits = 0;
-        }
+        self.put_bits(u32::from(bit), 1);
     }
 
     /// Appends the low `n` bits of `v`, MSB first.
@@ -35,23 +32,30 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `n > 32`.
+    #[inline]
     pub fn put_bits(&mut self, v: u32, n: u32) {
         assert!(n <= 32);
-        for i in (0..n).rev() {
-            self.put_bit((v >> i) & 1 != 0);
+        let v = u64::from(v) & ((1u64 << n) - 1);
+        self.acc = (self.acc << n) | v;
+        self.nbits += n;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.buf.extend_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Total bits written so far (before padding).
     pub fn bit_len(&self) -> u64 {
-        self.total_bits
+        self.buf.len() as u64 * 8 + u64::from(self.nbits)
     }
 
     /// Pads with zero bits to a byte boundary and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        while self.nbits != 0 {
-            self.put_bit(false);
-        }
+        let pad = (8 - self.nbits % 8) % 8;
+        let tail = (self.acc << pad) as u32;
+        let bytes = ((self.nbits + pad) / 8) as usize;
+        self.buf.extend_from_slice(&tail.to_be_bytes()[4 - bytes..]);
         self.buf
     }
 }
@@ -86,6 +90,24 @@ impl<'a> BitReader<'a> {
         let bit = (self.data[byte] >> (7 - (self.bit_pos % 8))) & 1 != 0;
         self.bit_pos += 1;
         Ok(bit)
+    }
+
+    /// The next 57 bits or more, left-aligned in a word, if eight whole
+    /// bytes remain from the current byte on; `None` near the end of the
+    /// data, where the caller reads bit by bit so that running out is found
+    /// at the bit it happens on.
+    #[inline]
+    pub fn peek_window(&self) -> Option<u64> {
+        let byte = self.bit_pos / 8;
+        let bytes = self.data.get(byte..byte + 8)?;
+        let word = u64::from_be_bytes(bytes.try_into().expect("eight bytes"));
+        Some(word << (self.bit_pos % 8))
+    }
+
+    /// Skips `n` bits that [`Self::peek_window`] showed.
+    #[inline]
+    pub fn skip(&mut self, n: u32) {
+        self.bit_pos += n as usize;
     }
 
     /// Reads `n` bits MSB-first.

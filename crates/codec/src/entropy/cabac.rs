@@ -6,15 +6,50 @@
 //! and executes far more data-dependent work per bin — the property that
 //! makes x264's CABAC a front-end and branch-predictor stressor.
 
-use super::{EntropyReader, EntropyWriter};
+use super::{ue_len, EntropyReader, EntropyWriter, PREFIX_TOO_LONG};
 use crate::CodecError;
 
 const NUM_CTX: usize = 256;
 const PROB_BITS: u32 = 11;
-const PROB_ONE: u16 = 1 << PROB_BITS; // 2048
-const PROB_INIT: u16 = PROB_ONE / 2;
-const ADAPT_SHIFT: u16 = 5;
+const PROB_ONE: u32 = 1 << PROB_BITS; // 2048
+const PROB_INIT: u16 = (PROB_ONE / 2) as u16;
+const ADAPT_SHIFT: u32 = 5;
 const TOP: u32 = 1 << 24;
+
+/// All ones for a one bin, zero for a zero bin. Both coders pick each arm of
+/// a bin with this mask instead of a branch: bins are close to coin flips
+/// for the host's predictor.
+#[inline(always)]
+fn mask_of(bit: bool) -> u32 {
+    u32::from(bit).wrapping_neg()
+}
+
+/// The probability of a zero after coding `bit` under `p`: a zero moves it
+/// up by `(2048 - p) >> 5`, a one down by `p >> 5`. Both are
+/// `p - ((p + k) >> 5)` in signed arithmetic, with `k = 31 - 2048` for a
+/// zero (the shift floors, so the negated quotient rounds the other way)
+/// and `k = 0` for a one.
+#[inline(always)]
+fn adapt(p: u16, mask: u32) -> u16 {
+    const K_ZERO: i32 = (1 << ADAPT_SHIFT) - 1 - PROB_ONE as i32;
+    let p = i32::from(p);
+    let k = K_ZERO & !(mask as i32);
+    (p - ((p + k) >> ADAPT_SHIFT)) as u16
+}
+
+/// Approximate information content of coding a bin under probability
+/// `p_zero` of the *zero* symbol, in milli-bits. A 17-entry lookup on the
+/// effective symbol probability keeps this cheap.
+#[inline(always)]
+fn milli_bits(p_zero: u32, mask: u32) -> u64 {
+    let p_sym = (p_zero & !mask) | ((PROB_ONE - p_zero) & mask);
+    // -log2(p/2048) in millibits, bucketed.
+    const TABLE: [u64; 17] = [
+        11_000, 4_000, 3_000, 2_415, 2_000, 1_678, 1_415, 1_193, 1_000, 830, 678, 541, 415, 300,
+        193, 93, 1,
+    ];
+    TABLE[((p_sym >> (PROB_BITS - 4)) as usize).min(16)]
+}
 
 /// Adaptive binary arithmetic writer.
 #[derive(Debug, Clone)]
@@ -24,7 +59,7 @@ pub struct CabacWriter {
     cache: u8,
     cache_size: u64,
     out: Vec<u8>,
-    probs: Vec<u16>,
+    probs: [u16; NUM_CTX],
     est_milli_bits: u64,
 }
 
@@ -37,7 +72,7 @@ impl CabacWriter {
             cache: 0,
             cache_size: 1,
             out: Vec::new(),
-            probs: vec![PROB_INIT; NUM_CTX],
+            probs: [PROB_INIT; NUM_CTX],
             est_milli_bits: 0,
         }
     }
@@ -59,6 +94,23 @@ impl CabacWriter {
         self.cache_size += 1;
         self.low = (self.low << 8) & 0xFFFF_FFFF;
     }
+
+    /// Codes one bin. The only branch on data is the renormalisation.
+    #[inline(always)]
+    fn bin(&mut self, ctx: u32, bit: bool) {
+        let mask = mask_of(bit);
+        let p = &mut self.probs[(ctx as usize) & (NUM_CTX - 1)];
+        let pz = u32::from(*p);
+        self.est_milli_bits += milli_bits(pz, mask);
+        let bound = (self.range >> PROB_BITS) * pz;
+        self.low += u64::from(bound & mask);
+        self.range = (bound & !mask) | ((self.range - bound) & mask);
+        *p = adapt(*p, mask);
+        while self.range < TOP {
+            self.shift_low();
+            self.range <<= 8;
+        }
+    }
 }
 
 impl Default for CabacWriter {
@@ -67,36 +119,10 @@ impl Default for CabacWriter {
     }
 }
 
-/// Approximate information content of coding `bit` under probability `p`
-/// (probability of the *zero* symbol), in milli-bits. A 16-entry lookup on
-/// the effective symbol probability keeps this cheap.
-fn milli_bits(p_zero: u16, bit: bool) -> u64 {
-    let p_sym = if bit { PROB_ONE - p_zero } else { p_zero };
-    // -log2(p/2048) in millibits, bucketed.
-    const TABLE: [u64; 17] = [
-        11_000, 4_000, 3_000, 2_415, 2_000, 1_678, 1_415, 1_193, 1_000, 830, 678, 541, 415, 300,
-        193, 93, 1,
-    ];
-    TABLE[(usize::from(p_sym) * 16 / usize::from(PROB_ONE)).min(16)]
-}
-
 impl EntropyWriter for CabacWriter {
+    #[inline]
     fn put_bit(&mut self, ctx: u32, bit: bool) {
-        let p = &mut self.probs[(ctx as usize) & (NUM_CTX - 1)];
-        self.est_milli_bits += milli_bits(*p, bit);
-        let bound = (self.range >> PROB_BITS) * u32::from(*p);
-        if !bit {
-            self.range = bound;
-            *p += (PROB_ONE - *p) >> ADAPT_SHIFT;
-        } else {
-            self.low += u64::from(bound);
-            self.range -= bound;
-            *p -= *p >> ADAPT_SHIFT;
-        }
-        while self.range < TOP {
-            self.shift_low();
-            self.range <<= 8;
-        }
+        self.bin(ctx, bit);
     }
 
     fn bits_estimate(&self) -> f64 {
@@ -109,6 +135,37 @@ impl EntropyWriter for CabacWriter {
         }
         self.out
     }
+
+    fn put_ue(&mut self, ctx: u32, v: u32) {
+        let x = u64::from(v) + 1;
+        // The last arm is the code for any `n`. Most symbols are the 1-, 3-
+        // and 5-bin codes: those run straight through, every context a
+        // constant offset.
+        match ue_len(v) {
+            1 => self.bin(ctx, true),
+            2 => {
+                self.bin(ctx, false);
+                self.bin(ctx + 1, true);
+                self.bin(ctx + 4, x & 1 != 0);
+            }
+            3 => {
+                self.bin(ctx, false);
+                self.bin(ctx + 1, false);
+                self.bin(ctx + 2, true);
+                self.bin(ctx + 5, x & 2 != 0);
+                self.bin(ctx + 4, x & 1 != 0);
+            }
+            n => {
+                for i in 0..n - 1 {
+                    self.bin(ctx + i.min(3), false);
+                }
+                self.bin(ctx + (n - 1).min(3), true);
+                for i in (0..n - 1).rev() {
+                    self.bin(ctx + 4 + i.min(3), (x >> i) & 1 != 0);
+                }
+            }
+        }
+    }
 }
 
 /// Adaptive binary arithmetic reader; the exact mirror of [`CabacWriter`].
@@ -119,7 +176,7 @@ pub struct CabacReader<'a> {
     data: &'a [u8],
     pos: usize,
     overruns: usize,
-    probs: Vec<u16>,
+    probs: [u16; NUM_CTX],
 }
 
 impl<'a> CabacReader<'a> {
@@ -131,7 +188,7 @@ impl<'a> CabacReader<'a> {
             data,
             pos: 0,
             overruns: 0,
-            probs: vec![PROB_INIT; NUM_CTX],
+            probs: [PROB_INIT; NUM_CTX],
         };
         // The encoder's first emitted byte is the initial zero cache.
         for _ in 0..5 {
@@ -140,9 +197,9 @@ impl<'a> CabacReader<'a> {
         r
     }
 
+    #[inline]
     fn next_byte(&mut self) -> u8 {
-        if self.pos < self.data.len() {
-            let b = self.data[self.pos];
+        if let Some(&b) = self.data.get(self.pos) {
             self.pos += 1;
             b
         } else {
@@ -150,10 +207,11 @@ impl<'a> CabacReader<'a> {
             0
         }
     }
-}
 
-impl EntropyReader for CabacReader<'_> {
-    fn get_bit(&mut self, ctx: u32) -> Result<bool, CodecError> {
+    /// Decodes one bin; the test for an exhausted payload comes before every
+    /// bin, as the padding it allows (eight zero bytes) is counted in bins.
+    #[inline(always)]
+    fn bin(&mut self, ctx: u32) -> Result<bool, CodecError> {
         if self.overruns > 8 {
             return Err(CodecError::CorruptBitstream {
                 offset: self.pos,
@@ -162,16 +220,11 @@ impl EntropyReader for CabacReader<'_> {
         }
         let p = &mut self.probs[(ctx as usize) & (NUM_CTX - 1)];
         let bound = (self.range >> PROB_BITS) * u32::from(*p);
-        let bit = if self.code < bound {
-            self.range = bound;
-            *p += (PROB_ONE - *p) >> ADAPT_SHIFT;
-            false
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-            *p -= *p >> ADAPT_SHIFT;
-            true
-        };
+        let bit = self.code >= bound;
+        let mask = mask_of(bit);
+        self.code -= bound & mask;
+        self.range = (bound & !mask) | ((self.range - bound) & mask);
+        *p = adapt(*p, mask);
         while self.range < TOP {
             self.code = (self.code << 8) | u32::from(self.next_byte());
             self.range <<= 8;
@@ -180,10 +233,48 @@ impl EntropyReader for CabacReader<'_> {
     }
 }
 
+impl EntropyReader for CabacReader<'_> {
+    #[inline]
+    fn get_bit(&mut self, ctx: u32) -> Result<bool, CodecError> {
+        self.bin(ctx)
+    }
+
+    fn get_ue(&mut self, ctx: u32) -> Result<u32, CodecError> {
+        let mut zeros = 0u32;
+        while !self.bin(ctx + zeros.min(3))? {
+            zeros += 1;
+            if zeros > 32 {
+                return Err(PREFIX_TOO_LONG);
+            }
+        }
+        let mut info = 0u64;
+        for i in (0..zeros).rev() {
+            info = (info << 1) | u64::from(self.bin(ctx + 4 + i.min(3))?);
+        }
+        Ok(((1u64 << zeros) + info - 1) as u32)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entropy::ctx;
+
+    #[test]
+    fn mask_arithmetic_equals_both_arms() {
+        use crate::entropy::oracle;
+        for p in 0..=PROB_ONE as u16 {
+            for bit in [false, true] {
+                let mask = mask_of(bit);
+                assert_eq!(adapt(p, mask), oracle::adapt(p, bit), "p {p} bit {bit}");
+                assert_eq!(
+                    milli_bits(u32::from(p), mask),
+                    oracle::milli_bits(p, bit),
+                    "p {p} bit {bit}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bit_sequence_roundtrip() {

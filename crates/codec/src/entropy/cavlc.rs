@@ -1,7 +1,7 @@
 //! The CAVLC-style backend: syntax bins map directly to raw bits.
 
 use super::bitio::{BitReader, BitWriter};
-use super::{EntropyReader, EntropyWriter};
+use super::{ue_len, EntropyReader, EntropyWriter, PREFIX_TOO_LONG};
 use crate::CodecError;
 
 /// Context-free variable-length writer (exp-Golomb bit codes).
@@ -30,6 +30,20 @@ impl EntropyWriter for CavlcWriter {
     fn finish(self) -> Vec<u8> {
         self.bits.finish()
     }
+
+    #[inline]
+    fn put_ue(&mut self, _ctx: u32, v: u32) {
+        let x = u64::from(v) + 1;
+        let n = ue_len(v);
+        if n <= 16 {
+            // `x` in a field of `2n - 1` bits brings its own zero prefix.
+            self.bits.put_bits(x as u32, 2 * n - 1);
+        } else {
+            self.bits.put_bits(0, n - 1);
+            self.bits.put_bits((x >> 1) as u32, n - 1);
+            self.bits.put_bits(x as u32, 1);
+        }
+    }
 }
 
 /// Reader counterpart of [`CavlcWriter`].
@@ -51,6 +65,37 @@ impl EntropyReader for CavlcReader<'_> {
     #[inline]
     fn get_bit(&mut self, _ctx: u32) -> Result<bool, CodecError> {
         self.bits.get_bit()
+    }
+
+    #[inline]
+    fn get_ue(&mut self, _ctx: u32) -> Result<u32, CodecError> {
+        if let Some(window) = self.bits.peek_window() {
+            let zeros = window.leading_zeros();
+            if zeros <= 24 {
+                // The whole code, `2 * zeros + 1 <= 49` bits, is in view.
+                let len = 2 * zeros + 1;
+                self.bits.skip(len);
+                return Ok((window >> (64 - len)) as u32 - 1);
+            }
+        }
+        self.get_ue_bitwise()
+    }
+}
+
+impl CavlcReader<'_> {
+    /// Long codes and codes near the end of the payload, a bit at a time:
+    /// the path that finds where a payload runs out.
+    #[cold]
+    fn get_ue_bitwise(&mut self) -> Result<u32, CodecError> {
+        let mut zeros = 0u32;
+        while !self.bits.get_bit()? {
+            zeros += 1;
+            if zeros > 32 {
+                return Err(PREFIX_TOO_LONG);
+            }
+        }
+        let info = u64::from(self.bits.get_bits(zeros)?);
+        Ok(((1u64 << zeros) + info - 1) as u32)
     }
 }
 

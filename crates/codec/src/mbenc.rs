@@ -9,9 +9,9 @@
 //!
 //! Every syntax element and profiler event emitted here is a pure function
 //! of the coefficient data — never of the entropy writer's internal state.
-//! That invariant is what lets wavefront workers record syntax against a
-//! stateless sink and replay it later through the real (stateful) writer
-//! with bit-identical results.
+//! That invariant is what lets wavefront workers record syntax, symbol by
+//! symbol, against a stateless sink and replay it later through the real
+//! (stateful) writer with bit-identical results.
 
 use vtx_trace::Profiler;
 
@@ -27,7 +27,18 @@ use crate::CodecError;
 /// Quantized levels of one 4x4 block.
 pub type CoefBlock = Block4x4;
 
+/// Bit `pair` of the result: whether either coefficient of zig-zag pair
+/// `pair` is set in the significance mask `sig`.
+#[inline]
+fn pair_significant(sig: u32, pair: u32) -> bool {
+    (sig >> (2 * pair)) & 3 != 0
+}
+
 /// Writes one quantized 4x4 block's syntax. Returns the nonzero count.
+///
+/// One pass over the block builds its zig-zag significance mask (bit `zi`
+/// set: the coefficient at zig-zag index `zi` is nonzero); the count, the
+/// runs and the profiler's branch events all come from the mask.
 pub fn write_coef_block<W: EntropyWriter>(
     w: &mut W,
     levels: &CoefBlock,
@@ -36,7 +47,11 @@ pub fn write_coef_block<W: EntropyWriter>(
     entropy_kernel: usize,
 ) -> u32 {
     let coff = u32::from(chroma) * 2;
-    let nz = levels.iter().filter(|&&v| v != 0).count() as u32;
+    let mut sig = 0u32;
+    for (zi, &pos) in ZIGZAG4X4.iter().enumerate() {
+        sig |= u32::from(levels[pos] != 0) << zi;
+    }
+    let nz = sig.count_ones();
     w.put_bit(ctx::CBF + coff, nz > 0);
     prof.branch(4, nz > 0);
     if nz == 0 {
@@ -44,30 +59,36 @@ pub fn write_coef_block<W: EntropyWriter>(
         return 0;
     }
     w.put_ue(ctx::NZ_COUNT + coff, nz - 1);
-    let mut run = 0u32;
-    for (zi, &pos) in ZIGZAG4X4.iter().enumerate() {
-        let level = levels[pos];
-        // The significance test is the run/level coder's inner branch; one
-        // data-dependent event per coefficient pair keeps the simulated
-        // branch density close to the real coder's.
-        if zi % 2 == 0 {
-            prof.branch(13, level != 0 || levels[ZIGZAG4X4[zi + 1]] != 0);
+    // The significance test is the run/level coder's inner branch; one
+    // data-dependent event per coefficient pair keeps the simulated branch
+    // density close to the real coder's. A pair's event comes before that
+    // pair's coefficients.
+    let mut pair = 0u32;
+    let mut next = 0u32; // zig-zag index after the last coded coefficient
+    let mut left = sig;
+    while left != 0 {
+        let zi = left.trailing_zeros();
+        left &= left - 1;
+        while pair <= zi / 2 {
+            prof.branch(13, pair_significant(sig, pair));
+            pair += 1;
         }
-        if level == 0 {
-            run += 1;
-        } else {
-            w.put_ue(ctx::RUN + coff, run);
-            w.put_se(ctx::LEVEL + coff, level);
-            prof.branch(5, level.abs() > 1);
-            prof.branch(6, level < 0);
-            run = 0;
-        }
+        let level = levels[ZIGZAG4X4[zi as usize]];
+        w.put_ue(ctx::RUN + coff, zi - next);
+        w.put_se(ctx::LEVEL + coff, level);
+        prof.branch(5, level.abs() > 1);
+        prof.branch(6, level < 0);
+        next = zi + 1;
+    }
+    for _ in pair..8 {
+        prof.branch(13, false);
     }
     prof.kernel(entropy_kernel, nz * 3 + 6, 26, 0);
     nz
 }
 
-/// Reads one 4x4 block's syntax (mirror of [`write_coef_block`]).
+/// Reads one 4x4 block's syntax (mirror of [`write_coef_block`]). Returns
+/// the levels and the nonzero count.
 ///
 /// # Errors
 ///
@@ -77,14 +98,14 @@ pub fn read_coef_block<R: EntropyReader>(
     r: &mut R,
     chroma: bool,
     prof: &mut Profiler,
-) -> Result<CoefBlock, CodecError> {
+) -> Result<(CoefBlock, u32), CodecError> {
     use crate::instr::K_DEC_PARSE;
     let coff = u32::from(chroma) * 2;
     let mut levels: CoefBlock = [0; 16];
     if !r.get_bit(ctx::CBF + coff)? {
         prof.branch(4, false);
         prof.kernel(K_DEC_PARSE, 1, 18, 0);
-        return Ok(levels);
+        return Ok((levels, 0));
     }
     prof.branch(4, true);
     let nz = r.get_ue(ctx::NZ_COUNT + coff)? + 1;
@@ -94,6 +115,7 @@ pub fn read_coef_block<R: EntropyReader>(
             context: "nonzero count",
         });
     }
+    let mut sig = 0u32;
     let mut zi = 0usize;
     for _ in 0..nz {
         let run = r.get_ue(ctx::RUN + coff)? as usize;
@@ -114,17 +136,15 @@ pub fn read_coef_block<R: EntropyReader>(
         prof.branch(5, level.abs() > 1);
         prof.branch(6, level < 0);
         levels[ZIGZAG4X4[zi]] = level;
+        sig |= 1 << zi;
         zi += 1;
     }
     // Mirror the encoder's per-pair significance branches.
-    for zi in (0..16).step_by(2) {
-        prof.branch(
-            13,
-            levels[ZIGZAG4X4[zi]] != 0 || levels[ZIGZAG4X4[zi + 1]] != 0,
-        );
+    for pair in 0..8 {
+        prof.branch(13, pair_significant(sig, pair));
     }
     prof.kernel(K_DEC_PARSE, nz * 3 + 6, 24, 0);
-    Ok(levels)
+    Ok((levels, nz))
 }
 
 /// Feeds the trellis's per-coefficient accept/reject outcomes to the branch
@@ -249,8 +269,7 @@ pub fn decode_luma_residual<R: EntropyReader>(
     prof.load_range(scratch, 1024);
     for by in 0..4 {
         for bx in 0..4 {
-            let mut blk = read_coef_block(r, false, prof)?;
-            let nz = blk.iter().filter(|&&v| v != 0).count() as u32;
+            let (mut blk, nz) = read_coef_block(r, false, prof)?;
             if nz > 0 {
                 total_nz += nz;
                 dequant4x4(&mut blk, qp);
@@ -321,8 +340,7 @@ pub fn decode_chroma_residual<R: EntropyReader>(
     let mut total_nz = 0u32;
     for by in 0..2 {
         for bx in 0..2 {
-            let mut blk = read_coef_block(r, true, prof)?;
-            let nz = blk.iter().filter(|&&v| v != 0).count() as u32;
+            let (mut blk, nz) = read_coef_block(r, true, prof)?;
             if nz > 0 {
                 total_nz += nz;
                 dequant4x4(&mut blk, cqp);
@@ -332,6 +350,109 @@ pub fn decode_chroma_residual<R: EntropyReader>(
         }
     }
     Ok((recon, total_nz))
+}
+
+/// The two-pass block coders [`write_coef_block`] and [`read_coef_block`]
+/// are tested against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Counts, then scans: a significance test per coefficient.
+    pub fn write_coef_block<W: EntropyWriter>(
+        w: &mut W,
+        levels: &CoefBlock,
+        chroma: bool,
+        prof: &mut Profiler,
+        entropy_kernel: usize,
+    ) -> u32 {
+        let coff = u32::from(chroma) * 2;
+        let nz = levels.iter().filter(|&&v| v != 0).count() as u32;
+        w.put_bit(ctx::CBF + coff, nz > 0);
+        prof.branch(4, nz > 0);
+        if nz == 0 {
+            prof.kernel(entropy_kernel, 1, 18, 0);
+            return 0;
+        }
+        w.put_ue(ctx::NZ_COUNT + coff, nz - 1);
+        let mut run = 0u32;
+        for (zi, &pos) in ZIGZAG4X4.iter().enumerate() {
+            let level = levels[pos];
+            // The significance test is the run/level coder's inner branch; one
+            // data-dependent event per coefficient pair keeps the simulated
+            // branch density close to the real coder's.
+            if zi % 2 == 0 {
+                prof.branch(13, level != 0 || levels[ZIGZAG4X4[zi + 1]] != 0);
+            }
+            if level == 0 {
+                run += 1;
+            } else {
+                w.put_ue(ctx::RUN + coff, run);
+                w.put_se(ctx::LEVEL + coff, level);
+                prof.branch(5, level.abs() > 1);
+                prof.branch(6, level < 0);
+                run = 0;
+            }
+        }
+        prof.kernel(entropy_kernel, nz * 3 + 6, 26, 0);
+        nz
+    }
+
+    /// Places the levels, then scans the block for the pair events; the caller
+    /// counts the nonzero levels again.
+    pub fn read_coef_block<R: EntropyReader>(
+        r: &mut R,
+        chroma: bool,
+        prof: &mut Profiler,
+    ) -> Result<CoefBlock, CodecError> {
+        use crate::instr::K_DEC_PARSE;
+        let coff = u32::from(chroma) * 2;
+        let mut levels: CoefBlock = [0; 16];
+        if !r.get_bit(ctx::CBF + coff)? {
+            prof.branch(4, false);
+            prof.kernel(K_DEC_PARSE, 1, 18, 0);
+            return Ok(levels);
+        }
+        prof.branch(4, true);
+        let nz = r.get_ue(ctx::NZ_COUNT + coff)? + 1;
+        if nz > 16 {
+            return Err(CodecError::CorruptBitstream {
+                offset: 0,
+                context: "nonzero count",
+            });
+        }
+        let mut zi = 0usize;
+        for _ in 0..nz {
+            let run = r.get_ue(ctx::RUN + coff)? as usize;
+            zi += run;
+            if zi >= 16 {
+                return Err(CodecError::CorruptBitstream {
+                    offset: 0,
+                    context: "coefficient run",
+                });
+            }
+            let level = r.get_se(ctx::LEVEL + coff)?;
+            if level == 0 {
+                return Err(CodecError::CorruptBitstream {
+                    offset: 0,
+                    context: "zero level",
+                });
+            }
+            prof.branch(5, level.abs() > 1);
+            prof.branch(6, level < 0);
+            levels[ZIGZAG4X4[zi]] = level;
+            zi += 1;
+        }
+        // Mirror the encoder's per-pair significance branches.
+        for zi in (0..16).step_by(2) {
+            prof.branch(
+                13,
+                levels[ZIGZAG4X4[zi]] != 0 || levels[ZIGZAG4X4[zi + 1]] != 0,
+            );
+        }
+        prof.kernel(K_DEC_PARSE, nz * 3 + 6, 24, 0);
+        Ok(levels)
+    }
 }
 
 #[cfg(test)]
@@ -372,7 +493,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = CavlcReader::new(&bytes);
         let decoded = read_coef_block(&mut r, false, &mut p).unwrap();
-        assert_eq!(decoded, levels);
+        assert_eq!(decoded, (levels, 3));
     }
 
     #[test]
@@ -495,5 +616,72 @@ mod tests {
         // Either parses something odd or errors — but must not panic, and a
         // clearly invalid nz (>16) must error.
         let _ = read_coef_block(&mut r, false, &mut p);
+    }
+
+    /// The all-zero block, one coefficient at each position, the full block,
+    /// then seeded blocks of every density with mostly small levels.
+    fn test_blocks() -> Vec<CoefBlock> {
+        let mut blocks = vec![[0; 16], [-3; 16]];
+        for pos in 0..16 {
+            let mut b: CoefBlock = [0; 16];
+            b[pos] = if pos % 2 == 0 { 1 } else { -2 };
+            blocks.push(b);
+        }
+        let mut rng = vtx_rng::Xoshiro256pp::new(17);
+        for _ in 0..10_000 {
+            let density = rng.next_range(17);
+            let mut b: CoefBlock = [0; 16];
+            for v in &mut b {
+                if rng.next_range(16) < density {
+                    let big = rng.next_range(8) == 0;
+                    *v = rng.next_i64_in(-3, 3) as i32 * if big { 300 } else { 1 };
+                }
+            }
+            blocks.push(b);
+        }
+        blocks
+    }
+
+    /// Codes every test block through `new_w` with the mask coder and
+    /// through `old_w` with the two-pass one; returns the bytes both gave.
+    fn write_both_ways<W: EntropyWriter>(mut new_w: W, mut old_w: W) -> Vec<u8> {
+        let mut new_p = prof().recording_shard();
+        let mut old_p = prof().recording_shard();
+        let ek = crate::instr::K_CABAC;
+        for (i, b) in test_blocks().iter().enumerate() {
+            let chroma = i % 3 == 0;
+            let nz = write_coef_block(&mut new_w, b, chroma, &mut new_p, ek);
+            let want = oracle::write_coef_block(&mut old_w, b, chroma, &mut old_p, ek);
+            assert_eq!(nz, want, "block {i} {b:?}");
+            assert_eq!(new_p.take_events(), old_p.take_events(), "block {i} {b:?}");
+        }
+        let bytes = new_w.finish();
+        assert_eq!(bytes, old_w.finish());
+        bytes
+    }
+
+    /// Reads every test block back both ways.
+    fn read_both_ways<R: EntropyReader>(mut new_r: R, mut old_r: R) {
+        let mut new_p = prof().recording_shard();
+        let mut old_p = prof().recording_shard();
+        for (i, b) in test_blocks().iter().enumerate() {
+            let chroma = i % 3 == 0;
+            let (levels, nz) = read_coef_block(&mut new_r, chroma, &mut new_p).unwrap();
+            let want = oracle::read_coef_block(&mut old_r, chroma, &mut old_p).unwrap();
+            assert_eq!(levels, *b, "block {i}");
+            assert_eq!(want, *b, "block {i}");
+            let nonzero = b.iter().filter(|&&v| v != 0).count();
+            assert_eq!(nz as usize, nonzero, "block {i} {b:?}");
+            assert_eq!(new_p.take_events(), old_p.take_events(), "block {i} {b:?}");
+        }
+    }
+
+    #[test]
+    fn mask_coders_equal_the_two_pass_oracle() {
+        use crate::entropy::cabac::{CabacReader, CabacWriter};
+        let bytes = write_both_ways(CabacWriter::new(), CabacWriter::new());
+        read_both_ways(CabacReader::new(&bytes), CabacReader::new(&bytes));
+        let bytes = write_both_ways(CavlcWriter::new(), CavlcWriter::new());
+        read_both_ways(CavlcReader::new(&bytes), CavlcReader::new(&bytes));
     }
 }

@@ -15,7 +15,7 @@
 //! state; everything that must be *serial* to stay bit-identical — the
 //! entropy writer's adaptive contexts, the raster-order `prev_qp` chain,
 //! the profiler's cache/TLB/branch simulation — is captured per macroblock
-//! as a replayable record ([`MbRecord`]): syntax as bit-level commands
+//! as a replayable record ([`MbRecord`]): syntax as one command per symbol
 //! ([`SynCmd`]) and profiler traffic as [`ProfEvent`]s from a recording
 //! shard. The main thread stitches records in raster order into the real
 //! entropy writer and profiler, so the bitstream and every simulated
@@ -28,11 +28,12 @@ use vtx_frame::Frame;
 use vtx_trace::ProfEvent;
 
 use crate::config::EncoderConfig;
-use crate::entropy::{ctx, EntropyWriter};
+use crate::entropy::{ctx, se_to_ue, ue_len, EntropyWriter};
 use crate::types::{MotionVector, Qp};
 
-/// One recorded syntax command. Bits carry their context id so replaying
-/// them through the real (stateful CABAC / CAVLC) writer is exact;
+/// One recorded syntax command: a call on the [`EntropyWriter`], context id
+/// included, so replaying it through the real (stateful CABAC / CAVLC)
+/// writer is exact;
 /// QP deltas are recorded as the *absolute* per-MB QP because the delta
 /// depends on the raster-order predecessor, which a worker cannot know —
 /// the stitching [`DirectSink`] resolves it against its running `prev_qp`.
@@ -40,6 +41,10 @@ use crate::types::{MotionVector, Qp};
 pub(crate) enum SynCmd {
     /// `put_bit(ctx, bit)`.
     Bit(u32, bool),
+    /// `put_ue(ctx, v)`.
+    Ue(u32, u32),
+    /// `put_se(ctx, v)`.
+    Se(u32, i32),
     /// Absolute macroblock QP; encoded as a delta at stitch time.
     QpDelta(Qp),
 }
@@ -103,8 +108,19 @@ impl<'a, W: EntropyWriter> DirectSink<'a, W> {
 }
 
 impl<W: EntropyWriter> EntropyWriter for DirectSink<'_, W> {
+    #[inline]
     fn put_bit(&mut self, ctx: u32, bit: bool) {
         self.w.put_bit(ctx, bit);
+    }
+
+    #[inline]
+    fn put_ue(&mut self, ctx: u32, v: u32) {
+        self.w.put_ue(ctx, v);
+    }
+
+    #[inline]
+    fn put_se(&mut self, ctx: u32, v: i32) {
+        self.w.put_se(ctx, v);
     }
 
     fn bits_estimate(&self) -> f64 {
@@ -128,9 +144,9 @@ impl<W: EntropyWriter> MbSink for DirectSink<'_, W> {
     }
 }
 
-/// Captures the macroblock's syntax as replayable commands. `put_ue` /
-/// `put_se` decompose into `put_bit` calls in the [`EntropyWriter`]
-/// default methods, so recording at the bit level loses nothing.
+/// Captures the macroblock's syntax as replayable commands, one per
+/// [`EntropyWriter`] call: a symbol stays a symbol, so the real writer codes
+/// it at replay the way it would have coded it directly.
 #[derive(Debug, Default)]
 pub(crate) struct RecordSink {
     cmds: Vec<SynCmd>,
@@ -151,6 +167,16 @@ impl EntropyWriter for RecordSink {
     fn put_bit(&mut self, ctx: u32, bit: bool) {
         self.cmds.push(SynCmd::Bit(ctx, bit));
         self.bits += 1;
+    }
+
+    fn put_ue(&mut self, ctx: u32, v: u32) {
+        self.cmds.push(SynCmd::Ue(ctx, v));
+        self.bits += 2 * ue_len(v) - 1;
+    }
+
+    fn put_se(&mut self, ctx: u32, v: i32) {
+        self.cmds.push(SynCmd::Se(ctx, v));
+        self.bits += 2 * ue_len(se_to_ue(v)) - 1;
     }
 
     fn bits_estimate(&self) -> f64 {
@@ -185,6 +211,8 @@ impl MbRecord {
         for cmd in &self.syn {
             match *cmd {
                 SynCmd::Bit(c, b) => sink.put_bit(c, b),
+                SynCmd::Ue(c, v) => sink.put_ue(c, v),
+                SynCmd::Se(c, v) => sink.put_se(c, v),
                 SynCmd::QpDelta(qp) => sink.qp_delta(qp),
             }
         }
@@ -411,28 +439,54 @@ mod tests {
         assert_eq!(direct.finish(), w.finish());
     }
 
-    #[test]
-    fn recorded_bits_replay_exactly() {
-        let mut direct = CavlcWriter::new();
-        direct.put_bit(ctx::SKIP, false);
-        direct.put_ue(ctx::MB_MODE, 3);
-        direct.put_se(ctx::MVD_X, -7);
+    /// Writes a macroblock's worth of mixed syntax, edge values included.
+    fn write_syntax<S: EntropyWriter>(w: &mut S) {
+        w.put_bit(ctx::SKIP, false);
+        w.put_ue(ctx::MB_MODE, 3);
+        w.put_se(ctx::MVD_X, -7);
+        w.put_se(ctx::MVD_Y, 0);
+        w.put_bit(ctx::CBF, true);
+        for v in [0, 1, 2, 14, 15, 1 << 25, u32::MAX] {
+            w.put_ue(ctx::RUN, v);
+            w.put_se(ctx::LEVEL, v as i32);
+        }
+    }
+
+    fn replay_equals_direct<W: EntropyWriter + Default>() {
+        let mut direct = W::default();
+        write_syntax(&mut direct);
 
         let mut rec = RecordSink::new();
-        rec.put_bit(ctx::SKIP, false);
-        rec.put_ue(ctx::MB_MODE, 3);
-        rec.put_se(ctx::MVD_X, -7);
-        assert!(rec.bits_estimate() > 0.0);
+        write_syntax(&mut rec);
+        let bits = rec.bits_estimate();
         let record = MbRecord {
             class: MbClass::Inter,
             syn: rec.into_cmds(),
             events: Vec::new(),
         };
+        // One command per symbol, flags included.
+        assert_eq!(record.syn.len(), 19);
+        assert_eq!(record.syn[1], SynCmd::Ue(ctx::MB_MODE, 3));
+        assert_eq!(record.syn[2], SynCmd::Se(ctx::MVD_X, -7));
 
-        let mut w = CavlcWriter::new();
+        let mut w = W::default();
         let mut sink = DirectSink::new(&mut w, Qp::new(26));
         record.replay_syntax(&mut sink);
+        // The recorded count is in bins: the exact size of the raw-bit form.
+        let raw_bits = {
+            let mut raw = CavlcWriter::new();
+            write_syntax(&mut raw);
+            raw.bits_estimate()
+        };
+        assert_eq!(bits, raw_bits);
+        assert_eq!(direct.bits_estimate(), w.bits_estimate());
         assert_eq!(direct.finish(), w.finish());
+    }
+
+    #[test]
+    fn recorded_bits_replay_exactly() {
+        replay_equals_direct::<CavlcWriter>();
+        replay_equals_direct::<crate::entropy::cabac::CabacWriter>();
     }
 
     #[test]

@@ -165,6 +165,12 @@ pub fn generate(spec: &VideoSpec, seed: u64) -> Video {
 
 /// Like [`generate`] but with an explicit, possibly hand-tuned profile.
 pub fn generate_with_profile(spec: &VideoSpec, profile: &ContentProfile, seed: u64) -> Video {
+    generate_by(spec, profile, seed, render_frame)
+}
+
+type RenderFn = fn(usize, usize, &Scene, (f64, f64), &ContentProfile, &mut Xoshiro256pp) -> Frame;
+
+fn generate_by(spec: &VideoSpec, profile: &ContentProfile, seed: u64, render: RenderFn) -> Video {
     let w = spec.sim_width as usize;
     let h = spec.sim_height as usize;
     let mut rng = Xoshiro256pp::new(seed ^ name_hash(&spec.short_name));
@@ -179,7 +185,7 @@ pub fn generate_with_profile(spec: &VideoSpec, profile: &ContentProfile, seed: u
                 pan = (0.0, 0.0);
             }
         }
-        frames.push(render_frame(w, h, &scene, pan, profile, &mut rng));
+        frames.push(render(w, h, &scene, pan, profile, &mut rng));
         pan.0 += profile.pan_px * scene.pan_dir.0;
         pan.1 += profile.pan_px * scene.pan_dir.1;
         scene.advance(w as f64, h as f64);
@@ -187,6 +193,11 @@ pub fn generate_with_profile(spec: &VideoSpec, profile: &ContentProfile, seed: u
     Video::new(spec.clone(), frames)
 }
 
+/// Renders one frame. Every libm call depends on one coordinate only, so
+/// each is evaluated once per column or row (per object for the object
+/// textures) and the pixel loops add table entries; argument expressions,
+/// per-pixel sums and the noise draw order are those of the per-pixel
+/// definition (`oracle::render_frame`), so clips are bit-identical to it.
 fn render_frame(
     w: usize,
     h: usize,
@@ -199,21 +210,41 @@ fn render_frame(
     let fx = profile.texture_freq;
     let fy = profile.texture_freq * 0.83;
 
+    let bg_sin_x: Vec<f64> = (0..w)
+        .map(|x| ((x as f64 + pan.0) * fx + scene.bg_phase_x).sin())
+        .collect();
+    // Row-major per object: sin of the object texture at column x, where the
+    // column lies inside the object (other entries are never read).
+    let mut obj_sin_x = vec![0.0f64; scene.objects.len() * w];
+    for (o, row) in scene.objects.iter().zip(obj_sin_x.chunks_exact_mut(w)) {
+        for (x, s) in row.iter_mut().enumerate() {
+            let dx = x as f64 - o.x;
+            if dx >= 0.0 && dx < o.w {
+                *s = (dx * fx * 1.7 + o.tex_phase).sin();
+            }
+        }
+    }
+    // Objects whose vertical extent covers the current row, in scene order,
+    // each with its texture's cosine at that row.
+    let mut in_row: Vec<(usize, f64)> = Vec::with_capacity(scene.objects.len());
+
     for y in 0..h {
         let wy = (y as f64 + pan.1) * fy + scene.bg_phase_y;
         let sin_y = wy.sin();
+        in_row.clear();
+        for (i, o) in scene.objects.iter().enumerate() {
+            let dy = y as f64 - o.y;
+            if dy >= 0.0 && dy < o.h {
+                in_row.push((i, (dy * fy * 1.9 + o.tex_phase).cos()));
+            }
+        }
         for x in 0..w {
-            let wx = (x as f64 + pan.0) * fx + scene.bg_phase_x;
-            let mut v = scene.bg_base + profile.texture_amp * 0.5 * (wx.sin() + sin_y);
-            for o in &scene.objects {
+            let mut v = scene.bg_base + profile.texture_amp * 0.5 * (bg_sin_x[x] + sin_y);
+            for &(i, cos_y) in &in_row {
+                let o = &scene.objects[i];
                 let dx = x as f64 - o.x;
-                let dy = y as f64 - o.y;
-                if dx >= 0.0 && dx < o.w && dy >= 0.0 && dy < o.h {
-                    v = o.luma
-                        + profile.texture_amp
-                            * 0.4
-                            * ((dx * fx * 1.7 + o.tex_phase).sin()
-                                + (dy * fy * 1.9 + o.tex_phase).cos());
+                if dx >= 0.0 && dx < o.w {
+                    v = o.luma + profile.texture_amp * 0.4 * (obj_sin_x[i * w + x] + cos_y);
                 }
             }
             if profile.noise_amp > 0.0 {
@@ -226,12 +257,16 @@ fn render_frame(
     // Chroma at quarter resolution: slow gradients plus object tints.
     let cw = w / 2;
     let ch = h / 2;
+    let bg_u: Vec<f64> = (0..cw)
+        .map(|x| 128.0 + 14.0 * (((x * 2) as f64 + pan.0) * fx * 0.21 + scene.bg_phase_x).sin())
+        .collect();
     for y in 0..ch {
-        for x in 0..cw {
+        let py = (y * 2) as f64;
+        let bg_v = 128.0 + 14.0 * ((py + pan.1) * fy * 0.19 + scene.bg_phase_y).cos();
+        for (x, &bg_u) in bg_u.iter().enumerate() {
             let px = (x * 2) as f64;
-            let py = (y * 2) as f64;
-            let mut u = 128.0 + 14.0 * ((px + pan.0) * fx * 0.21 + scene.bg_phase_x).sin();
-            let mut vv = 128.0 + 14.0 * ((py + pan.1) * fy * 0.19 + scene.bg_phase_y).cos();
+            let mut u = bg_u;
+            let mut vv = bg_v;
             for o in &scene.objects {
                 let dx = px - o.x;
                 let dy = py - o.y;
@@ -245,6 +280,72 @@ fn render_frame(
         }
     }
     frame
+}
+
+/// The per-pixel definition [`render_frame`] is tested against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn render_frame(
+        w: usize,
+        h: usize,
+        scene: &Scene,
+        pan: (f64, f64),
+        profile: &ContentProfile,
+        rng: &mut Xoshiro256pp,
+    ) -> Frame {
+        let mut frame = Frame::new(w, h);
+        let fx = profile.texture_freq;
+        let fy = profile.texture_freq * 0.83;
+
+        for y in 0..h {
+            let wy = (y as f64 + pan.1) * fy + scene.bg_phase_y;
+            let sin_y = wy.sin();
+            for x in 0..w {
+                let wx = (x as f64 + pan.0) * fx + scene.bg_phase_x;
+                let mut v = scene.bg_base + profile.texture_amp * 0.5 * (wx.sin() + sin_y);
+                for o in &scene.objects {
+                    let dx = x as f64 - o.x;
+                    let dy = y as f64 - o.y;
+                    if dx >= 0.0 && dx < o.w && dy >= 0.0 && dy < o.h {
+                        v = o.luma
+                            + profile.texture_amp
+                                * 0.4
+                                * ((dx * fx * 1.7 + o.tex_phase).sin()
+                                    + (dy * fy * 1.9 + o.tex_phase).cos());
+                    }
+                }
+                if profile.noise_amp > 0.0 {
+                    v += rng.next_f64_in_inclusive(-profile.noise_amp, profile.noise_amp);
+                }
+                frame.y_mut().set(x, y, v.clamp(0.0, 255.0) as u8);
+            }
+        }
+
+        // Chroma at quarter resolution: slow gradients plus object tints.
+        let cw = w / 2;
+        let ch = h / 2;
+        for y in 0..ch {
+            for x in 0..cw {
+                let px = (x * 2) as f64;
+                let py = (y * 2) as f64;
+                let mut u = 128.0 + 14.0 * ((px + pan.0) * fx * 0.21 + scene.bg_phase_x).sin();
+                let mut vv = 128.0 + 14.0 * ((py + pan.1) * fy * 0.19 + scene.bg_phase_y).cos();
+                for o in &scene.objects {
+                    let dx = px - o.x;
+                    let dy = py - o.y;
+                    if dx >= 0.0 && dx < o.w && dy >= 0.0 && dy < o.h {
+                        u = 128.0 + o.tint_u;
+                        vv = 128.0 + o.tint_v;
+                    }
+                }
+                frame.u_mut().set(x, y, u.clamp(0.0, 255.0) as u8);
+                frame.v_mut().set(x, y, vv.clamp(0.0, 255.0) as u8);
+            }
+        }
+        frame
+    }
 }
 
 #[cfg(test)]
@@ -262,6 +363,24 @@ mod tests {
         assert!(hi.noise_amp > lo.noise_amp);
         assert!(lo.cut_period.is_none());
         assert!(hi.cut_period.is_some());
+    }
+
+    #[test]
+    fn table_renderer_equals_per_pixel_oracle() {
+        // No cuts (`desktop`, entropy 0.2), a cut every 8 frames (`girl`,
+        // 5.9) and the catalog's shortest period, 6 (`hall`, 7.7).
+        for name in ["desktop", "girl", "hall"] {
+            let spec = vbench::by_name(name).unwrap();
+            let profile = ContentProfile::from_entropy(spec.entropy);
+            for seed in [3, 42] {
+                let want = generate_by(&spec, &profile, seed, oracle::render_frame);
+                assert_eq!(
+                    generate(&spec, seed).frames,
+                    want.frames,
+                    "{name} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

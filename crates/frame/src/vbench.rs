@@ -71,6 +71,32 @@ fn round_to_mb(v: u32) -> u32 {
     r.max(32)
 }
 
+/// Table I as published — short name, nominal width and height, frames per
+/// second, entropy — in the paper's (entropy-sorted) order, plus Big Buck
+/// Bunny, widely studied in prior work (entropy estimated mid-range).
+const TABLE1: [(&str, u32, u32, u32, f64); 16] = [
+    ("desktop", 1280, 720, 30, 0.2),
+    ("presentation", 1920, 1080, 25, 0.2),
+    ("bike", 1280, 720, 29, 0.9),
+    ("funny", 1920, 1080, 30, 2.5),
+    ("cricket", 1280, 720, 30, 3.4),
+    ("house", 1920, 1080, 30, 3.6),
+    ("game1", 1920, 1080, 60, 4.6),
+    ("game2", 1280, 720, 30, 4.9),
+    ("girl", 1280, 720, 30, 5.9),
+    ("chicken", 3840, 2160, 30, 5.9),
+    ("game3", 1280, 720, 59, 6.1),
+    ("cat", 854, 480, 29, 6.8),
+    ("holi", 854, 480, 30, 7.0),
+    ("landscape", 1920, 1080, 29, 7.2),
+    ("hall", 1920, 1080, 29, 7.7),
+    ("bbb", 1920, 1080, 30, 3.0),
+];
+
+fn spec_of(&(short, width, height, fps, entropy): &(&str, u32, u32, u32, f64)) -> VideoSpec {
+    VideoSpec::from_table(short, width, height, fps, entropy)
+}
+
 /// The 15 vbench clips of Table I, in the paper's (entropy-sorted) order,
 /// plus Big Buck Bunny which the paper also studies.
 ///
@@ -83,25 +109,7 @@ fn round_to_mb(v: u32) -> u32 {
 /// assert!(cat.iter().any(|v| v.short_name == "bbb"));
 /// ```
 pub fn catalog() -> Vec<VideoSpec> {
-    vec![
-        VideoSpec::from_table("desktop", 1280, 720, 30, 0.2),
-        VideoSpec::from_table("presentation", 1920, 1080, 25, 0.2),
-        VideoSpec::from_table("bike", 1280, 720, 29, 0.9),
-        VideoSpec::from_table("funny", 1920, 1080, 30, 2.5),
-        VideoSpec::from_table("cricket", 1280, 720, 30, 3.4),
-        VideoSpec::from_table("house", 1920, 1080, 30, 3.6),
-        VideoSpec::from_table("game1", 1920, 1080, 60, 4.6),
-        VideoSpec::from_table("game2", 1280, 720, 30, 4.9),
-        VideoSpec::from_table("girl", 1280, 720, 30, 5.9),
-        VideoSpec::from_table("chicken", 3840, 2160, 30, 5.9),
-        VideoSpec::from_table("game3", 1280, 720, 59, 6.1),
-        VideoSpec::from_table("cat", 854, 480, 29, 6.8),
-        VideoSpec::from_table("holi", 854, 480, 30, 7.0),
-        VideoSpec::from_table("landscape", 1920, 1080, 29, 7.2),
-        VideoSpec::from_table("hall", 1920, 1080, 29, 7.7),
-        // Big Buck Bunny, widely studied in prior work (entropy estimated mid-range).
-        VideoSpec::from_table("bbb", 1920, 1080, 30, 3.0),
-    ]
+    TABLE1.iter().map(spec_of).collect()
 }
 
 /// Looks up a catalog entry by its short name.
@@ -113,7 +121,7 @@ pub fn catalog() -> Vec<VideoSpec> {
 /// assert_eq!(v.nominal_height, 480);
 /// ```
 pub fn by_name(short_name: &str) -> Option<VideoSpec> {
-    catalog().into_iter().find(|v| v.short_name == short_name)
+    TABLE1.iter().find(|row| row.0 == short_name).map(spec_of)
 }
 
 #[cfg(test)]
@@ -156,6 +164,13 @@ mod tests {
     #[test]
     fn unknown_name_is_none() {
         assert!(by_name("nope").is_none());
+    }
+
+    #[test]
+    fn by_name_is_the_catalog_row() {
+        for v in catalog() {
+            assert_eq!(by_name(&v.short_name), Some(v));
+        }
     }
 
     #[test]

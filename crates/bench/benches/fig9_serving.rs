@@ -63,7 +63,7 @@ fn hot_set_bytes(plan: &SegmentPlan, unit_bytes: &[u64]) -> u64 {
     for (i, u) in plan.units.iter().enumerate() {
         uniq.insert(
             (
-                u.task.video.clone(),
+                u.task.video.to_string(),
                 u.task.preset.name().to_owned(),
                 u.task.crf,
                 u.task.refs,

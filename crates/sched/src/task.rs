@@ -1,12 +1,16 @@
 //! Transcoding tasks — Table III of the paper.
 
+use std::sync::Arc;
+
 use vtx_codec::{EncoderConfig, Preset};
 
 /// One transcoding job: a video plus its parameter combination.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscodeTask {
-    /// Short video name from the vbench catalog.
-    pub video: String,
+    /// Short video name from the vbench catalog. Shared: a trace names a
+    /// handful of videos thousands of times, so generators hand every task
+    /// of one video the same allocation and a clone is a count bump.
+    pub video: Arc<str>,
     /// CRF value.
     pub crf: u8,
     /// Reference frame count.
@@ -19,7 +23,7 @@ impl TranscodeTask {
     /// Creates a task.
     pub fn new(video: &str, crf: u8, refs: u8, preset: Preset) -> Self {
         TranscodeTask {
-            video: video.to_owned(),
+            video: video.into(),
             crf,
             refs,
             preset,
@@ -51,7 +55,7 @@ impl TranscodeTask {
 /// ```
 /// let tasks = vtx_sched::table_iii_tasks();
 /// assert_eq!(tasks.len(), 4);
-/// assert_eq!(tasks[0].video, "desktop");
+/// assert_eq!(&*tasks[0].video, "desktop");
 /// assert_eq!(tasks[1].crf, 10);
 /// ```
 pub fn table_iii_tasks() -> Vec<TranscodeTask> {
@@ -83,7 +87,7 @@ mod tests {
     fn with_preset_swaps_only_the_preset() {
         let t = TranscodeTask::new("holi", 10, 1, Preset::Slow).with_preset(Preset::Ultrafast);
         assert_eq!(t.preset, Preset::Ultrafast);
-        assert_eq!((t.video.as_str(), t.crf, t.refs), ("holi", 10, 1));
+        assert_eq!((&*t.video, t.crf, t.refs), ("holi", 10, 1));
         // The crf/refs overrides still apply at the new preset.
         let cfg = t.encoder_config();
         assert_eq!(cfg.refs, 1);

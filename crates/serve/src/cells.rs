@@ -249,14 +249,34 @@ impl IdleIndex {
         self.nth_idle(before)
     }
 
+    /// Replaces `out` with the idle servers of cell `c`, ascending. The
+    /// count is known ([`IdleIndex::idle_in_cell`]), so a buffer that has
+    /// held a cell before is not reallocated.
+    pub fn fill_cell_idle(&self, c: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.reserve(self.idle_in_cell(c));
+        out.extend(self.plan.range(c).filter(|&s| self.idle[s]));
+    }
+
+    /// Replaces `out` with all idle servers, ascending.
+    pub fn fill_idle(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.reserve(self.total);
+        out.extend((0..self.idle.len()).filter(|&s| self.idle[s]));
+    }
+
     /// The idle servers of cell `c`, ascending.
     pub fn cell_idle(&self, c: usize) -> Vec<usize> {
-        self.plan.range(c).filter(|&s| self.idle[s]).collect()
+        let mut out = Vec::new();
+        self.fill_cell_idle(c, &mut out);
+        out
     }
 
     /// All idle servers, ascending.
     pub fn to_vec(&self) -> Vec<usize> {
-        (0..self.idle.len()).filter(|&s| self.idle[s]).collect()
+        let mut out = Vec::new();
+        self.fill_idle(&mut out);
+        out
     }
 }
 
@@ -359,6 +379,42 @@ mod tests {
         for s in 0..20 {
             let want = (s..20).find(|&x| idx.is_idle(x));
             assert_eq!(idx.next_idle_at_or_after(s), want, "s={s}");
+        }
+    }
+
+    #[test]
+    fn idle_lists_equal_the_filtered_ranges_under_churn() {
+        use crate::rng::SplitMix64;
+        let n = 300;
+        let mut idx = IdleIndex::new(CellPlan::build(n, 7, 1));
+        let mut bits = vec![true; n];
+        let mut rng = SplitMix64::new(0x1D1E);
+        let (mut cell_buf, mut all_buf) = (Vec::new(), Vec::new());
+        for step in 0..10_000 {
+            let s = rng.next_range(n as u64) as usize;
+            let to_idle = rng.next_range(2) == 0;
+            let changed = if to_idle {
+                idx.set_idle(s)
+            } else {
+                idx.set_busy(s)
+            };
+            assert_eq!(changed, bits[s] != to_idle, "step {step}");
+            bits[s] = to_idle;
+            if step % 97 != 0 {
+                continue;
+            }
+            let want: Vec<usize> = (0..n).filter(|&s| bits[s]).collect();
+            idx.fill_idle(&mut all_buf);
+            assert_eq!(all_buf, want, "step {step}");
+            assert_eq!(idx.to_vec(), want);
+            assert_eq!(idx.total(), want.len());
+            for c in 0..idx.plan().n_cells() {
+                let want: Vec<usize> = idx.plan().range(c).filter(|&s| bits[s]).collect();
+                idx.fill_cell_idle(c, &mut cell_buf);
+                assert_eq!(cell_buf, want, "step {step} cell {c}");
+                assert_eq!(idx.cell_idle(c), want);
+                assert_eq!(idx.idle_in_cell(c), want.len());
+            }
         }
     }
 

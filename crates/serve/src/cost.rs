@@ -15,8 +15,8 @@
 //!   issue-port execution model (`vtx-port`): the job's preset-rank uop mix
 //!   is solved against the server's port layout, and the relief a wider
 //!   layout offers (the `be_op2` column's seventh port) divides the
-//!   predicted time. Factors are precomputed per (config, preset rank) at
-//!   construction, so the refinement costs one table lookup per query.
+//!   predicted time. Factors are precomputed per (config, preset rank), so
+//!   the refinement costs one table lookup per query.
 //! * [`CostModel::true_us`] — what the discrete-event engine bills: the
 //!   *port-refined* prediction times deterministic lognormal-ish noise that
 //!   is a pure function of `(seed, job, server)`. Truth never depends on
@@ -24,8 +24,13 @@
 //!   ground and any run is exactly reproducible — and a policy that ranks
 //!   by the port-refined prediction optimizes the billed objective exactly,
 //!   while port-blind policies optimize an approximation of it.
+//!
+//! The catalog and the port-relief factors depend on nothing but static
+//! data, so they live in one process-wide table built on first use; a
+//! [`CostModel`] is its noise seed, four gains and a reference to it.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use vtx_codec::Preset;
 use vtx_frame::vbench;
@@ -49,33 +54,22 @@ const PIXEL_RATE: f64 = 80.0e6;
 /// Nominal clip duration in seconds (vbench clips are ~5 s excerpts).
 const CLIP_SECONDS: f64 = 5.0;
 
-/// Deterministic service-time model over a video catalog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
-    /// Noise seed (usually the workload seed).
-    pub seed: u64,
-    /// Multiplier on the affinity benefit share: how strongly a matching
-    /// Table IV configuration speeds a task up.
-    pub affinity_gain: f64,
-    /// Lognormal sigma of the per-job size surprise (same on all servers).
-    pub sigma_job: f64,
-    /// Lognormal sigma of the per-(job, server) residual.
-    pub sigma_pair: f64,
-    /// Multiplier on the port-model relief: how strongly a wider port
-    /// layout shortens a port-bound job. 1.0 = take the solver at its word.
-    pub port_gain: f64,
-    /// Catalog cache: video short name → (pixels per clip, entropy).
+/// What the model derives from the static catalogs alone — the vbench
+/// entries and the Table IV port layouts — and so needs once per process,
+/// not once per run: building it solves 100 `dispatch_bound` LPs.
+#[derive(Debug, PartialEq)]
+struct StaticTable {
+    /// Video short name → (pixels per clip, entropy).
     catalog: BTreeMap<String, (f64, f64)>,
-    /// Precomputed port relief per (config name → preset rank): the
-    /// relative dispatch-bound gain of that config's port layout over the
-    /// baseline layout for the rank's dominant-kernel uop mix (0 when the
-    /// layouts are identical).
+    /// Port relief per (config name → preset rank): the relative
+    /// dispatch-bound gain of that config's port layout over the baseline
+    /// layout for the rank's dominant-kernel uop mix (0 when the layouts
+    /// are identical).
     port_relief: BTreeMap<String, [f64; 10]>,
 }
 
-impl CostModel {
-    /// Builds the model over the full vbench catalog.
-    pub fn new(seed: u64) -> Self {
+impl StaticTable {
+    fn build() -> Self {
         let catalog = vbench::catalog()
             .into_iter()
             .map(|v| {
@@ -100,34 +94,71 @@ impl CostModel {
             }
             port_relief.insert(cfg.name.clone(), reliefs);
         }
+        StaticTable {
+            catalog,
+            port_relief,
+        }
+    }
+
+    /// The process-wide table, built by whoever asks first.
+    fn get() -> &'static StaticTable {
+        static TABLE: OnceLock<StaticTable> = OnceLock::new();
+        TABLE.get_or_init(StaticTable::build)
+    }
+}
+
+/// Deterministic service-time model over a video catalog.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostModel {
+    /// Noise seed (usually the workload seed).
+    pub seed: u64,
+    /// Multiplier on the affinity benefit share: how strongly a matching
+    /// Table IV configuration speeds a task up.
+    pub affinity_gain: f64,
+    /// Lognormal sigma of the per-job size surprise (same on all servers).
+    pub sigma_job: f64,
+    /// Lognormal sigma of the per-(job, server) residual.
+    pub sigma_pair: f64,
+    /// Multiplier on the port-model relief: how strongly a wider port
+    /// layout shortens a port-bound job. 1.0 = take the solver at its word.
+    pub port_gain: f64,
+    /// The catalog and port-relief tables, shared by every model.
+    table: &'static StaticTable,
+}
+
+impl CostModel {
+    /// Builds the model over the full vbench catalog. Only the first call
+    /// in a process builds the static table; after it a model is five
+    /// numbers and a reference.
+    pub fn new(seed: u64) -> Self {
         CostModel {
             seed,
             affinity_gain: 2.5,
             sigma_job: 0.45,
             sigma_pair: 0.30,
             port_gain: 1.0,
-            catalog,
-            port_relief,
+            table: StaticTable::get(),
         }
     }
 
     /// Whether the model can price this video.
     pub fn knows(&self, video: &str) -> bool {
-        self.catalog.contains_key(video)
+        self.table.catalog.contains_key(video)
     }
 
     fn lookup(&self, video: &str) -> (f64, f64) {
         // Unknown videos are rejected at admission; mid-catalog defaults
         // keep the model total if one slips through.
-        self.catalog
+        self.table
+            .catalog
             .get(video)
             .copied()
             .unwrap_or((1280.0 * 720.0 * 30.0 * CLIP_SECONDS, 3.0))
     }
 
-    /// Baseline-server seconds for a task (speed 1.0, no affinity gain).
-    fn base_seconds(&self, task: &TranscodeTask) -> f64 {
-        let (px, _) = self.lookup(&task.video);
+    /// Baseline-server seconds for a task of `px` pixels per clip (speed
+    /// 1.0, no affinity gain).
+    fn base_seconds(task: &TranscodeTask, px: f64) -> f64 {
         let rank = Preset::ALL
             .iter()
             .position(|&p| p == task.preset)
@@ -141,12 +172,12 @@ impl CostModel {
 
     /// The policy-visible prediction in microseconds (≥ 1).
     pub fn predicted_us(&self, job: &JobSpec, server: &ServerSpec) -> u64 {
-        let (_, entropy) = self.lookup(&job.task.video);
+        let (px, entropy) = self.lookup(&job.task.video);
         let gain = server
             .config_index()
             .map(|k| self.affinity_gain * predict_benefit(&job.task, entropy)[k])
             .unwrap_or(0.0);
-        let secs = self.base_seconds(&job.task) / (server.speed * (1.0 + gain));
+        let secs = Self::base_seconds(&job.task, px) / (server.speed * (1.0 + gain));
         ((secs * 1e6).round() as u64).max(1)
     }
 
@@ -161,6 +192,7 @@ impl CostModel {
             .position(|&p| p == job.task.preset)
             .unwrap_or(5);
         let relief = self
+            .table
             .port_relief
             .get(&server.uarch.name)
             .map_or(0.0, |r| r[rank]);
@@ -335,6 +367,32 @@ mod tests {
             m.true_us(&j, 1, f.server(1)),
             blind.true_us(&j, 1, f.server(1))
         );
+    }
+
+    #[test]
+    fn static_table_equals_a_fresh_solve_and_models_differ_only_by_seed() {
+        let table = StaticTable::get();
+        assert_eq!(*table, StaticTable::build(), "built once == built now");
+        let baseline = UarchConfig::baseline();
+        let configs = UarchConfig::table_iv();
+        assert_eq!(table.port_relief.len(), configs.len());
+        for cfg in &configs {
+            for rank in 0..Preset::ALL.len() {
+                let mix = UopMix::for_preset_rank(rank);
+                let base = dispatch_bound(&baseline, &mix).unwrap();
+                let here = dispatch_bound(cfg, &mix).unwrap();
+                let want = ((here - base) / base.max(f64::MIN_POSITIVE)).max(0.0);
+                assert_eq!(
+                    table.port_relief[&cfg.name][rank], want,
+                    "{} {rank}",
+                    cfg.name
+                );
+            }
+        }
+        let (a, b) = (CostModel::new(1), CostModel::new(2));
+        assert!(std::ptr::eq(a.table, b.table), "one table per process");
+        assert_ne!(a, b);
+        assert_eq!(CostModel { seed: 2, ..a }, b);
     }
 
     #[test]

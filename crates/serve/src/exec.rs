@@ -158,21 +158,21 @@ fn build_pool(
 ) -> Result<BTreeMap<String, Arc<Transcoder>>, ServeError> {
     let mut transcoders: BTreeMap<String, Arc<Transcoder>> = BTreeMap::new();
     if let Some(plan) = seg {
-        let mut fulls: BTreeMap<String, Video> = BTreeMap::new();
+        let mut fulls: BTreeMap<&str, Video> = BTreeMap::new();
         for p in &plan.parents {
-            if !fulls.contains_key(&p.video) {
+            if !fulls.contains_key(&*p.video) {
                 let mut spec =
                     vbench::by_name(&p.video).ok_or_else(|| ServeError::UnknownVideo {
-                        name: p.video.clone(),
+                        name: p.video.to_string(),
                     })?;
                 if plan.tiny {
                     spec.sim_width = 64;
                     spec.sim_height = 48;
                     spec.sim_frames = 6;
                 }
-                fulls.insert(p.video.clone(), synth::generate(&spec, seed));
+                fulls.insert(&p.video, synth::generate(&spec, seed));
             }
-            let full = &fulls[&p.video];
+            let full = &fulls[&*p.video];
             for (si, &start) in p.points.iter().enumerate() {
                 let key = format!("{}#{si}", p.video);
                 if transcoders.contains_key(&key) {
@@ -188,11 +188,11 @@ fn build_pool(
         return Ok(transcoders);
     }
     for j in jobs {
-        if transcoders.contains_key(&j.task.video) {
+        if transcoders.contains_key(&*j.task.video) {
             continue;
         }
         let mut spec = vbench::by_name(&j.task.video).ok_or_else(|| ServeError::UnknownVideo {
-            name: j.task.video.clone(),
+            name: j.task.video.to_string(),
         })?;
         if cfg.tiny_videos {
             spec.sim_width = 64;
@@ -200,7 +200,7 @@ fn build_pool(
             spec.sim_frames = 6;
         }
         let t = Transcoder::from_video(synth::generate(&spec, seed))?;
-        transcoders.insert(j.task.video.clone(), Arc::new(t));
+        transcoders.insert(j.task.video.to_string(), Arc::new(t));
     }
     Ok(transcoders)
 }
@@ -269,7 +269,7 @@ fn run_real_inner(
                 let work_start = start.elapsed().as_micros() as u64;
                 let key = match &seg_map {
                     Some(m) => format!("{}#{}", job.spec.task.video, m[job.spec.id as usize]),
-                    None => job.spec.task.video.clone(),
+                    None => job.spec.task.video.to_string(),
                 };
                 let outcome = pool
                     .get(&key)

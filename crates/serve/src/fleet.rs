@@ -123,13 +123,13 @@ impl Fleet {
         let base = Fleet::table_iv();
         let mut servers = Vec::with_capacity(base.len() * n);
         for r in 0..n {
-            for s in &base.servers {
-                let mut s = s.clone();
-                // base names end in "-0"; re-suffix per replica.
-                let stem = s.name.trim_end_matches("-0").to_owned();
-                s.name = format!("{stem}-{r}");
-                servers.push(s);
-            }
+            // Base names are "{config}-0"; replica r is "{config}-{r}".
+            let suffix = format!("-{r}");
+            servers.extend(base.servers.iter().map(|s| ServerSpec {
+                name: [s.uarch.name.as_str(), &suffix].concat(),
+                uarch: s.uarch.clone(),
+                speed: s.speed,
+            }));
         }
         Ok(Fleet { servers })
     }
@@ -145,7 +145,7 @@ impl Fleet {
         if n == 0 {
             return Err(ServeError::EmptyFleet);
         }
-        let per = Fleet::table_iv().len();
+        let per = CONFIG_NAMES.len() + 1; // the baseline plus the modified four
         let mut f = Fleet::table_iv_replicated(n.div_ceil(per))?;
         f.servers.truncate(n);
         Ok(f)
@@ -196,6 +196,25 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 10, "server names must be unique");
+    }
+
+    #[test]
+    fn replica_names_equal_the_resuffixed_base_names() {
+        // How names were built before they came straight from the config:
+        // strip the base fleet's "-0", append the replica index.
+        let base = Fleet::table_iv();
+        let f = Fleet::table_iv_replicated(3).unwrap();
+        assert_eq!(f.len(), 3 * base.len());
+        for r in 0..3 {
+            for (i, b) in base.servers().iter().enumerate() {
+                let got = f.server(r * base.len() + i);
+                let stem = b.name.trim_end_matches("-0");
+                assert_eq!(got.name, format!("{stem}-{r}"));
+                assert_eq!((&got.uarch, got.speed), (&b.uarch, b.speed));
+            }
+        }
+        assert_eq!(f.servers()[..base.len()], *base.servers(), "replica 0");
+        assert_eq!(Fleet::sized(base.len()).unwrap(), base);
     }
 
     #[test]

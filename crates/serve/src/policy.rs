@@ -20,13 +20,19 @@
 //! same solve runs *within* each chosen cell, so nothing is O(fleet).
 //!
 //! The model-driven policies also memoize predictions: the cost model is a
-//! pure function of (task parameters, server class), so each (task, class)
-//! pair is priced once per detector epoch and invalidated wholesale on any
-//! Suspect/Down/Degrade transition (the epoch bump in
-//! [`DispatchCtx::health_epoch`]).
+//! pure function of (task parameters, server class), so each task owns one
+//! row of base prices indexed by class, filled as classes are first seen
+//! and invalidated wholesale on any Suspect/Down/Degrade transition (the
+//! epoch bump in [`DispatchCtx::health_epoch`]). The server → class map is
+//! the run's, not the policy's ([`DispatchCtx::classes`]), and the cost
+//! matrix, the idle list, the cell routing and the solver's state are
+//! buffers the policy keeps: a round in steady state allocates only the
+//! pick list it returns.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use vtx_chaos::Health;
 use vtx_codec::Preset;
@@ -36,7 +42,7 @@ use crate::cost::CostModel;
 use crate::fleet::Fleet;
 use crate::queue::PendingJob;
 use crate::rng::SplitMix64;
-use vtx_sched::hungarian;
+use vtx_sched::hungarian::Solver;
 
 /// Cost multiplier the model-driven policies apply to servers the failure
 /// detector currently suspects: high enough that a suspected server is only
@@ -44,11 +50,61 @@ use vtx_sched::hungarian;
 /// matrix stays well-conditioned.
 pub const SUSPECT_PENALTY: f64 = 64.0;
 
+/// Server → class: servers with identical (uarch, speed) — the only inputs
+/// the cost model reads — share a class, so a prediction made for one
+/// prices them all. Built once per run by whoever owns the fleet
+/// ([`crate::service::ServiceCore::new`]) and lent to policies through
+/// [`DispatchCtx::classes`].
+#[derive(Debug, Clone)]
+pub struct ClassMap {
+    /// Process-unique identity: what a policy keeps to notice that the map
+    /// it priced under is not the one it is handed now. Identity, not
+    /// content — two maps of equal fleets differ, which costs a policy
+    /// reused across them one refill of its memo.
+    id: u64,
+    class_of: Vec<u16>,
+    n_classes: usize,
+}
+
+impl ClassMap {
+    /// Classes of `fleet`, numbered in order of first appearance.
+    pub fn of(fleet: &Fleet) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let mut ids: BTreeMap<(&str, u64), u16> = BTreeMap::new();
+        let class_of = fleet
+            .servers()
+            .iter()
+            .map(|sv| {
+                let key = (sv.uarch.name.as_str(), sv.speed.to_bits());
+                let next = ids.len() as u16;
+                *ids.entry(key).or_insert(next)
+            })
+            .collect();
+        ClassMap {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            class_of,
+            n_classes: ids.len(),
+        }
+    }
+
+    /// The class of server `s`.
+    pub fn class_of(&self, s: usize) -> usize {
+        usize::from(self.class_of[s])
+    }
+
+    /// Number of distinct classes.
+    pub fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+}
+
 /// Everything a policy may look at when assigning.
 #[derive(Debug)]
 pub struct DispatchCtx<'a> {
     /// The fleet (server specs, speeds, uarch kinds).
     pub fleet: &'a Fleet,
+    /// The fleet's server classes.
+    pub classes: &'a ClassMap,
     /// The throughput model (predictions only — truth is engine-private).
     pub model: &'a CostModel,
     /// Current time in microseconds.
@@ -208,9 +264,10 @@ enum PredictionKind {
     Port,
 }
 
-/// Prediction memo keys: (crf, refs, preset rank, server class) within a
-/// video's entry.
-type KnobKey = (u8, u8, u8, u16);
+/// One video's entry of the prediction memo: (crf, refs, preset rank) →
+/// base (un-penalized) predicted µs per server class; 0 = not yet priced
+/// (a prediction is at least 1).
+type KnobPrices = BTreeMap<(u8, u8, u8), Box<[u64]>>;
 
 /// Shared machinery of the model-driven policies (`smart` / `port`): the
 /// prediction memo, the exact solve, and the two routings
@@ -218,92 +275,71 @@ type KnobKey = (u8, u8, u8, u16);
 #[derive(Debug)]
 struct ModelCore {
     kind: PredictionKind,
-    /// Prediction memo: video → (crf, refs, preset rank, server class) →
-    /// base (un-penalized) predicted µs. The server class collapses servers
-    /// with identical (uarch, speed) — the only inputs the model reads.
-    cache: BTreeMap<String, BTreeMap<KnobKey, u64>>,
-    /// Detector epoch the memo was filled under; any mismatch clears it.
-    cache_epoch: u64,
-    /// Server index → class id, rebuilt when the fleet size changes.
-    class_of: Vec<u16>,
-    /// Number of distinct classes in `class_of`.
-    n_classes: usize,
+    /// Prediction memo, by video.
+    memo: BTreeMap<Arc<str>, KnobPrices>,
+    /// ([`ClassMap`] identity, detector epoch) the memo was filled under;
+    /// any mismatch clears it.
+    memo_key: (u64, u64),
+    /// The round's cost matrix, row-major (jobs × idle servers).
+    cost: Vec<f64>,
+    /// The idle servers the round solves over.
+    idle: Vec<usize>,
+    /// Cell routing of the round: (cell, job position).
+    routed: Vec<(usize, usize)>,
+    solver: Solver,
 }
 
 impl ModelCore {
     fn new(kind: PredictionKind) -> Self {
         ModelCore {
             kind,
-            cache: BTreeMap::new(),
-            cache_epoch: 0,
-            class_of: Vec::new(),
-            n_classes: 0,
+            memo: BTreeMap::new(),
+            memo_key: (0, 0),
+            cost: Vec::new(),
+            idle: Vec::new(),
+            routed: Vec::new(),
+            solver: Solver::new(),
         }
     }
 
     /// Raw (un-cached, un-penalized) prediction for this kind — the
     /// reference the memo is tested against.
-    fn predict_raw(&self, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
+    fn predict_raw(kind: PredictionKind, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
         let server = ctx.fleet.server(s);
-        match self.kind {
+        match kind {
             PredictionKind::Affinity => ctx.model.predicted_us(&job.spec, server),
             PredictionKind::Port => ctx.model.port_predicted_us(&job.spec, server),
         }
     }
 
-    fn ensure_classes(&mut self, fleet: &Fleet) {
-        if self.class_of.len() == fleet.len() {
-            return;
+    /// Appends one job's row of the cost matrix over `servers` to
+    /// `self.cost`: the memo is probed once for the job, its class row
+    /// filled where a class is seen for the first time, and suspects are
+    /// penalized per server.
+    fn cost_row(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, servers: &[usize]) {
+        let key = (ctx.classes.id, ctx.health_epoch);
+        if self.memo_key != key {
+            self.memo.clear();
+            self.memo_key = key;
         }
-        let mut ids: BTreeMap<(&str, u64), u16> = BTreeMap::new();
-        self.class_of = fleet
-            .servers()
-            .iter()
-            .map(|sv| {
-                let key = (sv.uarch.name.as_str(), sv.speed.to_bits());
-                let next = ids.len() as u16;
-                *ids.entry(key).or_insert(next)
-            })
-            .collect();
-        self.n_classes = ids.len();
-        self.cache.clear();
-    }
-
-    /// Base (un-penalized) predicted µs, through the memo.
-    fn predicted_base(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
-        if self.cache_epoch != ctx.health_epoch {
-            self.cache.clear();
-            self.cache_epoch = ctx.health_epoch;
-        }
-        self.ensure_classes(ctx.fleet);
         let t = &job.spec.task;
         let rank = Preset::ALL.iter().position(|&p| p == t.preset).unwrap_or(5) as u8;
-        let key = (t.crf, t.refs, rank, self.class_of[s]);
-        if let Some(&hit) = self.cache.get(t.video.as_str()).and_then(|m| m.get(&key)) {
-            return hit;
+        if !self.memo.contains_key(&*t.video) {
+            self.memo.insert(t.video.clone(), KnobPrices::new());
         }
-        let val = self.predict_raw(ctx, job, s);
-        self.cache
-            .entry(t.video.clone())
-            .or_default()
-            .insert(key, val);
-        val
-    }
-
-    /// One job's row of the cost matrix over `servers`: the memo is probed
-    /// once per server *class* and the row filled through `class_of`, then
-    /// suspects are penalized per server.
-    fn cost_row(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, servers: &[usize]) -> Vec<f64> {
-        self.ensure_classes(ctx.fleet);
-        let mut by_class: Vec<Option<u64>> = vec![None; self.n_classes];
-        servers
-            .iter()
-            .map(|&s| {
-                let class = usize::from(self.class_of[s]);
-                let base = *by_class[class].get_or_insert_with(|| self.predicted_base(ctx, job, s));
-                ctx.penalized(base as f64, s)
-            })
-            .collect()
+        let prices = self
+            .memo
+            .get_mut(&*t.video)
+            .expect("inserted above")
+            .entry((t.crf, t.refs, rank))
+            .or_insert_with(|| vec![0; ctx.classes.n_classes()].into());
+        for &s in servers {
+            let base = &mut prices[ctx.classes.class_of(s)];
+            if *base == 0 {
+                *base = Self::predict_raw(self.kind, ctx, job, s);
+            }
+            self.cost.push(ctx.penalized(*base as f64, s));
+        }
     }
 
     /// One dispatch round: one global solve below [`XL_FLEET_THRESHOLD`]
@@ -315,54 +351,74 @@ impl ModelCore {
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
         if jobs.is_empty() || idle.total() == 0 {
-            Vec::new()
-        } else if idle.plan().n_servers() < XL_FLEET_THRESHOLD {
-            self.assign_exact(jobs, &idle.to_vec(), ctx)
-        } else {
-            self.assign_cells(jobs, idle, ctx)
+            return Vec::new();
         }
+        let mut servers = std::mem::take(&mut self.idle);
+        let out = if idle.plan().n_servers() < XL_FLEET_THRESHOLD {
+            idle.fill_idle(&mut servers);
+            let mut out = Vec::with_capacity(jobs.len().min(servers.len()));
+            self.assign_exact(jobs, 0..jobs.len(), &servers, ctx, &mut out);
+            out
+        } else {
+            self.assign_cells(jobs, idle, &mut servers, ctx)
+        };
+        self.idle = servers;
+        out
     }
 
-    /// The exact solver: rectangular Hungarian over the (jobs × idle) f64
-    /// matrix, O(min(r,c)²·max(r,c)). Costs are byte-identical to the
-    /// pre-memo implementation (the memo returns the very same `u64` the
-    /// model would); among equally priced servers the lowest index wins.
+    /// The exact solver over rows `jobs[p]` for `p` in `job_ps` and columns
+    /// `idle`: rectangular Hungarian over the f64 matrix,
+    /// O(min(r,c)²·max(r,c)), picks pushed onto `out` as `(p, server)`.
+    /// Costs are byte-identical to the pre-memo implementation (the memo
+    /// returns the very same `u64` the model would); among equally priced
+    /// servers the lowest index wins.
     fn assign_exact(
         &mut self,
         jobs: &[&PendingJob],
+        job_ps: impl ExactSizeIterator<Item = usize> + Clone,
         idle: &[usize],
         ctx: &DispatchCtx<'_>,
-    ) -> Vec<(usize, usize)> {
-        let cost: Vec<Vec<f64>> = jobs.iter().map(|j| self.cost_row(ctx, j, idle)).collect();
-        match hungarian::solve_padded(&cost) {
-            Ok(assignment) => assignment
-                .into_iter()
-                .enumerate()
-                .filter_map(|(job_pos, slot)| slot.map(|idle_pos| (job_pos, idle[idle_pos])))
-                .collect(),
-            // The matrix is rectangular by construction; a solver error
-            // would be a bug — fall back to in-order greedy rather than
-            // crash the serving loop.
-            Err(_) => idle.iter().copied().enumerate().take(jobs.len()).collect(),
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        self.cost.clear();
+        for p in job_ps.clone() {
+            self.cost_row(ctx, jobs[p], idle);
+        }
+        match self
+            .solver
+            .solve_padded(&self.cost, job_ps.len(), idle.len())
+        {
+            Ok(assignment) => out.extend(
+                job_ps
+                    .zip(assignment)
+                    .filter_map(|(p, slot)| slot.map(|idle_pos| (p, idle[idle_pos]))),
+            ),
+            // Only an empty matrix is an error, and callers hand over
+            // neither — fall back to in-order greedy rather than crash the
+            // serving loop.
+            Err(_) => out.extend(job_ps.zip(idle.iter().copied())),
         }
     }
 
     /// Two-level dispatch: consistent-hash + power-of-two-choices cell
     /// routing, then [`ModelCore::assign_exact`] within each cell.
+    /// `servers` is the idle-list buffer.
     fn assign_cells(
         &mut self,
         jobs: &[&PendingJob],
         idle: &IdleIndex,
+        servers: &mut Vec<usize>,
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
         // Level 1: route each candidate to the roomier of its two hashed
         // cells, debiting capacity as jobs land so a burst spreads out.
-        let mut routed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut routed = std::mem::take(&mut self.routed);
+        routed.clear();
         for (job_pos, j) in jobs.iter().enumerate() {
             let (a, b) = idle.plan().candidates(j.spec.id);
             let room = |c: usize| {
                 idle.idle_in_cell(c)
-                    .saturating_sub(routed.get(&c).map_or(0, Vec::len))
+                    .saturating_sub(routed.iter().filter(|&&(cell, _)| cell == c).count())
             };
             let (room_a, room_b) = (room(a), room(b));
             let cell = if room_a == 0 && room_b == 0 {
@@ -372,15 +428,18 @@ impl ModelCore {
             } else {
                 a
             };
-            routed.entry(cell).or_default().push(job_pos);
+            routed.push((cell, job_pos));
         }
-        // Level 2: the exact solve within each cell.
-        let mut out = Vec::new();
-        for (cell, job_ps) in routed {
-            let cell_jobs: Vec<&PendingJob> = job_ps.iter().map(|&jp| jobs[jp]).collect();
-            let picks = self.assign_exact(&cell_jobs, &idle.cell_idle(cell), ctx);
-            out.extend(picks.into_iter().map(|(row, s)| (job_ps[row], s)));
+        // Level 2: the exact solve within each cell, cells ascending, each
+        // cell's jobs in candidate order.
+        routed.sort_unstable();
+        let mut out = Vec::with_capacity(routed.len());
+        for group in routed.chunk_by(|x, y| x.0 == y.0) {
+            idle.fill_cell_idle(group[0].0, servers);
+            let job_ps = group.iter().map(|&(_, job_pos)| job_pos);
+            self.assign_exact(jobs, job_ps, servers, ctx, &mut out);
         }
+        self.routed = routed;
         out
     }
 }
@@ -503,20 +562,46 @@ mod tests {
         }
     }
 
-    fn ctx<'a>(fleet: &'a Fleet, model: &'a CostModel) -> DispatchCtx<'a> {
-        DispatchCtx {
-            fleet,
-            model,
-            now_us: 0,
-            health: &[],
-            health_epoch: 0,
+    /// What a run owns and lends to its policy.
+    struct World {
+        fleet: Fleet,
+        classes: ClassMap,
+        model: CostModel,
+    }
+
+    impl World {
+        fn new(fleet: Fleet) -> Self {
+            World {
+                classes: ClassMap::of(&fleet),
+                fleet,
+                model: CostModel::new(42),
+            }
+        }
+
+        fn table_iv() -> Self {
+            Self::new(Fleet::table_iv())
+        }
+
+        /// Everything up, epoch 0.
+        fn ctx(&self) -> DispatchCtx<'_> {
+            self.ctx_with(&[], 0)
+        }
+
+        fn ctx_with<'a>(&'a self, health: &'a [Health], health_epoch: u64) -> DispatchCtx<'a> {
+            DispatchCtx {
+                fleet: &self.fleet,
+                classes: &self.classes,
+                model: &self.model,
+                now_us: 0,
+                health,
+                health_epoch,
+            }
         }
     }
 
     #[test]
     fn assignments_are_injective_for_all_policies() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         let jobs: Vec<PendingJob> = (0..8).map(|i| pending(i, "bike", Preset::Medium)).collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
         let idle = idle_only(5, &[0, 2, 4]);
@@ -526,7 +611,7 @@ mod tests {
             Box::new(SmartPolicy::new()),
             Box::new(PortPolicy::new()),
         ] {
-            let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
+            let a = p.assign(&refs, &idle, &w.ctx());
             assert_eq!(a.len(), 3, "{} should fill all idle servers", p.name());
             let mut seen_jobs = vec![false; refs.len()];
             let mut seen_servers = [false; 5];
@@ -541,28 +626,27 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_the_fleet() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         let mut p = RoundRobinPolicy::new();
         let jobs: Vec<PendingJob> = (0..2).map(|i| pending(i, "bike", Preset::Fast)).collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
         let all = idle_only(5, &[0, 1, 2, 3, 4]);
-        let a1 = p.assign(&refs[..1], &all, &ctx(&fleet, &model));
+        let a1 = p.assign(&refs[..1], &all, &w.ctx());
         assert_eq!(a1, vec![(0, 0)]);
         // Cursor advanced: next single job goes to server 1.
-        let a2 = p.assign(&refs[..1], &all, &ctx(&fleet, &model));
+        let a2 = p.assign(&refs[..1], &all, &w.ctx());
         assert_eq!(a2, vec![(0, 1)]);
         // Sparse idle set, cursor now at 2: the next idle server *at or
         // after the cursor* is 4, not the lowest-numbered idle one.
         let sparse = idle_only(5, &[0, 4]);
-        let a3 = p.assign(&refs[..1], &sparse, &ctx(&fleet, &model));
+        let a3 = p.assign(&refs[..1], &sparse, &w.ctx());
         assert_eq!(a3, vec![(0, 4)]);
         // The cursor wraps, and skips a dead server (2 never rejoins the
         // index): two jobs from cursor 0 with {1, 3, 4} idle take 1 and 3.
         let dead = idle_only(5, &[1, 3, 4]);
-        let a4 = p.assign(&refs, &dead, &ctx(&fleet, &model));
+        let a4 = p.assign(&refs, &dead, &w.ctx());
         assert_eq!(a4, vec![(0, 1), (1, 3)]);
-        let a5 = p.assign(&refs, &dead, &ctx(&fleet, &model));
+        let a5 = p.assign(&refs, &dead, &w.ctx());
         assert_eq!(a5, vec![(0, 4), (1, 1)], "wraps past the dead server");
     }
 
@@ -570,36 +654,61 @@ mod tests {
     fn cost_memo_returns_exactly_what_the_model_would() {
         // The memo must be a pure speedup: for every catalog video × knob
         // × server it returns `predict_raw`'s value, when filling and when
-        // hitting, across detector-epoch bumps and fleet-size changes — and
-        // a row filled once per class (server 1 suspected, its class twin 6
-        // not) equals the row priced server by server.
-        let model = CostModel::new(42);
-        let fleets = [Fleet::table_iv(), Fleet::sized(8).unwrap()];
+        // hitting, across detector-epoch bumps and changes of fleet — and a
+        // row filled once per class (server 1 suspected, its class twins
+        // not) equals the row priced server by server. Fleet 2 has the
+        // size of fleet 1 and another composition: what `ModelCore` once
+        // told apart by length alone.
+        let reversed: Vec<_> = Fleet::sized(8)
+            .unwrap()
+            .servers()
+            .iter()
+            .rev()
+            .cloned()
+            .collect();
+        let worlds = [
+            World::table_iv(),
+            World::new(Fleet::sized(8).unwrap()),
+            World::new(Fleet::new(reversed).unwrap()),
+            World::new(Fleet::sized(64).unwrap()),
+        ];
         let health = [Health::Up, Health::Suspected];
         for kind in [PredictionKind::Affinity, PredictionKind::Port] {
             let mut core = ModelCore::new(kind);
-            for (health_epoch, fleet) in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0)] {
-                let fleet = &fleets[fleet];
-                let ctx = DispatchCtx {
-                    health: &health,
-                    health_epoch,
-                    ..ctx(fleet, &model)
-                };
-                let servers: Vec<usize> = (0..fleet.len()).rev().collect();
+            for (health_epoch, w) in [
+                (0, 0),
+                (1, 0),
+                (1, 1),
+                (1, 2),
+                (2, 1),
+                (2, 0),
+                (2, 3),
+                (3, 3),
+            ] {
+                let w = &worlds[w];
+                let ctx = w.ctx_with(&health, health_epoch);
+                let servers: Vec<usize> = (0..w.fleet.len()).rev().collect();
                 for video in vtx_frame::vbench::catalog() {
                     for (crf, refs, preset) in [(18, 1, Preset::Ultrafast), (35, 8, Preset::Slow)] {
                         let mut j = pending(0, &video.short_name, preset);
                         j.spec.task = TranscodeTask::new(&video.short_name, crf, refs, preset);
                         let by_server: Vec<f64> = servers
                             .iter()
-                            .map(|&s| ctx.penalized(core.predict_raw(&ctx, &j, s) as f64, s))
+                            .map(|&s| {
+                                ctx.penalized(ModelCore::predict_raw(kind, &ctx, &j, s) as f64, s)
+                            })
                             .collect();
-                        assert_eq!(core.cost_row(&ctx, &j, &servers), by_server, "row fill");
-                        assert_eq!(core.cost_row(&ctx, &j, &servers), by_server, "row hit");
-                        for s in 0..fleet.len() {
-                            let want = core.predict_raw(&ctx, &j, s);
-                            assert_eq!(core.predicted_base(&ctx, &j, s), want, "fill");
-                            assert_eq!(core.predicted_base(&ctx, &j, s), want, "hit");
+                        for pass in ["fill", "hit"] {
+                            core.cost.clear();
+                            core.cost_row(&ctx, &j, &servers);
+                            assert_eq!(core.cost, by_server, "row {pass}");
+                        }
+                        // One server at a time: the classes it skips stay
+                        // unpriced, not mispriced.
+                        for (i, &s) in servers.iter().enumerate() {
+                            core.cost.clear();
+                            core.cost_row(&ctx, &j, &[s]);
+                            assert_eq!(core.cost, by_server[i..=i], "server {s}");
                         }
                     }
                 }
@@ -608,48 +717,75 @@ mod tests {
     }
 
     #[test]
+    fn a_policy_reused_on_a_second_fleet_prices_with_that_fleets_classes() {
+        // Ten servers, then the same ten reversed: equal size, every class
+        // at another index. A policy that carried its class map (or its
+        // memo) over would price server s as server 9 - s.
+        let first = World::new(Fleet::sized(10).unwrap());
+        let reversed: Vec<_> = first.fleet.servers().iter().rev().cloned().collect();
+        let second = World::new(Fleet::new(reversed).unwrap());
+        let jobs: Vec<PendingJob> = ["hall", "bike", "cat", "desktop"]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| pending(i as u64, v, Preset::ALL[2 * i + 1]))
+            .collect();
+        let refs: Vec<&PendingJob> = jobs.iter().collect();
+        let idle = idle_only(10, &[0, 2, 3, 5, 6, 7, 9]);
+        for name in ["smart", "port"] {
+            let mut reused = policy_by_name(name, 1).unwrap();
+            let on_first = reused.assign(&refs, &idle, &first.ctx());
+            let fresh = |w: &World| {
+                policy_by_name(name, 1)
+                    .unwrap()
+                    .assign(&refs, &idle, &w.ctx())
+            };
+            assert_eq!(on_first, fresh(&first), "{name}");
+            let on_second = reused.assign(&refs, &idle, &second.ctx());
+            assert_eq!(on_second, fresh(&second), "{name}: second fleet");
+            assert_ne!(on_first, on_second, "{name}: the fleets do differ");
+        }
+    }
+
+    #[test]
     fn smart_prefers_the_affine_server() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         // One job, all servers idle: smart must pick the predicted-fastest.
         let j = pending(0, "hall", Preset::Medium);
         let refs = vec![&j];
         let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p = SmartPolicy::new();
-        let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
+        let a = p.assign(&refs, &idle, &w.ctx());
         assert_eq!(a.len(), 1);
         let best = (0..5)
-            .min_by_key(|&s| model.predicted_us(&j.spec, fleet.server(s)))
+            .min_by_key(|&s| w.model.predicted_us(&j.spec, w.fleet.server(s)))
             .unwrap();
         assert_eq!(a[0].1, best);
     }
 
     #[test]
     fn smart_handles_more_jobs_than_servers() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         let jobs: Vec<PendingJob> = (0..7)
             .map(|i| pending(i, "girl", Preset::Veryfast))
             .collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
         let idle = idle_only(5, &[1, 3]);
         let mut p = SmartPolicy::new();
-        let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
+        let a = p.assign(&refs, &idle, &w.ctx());
         assert_eq!(a.len(), 2, "exactly the idle servers get work");
     }
 
     #[test]
     fn random_is_seed_deterministic() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         let jobs: Vec<PendingJob> = (0..5).map(|i| pending(i, "cat", Preset::Fast)).collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
         let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p1 = RandomPolicy::new(9);
         let mut p2 = RandomPolicy::new(9);
         assert_eq!(
-            p1.assign(&refs, &idle, &ctx(&fleet, &model)),
-            p2.assign(&refs, &idle, &ctx(&fleet, &model))
+            p1.assign(&refs, &idle, &w.ctx()),
+            p2.assign(&refs, &idle, &w.ctx())
         );
     }
 
@@ -664,38 +800,23 @@ mod tests {
 
     #[test]
     fn smart_steers_away_from_suspected_servers() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         let j = pending(0, "hall", Preset::Medium);
         let refs = vec![&j];
         let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p = SmartPolicy::new();
         let best = (0..5)
-            .min_by_key(|&s| model.predicted_us(&j.spec, fleet.server(s)))
+            .min_by_key(|&s| w.model.predicted_us(&j.spec, w.fleet.server(s)))
             .unwrap();
         // Suspect the predicted-best server: smart must pick another one.
         let mut health = vec![Health::Up; 5];
         health[best] = Health::Suspected;
-        let ctx = DispatchCtx {
-            fleet: &fleet,
-            model: &model,
-            now_us: 0,
-            health: &health,
-            health_epoch: 0,
-        };
-        let a = p.assign(&refs, &idle, &ctx);
+        let a = p.assign(&refs, &idle, &w.ctx_with(&health, 0));
         assert_eq!(a.len(), 1);
         assert_ne!(a[0].1, best, "suspected server is avoided");
         // With everything suspected the penalty cancels out: still assigns.
         let all = vec![Health::Suspected; 5];
-        let ctx = DispatchCtx {
-            fleet: &fleet,
-            model: &model,
-            now_us: 0,
-            health: &all,
-            health_epoch: 0,
-        };
-        assert_eq!(p.assign(&refs, &idle, &ctx).len(), 1);
+        assert_eq!(p.assign(&refs, &idle, &w.ctx_with(&all, 0)).len(), 1);
     }
 
     #[test]
@@ -704,14 +825,13 @@ mod tests {
         // row is full of exact ties; the pinned fig9-XL rows depend on how
         // they break. Both routings: one global solve (10 servers) and per
         // cell (200 servers, the twins spread over every cell).
-        let model = CostModel::new(42);
         let j = pending(7, "hall", Preset::Medium);
         for n in [10, 200] {
-            let fleet = Fleet::sized(n).unwrap();
+            let w = World::new(Fleet::sized(n).unwrap());
             let twins: Vec<usize> = (3..n).step_by(5).collect();
             let idle = idle_only(n, &twins);
             let mut p = SmartPolicy::new();
-            let a = p.assign(&[&j], &idle, &ctx(&fleet, &model));
+            let a = p.assign(&[&j], &idle, &w.ctx());
             assert_eq!(a.len(), 1);
             // The idle twins the solve saw: all of them, or the routed cell's.
             let seen = if n < XL_FLEET_THRESHOLD {
@@ -722,12 +842,7 @@ mod tests {
             assert_eq!(a[0].1, seen[0], "n={n}: lowest index among the ties");
             let mut health = vec![Health::Up; n];
             health[seen[0]] = Health::Suspected;
-            let ctx = DispatchCtx {
-                health: &health,
-                health_epoch: 1,
-                ..ctx(&fleet, &model)
-            };
-            let b = p.assign(&[&j], &idle, &ctx);
+            let b = p.assign(&[&j], &idle, &w.ctx_with(&health, 1));
             assert_eq!(
                 b,
                 vec![(0, seen[1])],
@@ -739,8 +854,7 @@ mod tests {
     #[test]
     fn assign_cells_is_injective_routed_and_optimal_per_cell() {
         let n = 200;
-        let fleet = Fleet::sized(n).unwrap();
-        let model = CostModel::new(42);
+        let w = World::new(Fleet::sized(n).unwrap());
         let mut rng = SplitMix64::new(0xCE11);
         let mut idle = IdleIndex::new(crate::cells::CellPlan::build(n, 0, 42));
         let mut health = vec![Health::Up; n];
@@ -760,13 +874,10 @@ mod tests {
             })
             .collect();
         let refs: Vec<&PendingJob> = jobs.iter().collect();
-        let ctx = DispatchCtx {
-            health: &health,
-            ..ctx(&fleet, &model)
-        };
+        let ctx = w.ctx_with(&health, 0);
         for kind in [PredictionKind::Affinity, PredictionKind::Port] {
             let mut core = ModelCore::new(kind);
-            let picks = core.assign_cells(&refs, &idle, &ctx);
+            let picks = core.assign_cells(&refs, &idle, &mut Vec::new(), &ctx);
             assert_eq!(picks.len(), refs.len(), "every cell has room");
             let mut by_cell: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
             let mut seen_jobs = vec![false; refs.len()];
@@ -788,19 +899,26 @@ mod tests {
                 by_cell.values().any(|g| g.len() > 1),
                 "some cell solves > 1 row"
             );
-            let total = |core: &mut ModelCore, picks: &[(usize, usize)], js: &[&PendingJob]| {
+            let total = |picks: &[(usize, usize)]| {
                 picks
                     .iter()
-                    .map(|&(jp, s)| ctx.penalized(core.predicted_base(&ctx, js[jp], s) as f64, s))
+                    .map(|&(jp, s)| {
+                        ctx.penalized(ModelCore::predict_raw(kind, &ctx, refs[jp], s) as f64, s)
+                    })
                     .sum::<f64>()
             };
             for (cell, group) in by_cell {
-                let cell_jobs: Vec<&PendingJob> = group.iter().map(|&(jp, _)| refs[jp]).collect();
-                let alone =
-                    ModelCore::new(kind).assign_exact(&cell_jobs, &idle.cell_idle(cell), &ctx);
+                let mut alone = Vec::new();
+                ModelCore::new(kind).assign_exact(
+                    &refs,
+                    group.iter().map(|&(jp, _)| jp),
+                    &idle.cell_idle(cell),
+                    &ctx,
+                    &mut alone,
+                );
                 assert_eq!(
-                    total(&mut core, &group, &refs),
-                    total(&mut core, &alone, &cell_jobs),
+                    total(&group),
+                    total(&alone),
                     "cell {cell}: same optimum as the exact solve over that cell alone"
                 );
             }
@@ -809,35 +927,26 @@ mod tests {
 
     #[test]
     fn penalized_defaults_to_up_for_short_health_slices() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(1);
-        let c = ctx(&fleet, &model);
-        assert_eq!(c.penalized(10.0, 3), 10.0);
+        let w = World::table_iv();
+        assert_eq!(w.ctx().penalized(10.0, 3), 10.0);
         let health = [Health::Up, Health::Suspected];
-        let c = DispatchCtx {
-            fleet: &fleet,
-            model: &model,
-            now_us: 0,
-            health: &health,
-            health_epoch: 0,
-        };
+        let c = w.ctx_with(&health, 0);
         assert_eq!(c.penalized(10.0, 1), 10.0 * SUSPECT_PENALTY);
         assert_eq!(c.penalized(10.0, 0), 10.0);
     }
 
     #[test]
     fn port_policy_picks_the_billed_fastest_server() {
-        let fleet = Fleet::table_iv();
-        let model = CostModel::new(42);
+        let w = World::table_iv();
         // Slow preset → SATD/trellis-heavy mix → be_op2's extra port pays.
         let j = pending(0, "bike", Preset::Veryslow);
         let refs = vec![&j];
         let idle = idle_only(5, &[0, 1, 2, 3, 4]);
         let mut p = PortPolicy::new();
-        let a = p.assign(&refs, &idle, &ctx(&fleet, &model));
+        let a = p.assign(&refs, &idle, &w.ctx());
         assert_eq!(a.len(), 1);
         let best = (0..5)
-            .min_by_key(|&s| model.port_predicted_us(&j.spec, fleet.server(s)))
+            .min_by_key(|&s| w.model.port_predicted_us(&j.spec, w.fleet.server(s)))
             .unwrap();
         assert_eq!(a[0].1, best);
     }

@@ -21,6 +21,7 @@
 //! the same seed.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use vtx_codec::{encode_video, instr};
 use vtx_container::package::{master_playlist, media_playlist, package_stream};
@@ -81,10 +82,14 @@ impl Default for SegmentOptions {
 pub struct ParentInfo {
     /// The catalog job's original id.
     pub id: u64,
-    /// vbench short name.
-    pub video: String,
+    /// vbench short name, the allocation every unit's task shares.
+    pub video: Arc<str>,
     /// Reference-frame count inherited by every unit.
     pub refs: u8,
+    /// Frame width at plan geometry.
+    pub width: u32,
+    /// Frame height at plan geometry.
+    pub height: u32,
     /// Clip length in frames at plan geometry.
     pub frames: u32,
     /// Frame rate.
@@ -168,8 +173,18 @@ impl SegmentPlan {
         let mut infos = Vec::with_capacity(parents.len());
         let mut meta = Vec::new();
         let mut units = Vec::new();
+        // Each distinct video is resolved once, and its first name is the
+        // one every parent and unit of that video shares.
+        let mut resolved: Vec<(Arc<str>, VideoSpec)> = Vec::new();
         for (pi, p) in parents.iter().enumerate() {
-            let spec = plan_spec(&p.task.video, opts.tiny)?;
+            let known = resolved.iter().position(|(v, _)| **v == *p.task.video);
+            let (video, spec) = match known {
+                Some(k) => &resolved[k],
+                None => {
+                    resolved.push((p.task.video.clone(), plan_spec(&p.task.video, opts.tiny)?));
+                    resolved.last().expect("just pushed")
+                }
+            };
             let frames = spec.sim_frames;
             let points = segment_points(frames, spec.fps, opts.target_ms);
             let rungs = if p.priority == crate::workload::Priority::Interactive {
@@ -191,7 +206,12 @@ impl SegmentPlan {
                     units.push(JobSpec {
                         id: units.len() as u64,
                         arrival_us: p.arrival_us,
-                        task: TranscodeTask::new(&p.task.video, rung.crf, p.task.refs, rung.preset),
+                        task: TranscodeTask {
+                            video: video.clone(),
+                            crf: rung.crf,
+                            refs: p.task.refs,
+                            preset: rung.preset,
+                        },
                         priority: p.priority,
                         deadline_us,
                         timeout_us: p.timeout_us,
@@ -209,8 +229,10 @@ impl SegmentPlan {
             }
             infos.push(ParentInfo {
                 id: p.id,
-                video: p.task.video.clone(),
+                video: video.clone(),
                 refs: p.task.refs,
+                width: spec.sim_width,
+                height: spec.sim_height,
                 frames,
                 fps: spec.fps,
                 points,
@@ -252,18 +274,19 @@ impl SegmentPlan {
     /// occupancy accounting: raw YUV420 bytes of the segment divided by a
     /// CRF-driven compression factor. Deterministic in the plan alone, so
     /// both drivers account occupancy identically.
+    ///
+    /// # Errors
+    ///
+    /// None today: the geometry was resolved by [`SegmentPlan::expand`],
+    /// which is where an out-of-catalog name is refused.
     pub fn unit_bytes(&self) -> Result<Vec<u64>, ServeError> {
-        let mut geometry = Vec::with_capacity(self.parents.len());
-        for p in &self.parents {
-            let spec = plan_spec(&p.video, self.tiny)?;
-            geometry.push(u64::from(spec.sim_width) * u64::from(spec.sim_height));
-        }
         Ok(self
             .meta
             .iter()
             .map(|m| {
+                let p = &self.parents[m.parent];
                 let crf = u64::from(self.ladder.rungs[m.rung].crf);
-                let raw = u64::from(m.frames) * geometry[m.parent] * 3 / 2;
+                let raw = u64::from(m.frames) * u64::from(p.width) * u64::from(p.height) * 3 / 2;
                 (raw / (crf + 4)).max(1)
             })
             .collect())
@@ -455,13 +478,13 @@ impl SegmentPlan {
         let done = self.completed_units(log);
         let complete = self.rungs_complete(&done);
         let mut videos: BTreeMap<&str, vtx_frame::Video> = BTreeMap::new();
-        let mut cache: BTreeMap<(String, u8, usize), vtx_container::Packaged> = BTreeMap::new();
+        let mut cache: BTreeMap<(Arc<str>, u8, usize), vtx_container::Packaged> = BTreeMap::new();
         let mut out = Vec::new();
         for (p, rungs) in self.parents.iter().zip(&complete) {
             if rungs.is_empty() {
                 continue;
             }
-            if !videos.contains_key(p.video.as_str()) {
+            if !videos.contains_key(&*p.video) {
                 let spec = plan_spec(&p.video, self.tiny)?;
                 videos.insert(&p.video, synth::generate(&spec, seed));
             }
@@ -484,7 +507,7 @@ impl SegmentPlan {
                     // Packaging is artifact production, not measurement:
                     // sample sparsely, like the mezzanine encode.
                     prof.set_sample_shift(6);
-                    let encoded = encode_video(&videos[p.video.as_str()], &cfg, &mut prof)
+                    let encoded = encode_video(&videos[&*p.video], &cfg, &mut prof)
                         .map_err(CoreError::from)?;
                     cache.insert(
                         key.clone(),
@@ -579,6 +602,55 @@ mod tests {
             .map(|m| m.frames)
             .sum();
         assert_eq!(per_parent, plan.parents[0].frames);
+    }
+
+    #[test]
+    fn units_of_one_video_share_one_name_whatever_the_parents_did() {
+        use crate::workload::{parse_trace, render_trace};
+        // Parsed parents own one allocation each; the plan still ends up
+        // with one per distinct video, shared by parents and units alike.
+        let parents: Vec<JobSpec> = ["desktop", "cat", "desktop", "bike", "cat"]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| parent(i as u64, v))
+            .collect();
+        assert!(!Arc::ptr_eq(&parents[0].task.video, &parents[2].task.video));
+        let plan = SegmentPlan::expand(&parents, &SegmentOptions::default()).unwrap();
+        let mut names: Vec<&Arc<str>> = Vec::new();
+        let in_plan = plan.parents.iter().map(|p| &p.video);
+        for v in in_plan.chain(plan.units.iter().map(|u| &u.task.video)) {
+            match names.iter().copied().find(|n| ***n == **v) {
+                Some(n) => assert!(Arc::ptr_eq(n, v), "{v}"),
+                None => names.push(v),
+            }
+        }
+        assert_eq!(names.len(), 3);
+        assert_eq!(parse_trace(&render_trace(&plan.units)).unwrap(), plan.units);
+    }
+
+    #[test]
+    fn unit_bytes_come_from_the_geometry_expand_resolved() {
+        for tiny in [true, false] {
+            let opts = SegmentOptions {
+                tiny,
+                ..SegmentOptions::default()
+            };
+            let plan =
+                SegmentPlan::expand(&[parent(0, "desktop"), parent(1, "cat")], &opts).unwrap();
+            let bytes = plan.unit_bytes().unwrap();
+            for (m, &b) in plan.meta.iter().zip(&bytes) {
+                let spec = plan_spec(&plan.parents[m.parent].video, tiny).unwrap();
+                let raw = u64::from(m.frames)
+                    * u64::from(spec.sim_width)
+                    * u64::from(spec.sim_height)
+                    * 3
+                    / 2;
+                let crf = u64::from(plan.ladder.rungs[m.rung].crf);
+                assert_eq!(b, (raw / (crf + 4)).max(1));
+            }
+        }
+        let err = SegmentPlan::expand(&[parent(0, "nope")], &SegmentOptions::default());
+        assert!(matches!(err, Err(ServeError::UnknownVideo { .. })));
     }
 
     #[test]

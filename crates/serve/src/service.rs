@@ -16,13 +16,13 @@ use vtx_chaos::degrade::{downgrade, DegradeLadder};
 use vtx_chaos::{Cause, FaultKind, Health};
 use vtx_obs::{AlertTransition, ObsConfig, ObsPlane};
 use vtx_telemetry::chaos as chaos_metrics;
-use vtx_telemetry::metrics;
+use vtx_telemetry::metrics::{self, Counter, Gauge, Histogram};
 
 use crate::cells::IdleIndex;
 use crate::chaos::ChaosConfig;
 use crate::cost::CostModel;
 use crate::fleet::{Fleet, ServerSpec};
-use crate::policy::{DispatchCtx, DispatchPolicy};
+use crate::policy::{ClassMap, DispatchCtx, DispatchPolicy};
 use crate::queue::{Admission, AdmissionQueue, PendingJob, QueueConfig, ShedReason};
 use crate::report::{FaultAccounting, LatencyStats, ScaleStats, ServerStats, ServingReport};
 use crate::workload::{JobSpec, Priority};
@@ -484,11 +484,51 @@ impl EventRecord {
     }
 }
 
+/// The `serve/*` metrics, resolved once per run: a registry lookup takes
+/// the registry lock and walks a map, which is too much per offer.
+#[derive(Debug)]
+struct ServeMetrics {
+    offered: &'static Counter,
+    completed: &'static Counter,
+    slo_violations: &'static Counter,
+    shed: &'static Counter,
+    throttled: &'static Counter,
+    timeouts: &'static Counter,
+    alert_transitions: &'static Counter,
+    cache_hits: &'static Counter,
+    cache_misses: &'static Counter,
+    sojourn_us: &'static Histogram,
+    cache_occupancy_bytes: &'static Gauge,
+    cache_entries: &'static Gauge,
+}
+
+impl ServeMetrics {
+    fn resolve() -> Self {
+        ServeMetrics {
+            offered: metrics::counter("serve/offered"),
+            completed: metrics::counter("serve/completed"),
+            slo_violations: metrics::counter("serve/slo_violations"),
+            shed: metrics::counter("serve/shed"),
+            throttled: metrics::counter("serve/throttled"),
+            timeouts: metrics::counter("serve/timeouts"),
+            alert_transitions: metrics::counter("serve/alert_transitions"),
+            cache_hits: metrics::counter("serve/cache_hits"),
+            cache_misses: metrics::counter("serve/cache_misses"),
+            sojourn_us: metrics::histogram("serve/sojourn_us"),
+            cache_occupancy_bytes: metrics::gauge("serve/cache_occupancy_bytes"),
+            cache_entries: metrics::gauge("serve/cache_entries"),
+        }
+    }
+}
+
 /// The state machine shared by both drivers.
 #[derive(Debug)]
 pub struct ServiceCore {
     cfg: ServeConfig,
     fleet: Fleet,
+    /// The fleet's server classes, lent to the policy every round.
+    classes: ClassMap,
+    metrics: ServeMetrics,
     model: CostModel,
     policy: Box<dyn DispatchPolicy>,
     queue: AdmissionQueue,
@@ -640,7 +680,9 @@ impl ServiceCore {
         };
         ServiceCore {
             cfg,
+            classes: ClassMap::of(&fleet),
             fleet,
+            metrics: ServeMetrics::resolve(),
             model,
             policy,
             queue,
@@ -696,7 +738,7 @@ impl ServiceCore {
 
     /// Folds a burn-rate transition into the event log as an `Alert`.
     fn record_alert(&mut self, tr: AlertTransition) {
-        metrics::counter("serve/alert_transitions").add(1);
+        self.metrics.alert_transitions.add(1);
         self.record(EventRecord::Alert {
             t: tr.t_us,
             class: Priority::ALL[tr.class.min(Priority::ALL.len() - 1)],
@@ -738,7 +780,7 @@ impl ServiceCore {
     fn cache_key(&self, spec: &JobSpec) -> CacheKey {
         let id = spec.id as usize;
         CacheKey {
-            video: spec.task.video.clone(),
+            video: spec.task.video.to_string(),
             preset: spec.task.preset.name().to_owned(),
             crf: spec.task.crf,
             refs: u32::from(spec.task.refs),
@@ -757,7 +799,7 @@ impl ServiceCore {
         let cache = self.cache.as_mut().expect("checked above");
         if cache.lookup(&key) {
             let lookup_us = cache.lookup_us();
-            metrics::counter("serve/cache_hits").add(1);
+            self.metrics.cache_hits.add(1);
             self.record(EventRecord::CacheHit {
                 t: now_us,
                 id: job.spec.id,
@@ -765,7 +807,7 @@ impl ServiceCore {
             });
             Some(lookup_us)
         } else {
-            metrics::counter("serve/cache_misses").add(1);
+            self.metrics.cache_misses.add(1);
             None
         }
     }
@@ -802,8 +844,10 @@ impl ServiceCore {
         let cache = self.cache.as_mut().expect("checked above");
         cache.insert(key, bytes, cost_us);
         let stats = cache.stats();
-        metrics::gauge("serve/cache_occupancy_bytes").set(stats.occupancy_bytes as f64);
-        metrics::gauge("serve/cache_entries").set(stats.entries as f64);
+        self.metrics
+            .cache_occupancy_bytes
+            .set(stats.occupancy_bytes as f64);
+        self.metrics.cache_entries.set(stats.entries as f64);
     }
 
     /// The policy's report name.
@@ -1225,7 +1269,7 @@ impl ServiceCore {
 
     fn shed_job(&mut self, job: &PendingJob, reason: ShedReason, now_us: u64) {
         self.shed[reason as usize] += 1;
-        metrics::counter("serve/shed").add(1);
+        self.metrics.shed.add(1);
         if !self.shed_by_tenant.is_empty() {
             let n = self.shed_by_tenant.len();
             self.shed_by_tenant[crate::workload::tenant_of(job.spec.id, n)] += 1;
@@ -1259,7 +1303,7 @@ impl ServiceCore {
     /// Offers an arriving job to admission control.
     pub fn offer(&mut self, spec: JobSpec, now_us: u64) {
         self.offered += 1;
-        metrics::counter("serve/offered").add(1);
+        self.metrics.offered.add(1);
         let id = spec.id;
         let class = spec.priority;
         self.obs.on_arrive(now_us, id);
@@ -1274,7 +1318,7 @@ impl ServiceCore {
         if let Some(buckets) = &mut self.buckets {
             let tenant = crate::workload::tenant_of(id, buckets.cfg.n_tenants);
             if !buckets.admit(tenant, now_us) {
-                metrics::counter("serve/throttled").add(1);
+                self.metrics.throttled.add(1);
                 self.shed_job(&job, ShedReason::Throttled, now_us);
                 return;
             }
@@ -1317,6 +1361,7 @@ impl ServiceCore {
             let candidates = self.queue.candidates(self.cfg.candidate_window);
             let ctx = DispatchCtx {
                 fleet: &self.fleet,
+                classes: &self.classes,
                 model: &self.model,
                 now_us,
                 health: &self.health,
@@ -1406,10 +1451,10 @@ impl ServiceCore {
         let violation = now_us > job.spec.deadline_us;
         if violation {
             self.violations += 1;
-            metrics::counter("serve/slo_violations").add(1);
+            self.metrics.slo_violations.add(1);
         }
-        metrics::counter("serve/completed").add(1);
-        metrics::histogram("serve/sojourn_us").record(sojourn);
+        self.metrics.completed.add(1);
+        self.metrics.sojourn_us.record(sojourn);
         self.sojourns.push(sojourn);
         self.sojourns_by_class[job.spec.priority.index()].push(sojourn);
         let alert = self.obs.on_complete(
@@ -1436,7 +1481,7 @@ impl ServiceCore {
     /// admission if it has retry budget left; otherwise it is shed.
     pub fn timeout(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
         self.server_busy_us[server] += now_us.saturating_sub(started_us);
-        metrics::counter("serve/timeouts").add(1);
+        self.metrics.timeouts.add(1);
         self.obs.on_timeout(now_us, job.spec.id, server);
         self.record(EventRecord::Timeout {
             t: now_us,

@@ -186,7 +186,7 @@ pub fn simulate_trace(
     for j in jobs {
         if !model.knows(&j.task.video) {
             return Err(ServeError::UnknownVideo {
-                name: j.task.video.clone(),
+                name: j.task.video.to_string(),
             });
         }
     }
@@ -421,7 +421,7 @@ mod tests {
     fn unknown_video_is_rejected() {
         let w = WorkloadSpec::smoke(1);
         let mut jobs = w.generate().unwrap();
-        jobs[0].task.video = "not-in-vbench".to_owned();
+        jobs[0].task.video = "not-in-vbench".into();
         let err = simulate_trace(
             &jobs,
             1,

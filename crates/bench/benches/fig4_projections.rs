@@ -10,11 +10,7 @@ use vtx_core::experiments::sweep::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let crfs: Vec<u8> = if vtx_bench::full_run() {
-        (1..=51).step_by(2).collect()
-    } else {
-        vec![10, 18, 26, 34, 42]
-    };
+    let crfs: Vec<u8> = vec![10, 18, 26, 34, 42];
     let refs = full_refs_grid();
     vtx_bench::banner("Figure 4: projections A (PSNR vs bitrate) and B (time vs refs)");
 

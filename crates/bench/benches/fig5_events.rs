@@ -4,7 +4,7 @@
 
 use vtx_codec::EncoderConfig;
 use vtx_core::experiments::sweep::{
-    crf_refs_sweep, default_crf_grid, default_refs_grid, full_crf_grid, full_refs_grid, SweepPoint,
+    crf_refs_sweep, default_crf_grid, default_refs_grid, SweepPoint,
 };
 
 fn grid(points: &[SweepPoint], crfs: &[u8], refs: &[u8], f: impl Fn(&SweepPoint) -> f64) {
@@ -27,11 +27,7 @@ fn grid(points: &[SweepPoint], crfs: &[u8], refs: &[u8], f: impl Fn(&SweepPoint)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (crfs, refs) = if vtx_bench::full_run() {
-        (full_crf_grid(), full_refs_grid())
-    } else {
-        (default_crf_grid(), default_refs_grid())
-    };
+    let (crfs, refs) = (default_crf_grid(), default_refs_grid());
     vtx_bench::banner("Figure 5: microarchitectural inefficiencies over crf x refs");
 
     let t = vtx_bench::sweep_transcoder()?;

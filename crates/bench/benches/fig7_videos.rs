@@ -5,7 +5,6 @@ use vtx_core::experiments::videos::video_study;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     vtx_bench::banner("Figure 7: profiling results for different videos");
-    // Full catalog by default; VTX_FULL adds nothing here (it's already full).
     let runs = video_study(None, vtx_bench::SEED, &vtx_bench::sweep_options())?;
 
     println!("\n(a) Top-down slots (%):");

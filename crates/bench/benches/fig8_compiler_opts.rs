@@ -1,42 +1,14 @@
 //! Figure 8 — speedup of AutoFDO- and Graphite-optimized binaries over the
 //! stock build, per video, averaged over parameter combinations.
 //!
-//! Default: 6 videos x 4 combinations. `VTX_FULL=1` runs the whole catalog
-//! with the paper's 32 combinations per video.
+//! 6 videos x 4 combinations (the paper averages 32 per video over its
+//! whole catalog).
 
-use vtx_core::experiments::compiler_opts::{
-    compiler_opt_study, default_combos, mean_speedups, quick_combos,
-};
+use vtx_core::experiments::compiler_opts::{compiler_opt_study, mean_speedups, quick_combos};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (videos, combos): (Vec<&str>, _) = if vtx_bench::full_run() {
-        (
-            vec![
-                "desktop",
-                "presentation",
-                "bike",
-                "funny",
-                "cricket",
-                "house",
-                "game1",
-                "game2",
-                "girl",
-                "chicken",
-                "game3",
-                "cat",
-                "holi",
-                "landscape",
-                "hall",
-                "bbb",
-            ],
-            default_combos(),
-        )
-    } else {
-        (
-            vec!["desktop", "bike", "cricket", "game2", "holi", "hall"],
-            quick_combos(),
-        )
-    };
+    let videos = vec!["desktop", "bike", "cricket", "game2", "holi", "hall"];
+    let combos = quick_combos();
     vtx_bench::banner(&format!(
         "Figure 8: AutoFDO / Graphite speedup ({} videos x {} parameter combos)",
         videos.len(),

@@ -6,8 +6,7 @@ use vtx_core::experiments::scheduler::scheduler_study;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     vtx_bench::banner("Figure 9: scheduler speedup over the baseline configuration");
-    let shift = if vtx_bench::full_run() { 0 } else { 1 };
-    let study = scheduler_study(vtx_bench::SEED, shift)?;
+    let study = scheduler_study(vtx_bench::SEED, 1)?;
 
     println!("\nmeasured seconds (rows = Table III tasks):");
     print!("{:>10}", "baseline");

@@ -6,7 +6,7 @@
 //! policy optimizes the true objective while `smart` optimizes a
 //! port-blind approximation of it.
 
-use vtx_obs::{milli, BenchTrajectory, TrajectoryRow};
+use vtx_obs::BenchTrajectory;
 use vtx_serve::chaos::ChaosConfig;
 use vtx_serve::fleet::Fleet;
 use vtx_serve::policy::policy_by_name;
@@ -15,44 +15,6 @@ use vtx_serve::segment::{SegmentOptions, SegmentPlan};
 use vtx_serve::service::ServeConfig;
 use vtx_serve::sim::{simulate, simulate_trace};
 use vtx_serve::workload::WorkloadSpec;
-
-/// Flatten one run (exact report + observability plane) into a trajectory
-/// row — every field integral so the artifact byte-compares across runs.
-fn trajectory_row(
-    scenario: &str,
-    r: &ServingReport,
-    servers: u64,
-    cells: u64,
-    segments: u64,
-    alerts: u64,
-    wall_ms: u64,
-) -> TrajectoryRow {
-    TrajectoryRow {
-        scenario: scenario.to_owned(),
-        policy: r.policy.clone(),
-        seed: r.seed,
-        servers,
-        cells,
-        segments,
-        offered: r.offered,
-        completed: r.completed,
-        slo_violations: r.slo_violations,
-        shed: r.shed_total(),
-        shed_rung: r.shed_by_rung.first().copied().unwrap_or(0),
-        shed_tenant: r.shed[vtx_serve::queue::ShedReason::Throttled as usize],
-        p50_sojourn_us: r.sojourn.p50_us,
-        p99_sojourn_us: r.sojourn.p99_us,
-        throughput_milli_jps: milli(r.throughput_jps),
-        goodput_milli_jps: milli(r.goodput_jps),
-        availability_milli: milli(r.availability),
-        cache_hit_milli: r.cache.as_ref().map_or(0, vtx_cache::CacheStats::hit_milli),
-        peak_capacity_milli: r.scale.map_or(0, |s| s.peak_capacity_milli),
-        served_capacity_milli: r.scale.map_or(0, |s| s.served_capacity_milli),
-        alerts,
-        makespan_us: r.makespan_us,
-        wall_ms,
-    }
-}
 
 /// Bytes of the distinct artifacts a plan's trace requests — the "hot set"
 /// a perfectly sized cache would hold exactly once. Distinctness matches
@@ -76,22 +38,9 @@ fn hot_set_bytes(plan: &SegmentPlan, unit_bytes: &[u64]) -> u64 {
     uniq.values().sum()
 }
 
-/// Wall-clock per scenario, but only when `VTX_TRAJ_WALL=1` asked for it —
-/// the default artifact stays byte-identical across machines and runs.
-fn elapsed_wall_ms(start: std::time::Instant) -> u64 {
-    if vtx_obs::wall_clock_enabled() {
-        start.elapsed().as_millis() as u64
-    } else {
-        0
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     vtx_bench::banner("Figure 9 (serving): dispatch policies on tail latency");
-    let mut workload = WorkloadSpec::bundled(vtx_bench::SEED);
-    if vtx_bench::full_run() {
-        workload.jobs *= 4;
-    }
+    let workload = WorkloadSpec::bundled(vtx_bench::SEED);
     println!(
         "workload: {} jobs, {} Hz open-loop arrivals, {} videos, Table IV fleet\n",
         workload.jobs,
@@ -106,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let policy = policy_by_name(name, workload.seed).expect("known policy");
         let start = std::time::Instant::now();
         let out = simulate(&workload, Fleet::table_iv(), policy, ServeConfig::default())?;
-        walls.push(elapsed_wall_ms(start));
+        walls.push(start.elapsed().as_millis() as u64);
         alert_counts.push(out.obs.alerts().len() as u64);
         reports.push(out.report);
     }
@@ -171,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let start = std::time::Instant::now();
         let out = simulate_trace(&jobs, workload.seed, Fleet::sized(8)?, policy, cfg)?;
-        f_walls.push(elapsed_wall_ms(start));
+        f_walls.push(start.elapsed().as_millis() as u64);
         f_alert_counts.push(out.obs.alerts().len() as u64);
         faulted.push(out.report);
     }
@@ -254,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let start = std::time::Instant::now();
         let out = simulate_trace(&plan.units, workload.seed, Fleet::sized(8)?, policy, cfg)?;
-        s_walls.push(elapsed_wall_ms(start));
+        s_walls.push(start.elapsed().as_millis() as u64);
         s_alert_counts.push(out.obs.alerts().len() as u64);
         let mut report = out.report;
         report.segments = Some(plan.stats(&out.event_log));
@@ -360,7 +309,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }));
         let start = std::time::Instant::now();
         let out = simulate_trace(&cplan.units, workload.seed, Fleet::sized(8)?, policy, cfg)?;
-        c_walls.push(elapsed_wall_ms(start));
+        c_walls.push(start.elapsed().as_millis() as u64);
         c_alert_counts.push(out.obs.alerts().len() as u64);
         let mut report = out.report;
         report.segments = Some(cplan.stats(&out.event_log));
@@ -489,31 +438,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // this file and byte-compares it against the committed BENCH_serving.json.
     let mut traj = BenchTrajectory::new("fig9_serving");
     for (i, r) in reports.iter().enumerate() {
-        traj.push(trajectory_row(
-            "baseline",
-            r,
-            5,
-            0,
-            0,
-            alert_counts[i],
-            walls[i],
-        ));
+        traj.push(r.trajectory_row("baseline", 5, 0, 0, alert_counts[i], walls[i]));
     }
     for (i, r) in faulted.iter().enumerate() {
-        traj.push(trajectory_row(
-            "faulted",
-            r,
-            8,
-            0,
-            0,
-            f_alert_counts[i],
-            f_walls[i],
-        ));
+        traj.push(r.trajectory_row("faulted", 8, 0, 0, f_alert_counts[i], f_walls[i]));
     }
     for (i, r) in segmented.iter().enumerate() {
-        traj.push(trajectory_row(
+        traj.push(r.trajectory_row(
             "segmented",
-            r,
             8,
             0,
             plan.units.len() as u64,
@@ -522,9 +454,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
     for (i, r) in cached.iter().enumerate() {
-        traj.push(trajectory_row(
+        traj.push(r.trajectory_row(
             "cached",
-            r,
             8,
             0,
             cplan.units.len() as u64,

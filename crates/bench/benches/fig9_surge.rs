@@ -7,7 +7,7 @@
 //! over the autoscaler ceiling. Every run is byte-deterministic per seed
 //! and the surge rows merge into the `BENCH_serving.json` trajectory.
 
-use vtx_obs::{milli, BenchTrajectory, TrajectoryRow};
+use vtx_obs::BenchTrajectory;
 use vtx_serve::chaos::{AutoscaleConfig, BackoffConfig, BreakerConfig, ChaosConfig};
 use vtx_serve::fleet::Fleet;
 use vtx_serve::policy::policy_by_name;
@@ -49,34 +49,6 @@ fn surge_cfg(min_servers: usize, max_servers: usize) -> ServeConfig {
         step: 1,
     };
     cfg
-}
-
-fn trajectory_row(scenario: &str, r: &ServingReport, servers: u64, alerts: u64) -> TrajectoryRow {
-    TrajectoryRow {
-        scenario: scenario.to_owned(),
-        policy: r.policy.clone(),
-        seed: r.seed,
-        servers,
-        cells: 0,
-        segments: 0,
-        offered: r.offered,
-        completed: r.completed,
-        slo_violations: r.slo_violations,
-        shed: r.shed_total(),
-        shed_rung: r.shed_by_rung.first().copied().unwrap_or(0),
-        shed_tenant: r.shed[ShedReason::Throttled as usize],
-        p50_sojourn_us: r.sojourn.p50_us,
-        p99_sojourn_us: r.sojourn.p99_us,
-        throughput_milli_jps: milli(r.throughput_jps),
-        goodput_milli_jps: milli(r.goodput_jps),
-        availability_milli: milli(r.availability),
-        cache_hit_milli: 0,
-        peak_capacity_milli: r.scale.map_or(0, |s| s.peak_capacity_milli),
-        served_capacity_milli: r.scale.map_or(0, |s| s.served_capacity_milli),
-        alerts,
-        makespan_us: r.makespan_us,
-        wall_ms: 0,
-    }
 }
 
 /// Exact nearest-rank p99 (max for tiny samples), matching the exact —
@@ -413,38 +385,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BenchTrajectory::new("fig9_serving")
     };
     traj.rows.retain(|r| !r.scenario.starts_with("surge"));
-    traj.push(trajectory_row(
-        "surge_flash_static",
-        &static_min.report,
-        4,
-        static_min.obs.alerts().len() as u64,
-    ));
-    traj.push(trajectory_row(
-        "surge_flash_full",
-        &control.report,
-        10,
-        control.obs.alerts().len() as u64,
-    ));
-    traj.push(trajectory_row(
-        "surge_flash_auto",
-        &auto.report,
-        10,
-        auto.obs.alerts().len() as u64,
-    ));
-    traj.push(trajectory_row(
-        "surge_faults",
-        &faulted.report,
-        8,
-        faulted.obs.alerts().len() as u64,
-    ));
-    traj.push(trajectory_row(
-        "surge_tenants",
-        &tenants.report,
-        5,
-        tenants.obs.alerts().len() as u64,
-    ));
+    for (scenario, out, servers) in [
+        ("surge_flash_static", &static_min, 4),
+        ("surge_flash_full", &control, 10),
+        ("surge_flash_auto", &auto, 10),
+        ("surge_faults", &faulted, 8),
+        ("surge_tenants", &tenants, 5),
+    ] {
+        let alerts = out.obs.alerts().len() as u64;
+        traj.push(
+            out.report
+                .trajectory_row(scenario, servers, 0, 0, alerts, 0),
+        );
+    }
     for (max, r) in [4usize, 6, 8, 10].into_iter().zip(&frontier) {
-        traj.push(trajectory_row(&format!("surge_cap{max}"), r, 10, 0));
+        traj.push(r.trajectory_row(&format!("surge_cap{max}"), 10, 0, 0, 0, 0));
     }
     let json = traj.to_json();
     BenchTrajectory::validate_str(&json).expect("trajectory validates against its own schema");

@@ -18,7 +18,7 @@
 //!   `BENCH_serving.json` and byte-compared by CI the same way — the
 //!   tail-latency win at the paper-motivated fleet size.
 
-use vtx_obs::{milli, BenchTrajectory, ObsConfig, TrajectoryRow};
+use vtx_obs::{BenchTrajectory, ObsConfig};
 use vtx_serve::cells::CellPlan;
 use vtx_serve::fleet::Fleet;
 use vtx_serve::policy::policy_by_name;
@@ -36,46 +36,6 @@ fn xl_config(cells: usize) -> ServeConfig {
         obs: ObsConfig::disabled(),
         cells,
         ..ServeConfig::default()
-    }
-}
-
-fn xl_row(
-    scenario: &str,
-    r: &ServingReport,
-    servers: u64,
-    cells: u64,
-    wall_ms: u64,
-) -> TrajectoryRow {
-    TrajectoryRow {
-        scenario: scenario.to_owned(),
-        policy: r.policy.clone(),
-        seed: r.seed,
-        servers,
-        cells,
-        segments: 0,
-        offered: r.offered,
-        completed: r.completed,
-        slo_violations: r.slo_violations,
-        shed: r.shed_total(),
-        shed_rung: 0,
-        shed_tenant: 0,
-        p50_sojourn_us: r.sojourn.p50_us,
-        p99_sojourn_us: r.sojourn.p99_us,
-        throughput_milli_jps: milli(r.throughput_jps),
-        goodput_milli_jps: milli(r.goodput_jps),
-        availability_milli: milli(r.availability),
-        cache_hit_milli: 0,
-        peak_capacity_milli: 0,
-        served_capacity_milli: 0,
-        alerts: 0,
-        makespan_us: r.makespan_us,
-        // Real timings only on request, so the committed files stay
-        // byte-deterministic.
-        wall_ms: if vtx_obs::wall_clock_enabled() {
-            wall_ms
-        } else {
-            0
-        },
     }
 }
 
@@ -176,13 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     traj.rows.retain(|r| !r.scenario.starts_with("xl"));
     for (r, wall) in &smoke {
-        traj.push(xl_row(
-            "xl_smoke",
-            r,
-            smoke_servers as u64,
-            smoke_cells,
-            *wall,
-        ));
+        traj.push(r.trajectory_row("xl_smoke", smoke_servers as u64, smoke_cells, 0, 0, *wall));
     }
     let json = traj.to_json();
     BenchTrajectory::validate_str(&json).expect("trajectory validates against its own schema");
@@ -216,7 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut xl_traj = BenchTrajectory::new("fig9_xl_full");
     for (r, wall) in &full {
-        xl_traj.push(xl_row("xl_full", r, xl_servers as u64, xl_cells, *wall));
+        xl_traj.push(r.trajectory_row("xl_full", xl_servers as u64, xl_cells, 0, 0, *wall));
     }
     let xl_json = xl_traj.to_json();
     BenchTrajectory::validate_str(&xl_json).expect("xl trajectory validates");

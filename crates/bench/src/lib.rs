@@ -5,19 +5,13 @@
 //! rows/series the paper reports and saves a `Debug` dump of them under
 //! `target/vtx-results/` so runs are diffable.
 //!
-//! Figure 3 always runs its full 816-point crf × refs plane. The other grids
-//! default to strided subsets so `cargo bench` finishes quickly; set
-//! `VTX_FULL=1` to run their paper-sized versions (e.g. the same 816
-//! combinations for Figure 5).
+//! Figure 3 runs its full 816-point crf × refs plane; the other grids are
+//! strided subsets of it, and every number in EXPERIMENTS.md comes from
+//! them.
 
 use std::path::PathBuf;
 
 use vtx_core::{CoreError, TranscodeOptions, Transcoder};
-
-/// Whether the full (paper-sized) grids were requested via `VTX_FULL=1`.
-pub fn full_run() -> bool {
-    std::env::var("VTX_FULL").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 /// Seed used by every harness: results are fully reproducible.
 pub const SEED: u64 = 42;
@@ -71,13 +65,5 @@ mod tests {
         let d = results_dir();
         assert!(d.ends_with("vtx-results"));
         assert!(d.exists());
-    }
-
-    #[test]
-    fn full_run_reads_env() {
-        // Not set in the test environment by default.
-        if std::env::var("VTX_FULL").is_err() {
-            assert!(!full_run());
-        }
     }
 }

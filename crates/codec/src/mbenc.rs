@@ -108,13 +108,16 @@ pub fn read_coef_block<R: EntropyReader>(
         return Ok((levels, 0));
     }
     prof.branch(4, true);
-    let nz = r.get_ue(ctx::NZ_COUNT + coff)? + 1;
-    if nz > 16 {
+    // Checked before the `+ 1`: a crafted code of `u32::MAX` must not wrap
+    // to a zero count.
+    let coded = r.get_ue(ctx::NZ_COUNT + coff)?;
+    if coded >= 16 {
         return Err(CodecError::CorruptBitstream {
             offset: 0,
             context: "nonzero count",
         });
     }
+    let nz = coded + 1;
     let mut sig = 0u32;
     let mut zi = 0usize;
     for _ in 0..nz {
@@ -414,13 +417,14 @@ mod oracle {
             return Ok(levels);
         }
         prof.branch(4, true);
-        let nz = r.get_ue(ctx::NZ_COUNT + coff)? + 1;
-        if nz > 16 {
+        let coded = r.get_ue(ctx::NZ_COUNT + coff)?;
+        if coded >= 16 {
             return Err(CodecError::CorruptBitstream {
                 offset: 0,
                 context: "nonzero count",
             });
         }
+        let nz = coded + 1;
         let mut zi = 0usize;
         for _ in 0..nz {
             let run = r.get_ue(ctx::RUN + coff)? as usize;
@@ -458,6 +462,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entropy::cabac::{CabacReader, CabacWriter};
     use crate::entropy::cavlc::{CavlcReader, CavlcWriter};
     use vtx_trace::layout::CodeLayout;
     use vtx_uarch::config::UarchConfig;
@@ -616,6 +621,27 @@ mod tests {
         // Either parses something odd or errors — but must not panic, and a
         // clearly invalid nz (>16) must error.
         let _ = read_coef_block(&mut r, false, &mut p);
+
+        // cbf=1, then a count code no encoder writes: 16 is one too many,
+        // and `u32::MAX` would wrap `+ 1` to an empty block.
+        let bad_count = CodecError::CorruptBitstream {
+            offset: 0,
+            context: "nonzero count",
+        };
+        for coded in [16, u32::MAX] {
+            let (mut cavlc, mut cabac) = (CavlcWriter::new(), CabacWriter::new());
+            cavlc.put_bit(ctx::CBF, true);
+            cavlc.put_ue(ctx::NZ_COUNT, coded);
+            cabac.put_bit(ctx::CBF, true);
+            cabac.put_ue(ctx::NZ_COUNT, coded);
+            let (cavlc, cabac) = (cavlc.finish(), cabac.finish());
+            let got = read_coef_block(&mut CavlcReader::new(&cavlc), false, &mut p);
+            assert_eq!(got.unwrap_err(), bad_count, "cavlc {coded}");
+            let got = read_coef_block(&mut CabacReader::new(&cabac), false, &mut p);
+            assert_eq!(got.unwrap_err(), bad_count, "cabac {coded}");
+            let got = oracle::read_coef_block(&mut CavlcReader::new(&cavlc), false, &mut p);
+            assert_eq!(got.unwrap_err(), bad_count, "oracle {coded}");
+        }
     }
 
     /// The all-zero block, one coefficient at each position, the full block,
@@ -678,7 +704,6 @@ mod tests {
 
     #[test]
     fn mask_coders_equal_the_two_pass_oracle() {
-        use crate::entropy::cabac::{CabacReader, CabacWriter};
         let bytes = write_both_ways(CabacWriter::new(), CabacWriter::new());
         read_both_ways(CabacReader::new(&bytes), CabacReader::new(&bytes));
         let bytes = write_both_ways(CavlcWriter::new(), CavlcWriter::new());

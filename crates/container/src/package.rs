@@ -13,7 +13,7 @@ use crate::error::ContainerError;
 use crate::ladder::Ladder;
 use crate::manifest::{MasterPlaylist, MediaPlaylist, SegmentEntry, Variant};
 use crate::mux::{init_segment, media_segment};
-use crate::segment::{segment_to_samples, split_stream, FRAME_COUNT_OFFSET, HEADER_LEN};
+use crate::segment::{segment_to_samples, split_stream, HEADER_LEN};
 
 /// One rung's packaged output: init segment plus media segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,24 +91,6 @@ pub fn master_playlist(ladder: &Ladder) -> MasterPlaylist {
             })
             .collect(),
     }
-}
-
-/// Reads the frame count a bitstream header advertises.
-///
-/// # Errors
-///
-/// Returns [`ContainerError::Truncated`] when the header is short.
-pub fn stream_frame_count(stream: &[u8]) -> Result<u32, ContainerError> {
-    if stream.len() < HEADER_LEN {
-        return Err(ContainerError::Truncated {
-            offset: stream.len(),
-            context: "bitstream header",
-        });
-    }
-    Ok(u32::from(u16::from_le_bytes([
-        stream[FRAME_COUNT_OFFSET],
-        stream[FRAME_COUNT_OFFSET + 1],
-    ])))
 }
 
 #[cfg(test)]

@@ -28,26 +28,8 @@ pub struct OptRun {
     pub graphite_speedup: f64,
 }
 
-/// The paper averages each video over 32 parameter combinations; this is
-/// the default combination set (4 crf × 2 refs × 4 presets = 32).
-pub fn default_combos() -> Vec<(u8, u8, Preset)> {
-    let mut out = Vec::new();
-    for &crf in &[18u8, 23, 28, 33] {
-        for &refs in &[1u8, 3] {
-            for &preset in &[
-                Preset::Superfast,
-                Preset::Veryfast,
-                Preset::Medium,
-                Preset::Slow,
-            ] {
-                out.push((crf, refs, preset));
-            }
-        }
-    }
-    out
-}
-
-/// A reduced combination set for quick runs (4 combinations).
+/// The four parameter combinations each video is averaged over (the paper
+/// averages 32).
 pub fn quick_combos() -> Vec<(u8, u8, Preset)> {
     vec![
         (23, 3, Preset::Veryfast),
@@ -153,7 +135,6 @@ mod tests {
 
     #[test]
     fn combos_have_documented_sizes() {
-        assert_eq!(default_combos().len(), 32);
         assert_eq!(quick_combos().len(), 4);
     }
 

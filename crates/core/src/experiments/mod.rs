@@ -10,12 +10,10 @@
 //! | Figure 9 + Tables III/IV (schedulers) | [`scheduler`] |
 //! | All of §IV-A in one call | [`full_report`] |
 //! | §V adaptive-streaming guidance (extension) | [`pareto`] |
-//! | Issue-port pressure across Table IV (extension) | [`ports`] |
 
 pub mod compiler_opts;
 pub mod full_report;
 pub mod pareto;
-pub mod ports;
 pub mod presets;
 pub mod scheduler;
 pub mod sweep;

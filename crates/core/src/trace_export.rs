@@ -141,16 +141,6 @@ pub fn flamegraph_collapsed() -> String {
     stacks.render()
 }
 
-/// Writes [`flamegraph_collapsed`] to `path` (render with `flamegraph.pl`
-/// or `inferno-flamegraph`).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_flamegraph_collapsed<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<()> {
-    std::fs::write(path, flamegraph_collapsed())
-}
-
 /// Checks the standard trace environment variable: when `VTX_TRACE` is set
 /// and non-empty, enables the collector and returns the destination path for
 /// the Chrome trace.

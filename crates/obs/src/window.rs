@@ -91,12 +91,6 @@ impl WindowedQuantiles {
         }
     }
 
-    /// Live quantile for `class`: merges the retained recent windows.
-    /// Returns 0 when the class has seen no recent samples.
-    pub fn live_quantile_permille(&self, class: usize, q: u32) -> u64 {
-        self.live_sketch(class).quantile_permille(q)
-    }
-
     /// Merged sketch over the retained windows for `class`.
     pub fn live_sketch(&self, class: usize) -> QuantileSketch {
         let mut merged = QuantileSketch::new();
@@ -177,8 +171,8 @@ mod tests {
         w.record(2, 5, 9_999_999);
         assert_eq!(w.live_sketch(0).count(), 1);
         assert_eq!(w.live_sketch(1).count(), 0);
-        assert_eq!(w.live_quantile_permille(1, 990), 0);
-        assert!(w.live_quantile_permille(2, 990) > 1_000_000);
+        assert_eq!(w.live_sketch(1).quantile_permille(990), 0);
+        assert!(w.live_sketch(2).quantile_permille(990) > 1_000_000);
         assert_eq!(w.overall().count(), 2);
     }
 

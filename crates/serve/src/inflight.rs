@@ -3,10 +3,10 @@
 //! Between a dispatch and its terminal booking a job lives here, not in the
 //! [`ServiceCore`]: one running slot per server, the servers holding a copy
 //! of each job (two while hedged), the ids already completed, and the
-//! [`IdleIndex`] every dispatch round reads. Both drivers own one
-//! [`InFlight`] beside their core and call the same handlers, so a driver
-//! is only a clock and a transport: it decides *when* a handler fires and
-//! what a started copy costs.
+//! [`IdleIndex`] every dispatch round reads. The engine loop owns one
+//! [`InFlight`] beside the core and calls its handlers as events pop; a
+//! transport only decides *when* an event is handled and what a started
+//! copy costs.
 //!
 //! A server is in the idle index exactly when its slot is empty and the core
 //! would give it work (not detected down, active, breaker closed). Policies
@@ -90,7 +90,7 @@ impl Resolution {
     }
 }
 
-/// The in-flight bookkeeping shared by both drivers (see the module docs).
+/// The in-flight bookkeeping under the engine loop (see the module docs).
 #[derive(Debug)]
 pub struct InFlight {
     idle: IdleIndex,
@@ -304,7 +304,7 @@ impl InFlight {
     }
 
     /// A scale-out's warm-up elapsed. The server joins the idle index if
-    /// the core activates it and it is `alive` — the driver's ground truth:
+    /// the core activates it and it is `alive` — the engine's ground truth:
     /// a server that crashed while warming never reports ready, detected
     /// or not.
     pub fn server_ready(

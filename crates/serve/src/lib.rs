@@ -27,19 +27,20 @@
 //! * [`cost`] — the two-faced service-time model: a policy-visible
 //!   prediction and an engine-billed truth that is a pure function of
 //!   `(seed, job, server)`, so policies compete on identical ground.
-//! * [`service`] — the shared [`service::ServiceCore`] (admission, dispatch,
-//!   accounting, event log) used by **both** drivers.
-//! * [`inflight`] — the shared [`inflight::InFlight`] state machine: which
-//!   server runs which copy of which job, the incrementally maintained
-//!   idle index, hedge arming, server-lost drains and finish resolution.
-//!   Both drivers call its handlers; neither keeps in-flight state.
-//! * [`sim`] — the deterministic discrete-event fleet engine: same seed in,
-//!   byte-identical event log, assignment vector and report out. Its own
-//!   parts are a [`calendar`] queue, the ground truth of which servers
-//!   crashed, and the service-time computation.
-//! * [`exec`] — the real executor: wall-clock time, per-server worker
-//!   threads running actual profiled [`vtx_core::Transcoder`] jobs through
-//!   the same service core and in-flight machine.
+//! * [`service`] — the [`service::ServiceCore`] (admission, dispatch,
+//!   accounting, event log).
+//! * [`inflight`] — the [`inflight::InFlight`] state machine: which server
+//!   runs which copy of which job, the incrementally maintained idle index,
+//!   hedge arming, server-lost drains and finish resolution.
+//! * [`engine`] — the one loop over those two: an event [`calendar`] seeded
+//!   from the fault plan and the arrival trace, popped until it is drained
+//!   and nothing is in flight, generic over a transport (a clock and a way
+//!   to run a copy). The two below are its transports and nothing more.
+//! * [`sim`] — the deterministic discrete-event simulator: the loop on a
+//!   virtual clock, pricing a run with the cost model's truth. Same seed
+//!   in, byte-identical event log, assignment vector and report out.
+//! * [`exec`] — the real executor: the loop on the wall clock, per-server
+//!   worker threads running actual profiled [`vtx_core::Transcoder`] jobs.
 //! * [`segment`] — segmented ABR serving: a catalog job decomposes into
 //!   per-(segment, rung) dispatch units ([`segment::SegmentPlan`]) that
 //!   flow through the same machinery; completed jobs package into CMAF
@@ -112,6 +113,7 @@ pub mod calendar;
 pub mod cells;
 pub mod chaos;
 pub mod cost;
+pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod fleet;

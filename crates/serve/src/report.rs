@@ -7,6 +7,10 @@
 //! samples (rank = ⌈q·n⌉), not histogram-bucketed, so two runs with the same
 //! seed render identical bytes.
 
+use vtx_cache::CacheStats;
+use vtx_obs::{milli, wall_clock_enabled, TrajectoryRow};
+
+use crate::queue::ShedReason;
 use crate::workload::Priority;
 
 /// Exact order statistics of a latency sample set.
@@ -226,6 +230,48 @@ impl ServingReport {
             0.0
         } else {
             self.slo_violations as f64 / self.completed as f64
+        }
+    }
+
+    /// Flattens the run into one bench-trajectory row — every field
+    /// integral, so the artifact byte-compares across runs. The report does
+    /// not know the scenario's label, the fleet's size and cell count, how
+    /// many dispatch units a segmented plan offered, or how many alert
+    /// transitions the obs plane saw; `wall_ms` is recorded only under
+    /// `VTX_TRAJ_WALL=1`, so committed trajectories stay deterministic.
+    pub fn trajectory_row(
+        &self,
+        scenario: &str,
+        servers: u64,
+        cells: u64,
+        segments: u64,
+        alerts: u64,
+        wall_ms: u64,
+    ) -> TrajectoryRow {
+        TrajectoryRow {
+            scenario: scenario.to_owned(),
+            policy: self.policy.clone(),
+            seed: self.seed,
+            servers,
+            cells,
+            segments,
+            offered: self.offered,
+            completed: self.completed,
+            slo_violations: self.slo_violations,
+            shed: self.shed_total(),
+            shed_rung: self.shed_by_rung.first().copied().unwrap_or(0),
+            shed_tenant: self.shed[ShedReason::Throttled as usize],
+            p50_sojourn_us: self.sojourn.p50_us,
+            p99_sojourn_us: self.sojourn.p99_us,
+            throughput_milli_jps: milli(self.throughput_jps),
+            goodput_milli_jps: milli(self.goodput_jps),
+            availability_milli: milli(self.availability),
+            cache_hit_milli: self.cache.as_ref().map_or(0, CacheStats::hit_milli),
+            peak_capacity_milli: self.scale.map_or(0, |s| s.peak_capacity_milli),
+            served_capacity_milli: self.scale.map_or(0, |s| s.served_capacity_milli),
+            alerts,
+            makespan_us: self.makespan_us,
+            wall_ms: if wall_clock_enabled() { wall_ms } else { 0 },
         }
     }
 

@@ -1,13 +1,14 @@
 //! The shared service core: admission, dispatch, and accounting.
 //!
-//! Both drivers — the discrete-event fleet engine ([`crate::sim`]) and the
-//! real threaded executor ([`crate::exec`]) — own a [`ServiceCore`] and,
-//! beside it, one [`crate::inflight::InFlight`] that tracks what runs where
-//! between a dispatch and its terminal booking. The core holds the queue,
-//! the policy, the event log and all counters; the drivers only decide
-//! *when* the shared handlers fire and what a started copy costs. That
-//! split is what makes the simulated and real paths comparable: a policy
-//! bug or queueing bug shows up identically in both.
+//! The engine loop ([`crate::engine`]) — under the simulator
+//! ([`crate::sim`]) and the real threaded executor ([`crate::exec`]) alike —
+//! owns a [`ServiceCore`] and, beside it, one [`crate::inflight::InFlight`]
+//! that tracks what runs where between a dispatch and its terminal booking.
+//! The core holds the queue, the policy, the event log and all counters;
+//! the loop decides *when* its handlers fire, and its transport what a
+//! started copy costs. That split is what makes the simulated and real
+//! paths comparable: a policy bug or queueing bug shows up identically in
+//! both.
 
 use std::collections::BTreeMap;
 
@@ -521,7 +522,7 @@ impl ServeMetrics {
     }
 }
 
-/// The state machine shared by both drivers.
+/// The state machine under the engine loop.
 #[derive(Debug)]
 pub struct ServiceCore {
     cfg: ServeConfig,

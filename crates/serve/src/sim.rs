@@ -1,53 +1,40 @@
-//! The deterministic discrete-event fleet engine.
+//! The deterministic discrete-event fleet simulator: the engine loop on a
+//! virtual clock.
 //!
 //! Arrivals come from a pre-generated trace; service times come from
 //! [`CostModel::true_us`], which is a pure function of `(seed, job,
-//! server)`. Events pop in ascending `(time, sequence)` so ties break
-//! identically run-to-run; given the same workload, fleet and policy, two
-//! runs produce byte-identical event logs, assignment vectors and reports.
+//! server)`. [`crate::engine`] pops events in ascending `(time, sequence)`
+//! so ties break identically run-to-run; given the same workload, fleet and
+//! policy, two runs produce byte-identical event logs, assignment vectors
+//! and reports.
+//!
+//! This module owns only the virtual [`Transport`]: an event due at `t` is
+//! handled at `t`, a started copy's finish is known the moment it starts
+//! and nothing is ever waited for. Everything else — the event calendar,
+//! its seeding from the fault plan, the ground truth of which servers
+//! crashed, the loop — is the engine's, shared with the real executor
+//! ([`crate::exec`]).
 //!
 //! # Scale
 //!
-//! The engine is a clock and a transport over the shared [`ServiceCore`]
-//! and [`InFlight`] machine, and carries no per-event O(fleet) work at any
-//! fleet size: events live in an amortized-O(1) [`CalendarQueue`] (popping
-//! in exactly the `(time, seq)` order the historical binary heap produced),
-//! and every dispatch round — 5 servers or 10 000 — reads the machine's
-//! incrementally maintained idle index. Which assignment solver a round
-//! runs is the policy's choice, not the engine's.
-//!
-//! # Fault injection
-//!
-//! When [`ServeConfig::chaos`] carries a [`FaultPlan`], the engine seeds
-//! the heap with the plan's events before any arrival (so at equal
-//! timestamps a crash always precedes the work it dooms):
-//!
-//! * **Crash** — the server stops making progress. Jobs already running
-//!   there (and jobs dispatched there before the failure detector notices)
-//!   are stuck until the detector's *down* verdict fires, at which point
-//!   they are requeued through [`ServiceCore::fail`]. That window — nothing
-//!   but detection latency — is exactly what the report's MTTR measures.
-//! * **Slowdown / stall** — service times are stretched through
-//!   [`FaultPlan::inflate`]; a stretched run that blows past the job's
-//!   timeout is killed at the timeout mark like any other slow run.
-//! * **Hedging** — an interactive job still in flight after
-//!   `hedge_after` of its deadline budget gets a duplicate on the best
-//!   detected-up idle server; first completion wins, the loser's work is
-//!   discarded (and billed — the server really did it).
+//! The run carries no per-event O(fleet) work at any fleet size: events
+//! live in an amortized-O(1) [`crate::calendar::CalendarQueue`] (popping in
+//! exactly the `(time, seq)` order the historical binary heap produced),
+//! and every dispatch round — 5 servers or 10 000 — reads the in-flight
+//! machine's incrementally maintained idle index. Which assignment solver a
+//! round runs is the policy's choice, not the engine's.
 
-use std::collections::BTreeSet;
-
-use vtx_chaos::{FaultKind, FaultPlan};
 use vtx_telemetry::Span;
 
-use crate::calendar::CalendarQueue;
 use crate::cost::CostModel;
+use crate::engine::{self, Transport};
 use crate::error::ServeError;
 use crate::fleet::Fleet;
-use crate::inflight::{InFlight, Outcome, Started};
+use crate::inflight::{Outcome, Started};
 use crate::policy::DispatchPolicy;
+use crate::queue::PendingJob;
 use crate::report::ServingReport;
-use crate::service::{EventRecord, ScaleAction, ServeConfig, ServiceCore};
+use crate::service::{EventRecord, ServeConfig, ServiceCore};
 use crate::workload::{JobSpec, WorkloadSpec};
 
 /// What a simulated serving run produced.
@@ -64,89 +51,28 @@ pub struct SimOutcome {
     pub obs: vtx_obs::ObsPlane,
 }
 
-/// Event payload. `Finish` names a `(server, instance)` pair rather than
-/// carrying the job: the job lives in the [`InFlight`] slot so a crash (or
-/// requeue) can invalidate a stale finish without queue surgery.
-#[derive(Debug)]
-enum SimEvent {
-    Arrive(JobSpec),
-    Finish {
-        server: usize,
-        instance: u64,
-        /// The run was cut at the job's timeout (known when it started).
-        timed_out: bool,
-    },
-    /// A planned fault fires; a crash also flips the engine's ground truth.
-    Fault {
-        server: usize,
-        kind: FaultKind,
-    },
-    Suspect {
-        server: usize,
-    },
-    Down {
-        server: usize,
-    },
-    HedgeDue {
-        id: u64,
-    },
-    /// A parked (backed-off) job becomes due for re-admission.
-    RequeueDue,
-    /// Periodic autoscaler evaluation.
-    AutoscaleTick,
-    /// A scale-out's warm-up delay elapsed; the server may take work.
-    ServerReady {
-        server: usize,
-    },
-}
+/// The virtual transport (see the module docs).
+pub(crate) struct Virtual;
 
-/// What only the simulator knows: the event calendar, the fault plan's
-/// ground truth, and from them what a started copy costs.
-struct Engine {
-    events: CalendarQueue<SimEvent>,
-    /// Tie-breaker making the pop order total — identical to the binary
-    /// heap the calendar replaced.
-    seq: u64,
-    plan: FaultPlan,
-    /// Which servers have really crashed (the detector learns later).
-    crashed: Vec<bool>,
-}
-
-impl Engine {
-    fn push(&mut self, t: u64, ev: SimEvent) {
-        self.events.push(t, self.seq, ev);
-        self.seq += 1;
-    }
-
-    /// Schedules the finish of a copy that just started: on a live server
-    /// after the fault-inflated service time (capped at the job's timeout),
-    /// or after just the cache lookup cost when `cached_us` is set — a hit
-    /// skips the transcode and fault inflation entirely. On a
-    /// crashed-but-undetected server the copy is simply stuck: no finish is
-    /// scheduled and the down verdict will requeue it.
-    fn start(&mut self, core: &ServiceCore, flight: &InFlight, s: Started, now: u64) {
-        if self.crashed[s.server] {
-            return;
-        }
-        let spec = &flight.job(s.server).spec;
-        // A run longer than the job's timeout is killed at the timeout
-        // mark; the server is occupied (and billed) until then.
-        let (dur, timed_out) = match s.cached_us {
-            Some(lookup) => (lookup.min(spec.timeout_us), false),
-            None => {
-                let true_us = core.true_service_us(spec, s.server, core.fleet().server(s.server));
-                let wall = self.plan.inflate(s.server, now, true_us);
-                (wall.min(spec.timeout_us), wall > spec.timeout_us)
-            }
+impl Transport for Virtual {
+    /// The fault-inflated true service time, cut at the job's timeout
+    /// (known when the copy starts).
+    fn start(
+        &mut self,
+        core: &ServiceCore,
+        job: &PendingJob,
+        copy: Started,
+        now_us: u64,
+    ) -> Option<(u64, Outcome)> {
+        let spec = &job.spec;
+        let true_us = core.true_service_us(spec, copy.server, core.fleet().server(copy.server));
+        let wall = core.chaos().plan.inflate(copy.server, now_us, true_us);
+        let outcome = if wall > spec.timeout_us {
+            Outcome::TimedOut
+        } else {
+            Outcome::Finished { bytes: None }
         };
-        self.push(
-            now.saturating_add(dur),
-            SimEvent::Finish {
-                server: s.server,
-                instance: s.instance,
-                timed_out,
-            },
-        );
+        Some((wall.min(spec.timeout_us), outcome))
     }
 }
 
@@ -194,149 +120,8 @@ pub fn simulate_trace(
         a.u64("jobs", jobs.len() as u64);
         a.u64("seed", seed);
     });
-
-    let detector = cfg.chaos.detector;
-    let autoscale = cfg.chaos.autoscale;
-    let horizon = jobs.iter().map(|j| j.arrival_us).max().unwrap_or(0) + 1;
-    let mut eng = Engine {
-        events: CalendarQueue::new(horizon, jobs.len() * 2 + 64),
-        seq: 0,
-        plan: cfg.chaos.plan.clone(),
-        crashed: vec![false; fleet.len()],
-    };
-    let mut core = ServiceCore::new(cfg, fleet, model, policy);
-    let mut flight = InFlight::new(&core);
-
-    // Plan events first: at equal timestamps a fault precedes the arrival
-    // or finish it affects, and suspicion precedes the down verdict.
-    for server in 0..core.fleet().len() {
-        let faults = eng.plan.server(server);
-        if let Some(c) = faults.crash_us {
-            let kind = FaultKind::Crash;
-            eng.push(c, SimEvent::Fault { server, kind });
-            eng.push(detector.suspect_at(c), SimEvent::Suspect { server });
-            eng.push(detector.down_at(c), SimEvent::Down { server });
-        }
-        for w in &faults.slowdowns {
-            let kind = FaultKind::SlowDown;
-            eng.push(w.from_us, SimEvent::Fault { server, kind });
-        }
-        for st in &faults.stalls {
-            let kind = FaultKind::Stall;
-            eng.push(st.at_us, SimEvent::Fault { server, kind });
-        }
-    }
-    for j in jobs {
-        eng.push(j.arrival_us, SimEvent::Arrive(j.clone()));
-    }
-    if autoscale.enabled {
-        eng.push(autoscale.eval_every_us.max(1), SimEvent::AutoscaleTick);
-    }
-
-    // Backoff wake-ups already scheduled (dedup so each due instant gets
-    // exactly one RequeueDue event).
-    let mut requeue_wakeups: BTreeSet<u64> = BTreeSet::new();
-    let mut arrivals_left = jobs.len();
-
-    let mut now: u64 = 0;
-    while let Some((t, _, ev)) = eng.events.pop() {
-        now = t;
-        match ev {
-            SimEvent::Arrive(spec) => {
-                arrivals_left -= 1;
-                core.offer(spec, now);
-            }
-            SimEvent::Fault { server, kind } => {
-                // Whatever runs on a crashed server is stuck until
-                // detection; its pending Finish (if any) is ignored below.
-                eng.crashed[server] |= kind == FaultKind::Crash;
-                core.record_fault(server, kind, now);
-            }
-            SimEvent::Suspect { server } => core.mark_suspected(server, now),
-            SimEvent::Down { server } => {
-                core.mark_down(server, now);
-                flight.server_lost(&mut core, server, now);
-            }
-            SimEvent::Finish {
-                server,
-                instance,
-                timed_out,
-            } => {
-                // A stale finish, or one from a server that died mid-run,
-                // is ignored: the job (if still held) stays stuck until the
-                // down verdict.
-                if flight.holds(server, instance) && !eng.crashed[server] {
-                    let outcome = if timed_out {
-                        Outcome::TimedOut
-                    } else {
-                        Outcome::Finished { bytes: None }
-                    };
-                    flight.finish(&mut core, server, outcome, now);
-                }
-            }
-            SimEvent::RequeueDue => core.release_parked(now),
-            SimEvent::AutoscaleTick => {
-                for action in core.autoscale_tick(now) {
-                    match action {
-                        ScaleAction::Out { server, ready_us } => {
-                            eng.push(ready_us, SimEvent::ServerReady { server });
-                        }
-                        // Drain: the deactivated server gives up any running
-                        // job through the same path a down verdict uses.
-                        ScaleAction::In { server } => flight.server_lost(&mut core, server, now),
-                    }
-                }
-                // Re-arm only while work can still exist — the tick chain
-                // must not keep an otherwise-finished run alive.
-                let work_left = arrivals_left > 0
-                    || core.queued() > 0
-                    || core.parked_count() > 0
-                    || !flight.is_empty();
-                if work_left {
-                    let next = now.saturating_add(autoscale.eval_every_us.max(1));
-                    eng.push(next, SimEvent::AutoscaleTick);
-                }
-            }
-            SimEvent::ServerReady { server } => {
-                flight.server_ready(&mut core, server, !eng.crashed[server], now);
-            }
-            SimEvent::HedgeDue { id } => {
-                if let Some(copy) = flight.hedge(&mut core, id, now) {
-                    eng.start(&core, &flight, copy, now);
-                }
-            }
-        }
-        // Every state change is a dispatch opportunity.
-        for copy in flight.dispatch(&mut core, now) {
-            if let Some(due) = copy.hedge_due_us {
-                eng.push(due, SimEvent::HedgeDue { id: copy.id });
-            }
-            eng.start(&core, &flight, copy, now);
-        }
-        // Any event can park a job under backoff; make sure the earliest
-        // due instant has a wake-up scheduled (deduplicated per instant).
-        if let Some(due) = core.next_parked_due() {
-            if requeue_wakeups.insert(due) {
-                eng.push(due, SimEvent::RequeueDue);
-            }
-        }
-    }
-
-    // The fleet may have died with work still queued (or parked under
-    // backoff); settle the books so every admitted job reaches a terminal
-    // state.
-    if core.queued() > 0 || core.parked_count() > 0 {
-        core.shed_stranded(now);
-    }
-
-    let assignments = core.assignments().to_vec();
-    let (report, event_log, obs) = core.finish(seed, now);
-    Ok(SimOutcome {
-        report,
-        event_log,
-        assignments,
-        obs,
-    })
+    let core = ServiceCore::new(cfg, fleet, model, policy);
+    Ok(engine::run(jobs, seed, core, &mut Virtual))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! schema roundtrip.
 
 use vtx_obs::json::{parse, JsonValue};
-use vtx_obs::{milli, BenchTrajectory, QuantileSketch, TrajectoryRow, JOB_PID};
+use vtx_obs::{BenchTrajectory, QuantileSketch, JOB_PID};
 use vtx_serve::chaos::ChaosConfig;
 use vtx_serve::fleet::Fleet;
 use vtx_serve::policy::policy_by_name;
@@ -174,33 +174,9 @@ fn conservation_holds_from_the_trace_alone() {
 #[test]
 fn trajectory_schema_roundtrips_through_its_own_validator() {
     let out = faulted("smart", 42, &WorkloadSpec::smoke(42));
-    let r = &out.report;
     let mut traj = BenchTrajectory::new("obs_test");
-    traj.push(TrajectoryRow {
-        scenario: "faulted".to_owned(),
-        policy: r.policy.clone(),
-        seed: r.seed,
-        servers: 8,
-        cells: 0,
-        segments: 0,
-        offered: r.offered,
-        completed: r.completed,
-        slo_violations: r.slo_violations,
-        shed: r.shed_total(),
-        shed_rung: r.shed_by_rung.first().copied().unwrap_or(0),
-        shed_tenant: r.shed[vtx_serve::queue::ShedReason::Throttled as usize],
-        p50_sojourn_us: r.sojourn.p50_us,
-        p99_sojourn_us: r.sojourn.p99_us,
-        throughput_milli_jps: milli(r.throughput_jps),
-        goodput_milli_jps: milli(r.goodput_jps),
-        availability_milli: milli(r.availability),
-        cache_hit_milli: 0,
-        peak_capacity_milli: r.scale.map_or(0, |s| s.peak_capacity_milli),
-        served_capacity_milli: r.scale.map_or(0, |s| s.served_capacity_milli),
-        alerts: out.obs.alerts().len() as u64,
-        makespan_us: r.makespan_us,
-        wall_ms: 0,
-    });
+    let alerts = out.obs.alerts().len() as u64;
+    traj.push(out.report.trajectory_row("faulted", 8, 0, 0, alerts, 0));
     let json = traj.to_json();
     let back = BenchTrajectory::validate_str(&json).expect("schema-valid");
     assert_eq!(back.bench, "obs_test");

@@ -317,4 +317,35 @@ mod tests {
         assert_eq!(serial.bitrate_kbps, threaded.bitrate_kbps);
         assert_eq!(serial.psnr_db, threaded.psnr_db);
     }
+
+    /// A whole transcode's report, with the profiler's models on their own
+    /// thread, against the inline drive's on every Table IV configuration at
+    /// shift 0 and 1: FNV-1a of the `Debug` text `perf` digests, pinned from
+    /// the inline-drive profiler this one replaced.
+    #[test]
+    fn transcode_reports_equal_the_inline_drive() {
+        let t = tiny_transcoder("cricket");
+        let fnv = |text: String| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut got = Vec::new();
+        for cfg in UarchConfig::table_iv() {
+            for shift in [0, 1] {
+                let opts = TranscodeOptions::on(cfg.clone()).with_sample_shift(shift);
+                let r = t.transcode(&EncoderConfig::default(), &opts).unwrap();
+                got.push(fnv(format!("{:?}", r.profile)));
+            }
+        }
+        #[rustfmt::skip]
+        let want = [
+            0xfe64b8837d852a72, 0x8fa9c05ba14a4d4e, // baseline
+            0x927b13089586a123, 0xab29b3caeef341b8, // fe_op
+            0x627c48e0bfcc792e, 0x2f67a8b1ec86ccfb, // be_op1
+            0xa232365ae96c27df, 0x9e1661067e10a9f4, // be_op2
+            0x05d6adeb15924349, 0xeb218d61422dfcb7, // bs_op
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+    }
 }

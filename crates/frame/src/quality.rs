@@ -120,22 +120,6 @@ pub fn ssim_luma(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
     Ok(total / windows as f64)
 }
 
-/// Mean luma SSIM across a sequence of frame pairs.
-///
-/// # Errors
-///
-/// Returns [`FrameError::GeometryMismatch`] on empty or mismatched input.
-pub fn sequence_ssim(reference: &[Frame], distorted: &[Frame]) -> Result<f64, FrameError> {
-    if reference.is_empty() || reference.len() != distorted.len() {
-        return Err(FrameError::GeometryMismatch);
-    }
-    let mut total = 0.0;
-    for (a, b) in reference.iter().zip(distorted) {
-        total += ssim_luma(a, b)?;
-    }
-    Ok(total / reference.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,14 +211,6 @@ mod tests {
         let b = Frame::new(32, 32);
         let c = Frame::new(16, 16);
         assert!(ssim_luma(&b, &c).is_err());
-        assert!(sequence_ssim(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn sequence_ssim_averages() {
-        let f = Frame::new(32, 32);
-        let s = sequence_ssim(&[f.clone(), f.clone()], &[f.clone(), f.clone()]).unwrap();
-        assert!((s - 1.0).abs() < 1e-9);
     }
 
     #[test]

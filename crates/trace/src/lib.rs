@@ -10,6 +10,12 @@
 //! online, finally emitting a [`report::ProfileReport`] with Top-down
 //! categories, MPKI counters and resource-stall figures.
 //!
+//! The simulation runs beside the program, not inside it: each profiler
+//! keeps its exact accounting on the caller's thread and hands the models
+//! their work, in program order, on a thread of their own (see
+//! [`profiler`]). A report is the same, bit for bit, as if the models had
+//! been driven inline; only the wall time changes.
+//!
 //! Two design points matter for reproducibility:
 //!
 //! * **Synthetic code addresses.** Each kernel occupies a region of a
@@ -48,6 +54,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod companion;
 pub mod kernel;
 pub mod layout;
 pub mod plan;

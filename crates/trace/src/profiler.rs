@@ -1,12 +1,26 @@
 //! The online profiler: consumes instrumentation events, drives the
 //! microarchitecture simulation, and produces a [`ProfileReport`].
+//!
+//! A profiler is two halves. The *front* runs on the caller's thread and
+//! keeps everything exact: instructions, heavy ops, the per-kernel profile
+//! and its call pairs, branch and redirect counts, and which units are
+//! sampled; it also resolves each branch's PC and each access's line range.
+//! The *models* — the cache/TLB hierarchy and the branch predictor — run on
+//! a companion thread of their own, fed the sampled units' work in program
+//! order (the crate-private `companion` module), and count mispredicts.
+//! [`Profiler::finish`] takes them back and assembles the report. The two
+//! halves overlap, so a profiled run costs about the larger of the program
+//! and the models, not their sum, and the report is the one an inline drive
+//! would produce.
 
-use vtx_uarch::branch::BranchPredictor;
+use std::num::NonZeroU64;
+
 use vtx_uarch::config::UarchConfig;
-use vtx_uarch::hierarchy::{HitLevel, LevelCounters, MemoryHierarchy};
+use vtx_uarch::hierarchy::{LevelCounters, MemoryHierarchy};
 use vtx_uarch::interval::{CoreModel, ExecutionCounts};
 use vtx_uarch::ConfigError;
 
+use crate::companion::{Companion, Models, Work};
 use crate::kernel::{KernelDesc, KernelId, KernelProfile};
 use crate::layout::CodeLayout;
 use crate::plan::DataPlan;
@@ -48,19 +62,59 @@ pub enum ProfEvent {
 }
 
 /// Where a profiler's events go.
-// The hierarchy stays inline: it is touched on every event, and a few
-// hundred spare bytes in a shard cost nothing.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend {
-    /// Into the cache, TLB and branch-predictor models.
-    Simulate {
-        hierarchy: MemoryHierarchy,
-        predictor: Box<dyn BranchPredictor>,
-    },
+    /// To the cache, TLB and branch-predictor models on their own thread.
+    Simulate(Companion),
     /// Into a buffer, for a later [`Profiler::replay`]: a recording shard
     /// (see [`Profiler::recording_shard`]) owns no model to drive.
     Record(Vec<ProfEvent>),
+}
+
+/// What the front counts itself; the sampled-domain counts (branches,
+/// redirects) before [`Profiler::finish`] scales them.
+#[derive(Debug)]
+struct Tally {
+    instructions: u64,
+    heavy_ops: u64,
+    profile: KernelProfile,
+    branches: u64,
+    redirects: u64,
+}
+
+impl Tally {
+    fn new(kernels: usize) -> Self {
+        Tally {
+            instructions: 0,
+            heavy_ops: 0,
+            profile: KernelProfile::new(kernels),
+            branches: 0,
+            redirects: 0,
+        }
+    }
+}
+
+/// What the models measured, in the sampled domain. All zero for a shard,
+/// which simulates nothing.
+#[derive(Debug, Default)]
+struct Measured {
+    inst_fetch: LevelCounters,
+    itlb_misses: u64,
+    loads: LevelCounters,
+    stores: LevelCounters,
+    mispredicts: u64,
+}
+
+impl Measured {
+    fn of(hierarchy: &MemoryHierarchy, mispredicts: u64) -> Self {
+        Measured {
+            inst_fetch: hierarchy.inst_counters(),
+            itlb_misses: hierarchy.itlb_stats().misses,
+            loads: hierarchy.load_counters(),
+            stores: hierarchy.store_counters(),
+            mispredicts,
+        }
+    }
 }
 
 /// An online profiler for one execution of an instrumented workload.
@@ -68,6 +122,10 @@ enum Backend {
 /// See the [crate documentation](crate) for the full event vocabulary and an
 /// end-to-end example. Events arrive in program order; [`Profiler::finish`]
 /// runs the interval core model over the accumulated counts.
+///
+/// A profiler from [`Profiler::new`] drives its models on a companion
+/// thread (see the [module documentation](self)). Dropping it without
+/// `finish` joins that thread; a panic there resurfaces on the caller's.
 ///
 /// # Sampling
 ///
@@ -83,18 +141,9 @@ pub struct Profiler {
     layout: CodeLayout,
     cfg: UarchConfig,
     backend: Backend,
-
-    // Exact (always-on) accounting.
-    instructions: u64,
-    heavy_ops: u64,
-    profile: KernelProfile,
+    tally: Tally,
     last_kernel: Option<KernelId>,
     current_kernel: Option<KernelId>,
-
-    // Sampled-domain accounting (scaled by 2^sample_shift at finish()).
-    branches: u64,
-    mispredicts: u64,
-    redirects: u64,
 
     sample_shift: u32,
     active: bool,
@@ -106,7 +155,7 @@ pub struct Profiler {
 
 impl Profiler {
     /// Creates a profiler for the given configuration, kernel table, and
-    /// code layout.
+    /// code layout, and starts its models' thread.
     ///
     /// # Errors
     ///
@@ -122,10 +171,8 @@ impl Profiler {
             kernels.len(),
             "layout must cover the kernel table"
         );
-        let backend = Backend::Simulate {
-            hierarchy: MemoryHierarchy::new(cfg)?,
-            predictor: cfg.predictor.build(),
-        };
+        let models = Models::new(MemoryHierarchy::new(cfg)?, cfg.predictor.build());
+        let backend = Backend::Simulate(Companion::spawn(models));
         Ok(Self::fresh(cfg, kernels, layout, backend))
     }
 
@@ -141,14 +188,9 @@ impl Profiler {
             layout,
             cfg: cfg.clone(),
             backend,
-            instructions: 0,
-            heavy_ops: 0,
-            profile: KernelProfile::new(kernels.len()),
+            tally: Tally::new(kernels.len()),
             last_kernel: None,
             current_kernel: None,
-            branches: 0,
-            mispredicts: 0,
-            redirects: 0,
             sample_shift: 0,
             active: true,
             plan: DataPlan::default(),
@@ -193,7 +235,7 @@ impl Profiler {
     pub fn take_events(&mut self) -> Vec<ProfEvent> {
         match &mut self.backend {
             Backend::Record(events) => std::mem::take(events),
-            Backend::Simulate { .. } => Vec::new(),
+            Backend::Simulate(_) => Vec::new(),
         }
     }
 
@@ -283,24 +325,22 @@ impl Profiler {
     /// loop's branches, and updates the call-pair profile.
     pub fn kernel(&mut self, k: KernelId, iters: u32, insns_per_iter: u32, heavy_per_iter: u32) {
         debug_assert!(k < self.kernels.len());
-        let (hierarchy, predictor) = match &mut self.backend {
+        let companion = match &mut self.backend {
             Backend::Record(rec) => {
                 rec.push(ProfEvent::Kernel(k, iters, insns_per_iter, heavy_per_iter));
                 return;
             }
-            Backend::Simulate {
-                hierarchy,
-                predictor,
-            } => (hierarchy, predictor),
+            Backend::Simulate(companion) => companion,
         };
+        let tally = &mut self.tally;
         let insns = CALL_OVERHEAD_INSNS + u64::from(iters) * u64::from(insns_per_iter);
-        self.instructions += insns;
-        self.heavy_ops += u64::from(iters) * u64::from(heavy_per_iter);
-        self.profile.invocations[k] += 1;
-        self.profile.instructions[k] += insns;
+        tally.instructions += insns;
+        tally.heavy_ops += u64::from(iters) * u64::from(heavy_per_iter);
+        tally.profile.invocations[k] += 1;
+        tally.profile.instructions[k] += insns;
         if let Some(prev) = self.last_kernel {
             if prev != k {
-                self.profile.pairs[prev][k] += 1;
+                tally.profile.pairs[prev][k] += 1;
             }
         }
         let transition = self.last_kernel != Some(k);
@@ -311,30 +351,27 @@ impl Profiler {
             return;
         }
 
-        if transition {
-            self.redirects += 1;
-            // A transition streams the kernel's hot lines through the front end.
-            for line in self.layout.lines(k) {
-                hierarchy.fetch_line(line);
-            }
-        } else if let Some(first) = self.layout.lines(k).next() {
-            // Re-entry keeps the entry line warm (LRU recency).
-            hierarchy.fetch_line(first);
-        }
-
+        // A transition streams the kernel's hot lines through the front end;
+        // a re-entry keeps the entry line warm (LRU recency).
+        let lines = self.layout.lines(k);
+        let fetched = if transition {
+            lines.end - lines.start
+        } else {
+            (lines.end - lines.start).min(1)
+        };
+        tally.redirects += u64::from(transition);
         // Loop control: `iters` taken back-edges plus one fall-through exit.
-        if iters > 0 {
-            let pc = self.layout.base(k) + 8;
-            let body_ok = predictor.observe(pc, true);
-            let exit_ok = predictor.observe(pc, false);
-            self.branches += u64::from(iters) + 1;
-            if !body_ok {
-                self.mispredicts += 1;
-            }
-            if !exit_ok {
-                self.mispredicts += 1;
-            }
-        }
+        let loop_pc = if iters > 0 {
+            tally.branches += u64::from(iters) + 1;
+            NonZeroU64::new(self.layout.base(k) + 8)
+        } else {
+            None
+        };
+        companion.push(Work::Kernel {
+            first: lines.start,
+            lines: u32::try_from(fetched).expect("a kernel's code lines fit its u32 byte size"),
+            loop_pc,
+        });
     }
 
     /// Records a data-dependent conditional branch within the current kernel.
@@ -351,14 +388,11 @@ impl Profiler {
         }
         match &mut self.backend {
             Backend::Record(rec) => rec.push(ProfEvent::Branch(site, taken)),
-            Backend::Simulate { predictor, .. } => {
+            Backend::Simulate(companion) => {
                 let k = self.current_kernel.unwrap_or(0);
                 let pc = self.layout.branch_pc(k, site);
-                let ok = predictor.observe(pc, taken);
-                self.branches += 1;
-                if !ok {
-                    self.mispredicts += 1;
-                }
+                self.tally.branches += 1;
+                companion.push(Work::Branch { pc, taken });
             }
         }
     }
@@ -366,47 +400,39 @@ impl Profiler {
     /// Records a data load at a virtual byte address.
     #[inline]
     pub fn load(&mut self, addr: u64) {
-        self.data(ProfEvent::Load(addr), addr, 1, MemoryHierarchy::load_line);
+        self.data(ProfEvent::Load(addr), addr, 1, Work::Load);
     }
 
     /// Records a data store at a virtual byte address.
     #[inline]
     pub fn store(&mut self, addr: u64) {
-        self.data(ProfEvent::Store(addr), addr, 1, MemoryHierarchy::store_line);
+        self.data(ProfEvent::Store(addr), addr, 1, Work::Store);
     }
 
     /// Records a contiguous read of `bytes` starting at `addr` (touches each
     /// spanned cache line once).
     pub fn load_range(&mut self, addr: u64, bytes: u64) {
         let event = ProfEvent::LoadRange(addr, bytes);
-        self.data(event, addr, bytes, MemoryHierarchy::load_line);
+        self.data(event, addr, bytes, Work::Load);
     }
 
     /// Records a contiguous write of `bytes` starting at `addr`.
     pub fn store_range(&mut self, addr: u64, bytes: u64) {
         let event = ProfEvent::StoreRange(addr, bytes);
-        self.data(event, addr, bytes, MemoryHierarchy::store_line);
+        self.data(event, addr, bytes, Work::Store);
     }
 
     /// One data-side event of an active unit: buffered by a shard, otherwise
-    /// every cache line of `addr..addr + bytes` goes through `access`.
+    /// the cache lines of `addr..addr + bytes` go to the models as `work`.
     #[inline]
-    fn data(
-        &mut self,
-        event: ProfEvent,
-        addr: u64,
-        bytes: u64,
-        access: impl Fn(&mut MemoryHierarchy, u64) -> HitLevel,
-    ) {
+    fn data(&mut self, event: ProfEvent, addr: u64, bytes: u64, work: fn(u64, u64) -> Work) {
         if !self.active || bytes == 0 {
             return;
         }
         match &mut self.backend {
             Backend::Record(rec) => rec.push(event),
-            Backend::Simulate { hierarchy, .. } => {
-                for line in addr >> 6..=(addr + bytes - 1) >> 6 {
-                    access(hierarchy, line);
-                }
+            Backend::Simulate(companion) => {
+                companion.push(work(addr >> 6, ((addr + bytes - 1) >> 6) + 1));
             }
         }
     }
@@ -416,10 +442,10 @@ impl Profiler {
     pub fn straightline(&mut self, insns: u64) {
         match &mut self.backend {
             Backend::Record(rec) => rec.push(ProfEvent::Straightline(insns)),
-            Backend::Simulate { .. } => {
-                self.instructions += insns;
+            Backend::Simulate(_) => {
+                self.tally.instructions += insns;
                 if let Some(k) = self.current_kernel {
-                    self.profile.instructions[k] += insns;
+                    self.tally.profile.instructions[k] += insns;
                 }
             }
         }
@@ -430,88 +456,257 @@ impl Profiler {
         &self.cfg
     }
 
-    /// Finalizes the profile: scales sampled counters, runs the interval
-    /// core model, and assembles the report.
+    /// Finalizes the profile: waits for the models to apply everything,
+    /// scales sampled counters, runs the interval core model, and assembles
+    /// the report.
     pub fn finish(self) -> ProfileReport {
-        let scale = 1u64 << self.sample_shift;
-        let scale_levels = |c: LevelCounters| LevelCounters {
-            l1: c.l1 * scale,
-            l2: c.l2 * scale,
-            l3: c.l3 * scale,
-            l4: c.l4 * scale,
-            mem: c.mem * scale,
-        };
-
-        // A shard simulated nothing: every sampled-domain count is zero.
-        let (inst_fetch, itlb_misses, loads, stores) = match &self.backend {
-            Backend::Simulate { hierarchy, .. } => (
-                hierarchy.inst_counters(),
-                hierarchy.itlb_stats().misses,
-                hierarchy.load_counters(),
-                hierarchy.store_counters(),
-            ),
-            Backend::Record(_) => Default::default(),
-        };
-        let counts = ExecutionCounts {
-            instructions: self.instructions,
-            uops: self.instructions + self.heavy_ops,
-            branches: self.branches * scale,
-            branch_mispredicts: self.mispredicts * scale,
-            inst_fetch: scale_levels(inst_fetch),
-            itlb_misses: itlb_misses * scale,
-            loads: scale_levels(loads),
-            stores: scale_levels(stores),
-            heavy_ops: self.heavy_ops,
-            redirects: self.redirects * scale,
-        };
-
-        let breakdown = CoreModel::new(&self.cfg).run(&counts);
-        let topdown = breakdown.topdown();
-
-        let pki = |v: f64| {
-            if counts.instructions == 0 {
-                0.0
-            } else {
-                v * 1000.0 / counts.instructions as f64
+        let measured = match self.backend {
+            Backend::Simulate(companion) => {
+                let models = companion.finish();
+                Measured::of(&models.hierarchy, models.mispredicts)
             }
+            Backend::Record(_) => Measured::default(),
         };
-        let mpki = MpkiReport {
-            l1i: counts.mpki(counts.inst_fetch.l1_misses()),
-            l1d: counts.mpki(counts.loads.l1_misses() + counts.stores.l1_misses()),
-            l2: counts.mpki(counts.loads.l2_misses() + counts.stores.l2_misses()),
-            l3: counts.mpki(counts.loads.l3_misses() + counts.stores.l3_misses()),
-            branch: counts.mpki(counts.branch_mispredicts),
-            itlb: counts.mpki(counts.itlb_misses),
-        };
-        let stalls = StallPki {
-            any: pki(breakdown.any_stall_cycles()),
-            rob: pki(breakdown.rob_stall_cycles),
-            rs: pki(breakdown.rs_stall_cycles),
-            sb: pki(breakdown.sb_stall_cycles),
-        };
+        report(
+            &self.cfg,
+            &self.kernels,
+            self.sample_shift,
+            self.tally,
+            measured,
+        )
+    }
+}
 
-        let hotspots = self
-            .profile
-            .hotspots()
-            .into_iter()
-            .map(|(k, insns)| (self.kernels[k].name.to_owned(), insns))
-            .collect();
+/// Scales the sampled-domain counts by `2^sample_shift`, runs the interval
+/// core model, and derives rates and hotspots.
+fn report(
+    cfg: &UarchConfig,
+    kernels: &[KernelDesc],
+    sample_shift: u32,
+    tally: Tally,
+    measured: Measured,
+) -> ProfileReport {
+    let scale = 1u64 << sample_shift;
+    let scale_levels = |c: LevelCounters| LevelCounters {
+        l1: c.l1 * scale,
+        l2: c.l2 * scale,
+        l3: c.l3 * scale,
+        l4: c.l4 * scale,
+        mem: c.mem * scale,
+    };
+    let counts = ExecutionCounts {
+        instructions: tally.instructions,
+        uops: tally.instructions + tally.heavy_ops,
+        branches: tally.branches * scale,
+        branch_mispredicts: measured.mispredicts * scale,
+        inst_fetch: scale_levels(measured.inst_fetch),
+        itlb_misses: measured.itlb_misses * scale,
+        loads: scale_levels(measured.loads),
+        stores: scale_levels(measured.stores),
+        heavy_ops: tally.heavy_ops,
+        redirects: tally.redirects * scale,
+    };
 
-        ProfileReport {
-            config_name: self.cfg.name.clone(),
-            seconds: breakdown.seconds(self.cfg.freq_ghz),
-            ipc: if breakdown.total_cycles == 0 {
-                0.0
-            } else {
-                counts.instructions as f64 / breakdown.total_cycles as f64
-            },
-            counts,
-            breakdown,
-            topdown,
-            mpki,
-            stalls,
-            hotspots,
-            profile: self.profile,
+    let breakdown = CoreModel::new(cfg).run(&counts);
+    let topdown = breakdown.topdown();
+
+    let pki = |v: f64| {
+        if counts.instructions == 0 {
+            0.0
+        } else {
+            v * 1000.0 / counts.instructions as f64
+        }
+    };
+    let mpki = MpkiReport {
+        l1i: counts.mpki(counts.inst_fetch.l1_misses()),
+        l1d: counts.mpki(counts.loads.l1_misses() + counts.stores.l1_misses()),
+        l2: counts.mpki(counts.loads.l2_misses() + counts.stores.l2_misses()),
+        l3: counts.mpki(counts.loads.l3_misses() + counts.stores.l3_misses()),
+        branch: counts.mpki(counts.branch_mispredicts),
+        itlb: counts.mpki(counts.itlb_misses),
+    };
+    let stalls = StallPki {
+        any: pki(breakdown.any_stall_cycles()),
+        rob: pki(breakdown.rob_stall_cycles),
+        rs: pki(breakdown.rs_stall_cycles),
+        sb: pki(breakdown.sb_stall_cycles),
+    };
+
+    let hotspots = tally
+        .profile
+        .hotspots()
+        .into_iter()
+        .map(|(k, insns)| (kernels[k].name.to_owned(), insns))
+        .collect();
+
+    ProfileReport {
+        config_name: cfg.name.clone(),
+        seconds: breakdown.seconds(cfg.freq_ghz),
+        ipc: if breakdown.total_cycles == 0 {
+            0.0
+        } else {
+            counts.instructions as f64 / breakdown.total_cycles as f64
+        },
+        counts,
+        breakdown,
+        topdown,
+        mpki,
+        stalls,
+        hotspots,
+        profile: tally.profile,
+    }
+}
+
+/// The inline drive this profiler replaced, kept as the oracle: the same
+/// exact accounting, with the hierarchy and the predictor driven on the
+/// caller's thread, event by event, and every kernel transition fetched one
+/// line at a time. Only the report assembly is shared.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use vtx_uarch::branch::{BranchPredictor, Predictor};
+    use vtx_uarch::hierarchy::{HitLevel, MemoryHierarchy};
+
+    use super::*;
+
+    pub(crate) struct Inline {
+        kernels: Vec<KernelDesc>,
+        layout: CodeLayout,
+        cfg: UarchConfig,
+        hierarchy: MemoryHierarchy,
+        predictor: Predictor,
+        tally: Tally,
+        mispredicts: u64,
+        last_kernel: Option<KernelId>,
+        current_kernel: Option<KernelId>,
+        sample_shift: u32,
+        active: bool,
+    }
+
+    impl Inline {
+        pub(crate) fn new(cfg: &UarchConfig, kernels: &[KernelDesc], layout: CodeLayout) -> Self {
+            Inline {
+                kernels: kernels.to_vec(),
+                layout,
+                cfg: cfg.clone(),
+                hierarchy: MemoryHierarchy::new(cfg).unwrap(),
+                predictor: cfg.predictor.build(),
+                tally: Tally::new(kernels.len()),
+                mispredicts: 0,
+                last_kernel: None,
+                current_kernel: None,
+                sample_shift: 0,
+                active: true,
+            }
+        }
+
+        pub(crate) fn set_sample_shift(&mut self, shift: u32) {
+            self.sample_shift = shift.min(16);
+        }
+
+        pub(crate) fn replay(&mut self, events: &[ProfEvent]) {
+            for e in events {
+                match *e {
+                    ProfEvent::BeginUnit(index) => {
+                        let mask = (1u64 << self.sample_shift) - 1;
+                        self.active = (index / SAMPLE_BURST) & mask == 0;
+                    }
+                    ProfEvent::Kernel(k, iters, insns, heavy) => {
+                        self.kernel(k, iters, insns, heavy)
+                    }
+                    ProfEvent::Branch(site, taken) => {
+                        if self.active {
+                            let k = self.current_kernel.unwrap_or(0);
+                            let pc = self.layout.branch_pc(k, site);
+                            let ok = self.predictor.observe(pc, taken);
+                            self.tally.branches += 1;
+                            if !ok {
+                                self.mispredicts += 1;
+                            }
+                        }
+                    }
+                    ProfEvent::Load(addr) => self.data(addr, 1, MemoryHierarchy::load_line),
+                    ProfEvent::Store(addr) => self.data(addr, 1, MemoryHierarchy::store_line),
+                    ProfEvent::LoadRange(addr, bytes) => {
+                        self.data(addr, bytes, MemoryHierarchy::load_line);
+                    }
+                    ProfEvent::StoreRange(addr, bytes) => {
+                        self.data(addr, bytes, MemoryHierarchy::store_line);
+                    }
+                    ProfEvent::Straightline(insns) => {
+                        self.tally.instructions += insns;
+                        if let Some(k) = self.current_kernel {
+                            self.tally.profile.instructions[k] += insns;
+                        }
+                    }
+                }
+            }
+        }
+
+        fn kernel(&mut self, k: KernelId, iters: u32, insns_per_iter: u32, heavy_per_iter: u32) {
+            let insns = CALL_OVERHEAD_INSNS + u64::from(iters) * u64::from(insns_per_iter);
+            self.tally.instructions += insns;
+            self.tally.heavy_ops += u64::from(iters) * u64::from(heavy_per_iter);
+            self.tally.profile.invocations[k] += 1;
+            self.tally.profile.instructions[k] += insns;
+            if let Some(prev) = self.last_kernel {
+                if prev != k {
+                    self.tally.profile.pairs[prev][k] += 1;
+                }
+            }
+            let transition = self.last_kernel != Some(k);
+            self.last_kernel = Some(k);
+            self.current_kernel = Some(k);
+
+            if !self.active {
+                return;
+            }
+
+            if transition {
+                self.tally.redirects += 1;
+                for line in self.layout.lines(k) {
+                    self.hierarchy.fetch_line(line);
+                }
+            } else if let Some(first) = self.layout.lines(k).next() {
+                self.hierarchy.fetch_line(first);
+            }
+
+            if iters > 0 {
+                let pc = self.layout.base(k) + 8;
+                let body_ok = self.predictor.observe(pc, true);
+                let exit_ok = self.predictor.observe(pc, false);
+                self.tally.branches += u64::from(iters) + 1;
+                if !body_ok {
+                    self.mispredicts += 1;
+                }
+                if !exit_ok {
+                    self.mispredicts += 1;
+                }
+            }
+        }
+
+        fn data(
+            &mut self,
+            addr: u64,
+            bytes: u64,
+            access: impl Fn(&mut MemoryHierarchy, u64) -> HitLevel,
+        ) {
+            if !self.active || bytes == 0 {
+                return;
+            }
+            for line in addr >> 6..=(addr + bytes - 1) >> 6 {
+                access(&mut self.hierarchy, line);
+            }
+        }
+
+        pub(crate) fn finish(self) -> ProfileReport {
+            let measured = Measured::of(&self.hierarchy, self.mispredicts);
+            report(
+                &self.cfg,
+                &self.kernels,
+                self.sample_shift,
+                self.tally,
+                measured,
+            )
         }
     }
 }
@@ -519,6 +714,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::companion::{BATCH, IN_FLIGHT};
 
     const KERNELS: &[KernelDesc] = &[
         KernelDesc::new("alpha", 4096),
@@ -904,5 +1100,189 @@ mod tests {
         let b = run();
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.breakdown.total_cycles, b.breakdown.total_cycles);
+    }
+
+    /// Kernels whose code regions start at different offsets within a page
+    /// and cross page boundaries, plus an empty and a one-line kernel.
+    const WIDE: &[KernelDesc] = &[
+        KernelDesc::new("empty", 0),
+        KernelDesc::new("one_line", 40),
+        KernelDesc::new("pages", 5_000),
+        KernelDesc::new("mid", 3_000),
+        KernelDesc::new("big", 9_000),
+    ];
+
+    fn wide_layout() -> CodeLayout {
+        CodeLayout::with_order_and_gap(WIDE, &[4, 2, 0, 3, 1], 1)
+    }
+
+    /// A seeded stream of every event kind, loop-free and looping kernels,
+    /// zero-byte and multi-line data ranges, over `units` units.
+    fn seeded_stream(seed: u64, units: u64) -> Vec<ProfEvent> {
+        let mut x = seed;
+        let mut next = move |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let mut events = Vec::new();
+        for unit in 0..units {
+            events.push(ProfEvent::BeginUnit(unit));
+            for _ in 0..1 + next(3) {
+                let k = next(WIDE.len() as u64) as usize;
+                events.push(ProfEvent::Kernel(
+                    k,
+                    next(24) as u32,
+                    1 + next(30) as u32,
+                    next(3) as u32,
+                ));
+            }
+            let site = next(8) as u32;
+            let taken = if site < 3 {
+                next(2) == 1
+            } else {
+                unit % u64::from(site + 2) != 0
+            };
+            events.push(ProfEvent::Branch(site, taken));
+            let addr = |r: u64| DATA_BASE + r;
+            events.push(ProfEvent::Load(addr(next(1 << 22))));
+            events.push(ProfEvent::Store(addr(next(1 << 20))));
+            events.push(ProfEvent::LoadRange(addr(next(1 << 22)), next(700)));
+            events.push(ProfEvent::StoreRange(addr(next(1 << 20)), next(300)));
+            events.push(ProfEvent::Straightline(next(9)));
+        }
+        events
+    }
+
+    /// Items a stream sends to the models when every unit is sampled.
+    fn model_work(events: &[ProfEvent]) -> usize {
+        events
+            .iter()
+            .filter(|e| match e {
+                ProfEvent::Kernel(..) | ProfEvent::Branch(..) => true,
+                ProfEvent::Load(_) | ProfEvent::Store(_) => true,
+                ProfEvent::LoadRange(_, bytes) | ProfEvent::StoreRange(_, bytes) => *bytes > 0,
+                ProfEvent::BeginUnit(_) | ProfEvent::Straightline(_) => false,
+            })
+            .count()
+    }
+
+    /// The threaded report and the oracle's, as `perf` digests them.
+    fn both(cfg: &UarchConfig, shift: u32, events: &[ProfEvent]) -> (String, String) {
+        let mut threaded = Profiler::new(cfg, WIDE, wide_layout()).unwrap();
+        threaded.set_sample_shift(shift);
+        threaded.replay(events);
+        let mut inline = oracle::Inline::new(cfg, WIDE, wide_layout());
+        inline.set_sample_shift(shift);
+        inline.replay(events);
+        (
+            format!("{:?}", threaded.finish()),
+            format!("{:?}", inline.finish()),
+        )
+    }
+
+    #[test]
+    fn threaded_reports_equal_the_inline_oracle() {
+        let events = seeded_stream(0x5EED, 3_000);
+        // More than three batches, the last one partial.
+        let work = model_work(&events);
+        assert!(
+            work > 3 * BATCH && !work.is_multiple_of(BATCH),
+            "{work} items"
+        );
+        for cfg in UarchConfig::table_iv() {
+            for shift in [0, 1, 2, 16] {
+                let (got, want) = both(&cfg, shift, &events);
+                assert_eq!(got, want, "{} at shift {shift}", cfg.name);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_unsampled_runs_equal_the_oracle() {
+        // Units 16..48 at shift 16 are all skipped: only the front counts.
+        let unsampled: Vec<ProfEvent> = seeded_stream(7, 48)
+            .into_iter()
+            .skip_while(|e| *e != ProfEvent::BeginUnit(16))
+            .collect();
+        for cfg in UarchConfig::table_iv() {
+            let (got, want) = both(&cfg, 0, &[]);
+            assert_eq!(got, want, "{} empty", cfg.name);
+            let (got, want) = both(&cfg, 16, &unsampled);
+            assert_eq!(got, want, "{} unsampled", cfg.name);
+        }
+    }
+
+    #[test]
+    fn replayed_shards_equal_the_oracle() {
+        for cfg in [UarchConfig::baseline(), UarchConfig::bs_op()] {
+            let mut main =
+                Profiler::new(&cfg, KERNELS, CodeLayout::default_order(KERNELS)).unwrap();
+            main.set_sample_shift(2);
+            let buf = main.alloc("b", 1 << 16);
+            let mut shard = main.recording_shard();
+            mixed_stream(&mut shard, buf);
+            let events = shard.take_events();
+            main.replay(&events);
+            let mut inline = oracle::Inline::new(&cfg, KERNELS, CodeLayout::default_order(KERNELS));
+            inline.set_sample_shift(2);
+            inline.replay(&events);
+            assert_eq!(
+                format!("{:?}", main.finish()),
+                format!("{:?}", inline.finish())
+            );
+        }
+    }
+
+    /// Hands the models an item that panics with `message`, then
+    /// `filler` more.
+    fn poison(p: &mut Profiler, message: &'static str, filler: usize) {
+        let Backend::Simulate(companion) = &mut p.backend else {
+            unreachable!("a new profiler simulates")
+        };
+        companion.push(Work::Panic(message));
+        for _ in 0..filler {
+            companion.push(Work::Branch {
+                pc: 64,
+                taken: true,
+            });
+        }
+    }
+
+    fn payload(outcome: std::thread::Result<impl Sized>) -> String {
+        match outcome {
+            Ok(_) => panic!("the model thread's panic did not resurface"),
+            Err(payload) => *payload
+                .downcast::<String>()
+                .expect("the thread's own payload"),
+        }
+    }
+
+    #[test]
+    fn a_model_panic_resurfaces_with_its_payload() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // At finish, which sends the partial batch that holds it.
+        let mut p = profiler();
+        poison(&mut p, "at finish", 0);
+        assert_eq!(
+            payload(catch_unwind(AssertUnwindSafe(|| p.finish()))),
+            "at finish"
+        );
+        // At a hand-over: the thread has hung up by the time the front
+        // needs a buffer back.
+        let mut p = profiler();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            poison(&mut p, "mid-run", (IN_FLIGHT + 2) * BATCH);
+        }));
+        assert_eq!(payload(run), "mid-run");
+        drop(p);
+        // At the drop of a profiler never finished.
+        let mut p = profiler();
+        poison(&mut p, "at drop", BATCH);
+        assert_eq!(
+            payload(catch_unwind(AssertUnwindSafe(|| drop(p)))),
+            "at drop"
+        );
     }
 }

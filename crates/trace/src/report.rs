@@ -61,15 +61,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Speedup of this report relative to a baseline run of the same work
-    /// (`> 1.0` means this run is faster).
-    pub fn speedup_vs(&self, baseline: &ProfileReport) -> f64 {
-        if self.seconds <= 0.0 {
-            return 1.0;
-        }
-        baseline.seconds / self.seconds
-    }
-
     /// Accumulates this run's kernel hotspots into `out` as flamegraph
     /// collapsed stacks (`config;kernel weight`, weight = simulated
     /// instructions). Render with `flamegraph.pl` / `inferno-flamegraph`.
@@ -123,14 +114,6 @@ mod tests {
             hotspots: vec![],
             profile: KernelProfile::new(0),
         }
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let base = dummy(2.0);
-        let fast = dummy(1.0);
-        assert!((fast.speedup_vs(&base) - 2.0).abs() < 1e-12);
-        assert!((base.speedup_vs(&fast) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use super::{BranchPredictor, Counter2};
+use super::{table, BranchPredictor, Counter2};
 
 /// A Pentium-M-style hybrid predictor — Sniper's default for the
 /// `gainestown` core used as the paper's baseline.
@@ -15,87 +15,85 @@ use super::{BranchPredictor, Counter2};
 ///
 /// A small loop detector handles perfectly periodic branches (loop exits)
 /// that neither table captures well.
+///
+/// Every table has a power-of-two size fixed at compile time and is indexed
+/// under a mask. The local history and the chooser share an index, so they
+/// live in one per-PC record; so do the loop detector's three fields.
 #[derive(Debug, Clone)]
 pub struct PentiumM {
-    local_history: Vec<u16>,
-    local_pattern: Vec<Counter2>,
-    global_pattern: Vec<Counter2>,
-    chooser: Vec<Counter2>,
-    loop_count: Vec<u16>,
-    loop_limit: Vec<u16>,
-    loop_conf: Vec<u8>,
+    per_pc: Box<[PcState; LOCAL_ENTRIES]>,
+    local_pattern: Box<[Counter2; PATTERN_TABLE]>,
+    global_pattern: Box<[Counter2; GLOBAL_ENTRIES]>,
+    loops: Box<[LoopState; LOOP_ENTRIES]>,
     ghr: u64,
+}
+
+/// What the predictor keeps per low-PC slot.
+#[derive(Debug, Clone, Copy)]
+struct PcState {
+    /// The last `LOCAL_HIST_BITS` outcomes, newest in bit 0.
+    history: u16,
+    /// Set: trust the global component; clear: the local one.
+    chooser: Counter2,
+}
+
+/// One loop-detector entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct LoopState {
+    /// Taken outcomes since the last not-taken.
+    count: u16,
+    /// The trip count last observed.
+    limit: u16,
+    /// How many times in a row `limit` repeated.
+    conf: u8,
 }
 
 const LOCAL_ENTRIES: usize = 1 << 10;
 const LOCAL_HIST_BITS: u32 = 8;
-const PATTERN_ENTRIES: usize = 1 << LOCAL_HIST_BITS;
+/// A quarter of the local slots share one row of the pattern table, one
+/// counter per history value.
+const PATTERN_TABLE: usize = (LOCAL_ENTRIES / 4) << LOCAL_HIST_BITS;
 const GLOBAL_ENTRIES: usize = 1 << 12;
-const CHOOSER_ENTRIES: usize = 1 << 10;
 const LOOP_ENTRIES: usize = 1 << 8;
 const LOOP_CONF_MAX: u8 = 3;
 
 impl PentiumM {
-    /// Creates the predictor with its canonical sizing (~4 KiB of state).
+    /// Creates the predictor with its canonical sizing (~74 KiB of state,
+    /// 64 KiB of it the local pattern table).
     pub fn new() -> Self {
         PentiumM {
-            local_history: vec![0; LOCAL_ENTRIES],
-            local_pattern: vec![Counter2::weakly_taken(); LOCAL_ENTRIES * PATTERN_ENTRIES / 4],
-            global_pattern: vec![Counter2::weakly_taken(); GLOBAL_ENTRIES],
-            chooser: vec![Counter2::weakly_taken(); CHOOSER_ENTRIES],
-            loop_count: vec![0; LOOP_ENTRIES],
-            loop_limit: vec![0; LOOP_ENTRIES],
-            loop_conf: vec![0; LOOP_ENTRIES],
+            per_pc: table(PcState {
+                history: 0,
+                chooser: Counter2::weakly_taken(),
+            }),
+            local_pattern: table(Counter2::weakly_taken()),
+            global_pattern: table(Counter2::weakly_taken()),
+            loops: table(LoopState::default()),
             ghr: 0,
         }
     }
+}
 
+impl LoopState {
+    /// Predicts not-taken once every `limit + 1` occurrences when a stable
+    /// period has been observed.
     #[inline]
-    fn local_index(&self, pc: u64) -> usize {
-        (pc as usize) & (LOCAL_ENTRIES - 1)
-    }
-
-    #[inline]
-    fn pattern_index(&self, pc: u64, hist: u16) -> usize {
-        let set = (pc as usize) & (LOCAL_ENTRIES / 4 - 1);
-        (set * PATTERN_ENTRIES + (hist as usize & (PATTERN_ENTRIES - 1)))
-            % (LOCAL_ENTRIES * PATTERN_ENTRIES / 4)
+    fn predict(self) -> Option<bool> {
+        (self.conf >= LOOP_CONF_MAX && self.limit > 0).then_some(self.count < self.limit)
     }
 
     #[inline]
-    fn global_index(&self, pc: u64) -> usize {
-        ((pc ^ self.ghr) as usize) & (GLOBAL_ENTRIES - 1)
-    }
-
-    #[inline]
-    fn loop_index(pc: u64) -> usize {
-        (pc as usize) & (LOOP_ENTRIES - 1)
-    }
-
-    /// Loop detector: predicts not-taken once every `limit + 1` occurrences
-    /// when a stable period has been observed.
-    fn loop_predict(&self, pc: u64) -> Option<bool> {
-        let i = Self::loop_index(pc);
-        if self.loop_conf[i] >= LOOP_CONF_MAX && self.loop_limit[i] > 0 {
-            Some(self.loop_count[i] < self.loop_limit[i])
-        } else {
-            None
-        }
-    }
-
-    fn loop_update(&mut self, pc: u64, taken: bool) {
-        let i = Self::loop_index(pc);
+    fn update(&mut self, taken: bool) {
         if taken {
-            self.loop_count[i] = self.loop_count[i].saturating_add(1);
+            self.count = self.count.saturating_add(1);
         } else {
-            let observed = self.loop_count[i];
-            if self.loop_limit[i] == observed && observed >= 2 {
-                self.loop_conf[i] = (self.loop_conf[i] + 1).min(LOOP_CONF_MAX);
+            if self.limit == self.count && self.count >= 2 {
+                self.conf = (self.conf + 1).min(LOOP_CONF_MAX);
             } else {
-                self.loop_limit[i] = observed;
-                self.loop_conf[i] = 0;
+                self.limit = self.count;
+                self.conf = 0;
             }
-            self.loop_count[i] = 0;
+            self.count = 0;
         }
     }
 }
@@ -108,30 +106,31 @@ impl Default for PentiumM {
 
 impl BranchPredictor for PentiumM {
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
-        let li = self.local_index(pc);
-        let hist = self.local_history[li];
-        let pi = self.pattern_index(pc, hist);
-        let gi = self.global_index(pc);
-        let ci = (pc as usize) & (CHOOSER_ENTRIES - 1);
+        let slot = &mut self.per_pc[pc as usize & (LOCAL_ENTRIES - 1)];
+        let hist = slot.history;
+        let pi = ((pc as usize & (LOCAL_ENTRIES / 4 - 1)) << LOCAL_HIST_BITS | usize::from(hist))
+            & (PATTERN_TABLE - 1);
+        let gi = (pc ^ self.ghr) as usize & (GLOBAL_ENTRIES - 1);
+        let lp = &mut self.loops[pc as usize & (LOOP_ENTRIES - 1)];
 
         let local_pred = self.local_pattern[pi].predict();
         let global_pred = self.global_pattern[gi].predict();
-        let table_pred = if self.chooser[ci].predict() {
+        let table_pred = if slot.chooser.predict() {
             global_pred
         } else {
             local_pred
         };
-        let pred = self.loop_predict(pc).unwrap_or(table_pred);
+        let pred = lp.predict().unwrap_or(table_pred);
 
         // Updates.
         self.local_pattern[pi].update(taken);
         self.global_pattern[gi].update(taken);
         if local_pred != global_pred {
             // Train chooser toward whichever component was right.
-            self.chooser[ci].update(global_pred == taken);
+            slot.chooser.update(global_pred == taken);
         }
-        self.loop_update(pc, taken);
-        self.local_history[li] = ((hist << 1) | u16::from(taken)) & ((1 << LOCAL_HIST_BITS) - 1);
+        lp.update(taken);
+        slot.history = ((hist << 1) | u16::from(taken)) & ((1 << LOCAL_HIST_BITS) - 1);
         self.ghr = (self.ghr << 1) | u64::from(taken);
 
         pred == taken

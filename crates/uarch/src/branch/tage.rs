@@ -1,4 +1,4 @@
-use super::{BranchPredictor, Counter2};
+use super::{table, BranchPredictor, Counter2};
 
 /// A TAGE (TAgged GEometric history length) predictor — the upgrade the
 /// paper's `bs_op` configuration uses to attack bad-speculation stalls.
@@ -8,10 +8,15 @@ use super::{BranchPredictor, Counter2};
 /// longest-history component whose tag matches provides the prediction;
 /// entries carry a 3-bit signed counter and a 2-bit usefulness counter
 /// governing allocation, with periodic usefulness aging.
+///
+/// Each component reads its history window XOR-folded three ways (to the
+/// index width, the tag width and one bit less). The twelve folds are kept
+/// up to date on every outcome in a few operations each (see `Folded`)
+/// instead of being refolded from the 128-bit history on every lookup.
 #[derive(Debug, Clone)]
 pub struct Tage {
-    base: Vec<Counter2>,
-    tables: Vec<TaggedTable>,
+    base: Box<[Counter2; 1 << BASE_BITS]>,
+    tables: [TaggedTable; 4],
     ghr: u128,
     lfsr: u32,
     branch_count: u64,
@@ -21,7 +26,10 @@ pub struct Tage {
 struct TaggedTable {
     history_len: u32,
     tag_bits: u32,
-    entries: Vec<TageEntry>,
+    /// The history window folded to `TABLE_BITS`, `tag_bits` and
+    /// `tag_bits - 1` bits.
+    folds: [Folded; 3],
+    entries: Box<[TageEntry; 1 << TABLE_BITS]>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,6 +41,40 @@ struct TageEntry {
     useful: u8,
 }
 
+/// The low `len` bits of the global history XOR-folded down to `bits` bits
+/// (bit `p` of the fold is the XOR of history bits `p`, `p + bits`,
+/// `p + 2 bits`, … below `len`), maintained as outcomes are shifted in.
+///
+/// Shifting the history left by one moves every history bit one fold
+/// position up, the top position wrapping to bit 0: a rotate left by one
+/// within `bits`. Two bits then differ from that rotation: the new outcome,
+/// now history bit 0, and the bit that left the window, formerly history
+/// bit `len - 1` and after the rotation at fold position `len % bits`.
+#[derive(Debug, Clone, Copy)]
+struct Folded {
+    value: u64,
+    bits: u32,
+    out_at: u32,
+}
+
+impl Folded {
+    fn new(len: u32, bits: u32) -> Self {
+        Folded {
+            value: 0,
+            bits,
+            out_at: len % bits,
+        }
+    }
+
+    /// Shifts `new` into the history; `out` is the bit leaving the window.
+    #[inline]
+    fn push(&mut self, new: bool, out: bool) {
+        let v = self.value;
+        let rotated = ((v << 1) & ((1 << self.bits) - 1)) | (v >> (self.bits - 1));
+        self.value = rotated ^ (u64::from(out) << self.out_at) ^ u64::from(new);
+    }
+}
+
 const BASE_BITS: u32 = 13;
 const TABLE_BITS: u32 = 10;
 const HISTORY_LENGTHS: [u32; 4] = [5, 15, 44, 120];
@@ -40,27 +82,29 @@ const TAG_BITS: [u32; 4] = [8, 8, 9, 9];
 const USEFUL_RESET_PERIOD: u64 = 1 << 18;
 
 impl Tage {
-    /// Creates a TAGE predictor with its canonical sizing (~8 KiB of state).
+    /// Creates a TAGE predictor with its canonical sizing (~8 KiB of
+    /// counters and 16 KiB of tagged entries).
     pub fn new() -> Self {
         Tage {
-            base: vec![Counter2::weakly_taken(); 1 << BASE_BITS],
-            tables: HISTORY_LENGTHS
-                .iter()
-                .zip(TAG_BITS.iter())
-                .map(|(&h, &t)| TaggedTable {
-                    history_len: h,
-                    tag_bits: t,
-                    entries: vec![TageEntry::default(); 1 << TABLE_BITS],
-                })
-                .collect(),
+            base: table(Counter2::weakly_taken()),
+            tables: std::array::from_fn(|t| {
+                let (len, tag_bits) = (HISTORY_LENGTHS[t], TAG_BITS[t]);
+                TaggedTable {
+                    history_len: len,
+                    tag_bits,
+                    folds: [TABLE_BITS, tag_bits, tag_bits - 1].map(|bits| Folded::new(len, bits)),
+                    entries: table(TageEntry::default()),
+                }
+            }),
             ghr: 0,
             lfsr: 0xACE1,
             branch_count: 0,
         }
     }
 
-    /// Folds the low `len` bits of history down to `bits` bits by XOR.
-    #[inline]
+    /// Folds the low `len` bits of history down to `bits` bits by XOR: what
+    /// each [`Folded`] must equal.
+    #[cfg(test)]
     fn fold(history: u128, len: u32, bits: u32) -> u64 {
         let mask = if len >= 128 {
             u128::MAX
@@ -78,17 +122,15 @@ impl Tage {
 
     #[inline]
     fn index(&self, t: usize, pc: u64) -> usize {
-        let tab = &self.tables[t];
-        let folded = Self::fold(self.ghr, tab.history_len, TABLE_BITS);
+        let folded = self.tables[t].folds[0].value;
         ((pc ^ (pc >> TABLE_BITS) ^ folded) as usize) & ((1 << TABLE_BITS) - 1)
     }
 
     #[inline]
     fn tag(&self, t: usize, pc: u64) -> u16 {
         let tab = &self.tables[t];
-        let folded = Self::fold(self.ghr, tab.history_len, tab.tag_bits);
-        let folded2 = Self::fold(self.ghr, tab.history_len, tab.tag_bits - 1) << 1;
-        ((pc ^ folded ^ folded2) & ((1 << tab.tag_bits) - 1)) as u16
+        let [_, folded, folded2] = tab.folds.map(|f| f.value);
+        ((pc ^ folded ^ (folded2 << 1)) & ((1 << tab.tag_bits) - 1)) as u16
     }
 
     #[inline]
@@ -106,6 +148,18 @@ impl Tage {
         }
         self.lfsr
     }
+
+    /// Shifts an outcome into the global history and every fold of it.
+    #[inline]
+    fn push_history(&mut self, taken: bool) {
+        for tab in &mut self.tables {
+            let out = (self.ghr >> (tab.history_len - 1)) & 1 != 0;
+            for f in &mut tab.folds {
+                f.push(taken, out);
+            }
+        }
+        self.ghr = (self.ghr << 1) | u128::from(taken);
+    }
 }
 
 impl Default for Tage {
@@ -118,28 +172,19 @@ impl BranchPredictor for Tage {
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
         self.branch_count += 1;
 
+        let idx: [usize; 4] = std::array::from_fn(|t| self.index(t, pc));
+        let tags: [u16; 4] = std::array::from_fn(|t| self.tag(t, pc));
         // Find provider (longest history with tag match) and alternate.
         let mut provider: Option<usize> = None;
         let mut alt: Option<usize> = None;
-        let mut idx = [0usize; 4];
-        let mut tags = [0u16; 4];
-        for t in (0..self.tables.len()).rev() {
-            idx[t] = self.index(t, pc);
-            tags[t] = self.tag(t, pc);
+        for t in (0..4).rev() {
             if self.tables[t].entries[idx[t]].tag == tags[t] {
                 if provider.is_none() {
                     provider = Some(t);
-                } else if alt.is_none() {
+                } else {
                     alt = Some(t);
                     break;
                 }
-            }
-        }
-        // Fill any indices we skipped (needed for allocation below).
-        for t in 0..self.tables.len() {
-            if idx[t] == 0 && tags[t] == 0 {
-                idx[t] = self.index(t, pc);
-                tags[t] = self.tag(t, pc);
             }
         }
 
@@ -179,21 +224,25 @@ impl BranchPredictor for Tage {
         // Allocate on misprediction in a longer-history table.
         if pred != taken {
             let start = provider.map_or(0, |t| t + 1);
-            if start < self.tables.len() {
-                let candidates: Vec<usize> = (start..self.tables.len())
-                    .filter(|&t| self.tables[t].entries[idx[t]].useful == 0)
-                    .collect();
-                if candidates.is_empty() {
-                    for (t, tab) in self.tables.iter_mut().enumerate().skip(start) {
-                        let e = &mut tab.entries[idx[t]];
-                        e.useful = e.useful.saturating_sub(1);
-                    }
-                } else {
-                    let pick = candidates[self.next_rand() as usize % candidates.len()];
-                    let e = &mut self.tables[pick].entries[idx[pick]];
-                    e.tag = tags[pick];
-                    e.ctr = if taken { 4 } else { 3 };
-                    e.useful = 0;
+            // Tables from `start` whose entry is not useful, in order.
+            let mut free = [0usize; 4];
+            let mut n = 0;
+            for (t, (tab, &i)) in self.tables.iter().zip(&idx).enumerate().skip(start) {
+                if tab.entries[i].useful == 0 {
+                    free[n] = t;
+                    n += 1;
+                }
+            }
+            if n > 0 {
+                let pick = free[self.next_rand() as usize % n];
+                let e = &mut self.tables[pick].entries[idx[pick]];
+                e.tag = tags[pick];
+                e.ctr = if taken { 4 } else { 3 };
+                e.useful = 0;
+            } else {
+                for (t, tab) in self.tables.iter_mut().enumerate().skip(start) {
+                    let e = &mut tab.entries[idx[t]];
+                    e.useful = e.useful.saturating_sub(1);
                 }
             }
         }
@@ -201,13 +250,13 @@ impl BranchPredictor for Tage {
         // Periodic usefulness aging.
         if self.branch_count.is_multiple_of(USEFUL_RESET_PERIOD) {
             for tab in &mut self.tables {
-                for e in &mut tab.entries {
+                for e in tab.entries.iter_mut() {
                     e.useful >>= 1;
                 }
             }
         }
 
-        self.ghr = (self.ghr << 1) | u128::from(taken);
+        self.push_history(taken);
         pred == taken
     }
 
@@ -279,6 +328,31 @@ mod tests {
         assert!(f < 1024);
         // Only the low `len` bits participate.
         assert_eq!(Tage::fold(h, 5, 10), (h as u64) & 0x1f);
+    }
+
+    /// All twelve incremental folds equal a fold of the whole history after
+    /// every one of 6 000 seeded outcomes: past the 120-bit window, so bits
+    /// leave every component's window many times over.
+    #[test]
+    fn incremental_folds_equal_the_refold() {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0xF01D);
+        let mut tage = Tage::new();
+        for i in 0..6_000 {
+            tage.observe(rng.next_range(1 << 14), rng.next_range(3) != 0);
+            for tab in &tage.tables {
+                let widths = [TABLE_BITS, tab.tag_bits, tab.tag_bits - 1];
+                for (f, bits) in tab.folds.iter().zip(widths) {
+                    assert_eq!(f.bits, bits);
+                    assert_eq!(
+                        f.value,
+                        Tage::fold(tage.ghr, tab.history_len, bits),
+                        "len {} to {bits} bits after {} outcomes",
+                        tab.history_len,
+                        i + 1
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,6 +126,28 @@ impl MemoryHierarchy {
     pub fn fetch_line(&mut self, line: u64) -> HitLevel {
         // 64 B lines, 4 KiB pages -> 64 lines per page.
         self.itlb.access_page(line >> 6);
+        self.inst_line(line)
+    }
+
+    /// Fetches every line of `lines` in order: the same counters, contents
+    /// and iTLB state as a [`MemoryHierarchy::fetch_line`] per line. Within
+    /// a run of lines on one page only the first translation can miss; the
+    /// others hit the page it just made most recent.
+    pub fn fetch_lines(&mut self, lines: std::ops::Range<u64>) {
+        let mut line = lines.start;
+        while line < lines.end {
+            let run_end = (line | 63).saturating_add(1).min(lines.end);
+            self.itlb.access_page_run(line >> 6, run_end - line);
+            for l in line..run_end {
+                self.inst_line(l);
+            }
+            line = run_end;
+        }
+    }
+
+    /// The cache side of an instruction fetch.
+    #[inline]
+    fn inst_line(&mut self, line: u64) -> HitLevel {
         let level = if self.l1i.access_line(line) {
             HitLevel::L1
         } else {
@@ -349,6 +371,46 @@ mod tests {
             [m.inst_counters(), m.load_counters(), m.store_counters()],
             m.itlb_stats().misses,
         )
+    }
+
+    /// A range fetch against the per-line loop, interleaved with data
+    /// traffic so both sides share the unified levels: ranges of 0–300
+    /// lines that start anywhere in a page and often cross one, over hot
+    /// and cold text, on every Table IV hierarchy.
+    #[test]
+    fn fetch_lines_equals_a_fetch_line_per_line() {
+        for cfg in UarchConfig::table_iv() {
+            let mut rng = vtx_rng::Xoshiro256pp::new(0xFE7C);
+            let mut ranged = MemoryHierarchy::new(&cfg).unwrap();
+            let mut looped = MemoryHierarchy::new(&cfg).unwrap();
+            for i in 0..5_000 {
+                let start = match rng.next_range(3) {
+                    0 => rng.next_range(4_000),
+                    _ => 0x1_0000 + rng.next_range(200_000),
+                };
+                let lines = start..start + rng.next_range(301);
+                ranged.fetch_lines(lines.clone());
+                for line in lines {
+                    looped.fetch_line(line);
+                }
+                let data = rng.next_range(300_000);
+                ranged.load_line(data);
+                looped.load_line(data);
+                ranged.store_line(data + 7);
+                looped.store_line(data + 7);
+                if i % 500 == 0 || i == 4_999 {
+                    let counters = |m: &MemoryHierarchy| {
+                        (
+                            [m.inst_counters(), m.load_counters(), m.store_counters()],
+                            m.itlb_stats(),
+                            [m.l1i_stats(), m.l1d_stats()],
+                        )
+                    };
+                    assert_eq!(counters(&ranged), counters(&looped), "{} #{i}", cfg.name);
+                }
+            }
+            assert!(ranged.itlb_stats().misses > 0 && ranged.inst_counters().l1 > 0);
+        }
     }
 
     /// Pinned from the per-way rank-counter model this one replaced: the

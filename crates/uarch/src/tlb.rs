@@ -92,6 +92,16 @@ impl Tlb {
         hit
     }
 
+    /// Translates `page` `n` times in a row (`n > 0`), with no other
+    /// translation in between: the first lookup may miss and fill, the rest
+    /// find the page most recently used in its set, so they only count.
+    #[inline]
+    pub fn access_page_run(&mut self, page: u64, n: u64) {
+        debug_assert!(n > 0);
+        self.access_page(page);
+        self.stats.accesses += n - 1;
+    }
+
     /// Translates a code byte address (convenience over [`Tlb::access_page`]).
     pub fn access_addr(&mut self, addr: u64) -> bool {
         self.access_page(addr / PAGE_BYTES)

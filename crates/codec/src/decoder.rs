@@ -18,7 +18,7 @@ use crate::entropy::{ctx, EntropyReader};
 use crate::instr::{K_DEC_DEBLOCK, K_DEC_PARSE, K_DEC_PRED, K_DEC_RECON};
 use crate::intra::{predict16, predict4, predict_chroma_dc, Intra16Mode, Intra4Mode};
 use crate::mbenc::{decode_chroma_residual, decode_luma_residual, read_coef_block};
-use crate::mc::{build_inter_pred_frames, build_p8_pred};
+use crate::mc::{build_inter_pred_frames, build_p8_pred, RefFrame};
 use crate::quant::dequant4x4;
 use crate::transform::idct4x4;
 use crate::types::{FrameType, MotionVector, Qp};
@@ -193,14 +193,12 @@ pub fn decode_video(bs: &Bitstream, prof: &mut Profiler) -> Result<DecodedVideo,
                 context: "duplicate display index",
             });
         }
-        frames[display] = Some(frame.clone());
-
         if ftype != FrameType::B {
             let slot = st.next_slot;
             st.next_slot = (st.next_slot + 1) % pool;
             st.anchors.push(Anchor {
                 display,
-                frame,
+                frame: RefFrame::new(&frame),
                 slot,
             });
             let keep = usize::from(hdr.refs) + 1;
@@ -208,6 +206,7 @@ pub fn decode_video(bs: &Bitstream, prof: &mut Profiler) -> Result<DecodedVideo,
                 st.anchors.drain(..st.anchors.len() - keep);
             }
         }
+        frames[display] = Some(frame);
     }
 
     let frames: Result<Vec<Frame>, CodecError> = frames
@@ -440,10 +439,12 @@ fn anchor_at<'a>(
 }
 
 fn read_mv<R: EntropyReader>(r: &mut R, pred: MotionVector) -> Result<MotionVector, CodecError> {
+    // In `i64`: a difference of up to 2^31 - 1 either way plus the
+    // predictor must not overflow before the range check rejects it.
     let dx = r.get_se(ctx::MVD_X)?;
     let dy = r.get_se(ctx::MVD_Y)?;
-    let cx = i32::from(pred.x) + dx;
-    let cy = i32::from(pred.y) + dy;
+    let cx = i64::from(pred.x) + i64::from(dx);
+    let cy = i64::from(pred.y) + i64::from(dy);
     if !(-2048..=2048).contains(&cx) || !(-2048..=2048).contains(&cy) {
         return Err(CodecError::CorruptBitstream {
             offset: 0,
@@ -455,7 +456,7 @@ fn read_mv<R: EntropyReader>(r: &mut R, pred: MotionVector) -> Result<MotionVect
 
 fn read_qp<R: EntropyReader>(r: &mut R, prev: &mut Qp) -> Result<Qp, CodecError> {
     let delta = r.get_se(ctx::QP_DELTA)?;
-    let qp = Qp::new(i32::from(prev.value()) + delta);
+    let qp = Qp::new(i32::from(prev.value()).saturating_add(delta));
     *prev = qp;
     Ok(qp)
 }
@@ -807,6 +808,68 @@ mod tests {
         let cfg = EncoderConfig::default().with_force_kf(Vec::new());
         let same = encode_video(&v, &cfg, &mut p2).unwrap();
         assert_eq!(base.bitstream, same.bitstream);
+    }
+
+    /// A level coded as `u32::MAX` — the code `get_se` once read as
+    /// `i32::MIN` — and motion-vector differences at and past both ends of
+    /// the signed range, with predictors of either sign: each is an `Err`
+    /// from the reader, never an overflow, on both backends. QP deltas at
+    /// both ends saturate into the QP range instead of overflowing.
+    #[test]
+    fn crafted_levels_and_mvds_past_the_range_are_errors() {
+        use crate::entropy::cabac::CabacWriter;
+        use crate::entropy::cavlc::CavlcWriter;
+        use crate::entropy::EntropyWriter;
+
+        fn level_stream<W: EntropyWriter>(mut w: W) -> Vec<u8> {
+            w.put_bit(ctx::CBF, true);
+            w.put_ue(ctx::NZ_COUNT, 0);
+            w.put_ue(ctx::RUN, 0);
+            w.put_ue(ctx::LEVEL, u32::MAX);
+            w.finish()
+        }
+        fn mvd_stream<W: EntropyWriter>(mut w: W, dx: Result<i32, u32>) -> Vec<u8> {
+            match dx {
+                Ok(v) => w.put_se(ctx::MVD_X, v),
+                Err(code) => w.put_ue(ctx::MVD_X, code),
+            }
+            w.put_se(ctx::MVD_Y, 0);
+            w.finish()
+        }
+        fn qp_stream<W: EntropyWriter>(mut w: W, delta: i32) -> Vec<u8> {
+            w.put_se(ctx::QP_DELTA, delta);
+            w.finish()
+        }
+        for (prev, delta, want) in [(51, i32::MAX, 51), (0, -i32::MAX, 0), (26, 3, 29)] {
+            let bytes = qp_stream(CabacWriter::new(), delta);
+            let got = read_qp(&mut CabacReader::new(&bytes), &mut Qp::new(prev));
+            assert_eq!(got, Ok(Qp::new(want)), "{delta} from {prev}");
+        }
+        let mvds = [
+            Err(u32::MAX),
+            Ok(i32::MAX),
+            Ok(-i32::MAX),
+            Ok(2049),
+            Ok(-2049),
+        ];
+        let preds = [-2048, -1, 0, 1, 2048].map(|v| MotionVector::new(v, v));
+        let mut p = prof();
+
+        let bytes = level_stream(CabacWriter::new());
+        assert!(read_coef_block(&mut CabacReader::new(&bytes), false, &mut p).is_err());
+        let bytes = level_stream(CavlcWriter::new());
+        assert!(read_coef_block(&mut CavlcReader::new(&bytes), false, &mut p).is_err());
+        for dx in mvds {
+            for pred in preds {
+                let bytes = mvd_stream(CabacWriter::new(), dx);
+                let cabac = read_mv(&mut CabacReader::new(&bytes), pred);
+                let bytes = mvd_stream(CavlcWriter::new(), dx);
+                let cavlc = read_mv(&mut CavlcReader::new(&bytes), pred);
+                let in_range = matches!(dx, Ok(v) if (-2048..=2048).contains(&(i64::from(pred.x) + i64::from(v))));
+                assert_eq!(cabac.is_ok(), in_range, "{dx:?} from {pred:?}");
+                assert_eq!(cavlc, cabac, "{dx:?} from {pred:?}");
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ use crate::instr::{
 use crate::intra::{decide16, predict4, predict_chroma_dc, Intra4Mode};
 use crate::lookahead::{analyze, LookaheadResult};
 use crate::mbenc::{encode_chroma_residual, encode_luma_residual, write_coef_block};
-use crate::mc::{average, mc_luma};
-use crate::me::{search_ref, MeParams, MeResult, RefView};
+use crate::mc::{average, mc_luma, RefFrame};
+use crate::me::{sad_row, search_ref, MeParams, MeResult, RefView};
 use crate::quant::{aq_offset, dequant4x4, quant4x4};
 use crate::ratecontrol::RateControl;
 use crate::transform::{dct4x4, idct4x4, sad, Block4x4};
@@ -156,9 +156,12 @@ pub fn encode_video(
     }
 }
 
+/// A reconstructed frame kept as a reference: its planes border-extended
+/// once (the reconstruction itself goes to the output), its display index,
+/// and the reference-pool slot its simulated addresses live in.
 pub(crate) struct Anchor {
     pub(crate) display: usize,
-    pub(crate) frame: Frame,
+    pub(crate) frame: RefFrame,
     pub(crate) slot: usize,
 }
 
@@ -299,14 +302,12 @@ fn encode_inner(
         prof.store_range(st.bufs.bitstream + data.len() as u64, payload.len() as u64);
         data.extend_from_slice(&payload);
 
-        recon_frames[display] = Some(recon.clone());
-
         if ftype != FrameType::B {
             let slot = st.next_slot;
             st.next_slot = (st.next_slot + 1) % pool;
             st.anchors.push(Anchor {
                 display,
-                frame: recon,
+                frame: RefFrame::new(&recon),
                 slot,
             });
             let keep = usize::from(cfg.refs) + 1;
@@ -314,6 +315,7 @@ fn encode_inner(
                 st.anchors.drain(..st.anchors.len() - keep);
             }
         }
+        recon_frames[display] = Some(recon);
     }
 
     let recon: Vec<Frame> = recon_frames
@@ -1052,7 +1054,7 @@ fn try_p8x8(
     cfg: &EncoderConfig,
     prof: &mut Profiler,
 ) -> Option<(MbMode, u32)> {
-    let plane = anchor.frame.y();
+    let reference = anchor.frame.y();
     let mut total = 0u32;
     let mut sub_mvs = [MotionVector::ZERO; 4];
     // Extra refinement radius when p4x4 partitions are enabled (deeper
@@ -1075,19 +1077,20 @@ fn try_p8x8(
             for dx in -radius..=radius {
                 let mx = i32::from(bx0) + dx;
                 let my = i32::from(by0) + dy;
-                let mut pred = [0u8; 64];
-                plane.copy_block_clamped(
-                    qx as isize + mx as isize,
-                    qy as isize + my as isize,
-                    8,
-                    8,
-                    &mut pred,
-                );
+                let pred =
+                    reference.block(qx as isize + mx as isize, qy as isize + my as isize, 8, 8);
                 prof.load(fc.bufs.ref_luma(anchor.slot, qx, qy));
                 cands += 1;
                 let mv = MotionVector::from_fullpel(mx as i16, my as i16);
-                let cost = sad(&blk, &pred)
-                    .saturating_add((lambda * f64::from(mv.cost_bits(base_mv))) as u32);
+                let metric: u32 = blk
+                    .as_chunks::<8>()
+                    .0
+                    .iter()
+                    .enumerate()
+                    .map(|(r, row)| sad_row(row, pred.row(r).first_chunk().expect("8-sample rows")))
+                    .sum();
+                let cost =
+                    metric.saturating_add((lambda * f64::from(mv.cost_bits(base_mv))) as u32);
                 if cost < best.0 {
                     best = (cost, mv);
                 }
@@ -1622,7 +1625,7 @@ mod tests {
     fn ref_lists_order_and_truncate() {
         let mk = |display: usize, slot: usize| Anchor {
             display,
-            frame: Frame::new(16, 16),
+            frame: RefFrame::new(&Frame::new(16, 16)),
             slot,
         };
         let anchors = vec![mk(0, 0), mk(3, 1), mk(6, 2), mk(9, 3)];

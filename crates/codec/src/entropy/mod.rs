@@ -62,9 +62,15 @@ pub(crate) fn ue_len(v: u32) -> u32 {
 }
 
 /// The unsigned value a signed one is coded as: 0, 1, -1, 2, -2, ... map
-/// to 0, 1, 2, 3, 4, ...
+/// to 0, 1, 2, 3, 4, ... up to -(2^31 - 1) at `u32::MAX - 1`.
+///
+/// # Panics
+///
+/// Panics on `i32::MIN`, the one value with no code: its image, 2^32, is
+/// one past `u32::MAX`.
 #[inline]
 pub(crate) fn se_to_ue(v: i32) -> u32 {
+    assert!(v != i32::MIN, "i32::MIN has no signed exp-Golomb code");
     if v <= 0 {
         (-2i64 * i64::from(v)) as u32
     } else {
@@ -96,6 +102,10 @@ pub trait EntropyWriter {
     fn put_ue(&mut self, ctx: u32, v: u32);
 
     /// Codes a signed value (zigzag-mapped) as exp-Golomb bins under `ctx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `i32::MIN`, which has no code: passing it is a bug.
     #[inline]
     fn put_se(&mut self, ctx: u32, v: i32) {
         self.put_ue(ctx, se_to_ue(v));
@@ -123,17 +133,28 @@ pub trait EntropyReader {
     ///
     /// # Errors
     ///
-    /// Propagates [`CodecError::CorruptBitstream`] from [`Self::get_ue`].
+    /// Propagates [`CodecError::CorruptBitstream`] from [`Self::get_ue`],
+    /// and returns it ("signed value out of range") for the code of
+    /// `u32::MAX`, whose value, 2^31, no `i32` holds.
     #[inline]
     fn get_se(&mut self, ctx: u32) -> Result<i32, CodecError> {
         let v = self.get_ue(ctx)?;
+        if v == u32::MAX {
+            return Err(SIGNED_OUT_OF_RANGE);
+        }
         Ok(if v & 1 == 1 {
-            u64::from(v).div_ceil(2) as i32
+            v.div_ceil(2) as i32
         } else {
-            -((u64::from(v) / 2) as i32)
+            -((v / 2) as i32)
         })
     }
 }
+
+/// The verdict on a signed exp-Golomb code past `i32::MAX`.
+pub(crate) const SIGNED_OUT_OF_RANGE: CodecError = CodecError::CorruptBitstream {
+    offset: 0,
+    context: "signed value out of range",
+};
 
 /// The verdict on an exp-Golomb prefix of more than 32 zeros.
 pub(crate) const PREFIX_TOO_LONG: CodecError = CodecError::CorruptBitstream {
@@ -169,6 +190,41 @@ mod tests {
         }
     }
 
+    /// Both ends of the signed range round-trip on both backends, and the
+    /// code past `i32::MAX` — that of `u32::MAX` — is refused, not wrapped
+    /// to `i32::MIN`.
+    #[test]
+    fn signed_range_ends_round_trip_and_the_code_past_them_is_refused() {
+        const ENDS: [i32; 4] = [i32::MAX, -i32::MAX, i32::MAX - 1, 0];
+        fn write<W: EntropyWriter>(mut w: W) -> Vec<u8> {
+            for v in ENDS {
+                w.put_se(ctx::MVD_X, v);
+            }
+            w.put_ue(ctx::LEVEL, u32::MAX);
+            w.finish()
+        }
+        fn read<R: EntropyReader>(mut r: R) {
+            for v in ENDS {
+                assert_eq!(r.get_se(ctx::MVD_X), Ok(v));
+            }
+            assert_eq!(r.get_se(ctx::LEVEL), Err(SIGNED_OUT_OF_RANGE));
+        }
+        read(CabacReader::new(&write(CabacWriter::new())));
+        read(CavlcReader::new(&write(CavlcWriter::new())));
+    }
+
+    #[test]
+    #[should_panic(expected = "i32::MIN has no signed exp-Golomb code")]
+    fn put_se_of_i32_min_panics_on_cabac() {
+        CabacWriter::new().put_se(ctx::MVD_X, i32::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "i32::MIN has no signed exp-Golomb code")]
+    fn put_se_of_i32_min_panics_on_cavlc() {
+        CavlcWriter::new().put_se(ctx::LEVEL, i32::MIN);
+    }
+
     #[test]
     fn truncated_stream_errors() {
         let mut w = CavlcWriter::new();
@@ -195,8 +251,8 @@ mod tests {
         Se(u32, i32),
     }
 
-    /// `v` reinterpreted as a signed symbol; `i32::MIN` has no code (its
-    /// mapping wraps to that of 0), so it becomes its neighbour.
+    /// `v` reinterpreted as a signed symbol; `i32::MIN` has no code, so it
+    /// becomes its neighbour.
     fn signed(class: u32, v: u32) -> Sym {
         Sym::Se(class, (v as i32).max(i32::MIN + 1))
     }

@@ -1,9 +1,63 @@
 //! Motion compensation: full-pel block copy and half-pel bilinear
-//! interpolation, with edge extension at frame borders.
+//! interpolation from border-extended reference planes.
 
-use vtx_frame::Plane;
+use vtx_frame::{Frame, PaddedPlane};
 
 use crate::types::MotionVector;
+
+/// Replicated border of a reference luma plane, in samples. It must hold
+/// the widest block motion search and compensation read plus its half-pel
+/// tap, 16 + 1, for a read at any origin to equal an edge-clamped one; x264
+/// pads 32.
+pub const LUMA_PAD: usize = 32;
+/// Replicated border of a reference chroma plane: at least 8 + 1; x264
+/// pads 16.
+pub const CHROMA_PAD: usize = 16;
+
+const _: () = assert!(
+    LUMA_PAD > 16 && CHROMA_PAD > 8,
+    "a border narrower than a block and its tap"
+);
+
+/// A reconstructed frame as motion search and compensation read it: each
+/// plane border-extended once, when the frame becomes a reference, so that
+/// every block read is an in-place read at an origin clamped into the
+/// border (see [`PaddedPlane`]).
+#[derive(Debug)]
+pub struct RefFrame {
+    y: PaddedPlane,
+    u: PaddedPlane,
+    v: PaddedPlane,
+}
+
+impl RefFrame {
+    /// Border-extends the three planes of `frame`.
+    pub fn new(frame: &Frame) -> Self {
+        RefFrame {
+            y: PaddedPlane::new(frame.y(), LUMA_PAD),
+            u: PaddedPlane::new(frame.u(), CHROMA_PAD),
+            v: PaddedPlane::new(frame.v(), CHROMA_PAD),
+        }
+    }
+
+    /// Luma plane.
+    #[inline]
+    pub fn y(&self) -> &PaddedPlane {
+        &self.y
+    }
+
+    /// Cb plane.
+    #[inline]
+    pub fn u(&self) -> &PaddedPlane {
+        &self.u
+    }
+
+    /// Cr plane.
+    #[inline]
+    pub fn v(&self) -> &PaddedPlane {
+        &self.v
+    }
+}
 
 /// Produces the `bw x bh` motion-compensated luma prediction for a block at
 /// `(x, y)` displaced by `mv` (half-pel units) from `reference`.
@@ -13,9 +67,10 @@ use crate::types::MotionVector;
 ///
 /// # Panics
 ///
-/// Panics if `out.len() < bw * bh`.
+/// Panics if `out.len() < bw * bh`, or if the block and its taps are wider
+/// or taller than the reference's border allows.
 pub fn mc_luma(
-    reference: &Plane,
+    reference: &PaddedPlane,
     mv: MotionVector,
     x: usize,
     y: usize,
@@ -31,31 +86,13 @@ pub fn mc_luma(
     let by = y as isize + fy as isize;
 
     if hx == 0 && hy == 0 {
-        reference.copy_block_clamped(bx, by, bw, bh, out);
+        reference.copy_block(bx, by, bw, bh, out);
         return;
     }
-
     // Interpolating reads the block plus one more column (`hx`) and row
-    // (`hy`) of taps. Inside the plane those are plane rows as they stand;
-    // across a border they are fetched edge-extended first, so both cases
-    // run the same row-slice interpolation.
-    let (tw, th) = (bw + hx, bh + hy);
-    if let Some((ix, iy)) = reference.interior(bx, by, tw, th) {
-        interpolate(hx, hy, bw, bh, |r| &reference.row(iy + r)[ix..], out);
-        return;
-    }
-    let mut stack = [0u8; 17 * 17];
-    let mut heap = Vec::new();
-    let taps = match stack.get_mut(..tw * th) {
-        Some(taps) => taps,
-        None => {
-            // Larger than any macroblock partition.
-            heap.resize(tw * th, 0);
-            &mut heap[..]
-        }
-    };
-    reference.copy_block_clamped(bx, by, tw, th, taps);
-    interpolate(hx, hy, bw, bh, |r| &taps[r * tw..], out);
+    // (`hy`) of taps, in place.
+    let taps = reference.block(bx, by, bw + hx, bh + hy);
+    interpolate(hx, hy, bw, bh, |r| taps.row(r), out);
 }
 
 /// Half-pel bilinear interpolation of a `bw x bh` block into `out`.
@@ -99,7 +136,7 @@ fn interpolate<'a>(
 /// `(cx, cy)` are chroma-plane coordinates; the output block is `bw x bh`
 /// chroma samples.
 pub fn mc_chroma(
-    reference: &Plane,
+    reference: &PaddedPlane,
     mv: MotionVector,
     cx: usize,
     cy: usize,
@@ -130,9 +167,54 @@ pub fn average(a: &[u8], b: &[u8], out: &mut [u8]) {
     }
 }
 
+/// `mc_luma` as it read an unpadded plane — in place inside it, through an
+/// edge-clamped copy of the taps across a border — kept as the oracle of
+/// the padded reads.
+#[cfg(test)]
+mod oracle {
+    use super::interpolate;
+    use crate::types::MotionVector;
+    use vtx_frame::Plane;
+
+    pub(super) fn mc_luma(
+        reference: &Plane,
+        mv: MotionVector,
+        x: usize,
+        y: usize,
+        bw: usize,
+        bh: usize,
+        out: &mut [u8],
+    ) {
+        assert!(out.len() >= bw * bh);
+        let (fx, fy) = mv.fullpel();
+        let hx = (mv.x & 1) as usize;
+        let hy = (mv.y & 1) as usize;
+        let bx = x as isize + fx as isize;
+        let by = y as isize + fy as isize;
+
+        if hx == 0 && hy == 0 {
+            reference.copy_block_clamped(bx, by, bw, bh, out);
+            return;
+        }
+        let (tw, th) = (bw + hx, bh + hy);
+        if let Some((ix, iy)) = reference.interior(bx, by, tw, th) {
+            interpolate(hx, hy, bw, bh, |r| &reference.row(iy + r)[ix..], out);
+            return;
+        }
+        let mut taps = vec![0u8; tw * th];
+        reference.copy_block_clamped(bx, by, tw, th, &mut taps);
+        interpolate(hx, hy, bw, bh, |r| &taps[r * tw..], out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vtx_frame::Plane;
+
+    fn padded(p: &Plane) -> PaddedPlane {
+        PaddedPlane::new(p, LUMA_PAD)
+    }
 
     fn ramp_plane() -> Plane {
         let mut p = Plane::new(32, 32);
@@ -148,7 +230,15 @@ mod tests {
     fn fullpel_copy_matches_source() {
         let p = ramp_plane();
         let mut out = [0u8; 64];
-        mc_luma(&p, MotionVector::from_fullpel(2, 3), 4, 4, 8, 8, &mut out);
+        mc_luma(
+            &padded(&p),
+            MotionVector::from_fullpel(2, 3),
+            4,
+            4,
+            8,
+            8,
+            &mut out,
+        );
         for row in 0..8 {
             for col in 0..8 {
                 assert_eq!(out[row * 8 + col], p.get(6 + col, 7 + row));
@@ -160,7 +250,7 @@ mod tests {
     fn halfpel_x_interpolates() {
         let p = ramp_plane();
         let mut out = [0u8; 16];
-        mc_luma(&p, MotionVector::new(1, 0), 8, 8, 4, 4, &mut out);
+        mc_luma(&padded(&p), MotionVector::new(1, 0), 8, 8, 4, 4, &mut out);
         let expect = (u32::from(p.get(8, 8)) + u32::from(p.get(9, 8))).div_ceil(2);
         assert_eq!(u32::from(out[0]), expect);
     }
@@ -169,7 +259,7 @@ mod tests {
     fn halfpel_xy_averages_four() {
         let p = ramp_plane();
         let mut out = [0u8; 16];
-        mc_luma(&p, MotionVector::new(1, 1), 8, 8, 4, 4, &mut out);
+        mc_luma(&padded(&p), MotionVector::new(1, 1), 8, 8, 4, 4, &mut out);
         let e = (u32::from(p.get(8, 8))
             + u32::from(p.get(9, 8))
             + u32::from(p.get(8, 9))
@@ -183,6 +273,7 @@ mod tests {
     /// the rounded mean of its 1, 2 or 4 edge-extended taps.
     fn assert_matches_per_sample(
         p: &Plane,
+        reference: &PaddedPlane,
         mv: MotionVector,
         x: usize,
         y: usize,
@@ -190,7 +281,7 @@ mod tests {
         bh: usize,
     ) {
         let mut out = vec![0u8; bw * bh];
-        mc_luma(p, mv, x, y, bw, bh, &mut out);
+        mc_luma(reference, mv, x, y, bw, bh, &mut out);
         let (fx, fy) = mv.fullpel();
         let (hx, hy) = (mv.x & 1, mv.y & 1);
         for (i, &got) in out.iter().enumerate() {
@@ -216,15 +307,15 @@ mod tests {
     }
 
     /// Every half-pel phase at every block position from across each edge
-    /// to wholly inside equals the per-sample definition — the interior
-    /// path and the edge-extended path agree at their seam.
+    /// to wholly inside equals the per-sample definition.
     #[test]
     fn every_phase_and_position_matches_the_per_sample_definition() {
         let p = ramp_plane();
+        let r = padded(&p);
         for (mvx, mvy) in [(0, 0), (1, 0), (0, 1), (1, 1), (-3, 5), (7, -1)] {
             for y in 0..32 {
                 for x in 0..32 {
-                    assert_matches_per_sample(&p, MotionVector::new(mvx, mvy), x, y, 8, 8);
+                    assert_matches_per_sample(&p, &r, MotionVector::new(mvx, mvy), x, y, 8, 8);
                 }
             }
         }
@@ -233,7 +324,7 @@ mod tests {
     /// Every vector from a block wholly outside the plane on one side to
     /// wholly outside on the other, in all four phases — on blocks wider
     /// and taller than the plane, planes one sample wide or tall, and a
-    /// block larger than a macroblock (taps beyond the stack buffer).
+    /// block larger than a macroblock.
     #[test]
     fn every_vector_matches_on_degenerate_geometries() {
         let mut rng = vtx_rng::Xoshiro256pp::new(0x3C_1A);
@@ -247,9 +338,11 @@ mod tests {
         ] {
             let mut p = Plane::new(w, h);
             p.samples_mut().fill_with(|| rng.next_u8());
+            let r = padded(&p);
             for mvy in -2 * (bh as i16 + 2)..=2 * (h as i16 + 2) + 1 {
                 for mvx in -2 * (bw as i16 + 2)..=2 * (w as i16 + 2) + 1 {
-                    assert_matches_per_sample(&p, MotionVector::new(mvx, mvy), 0, 0, bw, bh);
+                    let mv = MotionVector::new(mvx, mvy);
+                    assert_matches_per_sample(&p, &r, mv, 0, 0, bw, bh);
                 }
             }
         }
@@ -260,7 +353,7 @@ mod tests {
         let p = ramp_plane();
         let mut out = [0u8; 256];
         mc_luma(
-            &p,
+            &padded(&p),
             MotionVector::from_fullpel(-100, -100),
             0,
             0,
@@ -273,7 +366,7 @@ mod tests {
 
     #[test]
     fn chroma_halves_vector() {
-        let p = ramp_plane();
+        let p = padded(&ramp_plane());
         let mut a = [0u8; 16];
         let mut b = [0u8; 16];
         // Luma mv of 4 half-pels (= 2 full-pel) -> chroma 1 full-pel.
@@ -297,6 +390,7 @@ mod tests {
                 p.set(x, y, (x * 4) as u8);
             }
         }
+        let p = PaddedPlane::new(&p, CHROMA_PAD);
         let mut out = [0u8; 16];
 
         mc_chroma(&p, MotionVector::new(5, 0), 8, 8, 4, 4, &mut out);
@@ -311,6 +405,47 @@ mod tests {
             err_right, err_left,
             "chroma MV rounding must not depend on motion direction"
         );
+    }
+
+    /// Reads from a padded plane against the clamped-read oracle at every
+    /// block origin from past the border on each side to past it on the
+    /// other, and at both ends of the vector range, for every shape the
+    /// codec reads — 16x16, 8x8 and 4x4 luma, 8x8 and 4x4 chroma — at
+    /// full pel and in each half-pel phase (17x17, 9x9 and 5x5 taps).
+    #[test]
+    fn padded_reads_equal_clamped_reads() {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x9AD);
+        for (w, h, pad, sizes) in [
+            (48, 32, LUMA_PAD, &[16, 8, 4][..]),
+            (24, 16, CHROMA_PAD, &[8, 4][..]),
+        ] {
+            let mut p = Plane::new(w, h);
+            p.samples_mut().fill_with(|| rng.next_u8());
+            let r = PaddedPlane::new(&p, pad);
+            for &b in sizes {
+                let (mut got, mut want) = (vec![0u8; b * b], vec![0u8; b * b]);
+                let mut check = |mv: MotionVector, x: usize, y: usize| {
+                    mc_luma(&r, mv, x, y, b, b, &mut got);
+                    oracle::mc_luma(&p, mv, x, y, b, b, &mut want);
+                    assert_eq!(got, want, "{w}x{h}, {b}x{b} at ({x}, {y}), {mv:?}");
+                };
+                let reach = (pad + b + 2) as i16;
+                for oy in -reach..h as i16 + reach {
+                    for ox in -reach..w as i16 + reach {
+                        for (hx, hy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                            check(MotionVector::new(2 * ox + hx, 2 * oy + hy), 0, 0);
+                        }
+                    }
+                }
+                for (x, y) in [(0, 0), (w - b, 0), (0, h - b), (w - b, h - b)] {
+                    for mvx in [-2048, -2047, 0, 2047, 2048] {
+                        for mvy in [-2048, -2047, 0, 2047, 2048] {
+                            check(MotionVector::new(mvx, mvy), x, y);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -332,15 +467,13 @@ mod tests {
     }
 }
 
-use vtx_frame::Frame;
-
 /// Builds the full inter prediction (luma 16x16 + both chroma 8x8) for a
 /// macroblock. `dir`: 0 = forward only, 1 = backward only, 2 = bi-predicted
 /// average. Shared by the encoder and decoder so reconstruction can never
 /// diverge.
 pub fn build_inter_pred_frames(
-    fwd: &Frame,
-    bwd: Option<&Frame>,
+    fwd: &RefFrame,
+    bwd: Option<&RefFrame>,
     fwd_mv: MotionVector,
     bwd_mv: MotionVector,
     dir: u8,
@@ -352,7 +485,7 @@ pub fn build_inter_pred_frames(
     let cx = mb_x * 8;
     let cy = mb_y * 8;
 
-    let mc_one = |f: &Frame, mv: MotionVector| -> ([u8; 256], [u8; 64], [u8; 64]) {
+    let mc_one = |f: &RefFrame, mv: MotionVector| -> ([u8; 256], [u8; 64], [u8; 64]) {
         let mut py = [0u8; 256];
         let mut pu = [0u8; 64];
         let mut pv = [0u8; 64];
@@ -383,7 +516,7 @@ pub fn build_inter_pred_frames(
 /// luma quadrants; chroma uses the component-wise average vector. Shared by
 /// the encoder and decoder.
 pub fn build_p8_pred(
-    reference: &Frame,
+    reference: &RefFrame,
     sub: &[MotionVector; 4],
     mb_x: usize,
     mb_y: usize,
@@ -391,21 +524,20 @@ pub fn build_p8_pred(
     let x = mb_x * 16;
     let y = mb_y * 16;
     let mut py = [0u8; 256];
-    for q in 0..4 {
+    for (q, &mv) in sub.iter().enumerate() {
         let mut blk = [0u8; 64];
         mc_luma(
             reference.y(),
-            sub[q],
+            mv,
             x + (q % 2) * 8,
             y + (q / 2) * 8,
             8,
             8,
             &mut blk,
         );
-        for r in 0..8 {
-            for c in 0..8 {
-                py[((q / 2) * 8 + r) * 16 + (q % 2) * 8 + c] = blk[r * 8 + c];
-            }
+        for (r, row) in blk.chunks_exact(8).enumerate() {
+            let at = ((q / 2) * 8 + r) * 16 + (q % 2) * 8;
+            py[at..at + 8].copy_from_slice(row);
         }
     }
     let avg_mv = MotionVector::new(
@@ -436,8 +568,8 @@ mod shared_tests {
         b.u_mut().fill(110);
         b.v_mut().fill(120);
         let (py, pu, pv) = build_inter_pred_frames(
-            &a,
-            Some(&b),
+            &RefFrame::new(&a),
+            Some(&RefFrame::new(&b)),
             MotionVector::ZERO,
             MotionVector::ZERO,
             2,
@@ -463,7 +595,7 @@ mod shared_tests {
             MotionVector::from_fullpel(0, 0),
             MotionVector::from_fullpel(2, 0),
         ];
-        let (py, _, _) = build_p8_pred(&f, &sub, 0, 0);
+        let (py, _, _) = build_p8_pred(&RefFrame::new(&f), &sub, 0, 0);
         // Quadrant 1 (top-right) shifted by +2 px: differs from unshifted copy.
         assert_eq!(py[0], f.y().get(0, 0));
         assert_eq!(py[8], f.y().get(10, 0));

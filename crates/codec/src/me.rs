@@ -7,7 +7,7 @@
 //! monotonically across that list, which is what differentiates the presets
 //! in Figure 6.
 
-use vtx_frame::Plane;
+use vtx_frame::PaddedPlane;
 use vtx_trace::Profiler;
 
 use crate::instr::{K_HPEL, K_ME_DIA, K_ME_ESA, K_ME_HEX, K_ME_UMH, K_SAD, K_SATD};
@@ -18,8 +18,8 @@ use crate::types::{se_len, MeMethod, MotionVector};
 /// A reference picture plus its virtual base address for cache tracing.
 #[derive(Debug)]
 pub struct RefView<'a> {
-    /// Reconstructed luma plane of the reference frame.
-    pub plane: &'a Plane,
+    /// Reconstructed luma plane of the reference frame, border-extended.
+    pub plane: &'a PaddedPlane,
     /// Virtual address of the plane's first sample.
     pub vaddr: u64,
     /// Address scale factor (nominal / simulated resolution; see
@@ -60,43 +60,52 @@ pub struct MeResult {
     pub metric: u32,
 }
 
-/// SAD between a 16x16 source block and the reference at full-pel `(rx, ry)`.
-fn sad_16x16_at(src: &[u8; 256], reference: &Plane, rx: isize, ry: isize, early_out: u32) -> u32 {
-    let w = reference.width() as isize;
-    let h = reference.height() as isize;
+/// SAD between a 16x16 source block and the reference at full-pel `(rx, ry)`,
+/// read in place, stopping every 4 rows once it reaches `early_out`.
+fn sad_16x16_at(
+    src: &[u8; 256],
+    reference: &PaddedPlane,
+    rx: isize,
+    ry: isize,
+    early_out: u32,
+) -> u32 {
+    let blk = reference.block(rx, ry, 16, 16);
     let mut acc = 0u32;
-    if rx >= 0 && ry >= 0 && rx + 16 <= w && ry + 16 <= h {
-        // Fast interior path with early termination every 4 rows.
-        let stride = reference.width();
-        let samples = reference.samples();
-        for row in 0..16 {
-            let off = (ry as usize + row) * stride + rx as usize;
-            acc += sad(&src[row * 16..row * 16 + 16], &samples[off..off + 16]);
-            if row % 4 == 3 && acc >= early_out {
-                return acc;
-            }
+    for (row, src) in src.as_chunks::<16>().0.iter().enumerate() {
+        acc += sad_row(src, blk.row(row).first_chunk().expect("16-sample rows"));
+        if row % 4 == 3 && acc >= early_out {
+            return acc;
         }
-        acc
-    } else {
-        // Clamped border path: same every-4-rows early termination as the
-        // interior path, so profiled SAD work does not depend on whether a
-        // candidate straddles the frame edge.
-        let mut blk = [0u8; 256];
-        reference.copy_block_clamped(rx, ry, 16, 16, &mut blk);
-        for row in 0..16 {
-            acc += sad(&src[row * 16..row * 16 + 16], &blk[row * 16..row * 16 + 16]);
-            if row % 4 == 3 && acc >= early_out {
-                return acc;
-            }
-        }
-        acc
     }
+    acc
+}
+
+/// SAD of one block row of a width known at compile time: a row is one
+/// `psadbw`, where a slice of runtime length is a loop.
+#[inline]
+pub(crate) fn sad_row<const W: usize>(a: &[u8; W], b: &[u8; W]) -> u32 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| u32::from(x.abs_diff(y)))
+        .sum()
 }
 
 fn mv_cost(lambda: f64, mv: MotionVector, pred: MotionVector) -> u32 {
     let dx = i32::from(mv.x) - i32::from(pred.x);
     let dy = i32::from(mv.y) - i32::from(pred.y);
-    (lambda * f64::from(se_len(dx) + se_len(dy))).round() as u32
+    round_to_u32(lambda * f64::from(se_len(dx) + se_len(dy)))
+}
+
+/// `x.round() as u32` without calling libm's `round`, which is what
+/// `f64::round` compiles to on baseline x86-64: the truncating conversion
+/// is one instruction, and the fraction it drops is exact to subtract.
+/// Half rounds up, as `round` rounds it away from zero; a negative `x` or
+/// NaN gives 0 and one past `u32::MAX` gives `u32::MAX`, as the saturating
+/// `as` does.
+#[inline]
+fn round_to_u32(x: f64) -> u32 {
+    let whole = x as u32;
+    whole.saturating_add(u32::from(x - f64::from(whole) >= 0.5))
 }
 
 struct SearchState<'a, 'p> {
@@ -452,7 +461,7 @@ fn esa_search(st: &mut SearchState<'_, '_>, satd_rerank: bool) {
         let mut best = (u32::MAX, st.best_mv);
         let mut blk = [0u8; 256];
         for &(_, mx, my) in slice {
-            st.reference.plane.copy_block_clamped(
+            st.reference.plane.copy_block(
                 st.x as isize + mx as isize,
                 st.y as isize + my as isize,
                 16,
@@ -474,13 +483,50 @@ fn esa_search(st: &mut SearchState<'_, '_>, satd_rerank: bool) {
     }
 }
 
-/// The sub-pel stage as it was before candidates were memoised and before
-/// `satd16x16` — every visit interpolated and scored, SATD gathered 4x4 by
-/// 4x4 (`transform::oracle`) — kept as the oracle for [`refine_subpel`].
+/// Replaced bodies kept as oracles: the sub-pel stage as it was before
+/// candidates were memoised and before `satd16x16` — every visit
+/// interpolated and scored, SATD gathered 4x4 by 4x4
+/// (`transform::oracle`) — and the full-pel SAD as it read an unpadded
+/// plane, in place inside it and through a clamped copy across a border.
 #[cfg(test)]
 mod oracle {
     use super::*;
     use crate::transform::oracle::satd16_blocks;
+    use vtx_frame::Plane;
+
+    pub(super) fn sad_16x16_at(
+        src: &[u8; 256],
+        reference: &Plane,
+        rx: isize,
+        ry: isize,
+        early_out: u32,
+    ) -> u32 {
+        let w = reference.width() as isize;
+        let h = reference.height() as isize;
+        let mut acc = 0u32;
+        if rx >= 0 && ry >= 0 && rx + 16 <= w && ry + 16 <= h {
+            let stride = reference.width();
+            let samples = reference.samples();
+            for row in 0..16 {
+                let off = (ry as usize + row) * stride + rx as usize;
+                acc += sad(&src[row * 16..row * 16 + 16], &samples[off..off + 16]);
+                if row % 4 == 3 && acc >= early_out {
+                    return acc;
+                }
+            }
+            acc
+        } else {
+            let mut blk = [0u8; 256];
+            reference.copy_block_clamped(rx, ry, 16, 16, &mut blk);
+            for row in 0..16 {
+                acc += sad(&src[row * 16..row * 16 + 16], &blk[row * 16..row * 16 + 16]);
+                if row % 4 == 3 && acc >= early_out {
+                    return acc;
+                }
+            }
+            acc
+        }
+    }
 
     #[allow(clippy::too_many_arguments)]
     pub(super) fn refine_subpel(
@@ -546,8 +592,14 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mc::LUMA_PAD;
+    use vtx_frame::Plane;
     use vtx_trace::layout::CodeLayout;
     use vtx_uarch::config::UarchConfig;
+
+    fn padded(p: &Plane) -> PaddedPlane {
+        PaddedPlane::new(p, LUMA_PAD)
+    }
 
     fn prof() -> Profiler {
         let kernels = crate::instr::kernel_table();
@@ -586,7 +638,7 @@ mod tests {
         let (plane, src) = shifted_scene();
         let mut p = prof();
         let rv = RefView {
-            plane: &plane,
+            plane: &padded(&plane),
             vaddr: 0x2000_0000,
             scale: 1,
         };
@@ -626,7 +678,7 @@ mod tests {
             let (plane, src) = shifted_scene();
             let mut p = prof();
             let rv = RefView {
-                plane: &plane,
+                plane: &padded(&plane),
                 vaddr: 0x2000_0000,
                 scale: 1,
             };
@@ -671,7 +723,7 @@ mod tests {
         }
         let mut p = prof();
         let rv = RefView {
-            plane: &reference,
+            plane: &padded(&reference),
             vaddr: 0x2000_0000,
             scale: 1,
         };
@@ -728,7 +780,7 @@ mod tests {
             // Nominal-scale addressing (scale 8), where the narrower tiled
             // span covers measurably fewer cache lines.
             let rv = RefView {
-                plane: &plane,
+                plane: &padded(&plane),
                 vaddr: 0x2000_0000,
                 scale: 8,
             };
@@ -795,7 +847,7 @@ mod tests {
                 };
                 for (si, (reference, source)) in scenes.iter().enumerate() {
                     let rv = RefView {
-                        plane: reference,
+                        plane: &padded(reference),
                         vaddr: 0x2000_0000,
                         scale: 8,
                     };
@@ -837,7 +889,7 @@ mod tests {
         let mut src = [0u8; 256];
         plane.copy_block_clamped(24, 24, 16, 16, &mut src);
         let rv = RefView {
-            plane: &plane,
+            plane: &padded(&plane),
             vaddr: 0x2000_0000,
             scale: 1,
         };
@@ -865,7 +917,7 @@ mod tests {
         // covered; sixty sub-pel rounds walk the rest in half-pel steps.
         let (plane, src) = shifted_scene();
         let rv = RefView {
-            plane: &plane,
+            plane: &padded(&plane),
             vaddr: 0x2000_0000,
             scale: 1,
         };
@@ -898,8 +950,9 @@ mod tests {
     #[test]
     fn border_sad_honours_early_out() {
         let (plane, src) = shifted_scene();
-        // rx = -4 straddles the left edge, forcing the clamped path.
-        let full = sad_16x16_at(&src, &plane, -4, 16, u32::MAX);
+        // rx = -4 straddles the left edge: the read is in the border.
+        let reference = padded(&plane);
+        let full = sad_16x16_at(&src, &reference, -4, 16, u32::MAX);
         let mut blk = [0u8; 256];
         plane.copy_block_clamped(-4, 16, 16, 16, &mut blk);
         assert_eq!(full, sad(&src, &blk), "no early-out must give full SAD");
@@ -908,7 +961,7 @@ mod tests {
         // A threshold the first 4 rows already exceed must terminate early:
         // the partial accumulator is below the full SAD but at or above the
         // threshold, exactly like the interior path.
-        let partial = sad_16x16_at(&src, &plane, -4, 16, 1);
+        let partial = sad_16x16_at(&src, &reference, -4, 16, 1);
         assert!(partial >= 1);
         assert!(
             partial < full,
@@ -919,5 +972,84 @@ mod tests {
             .map(|row| sad(&src[row * 16..row * 16 + 16], &blk[row * 16..row * 16 + 16]))
             .sum();
         assert_eq!(partial, four_rows);
+    }
+
+    /// Full-pel SAD from the padded plane against the oracle's clamped
+    /// reads: every origin from past the border on each side to past it on
+    /// the other, both ends of the vector range, with no early out and with
+    /// thresholds that stop it after each group of four rows.
+    #[test]
+    fn padded_sad_equals_the_clamped_oracle() {
+        let mut rng = vtx_rng::Xoshiro256pp::new(0x5AD16);
+        let mut plane = Plane::new(48, 32);
+        plane.samples_mut().fill_with(|| rng.next_u8());
+        let reference = padded(&plane);
+        let src: [u8; 256] = std::array::from_fn(|_| rng.next_u8());
+        let reach = (LUMA_PAD + 18) as isize;
+        let mut origins = Vec::new();
+        for ry in -reach..32 + reach {
+            for rx in -reach..48 + reach {
+                origins.push((rx, ry));
+            }
+        }
+        for r in [-1024, -1023, 1023, 1024] {
+            origins.extend([(r, 0), (0, r), (r, r), (r, -r)]);
+        }
+        for (rx, ry) in origins {
+            for early_out in [u32::MAX, 1, 1500, 3000, 6000] {
+                assert_eq!(
+                    sad_16x16_at(&src, &reference, rx, ry, early_out),
+                    oracle::sad_16x16_at(&src, &plane, rx, ry, early_out),
+                    "({rx}, {ry}) early out {early_out}"
+                );
+            }
+        }
+    }
+
+    /// The libm-free rounding against `f64::round` on a dense grid of the
+    /// products `mv_cost` forms, every tie, the integers from 2^52 up where
+    /// a fraction no longer exists, and results past `u32::MAX`.
+    #[test]
+    fn rounding_equals_f64_round() {
+        let check = |x: f64| assert_eq!(round_to_u32(x), x.round() as u32, "{x:e}");
+        for qp in 0..=51u8 {
+            let lambda = crate::types::Qp::new(i32::from(qp)).lambda();
+            for bits in 0..=130u32 {
+                check(lambda * f64::from(bits));
+            }
+        }
+        for i in 0..200_000u32 {
+            let x = f64::from(i) / 1024.0;
+            check(x);
+            check(f64::from(i) + 0.5);
+            check(x.next_up());
+            check((f64::from(i) + 0.5).next_down());
+        }
+        for k in 52..64 {
+            let big = (1u64 << k) as f64;
+            for x in [big, big + 1.0, big + 2.0, big.next_down(), big.next_up()] {
+                check(x);
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            -0.4,
+            -0.5,
+            -7.7,
+            4_294_967_294.5,
+            4_294_967_295.0,
+            4_294_967_295.49,
+            4_294_967_295.5,
+            4_294_967_296.0,
+            1e12,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            check(x);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Fundamental codec value types.
 
 use std::fmt;
+use std::sync::LazyLock;
 
 /// A quantization parameter, 0..=51 (H.264 range; 0 = near-lossless).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,13 +35,15 @@ impl Qp {
     }
 
     /// RD Lagrange multiplier for this QP (x264's `0.85 * 2^((qp-12)/3)`).
+    #[inline]
     pub fn lambda(self) -> f64 {
-        0.85 * 2f64.powf((f64::from(self.0) - 12.0) / 3.0)
+        QP_SCALES[usize::from(self.0)].0
     }
 
     /// Quantizer step size (`0.625 * 2^(qp/6)`, the H.264 scale).
+    #[inline]
     pub fn qstep(self) -> f64 {
-        0.625 * 2f64.powf(f64::from(self.0) / 6.0)
+        QP_SCALES[usize::from(self.0)].1
     }
 
     /// Chroma QP derived from the luma QP (simplified mapping).
@@ -48,6 +51,19 @@ impl Qp {
         Qp(self.0.saturating_sub(3))
     }
 }
+
+/// `(lambda, qstep)` of every QP. Each is a libm `powf`, and the encoder
+/// asks for them per macroblock and per 4x4 block: they are evaluated once
+/// per process, by the same expressions, so the values are the same.
+static QP_SCALES: LazyLock<[(f64, f64); Qp::MAX as usize + 1]> = LazyLock::new(|| {
+    std::array::from_fn(|qp| {
+        let qp = qp as f64;
+        (
+            0.85 * 2f64.powf((qp - 12.0) / 3.0),
+            0.625 * 2f64.powf(qp / 6.0),
+        )
+    })
+});
 
 impl fmt::Display for Qp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -197,6 +213,19 @@ mod tests {
         assert_eq!(Qp::new(99).value(), 51);
         assert_eq!(Qp::new(23).shift(), 3);
         assert_eq!(Qp::new(23).rem(), 5);
+    }
+
+    /// The table against the expressions it was built from, evaluated at
+    /// the call as `lambda` and `qstep` did before it: bit for bit.
+    #[test]
+    fn qp_scales_equal_their_expressions() {
+        for v in 0..=Qp::MAX {
+            let qp = Qp::new(i32::from(v));
+            let lambda = 0.85 * 2f64.powf((f64::from(v) - 12.0) / 3.0);
+            let qstep = 0.625 * 2f64.powf(f64::from(v) / 6.0);
+            assert_eq!(qp.lambda().to_bits(), lambda.to_bits(), "qp {v}");
+            assert_eq!(qp.qstep().to_bits(), qstep.to_bits(), "qp {v}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Rendering experiment results as Markdown tables and CSV — for dropping
+//! Rendering experiment results as Markdown tables — for dropping
 //! measured figures straight into reports like EXPERIMENTS.md.
 
 use std::fmt::Write as _;
@@ -23,51 +23,6 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         assert_eq!(row.len(), header.len(), "row width mismatch");
         let _ = writeln!(out, "| {} |", row.join(" | "));
-    }
-    out
-}
-
-/// Renders a generic table as CSV with RFC-4180 quoting: fields containing
-/// commas, quotes, CR/LF, or leading/trailing spaces are wrapped in double
-/// quotes (embedded quotes doubled), so embedded newlines survive a
-/// parse-back.
-///
-/// # Panics
-///
-/// Panics if any row's width differs from the header's.
-pub fn csv_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let needs_quoting = |s: &str| {
-        s.contains(',')
-            || s.contains('"')
-            || s.contains('\n')
-            || s.contains('\r')
-            || s.starts_with(' ')
-            || s.ends_with(' ')
-    };
-    let quote = move |s: &str| {
-        if needs_quoting(s) {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_owned()
-        }
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}",
-        header
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    for row in rows {
-        assert_eq!(row.len(), header.len(), "row width mismatch");
-        let _ = writeln!(
-            out,
-            "{}",
-            row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(",")
-        );
     }
     out
 }
@@ -178,55 +133,6 @@ mod tests {
         assert_eq!(lines[0], "| a | b |");
         assert_eq!(lines[1], "|---|---|");
         assert!(lines[3].contains("| 3 | 4 |"));
-    }
-
-    #[test]
-    fn csv_quotes_commas() {
-        let csv = csv_table(&["x"], &[vec!["a,b".into()], vec!["plain".into()]]);
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("plain"));
-    }
-
-    /// Minimal RFC-4180 reader used only to verify the writer: splits records
-    /// on unquoted newlines and un-doubles embedded quotes.
-    fn parse_csv(input: &str) -> Vec<Vec<String>> {
-        let mut records = vec![vec![String::new()]];
-        let mut in_quotes = false;
-        let mut chars = input.chars().peekable();
-        while let Some(c) = chars.next() {
-            let record = records.last_mut().unwrap();
-            match c {
-                '"' if in_quotes && chars.peek() == Some(&'"') => {
-                    chars.next();
-                    record.last_mut().unwrap().push('"');
-                }
-                '"' => in_quotes = !in_quotes,
-                ',' if !in_quotes => record.push(String::new()),
-                '\n' if !in_quotes => records.push(vec![String::new()]),
-                _ => record.last_mut().unwrap().push(c),
-            }
-        }
-        // Drop the empty record after the trailing newline.
-        if records.last().is_some_and(|r| r == &[String::new()]) {
-            records.pop();
-        }
-        records
-    }
-
-    #[test]
-    fn csv_roundtrips_newlines_quotes_and_edge_spaces() {
-        let rows = vec![
-            vec!["line1\nline2".into(), " leading".into()],
-            vec!["trailing ".into(), "say \"hi\", twice".into()],
-            vec!["plain".into(), "crlf\r\nhere".into()],
-        ];
-        let csv = csv_table(&["a", "b"], &rows);
-        let parsed = parse_csv(&csv);
-        assert_eq!(parsed[0], vec!["a".to_owned(), "b".to_owned()]);
-        for (got, want) in parsed[1..].iter().zip(&rows) {
-            assert_eq!(got, want);
-        }
-        assert_eq!(parsed.len(), 1 + rows.len());
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::plane::sum_abs_diffs;
 use crate::{FrameError, Plane};
 
 /// A YUV 4:2:0 picture: full-resolution luma plus half-resolution chroma.
@@ -134,10 +135,7 @@ impl Frame {
         if self.width() != other.width() || self.height() != other.height() {
             return Err(FrameError::GeometryMismatch);
         }
-        let mut acc = 0u64;
-        for (a, b) in self.y.samples().iter().zip(other.y.samples()) {
-            acc += u64::from(a.abs_diff(*b));
-        }
+        let acc = sum_abs_diffs(self.y.samples(), other.y.samples());
         Ok(acc as f64 / self.y.samples().len() as f64)
     }
 }

@@ -1,7 +1,8 @@
 //! Frame and video model for the vtx workspace.
 //!
 //! This crate provides the raw-video substrate used by the transcoder in
-//! [`vtx-codec`](https://docs.rs/vtx-codec): 8-bit planar [`Plane`]s, YUV 4:2:0
+//! [`vtx-codec`](https://docs.rs/vtx-codec): 8-bit planar [`Plane`]s (and
+//! [`PaddedPlane`]s, their border-extended reference form), YUV 4:2:0
 //! [`Frame`]s, quality metrics ([`quality::psnr`]), and — because the vbench
 //! corpus used by the paper is not redistributable — a deterministic
 //! *synthetic* video generator ([`synth`]) whose content complexity is driven
@@ -23,6 +24,7 @@
 
 mod error;
 mod frame;
+mod padded;
 mod plane;
 
 pub mod quality;
@@ -33,6 +35,7 @@ pub mod y4m;
 
 pub use error::FrameError;
 pub use frame::Frame;
+pub use padded::{Block, PaddedPlane};
 pub use plane::Plane;
 pub use vbench::VideoSpec;
 pub use video::Video;

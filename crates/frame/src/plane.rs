@@ -4,7 +4,8 @@ use crate::FrameError;
 ///
 /// Rows are stored contiguously with no padding (`stride == width`). Edge
 /// reads are clamped, matching the edge-extension behaviour codecs rely on
-/// for motion compensation near frame borders.
+/// for motion compensation near frame borders; a reference plane read many
+/// times is border-extended once instead (see [`crate::PaddedPlane`]).
 ///
 /// # Example
 ///
@@ -160,10 +161,13 @@ impl Plane {
     /// Panics if `dst.len() < bw * bh`.
     pub fn copy_block_clamped(&self, x: isize, y: isize, bw: usize, bh: usize, dst: &mut [u8]) {
         assert!(dst.len() >= bw * bh, "destination block too small");
+        if let Some((x, y)) = self.interior(x, y, bw, bh) {
+            copy_rows(&self.data, y * self.width + x, self.width, bw, bh, dst);
+            return;
+        }
         // Edge extension by spans: the samples of a row that fall left of
         // the plane repeat its first sample, those right of it its last, and
         // the rest are one contiguous run — the same split for every row.
-        // A block inside the plane is the case with nothing to repeat.
         let left = x.saturating_neg().clamp(0, bw as isize) as usize;
         let right = (x + bw as isize - self.width as isize).clamp(0, bw as isize) as usize;
         let mid = bw - left - right;
@@ -191,6 +195,10 @@ impl Plane {
             return; // wholly right of the plane: `start` below may be past the end
         }
         let h = bh.min(self.height.saturating_sub(y));
+        if w == bw {
+            write_rows(src, bw, h, &mut self.data, y * self.width + x, self.width);
+            return;
+        }
         for by in 0..h {
             let start = (y + by) * self.width + x;
             self.data[start..start + w].copy_from_slice(&src[by * bw..by * bw + w]);
@@ -206,38 +214,235 @@ impl Plane {
         if self.width != other.width || self.height != other.height {
             return Err(FrameError::GeometryMismatch);
         }
-        let mut acc = 0u64;
-        for (a, b) in self.data.iter().zip(other.data.iter()) {
-            let d = i32::from(*a) - i32::from(*b);
-            acc += (d * d) as u64;
-        }
-        Ok(acc)
+        Ok(sum_squared_diffs(&self.data, &other.data))
     }
 
     /// Sample variance of a `bw x bh` block at `(x, y)` (clamped reads),
     /// scaled by the block area (i.e. `sum((v - mean)^2)`).
     pub fn block_variance(&self, x: isize, y: isize, bw: usize, bh: usize) -> u32 {
-        let mut sum = 0u32;
-        let mut sq = 0u64;
-        let mut add = |v: u8| {
-            let v = u32::from(v);
-            sum += v;
-            sq += u64::from(v * v);
-        };
+        let (mut sum, mut sq) = (0u64, 0u64);
         if let Some((x, y)) = self.interior(x, y, bw, bh) {
             for by in 0..bh {
-                self.row(y + by)[x..x + bw].iter().for_each(|&v| add(v));
+                for run in self.row(y + by)[x..x + bw].chunks(SQUARES_PER_U32) {
+                    let (s, q) = run.iter().fold((0u32, 0u32), |(s, q), &v| {
+                        let v = u32::from(v);
+                        (s + v, q + v * v)
+                    });
+                    sum += u64::from(s);
+                    sq += u64::from(q);
+                }
             }
         } else {
             for by in 0..bh {
                 for bx in 0..bw {
-                    add(self.get_clamped(x + bx as isize, y + by as isize));
+                    let v = u64::from(self.get_clamped(x + bx as isize, y + by as isize));
+                    sum += v;
+                    sq += v * v;
                 }
+            }
+        }
+        let mean_sq = (sum * sum) / (bw * bh) as u64;
+        (sq - mean_sq.min(sq)) as u32
+    }
+}
+
+/// The most squares of 8-bit samples or sample differences (each at most
+/// 255², 65,025) that a `u32` partial sum holds: 66,051, rounded down to a
+/// power of two. Frame passes sum runs this long in `u32` lanes, which
+/// vectorise, and widen each run's total once.
+const SQUARES_PER_U32: usize = 1 << 16;
+/// The most 8-bit absolute differences (each at most 255) that a `u32`
+/// partial sum holds: 16,843,009, rounded down to a power of two.
+const ABS_DIFFS_PER_U32: usize = 1 << 24;
+
+const _: () = assert!(SQUARES_PER_U32 as u64 * 255 * 255 <= u32::MAX as u64);
+const _: () = assert!(ABS_DIFFS_PER_U32 as u64 * 255 <= u32::MAX as u64);
+
+/// `sum((a - b)^2)` over two equal-length sample runs.
+fn sum_squared_diffs(a: &[u8], b: &[u8]) -> u64 {
+    a.chunks(SQUARES_PER_U32)
+        .zip(b.chunks(SQUARES_PER_U32))
+        .map(|(a, b)| {
+            let run: u32 = a
+                .iter()
+                .zip(b)
+                .map(|(&a, &b)| {
+                    let d = u32::from(a.abs_diff(b));
+                    d * d
+                })
+                .sum();
+            u64::from(run)
+        })
+        .sum()
+}
+
+/// `sum(|a - b|)` over two equal-length sample runs.
+pub(crate) fn sum_abs_diffs(a: &[u8], b: &[u8]) -> u64 {
+    a.chunks(ABS_DIFFS_PER_U32)
+        .zip(b.chunks(ABS_DIFFS_PER_U32))
+        .map(|(a, b)| {
+            let run: u32 = a
+                .iter()
+                .zip(b)
+                .map(|(&a, &b)| u32::from(a.abs_diff(b)))
+                .sum();
+            u64::from(run)
+        })
+        .sum()
+}
+
+/// Copies `bh` rows of `bw` samples into `dst` (row-major), row `r` from
+/// `src[start + r * stride..]`. The codec's row widths — 4, 8 and 16, and 9
+/// and 17 with a half-pel tap — each get a copy of their own, where a row
+/// is a fixed-size move instead of a `memcpy` call.
+#[inline]
+pub(crate) fn copy_rows(
+    src: &[u8],
+    start: usize,
+    stride: usize,
+    bw: usize,
+    bh: usize,
+    dst: &mut [u8],
+) {
+    match bw {
+        4 => copy_rows_of::<4>(src, start, stride, bh, dst),
+        8 => copy_rows_of::<8>(src, start, stride, bh, dst),
+        9 => copy_rows_of::<9>(src, start, stride, bh, dst),
+        16 => copy_rows_of::<16>(src, start, stride, bh, dst),
+        17 => copy_rows_of::<17>(src, start, stride, bh, dst),
+        _ => {
+            for (r, out) in dst[..bw * bh].chunks_exact_mut(bw).enumerate() {
+                let from = start + r * stride;
+                out.copy_from_slice(&src[from..from + bw]);
+            }
+        }
+    }
+}
+
+#[inline]
+fn copy_rows_of<const W: usize>(
+    src: &[u8],
+    start: usize,
+    stride: usize,
+    bh: usize,
+    dst: &mut [u8],
+) {
+    for (r, out) in dst.as_chunks_mut::<W>().0[..bh].iter_mut().enumerate() {
+        *out = *src[start + r * stride..]
+            .first_chunk::<W>()
+            .expect("block row inside the plane");
+    }
+}
+
+/// The mirror of [`copy_rows`]: `bh` rows of `bw` samples from `src`
+/// (row-major) to `dst[start + r * stride..]`.
+#[inline]
+fn write_rows(src: &[u8], bw: usize, bh: usize, dst: &mut [u8], start: usize, stride: usize) {
+    match bw {
+        4 => write_rows_of::<4>(src, bh, dst, start, stride),
+        8 => write_rows_of::<8>(src, bh, dst, start, stride),
+        16 => write_rows_of::<16>(src, bh, dst, start, stride),
+        _ => {
+            for (r, row) in src[..bw * bh].chunks_exact(bw).enumerate() {
+                let to = start + r * stride;
+                dst[to..to + bw].copy_from_slice(row);
+            }
+        }
+    }
+}
+
+#[inline]
+fn write_rows_of<const W: usize>(
+    src: &[u8],
+    bh: usize,
+    dst: &mut [u8],
+    start: usize,
+    stride: usize,
+) {
+    for (r, row) in src.as_chunks::<W>().0[..bh].iter().enumerate() {
+        *dst[start + r * stride..]
+            .first_chunk_mut::<W>()
+            .expect("block row inside the plane") = *row;
+    }
+}
+
+/// The bodies the fixed-shape row moves and the `u32`-lane passes replaced,
+/// kept as their oracles.
+#[cfg(test)]
+mod oracle {
+    use super::Plane;
+
+    /// `copy_block_clamped` as edge-extending spans on every row, inside
+    /// the plane or not.
+    pub(super) fn copy_block_clamped(
+        p: &Plane,
+        x: isize,
+        y: isize,
+        bw: usize,
+        bh: usize,
+        dst: &mut [u8],
+    ) {
+        let left = x.saturating_neg().clamp(0, bw as isize) as usize;
+        let right = (x + bw as isize - p.width() as isize).clamp(0, bw as isize) as usize;
+        let mid = bw - left - right;
+        let sx = x.clamp(0, p.width() as isize) as usize;
+        for by in 0..bh {
+            let row = p.row((y + by as isize).clamp(0, p.height() as isize - 1) as usize);
+            let dst = &mut dst[by * bw..(by + 1) * bw];
+            dst[..left].fill(row[0]);
+            dst[left..left + mid].copy_from_slice(&row[sx..sx + mid]);
+            dst[left + mid..].fill(row[p.width() - 1]);
+        }
+    }
+
+    /// `write_block` as a clipped slice copy per row.
+    pub(super) fn write_block(p: &mut Plane, x: usize, y: usize, bw: usize, bh: usize, src: &[u8]) {
+        let w = bw.min(p.width().saturating_sub(x));
+        if w == 0 {
+            return;
+        }
+        let h = bh.min(p.height().saturating_sub(y));
+        let width = p.width();
+        for by in 0..h {
+            let start = (y + by) * width + x;
+            p.samples_mut()[start..start + w].copy_from_slice(&src[by * bw..by * bw + w]);
+        }
+    }
+
+    /// `sse` accumulating each squared difference in `u64`.
+    pub(super) fn sse(a: &Plane, b: &Plane) -> u64 {
+        let mut acc = 0u64;
+        for (a, b) in a.samples().iter().zip(b.samples()) {
+            let d = i32::from(*a) - i32::from(*b);
+            acc += (d * d) as u64;
+        }
+        acc
+    }
+
+    /// `block_variance` with a `u32` sum and a `u64` sum of squares fed
+    /// sample by sample.
+    pub(super) fn block_variance(p: &Plane, x: isize, y: isize, bw: usize, bh: usize) -> u32 {
+        let mut sum = 0u32;
+        let mut sq = 0u64;
+        for by in 0..bh {
+            for bx in 0..bw {
+                let v = u32::from(p.get_clamped(x + bx as isize, y + by as isize));
+                sum += v;
+                sq += u64::from(v * v);
             }
         }
         let n = (bw * bh) as u64;
         let mean_sq = (u64::from(sum) * u64::from(sum)) / n;
         (sq - mean_sq.min(sq)) as u32
+    }
+
+    /// `sum(|a - b|)` in `u64`, sample by sample: `mean_abs_luma_diff`'s
+    /// numerator before it was summed in `u32` lanes.
+    pub(super) fn sum_abs_diffs(a: &[u8], b: &[u8]) -> u64 {
+        a.iter()
+            .zip(b)
+            .map(|(a, b)| u64::from(a.abs_diff(*b)))
+            .sum()
     }
 }
 
@@ -434,6 +639,123 @@ mod properties {
                 assert_eq!(p.block_variance(x, y, 16, 8), want, "block ({x}, {y})");
             }
         }
+    }
+
+    /// Fixed-width row copies against the span path they replaced, on
+    /// random planes, for every width the codec reads (and two it does
+    /// not), at every origin from wholly outside to wholly inside.
+    #[test]
+    fn block_copies_equal_the_span_oracle() {
+        let mut rng = Xoshiro256pp::new(0xF1_0ED);
+        for (w, h) in [(40, 36), (17, 9), (4, 20)] {
+            let mut p = Plane::new(w, h);
+            p.samples_mut().fill_with(|| rng.next_u8());
+            for (bw, bh) in [(4, 4), (8, 8), (9, 9), (16, 16), (17, 17), (5, 5), (16, 3)] {
+                let (mut got, mut want) = (vec![0; bw * bh], vec![0; bw * bh]);
+                for y in -(bh as isize) - 1..=(h as isize + 1) {
+                    for x in -(bw as isize) - 1..=(w as isize + 1) {
+                        p.copy_block_clamped(x, y, bw, bh, &mut got);
+                        oracle::copy_block_clamped(&p, x, y, bw, bh, &mut want);
+                        assert_eq!(got, want, "{w}x{h} plane, {bw}x{bh} block ({x}, {y})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fixed-width row writes against the clipped slice path: inside the
+    /// plane, at its edges, and clipped right, below, or both.
+    #[test]
+    fn block_writes_equal_the_clipped_oracle() {
+        let mut rng = Xoshiro256pp::new(0x3E17E);
+        for (w, h) in [(40, 36), (17, 9), (4, 20)] {
+            let mut base = Plane::new(w, h);
+            base.samples_mut().fill_with(|| rng.next_u8());
+            for (bw, bh) in [(4, 4), (8, 8), (16, 16), (9, 9), (5, 3)] {
+                let src: Vec<u8> = (0..bw * bh).map(|_| rng.next_u8()).collect();
+                for y in 0..h + 2 {
+                    for x in 0..w + 2 {
+                        let (mut got, mut want) = (base.clone(), base.clone());
+                        got.write_block(x, y, bw, bh, &src);
+                        oracle::write_block(&mut want, x, y, bw, bh, &src);
+                        assert_eq!(got, want, "{w}x{h} plane, {bw}x{bh} block ({x}, {y})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `sse` in `u32` runs against the sample-by-sample `u64` sum: random
+    /// planes, and the largest difference over two runs and a tail, where a
+    /// run widened one run late would overflow.
+    #[test]
+    fn sse_equals_the_per_sample_sum() {
+        let mut rng = Xoshiro256pp::new(0x55E);
+        let mut a = Plane::new(37, 23);
+        let mut b = Plane::new(37, 23);
+        a.samples_mut().fill_with(|| rng.next_u8());
+        b.samples_mut().fill_with(|| rng.next_u8());
+        assert_eq!(a.sse(&b), Ok(oracle::sse(&a, &b)));
+
+        let (w, h) = (512, 2 * SQUARES_PER_U32 / 512 + 3);
+        let mut bright = Plane::new(w, h);
+        bright.fill(255);
+        let mut dark = Plane::new(w, h);
+        dark.fill(0);
+        let want = (w * h) as u64 * 255 * 255;
+        assert_eq!(oracle::sse(&bright, &dark), want);
+        assert_eq!(bright.sse(&dark), Ok(want));
+        assert_eq!(dark.sse(&bright), Ok(want));
+    }
+
+    /// The absolute-difference sum behind `Frame::mean_abs_luma_diff`, in
+    /// `u32` runs, against the sample-by-sample `u64` sum: random samples,
+    /// and the largest difference over one run and a tail.
+    #[test]
+    fn abs_diff_sum_equals_the_per_sample_sum() {
+        let mut rng = Xoshiro256pp::new(0xAB5);
+        let a: Vec<u8> = (0..5000).map(|_| rng.next_u8()).collect();
+        let b: Vec<u8> = (0..5000).map(|_| rng.next_u8()).collect();
+        assert_eq!(sum_abs_diffs(&a, &b), oracle::sum_abs_diffs(&a, &b));
+
+        // One run plus enough tail that a single `u32` would overflow.
+        let n = ABS_DIFFS_PER_U32 + (1 << 17);
+        let (bright, dark) = (vec![255u8; n], vec![0u8; n]);
+        assert_eq!(sum_abs_diffs(&bright, &dark), n as u64 * 255);
+    }
+
+    /// `block_variance` in `u32` runs per row against the sample-by-sample
+    /// definition, inside the plane and across its edges, and on a row
+    /// longer than one run of the largest squares.
+    #[test]
+    fn block_variance_equals_the_per_sample_oracle() {
+        let mut rng = Xoshiro256pp::new(0xB7A2);
+        let mut p = Plane::new(40, 36);
+        p.samples_mut().fill_with(|| rng.next_u8());
+        for (bw, bh) in [(16, 16), (8, 8), (4, 4), (16, 8)] {
+            for y in -4..40isize {
+                for x in -4..44isize {
+                    assert_eq!(
+                        p.block_variance(x, y, bw, bh),
+                        oracle::block_variance(&p, x, y, bw, bh),
+                        "{bw}x{bh} block ({x}, {y})"
+                    );
+                }
+            }
+        }
+
+        // One long row of 255 with every 64th sample 0: the squares of one
+        // run fit its `u32`, those of the whole row would not.
+        let w = SQUARES_PER_U32 + 2048;
+        let mut long = Plane::new(w, 1);
+        for (i, v) in long.samples_mut().iter_mut().enumerate() {
+            *v = if i % 64 == 0 { 0 } else { 255 };
+        }
+        let bright = (w - w / 64) as u64;
+        assert!(bright * 255 * 255 > u64::from(u32::MAX));
+        let (sum, sq) = (bright * 255, bright * 255 * 255);
+        let want = (sq - sum * sum / w as u64) as u32;
+        assert_eq!(long.block_variance(0, 0, w, 1), want);
     }
 
     /// Clamped reads always return a value present in the plane.

@@ -14,6 +14,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::{self, JoinHandle};
 
 use vtx_uarch::branch::{BranchPredictor, Predictor};
+use vtx_uarch::config::UarchConfig;
 use vtx_uarch::hierarchy::MemoryHierarchy;
 
 /// Work items per batch: large enough that a hand-over is rare next to the
@@ -59,10 +60,16 @@ pub(crate) struct Models {
 }
 
 impl Models {
-    pub(crate) fn new(hierarchy: MemoryHierarchy, predictor: Predictor) -> Self {
+    /// Builds the models `cfg` describes: allocates and clears every table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails what `Profiler::new` checks before it spawns
+    /// the thread that calls this.
+    fn new(cfg: &UarchConfig) -> Self {
         Models {
-            hierarchy,
-            predictor,
+            hierarchy: MemoryHierarchy::new(cfg).expect("configuration validated by Profiler::new"),
+            predictor: cfg.predictor.build(),
             mispredicts: 0,
         }
     }
@@ -121,14 +128,17 @@ pub(crate) struct Companion {
 }
 
 impl Companion {
-    /// Moves `models` onto a new thread.
-    pub(crate) fn spawn(mut models: Models) -> Self {
+    /// Starts a thread that builds the models of `cfg` — their tables are
+    /// allocated and cleared there, not on the caller's thread — and
+    /// applies the work sent to it.
+    pub(crate) fn spawn(cfg: UarchConfig) -> Self {
         let (full, full_rx) = mpsc::sync_channel::<Vec<Work>>(IN_FLIGHT);
         let (empty_tx, empty) = mpsc::channel();
         let thread = thread::Builder::new()
             .name("vtx-model".into())
             .stack_size(STACK_BYTES)
             .spawn(move || {
+                let mut models = Models::new(&cfg);
                 for mut batch in full_rx {
                     for &work in &batch {
                         models.apply(work);

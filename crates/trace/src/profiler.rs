@@ -18,9 +18,10 @@ use std::num::NonZeroU64;
 use vtx_uarch::config::UarchConfig;
 use vtx_uarch::hierarchy::{LevelCounters, MemoryHierarchy};
 use vtx_uarch::interval::{CoreModel, ExecutionCounts};
+use vtx_uarch::tlb::Tlb;
 use vtx_uarch::ConfigError;
 
-use crate::companion::{Companion, Models, Work};
+use crate::companion::{Companion, Work};
 use crate::kernel::{KernelDesc, KernelId, KernelProfile};
 use crate::layout::CodeLayout;
 use crate::plan::DataPlan;
@@ -155,24 +156,25 @@ pub struct Profiler {
 
 impl Profiler {
     /// Creates a profiler for the given configuration, kernel table, and
-    /// code layout, and starts its models' thread.
+    /// code layout, and starts its models' thread, which builds the models.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the configuration fails validation.
+    /// Returns [`ConfigError`] if the configuration fails validation, or
+    /// describes an iTLB the hierarchy cannot build.
     pub fn new(
         cfg: &UarchConfig,
         kernels: &[KernelDesc],
         layout: CodeLayout,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
+        Tlb::validate(cfg.itlb_entries)?;
         assert_eq!(
             layout.len(),
             kernels.len(),
             "layout must cover the kernel table"
         );
-        let models = Models::new(MemoryHierarchy::new(cfg)?, cfg.predictor.build());
-        let backend = Backend::Simulate(Companion::spawn(models));
+        let backend = Backend::Simulate(Companion::spawn(cfg.clone()));
         Ok(Self::fresh(cfg, kernels, layout, backend))
     }
 
@@ -729,6 +731,54 @@ mod tests {
             CodeLayout::default_order(KERNELS),
         )
         .unwrap()
+    }
+
+    /// `Profiler::new` checks on the caller what building the models used
+    /// to check there: for every invalid configuration the tests build —
+    /// zero pipeline sizes, bad cache geometry at each level, an iTLB that
+    /// is empty, not a multiple of its ways or of a non-power-of-two set
+    /// count — it returns the error validating and building did.
+    #[test]
+    fn new_refuses_what_building_the_models_refused() {
+        let bad_cache = |c: &mut vtx_uarch::cache::CacheParams, how: u8| match how {
+            0 => c.size_bytes = 0,
+            1 => c.assoc = 0,
+            2 => c.line_bytes = 0,
+            3 => c.size_bytes += 64,
+            _ => c.size_bytes = 3 * u64::from(c.assoc) * u64::from(c.line_bytes),
+        };
+        let mut cases: Vec<UarchConfig> = Vec::new();
+        for field in 0..9 {
+            for how in 0..5u8 {
+                let mut cfg = UarchConfig::baseline();
+                match field {
+                    0 => bad_cache(&mut cfg.l1d, how),
+                    1 => bad_cache(&mut cfg.l1i, how),
+                    2 => bad_cache(&mut cfg.l2, how),
+                    3 => bad_cache(&mut cfg.l3, how),
+                    4 => {
+                        let mut l4 = cfg.l3;
+                        bad_cache(&mut l4, how);
+                        cfg.l4 = Some(l4);
+                    }
+                    5 => cfg.itlb_entries = [0, 6, 12, 20, 132][usize::from(how)],
+                    6 => cfg.rob_size = 0,
+                    7 => cfg.dispatch_width = 0,
+                    _ if how % 2 == 0 => cfg.rs_size = 0,
+                    _ => cfg.sb_size = 0,
+                }
+                cases.push(cfg);
+            }
+        }
+        let layout = CodeLayout::default_order(KERNELS);
+        for cfg in &cases {
+            let want = cfg
+                .validate()
+                .and_then(|()| MemoryHierarchy::new(cfg).map(drop));
+            assert!(want.is_err(), "{cfg:?}");
+            let got = Profiler::new(cfg, KERNELS, layout.clone()).map(drop);
+            assert_eq!(got, want, "{cfg:?}");
+        }
     }
 
     #[test]

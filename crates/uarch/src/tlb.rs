@@ -38,6 +38,9 @@ pub struct Tlb {
     stats: TlbStats,
 }
 
+/// Associativity of every TLB.
+const WAYS: usize = 4;
+
 impl Tlb {
     /// Builds a TLB with the given total entry count (4-way set-associative).
     ///
@@ -46,31 +49,40 @@ impl Tlb {
     /// Returns [`ConfigError`] if `entries` is zero, not a multiple of 4, or
     /// the implied set count is not a power of two.
     pub fn new(entries: u32) -> Result<Self, ConfigError> {
+        Self::validate(entries)?;
+        Ok(Tlb {
+            entries,
+            sets: LruSets::new(u64::from(entries) / WAYS as u64, WAYS),
+            stats: TlbStats::default(),
+        })
+    }
+
+    /// Checks the geometry [`Tlb::new`] would build, without building it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] that [`Tlb::new`] returns.
+    pub fn validate(entries: u32) -> Result<(), ConfigError> {
         if entries == 0 {
             return Err(ConfigError::Zero {
                 what: "tlb entries",
             });
         }
-        let ways = 4usize;
-        if !(entries as usize).is_multiple_of(ways) {
+        if !(entries as usize).is_multiple_of(WAYS) {
             return Err(ConfigError::BadCacheGeometry {
                 size: u64::from(entries),
-                assoc: ways as u32,
+                assoc: WAYS as u32,
                 line: 1,
             });
         }
-        let sets = entries as u64 / ways as u64;
+        let sets = entries as u64 / WAYS as u64;
         if !sets.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo {
                 what: "tlb set count",
                 value: sets,
             });
         }
-        Ok(Tlb {
-            entries,
-            sets: LruSets::new(sets, ways),
-            stats: TlbStats::default(),
-        })
+        Ok(())
     }
 
     /// Total entry count.

@@ -31,7 +31,8 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Compact deterministic rendering for logs and traces.
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    fn render(&self) -> String {
         format!(
             "{}#{}@{}:{}:{}r{}",
             self.video, self.seg, self.preset, self.crf, self.rung, self.refs

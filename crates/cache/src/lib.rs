@@ -27,8 +27,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
-pub mod zipf;
+mod cache;
+mod zipf;
 
 pub use cache::{CacheKey, CacheSpec, CacheStats, EvictPolicy, SegmentCache};
 pub use zipf::ZipfSampler;

@@ -14,8 +14,6 @@
 pub struct ZipfSampler {
     /// `cdf[i]` = P(rank <= i); strictly increasing, last element 1.0.
     cdf: Vec<f64>,
-    /// The skew exponent the table was built with.
-    s: f64,
 }
 
 impl ZipfSampler {
@@ -40,36 +38,15 @@ impl ZipfSampler {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf, s }
+        Self { cdf }
     }
 
-    /// Number of ranks in the catalog.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the catalog is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// The skew exponent this table was built with.
-    pub fn skew(&self) -> f64 {
-        self.s
-    }
-
-    /// Map a uniform draw `u` in `[0, 1)` to a rank in `0..len()`.
+    /// Map a uniform draw `u` in `[0, 1)` to a rank below the catalog size.
     pub fn sample(&self, u: f64) -> usize {
         debug_assert!((0.0..1.0).contains(&u), "u must be in [0,1)");
         self.cdf
             .partition_point(|&c| c <= u)
             .min(self.cdf.len() - 1)
-    }
-
-    /// Probability mass of `rank` (for tests and reporting).
-    pub fn mass(&self, rank: usize) -> f64 {
-        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - lo
     }
 }
 
@@ -79,7 +56,7 @@ mod tests {
 
     /// Deterministic low-discrepancy probe: a dense grid of uniforms.
     fn grid_frequencies(z: &ZipfSampler, draws: usize) -> Vec<u64> {
-        let mut freq = vec![0u64; z.len()];
+        let mut freq = vec![0u64; z.cdf.len()];
         for i in 0..draws {
             let u = (i as f64 + 0.5) / draws as f64;
             freq[z.sample(u)] += 1;
@@ -117,10 +94,9 @@ mod tests {
         assert_eq!(z.sample(0.0), 0);
         // Just below 1.0 lands on the last rank's bucket boundary side.
         assert_eq!(z.sample(0.999_999_9), 3);
-        assert_eq!(z.len(), 4);
-        assert!(!z.is_empty());
-        let total: f64 = (0..4).map(|r| z.mass(r)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
+        assert_eq!(z.cdf.len(), 4);
+        // The rank masses telescope to the last CDF entry.
+        assert!((z.cdf[3] - 1.0).abs() < 1e-12);
     }
 
     #[test]

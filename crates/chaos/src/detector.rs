@@ -27,7 +27,8 @@ pub enum Health {
 
 impl Health {
     /// Short name used in event logs.
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    fn name(self) -> &'static str {
         match self {
             Health::Up => "up",
             Health::Suspected => "suspected",
@@ -59,13 +60,13 @@ impl Default for DetectorConfig {
 
 impl DetectorConfig {
     /// How long after beats stop a server becomes suspected.
-    pub fn suspect_delay_us(&self) -> u64 {
+    fn suspect_delay_us(&self) -> u64 {
         self.heartbeat_us
             .saturating_mul(u64::from(self.suspect_missed))
     }
 
     /// How long after beats stop a server is declared down.
-    pub fn down_delay_us(&self) -> u64 {
+    fn down_delay_us(&self) -> u64 {
         self.heartbeat_us
             .saturating_mul(u64::from(self.down_missed))
     }
@@ -97,11 +98,6 @@ impl FailureDetector {
         }
     }
 
-    /// The config in force.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     /// Records that `server`'s heartbeats stopped at `at_us` (earliest
     /// instant wins if called twice).
     pub fn stop_beats(&mut self, server: usize, at_us: u64) {
@@ -129,10 +125,12 @@ impl FailureDetector {
 /// servers currently classified [`Health::Up`], walked in fleet order (a
 /// fixed summation order keeps the f64 sum byte-reproducible).
 ///
-/// This is the capacity estimate the degrade ladder already consumes and
-/// the autoscaler scales against: `Suspected` servers are excluded because
-/// work steered at them is at risk, `Down` servers because they are gone.
-pub fn capacity_estimate(healths: &[Health], speeds: &[f64]) -> f64 {
+/// `Suspected` servers are excluded because work steered at them is at
+/// risk, `Down` servers because they are gone. The serving core derives the
+/// same sum inline, over its active servers, for the degrade ladder and the
+/// autoscaler; this form is the tests' reference.
+#[cfg(test)]
+fn capacity_estimate(healths: &[Health], speeds: &[f64]) -> f64 {
     healths
         .iter()
         .zip(speeds)
@@ -186,7 +184,7 @@ mod tests {
         d.stop_beats(0, 5_000);
         d.stop_beats(0, 2_000);
         d.stop_beats(0, 9_000);
-        let cfg = *d.config();
+        let cfg = d.cfg;
         assert_eq!(d.classify(0, cfg.down_at(2_000)), Health::Down);
     }
 

@@ -5,7 +5,7 @@
 //! fail-slow stragglers. This crate makes failure a first-class,
 //! seed-reproducible dimension of the serving experiments:
 //!
-//! * [`plan`] — a [`plan::FaultPlan`] scripts fail-stop crashes, fail-slow
+//! * `plan` — a [`plan::FaultPlan`] scripts fail-stop crashes, fail-slow
 //!   slowdown windows and transient stalls per server. Plans are either
 //!   built explicitly or drawn from a seed ([`plan::FaultPlan::storm`])
 //!   using the same SplitMix64 stream-derivation style as the vtx-serve
@@ -14,7 +14,7 @@
 //!   the wall-clock duration under the plan's slowdowns and stalls — the
 //!   one primitive both the discrete-event engine and the real executor
 //!   need to agree on.
-//! * [`detector`] — a heartbeat-based failure detector: a server whose
+//! * `detector` — a heartbeat-based failure detector: a server whose
 //!   heartbeats stop is `Suspected` after a tunable number of missed beats
 //!   and `Down` after a few more. Detection latency (the window in which
 //!   jobs are dispatched into a dead server) is the price of distrust, and
@@ -30,14 +30,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cause;
+mod cause;
 pub mod degrade;
-pub mod detector;
-pub mod error;
-pub mod plan;
+mod detector;
+mod error;
+mod plan;
 
 pub use cause::Cause;
 pub use degrade::{DegradeConfig, DegradeLadder};
-pub use detector::{capacity_estimate, DetectorConfig, FailureDetector, Health};
+pub use detector::{DetectorConfig, FailureDetector, Health};
 pub use error::ChaosError;
 pub use plan::{FaultCounts, FaultKind, FaultPlan, ServerFaults, Slowdown, Stall};

@@ -105,11 +105,6 @@ impl FaultPlan {
         self.servers.iter().all(ServerFaults::is_empty)
     }
 
-    /// Number of server slots.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The script for one server (default-empty past the plan's length).
     pub fn server(&self, server: usize) -> ServerFaults {
         self.servers.get(server).cloned().unwrap_or_default()
@@ -181,12 +176,7 @@ impl FaultPlan {
     ///
     /// Returns [`ChaosError::ServerOutOfRange`] or [`ChaosError::BadWindow`]
     /// for a zero-length stall.
-    pub fn with_stall(
-        mut self,
-        server: usize,
-        at_us: u64,
-        dur_us: u64,
-    ) -> Result<Self, ChaosError> {
+    fn with_stall(mut self, server: usize, at_us: u64, dur_us: u64) -> Result<Self, ChaosError> {
         if dur_us == 0 {
             return Err(ChaosError::BadWindow {
                 from_us: at_us,
@@ -204,7 +194,7 @@ impl FaultPlan {
     }
 
     /// A seeded random failure script over `[0, horizon_us)`: each server
-    /// independently draws (via its own [`derive`]d SplitMix64 stream, so
+    /// independently draws (via its own [`derive()`]d SplitMix64 stream, so
     /// draws are order-free) a ~25% chance of a crash in the middle
     /// half of the horizon, a ~25% chance of a 2–4× slowdown window, and a
     /// ~25% chance of one stall of up to 5% of the horizon.
@@ -240,7 +230,8 @@ impl FaultPlan {
     }
 
     /// Whether `server` has fail-stopped by `now_us`.
-    pub fn is_crashed(&self, server: usize, now_us: u64) -> bool {
+    #[cfg(test)]
+    fn is_crashed(&self, server: usize, now_us: u64) -> bool {
         self.crash_us(server).is_some_and(|c| c <= now_us)
     }
 
@@ -316,7 +307,8 @@ impl FaultPlan {
     }
 
     /// Deterministic one-line-per-fault text rendering (for logs/tests).
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (i, s) in self.servers.iter().enumerate() {

@@ -21,7 +21,7 @@ use vtx_trace::Profiler;
 
 /// Virtual address map for one encode or decode session.
 #[derive(Debug, Clone)]
-pub struct CodecBufs {
+pub(crate) struct CodecBufs {
     /// Base of the raw source video region (encoder only).
     pub src: u64,
     /// One reconstructed-frame buffer per reference slot (newest-first pool).
@@ -44,7 +44,7 @@ impl CodecBufs {
     /// simulated size `width x height`, with a reconstruction pool of
     /// `ref_slots` frames, emitting addresses at `scale`x the simulated
     /// geometry (see the module docs).
-    pub fn new(
+    pub(crate) fn new(
         prof: &mut Profiler,
         width: usize,
         height: usize,
@@ -78,27 +78,27 @@ impl CodecBufs {
     }
 
     /// The address scale factor (nominal / simulated linear resolution).
-    pub fn scale(&self) -> u64 {
+    pub(crate) fn scale(&self) -> u64 {
         self.scale
     }
 
     /// Nominal luma row stride in bytes.
-    pub fn stride(&self) -> u64 {
+    fn stride(&self) -> u64 {
         self.width * self.scale
     }
 
     /// Bytes in one (nominal-scale) frame across all three planes.
-    pub fn frame_bytes(&self) -> u64 {
+    fn frame_bytes(&self) -> u64 {
         self.y_bytes + 2 * self.c_bytes
     }
 
     /// Address of a luma row (simulated row index) in a source frame.
-    pub fn src_luma_row(&self, frame: usize, y: usize) -> u64 {
+    pub(crate) fn src_luma_row(&self, frame: usize, y: usize) -> u64 {
         self.src + frame as u64 * self.frame_bytes() + y as u64 * self.scale * self.stride()
     }
 
     /// Address of a luma sample (simulated coordinates) in a pool slot.
-    pub fn ref_luma(&self, slot: usize, x: usize, y: usize) -> u64 {
+    pub(crate) fn ref_luma(&self, slot: usize, x: usize, y: usize) -> u64 {
         self.ref_pool[slot % self.ref_pool.len()]
             + y as u64 * self.scale * self.stride()
             + x as u64 * self.scale
@@ -106,7 +106,7 @@ impl CodecBufs {
 
     /// Address of a chroma sample (`plane` 0 = U, 1 = V; simulated chroma
     /// coordinates) in a pool slot.
-    pub fn ref_chroma(&self, slot: usize, plane: usize, x: usize, y: usize) -> u64 {
+    pub(crate) fn ref_chroma(&self, slot: usize, plane: usize, x: usize, y: usize) -> u64 {
         self.ref_pool[slot % self.ref_pool.len()]
             + self.y_bytes
             + plane as u64 * self.c_bytes
@@ -115,12 +115,12 @@ impl CodecBufs {
     }
 
     /// Simulated luma width in samples.
-    pub fn width(&self) -> u64 {
+    pub(crate) fn width(&self) -> u64 {
         self.width
     }
 
     /// Simulated luma height in samples.
-    pub fn height(&self) -> u64 {
+    pub(crate) fn height(&self) -> u64 {
         self.height
     }
 }

@@ -20,7 +20,7 @@ pub struct PartitionSet {
 
 impl PartitionSet {
     /// `partitions=none` (ultrafast): 16x16 only.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         PartitionSet {
             p8x8: false,
             p4x4: false,
@@ -31,7 +31,7 @@ impl PartitionSet {
     }
 
     /// The medium default: everything except `p4x4`.
-    pub fn standard() -> Self {
+    fn standard() -> Self {
         PartitionSet {
             p8x8: true,
             p4x4: false,
@@ -53,7 +53,7 @@ impl PartitionSet {
     }
 
     /// Superfast's `+i8x8,+i4x4`: intra splits only.
-    pub fn intra_only() -> Self {
+    pub(crate) fn intra_only() -> Self {
         PartitionSet {
             p8x8: false,
             p4x4: false,
@@ -218,7 +218,7 @@ impl EncoderConfig {
 
     /// Resolves `threads` to a concrete worker count: `0` maps to the
     /// number of available cores, anything else is taken as-is.
-    pub fn effective_threads(&self) -> u32 {
+    pub(crate) fn effective_threads(&self) -> u32 {
         if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
         } else {

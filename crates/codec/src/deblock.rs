@@ -18,7 +18,7 @@ use crate::types::Qp;
 
 /// Filter strength parameters for a given QP and offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeblockStrength {
+struct DeblockStrength {
     /// Edge activation threshold on |p0 - q0|.
     pub alpha: i32,
     /// Side flatness threshold on |p1 - p0| and |q1 - q0|.
@@ -29,7 +29,7 @@ pub struct DeblockStrength {
 
 impl DeblockStrength {
     /// Derives thresholds from QP and (alpha, beta) offsets.
-    pub fn new(qp: Qp, offsets: (i8, i8)) -> Self {
+    fn new(qp: Qp, offsets: (i8, i8)) -> Self {
         let qa = (i32::from(qp.value()) + 2 * i32::from(offsets.0)).clamp(0, 51);
         let qb = (i32::from(qp.value()) + 2 * i32::from(offsets.1)).clamp(0, 51);
         DeblockStrength {
@@ -41,7 +41,7 @@ impl DeblockStrength {
     }
 
     /// Whether the filter can modify anything at all at this strength.
-    pub fn active(&self) -> bool {
+    fn active(&self) -> bool {
         self.alpha > 0 && self.beta > 0
     }
 }
@@ -142,7 +142,7 @@ fn deblock_plane(
 ///
 /// `kernel` selects the instrumentation identity (encoder vs decoder
 /// deblock kernel); `vaddr` is the frame buffer's virtual base address.
-pub fn deblock_frame(
+pub(crate) fn deblock_frame(
     frame: &mut Frame,
     qp: Qp,
     offsets: (i8, i8),

@@ -51,7 +51,7 @@ struct Header {
 /// Largest luma dimension the decoder will allocate for. A flipped bit in
 /// the 16-bit width/height fields can otherwise demand multi-gigabyte frame
 /// buffers; 4096 covers every vbench clip (up to 4K) with headroom.
-pub const MAX_DECODE_DIM: usize = 4096;
+const MAX_DECODE_DIM: usize = 4096;
 
 fn parse_header(data: &[u8]) -> Result<(Header, usize), DecodeError> {
     if data.len() < 15 {

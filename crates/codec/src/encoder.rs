@@ -48,7 +48,7 @@ pub struct Bitstream {
 
 impl Bitstream {
     /// Total size in bits.
-    pub fn total_bits(&self) -> u64 {
+    fn total_bits(&self) -> u64 {
         self.data.len() as u64 * 8
     }
 
@@ -92,12 +92,7 @@ pub struct EncodeStats {
     pub inter_mbs: u64,
 }
 
-impl EncodeStats {
-    /// Total coded bits across frames.
-    pub fn total_bits(&self) -> u64 {
-        self.frames.iter().map(|f| f.bits).sum()
-    }
-}
+impl EncodeStats {}
 
 /// Everything an encode produces.
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@ use crate::CodecError;
 /// Bits collect in a 64-bit accumulator and leave it four bytes at a time,
 /// so a whole code costs one shift-or and, every fourth byte, one append.
 #[derive(Debug, Default, Clone)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     buf: Vec<u8>,
     /// The low `nbits` bits are pending output, oldest bit highest.
     acc: u64,
@@ -17,13 +17,14 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    fn new() -> Self {
         Self::default()
     }
 
     /// Appends a single bit.
     #[inline]
-    pub fn put_bit(&mut self, bit: bool) {
+    pub(crate) fn put_bit(&mut self, bit: bool) {
         self.put_bits(u32::from(bit), 1);
     }
 
@@ -33,7 +34,7 @@ impl BitWriter {
     ///
     /// Panics if `n > 32`.
     #[inline]
-    pub fn put_bits(&mut self, v: u32, n: u32) {
+    pub(crate) fn put_bits(&mut self, v: u32, n: u32) {
         assert!(n <= 32);
         let v = u64::from(v) & ((1u64 << n) - 1);
         self.acc = (self.acc << n) | v;
@@ -46,12 +47,12 @@ impl BitWriter {
     }
 
     /// Total bits written so far (before padding).
-    pub fn bit_len(&self) -> u64 {
+    pub(crate) fn bit_len(&self) -> u64 {
         self.buf.len() as u64 * 8 + u64::from(self.nbits)
     }
 
     /// Pads with zero bits to a byte boundary and returns the bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         let pad = (8 - self.nbits % 8) % 8;
         let tail = (self.acc << pad) as u32;
         let bytes = ((self.nbits + pad) / 8) as usize;
@@ -62,14 +63,14 @@ impl BitWriter {
 
 /// An MSB-first bit reader over a byte slice.
 #[derive(Debug, Clone)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     data: &'a [u8],
     bit_pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `data`.
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         BitReader { data, bit_pos: 0 }
     }
 
@@ -79,7 +80,7 @@ impl<'a> BitReader<'a> {
     ///
     /// Returns [`CodecError::CorruptBitstream`] at end of data.
     #[inline]
-    pub fn get_bit(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn get_bit(&mut self) -> Result<bool, CodecError> {
         let byte = self.bit_pos / 8;
         if byte >= self.data.len() {
             return Err(CodecError::CorruptBitstream {
@@ -97,7 +98,7 @@ impl<'a> BitReader<'a> {
     /// data, where the caller reads bit by bit so that running out is found
     /// at the bit it happens on.
     #[inline]
-    pub fn peek_window(&self) -> Option<u64> {
+    pub(crate) fn peek_window(&self) -> Option<u64> {
         let byte = self.bit_pos / 8;
         let bytes = self.data.get(byte..byte + 8)?;
         let word = u64::from_be_bytes(bytes.try_into().expect("eight bytes"));
@@ -106,7 +107,7 @@ impl<'a> BitReader<'a> {
 
     /// Skips `n` bits that [`Self::peek_window`] showed.
     #[inline]
-    pub fn skip(&mut self, n: u32) {
+    pub(crate) fn skip(&mut self, n: u32) {
         self.bit_pos += n as usize;
     }
 
@@ -115,17 +116,12 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`CodecError::CorruptBitstream`] if fewer than `n` bits remain.
-    pub fn get_bits(&mut self, n: u32) -> Result<u32, CodecError> {
+    pub(crate) fn get_bits(&mut self, n: u32) -> Result<u32, CodecError> {
         let mut v = 0u32;
         for _ in 0..n {
             v = (v << 1) | u32::from(self.get_bit()?);
         }
         Ok(v)
-    }
-
-    /// Current bit position.
-    pub fn bit_pos(&self) -> usize {
-        self.bit_pos
     }
 }
 

@@ -15,43 +15,39 @@
 //! every bin is arithmetic-coded under a context selected from the syntax
 //! element class and bin position, so both backends share one syntax.
 
-pub mod bitio;
+mod bitio;
 pub mod cabac;
 pub mod cavlc;
 #[cfg(test)]
-pub(crate) mod oracle;
+mod oracle;
 
 use crate::CodecError;
 
 /// Context-class base identifiers for syntax elements. Each class reserves
 /// a small range of contexts for its bin positions.
-pub mod ctx {
+pub(crate) mod ctx {
     /// Macroblock skip flag.
-    pub const SKIP: u32 = 0;
+    pub(crate) const SKIP: u32 = 0;
     /// Macroblock mode.
-    pub const MB_MODE: u32 = 8;
+    pub(crate) const MB_MODE: u32 = 8;
     /// Reference index.
-    pub const REF_IDX: u32 = 16;
+    pub(crate) const REF_IDX: u32 = 16;
     /// Motion vector difference, x component.
-    pub const MVD_X: u32 = 24;
+    pub(crate) const MVD_X: u32 = 24;
     /// Motion vector difference, y component.
-    pub const MVD_Y: u32 = 32;
+    pub(crate) const MVD_Y: u32 = 32;
     /// Coded-block flag per 4x4 block.
-    pub const CBF: u32 = 40;
+    pub(crate) const CBF: u32 = 40;
     /// Number of nonzero coefficients in a block.
-    pub const NZ_COUNT: u32 = 48;
+    pub(crate) const NZ_COUNT: u32 = 48;
     /// Zero-run length before a coefficient.
-    pub const RUN: u32 = 64;
+    pub(crate) const RUN: u32 = 64;
     /// Coefficient level magnitude.
-    pub const LEVEL: u32 = 80;
-    /// Coefficient sign.
-    pub const SIGN: u32 = 96;
+    pub(crate) const LEVEL: u32 = 80;
     /// Per-macroblock QP delta.
-    pub const QP_DELTA: u32 = 104;
+    pub(crate) const QP_DELTA: u32 = 104;
     /// Intra prediction mode.
-    pub const IPRED: u32 = 112;
-    /// Frame header fields.
-    pub const HEADER: u32 = 120;
+    pub(crate) const IPRED: u32 = 112;
 }
 
 /// Bit length of `v + 1`: an exp-Golomb code of `v` is `n - 1` zero prefix
@@ -151,13 +147,13 @@ pub trait EntropyReader {
 }
 
 /// The verdict on a signed exp-Golomb code past `i32::MAX`.
-pub(crate) const SIGNED_OUT_OF_RANGE: CodecError = CodecError::CorruptBitstream {
+const SIGNED_OUT_OF_RANGE: CodecError = CodecError::CorruptBitstream {
     offset: 0,
     context: "signed value out of range",
 };
 
 /// The verdict on an exp-Golomb prefix of more than 32 zeros.
-pub(crate) const PREFIX_TOO_LONG: CodecError = CodecError::CorruptBitstream {
+const PREFIX_TOO_LONG: CodecError = CodecError::CorruptBitstream {
     offset: 0,
     context: "exp-golomb prefix",
 };

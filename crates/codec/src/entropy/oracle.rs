@@ -9,7 +9,7 @@ use super::{EntropyReader, EntropyWriter};
 use crate::CodecError;
 
 /// Codes `v` as exp-Golomb bins under `ctx`, one `put_bit` per bin.
-pub fn put_ue<W: EntropyWriter>(w: &mut W, ctx: u32, v: u32) {
+pub(crate) fn put_ue<W: EntropyWriter>(w: &mut W, ctx: u32, v: u32) {
     let x = u64::from(v) + 1;
     let n = 64 - x.leading_zeros(); // bit length of x
     for i in 0..n - 1 {
@@ -23,7 +23,7 @@ pub fn put_ue<W: EntropyWriter>(w: &mut W, ctx: u32, v: u32) {
 }
 
 /// Decodes an exp-Golomb value under `ctx`, one `get_bit` per bin.
-pub fn get_ue<R: EntropyReader>(r: &mut R, ctx: u32) -> Result<u32, CodecError> {
+fn get_ue<R: EntropyReader>(r: &mut R, ctx: u32) -> Result<u32, CodecError> {
     let mut zeros = 0u32;
     while !r.get_bit(ctx + zeros.min(3))? {
         zeros += 1;
@@ -50,7 +50,7 @@ const ADAPT_SHIFT: u16 = 5;
 const TOP: u32 = 1 << 24;
 
 /// The two-armed probability update.
-pub fn adapt(p: u16, bit: bool) -> u16 {
+pub(crate) fn adapt(p: u16, bit: bool) -> u16 {
     if bit {
         p - (p >> ADAPT_SHIFT)
     } else {
@@ -59,7 +59,7 @@ pub fn adapt(p: u16, bit: bool) -> u16 {
 }
 
 /// The estimate's increment, selected by an `if` on the bit.
-pub fn milli_bits(p_zero: u16, bit: bool) -> u64 {
+pub(crate) fn milli_bits(p_zero: u16, bit: bool) -> u64 {
     let p_sym = if bit { PROB_ONE - p_zero } else { p_zero };
     const TABLE: [u64; 17] = [
         11_000, 4_000, 3_000, 2_415, 2_000, 1_678, 1_415, 1_193, 1_000, 830, 678, 541, 415, 300,
@@ -70,7 +70,7 @@ pub fn milli_bits(p_zero: u16, bit: bool) -> u64 {
 
 /// Range coder writer, one branch per bin.
 #[derive(Debug, Clone)]
-pub struct CabacWriter {
+pub(crate) struct CabacWriter {
     low: u64,
     range: u32,
     cache: u8,
@@ -81,7 +81,7 @@ pub struct CabacWriter {
 }
 
 impl CabacWriter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CabacWriter {
             low: 0,
             range: u32::MAX,
@@ -148,7 +148,7 @@ impl EntropyWriter for CabacWriter {
 
 /// Range coder reader, one branch per bin.
 #[derive(Debug, Clone)]
-pub struct CabacReader<'a> {
+pub(crate) struct CabacReader<'a> {
     code: u32,
     range: u32,
     data: &'a [u8],
@@ -158,7 +158,7 @@ pub struct CabacReader<'a> {
 }
 
 impl<'a> CabacReader<'a> {
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         let mut r = CabacReader {
             code: 0,
             range: u32::MAX,
@@ -217,7 +217,7 @@ impl EntropyReader for CabacReader<'_> {
 
 /// Raw bits, appended one per call.
 #[derive(Debug, Default, Clone)]
-pub struct CavlcWriter {
+pub(crate) struct CavlcWriter {
     buf: Vec<u8>,
     acc: u32,
     nbits: u32,
@@ -225,7 +225,7 @@ pub struct CavlcWriter {
 }
 
 impl CavlcWriter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -260,13 +260,13 @@ impl EntropyWriter for CavlcWriter {
 
 /// Raw bits, read one per call.
 #[derive(Debug, Clone)]
-pub struct CavlcReader<'a> {
+pub(crate) struct CavlcReader<'a> {
     data: &'a [u8],
     bit_pos: usize,
 }
 
 impl<'a> CavlcReader<'a> {
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         CavlcReader { data, bit_pos: 0 }
     }
 }

@@ -14,61 +14,61 @@
 use vtx_trace::KernelDesc;
 
 /// Look-ahead (scene cut / B-placement) analysis.
-pub const K_LOOKAHEAD: usize = 0;
+pub(crate) const K_LOOKAHEAD: usize = 0;
 /// Rate-control bookkeeping.
-pub const K_RC: usize = 1;
+pub(crate) const K_RC: usize = 1;
 /// Macroblock-encode control (mode decision driver).
-pub const K_MBENC: usize = 2;
+pub(crate) const K_MBENC: usize = 2;
 /// Intra 16x16 prediction.
-pub const K_IPRED16: usize = 3;
+pub(crate) const K_IPRED16: usize = 3;
 /// Intra 4x4 prediction.
-pub const K_IPRED4: usize = 4;
+pub(crate) const K_IPRED4: usize = 4;
 /// Intra mode decision.
-pub const K_IDECIDE: usize = 5;
+pub(crate) const K_IDECIDE: usize = 5;
 /// Diamond motion search.
-pub const K_ME_DIA: usize = 6;
+pub(crate) const K_ME_DIA: usize = 6;
 /// Hexagon motion search.
-pub const K_ME_HEX: usize = 7;
+pub(crate) const K_ME_HEX: usize = 7;
 /// Uneven multi-hexagon motion search.
-pub const K_ME_UMH: usize = 8;
+pub(crate) const K_ME_UMH: usize = 8;
 /// Exhaustive motion search.
-pub const K_ME_ESA: usize = 9;
+pub(crate) const K_ME_ESA: usize = 9;
 /// Block SAD evaluation.
-pub const K_SAD: usize = 10;
+pub(crate) const K_SAD: usize = 10;
 /// Block SATD evaluation.
-pub const K_SATD: usize = 11;
+pub(crate) const K_SATD: usize = 11;
 /// Half-pel interpolation.
-pub const K_HPEL: usize = 12;
+pub(crate) const K_HPEL: usize = 12;
 /// Motion compensation (full-pel copy / average).
-pub const K_MC: usize = 13;
+pub(crate) const K_MC: usize = 13;
 /// Forward 4x4 transform.
-pub const K_DCT: usize = 14;
+pub(crate) const K_DCT: usize = 14;
 /// Inverse 4x4 transform.
-pub const K_IDCT: usize = 15;
+pub(crate) const K_IDCT: usize = 15;
 /// Quantization.
-pub const K_QUANT: usize = 16;
+pub(crate) const K_QUANT: usize = 16;
 /// Dequantization.
-pub const K_DEQUANT: usize = 17;
+pub(crate) const K_DEQUANT: usize = 17;
 /// Trellis RD quantization.
-pub const K_TRELLIS: usize = 18;
+pub(crate) const K_TRELLIS: usize = 18;
 /// CAVLC residual coding.
-pub const K_CAVLC: usize = 19;
+pub(crate) const K_CAVLC: usize = 19;
 /// CABAC residual coding.
-pub const K_CABAC: usize = 20;
+pub(crate) const K_CABAC: usize = 20;
 /// Reconstruction (prediction + residual merge).
-pub const K_RECON: usize = 21;
+pub(crate) const K_RECON: usize = 21;
 /// In-loop deblocking filter.
-pub const K_DEBLOCK: usize = 22;
+pub(crate) const K_DEBLOCK: usize = 22;
 /// Headers and frame-level bookkeeping.
-pub const K_HEADER: usize = 23;
+pub(crate) const K_HEADER: usize = 23;
 /// Decoder: bitstream parsing / entropy decode.
-pub const K_DEC_PARSE: usize = 24;
+pub(crate) const K_DEC_PARSE: usize = 24;
 /// Decoder: prediction (intra + motion compensation).
-pub const K_DEC_PRED: usize = 25;
+pub(crate) const K_DEC_PRED: usize = 25;
 /// Decoder: residual reconstruction.
-pub const K_DEC_RECON: usize = 26;
+pub(crate) const K_DEC_RECON: usize = 26;
 /// Decoder: in-loop deblocking.
-pub const K_DEC_DEBLOCK: usize = 27;
+pub(crate) const K_DEC_DEBLOCK: usize = 27;
 
 const KERNELS: &[KernelDesc] = &[
     KernelDesc::new("lookahead", 2048),

@@ -11,7 +11,7 @@ use crate::transform::satd16x16;
 
 /// Intra 16x16 luma prediction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Intra16Mode {
+pub(crate) enum Intra16Mode {
     /// Average of available neighbours.
     Dc,
     /// Copy the row above.
@@ -24,7 +24,7 @@ pub enum Intra16Mode {
 
 impl Intra16Mode {
     /// All modes, in coded order.
-    pub const ALL: [Intra16Mode; 4] = [
+    const ALL: [Intra16Mode; 4] = [
         Intra16Mode::Dc,
         Intra16Mode::Vertical,
         Intra16Mode::Horizontal,
@@ -32,7 +32,7 @@ impl Intra16Mode {
     ];
 
     /// Coded index of the mode.
-    pub fn index(self) -> u32 {
+    pub(crate) fn index(self) -> u32 {
         match self {
             Intra16Mode::Dc => 0,
             Intra16Mode::Vertical => 1,
@@ -42,14 +42,14 @@ impl Intra16Mode {
     }
 
     /// Mode for a coded index.
-    pub fn from_index(i: u32) -> Option<Self> {
+    pub(crate) fn from_index(i: u32) -> Option<Self> {
         Self::ALL.get(i as usize).copied()
     }
 }
 
 /// Intra 4x4 luma prediction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Intra4Mode {
+pub(crate) enum Intra4Mode {
     /// Average of available neighbours.
     Dc,
     /// Copy the row above.
@@ -64,7 +64,7 @@ pub enum Intra4Mode {
 
 impl Intra4Mode {
     /// All modes, in coded order.
-    pub const ALL: [Intra4Mode; 5] = [
+    pub(crate) const ALL: [Intra4Mode; 5] = [
         Intra4Mode::Dc,
         Intra4Mode::Vertical,
         Intra4Mode::Horizontal,
@@ -73,7 +73,7 @@ impl Intra4Mode {
     ];
 
     /// Coded index of the mode.
-    pub fn index(self) -> u32 {
+    pub(crate) fn index(self) -> u32 {
         match self {
             Intra4Mode::Dc => 0,
             Intra4Mode::Vertical => 1,
@@ -84,14 +84,14 @@ impl Intra4Mode {
     }
 
     /// Mode for a coded index.
-    pub fn from_index(i: u32) -> Option<Self> {
+    pub(crate) fn from_index(i: u32) -> Option<Self> {
         Self::ALL.get(i as usize).copied()
     }
 }
 
 /// Predicts a 16x16 luma block at pixel `(x, y)` from reconstructed
 /// neighbours in `recon`.
-pub fn predict16(recon: &Plane, x: usize, y: usize, mode: Intra16Mode) -> [u8; 256] {
+pub(crate) fn predict16(recon: &Plane, x: usize, y: usize, mode: Intra16Mode) -> [u8; 256] {
     let top_avail = y > 0;
     let left_avail = x > 0;
     let mut out = [0u8; 256];
@@ -148,7 +148,7 @@ pub fn predict16(recon: &Plane, x: usize, y: usize, mode: Intra16Mode) -> [u8; 2
 }
 
 /// Predicts a 4x4 luma block at pixel `(x, y)` from reconstructed neighbours.
-pub fn predict4(recon: &Plane, x: usize, y: usize, mode: Intra4Mode) -> [u8; 16] {
+pub(crate) fn predict4(recon: &Plane, x: usize, y: usize, mode: Intra4Mode) -> [u8; 16] {
     let top_avail = y > 0;
     let left_avail = x > 0;
     let mut out = [0u8; 16];
@@ -231,7 +231,7 @@ pub fn predict4(recon: &Plane, x: usize, y: usize, mode: Intra4Mode) -> [u8; 16]
 }
 
 /// DC prediction for an 8x8 chroma block at chroma coordinates `(cx, cy)`.
-pub fn predict_chroma_dc(recon: &Plane, cx: usize, cy: usize) -> [u8; 64] {
+pub(crate) fn predict_chroma_dc(recon: &Plane, cx: usize, cy: usize) -> [u8; 64] {
     let dc = dc_value(recon, cx, cy, 8, cy > 0, cx > 0);
     [dc; 64]
 }
@@ -266,7 +266,7 @@ fn dc_value(
 
 /// Chooses the cheapest 16x16 intra mode by SATD against the source block.
 /// Returns the mode, its prediction, and its cost.
-pub fn decide16(
+pub(crate) fn decide16(
     src: &[u8; 256],
     recon: &Plane,
     x: usize,

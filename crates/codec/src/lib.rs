@@ -5,13 +5,13 @@
 //! paper varies:
 //!
 //! * **Rate control** (§II-B.1): CQP, CRF, ABR, CBR (macroblock-granular),
-//!   two-pass ABR and VBV-constrained — [`ratecontrol`].
+//!   two-pass ABR and VBV-constrained — `ratecontrol`.
 //! * **Motion estimation** (§II-B.2): `dia`, `hex`, `umh`, `esa`/`tesa`
 //!   integer searches with configurable `merange`, sub-pel refinement
-//!   (`subme`), and 1–16 reference frames (`refs`) — [`me`].
+//!   (`subme`), and 1–16 reference frames (`refs`) — `me`.
 //! * **Macroblock mode decision** (§II-B.3): I/P/B frames, intra 16x16 and
-//!   4x4 prediction, P16x16/P8x8 partitions, skip detection — [`intra`],
-//!   [`mbenc`].
+//!   4x4 prediction, P16x16/P8x8 partitions, skip detection — `intra`,
+//!   `mbenc`.
 //! * **Quantization** (§II-B.4): H.264 integer transform + quantization with
 //!   three trellis levels — [`transform`], [`quant`], [`trellis`].
 //! * **Entropy coding**: a decodable run/level bitstream with either plain
@@ -50,28 +50,28 @@ mod bufs;
 mod error;
 mod wavefront;
 
-pub mod config;
-pub mod deblock;
+mod config;
+mod deblock;
 pub mod decoder;
 pub mod encoder;
 pub mod entropy;
 pub mod instr;
-pub mod intra;
-pub mod lookahead;
-pub mod mbenc;
-pub mod mc;
-pub mod me;
+mod intra;
+mod lookahead;
+mod mbenc;
+mod mc;
+mod me;
 pub mod preset;
 pub mod quant;
-pub mod ratecontrol;
-pub mod tables;
+mod ratecontrol;
+mod tables;
 pub mod transform;
 pub mod trellis;
 pub mod types;
 
 pub use config::{EncoderConfig, PartitionSet, RateControlMode};
 pub use decoder::{decode_video, DecodedVideo};
-pub use encoder::{encode_video, Bitstream, EncodeResult, EncodeStats};
+pub use encoder::{encode_video, Bitstream, EncodeResult};
 pub use error::{CodecError, DecodeError};
 pub use preset::Preset;
-pub use types::{FrameType, MeMethod, MotionVector, Qp};
+pub use types::{MeMethod, Qp};

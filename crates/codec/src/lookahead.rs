@@ -13,7 +13,7 @@ use crate::types::FrameType;
 
 /// Output of the look-ahead pass.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LookaheadResult {
+pub(crate) struct LookaheadResult {
     /// Frame types in display order.
     pub types: Vec<FrameType>,
     /// Display indices in coding order (anchors before their B frames).
@@ -29,7 +29,7 @@ fn cut_threshold(scenecut: u8) -> f64 {
 }
 
 /// Analyzes the clip and assigns frame types and coding order.
-pub fn analyze(video: &Video, cfg: &EncoderConfig, prof: &mut Profiler) -> LookaheadResult {
+pub(crate) fn analyze(video: &Video, cfg: &EncoderConfig, prof: &mut Profiler) -> LookaheadResult {
     let n = video.frames.len();
     let mut complexity = Vec::with_capacity(n);
     let mut cuts = vec![false; n];

@@ -25,7 +25,7 @@ use crate::types::Qp;
 use crate::CodecError;
 
 /// Quantized levels of one 4x4 block.
-pub type CoefBlock = Block4x4;
+type CoefBlock = Block4x4;
 
 /// Bit `pair` of the result: whether either coefficient of zig-zag pair
 /// `pair` is set in the significance mask `sig`.
@@ -39,7 +39,7 @@ fn pair_significant(sig: u32, pair: u32) -> bool {
 /// One pass over the block builds its zig-zag significance mask (bit `zi`
 /// set: the coefficient at zig-zag index `zi` is nonzero); the count, the
 /// runs and the profiler's branch events all come from the mask.
-pub fn write_coef_block<W: EntropyWriter>(
+pub(crate) fn write_coef_block<W: EntropyWriter>(
     w: &mut W,
     levels: &CoefBlock,
     chroma: bool,
@@ -94,7 +94,7 @@ pub fn write_coef_block<W: EntropyWriter>(
 ///
 /// Returns [`CodecError::CorruptBitstream`] on truncated payloads or
 /// impossible run/level placements.
-pub fn read_coef_block<R: EntropyReader>(
+pub(crate) fn read_coef_block<R: EntropyReader>(
     r: &mut R,
     chroma: bool,
     prof: &mut Profiler,
@@ -194,7 +194,7 @@ fn add_block(recon: &mut [u8], pred: &[u8], stride: usize, bx: usize, by: usize,
 /// source block and its prediction, producing the reconstruction. Returns
 /// `(recon, total_nonzero)`.
 #[allow(clippy::too_many_arguments)]
-pub fn encode_luma_residual<W: EntropyWriter>(
+pub(crate) fn encode_luma_residual<W: EntropyWriter>(
     src: &[u8; 256],
     pred: &[u8; 256],
     qp: Qp,
@@ -260,7 +260,7 @@ pub fn encode_luma_residual<W: EntropyWriter>(
 /// # Errors
 ///
 /// Propagates [`CodecError::CorruptBitstream`] from the syntax reader.
-pub fn decode_luma_residual<R: EntropyReader>(
+pub(crate) fn decode_luma_residual<R: EntropyReader>(
     pred: &[u8; 256],
     qp: Qp,
     r: &mut R,
@@ -287,7 +287,7 @@ pub fn decode_luma_residual<R: EntropyReader>(
 
 /// Encodes an 8x8 chroma residual (one plane). Returns `(recon, nonzero)`.
 #[allow(clippy::too_many_arguments)]
-pub fn encode_chroma_residual<W: EntropyWriter>(
+pub(crate) fn encode_chroma_residual<W: EntropyWriter>(
     src: &[u8; 64],
     pred: &[u8; 64],
     qp: Qp,
@@ -332,7 +332,7 @@ pub fn encode_chroma_residual<W: EntropyWriter>(
 /// # Errors
 ///
 /// Propagates [`CodecError::CorruptBitstream`] from the syntax reader.
-pub fn decode_chroma_residual<R: EntropyReader>(
+pub(crate) fn decode_chroma_residual<R: EntropyReader>(
     pred: &[u8; 64],
     qp: Qp,
     r: &mut R,
@@ -362,7 +362,7 @@ mod oracle {
     use super::*;
 
     /// Counts, then scans: a significance test per coefficient.
-    pub fn write_coef_block<W: EntropyWriter>(
+    pub(crate) fn write_coef_block<W: EntropyWriter>(
         w: &mut W,
         levels: &CoefBlock,
         chroma: bool,
@@ -403,7 +403,7 @@ mod oracle {
 
     /// Places the levels, then scans the block for the pair events; the caller
     /// counts the nonzero levels again.
-    pub fn read_coef_block<R: EntropyReader>(
+    pub(crate) fn read_coef_block<R: EntropyReader>(
         r: &mut R,
         chroma: bool,
         prof: &mut Profiler,

@@ -9,10 +9,10 @@ use crate::types::MotionVector;
 /// the widest block motion search and compensation read plus its half-pel
 /// tap, 16 + 1, for a read at any origin to equal an edge-clamped one; x264
 /// pads 32.
-pub const LUMA_PAD: usize = 32;
+pub(crate) const LUMA_PAD: usize = 32;
 /// Replicated border of a reference chroma plane: at least 8 + 1; x264
 /// pads 16.
-pub const CHROMA_PAD: usize = 16;
+const CHROMA_PAD: usize = 16;
 
 const _: () = assert!(
     LUMA_PAD > 16 && CHROMA_PAD > 8,
@@ -24,7 +24,7 @@ const _: () = assert!(
 /// every block read is an in-place read at an origin clamped into the
 /// border (see [`PaddedPlane`]).
 #[derive(Debug)]
-pub struct RefFrame {
+pub(crate) struct RefFrame {
     y: PaddedPlane,
     u: PaddedPlane,
     v: PaddedPlane,
@@ -32,7 +32,7 @@ pub struct RefFrame {
 
 impl RefFrame {
     /// Border-extends the three planes of `frame`.
-    pub fn new(frame: &Frame) -> Self {
+    pub(crate) fn new(frame: &Frame) -> Self {
         RefFrame {
             y: PaddedPlane::new(frame.y(), LUMA_PAD),
             u: PaddedPlane::new(frame.u(), CHROMA_PAD),
@@ -42,19 +42,19 @@ impl RefFrame {
 
     /// Luma plane.
     #[inline]
-    pub fn y(&self) -> &PaddedPlane {
+    pub(crate) fn y(&self) -> &PaddedPlane {
         &self.y
     }
 
     /// Cb plane.
     #[inline]
-    pub fn u(&self) -> &PaddedPlane {
+    fn u(&self) -> &PaddedPlane {
         &self.u
     }
 
     /// Cr plane.
     #[inline]
-    pub fn v(&self) -> &PaddedPlane {
+    fn v(&self) -> &PaddedPlane {
         &self.v
     }
 }
@@ -69,7 +69,7 @@ impl RefFrame {
 ///
 /// Panics if `out.len() < bw * bh`, or if the block and its taps are wider
 /// or taller than the reference's border allows.
-pub fn mc_luma(
+pub(crate) fn mc_luma(
     reference: &PaddedPlane,
     mv: MotionVector,
     x: usize,
@@ -135,7 +135,7 @@ fn interpolate<'a>(
 ///
 /// `(cx, cy)` are chroma-plane coordinates; the output block is `bw x bh`
 /// chroma samples.
-pub fn mc_chroma(
+fn mc_chroma(
     reference: &PaddedPlane,
     mv: MotionVector,
     cx: usize,
@@ -159,7 +159,7 @@ pub fn mc_chroma(
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn average(a: &[u8], b: &[u8], out: &mut [u8]) {
+pub(crate) fn average(a: &[u8], b: &[u8], out: &mut [u8]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), out.len());
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
@@ -471,7 +471,7 @@ mod tests {
 /// macroblock. `dir`: 0 = forward only, 1 = backward only, 2 = bi-predicted
 /// average. Shared by the encoder and decoder so reconstruction can never
 /// diverge.
-pub fn build_inter_pred_frames(
+pub(crate) fn build_inter_pred_frames(
     fwd: &RefFrame,
     bwd: Option<&RefFrame>,
     fwd_mv: MotionVector,
@@ -515,7 +515,7 @@ pub fn build_inter_pred_frames(
 /// Builds the P8x8 prediction: four independently motion-compensated 8x8
 /// luma quadrants; chroma uses the component-wise average vector. Shared by
 /// the encoder and decoder.
-pub fn build_p8_pred(
+pub(crate) fn build_p8_pred(
     reference: &RefFrame,
     sub: &[MotionVector; 4],
     mb_x: usize,

@@ -17,7 +17,7 @@ use crate::types::{se_len, MeMethod, MotionVector};
 
 /// A reference picture plus its virtual base address for cache tracing.
 #[derive(Debug)]
-pub struct RefView<'a> {
+pub(crate) struct RefView<'a> {
     /// Reconstructed luma plane of the reference frame, border-extended.
     pub plane: &'a PaddedPlane,
     /// Virtual address of the plane's first sample.
@@ -30,7 +30,7 @@ pub struct RefView<'a> {
 impl RefView<'_> {
     /// Nominal-scale address of the sample at simulated `(x, y)`.
     #[inline]
-    pub fn addr(&self, x: u64, y: u64) -> u64 {
+    fn addr(&self, x: u64, y: u64) -> u64 {
         let stride = self.plane.width() as u64 * self.scale;
         self.vaddr + y * self.scale * stride + x * self.scale
     }
@@ -38,7 +38,7 @@ impl RefView<'_> {
 
 /// Search parameters, derived from the encoder configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct MeParams {
+pub(crate) struct MeParams {
     /// Search strategy.
     pub method: MeMethod,
     /// Maximum motion range in full pixels.
@@ -51,7 +51,7 @@ pub struct MeParams {
 
 /// Result of a motion search against one reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeResult {
+pub(crate) struct MeResult {
     /// Best motion vector (half-pel units).
     pub mv: MotionVector,
     /// Rate-distortion cost (metric + lambda * mv bits).
@@ -184,7 +184,7 @@ thread_local! {
 /// block at `(x, y)` of `src`, starting from the `pred_mv` predictor.
 ///
 /// Emits kernel, cache-line and branch events to `prof` as a side effect.
-pub fn search_ref(
+pub(crate) fn search_ref(
     src: &[u8; 256],
     reference: &RefView<'_>,
     x: usize,

@@ -143,13 +143,6 @@ impl Preset {
         }
         c
     }
-
-    /// Like [`Preset::config`], with wavefront worker threads on top
-    /// (`0` = auto). Threading never changes the bitstream or profiler
-    /// counts, so presets stay comparable at any thread count.
-    pub fn config_threaded(self, threads: u32) -> EncoderConfig {
-        self.config().with_threads(threads)
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +200,7 @@ mod tests {
     #[test]
     fn threaded_config_only_changes_threads() {
         for p in Preset::ALL {
-            let threaded = p.config_threaded(4);
+            let threaded = p.config().with_threads(4);
             assert_eq!(threaded.threads, 4);
             let mut back = threaded.clone();
             back.threads = p.config().threads;

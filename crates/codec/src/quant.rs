@@ -44,7 +44,7 @@ pub fn dequant4x4(b: &mut Block4x4, qp: Qp) {
 /// Dequantizes a single level at a given block position — used by the
 /// trellis search to evaluate candidate levels.
 #[inline]
-pub fn dequant_coef(level: i32, pos: usize, qp: Qp) -> i32 {
+pub(crate) fn dequant_coef(level: i32, pos: usize, qp: Qp) -> i32 {
     (level * DEQUANT_V[qp.rem()][POS_CLASS[pos]]) << u32::from(qp.shift())
 }
 
@@ -53,7 +53,7 @@ pub fn dequant_coef(level: i32, pos: usize, qp: Qp) -> i32 {
 /// log-ratio of the block variance to the frame's average variance.
 ///
 /// Returns a QP delta in `-4..=4`.
-pub fn aq_offset(block_variance: u32, avg_variance: f64) -> i32 {
+pub(crate) fn aq_offset(block_variance: u32, avg_variance: f64) -> i32 {
     if avg_variance <= 0.0 {
         return 0;
     }

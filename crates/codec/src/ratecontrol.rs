@@ -14,7 +14,7 @@ const B_OFFSET: i32 = 2;
 
 /// Stateful rate controller for one encode.
 #[derive(Debug, Clone)]
-pub struct RateControl {
+pub(crate) struct RateControl {
     mode: RateControlMode,
     fps: f64,
     /// Average complexity observed so far (EMA of look-ahead cost).
@@ -35,7 +35,7 @@ pub struct RateControl {
 
 impl RateControl {
     /// Creates a controller for `mode` at the given frame rate.
-    pub fn new(mode: RateControlMode, fps: f64) -> Self {
+    pub(crate) fn new(mode: RateControlMode, fps: f64) -> Self {
         RateControl {
             mode,
             fps: fps.max(1.0),
@@ -51,7 +51,7 @@ impl RateControl {
 
     /// Installs per-frame complexities measured by a first pass (two-pass
     /// ABR only). `complexities` is indexed by coding order.
-    pub fn set_pass1(&mut self, complexities: Vec<f64>) {
+    pub(crate) fn set_pass1(&mut self, complexities: Vec<f64>) {
         let mean = if complexities.is_empty() {
             1.0
         } else {
@@ -62,7 +62,7 @@ impl RateControl {
     }
 
     /// The mode being executed.
-    pub fn mode(&self) -> RateControlMode {
+    pub(crate) fn mode(&self) -> RateControlMode {
         self.mode
     }
 
@@ -70,7 +70,12 @@ impl RateControl {
     ///
     /// `complexity` is the look-ahead cost estimate for this frame;
     /// `coding_index` is the frame's position in coding order.
-    pub fn frame_qp(&mut self, ftype: FrameType, complexity: f64, coding_index: usize) -> Qp {
+    pub(crate) fn frame_qp(
+        &mut self,
+        ftype: FrameType,
+        complexity: f64,
+        coding_index: usize,
+    ) -> Qp {
         let type_offset = match ftype {
             FrameType::I => I_OFFSET,
             FrameType::P => 0,
@@ -135,7 +140,7 @@ impl RateControl {
 
     /// Per-macroblock QP correction (CBR only): compares bits spent so far
     /// in this frame against the pro-rata budget and nudges the quantizer.
-    pub fn mb_qp_adjust(
+    pub(crate) fn mb_qp_adjust(
         &self,
         frame_qp: Qp,
         mbs_done: u32,
@@ -156,7 +161,7 @@ impl RateControl {
     }
 
     /// Reports a finished frame's actual size, updating feedback state.
-    pub fn end_frame(&mut self, bits: f64) {
+    pub(crate) fn end_frame(&mut self, bits: f64) {
         self.bits_so_far += bits;
         self.frames_done += 1;
         self.window_bits = self.window_bits * (1.0 - 1.0 / self.fps).max(0.0) + bits;
@@ -170,11 +175,6 @@ impl RateControl {
             // Integral controller: one full frame budget of error ~ 1 QP.
             self.feedback_qp = (err * 1.0).clamp(-22.0, 22.0);
         }
-    }
-
-    /// Total bits produced so far.
-    pub fn bits_so_far(&self) -> f64 {
-        self.bits_so_far
     }
 }
 

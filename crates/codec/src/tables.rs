@@ -4,12 +4,12 @@
 //! per-`qp % 6` quantization (MF) and dequantization (V) multipliers.
 
 /// Zig-zag scan order for a 4x4 block (row-major index per scan position).
-pub const ZIGZAG4X4: [usize; 16] = [0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15];
+pub(crate) const ZIGZAG4X4: [usize; 16] = [0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15];
 
 /// Forward quantization multipliers `MF[qp%6][class]` where class 0 covers
 /// positions (0,0),(0,2),(2,0),(2,2), class 1 the odd-odd positions, and
 /// class 2 the rest (H.264 spec, Table 8-xx).
-pub const QUANT_MF: [[i32; 3]; 6] = [
+pub(crate) const QUANT_MF: [[i32; 3]; 6] = [
     [13107, 5243, 8066],
     [11916, 4660, 7490],
     [10082, 4194, 6554],
@@ -19,7 +19,7 @@ pub const QUANT_MF: [[i32; 3]; 6] = [
 ];
 
 /// Dequantization multipliers `V[qp%6][class]` (same class mapping).
-pub const DEQUANT_V: [[i32; 3]; 6] = [
+pub(crate) const DEQUANT_V: [[i32; 3]; 6] = [
     [10, 16, 13],
     [11, 18, 14],
     [13, 20, 16],
@@ -30,7 +30,7 @@ pub const DEQUANT_V: [[i32; 3]; 6] = [
 
 /// Position class (0, 1 or 2) of each coefficient in a row-major 4x4 block,
 /// selecting the MF/V column.
-pub const POS_CLASS: [usize; 16] = [0, 2, 0, 2, 2, 1, 2, 1, 0, 2, 0, 2, 2, 1, 2, 1];
+pub(crate) const POS_CLASS: [usize; 16] = [0, 2, 0, 2, 2, 1, 2, 1, 0, 2, 0, 2, 2, 1, 2, 1];
 
 #[cfg(test)]
 mod tests {

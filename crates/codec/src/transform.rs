@@ -71,7 +71,7 @@ pub fn idct4x4(b: &mut Block4x4) {
 }
 
 /// 4x4 Hadamard transform, in place (used for SATD cost).
-pub fn hadamard4x4(b: &mut Block4x4) {
+fn hadamard4x4(b: &mut Block4x4) {
     for r in 0..4 {
         let i = r * 4;
         let (a0, a1, a2, a3) = (b[i], b[i + 1], b[i + 2], b[i + 3]);
@@ -118,7 +118,7 @@ pub fn satd4x4(a: &[u8], b: &[u8]) -> u32 {
 /// stays within each group of four samples, the vertical pass then runs
 /// across all sixteen columns at once, and a column's four absolute
 /// coefficients (<= 16 320) sum in `u16`.
-pub fn satd16x16(a: &[u8; 256], b: &[u8; 256]) -> u32 {
+pub(crate) fn satd16x16(a: &[u8; 256], b: &[u8; 256]) -> u32 {
     let mut total = 0;
     for (sa, sb) in a.chunks_exact(64).zip(b.chunks_exact(64)) {
         let mut d = [0i16; 64];

@@ -9,7 +9,7 @@ pub struct Qp(u8);
 
 impl Qp {
     /// Maximum legal QP.
-    pub const MAX: u8 = 51;
+    const MAX: u8 = 51;
 
     /// Creates a QP, clamping into `0..=51`.
     pub fn new(v: i32) -> Self {
@@ -18,19 +18,19 @@ impl Qp {
 
     /// The raw value.
     #[inline]
-    pub fn value(self) -> u8 {
+    pub(crate) fn value(self) -> u8 {
         self.0
     }
 
     /// Quantizer step scale exponent (`qp / 6`).
     #[inline]
-    pub fn shift(self) -> u8 {
+    pub(crate) fn shift(self) -> u8 {
         self.0 / 6
     }
 
     /// Table row within a step octave (`qp % 6`).
     #[inline]
-    pub fn rem(self) -> usize {
+    pub(crate) fn rem(self) -> usize {
         usize::from(self.0 % 6)
     }
 
@@ -47,7 +47,7 @@ impl Qp {
     }
 
     /// Chroma QP derived from the luma QP (simplified mapping).
-    pub fn chroma(self) -> Qp {
+    pub(crate) fn chroma(self) -> Qp {
         Qp(self.0.saturating_sub(3))
     }
 }
@@ -111,7 +111,8 @@ pub enum MeMethod {
 
 impl MeMethod {
     /// Parses the x264 option spelling.
-    pub fn from_option(s: &str) -> Option<Self> {
+    #[cfg(test)]
+    fn from_option(s: &str) -> Option<Self> {
         match s {
             "dia" => Some(MeMethod::Dia),
             "hex" => Some(MeMethod::Hex),
@@ -145,37 +146,37 @@ pub struct MotionVector {
 
 impl MotionVector {
     /// Zero vector.
-    pub const ZERO: MotionVector = MotionVector { x: 0, y: 0 };
+    pub(crate) const ZERO: MotionVector = MotionVector { x: 0, y: 0 };
 
     /// Creates a vector from half-pel components.
-    pub fn new(x: i16, y: i16) -> Self {
+    pub(crate) fn new(x: i16, y: i16) -> Self {
         MotionVector { x, y }
     }
 
     /// Creates a vector from full-pel components.
-    pub fn from_fullpel(x: i16, y: i16) -> Self {
+    pub(crate) fn from_fullpel(x: i16, y: i16) -> Self {
         MotionVector { x: x * 2, y: y * 2 }
     }
 
     /// Full-pel part (floor division by 2).
-    pub fn fullpel(self) -> (i16, i16) {
+    pub(crate) fn fullpel(self) -> (i16, i16) {
         (self.x >> 1, self.y >> 1)
     }
 
     /// Whether either component has a half-pel fraction.
-    pub fn has_halfpel(self) -> bool {
+    pub(crate) fn has_halfpel(self) -> bool {
         (self.x | self.y) & 1 != 0
     }
 
     /// Approximate coded size of this vector relative to a predictor, in
     /// bits (exp-Golomb length of both difference components).
-    pub fn cost_bits(self, pred: MotionVector) -> u32 {
+    pub(crate) fn cost_bits(self, pred: MotionVector) -> u32 {
         se_len(i32::from(self.x) - i32::from(pred.x))
             + se_len(i32::from(self.y) - i32::from(pred.y))
     }
 
     /// Component-wise median of three vectors — the H.264 MV predictor.
-    pub fn median(a: MotionVector, b: MotionVector, c: MotionVector) -> MotionVector {
+    pub(crate) fn median(a: MotionVector, b: MotionVector, c: MotionVector) -> MotionVector {
         MotionVector {
             x: median3(a.x, b.x, c.x),
             y: median3(a.y, b.y, c.y),
@@ -188,7 +189,7 @@ fn median3(a: i16, b: i16, c: i16) -> i16 {
 }
 
 /// Bit length of a signed exp-Golomb code for `v`.
-pub fn se_len(v: i32) -> u32 {
+pub(crate) fn se_len(v: i32) -> u32 {
     let mapped = if v <= 0 {
         (-2 * v) as u32
     } else {
@@ -198,7 +199,7 @@ pub fn se_len(v: i32) -> u32 {
 }
 
 /// Bit length of an unsigned exp-Golomb code for `v`.
-pub fn ue_len(v: u32) -> u32 {
+pub(crate) fn ue_len(v: u32) -> u32 {
     2 * (32 - (v + 1).leading_zeros()) - 1
 }
 

@@ -71,7 +71,7 @@ pub(crate) struct MbCounts {
 }
 
 impl MbCounts {
-    pub fn add(&mut self, class: MbClass) {
+    pub(crate) fn add(&mut self, class: MbClass) {
         match class {
             MbClass::Skip => self.skip += 1,
             MbClass::Intra => self.intra += 1,
@@ -99,7 +99,7 @@ pub(crate) struct DirectSink<'a, W: EntropyWriter> {
 }
 
 impl<'a, W: EntropyWriter> DirectSink<'a, W> {
-    pub fn new(w: &'a mut W, frame_qp: Qp) -> Self {
+    pub(crate) fn new(w: &'a mut W, frame_qp: Qp) -> Self {
         DirectSink {
             w,
             prev_qp: frame_qp,
@@ -154,11 +154,11 @@ pub(crate) struct RecordSink {
 }
 
 impl RecordSink {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn into_cmds(self) -> Vec<SynCmd> {
+    pub(crate) fn into_cmds(self) -> Vec<SynCmd> {
         self.cmds
     }
 }
@@ -207,7 +207,7 @@ pub(crate) struct MbRecord {
 
 impl MbRecord {
     /// Replays the recorded syntax into a real sink.
-    pub fn replay_syntax<S: MbSink>(&self, sink: &mut S) {
+    pub(crate) fn replay_syntax<S: MbSink>(&self, sink: &mut S) {
         for cmd in &self.syn {
             match *cmd {
                 SynCmd::Bit(c, b) => sink.put_bit(c, b),
@@ -270,7 +270,7 @@ pub(crate) struct WfShared {
 unsafe impl Sync for WfShared {}
 
 impl WfShared {
-    pub fn new(recon: Frame, mb_w: usize, mb_h: usize) -> Self {
+    pub(crate) fn new(recon: Frame, mb_w: usize, mb_h: usize) -> Self {
         WfShared {
             frame: UnsafeCell::new(FrameShared {
                 recon,
@@ -287,7 +287,7 @@ impl WfShared {
     }
 
     /// Claims the next unprocessed row (may be `>= mb_h`: no rows left).
-    pub fn claim_row(&self) -> usize {
+    pub(crate) fn claim_row(&self) -> usize {
         self.next_row.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -297,7 +297,7 @@ impl WfShared {
     ///
     /// Panics if a worker poisoned the wavefront (a panic elsewhere would
     /// otherwise leave this spinning forever).
-    pub fn wait_row(&self, row: usize, target: u32) {
+    pub(crate) fn wait_row(&self, row: usize, target: u32) {
         let mut spins = 0u32;
         while self.progress[row].load(Ordering::Acquire) < target {
             if self.poisoned.load(Ordering::Relaxed) {
@@ -321,13 +321,13 @@ impl WfShared {
     /// published by `wait_row`, and release the reference before
     /// publishing.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn frame_mut(&self) -> &mut FrameShared {
+    pub(crate) unsafe fn frame_mut(&self) -> &mut FrameShared {
         &mut *self.frame.get()
     }
 
     /// Publishes macroblock `(mb_x, row)`: stores its record and makes the
     /// reconstruction writes visible to waiters.
-    pub fn publish(&self, row: usize, mb_x: usize, rec: MbRecord) {
+    pub(crate) fn publish(&self, row: usize, mb_x: usize, rec: MbRecord) {
         // SAFETY: each slot is written exactly once, by the worker owning
         // `row`, before the Release store announces it.
         unsafe {
@@ -338,7 +338,7 @@ impl WfShared {
 
     /// Takes the record for `(mb_x, row)`. Only the stitcher calls this,
     /// after `wait_row(row, mb_x + 1)` observed the publish.
-    pub fn take_record(&self, row: usize, mb_x: usize) -> MbRecord {
+    pub(crate) fn take_record(&self, row: usize, mb_x: usize) -> MbRecord {
         // SAFETY: the Acquire in `wait_row` ordered this read after the
         // slot write, and the publishing worker never touches it again.
         unsafe { (*self.slots[row * self.mb_w + mb_x].get()).take() }
@@ -346,7 +346,7 @@ impl WfShared {
     }
 
     /// Recovers the frame state once all workers have finished.
-    pub fn into_inner(self) -> FrameShared {
+    pub(crate) fn into_inner(self) -> FrameShared {
         self.frame.into_inner()
     }
 }
@@ -370,11 +370,11 @@ pub(crate) struct PoisonGuard<'a> {
 }
 
 impl<'a> PoisonGuard<'a> {
-    pub fn new(flag: &'a AtomicBool) -> Self {
+    pub(crate) fn new(flag: &'a AtomicBool) -> Self {
         PoisonGuard { flag, armed: true }
     }
 
-    pub fn disarm(mut self) {
+    pub(crate) fn disarm(mut self) {
         self.armed = false;
     }
 }

@@ -11,7 +11,7 @@ use crate::error::ContainerError;
 
 /// A parsed box: fourcc plus a view of its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MpBox<'a> {
+pub(crate) struct MpBox<'a> {
     /// The four-character code.
     pub fourcc: [u8; 4],
     /// Payload bytes (everything after the 8-byte box header).
@@ -21,7 +21,7 @@ pub struct MpBox<'a> {
 }
 
 /// Appends a complete box (header + payload) to `out`.
-pub fn push_box(out: &mut Vec<u8>, fourcc: &[u8; 4], payload: &[u8]) {
+pub(crate) fn push_box(out: &mut Vec<u8>, fourcc: &[u8; 4], payload: &[u8]) {
     let size = (payload.len() + 8) as u32;
     out.extend_from_slice(&size.to_be_bytes());
     out.extend_from_slice(fourcc);
@@ -30,14 +30,14 @@ pub fn push_box(out: &mut Vec<u8>, fourcc: &[u8; 4], payload: &[u8]) {
 
 /// Iterator over the top-level boxes of a byte range.
 #[derive(Debug, Clone)]
-pub struct BoxIter<'a> {
+pub(crate) struct BoxIter<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> BoxIter<'a> {
     /// Walks `data` as a sequence of boxes.
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         BoxIter { data, pos: 0 }
     }
 }
@@ -98,7 +98,7 @@ impl<'a> Iterator for BoxIter<'a> {
 ///
 /// Propagates walk errors; a missing box is `Corrupt` naming the fourcc's
 /// static context supplied by the caller.
-pub fn find_box<'a>(
+pub(crate) fn find_box<'a>(
     data: &'a [u8],
     fourcc: &[u8; 4],
     context: &'static str,
@@ -113,7 +113,11 @@ pub fn find_box<'a>(
 }
 
 /// Reads a `u32` big-endian at `pos`, with a structured error.
-pub fn read_u32(data: &[u8], pos: usize, context: &'static str) -> Result<u32, ContainerError> {
+pub(crate) fn read_u32(
+    data: &[u8],
+    pos: usize,
+    context: &'static str,
+) -> Result<u32, ContainerError> {
     if pos + 4 > data.len() {
         return Err(ContainerError::Truncated {
             offset: pos,

@@ -97,7 +97,8 @@ impl Ladder {
     }
 
     /// Renders the canonical text form; exact inverse of [`Ladder::parse`].
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    fn render(&self) -> String {
         self.rungs
             .iter()
             .map(|r| format!("{}={}:{}", r.name, r.preset.name(), r.crf))

@@ -8,7 +8,7 @@
 //! packaging plane, hand-rolled with zero external dependencies and
 //! byte-deterministic end to end:
 //!
-//! * [`boxes`] — ISO-BMFF box primitives (u32 BE size + fourcc).
+//! * `boxes` — ISO-BMFF box primitives (u32 BE size + fourcc).
 //! * [`mux`] / [`demux`] — init segments (`ftyp`+`moov`, the 17-byte vtx
 //!   codec header carried in a `vtxC` box inside the sample description)
 //!   and media segments (`styp`+`moof`+`mdat`), with an exact-inversion
@@ -16,7 +16,7 @@
 //! * [`segment`] — the GOP-aligned segmenter: splits a closed-GOP vtx
 //!   bitstream (forced IDRs at the cut points) into standalone
 //!   sub-streams that decode independently.
-//! * [`ladder`] — ABR rung definitions with a canonical text form.
+//! * `ladder` — ABR rung definitions with a canonical text form.
 //! * [`manifest`] — HLS-style master/media playlists, integer-millisecond
 //!   durations, render/parse exact inverses.
 //! * [`package`] — the glue: bitstream → segments, plan → playlists.
@@ -27,18 +27,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod boxes;
+mod boxes;
 pub mod demux;
-pub mod error;
-pub mod ladder;
+mod error;
+mod ladder;
 pub mod manifest;
 pub mod mux;
 pub mod package;
 pub mod segment;
 
-pub use demux::{InitInfo, MediaSegment};
 pub use error::ContainerError;
 pub use ladder::{Ladder, Rung};
-pub use manifest::{MasterPlaylist, MediaPlaylist, SegmentEntry, Variant};
-pub use mux::Sample;
 pub use package::Packaged;

@@ -15,10 +15,10 @@ use crate::boxes::push_box;
 use crate::error::ContainerError;
 
 /// Track id used for the single video track.
-pub const TRACK_ID: u32 = 1;
+pub(crate) const TRACK_ID: u32 = 1;
 
 /// Length of the vtx codec header carried in the `vtxC` box.
-pub const CODEC_HEADER_LEN: usize = 17;
+pub(crate) const CODEC_HEADER_LEN: usize = 17;
 
 /// One sample of a media segment (one coded frame record).
 #[derive(Debug, Clone, PartialEq, Eq)]

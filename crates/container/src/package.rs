@@ -47,7 +47,7 @@ pub fn package_stream(stream: &[u8], points: &[u32]) -> Result<Packaged, Contain
 }
 
 /// Per-segment durations in integer milliseconds for a segment plan.
-pub fn segment_durations_ms(points: &[u32], frames: u32, fps: u32) -> Vec<u32> {
+fn segment_durations_ms(points: &[u32], frames: u32, fps: u32) -> Vec<u32> {
     let fps = fps.max(1);
     points
         .iter()

@@ -16,11 +16,9 @@ use crate::mux::Sample;
 /// Byte length of the vtx bitstream header.
 pub const HEADER_LEN: usize = 17;
 /// Byte length of each per-frame record header.
-pub const RECORD_HEADER_LEN: usize = 8;
+const RECORD_HEADER_LEN: usize = 8;
 /// Byte offset of the `frame_count` field (u16 LE) within the header.
-pub const FRAME_COUNT_OFFSET: usize = 10;
-/// Byte offset of the `fps` field (u8) within the header.
-pub const FPS_OFFSET: usize = 9;
+const FRAME_COUNT_OFFSET: usize = 10;
 
 /// Frame-type byte for plain intra records.
 const FTYPE_I: u8 = 0;
@@ -29,7 +27,7 @@ const FTYPE_IDR: u8 = 3;
 
 /// A view of one frame record inside a vtx bitstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Record<'a> {
+struct Record<'a> {
     /// Frame-type byte (0=I, 1=P, 2=B, 3=IDR).
     pub ftype: u8,
     /// Display index within the clip.
@@ -40,7 +38,7 @@ pub struct Record<'a> {
 
 impl Record<'_> {
     /// Whether this record starts a decodable segment (I or IDR).
-    pub fn is_sync(&self) -> bool {
+    fn is_sync(&self) -> bool {
         self.ftype == FTYPE_I || self.ftype == FTYPE_IDR
     }
 }
@@ -51,7 +49,7 @@ impl Record<'_> {
 ///
 /// Returns [`ContainerError::Truncated`] when the stream ends inside the
 /// header or a record, [`ContainerError::Corrupt`] on a bad magic.
-pub fn records(stream: &[u8]) -> Result<Vec<Record<'_>>, ContainerError> {
+fn records(stream: &[u8]) -> Result<Vec<Record<'_>>, ContainerError> {
     if stream.len() < HEADER_LEN {
         return Err(ContainerError::Truncated {
             offset: stream.len(),
@@ -115,7 +113,7 @@ pub fn segment_points(frames: u32, fps: u32, target_ms: u32) -> Vec<u32> {
 /// of an earlier segment appears after a later segment began in coding
 /// order, or a segment's first record is not a keyframe) — i.e. the stream
 /// was not encoded with forced IDRs at `points`.
-pub fn split_stream(stream: &[u8], points: &[u32]) -> Result<Vec<Vec<u8>>, ContainerError> {
+pub(crate) fn split_stream(stream: &[u8], points: &[u32]) -> Result<Vec<Vec<u8>>, ContainerError> {
     if points.first() != Some(&0) {
         return Err(ContainerError::Corrupt {
             offset: 0,
@@ -173,7 +171,7 @@ pub fn split_stream(stream: &[u8], points: &[u32]) -> Result<Vec<Vec<u8>>, Conta
 /// # Errors
 ///
 /// Propagates record-walk errors from [`records`].
-pub fn segment_to_samples(segment_stream: &[u8]) -> Result<Vec<Sample>, ContainerError> {
+pub(crate) fn segment_to_samples(segment_stream: &[u8]) -> Result<Vec<Sample>, ContainerError> {
     Ok(records(segment_stream)?
         .iter()
         .map(|r| Sample {
@@ -186,7 +184,7 @@ pub fn segment_to_samples(segment_stream: &[u8]) -> Result<Vec<Sample>, Containe
 
 /// Rebuilds a standalone segment stream from a parsed media segment's
 /// samples plus the init segment's codec header (frame count patched to
-/// the sample count). Inverse of [`segment_to_samples`] + muxing.
+/// the sample count). Inverse of `segment_to_samples` + muxing.
 pub fn samples_to_stream(codec_header: &[u8], samples: &[Sample]) -> Vec<u8> {
     let mut out = codec_header[..HEADER_LEN.min(codec_header.len())].to_vec();
     if out.len() == HEADER_LEN {

@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use crate::CoreError;
 
 /// Runs `f` over `items` on all available cores, preserving input order.
-pub(crate) fn parallel_map<I, O, F>(items: Vec<I>, f: F) -> Result<Vec<O>, CoreError>
+fn parallel_map<I, O, F>(items: Vec<I>, f: F) -> Result<Vec<O>, CoreError>
 where
     I: Send,
     O: Send,

@@ -18,7 +18,7 @@ fn dominated_by(p: &SweepPoint, q: &SweepPoint) -> bool {
 
 /// The rate-quality efficient frontier of a sweep, sorted by ascending
 /// bitrate. Among rate-quality ties, the cheaper (faster) point is kept.
-pub fn pareto_front(points: &[SweepPoint]) -> Vec<SweepPoint> {
+fn pareto_front(points: &[SweepPoint]) -> Vec<SweepPoint> {
     let _span = vtx_telemetry::Span::enter_with("experiment/pareto_front", |a| {
         a.u64("points", points.len() as u64);
     });
@@ -54,11 +54,11 @@ pub struct LadderPlan {
 
 /// Minimum PSNR separation between ladder rungs: adjacent renditions closer
 /// than this are perceptually redundant.
-pub const MIN_RUNG_SEPARATION_DB: f64 = 1.0;
+const MIN_RUNG_SEPARATION_DB: f64 = 1.0;
 
 /// Picks up to `rungs` frontier points that fit a compute budget: rungs are
 /// chosen greedily by quality-per-second from the Pareto front (skipping
-/// candidates within [`MIN_RUNG_SEPARATION_DB`] of an already-chosen rung),
+/// candidates within `MIN_RUNG_SEPARATION_DB` of an already-chosen rung),
 /// then sorted by bitrate.
 pub fn ladder_for_budget(points: &[SweepPoint], rungs: usize, budget_seconds: f64) -> LadderPlan {
     let front = pareto_front(points);

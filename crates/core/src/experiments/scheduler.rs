@@ -43,7 +43,7 @@ pub struct SchedulerStudy {
 
 impl SchedulerStudy {
     /// Total baseline time.
-    pub fn baseline_total(&self) -> f64 {
+    fn baseline_total(&self) -> f64 {
         self.baseline_times.iter().sum()
     }
 
@@ -78,9 +78,9 @@ pub fn scheduler_study(seed: u64, sample_shift: u32) -> Result<SchedulerStudy, C
 }
 
 /// Measured (task × config) matrices: the raw material of the Figure 9
-/// study and the calibration input of `vtx-serve`'s cost model.
+/// study, consumed only by `scheduler_study_with_tasks`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredMatrix {
+struct MeasuredMatrix {
     /// Modified configuration names, column order of `times`.
     pub config_names: Vec<String>,
     /// Measured seconds on the baseline configuration, per task.
@@ -98,7 +98,7 @@ pub struct MeasuredMatrix {
 /// # Errors
 ///
 /// Propagates transcoding failures.
-pub fn measure_task_matrix(
+fn measure_task_matrix(
     tasks: &[TranscodeTask],
     seed: u64,
     sample_shift: u32,

@@ -109,7 +109,7 @@ pub fn triangle_study(
 /// # Errors
 ///
 /// Propagates transcoding failures.
-pub fn triangle_study_with(
+fn triangle_study_with(
     transcoder: &Transcoder,
     crfs: Vec<u8>,
     refs: Vec<u8>,

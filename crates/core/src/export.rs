@@ -12,7 +12,7 @@ use crate::experiments::videos::VideoRun;
 /// # Panics
 ///
 /// Panics if any row's width differs from the header's.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
+fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "| {} |", header.join(" | "));
     let _ = writeln!(
@@ -55,7 +55,7 @@ const SUMMARY_HEADER: [&str; 7] = [
 ];
 
 /// Sweep points (Figures 3–5) as a Markdown table keyed by (crf, refs).
-pub fn sweep_markdown(points: &[SweepPoint]) -> String {
+pub(crate) fn sweep_markdown(points: &[SweepPoint]) -> String {
     let mut header = vec!["crf", "refs"];
     header.extend(SUMMARY_HEADER);
     let rows: Vec<Vec<String>> = points
@@ -75,7 +75,7 @@ pub fn sweep_markdown(points: &[SweepPoint]) -> String {
 }
 
 /// Preset study (Figure 6) as a Markdown table.
-pub fn presets_markdown(runs: &[PresetRun]) -> String {
+pub(crate) fn presets_markdown(runs: &[PresetRun]) -> String {
     let mut header = vec!["preset"];
     header.extend(SUMMARY_HEADER);
     let rows: Vec<Vec<String>> = runs
@@ -95,7 +95,7 @@ pub fn presets_markdown(runs: &[PresetRun]) -> String {
 }
 
 /// Cross-video study (Figure 7) as a Markdown table.
-pub fn videos_markdown(runs: &[VideoRun]) -> String {
+pub(crate) fn videos_markdown(runs: &[VideoRun]) -> String {
     let mut header = vec!["video", "res", "entropy"];
     header.extend(SUMMARY_HEADER);
     let rows: Vec<Vec<String>> = runs

@@ -38,7 +38,7 @@ mod summary;
 mod transcoder;
 
 pub mod experiments;
-pub mod export;
+mod export;
 pub mod trace_export;
 
 pub use error::CoreError;

@@ -22,7 +22,7 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Extracts the summary from a full profile report.
-    pub fn from_profile(p: &ProfileReport) -> Self {
+    pub(crate) fn from_profile(p: &ProfileReport) -> Self {
         RunSummary {
             seconds: p.seconds,
             ipc: p.ipc,

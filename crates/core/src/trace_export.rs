@@ -29,7 +29,7 @@ use vtx_telemetry::Collector;
 use vtx_trace::ProfileReport;
 
 /// First pid used for synthetic simulated-time tracks (the wall-clock track
-/// is [`vtx_telemetry::chrome::WALL_PID`]).
+/// is `vtx_telemetry`'s `WALL_PID`).
 pub const SIM_PID_BASE: u64 = 100;
 
 fn profile_registry() -> &'static Mutex<BTreeMap<String, ProfileReport>> {
@@ -40,7 +40,7 @@ fn profile_registry() -> &'static Mutex<BTreeMap<String, ProfileReport>> {
 /// Records the latest [`ProfileReport`] for its configuration name. Called
 /// by [`crate::Transcoder::transcode`] while telemetry is enabled; keeping
 /// only the latest report per config bounds memory across 800-point sweeps.
-pub fn record_profile(report: &ProfileReport) {
+pub(crate) fn record_profile(report: &ProfileReport) {
     profile_registry()
         .lock()
         .expect("profile registry poisoned")
@@ -105,7 +105,7 @@ fn add_sim_track(out: &mut ChromeTrace, pid: u64, report: &ProfileReport) {
 
 /// Drains the collector and renders everything as a Chrome trace-event JSON
 /// document: the recorded wall-clock spans plus one simulated-time track per
-/// configuration seen by [`record_profile`].
+/// configuration seen by `record_profile`.
 pub fn chrome_trace_json() -> String {
     let trace = Collector::drain();
     let mut out = ChromeTrace::from_trace(&trace);

@@ -48,7 +48,7 @@ impl Frame {
     ///
     /// Returns [`FrameError::GeometryMismatch`] unless the chroma planes are
     /// exactly half the luma size in both dimensions.
-    pub fn from_planes(y: Plane, u: Plane, v: Plane) -> Result<Self, FrameError> {
+    pub(crate) fn from_planes(y: Plane, u: Plane, v: Plane) -> Result<Self, FrameError> {
         let ok = u.width() == y.width() / 2
             && u.height() == y.height() / 2
             && v.width() == u.width()
@@ -108,20 +108,22 @@ impl Frame {
     }
 
     /// Number of luma macroblock columns (16x16 blocks, rounding up).
+    #[cfg(test)]
     #[inline]
-    pub fn mb_cols(&self) -> usize {
+    fn mb_cols(&self) -> usize {
         self.width().div_ceil(16)
     }
 
     /// Number of luma macroblock rows (16x16 blocks, rounding up).
+    #[cfg(test)]
     #[inline]
-    pub fn mb_rows(&self) -> usize {
+    fn mb_rows(&self) -> usize {
         self.height().div_ceil(16)
     }
 
     /// Total number of pixels across all three planes.
     #[inline]
-    pub fn total_samples(&self) -> usize {
+    pub(crate) fn total_samples(&self) -> usize {
         self.y.samples().len() + self.u.samples().len() + self.v.samples().len()
     }
 

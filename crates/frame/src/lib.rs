@@ -3,7 +3,7 @@
 //! This crate provides the raw-video substrate used by the transcoder in
 //! [`vtx-codec`](https://docs.rs/vtx-codec): 8-bit planar [`Plane`]s (and
 //! [`PaddedPlane`]s, their border-extended reference form), YUV 4:2:0
-//! [`Frame`]s, quality metrics ([`quality::psnr`]), and — because the vbench
+//! [`Frame`]s, quality metrics ([`quality::sequence_psnr`]), and — because the vbench
 //! corpus used by the paper is not redistributable — a deterministic
 //! *synthetic* video generator ([`synth`]) whose content complexity is driven
 //! by the same `entropy` metadata that vbench publishes ([`vbench`]).
@@ -30,7 +30,7 @@ mod plane;
 pub mod quality;
 pub mod synth;
 pub mod vbench;
-pub mod video;
+mod video;
 pub mod y4m;
 
 pub use error::FrameError;

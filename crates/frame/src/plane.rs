@@ -46,7 +46,7 @@ impl Plane {
     ///
     /// Returns [`FrameError::BufferSizeMismatch`] if `data.len() != width * height`
     /// and [`FrameError::InvalidDimensions`] for zero-sized geometry.
-    pub fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Result<Self, FrameError> {
+    pub(crate) fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Result<Self, FrameError> {
         if width == 0 || height == 0 {
             return Err(FrameError::InvalidDimensions { width, height });
         }
@@ -129,17 +129,6 @@ impl Plane {
         &self.data[start..start + self.width]
     }
 
-    /// Mutably borrows one full row of samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y >= height`.
-    #[inline]
-    pub fn row_mut(&mut self, y: usize) -> &mut [u8] {
-        let start = y * self.width;
-        &mut self.data[start..start + self.width]
-    }
-
     /// Fills the whole plane with a constant value.
     pub fn fill(&mut self, v: u8) {
         self.data.fill(v);
@@ -210,7 +199,7 @@ impl Plane {
     /// # Errors
     ///
     /// Returns [`FrameError::GeometryMismatch`] when the planes differ in size.
-    pub fn sse(&self, other: &Plane) -> Result<u64, FrameError> {
+    pub(crate) fn sse(&self, other: &Plane) -> Result<u64, FrameError> {
         if self.width != other.width || self.height != other.height {
             return Err(FrameError::GeometryMismatch);
         }

@@ -1,14 +1,14 @@
 //! Objective quality metrics.
 //!
 //! The paper reports transcoded video quality as global PSNR in decibels,
-//! which is what [`psnr`] computes (combined over Y, U and V with their
-//! natural sample weights, the same convention FFmpeg's `-psnr` uses for its
-//! "average" figure).
+//! which is what [`sequence_psnr`] computes (combined over Y, U and V with
+//! their natural sample weights, the same convention FFmpeg's `-psnr` uses
+//! for its "average" figure).
 
 use crate::{Frame, FrameError};
 
 /// PSNR cap used when two signals are bit-identical (MSE = 0).
-pub const PSNR_CAP_DB: f64 = 100.0;
+const PSNR_CAP_DB: f64 = 100.0;
 
 /// Mean squared error between two frames over all three planes.
 ///
@@ -37,14 +37,15 @@ pub fn mse(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
 /// # Errors
 ///
 /// Returns [`FrameError::GeometryMismatch`] when the frames differ in size.
-pub fn psnr(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
+#[cfg(test)]
+fn psnr(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
     let m = mse(a, b)?;
     Ok(psnr_from_mse(m))
 }
 
 /// Converts an MSE value to PSNR in dB for 8-bit content.
 #[inline]
-pub fn psnr_from_mse(mse: f64) -> f64 {
+fn psnr_from_mse(mse: f64) -> f64 {
     if mse <= 0.0 {
         return PSNR_CAP_DB;
     }
@@ -79,7 +80,8 @@ pub fn sequence_psnr(reference: &[Frame], distorted: &[Frame]) -> Result<f64, Fr
 ///
 /// Returns [`FrameError::GeometryMismatch`] when the frames differ in size
 /// or are smaller than one 8x8 window.
-pub fn ssim_luma(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
+#[cfg(test)]
+fn ssim_luma(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
     if a.width() != b.width() || a.height() != b.height() {
         return Err(FrameError::GeometryMismatch);
     }

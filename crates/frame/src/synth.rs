@@ -1,7 +1,7 @@
 //! Deterministic synthetic video generator — the stand-in for the vbench clips.
 //!
 //! The published vbench property that drives encoder behaviour is *entropy*
-//! (motion magnitude and scene-transition frequency). [`ContentProfile`] maps
+//! (motion magnitude and scene-transition frequency). `ContentProfile` maps
 //! that scalar onto concrete content knobs: number and speed of moving
 //! objects, global pan, texture amplitude/frequency, sensor-style noise, and
 //! scene-cut cadence. The generated frames therefore stress the encoder the
@@ -18,7 +18,7 @@ use crate::{Frame, Video, VideoSpec};
 
 /// Concrete content parameters derived from a vbench entropy score.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ContentProfile {
+struct ContentProfile {
     /// Number of independently moving foreground objects.
     pub object_count: usize,
     /// Peak object speed in simulated pixels per frame.
@@ -40,7 +40,7 @@ impl ContentProfile {
     ///
     /// The mapping is monotone: more entropy means more objects, faster
     /// motion, busier texture, more noise, and more frequent cuts.
-    pub fn from_entropy(entropy: f64) -> Self {
+    fn from_entropy(entropy: f64) -> Self {
         let e = entropy.clamp(0.0, 8.0);
         ContentProfile {
             object_count: 1 + (e * 1.4) as usize,
@@ -146,7 +146,7 @@ fn name_hash(name: &str) -> u64 {
 ///
 /// The output geometry is `spec.sim_width x spec.sim_height` with
 /// `spec.sim_frames` frames; content complexity follows
-/// [`ContentProfile::from_entropy`]`(spec.entropy)`.
+/// `ContentProfile::from_entropy(spec.entropy)`.
 ///
 /// # Example
 ///
@@ -164,7 +164,7 @@ pub fn generate(spec: &VideoSpec, seed: u64) -> Video {
 }
 
 /// Like [`generate`] but with an explicit, possibly hand-tuned profile.
-pub fn generate_with_profile(spec: &VideoSpec, profile: &ContentProfile, seed: u64) -> Video {
+fn generate_with_profile(spec: &VideoSpec, profile: &ContentProfile, seed: u64) -> Video {
     generate_by(spec, profile, seed, render_frame)
 }
 

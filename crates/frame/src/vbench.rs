@@ -36,7 +36,7 @@ pub struct VideoSpec {
 
 impl VideoSpec {
     /// Builds a spec from Table I fields, deriving the simulation geometry.
-    pub fn from_table(short: &str, width: u32, height: u32, fps: u32, entropy: f64) -> Self {
+    fn from_table(short: &str, width: u32, height: u32, fps: u32, entropy: f64) -> Self {
         let sim_width = round_to_mb(width / 8);
         let sim_height = round_to_mb(height / 8);
         // Half a second of content, but always at least 10 frames so GOP
@@ -61,7 +61,8 @@ impl VideoSpec {
     }
 
     /// Number of 16x16 macroblocks per synthesized frame.
-    pub fn mbs_per_frame(&self) -> u32 {
+    #[cfg(test)]
+    fn mbs_per_frame(&self) -> u32 {
         (self.sim_width / 16) * (self.sim_height / 16)
     }
 }

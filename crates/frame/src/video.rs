@@ -44,14 +44,9 @@ impl Video {
     }
 
     /// Duration in (simulated) seconds given the spec's frame rate.
-    pub fn duration_secs(&self) -> f64 {
+    #[cfg(test)]
+    fn duration_secs(&self) -> f64 {
         self.frames.len() as f64 / f64::from(self.spec.fps)
-    }
-
-    /// Total number of raw samples across all frames and planes — the
-    /// denominator for "bits per sample" style compression metrics.
-    pub fn total_samples(&self) -> usize {
-        self.frames.iter().map(Frame::total_samples).sum()
     }
 }
 

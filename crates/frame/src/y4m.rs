@@ -6,7 +6,7 @@
 //! footage can be pushed through the instrumented encoder.
 //!
 //! Only the 4:2:0 chroma layout this workspace uses (`C420`/`C420jpeg`/
-//! `C420mpeg2`) is accepted.
+//! `C420mpeg2`) is accepted, at most 8192 pixels wide and high.
 
 use std::error::Error;
 use std::fmt;
@@ -50,6 +50,11 @@ impl From<io::Error> for Y4mError {
     }
 }
 
+/// Largest accepted width and height: the widest frame of H.264 level 6.2.
+/// The cap bounds what a header can make the reader allocate before it has
+/// read a byte of picture data.
+const MAX_DIMENSION: usize = 8192;
+
 fn parse_err(detail: impl Into<String>) -> Y4mError {
     Y4mError::Parse {
         detail: detail.into(),
@@ -82,9 +87,10 @@ pub fn write_y4m<W: Write>(mut w: W, frames: &[Frame], fps: u32) -> Result<(), Y
 ///
 /// # Errors
 ///
-/// Returns [`Y4mError::Parse`] for non-y4m data, unsupported chroma
-/// layouts, or odd dimensions, and [`Y4mError::Io`] on truncated reads.
-pub fn read_y4m<R: Read>(mut r: R) -> Result<(Vec<Frame>, u32), Y4mError> {
+/// Returns [`Y4mError::Parse`] for non-y4m data, malformed header fields,
+/// unsupported chroma layouts, or odd dimensions or ones above
+/// `MAX_DIMENSION`, and [`Y4mError::Io`] on truncated reads.
+fn read_y4m<R: Read>(mut r: R) -> Result<(Vec<Frame>, u32), Y4mError> {
     let header = read_line(&mut r)?;
     let mut tokens = header.split(' ');
     if tokens.next() != Some("YUV4MPEG2") {
@@ -92,6 +98,11 @@ pub fn read_y4m<R: Read>(mut r: R) -> Result<(Vec<Frame>, u32), Y4mError> {
     }
     let (mut width, mut height, mut fps) = (0usize, 0usize, 30u32);
     for tok in tokens {
+        // Every field is a one-letter ASCII key and its value; an empty
+        // field (two spaces, a trailing space) is malformed.
+        if !tok.as_bytes().first().is_some_and(u8::is_ascii) {
+            return Err(parse_err("malformed header field"));
+        }
         let (key, val) = tok.split_at(1);
         match key {
             "W" => width = val.parse().map_err(|_| parse_err("bad width"))?,
@@ -102,7 +113,9 @@ pub fn read_y4m<R: Read>(mut r: R) -> Result<(Vec<Frame>, u32), Y4mError> {
                     .ok_or_else(|| parse_err("bad frame rate"))?;
                 let num: u32 = num.parse().map_err(|_| parse_err("bad frame rate"))?;
                 let den: u32 = den.parse().map_err(|_| parse_err("bad frame rate"))?;
-                fps = (num + den / 2) / den.max(1);
+                let den = den.max(1);
+                fps = u32::try_from((u64::from(num) + u64::from(den / 2)) / u64::from(den))
+                    .map_err(|_| parse_err("bad frame rate"))?;
             }
             "C" if !val.starts_with("420") => {
                 return Err(parse_err(format!("unsupported chroma layout C{val}")));
@@ -110,7 +123,13 @@ pub fn read_y4m<R: Read>(mut r: R) -> Result<(Vec<Frame>, u32), Y4mError> {
             _ => {} // interlacing / aspect / extensions: ignored
         }
     }
-    if width == 0 || height == 0 || width % 2 != 0 || height % 2 != 0 {
+    if width == 0
+        || height == 0
+        || width % 2 != 0
+        || height % 2 != 0
+        || width > MAX_DIMENSION
+        || height > MAX_DIMENSION
+    {
         return Err(parse_err(format!(
             "unsupported dimensions {width}x{height}"
         )));
@@ -256,6 +275,32 @@ mod tests {
         assert!(matches!(read_y4m(&hdr[..]), Err(Y4mError::Parse { .. })));
         let odd = b"YUV4MPEG2 W63 H48 F30:1 C420\n";
         assert!(matches!(read_y4m(&odd[..]), Err(Y4mError::Parse { .. })));
+    }
+
+    #[test]
+    fn malformed_headers_are_parse_errors_not_panics() {
+        for hdr in [
+            "YUV4MPEG2 W32 H32 F30:1  Ip A1:1 C420",
+            "YUV4MPEG2 W32 H32 F30:1 C420 ",
+            "YUV4MPEG2 W32 H32 \u{e9}30:1 C420",
+            "YUV4MPEG2 W60000 H60000 F30:1 C420",
+            "YUV4MPEG2 W8194 H32 F30:1 C420",
+        ] {
+            let stream = format!("{hdr}\nFRAME\n");
+            assert!(
+                matches!(read_y4m(stream.as_bytes()), Err(Y4mError::Parse { .. })),
+                "{hdr:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn extreme_frame_rate_does_not_overflow() {
+        let mut buf = b"YUV4MPEG2 W2 H2 F4294967295:2 C420\nFRAME\n".to_vec();
+        buf.extend_from_slice(&[0; 6]);
+        let (frames, fps) = read_y4m(buf.as_slice()).unwrap();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(fps, 2_147_483_648);
     }
 
     #[test]

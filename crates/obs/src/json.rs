@@ -1,6 +1,6 @@
 //! Minimal JSON reader used for self-validation — the workspace's only one.
 //!
-//! The trajectory writer ([`crate::trajectory`]) emits JSON by hand (the
+//! The trajectory writer (`crate::trajectory`) emits JSON by hand (the
 //! workspace takes no serialization dependency); this module is the matching
 //! hand-rolled reader, so schema validation of `BENCH_serving.json` and of
 //! the Chrome-trace export — in tests and in CI — does not depend on an

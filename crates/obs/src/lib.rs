@@ -28,15 +28,15 @@
 //! trajectory documents on any platform.
 
 pub mod json;
-pub mod sketch;
-pub mod slo;
-pub mod trace;
-pub mod trajectory;
-pub mod window;
+mod sketch;
+mod slo;
+mod trace;
+mod trajectory;
+mod window;
 
 pub use sketch::QuantileSketch;
 pub use slo::{AlertTransition, BurnRateMonitor, SloConfig};
-pub use trace::{ConservationStats, JobTracker, Terminal, JOB_PID};
+pub use trace::{ConservationStats, JobTracker, JOB_PID};
 pub use trajectory::{milli, wall_clock_enabled, BenchTrajectory, TrajectoryRow};
 pub use window::WindowedQuantiles;
 
@@ -76,7 +76,7 @@ impl ObsConfig {
 
 /// One autoscaler decision as seen by the observability plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScaleEvent {
+struct ScaleEvent {
     /// When the decision was committed (µs).
     pub t_us: u64,
     /// Server index the decision targets.
@@ -114,11 +114,6 @@ impl ObsPlane {
             alerts: Vec::new(),
             scale_events: Vec::new(),
         }
-    }
-
-    /// Whether hooks are live.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     /// Job `id` arrived.
@@ -244,19 +239,9 @@ impl ObsPlane {
         &self.windows
     }
 
-    /// The burn-rate monitor.
-    pub fn monitor(&self) -> &BurnRateMonitor {
-        &self.monitor
-    }
-
     /// All alert transitions in emission order.
     pub fn alerts(&self) -> &[AlertTransition] {
         &self.alerts
-    }
-
-    /// All autoscaler decisions in commit order.
-    pub fn scale_events(&self) -> &[ScaleEvent] {
-        &self.scale_events
     }
 
     /// Deterministic plain-text autoscaler decision stream, one line per
@@ -385,7 +370,7 @@ mod tests {
         assert!(plane.tracker().is_empty());
         assert_eq!(plane.windows().overall().count(), 0);
         assert!(plane.alerts().is_empty());
-        assert!(plane.scale_events().is_empty());
+        assert!(plane.scale_events.is_empty());
     }
 
     #[test]
@@ -393,7 +378,7 @@ mod tests {
         let mut plane = ObsPlane::new(ObsConfig::default(), 2);
         plane.on_scale(1_000, 5, true);
         plane.on_scale(9_000, 5, false);
-        assert_eq!(plane.scale_events().len(), 2);
+        assert_eq!(plane.scale_events.len(), 2);
         let text = plane.render_scale_events();
         assert!(text.contains("scale dir=out server=5"));
         assert!(text.contains("scale dir=in server=5"));

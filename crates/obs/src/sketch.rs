@@ -95,7 +95,8 @@ impl QuantileSketch {
 
     /// Merges another sketch in (bucketwise add, ascending bucket order —
     /// the result is independent of merge grouping).
-    pub fn merge(&mut self, other: &QuantileSketch) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &QuantileSketch) {
         for (&idx, &c) in &other.buckets {
             *self.buckets.entry(idx).or_insert(0) += c;
         }
@@ -110,18 +111,14 @@ impl QuantileSketch {
         self.count
     }
 
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact sum of all recorded samples.
-    pub fn sum(&self) -> u128 {
+    pub(crate) fn sum(&self) -> u128 {
         self.sum
     }
 
     /// Exact minimum (0 when empty — the zero-stats contract).
-    pub fn min(&self) -> u64 {
+    #[cfg(test)]
+    fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -129,13 +126,9 @@ impl QuantileSketch {
         }
     }
 
-    /// Exact maximum (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Integer mean, truncated (0 when empty).
-    pub fn mean(&self) -> u64 {
+    #[cfg(test)]
+    fn mean(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -166,7 +159,8 @@ impl QuantileSketch {
     }
 
     /// `(p50, p95, p99)` in one call.
-    pub fn summary(&self) -> (u64, u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn summary(&self) -> (u64, u64, u64) {
         (
             self.quantile_permille(500),
             self.quantile_permille(950),
@@ -176,7 +170,8 @@ impl QuantileSketch {
 
     /// One deterministic text line encoding the full sketch state —
     /// byte-comparable across runs and platforms.
-    pub fn encode(&self) -> String {
+    #[cfg(test)]
+    fn encode(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(32 + self.buckets.len() * 8);
         let _ = write!(
@@ -240,7 +235,7 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.quantile_permille(500), 0);
         assert_eq!(s.quantile_permille(990), 0);
-        assert_eq!((s.min(), s.max(), s.mean()), (0, 0, 0));
+        assert_eq!((s.min(), s.max, s.mean()), (0, 0, 0));
         assert_eq!(s.summary(), (0, 0, 0));
     }
 
@@ -253,7 +248,7 @@ mod tests {
         assert_eq!(s.quantile_permille(500), 5);
         assert_eq!(s.quantile_permille(1000), 55);
         assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 55);
+        assert_eq!(s.max, 55);
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub struct BurnRateMonitor {
 
 impl BurnRateMonitor {
     /// A monitor over `classes` service classes.
-    pub fn new(classes: usize, cfg: SloConfig) -> Self {
+    pub(crate) fn new(classes: usize, cfg: SloConfig) -> Self {
         let cfg = SloConfig {
             budget_milli: cfg.budget_milli.max(1),
             fast_window_us: cfg.fast_window_us.max(1),
@@ -131,29 +131,30 @@ impl BurnRateMonitor {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
     /// Total state transitions observed so far (firing + clearing).
-    pub fn transitions(&self) -> u64 {
+    pub(crate) fn transitions(&self) -> u64 {
         self.transitions
     }
 
     /// Whether the alert for `class` is currently firing.
-    pub fn is_firing(&self, class: usize) -> bool {
+    #[cfg(test)]
+    fn is_firing(&self, class: usize) -> bool {
         self.classes.get(class).is_some_and(|c| c.firing)
     }
 
     /// Number of classes currently firing.
-    pub fn firing_count(&self) -> usize {
+    pub(crate) fn firing_count(&self) -> usize {
         self.classes.iter().filter(|c| c.firing).count()
     }
 
     /// Records one outcome (`bad` = deadline violation or shed) for `class`
     /// at time `t_us`. Returns a transition if the alert state flipped.
-    pub fn observe(&mut self, class: usize, t_us: u64, bad: bool) -> Option<AlertTransition> {
+    pub(crate) fn observe(
+        &mut self,
+        class: usize,
+        t_us: u64,
+        bad: bool,
+    ) -> Option<AlertTransition> {
         let state = self.classes.get_mut(class)?;
         state.fast.observe(t_us / self.cfg.fast_window_us, bad);
         state.slow.observe(t_us / self.cfg.slow_window_us, bad);

@@ -26,7 +26,7 @@ pub const JOB_PID: u64 = 2;
 
 /// Why a dispatch span ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanEnd {
+enum SpanEnd {
     /// The attempt finished the job.
     Completed,
     /// The server faulted mid-flight; the job was requeued or shed.
@@ -53,7 +53,7 @@ impl SpanEnd {
 
 /// One dispatch attempt (primary or hedge) of one job on one server.
 #[derive(Debug, Clone)]
-pub struct AttemptSpan {
+struct AttemptSpan {
     /// Server index the attempt ran on.
     pub server: usize,
     /// Attempt ordinal as reported by the dispatcher (0-based; hedges share
@@ -71,7 +71,7 @@ pub struct AttemptSpan {
 
 /// Terminal state of a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Terminal {
+pub(crate) enum Terminal {
     /// Completed on some server.
     Completed {
         /// Completion time, microseconds.
@@ -92,7 +92,7 @@ pub enum Terminal {
 
 /// Full lifecycle record of one job.
 #[derive(Debug, Clone)]
-pub struct JobRecord {
+struct JobRecord {
     /// Job id.
     pub id: u64,
     /// Service class index (set at admission).
@@ -164,28 +164,20 @@ pub struct JobTracker {
 
 impl JobTracker {
     /// An empty tracker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JobTracker::default()
     }
 
-    /// Number of jobs seen.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Whether no jobs have been seen.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
 
     /// The record for `id`, if the job has been seen.
-    pub fn job(&self, id: u64) -> Option<&JobRecord> {
+    #[cfg(test)]
+    fn job(&self, id: u64) -> Option<&JobRecord> {
         self.jobs.get(&id)
-    }
-
-    /// All records, in job-id order.
-    pub fn jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.jobs.values()
     }
 
     fn anomaly(&mut self, msg: String) {
@@ -204,7 +196,7 @@ impl JobTracker {
     }
 
     /// Job `id` arrived at `t_us`.
-    pub fn on_arrive(&mut self, t_us: u64, id: u64) {
+    pub(crate) fn on_arrive(&mut self, t_us: u64, id: u64) {
         if self.jobs.contains_key(&id) {
             self.anomaly(format!("job {id}: duplicate arrival at {t_us}"));
             return;
@@ -213,7 +205,7 @@ impl JobTracker {
     }
 
     /// Job `id` was admitted into service class `class`.
-    pub fn on_admit(&mut self, t_us: u64, id: u64, class: usize) {
+    pub(crate) fn on_admit(&mut self, t_us: u64, id: u64, class: usize) {
         let job = self.job_mut(id, t_us);
         if job.admit_us.is_some() {
             self.anomaly(format!("job {id}: duplicate admit at {t_us}"));
@@ -224,7 +216,7 @@ impl JobTracker {
     }
 
     /// Job `id` was shed with a deterministic `reason` label.
-    pub fn on_shed(&mut self, t_us: u64, id: u64, reason: &str) {
+    pub(crate) fn on_shed(&mut self, t_us: u64, id: u64, reason: &str) {
         let job = self.job_mut(id, t_us);
         if job.terminal.is_some() {
             self.anomaly(format!("job {id}: shed after terminal at {t_us}"));
@@ -239,7 +231,7 @@ impl JobTracker {
     }
 
     /// Job `id` was dispatched to `server` (attempt `attempt`).
-    pub fn on_dispatch(&mut self, t_us: u64, id: u64, server: usize, attempt: u32) {
+    pub(crate) fn on_dispatch(&mut self, t_us: u64, id: u64, server: usize, attempt: u32) {
         self.job_mut(id, t_us).spans.push(AttemptSpan {
             server,
             attempt,
@@ -251,7 +243,7 @@ impl JobTracker {
     }
 
     /// A hedge twin of job `id` was launched on `server`.
-    pub fn on_hedge(&mut self, t_us: u64, id: u64, server: usize) {
+    pub(crate) fn on_hedge(&mut self, t_us: u64, id: u64, server: usize) {
         let job = self.job_mut(id, t_us);
         let attempt = job.spans.last().map_or(0, |s| s.attempt);
         job.spans.push(AttemptSpan {
@@ -265,7 +257,7 @@ impl JobTracker {
     }
 
     /// Job `id` completed on `server`.
-    pub fn on_complete(
+    pub(crate) fn on_complete(
         &mut self,
         t_us: u64,
         id: u64,
@@ -292,7 +284,7 @@ impl JobTracker {
     }
 
     /// Job `id` timed out on `server` (it will be requeued or shed next).
-    pub fn on_timeout(&mut self, t_us: u64, id: u64, server: usize) {
+    pub(crate) fn on_timeout(&mut self, t_us: u64, id: u64, server: usize) {
         let closed = self
             .job_mut(id, t_us)
             .close_span(server, t_us, SpanEnd::TimedOut);
@@ -304,7 +296,7 @@ impl JobTracker {
     }
 
     /// Job `id` was requeued off faulted `server`.
-    pub fn on_requeue(&mut self, t_us: u64, id: u64, server: usize) {
+    pub(crate) fn on_requeue(&mut self, t_us: u64, id: u64, server: usize) {
         let job = self.job_mut(id, t_us);
         job.requeues += 1;
         // The span may already be closed if a timeout preceded the requeue.
@@ -312,14 +304,14 @@ impl JobTracker {
     }
 
     /// The losing hedge twin of job `id` on `server` was discarded.
-    pub fn on_hedge_discard(&mut self, t_us: u64, id: u64, server: usize) {
+    pub(crate) fn on_hedge_discard(&mut self, t_us: u64, id: u64, server: usize) {
         let job = self.job_mut(id, t_us);
         job.close_span(server, t_us, SpanEnd::Discarded);
     }
 
     /// The run ended at `makespan_us`: close any still-open spans as
     /// stranded so exported traces never contain dangling intervals.
-    pub fn on_finish(&mut self, makespan_us: u64) {
+    pub(crate) fn on_finish(&mut self, makespan_us: u64) {
         for job in self.jobs.values_mut() {
             for span in &mut job.spans {
                 if span.end.is_none() {
@@ -337,7 +329,7 @@ impl JobTracker {
     /// * every arrived job is either admitted or shed (no lost jobs);
     /// * every admitted job has exactly one terminal state;
     /// * no duplicate completions/sheds were ingested (anomaly log empty);
-    /// * every dispatch span is closed (call [`JobTracker::on_finish`] first).
+    /// * every dispatch span is closed (call `JobTracker::on_finish` first).
     pub fn check_conservation(&self) -> Result<ConservationStats, String> {
         if !self.anomalies.is_empty() {
             return Err(format!(

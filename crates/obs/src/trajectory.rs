@@ -27,7 +27,7 @@ use crate::json::{self, JsonValue};
 /// version 5 added the surge columns `shed_tenant` (sheds charged to
 /// tenant admission throttling) and the autoscaler capacity columns
 /// `peak_capacity_milli` / `served_capacity_milli` (0 when static).
-pub const SCHEMA_VERSION: u64 = 5;
+const SCHEMA_VERSION: u64 = 5;
 
 /// Fields every row must carry, in serialization order.
 const ROW_FIELDS: [&str; 23] = [
@@ -256,7 +256,7 @@ impl BenchTrajectory {
     /// Parses and schema-checks a serialized trajectory document.
     ///
     /// Checks: top-level `schema == 3`, `bench` is a string, `rows` is a
-    /// non-empty array, every row carries every field in [`ROW_FIELDS`]
+    /// non-empty array, every row carries every field in `ROW_FIELDS`
     /// with the right type, and basic metric sanity (`completed + shed ≤
     /// offered` would be wrong — hedges never over-complete, so
     /// `completed ≤ offered` and `availability_milli ≤ 1000`).

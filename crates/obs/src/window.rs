@@ -37,7 +37,7 @@ impl WindowedQuantiles {
     /// Creates a windowed view over `classes` service classes with tumbling
     /// windows of `width_us` microseconds, keeping the most recent `keep`
     /// windows per class for live queries.
-    pub fn new(classes: usize, width_us: u64, keep: usize) -> Self {
+    pub(crate) fn new(classes: usize, width_us: u64, keep: usize) -> Self {
         WindowedQuantiles {
             width_us: width_us.max(1),
             keep: keep.max(1),
@@ -48,18 +48,13 @@ impl WindowedQuantiles {
     }
 
     /// Number of service classes tracked.
-    pub fn classes(&self) -> usize {
+    pub(crate) fn classes(&self) -> usize {
         self.cumulative.len()
-    }
-
-    /// Window width in microseconds.
-    pub fn width_us(&self) -> u64 {
-        self.width_us
     }
 
     /// Records a sample for `class` at simulated/wall time `t_us`.
     /// Out-of-range classes are ignored (callers pass validated indices).
-    pub fn record(&mut self, class: usize, t_us: u64, value: u64) {
+    pub(crate) fn record(&mut self, class: usize, t_us: u64, value: u64) {
         if class >= self.cumulative.len() {
             return;
         }
@@ -91,8 +86,15 @@ impl WindowedQuantiles {
         }
     }
 
+    /// Whole-run sketch across all classes.
+    #[cfg(test)]
+    pub(crate) fn overall(&self) -> &QuantileSketch {
+        &self.overall
+    }
+
     /// Merged sketch over the retained windows for `class`.
-    pub fn live_sketch(&self, class: usize) -> QuantileSketch {
+    #[cfg(test)]
+    fn live_sketch(&self, class: usize) -> QuantileSketch {
         let mut merged = QuantileSketch::new();
         if let Some(ring) = self.windows.get(class) {
             for w in ring {
@@ -111,15 +113,11 @@ impl WindowedQuantiles {
         &self.cumulative[class]
     }
 
-    /// Whole-run sketch across all classes.
-    pub fn overall(&self) -> &QuantileSketch {
-        &self.overall
-    }
-
     /// Deterministic multi-line rendering of the live and cumulative state,
     /// one line per class: `class=<i> live_n=.. live_p50=.. live_p95=..
     /// live_p99=.. total_n=.. total_p99=..`.
-    pub fn render(&self, class_names: &[&str]) -> String {
+    #[cfg(test)]
+    fn render(&self, class_names: &[&str]) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for class in 0..self.cumulative.len() {
@@ -173,7 +171,7 @@ mod tests {
         assert_eq!(w.live_sketch(1).count(), 0);
         assert_eq!(w.live_sketch(1).quantile_permille(990), 0);
         assert!(w.live_sketch(2).quantile_permille(990) > 1_000_000);
-        assert_eq!(w.overall().count(), 2);
+        assert_eq!(w.overall.count(), 2);
     }
 
     #[test]
@@ -191,7 +189,7 @@ mod tests {
     fn out_of_range_class_is_ignored() {
         let mut w = WindowedQuantiles::new(2, 1000, 2);
         w.record(7, 0, 123);
-        assert_eq!(w.overall().count(), 0);
+        assert_eq!(w.overall.count(), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use vtx_trace::layout::CodeLayout;
 /// Fraction of each kernel's code that stays in the hot section after
 /// profile-guided basic-block reordering (the rest is moved to a cold
 /// section that the front end no longer streams).
-pub const HOT_FRACTION_PERCENT: u32 = 70;
+const HOT_FRACTION_PERCENT: u32 = 70;
 
 /// Computes a Pettis–Hansen kernel ordering from call-pair affinities.
 ///
@@ -27,7 +27,7 @@ pub const HOT_FRACTION_PERCENT: u32 = 70;
 /// edges are visited by descending affinity and chains are merged end-to-end
 /// in the orientation that keeps the connected kernels adjacent. Chains are
 /// finally emitted by descending total weight (hottest code first).
-pub fn pettis_hansen_order(profile: &KernelProfile) -> Vec<usize> {
+fn pettis_hansen_order(profile: &KernelProfile) -> Vec<usize> {
     let n = profile.len();
     if n == 0 {
         return Vec::new();
@@ -93,7 +93,7 @@ pub fn pettis_hansen_order(profile: &KernelProfile) -> Vec<usize> {
 
 /// Applies hot/cold splitting to the kernel descriptors: each hot footprint
 /// shrinks to [`HOT_FRACTION_PERCENT`] of its original size.
-pub fn split_hot_cold(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
+fn split_hot_cold(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
     kernels
         .iter()
         .map(|k| KernelDesc::new(k.name, (k.code_bytes * HOT_FRACTION_PERCENT / 100).max(64)))
@@ -106,7 +106,7 @@ pub fn split_hot_cold(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
 /// # Panics
 ///
 /// Panics if `profile` does not cover exactly `kernels.len()` kernels.
-pub fn optimized_layout(kernels: &[KernelDesc], profile: &KernelProfile) -> CodeLayout {
+pub(crate) fn optimized_layout(kernels: &[KernelDesc], profile: &KernelProfile) -> CodeLayout {
     assert_eq!(
         profile.len(),
         kernels.len(),

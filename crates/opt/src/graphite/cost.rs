@@ -7,7 +7,7 @@ use super::nest::LoopNest;
 
 /// Result of replaying a nest against a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayCost {
+struct ReplayCost {
     /// Total accesses replayed.
     pub accesses: u64,
     /// Misses observed.
@@ -16,7 +16,7 @@ pub struct ReplayCost {
 
 impl ReplayCost {
     /// Miss ratio in [0, 1].
-    pub fn miss_ratio(&self) -> f64 {
+    fn miss_ratio(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
@@ -32,7 +32,7 @@ impl ReplayCost {
 ///
 /// Panics if `params` describes an invalid cache geometry (programming
 /// error in the cost-model caller).
-pub fn replay(nest: &LoopNest, params: CacheParams) -> ReplayCost {
+fn replay(nest: &LoopNest, params: CacheParams) -> ReplayCost {
     let mut cache = Cache::new(params).expect("valid cache geometry");
     let line = u64::from(params.line_bytes);
     let mut accesses = 0;
@@ -49,7 +49,7 @@ pub fn replay(nest: &LoopNest, params: CacheParams) -> ReplayCost {
 /// Picks the candidate with the fewest misses under the given cache; ties go
 /// to the earliest candidate (the untransformed nest should be first so that
 /// transformations must strictly win).
-pub fn best_candidate(candidates: &[LoopNest], params: CacheParams) -> usize {
+fn best_candidate(candidates: &[LoopNest], params: CacheParams) -> usize {
     let mut best = 0;
     let mut best_misses = u64::MAX;
     for (i, c) in candidates.iter().enumerate() {

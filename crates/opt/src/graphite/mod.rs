@@ -14,9 +14,9 @@
 //!   the optimizer over them derives the [`vtx_trace::plan::DataPlan`] the
 //!   instrumented codec honours.
 
-pub mod cost;
-pub mod nest;
-pub mod plan;
+#[cfg(test)]
+mod cost;
+mod nest;
+mod plan;
 
-pub use nest::{Access, Dependence, LoopNest, TransformError};
-pub use plan::derive_plan;
+pub(crate) use plan::derive_plan;

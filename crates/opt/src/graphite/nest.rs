@@ -12,7 +12,7 @@ use std::fmt;
 
 /// An affine memory access within a loop-nest body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Access {
+pub(crate) struct Access {
     /// Base byte address.
     pub base: u64,
     /// Per-dimension byte strides (same length as the nest's dims).
@@ -23,7 +23,7 @@ pub struct Access {
 
 /// A data dependence summarized as a constant distance vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dependence {
+pub(crate) struct Dependence {
     /// Per-dimension iteration distance (outermost first).
     pub distance: Vec<i64>,
 }
@@ -31,7 +31,7 @@ pub struct Dependence {
 impl Dependence {
     /// Whether the distance vector is lexicographically non-negative (the
     /// dependence is preserved by the current loop order).
-    pub fn is_legal(&self) -> bool {
+    fn is_legal(&self) -> bool {
         for &d in &self.distance {
             if d > 0 {
                 return true;
@@ -46,7 +46,7 @@ impl Dependence {
 
 /// Why a transformation was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransformError {
+pub(crate) enum TransformError {
     /// A dependence distance vector would become lexicographically negative.
     IllegalDependence {
         /// The violated (transformed) distance vector.
@@ -95,7 +95,7 @@ impl Error for TransformError {}
 
 /// A perfect affine loop nest.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoopNest {
+pub(crate) struct LoopNest {
     /// Human-readable name (for reports).
     pub name: String,
     /// Loop extents, outermost first.
@@ -114,7 +114,7 @@ impl LoopNest {
     ///
     /// Panics on dimensionality mismatches — these are programming errors in
     /// the nest description, not runtime conditions.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         extents: Vec<i64>,
         accesses: Vec<Access>,
@@ -137,12 +137,12 @@ impl LoopNest {
     }
 
     /// Number of loop dimensions.
-    pub fn ndims(&self) -> usize {
+    fn ndims(&self) -> usize {
         self.extents.len()
     }
 
     /// Total iterations.
-    pub fn iterations(&self) -> u64 {
+    pub(crate) fn iterations(&self) -> u64 {
         self.extents.iter().product::<i64>() as u64
     }
 
@@ -153,7 +153,8 @@ impl LoopNest {
     /// Returns [`TransformError::BadDimension`] for out-of-range indices and
     /// [`TransformError::IllegalDependence`] if any permuted distance vector
     /// becomes lexicographically negative.
-    pub fn interchange(&self, a: usize, b: usize) -> Result<LoopNest, TransformError> {
+    #[cfg(test)]
+    pub(crate) fn interchange(&self, a: usize, b: usize) -> Result<LoopNest, TransformError> {
         let n = self.ndims();
         if a >= n || b >= n {
             return Err(TransformError::BadDimension {
@@ -187,7 +188,7 @@ impl LoopNest {
     /// / [`TransformError::NonDivisibleTile`] for bad arguments, and
     /// [`TransformError::IllegalDependence`] if a dependence crosses tiles
     /// backward (distance in `dim` negative — conservatively rejected).
-    pub fn tile(&self, dim: usize, tile: i64) -> Result<LoopNest, TransformError> {
+    pub(crate) fn tile(&self, dim: usize, tile: i64) -> Result<LoopNest, TransformError> {
         if tile <= 0 {
             return Err(TransformError::ZeroTile);
         }
@@ -263,7 +264,7 @@ impl LoopNest {
     /// [`TransformError::IllegalDependence`] if any `cross` dependence (from
     /// the first body to the second) has a lexicographically negative
     /// distance — fusing would then execute the consumer before its producer.
-    pub fn fuse(
+    pub(crate) fn fuse(
         a: &LoopNest,
         b: &LoopNest,
         cross: &[Dependence],
@@ -296,7 +297,7 @@ impl LoopNest {
     ///
     /// Intended for the cost model; the stream length is
     /// `iterations() * accesses.len()`.
-    pub fn address_stream(&self) -> AddressStream<'_> {
+    pub(crate) fn address_stream(&self) -> AddressStream<'_> {
         AddressStream {
             nest: self,
             ivs: vec![0; self.ndims()],
@@ -309,7 +310,7 @@ impl LoopNest {
 /// Iterator over a nest's (address, is_store) stream; see
 /// [`LoopNest::address_stream`].
 #[derive(Debug)]
-pub struct AddressStream<'a> {
+pub(crate) struct AddressStream<'a> {
     nest: &'a LoopNest,
     ivs: Vec<i64>,
     access_idx: usize,

@@ -155,7 +155,7 @@ fn decide_fuse_residual(l1d: CacheParams) -> bool {
 /// Derives the Graphite-optimized [`DataPlan`] for a target
 /// microarchitecture, using a representative 720p-class simulated frame
 /// geometry.
-pub fn derive_plan(cfg: &UarchConfig) -> DataPlan {
+pub(crate) fn derive_plan(cfg: &UarchConfig) -> DataPlan {
     let l1d = cfg.l1d;
     DataPlan {
         fuse_deblock: decide_fuse_deblock(l1d, 144, 240),

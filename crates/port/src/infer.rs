@@ -34,7 +34,7 @@ fn derive(seed: u64, salt: u64) -> u64 {
 
 /// Relative half-width of the multiplicative measurement noise the bench
 /// injects (±1%). Inference thresholds sit far above this.
-pub const NOISE: f64 = 0.01;
+const NOISE: f64 = 0.01;
 
 /// Synthetic measurement bench: a hidden layout probed through blocked-port
 /// throughput experiments.
@@ -62,12 +62,12 @@ impl BlockedPortBench {
 
     /// Number of ports the machine under test exposes (observable on real
     /// hardware from counter topology, so the experimenter may use it).
-    pub fn num_ports(&self) -> usize {
+    fn num_ports(&self) -> usize {
         self.truth.num_ports()
     }
 
     /// Name of the machine under test (for reports).
-    pub fn machine(&self) -> &str {
+    fn machine(&self) -> &str {
         &self.truth.name
     }
 
@@ -80,7 +80,7 @@ impl BlockedPortBench {
     /// Measured throughput (uops/cycle) of a single-class micro-kernel with
     /// the ports in `blocked` kept busy by filler uops. A class whose ports
     /// are all blocked measures 0.
-    pub fn measure_class(&self, class: UopClass, blocked: PortMask) -> f64 {
+    fn measure_class(&self, class: UopClass, blocked: PortMask) -> f64 {
         self.experiments.set(self.experiments.get() + 1);
         let free = self.truth.class_ports(class) & !blocked;
         let ideal = f64::from(free.count_ones());
@@ -90,7 +90,7 @@ impl BlockedPortBench {
 
     /// Measured throughput of a full mix with ports blocked. Unserved
     /// classes surface as an error just as a hung micro-benchmark would.
-    pub fn measure_mix(&self, mix: &UopMix, blocked: PortMask) -> Result<f64, PortError> {
+    fn measure_mix(&self, mix: &UopMix, blocked: PortMask) -> Result<f64, PortError> {
         self.experiments.set(self.experiments.get() + 1);
         let masked = self.masked_truth(blocked)?;
         let s = solve(&masked, mix, f64::from(u32::MAX))?;

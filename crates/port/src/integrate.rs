@@ -43,7 +43,8 @@ pub struct PortRefinement {
 
 impl PortRefinement {
     /// Slowdown factor the ports impose (`>= 1.0`).
-    pub fn slowdown(&self) -> f64 {
+    #[cfg(test)]
+    fn slowdown(&self) -> f64 {
         if self.cycles_before == 0 {
             1.0
         } else {

@@ -36,11 +36,11 @@ pub enum UopClass {
 }
 
 /// Number of distinct uop classes.
-pub const NUM_CLASSES: usize = 7;
+pub(crate) const NUM_CLASSES: usize = 7;
 
 impl UopClass {
     /// All classes in index order.
-    pub const ALL: [UopClass; NUM_CLASSES] = [
+    pub(crate) const ALL: [UopClass; NUM_CLASSES] = [
         UopClass::Alu,
         UopClass::Simd,
         UopClass::Shuffle,
@@ -51,7 +51,7 @@ impl UopClass {
     ];
 
     /// Stable index of this class (bit position in class masks).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             UopClass::Alu => 0,
             UopClass::Simd => 1,
@@ -64,7 +64,7 @@ impl UopClass {
     }
 
     /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             UopClass::Alu => "alu",
             UopClass::Simd => "simd",
@@ -78,10 +78,10 @@ impl UopClass {
 }
 
 /// A set of ports as a bitmask (bit `p` = port `p`).
-pub type PortMask = u16;
+pub(crate) type PortMask = u16;
 
-/// A set of uop classes as a bitmask (bit [`UopClass::index`]).
-pub type ClassMask = u16;
+/// A set of uop classes as a bitmask (bit `UopClass::index`).
+pub(crate) type ClassMask = u16;
 
 /// Ports × accepted uop classes for one core generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +98,7 @@ impl PortLayout {
     /// # Errors
     ///
     /// Returns [`PortError::EmptyLayout`] when `ports` is empty.
-    pub fn new(name: &str, ports: &[&[UopClass]]) -> Result<Self, PortError> {
+    pub(crate) fn new(name: &str, ports: &[&[UopClass]]) -> Result<Self, PortError> {
         if ports.is_empty() {
             return Err(PortError::EmptyLayout);
         }
@@ -138,7 +138,7 @@ impl PortLayout {
     /// The widened seven-port layout of the core-optimized `be_op2` column:
     /// Gainestown plus an extra ALU/SIMD port, matching the way its larger
     /// window and issue-at-dispatch widen the execution stage.
-    pub fn widened() -> Self {
+    pub(crate) fn widened() -> Self {
         use UopClass::*;
         Self::new(
             "widened",
@@ -158,7 +158,7 @@ impl PortLayout {
     /// The layout for a Table IV configuration name (`be_op2` → widened,
     /// everything else → Gainestown). The returned layout is renamed after
     /// the config so reports show which column it models.
-    pub fn for_config_name(name: &str) -> Self {
+    fn for_config_name(name: &str) -> Self {
         let mut layout = if name == "be_op2" {
             Self::widened()
         } else {
@@ -178,20 +178,15 @@ impl PortLayout {
         self.ports.len()
     }
 
-    /// Mask of every port in the layout.
-    pub fn all_ports(&self) -> PortMask {
-        ((1u32 << self.ports.len()) - 1) as PortMask
-    }
-
     /// Whether port `p` accepts class `c`.
-    pub fn allows(&self, p: usize, c: UopClass) -> bool {
+    pub(crate) fn allows(&self, p: usize, c: UopClass) -> bool {
         self.ports
             .get(p)
             .is_some_and(|m| m & (1 << c.index()) as ClassMask != 0)
     }
 
     /// Mask of the ports that accept class `c`.
-    pub fn class_ports(&self, c: UopClass) -> PortMask {
+    pub(crate) fn class_ports(&self, c: UopClass) -> PortMask {
         let bit = (1 << c.index()) as ClassMask;
         self.ports
             .iter()
@@ -201,7 +196,7 @@ impl PortLayout {
     }
 
     /// Union of the ports accepting any class in `classes`.
-    pub fn union_ports(&self, classes: ClassMask) -> PortMask {
+    pub(crate) fn union_ports(&self, classes: ClassMask) -> PortMask {
         UopClass::ALL
             .iter()
             .filter(|c| classes & (1 << c.index()) as ClassMask != 0)

@@ -7,13 +7,13 @@
 //! the SIMD ports while CABAC lives on the scalar ALUs and the branch unit.
 //! This crate models that level:
 //!
-//! * [`layout`] — per-microarchitecture port layouts (ports × uop classes),
+//! * `layout` — per-microarchitecture port layouts (ports × uop classes),
 //!   keyed to the Table IV configurations of `vtx-uarch`: the
 //!   core-widened `be_op2` column gets a seventh port, everything else
 //!   shares the Gainestown-style six-port layout.
-//! * [`mix`] — per-kernel uop-class mixes for every `vtx-codec` kernel,
+//! * `mix` — per-kernel uop-class mixes for every `vtx-codec` kernel,
 //!   aggregated from profiled hotspot weights or blended per preset rank.
-//! * [`solver`] — a saturating-flow steady-state solver: the exact
+//! * `solver` — a saturating-flow steady-state solver: the exact
 //!   max-flow subset bound `L* = max_S f(S)/|ports(S)|` over the seven uop
 //!   classes gives sustainable uops/cycle and per-port utilization.
 //! * [`infer`] — a uops.info-style inference harness: a hidden
@@ -22,7 +22,7 @@
 //!   the mapping, compresses it into a PALMED-style conjunctive
 //!   abstract-resource model, and validates predictions against fresh
 //!   measurements. Byte-deterministic for a fixed seed.
-//! * [`integrate`] — wiring into the rest of the pipeline: the solver's
+//! * `integrate` — wiring into the rest of the pipeline: the solver's
 //!   dispatch bound feeds `CoreModel::with_dispatch_bound`, so port
 //!   contention shows up as backend-core Top-down share, and per-port
 //!   utilizations publish to `vtx-telemetry` gauges.
@@ -52,18 +52,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod error;
+mod error;
 pub mod infer;
-pub mod integrate;
-pub mod layout;
-pub mod mix;
-pub mod solver;
+mod integrate;
+mod layout;
+mod mix;
+mod solver;
 
 pub use error::PortError;
-pub use infer::{
-    render_inference_report, validate, AbstractResource, BlockedPortBench, InferredModel,
-};
+pub use infer::{render_inference_report, validate, BlockedPortBench};
 pub use integrate::{dispatch_bound, refine_report, PortRefinement};
-pub use layout::{ClassMask, PortLayout, PortMask, UopClass, NUM_CLASSES};
+pub use layout::{PortLayout, UopClass};
 pub use mix::UopMix;
 pub use solver::{solve, ThroughputSolve};

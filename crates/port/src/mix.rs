@@ -1,25 +1,22 @@
 //! Per-kernel uop-mix descriptors.
 //!
 //! A [`UopMix`] says what fraction of a kernel's dynamic uops falls into
-//! each [`UopClass`] — the workload side of the port model. Mixes come from
-//! three places:
+//! each [`UopClass`](crate::layout::UopClass) — the workload side of the
+//! port model. Mixes come from three places:
 //!
 //! * a static per-kernel table ([`UopMix::for_kernel`]) keyed by the kernel
 //!   names `vtx-codec` declares in its instrumentation table, sized after
 //!   the instruction mixes of the corresponding x264/FFmpeg routines;
-//! * a profiled run ([`UopMix::from_hotspots`] /
-//!   [`UopMix::from_profile`]): the per-kernel instruction attribution of a
-//!   `vtx-trace` report weights the static mixes into one aggregate mix;
+//! * a profiled run ([`UopMix::from_hotspots`]): the per-kernel instruction
+//!   attribution of a `vtx-trace` report weights the static mixes into one
+//!   aggregate mix;
 //! * a preset rank ([`UopMix::for_preset_rank`]): the dominant kernels of
 //!   each x264 preset (Figure 6's speed ladder) blended without profiling,
 //!   for callers that must price a task before running it.
 
-use vtx_trace::kernel::KernelProfile;
-use vtx_trace::KernelDesc;
+use crate::layout::NUM_CLASSES;
 
-use crate::layout::{UopClass, NUM_CLASSES};
-
-/// Fractions of dynamic uops per [`UopClass`]; always sums to 1.
+/// Fractions of dynamic uops per [`UopClass`](crate::layout::UopClass); always sums to 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UopMix {
     fractions: [f64; NUM_CLASSES],
@@ -138,7 +135,7 @@ const PRESET_KERNELS: [&[(&str, f64)]; 10] = [
 impl UopMix {
     /// Builds a mix from raw per-class weights, normalizing to sum 1.
     /// All-zero (or negative-total) weights fall back to the default mix.
-    pub fn new(weights: [f64; NUM_CLASSES]) -> Self {
+    pub(crate) fn new(weights: [f64; NUM_CLASSES]) -> Self {
         let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
         if total <= 0.0 {
             // Normalize the fallback through the same path so it compares
@@ -153,12 +150,13 @@ impl UopMix {
     }
 
     /// The fraction of uops in class `c`.
-    pub fn fraction(&self, c: UopClass) -> f64 {
+    #[cfg(test)]
+    fn fraction(&self, c: crate::layout::UopClass) -> f64 {
         self.fractions[c.index()]
     }
 
-    /// All fractions, [`UopClass::ALL`] order.
-    pub fn fractions(&self) -> [f64; NUM_CLASSES] {
+    /// All fractions, [`UopClass::ALL`](crate::layout::UopClass::ALL) order.
+    pub(crate) fn fractions(&self) -> [f64; NUM_CLASSES] {
         self.fractions
     }
 
@@ -172,18 +170,19 @@ impl UopMix {
     }
 
     /// Whether the static table knows this kernel name.
-    pub fn knows_kernel(name: &str) -> bool {
+    #[cfg(test)]
+    fn knows_kernel(name: &str) -> bool {
         KERNEL_MIXES.iter().any(|(n, _)| *n == name)
     }
 
     /// Every kernel name in the static table, table order.
-    pub fn kernel_names() -> impl Iterator<Item = &'static str> {
+    pub(crate) fn kernel_names() -> impl Iterator<Item = &'static str> {
         KERNEL_MIXES.iter().map(|(n, _)| *n)
     }
 
     /// Blends weighted mixes into one (weights need not sum to 1; non-
     /// positive total falls back to the default mix).
-    pub fn blend(parts: &[(UopMix, f64)]) -> Self {
+    fn blend(parts: &[(UopMix, f64)]) -> Self {
         let mut weights = [0.0; NUM_CLASSES];
         for (mix, w) in parts {
             for (acc, f) in weights.iter_mut().zip(mix.fractions) {
@@ -204,13 +203,17 @@ impl UopMix {
         UopMix::blend(&parts)
     }
 
-    /// The aggregate mix of a [`KernelProfile`] given its descriptor table.
+    /// The aggregate mix of a `KernelProfile` given its descriptor table.
     ///
     /// # Panics
     ///
     /// Panics if `kernels` is shorter than the profile (a profile always
     /// matches the descriptor table it was collected against).
-    pub fn from_profile(profile: &KernelProfile, kernels: &[KernelDesc]) -> Self {
+    #[cfg(test)]
+    fn from_profile(
+        profile: &vtx_trace::kernel::KernelProfile,
+        kernels: &[vtx_trace::KernelDesc],
+    ) -> Self {
         assert!(
             kernels.len() >= profile.len(),
             "kernel table shorter than profile"
@@ -237,8 +240,9 @@ impl UopMix {
 
     /// Compact rendering: `alu 0.30 simd 0.15 ...` (fixed precision, stable
     /// across runs — safe to byte-compare).
-    pub fn render(&self) -> String {
-        UopClass::ALL
+    #[cfg(test)]
+    fn render(&self) -> String {
+        crate::layout::UopClass::ALL
             .iter()
             .map(|c| format!("{} {:.4}", c.name(), self.fraction(*c)))
             .collect::<Vec<_>>()
@@ -255,6 +259,9 @@ impl Default for UopMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::UopClass;
+    use vtx_trace::kernel::KernelProfile;
+    use vtx_trace::KernelDesc;
 
     fn assert_sums_to_one(mix: &UopMix) {
         let sum: f64 = mix.fractions().iter().sum();

@@ -40,7 +40,8 @@ pub struct ThroughputSolve {
 
 impl ThroughputSolve {
     /// Whether the ports (not the dispatch width) limit throughput.
-    pub fn port_limited(&self, width: f64) -> bool {
+    #[cfg(test)]
+    fn port_limited(&self, width: f64) -> bool {
         self.bound_load > 1.0 / width + 1e-12
     }
 }

@@ -5,7 +5,7 @@
 //! might change between versions. Two generators live here:
 //!
 //! - [`SplitMix64`]: 10 lines, passes BigCrush, and — crucially — supports
-//!   cheap independent streams via [`derive`], which the serving cost model
+//!   cheap independent streams via [`derive()`], which the serving cost model
 //!   uses to make per-(job, server) service noise a pure function of
 //!   `(seed, job, server)` rather than of the order in which a policy
 //!   happens to probe pairs. Fault plans and port inference use it too.

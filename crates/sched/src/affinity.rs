@@ -5,19 +5,19 @@
 //! §IV-A: each Table IV configuration attacks exactly one Top-down category,
 //! so a task's predicted benefit on a configuration is the share of pipeline
 //! slots it loses to that category. The share estimates come either from a
-//! cheap baseline profiling run ([`benefit_from_topdown`]) or, when no
+//! cheap baseline profiling run (`benefit_from_topdown`) or, when no
 //! profile is available, from the parameter-trend model the paper's heatmaps
-//! establish ([`predict_topdown`]). [`port_informed_benefit`] layers the
-//! issue-port execution model (`vtx-port`) on top: a kernel mix that
-//! saturates the SIMD ports gains extra from the core-widened `be_op2`
-//! column, which category shares alone cannot see.
+//! establish (`predict_topdown`). `port_informed_benefit`, compiled only
+//! for tests so far, layers the issue-port execution model (`vtx-port`) on
+//! top: a kernel mix that saturates the SIMD ports gains extra from the
+//! core-widened `be_op2` column, which category shares alone cannot see.
 //!
 //! # Degenerate inputs
 //!
 //! Every predictor here is total — the scheduler calls them on whatever it
 //! has — so the edge cases are contracts, not accidents:
 //!
-//! * **Empty kernel profile**: [`port_informed_benefit`] with no hotspots
+//! * **Empty kernel profile**: `port_informed_benefit` with no hotspots
 //!   falls back to the default (scalar-control) uop mix and still returns a
 //!   finite, non-negative benefit vector — it degrades to
 //!   [`benefit_from_characterization`] plus the default mix's port relief.
@@ -33,8 +33,6 @@
 //! Both degenerate paths are pinned by tests in this module.
 
 use vtx_codec::Preset;
-use vtx_port::{dispatch_bound, UopMix};
-use vtx_uarch::config::UarchConfig;
 use vtx_uarch::topdown::TopDown;
 
 use crate::task::TranscodeTask;
@@ -45,7 +43,7 @@ pub const CONFIG_NAMES: [&str; 4] = ["fe_op", "be_op1", "be_op2", "bs_op"];
 
 /// Maps a measured Top-down breakdown to per-configuration benefit scores:
 /// each configuration's score is the slot share of the category it attacks.
-pub fn benefit_from_topdown(td: &TopDown) -> [f64; 4] {
+fn benefit_from_topdown(td: &TopDown) -> [f64; 4] {
     [
         td.frontend,
         td.backend_memory,
@@ -91,7 +89,7 @@ pub fn benefit_from_characterization(td: &TopDown, l2_mpki: f64, l3_mpki: f64) -
 /// * slower presets are less memory-bound;
 /// * the entropy of the input (motion/scene complexity) raises front-end and
 ///   bad-speculation shares.
-pub fn predict_topdown(task: &TranscodeTask, entropy: f64) -> TopDown {
+fn predict_topdown(task: &TranscodeTask, entropy: f64) -> TopDown {
     let crf = f64::from(task.crf);
     let refs = f64::from(task.refs);
     let speed_rank = Preset::ALL
@@ -129,12 +127,16 @@ pub fn predict_benefit(task: &TranscodeTask, entropy: f64) -> [f64; 4] {
 /// the baseline layout — nonzero only for the core-widened `be_op2`, whose
 /// seventh port relieves SIMD pressure — is scaled by the task's core-bound
 /// share, since port relief only helps code that actually waits on ports.
-pub fn port_informed_benefit(
+#[cfg(test)]
+fn port_informed_benefit(
     td: &TopDown,
     l2_mpki: f64,
     l3_mpki: f64,
     hotspots: &[(String, u64)],
 ) -> [f64; 4] {
+    use vtx_port::{dispatch_bound, UopMix};
+    use vtx_uarch::config::UarchConfig;
+
     let mut benefit = benefit_from_characterization(td, l2_mpki, l3_mpki);
     let mix = UopMix::from_hotspots(hotspots);
     let Ok(base_bound) = dispatch_bound(&UarchConfig::baseline(), &mix) else {

@@ -27,7 +27,7 @@
 //! `rows > cols` the matrix is transposed and exactly `cols` rows win a
 //! column, the rest return `None` and stay queued.
 //!
-//! Costs are clamped to [`COST_CAP`] before scaling so all arithmetic fits
+//! Costs are clamped to `COST_CAP` before scaling so all arithmetic fits
 //! comfortably in `i128`; entries at or above the cap compete as equals.
 
 use crate::error::SchedError;
@@ -35,7 +35,7 @@ use crate::error::SchedError;
 /// Upper clamp on input costs (milli-units). Chosen so that scaled benefits
 /// and price escalations stay far inside `i128` for any feasible matrix; in
 /// the serving layer the largest suspect-penalized prediction is ~2^43.
-pub const COST_CAP: u64 = 1 << 50;
+const COST_CAP: u64 = 1 << 50;
 
 /// Sentinel for "no second-best object" (single-column matrices).
 const NO_SECOND: i128 = i128::MIN / 4;

@@ -10,7 +10,7 @@
 
 /// A many-to-one schedule: which tasks each server runs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchSchedule {
+struct BatchSchedule {
     /// `per_server[s]` lists the task indices placed on server `s`.
     pub per_server: Vec<Vec<usize>>,
     /// Predicted makespan (max per-server load) under the times used to
@@ -25,7 +25,7 @@ impl BatchSchedule {
     ///
     /// Panics if `times` does not cover every (task, server) pair in the
     /// schedule.
-    pub fn makespan(&self, times: &[Vec<f64>]) -> f64 {
+    fn makespan(&self, times: &[Vec<f64>]) -> f64 {
         self.per_server
             .iter()
             .enumerate()
@@ -34,7 +34,7 @@ impl BatchSchedule {
     }
 
     /// The server each task was placed on.
-    pub fn assignment(&self, n_tasks: usize) -> Vec<usize> {
+    fn assignment(&self, n_tasks: usize) -> Vec<usize> {
         let mut a = vec![usize::MAX; n_tasks];
         for (s, tasks) in self.per_server.iter().enumerate() {
             for &t in tasks {
@@ -63,7 +63,7 @@ fn validate(times: &[Vec<f64>]) -> usize {
 /// # Panics
 ///
 /// Panics on an empty or ragged time matrix.
-pub fn lpt_schedule(pred_times: &[Vec<f64>]) -> BatchSchedule {
+fn lpt_schedule(pred_times: &[Vec<f64>]) -> BatchSchedule {
     let m = validate(pred_times);
     let n = pred_times.len();
 
@@ -96,7 +96,7 @@ pub fn lpt_schedule(pred_times: &[Vec<f64>]) -> BatchSchedule {
 /// # Panics
 ///
 /// Panics on an empty or ragged time matrix.
-pub fn round_robin_schedule(times: &[Vec<f64>]) -> BatchSchedule {
+fn round_robin_schedule(times: &[Vec<f64>]) -> BatchSchedule {
     let m = validate(times);
     let mut per_server: Vec<Vec<usize>> = vec![Vec::new(); m];
     for t in 0..times.len() {

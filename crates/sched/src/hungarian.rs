@@ -5,8 +5,8 @@
 //! `rows × cols` slice. The solver owns the potentials, the matching and
 //! the transpose buffer, so a caller that keeps one across calls (the
 //! serving layer solves a small matrix per dispatch round) allocates
-//! nothing once the buffers have grown to its largest shape. [`solve`],
-//! [`try_solve`] and [`solve_padded`] are thin wrappers that flatten a
+//! nothing once the buffers have grown to its largest shape. `solve`,
+//! `try_solve` and [`solve_padded`] are thin wrappers that flatten a
 //! `&[Vec<f64>]` and run a fresh solver. Ties break to the lowest index
 //! (every comparison is a strict `<` scanned in ascending order); the
 //! pinned serving artifacts depend on it.
@@ -193,7 +193,7 @@ impl Solver {
 /// # Panics
 ///
 /// Panics if `cost` is empty, ragged, or has more rows than columns.
-pub fn solve(cost: &[Vec<f64>]) -> Vec<usize> {
+fn solve(cost: &[Vec<f64>]) -> Vec<usize> {
     let n = cost.len();
     assert!(n > 0, "cost matrix must be nonempty");
     let m = cost[0].len();
@@ -218,7 +218,7 @@ pub fn solve(cost: &[Vec<f64>]) -> Vec<usize> {
 ///
 /// Returns [`SchedError`] when the matrix is empty, ragged, or has more
 /// rows than columns.
-pub fn try_solve(cost: &[Vec<f64>]) -> Result<Vec<usize>, SchedError> {
+pub(crate) fn try_solve(cost: &[Vec<f64>]) -> Result<Vec<usize>, SchedError> {
     let (n, m) = validate_matrix(cost)?;
     if n > m {
         return Err(SchedError::TooManyTasks {
@@ -242,7 +242,8 @@ pub fn solve_padded(cost: &[Vec<f64>]) -> Result<Vec<Option<usize>>, SchedError>
 }
 
 /// Total cost of an assignment.
-pub fn assignment_cost(cost: &[Vec<f64>], assignment: &[usize]) -> f64 {
+#[cfg(test)]
+fn assignment_cost(cost: &[Vec<f64>], assignment: &[usize]) -> f64 {
     assignment
         .iter()
         .enumerate()

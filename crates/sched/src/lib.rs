@@ -13,25 +13,18 @@
 //!   Hungarian (Kuhn–Munkres) algorithm;
 //! * the **best** scheduler assigns each task to its measured best
 //!   configuration with no constraint (an oracle upper bound).
-//!
-//! [`batch`] extends the idea beyond the paper's 4-task case study to
-//! many-jobs-per-server makespan scheduling (the production scenario the
-//! paper's introduction motivates).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod affinity;
 pub mod auction;
-pub mod batch;
+#[cfg(test)]
+mod batch;
 mod error;
 pub mod hungarian;
 pub mod scheduler;
 pub mod task;
 
 pub use error::SchedError;
-pub use scheduler::{
-    best_assignment, random_expected_time, smart_assignment, try_best_assignment,
-    try_random_expected_time, try_smart_assignment, ScheduleOutcome,
-};
 pub use task::{table_iii_tasks, TranscodeTask};

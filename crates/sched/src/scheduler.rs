@@ -32,8 +32,8 @@ impl ScheduleOutcome {
 ///
 /// # Panics
 ///
-/// Panics on an empty or ragged matrix; see [`try_random_expected_time`]
-/// for the fallible variant.
+/// Panics on an empty or ragged matrix, with the [`SchedError`] message the
+/// crate-private `try_random_expected_time` returns.
 pub fn random_expected_time(times: &[Vec<f64>]) -> f64 {
     try_random_expected_time(times).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -43,7 +43,7 @@ pub fn random_expected_time(times: &[Vec<f64>]) -> f64 {
 /// # Errors
 ///
 /// Returns [`SchedError`] on an empty or ragged matrix.
-pub fn try_random_expected_time(times: &[Vec<f64>]) -> Result<f64, SchedError> {
+fn try_random_expected_time(times: &[Vec<f64>]) -> Result<f64, SchedError> {
     validate_matrix(times)?;
     Ok(times
         .iter()
@@ -56,8 +56,8 @@ pub fn try_random_expected_time(times: &[Vec<f64>]) -> Result<f64, SchedError> {
 ///
 /// # Panics
 ///
-/// Panics on an empty or ragged matrix; see [`try_best_assignment`] for the
-/// fallible variant.
+/// Panics on an empty or ragged matrix, with the [`SchedError`] message the
+/// crate-private `try_best_assignment` returns.
 pub fn best_assignment(times: &[Vec<f64>]) -> ScheduleOutcome {
     try_best_assignment(times).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -67,7 +67,7 @@ pub fn best_assignment(times: &[Vec<f64>]) -> ScheduleOutcome {
 /// # Errors
 ///
 /// Returns [`SchedError`] on an empty or ragged matrix.
-pub fn try_best_assignment(times: &[Vec<f64>]) -> Result<ScheduleOutcome, SchedError> {
+fn try_best_assignment(times: &[Vec<f64>]) -> Result<ScheduleOutcome, SchedError> {
     validate_matrix(times)?;
     let assignment: Vec<usize> = times
         .iter()
@@ -132,7 +132,7 @@ pub fn smart_assignment(benefit: &[Vec<f64>], times: &[Vec<f64>]) -> ScheduleOut
 ///
 /// Returns [`SchedError`] when either matrix is empty or ragged, their
 /// shapes disagree, or tasks outnumber configurations.
-pub fn try_smart_assignment(
+pub(crate) fn try_smart_assignment(
     benefit: &[Vec<f64>],
     times: &[Vec<f64>],
 ) -> Result<ScheduleOutcome, SchedError> {

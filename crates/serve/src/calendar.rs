@@ -39,13 +39,8 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -67,7 +62,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// The smallest `(t, seq)` pending, without removing it.
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
+    pub(crate) fn peek_key(&mut self) -> Option<(u64, u64)> {
         if self.len == 0 {
             return None;
         }

@@ -13,7 +13,7 @@
 //! indexed) tree over the per-server idle bits with per-cell counters. It
 //! answers "k-th idle server" (random policy), "first idle server at or
 //! after s" (round-robin) and "how idle is cell c" (routing) in
-//! O(log fleet). The in-flight machine ([`crate::inflight`]) maintains it
+//! O(log fleet). The in-flight machine (`crate::inflight`) maintains it
 //! incrementally for both drivers, and every dispatch round at every fleet
 //! size reads it; it holds only servers that may take work.
 
@@ -24,7 +24,7 @@ use crate::rng::derive;
 const VNODES_PER_CELL: usize = 16;
 
 /// Default servers per cell when the caller does not force a cell count.
-pub const DEFAULT_CELL_SIZE: usize = 64;
+const DEFAULT_CELL_SIZE: usize = 64;
 
 /// The routing threshold, in servers: below it the model-driven policies
 /// solve a round over the whole idle set (which the committed fig9
@@ -52,7 +52,7 @@ pub struct CellPlan {
 
 impl CellPlan {
     /// Builds a plan with `target_cells` cells (0 = auto-size at
-    /// [`DEFAULT_CELL_SIZE`] servers per cell). Cells are contiguous index
+    /// `DEFAULT_CELL_SIZE` servers per cell). Cells are contiguous index
     /// ranges whose sizes differ by at most one server.
     pub fn build(n_servers: usize, target_cells: usize, seed: u64) -> CellPlan {
         assert!(n_servers > 0, "cannot shard an empty fleet");
@@ -97,19 +97,19 @@ impl CellPlan {
     }
 
     /// Fleet size this plan shards.
-    pub fn n_servers(&self) -> usize {
+    pub(crate) fn n_servers(&self) -> usize {
         self.n_servers
     }
 
     /// The cell owning server `s`.
-    pub fn cell_of(&self, s: usize) -> usize {
+    pub(crate) fn cell_of(&self, s: usize) -> usize {
         debug_assert!(s < self.n_servers);
         // starts is sorted; partition_point gives the first start > s.
         self.starts.partition_point(|&b| b <= s) - 1
     }
 
     /// The server range of cell `c`.
-    pub fn range(&self, c: usize) -> std::ops::Range<usize> {
+    fn range(&self, c: usize) -> std::ops::Range<usize> {
         self.starts[c]..self.starts[c + 1]
     }
 
@@ -122,7 +122,7 @@ impl CellPlan {
     /// The job's two candidate cells (power-of-two-choices): successors of
     /// two independent seeded hashes of the job id on the ring. The pair is
     /// a pure function of `(seed, job id)`.
-    pub fn candidates(&self, job_id: u64) -> (usize, usize) {
+    pub(crate) fn candidates(&self, job_id: u64) -> (usize, usize) {
         let a = self.ring_cell(derive(self.seed ^ 0x0007_E001, job_id));
         let b = self.ring_cell(derive(self.seed ^ 0x0007_E002, job_id.wrapping_add(1)));
         (a, b)
@@ -160,7 +160,7 @@ impl IdleIndex {
     }
 
     /// The plan this index shards by.
-    pub fn plan(&self) -> &CellPlan {
+    pub(crate) fn plan(&self) -> &CellPlan {
         &self.plan
     }
 
@@ -209,17 +209,18 @@ impl IdleIndex {
     }
 
     /// Whether server `s` is idle.
-    pub fn is_idle(&self, s: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self, s: usize) -> bool {
         self.idle[s]
     }
 
     /// Total idle servers.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 
     /// Idle servers in cell `c`.
-    pub fn idle_in_cell(&self, c: usize) -> usize {
+    pub(crate) fn idle_in_cell(&self, c: usize) -> usize {
         self.per_cell[c] as usize
     }
 
@@ -244,7 +245,7 @@ impl IdleIndex {
     }
 
     /// First idle server with index `>= s`, without wraparound.
-    pub fn next_idle_at_or_after(&self, s: usize) -> Option<usize> {
+    pub(crate) fn next_idle_at_or_after(&self, s: usize) -> Option<usize> {
         let before = if s == 0 { 0 } else { self.rank(s - 1) };
         self.nth_idle(before)
     }
@@ -252,28 +253,29 @@ impl IdleIndex {
     /// Replaces `out` with the idle servers of cell `c`, ascending. The
     /// count is known ([`IdleIndex::idle_in_cell`]), so a buffer that has
     /// held a cell before is not reallocated.
-    pub fn fill_cell_idle(&self, c: usize, out: &mut Vec<usize>) {
+    pub(crate) fn fill_cell_idle(&self, c: usize, out: &mut Vec<usize>) {
         out.clear();
         out.reserve(self.idle_in_cell(c));
         out.extend(self.plan.range(c).filter(|&s| self.idle[s]));
     }
 
     /// Replaces `out` with all idle servers, ascending.
-    pub fn fill_idle(&self, out: &mut Vec<usize>) {
+    pub(crate) fn fill_idle(&self, out: &mut Vec<usize>) {
         out.clear();
         out.reserve(self.total);
         out.extend((0..self.idle.len()).filter(|&s| self.idle[s]));
     }
 
     /// The idle servers of cell `c`, ascending.
-    pub fn cell_idle(&self, c: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn cell_idle(&self, c: usize) -> Vec<usize> {
         let mut out = Vec::new();
         self.fill_cell_idle(c, &mut out);
         out
     }
 
     /// All idle servers, ascending.
-    pub fn to_vec(&self) -> Vec<usize> {
+    pub(crate) fn to_vec(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.fill_idle(&mut out);
         out

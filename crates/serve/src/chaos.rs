@@ -82,7 +82,7 @@ impl Default for BackoffConfig {
 
 impl BackoffConfig {
     /// Whether backoff is active.
-    pub fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.base_us > 0
     }
 
@@ -90,7 +90,7 @@ impl BackoffConfig {
     /// of `(seed, id, attempts)` — `base · 2^(attempts-1)` capped at
     /// `cap_us`, plus a seeded jitter of up to `jitter_milli/1000` of the
     /// capped delay. Returns `None` when backoff is disabled.
-    pub fn delay_us(&self, seed: u64, id: u64, attempts: u32) -> Option<u64> {
+    pub(crate) fn delay_us(&self, seed: u64, id: u64, attempts: u32) -> Option<u64> {
         if !self.enabled() {
             return None;
         }
@@ -194,7 +194,7 @@ impl AutoscaleConfig {
     /// The warm-up delay for a scale-out of `server`: `warmup_us` plus a
     /// seeded per-server jitter of up to `warmup_jitter_milli/1000` of the
     /// base. Pure in `(seed, server)`.
-    pub fn warmup_delay_us(&self, seed: u64, server: usize) -> u64 {
+    pub(crate) fn warmup_delay_us(&self, seed: u64, server: usize) -> u64 {
         let mut rng = SplitMix64::new(derive(seed, 0x5CA1E0u64.wrapping_add(server as u64)));
         let jitter_milli = if self.warmup_jitter_milli == 0 {
             0
@@ -214,7 +214,7 @@ impl AutoscaleConfig {
 /// up to `u64::MAX`. The old `(budget as f64 * hedge_after) as u64` path
 /// lost precision above 2^53 µs and rounded `u64::MAX`-sized budgets *up*
 /// through the f64 representation of the budget itself.
-pub fn hedge_due_us(arrival_us: u64, deadline_us: u64, hedge_after: f64) -> Option<u64> {
+pub(crate) fn hedge_due_us(arrival_us: u64, deadline_us: u64, hedge_after: f64) -> Option<u64> {
     let milli = (hedge_after * 1000.0).round();
     // NaN fails both comparisons and disables hedging.
     if !(0.0..1000.0).contains(&milli) {
@@ -228,7 +228,8 @@ pub fn hedge_due_us(arrival_us: u64, deadline_us: u64, hedge_after: f64) -> Opti
 
 impl ChaosConfig {
     /// Whether any chaos machinery is active.
-    pub fn enabled(&self) -> bool {
+    #[cfg(test)]
+    fn enabled(&self) -> bool {
         !self.plan.is_empty()
             || self.hedge_after < 1.0
             || self.degrade.enabled

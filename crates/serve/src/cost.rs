@@ -11,7 +11,7 @@
 //!   and the parameter-trend affinity model of
 //!   [`vtx_sched::affinity::predict_benefit`] applied to the server's
 //!   Table IV configuration and speed grade.
-//! * [`CostModel::port_predicted_us`] — the prediction refined by the
+//! * `CostModel::port_predicted_us` — the prediction refined by the
 //!   issue-port execution model (`vtx-port`): the job's preset-rank uop mix
 //!   is solved against the server's port layout, and the relief a wider
 //!   layout offers (the `be_op2` column's seventh port) divides the
@@ -186,7 +186,7 @@ impl CostModel {
     /// the baseline layout, for the job's preset-rank uop mix. 1.0 for
     /// every layout identical to the baseline (only the core-widened
     /// `be_op2` differs) and for unknown configs.
-    pub fn port_factor(&self, job: &JobSpec, server: &ServerSpec) -> f64 {
+    fn port_factor(&self, job: &JobSpec, server: &ServerSpec) -> f64 {
         let rank = Preset::ALL
             .iter()
             .position(|&p| p == job.task.preset)
@@ -201,7 +201,7 @@ impl CostModel {
 
     /// The port-refined prediction in microseconds (≥ 1):
     /// [`CostModel::predicted_us`] × [`CostModel::port_factor`].
-    pub fn port_predicted_us(&self, job: &JobSpec, server: &ServerSpec) -> u64 {
+    pub(crate) fn port_predicted_us(&self, job: &JobSpec, server: &ServerSpec) -> u64 {
         let refined = self.predicted_us(job, server) as f64 * self.port_factor(job, server);
         (refined.round() as u64).max(1)
     }

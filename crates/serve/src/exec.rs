@@ -2,9 +2,9 @@
 //! [`vtx_core::Transcoder`] jobs on per-server worker threads.
 //!
 //! This is the proof that the serving layer is not simulation-only: the
-//! same [`crate::engine`] loop pops the same event calendar over the same
+//! same `crate::engine` loop pops the same event calendar over the same
 //! [`ServiceCore`] and in-flight machine the simulator uses — only the
-//! [`Transport`] differs. Here an event due at `t` is handled when the wall
+//! `Transport` differs. Here an event due at `t` is handled when the wall
 //! clock reaches `t`, a started copy goes to its server's worker thread
 //! (a profiled transcode on the server's Table IV microarchitecture) and
 //! comes back as a report on a channel, and a planned crash kills the
@@ -68,7 +68,7 @@ impl Default for ExecConfig {
 }
 
 /// Rescales arrivals in place, keeping per-job deadline/timeout budgets.
-pub fn compress_arrivals(jobs: &mut [JobSpec], divisor: u64) {
+fn compress_arrivals(jobs: &mut [JobSpec], divisor: u64) {
     if divisor <= 1 {
         return;
     }
@@ -102,7 +102,7 @@ pub fn run_real(
 /// # Errors
 ///
 /// Same conditions as [`run_real`].
-pub fn run_real_trace(
+fn run_real_trace(
     jobs: &[JobSpec],
     seed: u64,
     fleet: Fleet,

@@ -20,7 +20,7 @@ pub struct ServerSpec {
 impl ServerSpec {
     /// Index of this server's uarch in [`CONFIG_NAMES`] order, `None` for
     /// the baseline (which attacks no Top-down category).
-    pub fn config_index(&self) -> Option<usize> {
+    pub(crate) fn config_index(&self) -> Option<usize> {
         CONFIG_NAMES.iter().position(|&n| n == self.uarch.name)
     }
 }
@@ -43,7 +43,8 @@ impl Fleet {
     /// [`ServeError::DuplicateServer`] when two servers share a name, and
     /// [`ServeError::InvalidSpeed`] for a speed grade that is not finite
     /// and positive.
-    pub fn try_new(servers: Vec<ServerSpec>) -> Result<Self, ServeError> {
+    #[cfg(test)]
+    pub(crate) fn try_new(servers: Vec<ServerSpec>) -> Result<Self, ServeError> {
         if servers.is_empty() {
             return Err(ServeError::EmptyFleet);
         }
@@ -63,26 +64,14 @@ impl Fleet {
         Ok(Fleet { servers })
     }
 
-    /// Builds a fleet, rejecting an empty server list. Kept for existing
-    /// callers; [`Fleet::try_new`] additionally validates names and speeds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::EmptyFleet`] when `servers` is empty.
-    pub fn new(servers: Vec<ServerSpec>) -> Result<Self, ServeError> {
-        if servers.is_empty() {
-            return Err(ServeError::EmptyFleet);
-        }
-        Ok(Fleet { servers })
-    }
-
     /// The panicking wrapper around [`Fleet::try_new`], for static fleets
     /// (mirrors how vtx-sched pairs `try_*` with a panicking front door).
     ///
     /// # Panics
     ///
     /// Panics with the underlying [`ServeError`] message on invalid input.
-    pub fn validated(servers: Vec<ServerSpec>) -> Self {
+    #[cfg(test)]
+    fn validated(servers: Vec<ServerSpec>) -> Self {
         Fleet::try_new(servers).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -116,7 +105,7 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`ServeError::EmptyFleet`] when `n` is 0.
-    pub fn table_iv_replicated(n: usize) -> Result<Self, ServeError> {
+    fn table_iv_replicated(n: usize) -> Result<Self, ServeError> {
         if n == 0 {
             return Err(ServeError::EmptyFleet);
         }
@@ -167,7 +156,7 @@ impl Fleet {
     }
 
     /// One server.
-    pub fn server(&self, idx: usize) -> &ServerSpec {
+    pub(crate) fn server(&self, idx: usize) -> &ServerSpec {
         &self.servers[idx]
     }
 }
@@ -272,7 +261,7 @@ mod tests {
 
     #[test]
     fn empty_fleet_is_rejected() {
-        assert_eq!(Fleet::new(vec![]).unwrap_err(), ServeError::EmptyFleet);
+        assert_eq!(Fleet::try_new(vec![]).unwrap_err(), ServeError::EmptyFleet);
         assert_eq!(
             Fleet::table_iv_replicated(0).unwrap_err(),
             ServeError::EmptyFleet

@@ -36,7 +36,7 @@ struct Running {
 
 /// A copy the driver must now put on its transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Started {
+pub(crate) struct Started {
     /// Job id.
     pub id: u64,
     /// Server the copy occupies; [`InFlight::job`] returns the job there.
@@ -54,7 +54,7 @@ pub struct Started {
 
 /// How the transport saw a copy's run end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// The work finished. `bytes` is the real artifact size when the driver
     /// has one (it sizes the cache insertion).
     Finished {
@@ -67,7 +67,7 @@ pub enum Outcome {
 
 /// What a finished copy meant for its job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resolution {
+pub(crate) enum Resolution {
     /// First good finish: the job completed.
     Complete,
     /// The work is discarded (and billed): the twin already won, or this
@@ -80,7 +80,7 @@ pub enum Resolution {
 impl Resolution {
     /// The verdict for a copy that just left its server, given whether the
     /// job already completed and how many copies of it are still running.
-    pub fn of(already_done: bool, copies_left: usize, outcome: Outcome) -> Resolution {
+    fn of(already_done: bool, copies_left: usize, outcome: Outcome) -> Resolution {
         match outcome {
             _ if already_done => Resolution::HedgeDiscard,
             Outcome::TimedOut if copies_left > 0 => Resolution::HedgeDiscard,
@@ -92,7 +92,7 @@ impl Resolution {
 
 /// The in-flight bookkeeping under the engine loop (see the module docs).
 #[derive(Debug)]
-pub struct InFlight {
+pub(crate) struct InFlight {
     idle: IdleIndex,
     running: Vec<Option<Running>>,
     /// Servers holding a copy of each in-flight job, so hedge triggers find
@@ -106,7 +106,7 @@ pub struct InFlight {
 impl InFlight {
     /// Empty slots over `core`'s fleet; servers the core would not give
     /// work (not yet scaled out) start outside the idle index.
-    pub fn new(core: &ServiceCore) -> Self {
+    pub(crate) fn new(core: &ServiceCore) -> Self {
         let n = core.fleet().len();
         let mut idle = IdleIndex::new(CellPlan::build(n, core.cells(), core.model().seed));
         for s in (0..n).filter(|&s| !core.takes_work(s, 0)) {
@@ -122,25 +122,20 @@ impl InFlight {
     }
 
     /// Whether no copy occupies any server.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.holders.is_empty()
-    }
-
-    /// The servers a dispatch round may use right now.
-    pub fn idle(&self) -> &IdleIndex {
-        &self.idle
     }
 
     /// The job running on `server`. Panics on an empty slot: drivers ask
     /// only about a copy they were just handed.
-    pub fn job(&self, server: usize) -> &PendingJob {
+    pub(crate) fn job(&self, server: usize) -> &PendingJob {
         &self.running[server].as_ref().expect("slot in use").job
     }
 
     /// Whether `server` still runs the copy started as `instance`. A finish
     /// report for any other instance is stale (the copy was drained off a
     /// lost server) and must be dropped.
-    pub fn holds(&self, server: usize, instance: u64) -> bool {
+    pub(crate) fn holds(&self, server: usize, instance: u64) -> bool {
         self.running[server]
             .as_ref()
             .is_some_and(|r| r.instance == instance)
@@ -205,7 +200,7 @@ impl InFlight {
     /// event. Each started copy has consulted the segment cache (a hit
     /// occupies the server for the lookup only, and hedging it would be
     /// pointless) and carries its hedge trigger, if any.
-    pub fn dispatch(&mut self, core: &mut ServiceCore, now_us: u64) -> Vec<Started> {
+    pub(crate) fn dispatch(&mut self, core: &mut ServiceCore, now_us: u64) -> Vec<Started> {
         for server in core.closed_breakers(now_us) {
             self.settle(core, server, now_us);
         }
@@ -234,7 +229,12 @@ impl InFlight {
     /// exactly the original copy is still in flight (not done, not
     /// requeued, not already hedged), on the predicted-fastest idle server
     /// the detector calls up (not merely "not down"); first completion wins.
-    pub fn hedge(&mut self, core: &mut ServiceCore, id: u64, now_us: u64) -> Option<Started> {
+    pub(crate) fn hedge(
+        &mut self,
+        core: &mut ServiceCore,
+        id: u64,
+        now_us: u64,
+    ) -> Option<Started> {
         if self.done.contains(&id) {
             return None;
         }
@@ -259,7 +259,7 @@ impl InFlight {
     /// The copy on `server` left it with `outcome`: books what that means
     /// for the job (see [`Resolution::of`]) and frees the server. Panics on
     /// an empty slot; check [`Self::holds`] first if the report may be stale.
-    pub fn finish(
+    pub(crate) fn finish(
         &mut self,
         core: &mut ServiceCore,
         server: usize,
@@ -294,7 +294,7 @@ impl InFlight {
     /// verdict or a scale-in on the core. It leaves the idle index, and the
     /// copy it held is requeued unless a twin can still finish the job (or
     /// already has).
-    pub fn server_lost(&mut self, core: &mut ServiceCore, server: usize, now_us: u64) {
+    pub(crate) fn server_lost(&mut self, core: &mut ServiceCore, server: usize, now_us: u64) {
         if let Some((r, left)) = self.take(server) {
             if left == 0 && !self.done.contains(&r.job.spec.id) {
                 core.fail(r.job, server, r.started_us, now_us);
@@ -307,7 +307,7 @@ impl InFlight {
     /// the core activates it and it is `alive` — the engine's ground truth:
     /// a server that crashed while warming never reports ready, detected
     /// or not.
-    pub fn server_ready(
+    pub(crate) fn server_ready(
         &mut self,
         core: &mut ServiceCore,
         server: usize,
@@ -397,11 +397,11 @@ mod tests {
         core.mark_down(origin.server, 600_000);
         flight.server_lost(&mut core, origin.server, 600_000);
         assert_eq!((core.queued(), flight.is_empty()), (0, false));
-        assert!(!flight.idle().is_idle(origin.server), "down stays out");
+        assert!(!flight.idle.is_idle(origin.server), "down stays out");
         let res = flight.finish(&mut core, twin.server, FINISHED, 700_000);
         assert_eq!(res, Resolution::Complete);
-        assert!(flight.idle().is_idle(twin.server));
-        let (report, _) = core.into_report(7, 700_000);
+        assert!(flight.idle.is_idle(twin.server));
+        let (report, _, _) = core.finish(7, 700_000);
         assert_eq!((report.completed, report.faults.requeued), (1, 0));
         assert_eq!(report.faults.hedges_won, 1);
     }
@@ -419,7 +419,7 @@ mod tests {
         let again = flight.dispatch(&mut core, 30)[0];
         assert_ne!(again.server, copy.server);
         assert_eq!(flight.job(again.server).attempts, 2);
-        assert_eq!(core.into_report(7, 30).0.faults.requeued, 1);
+        assert_eq!(core.finish(7, 30).0.faults.requeued, 1);
     }
 
     #[test]
@@ -465,7 +465,7 @@ mod tests {
         let res =
             m.1.finish(&mut m.0, hit.server, Outcome::Finished { bytes }, 30);
         assert_eq!(res, Resolution::Complete);
-        let stats = m.0.into_report(7, 30).0.cache.expect("cache stats");
+        let stats = m.0.finish(7, 30).0.cache.expect("cache stats");
         assert_eq!(
             (stats.hits, stats.inserted, stats.occupancy_bytes),
             (1, 1, 1_000)
@@ -485,7 +485,7 @@ mod tests {
         let (mut core, mut flight) = m;
         // One timeout trips `best`'s breaker and requeues the job.
         flight.finish(&mut core, best, Outcome::TimedOut, 10);
-        assert!(!flight.idle().is_idle(best), "held out while open");
+        assert!(!flight.idle.is_idle(best), "held out while open");
         // Post-filtering the policy's pick (it would choose `best` again)
         // would leave the job waiting a round beside four idle servers.
         let retry = flight.dispatch(&mut core, 10);
@@ -493,6 +493,6 @@ mod tests {
         assert_ne!(retry[0].server, best);
         // Once the window passes the server is dispatchable again.
         flight.dispatch(&mut core, 10 + 500_000);
-        assert!(flight.idle().is_idle(best));
+        assert!(flight.idle.is_idle(best));
     }
 }

@@ -29,10 +29,10 @@
 //!   `(seed, job, server)`, so policies compete on identical ground.
 //! * [`service`] — the [`service::ServiceCore`] (admission, dispatch,
 //!   accounting, event log).
-//! * [`inflight`] — the [`inflight::InFlight`] state machine: which server
+//! * `inflight` — the `inflight::InFlight` state machine: which server
 //!   runs which copy of which job, the incrementally maintained idle index,
 //!   hedge arming, server-lost drains and finish resolution.
-//! * [`engine`] — the one loop over those two: an event [`calendar`] seeded
+//! * `engine` — the one loop over those two: an event [`calendar`] seeded
 //!   from the fault plan and the arrival trace, popped until it is drained
 //!   and nothing is in flight, generic over a transport (a clock and a way
 //!   to run a copy). The two below are its transports and nothing more.
@@ -113,11 +113,11 @@ pub mod calendar;
 pub mod cells;
 pub mod chaos;
 pub mod cost;
-pub mod engine;
-pub mod error;
+mod engine;
+mod error;
 pub mod exec;
 pub mod fleet;
-pub mod inflight;
+mod inflight;
 pub mod policy;
 pub mod queue;
 pub mod report;
@@ -128,12 +128,9 @@ pub mod service;
 pub mod sim;
 pub mod workload;
 
-pub use chaos::{AutoscaleConfig, BackoffConfig, BreakerConfig, ChaosConfig, FaultPlan};
 pub use error::ServeError;
-pub use fleet::{Fleet, ServerSpec};
+pub use fleet::Fleet;
 pub use policy::{policy_by_name, DispatchPolicy};
-pub use report::{FaultAccounting, ScaleStats, SegmentStats, ServingReport};
 pub use segment::{SegmentOptions, SegmentPlan};
-pub use service::{ScaleAction, ServeConfig, ServiceCore, TenantAdmissionConfig, CLASS_NAMES};
-pub use sim::{simulate, SimOutcome};
+pub use service::{ServeConfig, ServiceCore, TenantAdmissionConfig, CLASS_NAMES};
 pub use workload::{JobSpec, Priority, WorkloadSpec};

@@ -48,12 +48,12 @@ use vtx_sched::hungarian::Solver;
 /// detector currently suspects: high enough that a suspected server is only
 /// chosen when nothing healthy is idle, low enough that the assignment
 /// matrix stays well-conditioned.
-pub const SUSPECT_PENALTY: f64 = 64.0;
+const SUSPECT_PENALTY: f64 = 64.0;
 
 /// Server → class: servers with identical (uarch, speed) — the only inputs
 /// the cost model reads — share a class, so a prediction made for one
 /// prices them all. Built once per run by whoever owns the fleet
-/// ([`crate::service::ServiceCore::new`]) and lent to policies through
+/// (`crate::service::ServiceCore::new`) and lent to policies through
 /// [`DispatchCtx::classes`].
 #[derive(Debug, Clone)]
 pub struct ClassMap {
@@ -88,12 +88,12 @@ impl ClassMap {
     }
 
     /// The class of server `s`.
-    pub fn class_of(&self, s: usize) -> usize {
+    fn class_of(&self, s: usize) -> usize {
         usize::from(self.class_of[s])
     }
 
     /// Number of distinct classes.
-    pub fn n_classes(&self) -> usize {
+    fn n_classes(&self) -> usize {
         self.n_classes
     }
 }
@@ -124,7 +124,7 @@ pub struct DispatchCtx<'a> {
 impl DispatchCtx<'_> {
     /// `base` cost inflated by [`SUSPECT_PENALTY`] when `server` is
     /// suspected (out-of-range indices count as up, for bare test contexts).
-    pub fn penalized(&self, base: f64, server: usize) -> f64 {
+    fn penalized(&self, base: f64, server: usize) -> f64 {
         match self.health.get(server) {
             Some(Health::Suspected) => base * SUSPECT_PENALTY,
             _ => base,
@@ -151,13 +151,13 @@ pub trait DispatchPolicy: fmt::Debug + Send {
 
 /// Uniform-random placement (the paper's random scheduler, online).
 #[derive(Debug)]
-pub struct RandomPolicy {
+struct RandomPolicy {
     rng: SplitMix64,
 }
 
 impl RandomPolicy {
     /// Creates the policy with its own seeded stream.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         RandomPolicy {
             rng: SplitMix64::new(seed),
         }
@@ -201,13 +201,13 @@ impl DispatchPolicy for RandomPolicy {
 /// baseline): a cursor walks server indices; each job takes the next idle
 /// server at or after the cursor.
 #[derive(Debug, Default)]
-pub struct RoundRobinPolicy {
+pub(crate) struct RoundRobinPolicy {
     cursor: usize,
 }
 
 impl RoundRobinPolicy {
     /// Creates the policy with the cursor at server 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -493,7 +493,7 @@ impl DispatchPolicy for SmartPolicy {
 /// difference shows up on fleets whose `be_op2` column offers port relief
 /// that the flat affinity model cannot see.
 #[derive(Debug)]
-pub struct PortPolicy {
+struct PortPolicy {
     core: ModelCore,
 }
 
@@ -505,7 +505,7 @@ impl Default for PortPolicy {
 
 impl PortPolicy {
     /// Creates the policy.
-    pub fn new() -> Self {
+    fn new() -> Self {
         PortPolicy {
             core: ModelCore::new(PredictionKind::Port),
         }
@@ -669,7 +669,7 @@ mod tests {
         let worlds = [
             World::table_iv(),
             World::new(Fleet::sized(8).unwrap()),
-            World::new(Fleet::new(reversed).unwrap()),
+            World::new(Fleet::try_new(reversed).unwrap()),
             World::new(Fleet::sized(64).unwrap()),
         ];
         let health = [Health::Up, Health::Suspected];
@@ -723,7 +723,7 @@ mod tests {
         // memo) over would price server s as server 9 - s.
         let first = World::new(Fleet::sized(10).unwrap());
         let reversed: Vec<_> = first.fleet.servers().iter().rev().cloned().collect();
-        let second = World::new(Fleet::new(reversed).unwrap());
+        let second = World::new(Fleet::try_new(reversed).unwrap());
         let jobs: Vec<PendingJob> = ["hall", "bike", "cat", "desktop"]
             .iter()
             .enumerate()

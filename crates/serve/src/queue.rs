@@ -14,9 +14,9 @@
 //! `VecDeque`: jobs live in a `BTreeMap` keyed by a monotonically assigned
 //! sequence key (FIFO = ascending key, front-insertion = descending keys
 //! below the start), with an earliest-deadline index per class and a global
-//! id index. That keeps every hot-path operation — [`AdmissionQueue::take`]
-//! by id, [`AdmissionQueue::candidates`], and the
-//! [`AdmissionQueue::drop_expired`] sweep — logarithmic in the backlog,
+//! id index. That keeps every hot-path operation — `AdmissionQueue::take`
+//! by id, `AdmissionQueue::candidates`, and the
+//! `AdmissionQueue::drop_expired` sweep — logarithmic in the backlog,
 //! which is what lets the XL discrete-event engine dispatch against
 //! thousand-deep queues without per-event O(queue) scans. The observable
 //! ordering contract is unchanged from the `VecDeque` version.
@@ -134,7 +134,7 @@ pub enum ShedReason {
 
 impl ShedReason {
     /// Short name used in event logs and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ShedReason::QueueFull => "queue_full",
             ShedReason::Displaced => "displaced",
@@ -174,7 +174,7 @@ pub struct PendingJob {
 
 /// Outcome of offering a job to the queue.
 #[derive(Debug, PartialEq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Job queued.
     Admitted,
     /// Job queued after displacing a lower-priority job (returned).
@@ -185,7 +185,7 @@ pub enum Admission {
 
 /// Bounded, priority-segregated admission queue.
 #[derive(Debug, Clone)]
-pub struct AdmissionQueue {
+pub(crate) struct AdmissionQueue {
     classes: [ClassQueue; 3],
     /// Job id → (class index, sequence key). Queued ids are unique: a job
     /// is either queued or in flight, never both.
@@ -199,7 +199,7 @@ pub struct AdmissionQueue {
 
 impl AdmissionQueue {
     /// Creates an empty queue with the given sizing.
-    pub fn new(cfg: QueueConfig) -> Self {
+    pub(crate) fn new(cfg: QueueConfig) -> Self {
         AdmissionQueue {
             classes: [ClassQueue::new(), ClassQueue::new(), ClassQueue::new()],
             index: BTreeMap::new(),
@@ -211,33 +211,24 @@ impl AdmissionQueue {
     /// Installs the per-unit rung table (indexed by job id, 0 = `hi`) that
     /// makes displacement unit-granular and rung-ordered. An empty table
     /// restores the legacy job-granular newest-first victim choice.
-    pub fn set_rung_table(&mut self, rungs: Vec<u8>) {
+    pub(crate) fn set_rung_table(&mut self, rungs: Vec<u8>) {
         self.rungs = rungs;
     }
 
     /// Total queued jobs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
     /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 
     /// Queued jobs in one class.
-    pub fn depth(&self, p: Priority) -> usize {
+    #[cfg(test)]
+    fn depth(&self, p: Priority) -> usize {
         self.classes[p.index()].len()
-    }
-
-    /// Earliest deadline of any queued job. `None` when empty. Lets the
-    /// dispatcher skip the expiry sweep entirely while nothing can have
-    /// expired.
-    pub fn min_deadline(&self) -> Option<u64> {
-        self.classes
-            .iter()
-            .filter_map(ClassQueue::min_deadline)
-            .min()
     }
 
     /// Displaces from the lowest-priority backlogged class strictly below
@@ -259,7 +250,7 @@ impl AdmissionQueue {
     /// strictly lower priority is displaced to make room. Equal-or-higher
     /// priority jobs are never displaced, and a full Batch queue refuses
     /// batch arrivals outright (pure backpressure).
-    pub fn offer(&mut self, job: PendingJob) -> Admission {
+    pub(crate) fn offer(&mut self, job: PendingJob) -> Admission {
         let k = job.spec.priority.index();
         let id = job.spec.id;
         if self.classes[k].len() < self.cfg.per_class_cap[k] {
@@ -281,7 +272,7 @@ impl AdmissionQueue {
     /// requeues an in-flight job off a failed server: the job already
     /// waited its turn once, so it should not go to the back of the line.
     /// Capacity and displacement rules are identical to [`Self::offer`].
-    pub fn offer_front(&mut self, job: PendingJob) -> Admission {
+    pub(crate) fn offer_front(&mut self, job: PendingJob) -> Admission {
         let k = job.spec.priority.index();
         let id = job.spec.id;
         if self.classes[k].len() < self.cfg.per_class_cap[k] {
@@ -300,7 +291,7 @@ impl AdmissionQueue {
     /// Removes and returns everything queued, class order. Used to settle
     /// accounting when the whole fleet has failed and nothing can ever be
     /// served again.
-    pub fn drain_all(&mut self) -> Vec<PendingJob> {
+    pub(crate) fn drain_all(&mut self) -> Vec<PendingJob> {
         let mut out = Vec::with_capacity(self.len());
         for q in &mut self.classes {
             // FIFO order = ascending sequence key.
@@ -315,7 +306,7 @@ impl AdmissionQueue {
 
     /// Removes and returns every queued job whose deadline has passed,
     /// FIFO order within each class (matching the historical scan order).
-    pub fn drop_expired(&mut self, now_us: u64) -> Vec<PendingJob> {
+    pub(crate) fn drop_expired(&mut self, now_us: u64) -> Vec<PendingJob> {
         let mut dropped = Vec::new();
         for q in &mut self.classes {
             if q.min_deadline().is_none_or(|d| d > now_us) {
@@ -341,7 +332,7 @@ impl AdmissionQueue {
     /// earliest-deadline-first within a class (FIFO ties broken by id, so
     /// the order is total and deterministic). Reads the per-class deadline
     /// index directly — no sort, O(limit · log backlog).
-    pub fn candidates(&self, limit: usize) -> Vec<&PendingJob> {
+    pub(crate) fn candidates(&self, limit: usize) -> Vec<&PendingJob> {
         let mut out: Vec<&PendingJob> = Vec::new();
         for q in &self.classes {
             for &(_, _, k) in &q.by_deadline {
@@ -355,7 +346,7 @@ impl AdmissionQueue {
     }
 
     /// Removes a specific job by id (after the policy chose it).
-    pub fn take(&mut self, id: u64) -> Option<PendingJob> {
+    pub(crate) fn take(&mut self, id: u64) -> Option<PendingJob> {
         let (class, key) = self.index.remove(&id)?;
         self.classes[class].remove_key(key)
     }

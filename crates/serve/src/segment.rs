@@ -293,7 +293,7 @@ impl SegmentPlan {
     }
 
     /// Unit ids that completed, read from the event log alone.
-    pub fn completed_units(&self, log: &[EventRecord]) -> BTreeSet<u64> {
+    fn completed_units(&self, log: &[EventRecord]) -> BTreeSet<u64> {
         log.iter()
             .filter_map(|e| match e {
                 EventRecord::Complete { id, .. } if (*id as usize) < self.meta.len() => Some(*id),

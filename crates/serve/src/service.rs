@@ -1,8 +1,8 @@
 //! The shared service core: admission, dispatch, and accounting.
 //!
-//! The engine loop ([`crate::engine`]) — under the simulator
+//! The engine loop (`crate::engine`) — under the simulator
 //! ([`crate::sim`]) and the real threaded executor ([`crate::exec`]) alike —
-//! owns a [`ServiceCore`] and, beside it, one [`crate::inflight::InFlight`]
+//! owns a [`ServiceCore`] and, beside it, one `crate::inflight::InFlight`
 //! that tracks what runs where between a dispatch and its terminal booking.
 //! The core holds the queue, the policy, the event log and all counters;
 //! the loop decides *when* its handlers fire, and its transport what a
@@ -47,7 +47,7 @@ pub struct ServeConfig {
     /// event stream when an SLO actually burns).
     pub obs: ObsConfig,
     /// Cell count the idle index shards the fleet into (0 = auto-size at
-    /// [`crate::cells::DEFAULT_CELL_SIZE`] servers per cell), in both
+    /// `crate::cells::DEFAULT_CELL_SIZE` servers per cell), in both
     /// drivers. Cells steer the model-driven policies' two-level routing;
     /// below [`crate::cells::XL_FLEET_THRESHOLD`] servers those solve the
     /// whole idle set in one piece, whatever the sharding.
@@ -63,7 +63,7 @@ pub struct ServeConfig {
     /// bills only the cache's lookup cost.
     pub cache: Option<CacheSpec>,
     /// Per-unit ladder rung indexed by dense job id (0 = highest rung).
-    /// Feeds rung-ordered displacement ([`AdmissionQueue::set_rung_table`])
+    /// Feeds rung-ordered displacement (`AdmissionQueue::set_rung_table`)
     /// and per-rung shed accounting. Empty = whole-clip jobs.
     pub unit_rungs: Vec<u8>,
     /// Per-unit segment index within the parent clip, indexed by dense job
@@ -75,7 +75,7 @@ pub struct ServeConfig {
     pub unit_bytes: Vec<u64>,
     /// Per-tenant token-bucket admission (`None` = disabled; the legacy
     /// path is byte-identical). Tenants are decoded from job ids via
-    /// [`crate::workload::tenant_of`]; a job arriving to an empty bucket
+    /// `crate::workload::tenant_of`; a job arriving to an empty bucket
     /// is shed with [`ShedReason::Throttled`] before it can displace
     /// anyone, so one tenant's flood cannot starve the others.
     pub tenants: Option<TenantAdmissionConfig>,
@@ -113,7 +113,7 @@ pub struct TenantAdmissionConfig {
     /// Tenant count (must match the workload's tenant encoding).
     pub n_tenants: usize,
     /// Per-tenant sustained admission rate, milli-jobs per second,
-    /// [`crate::workload::tenant_of`] index order. Shorter vectors repeat
+    /// `crate::workload::tenant_of` index order. Shorter vectors repeat
     /// their last entry; empty disables throttling.
     pub rate_milli_per_s: Vec<u64>,
     /// Bucket depth in milli-jobs (shared by all tenants).
@@ -135,7 +135,7 @@ impl TenantAdmissionConfig {
     }
 
     /// The refill rate for one tenant (last entry repeats; 0 if empty).
-    pub fn rate_for(&self, tenant: usize) -> u64 {
+    fn rate_for(&self, tenant: usize) -> u64 {
         self.rate_milli_per_s
             .get(tenant)
             .or(self.rate_milli_per_s.last())
@@ -186,7 +186,7 @@ impl TokenBuckets {
     }
 }
 
-/// Service-class names in [`Priority::index`] order, used by the
+/// Service-class names in `Priority::index` order, used by the
 /// observability plane's renderers.
 pub const CLASS_NAMES: [&str; 3] = ["interactive", "standard", "batch"];
 
@@ -375,7 +375,8 @@ pub enum EventRecord {
 
 impl EventRecord {
     /// Event timestamp (µs).
-    pub fn time_us(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn time_us(&self) -> u64 {
         match *self {
             EventRecord::Arrive { t, .. }
             | EventRecord::Admit { t, .. }
@@ -399,7 +400,7 @@ impl EventRecord {
     }
 
     /// One deterministic log line (no trailing newline).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             EventRecord::Arrive { t, id } => format!("{t:>12} arrive   job={id}"),
             EventRecord::Admit { t, id, class } => {
@@ -616,7 +617,7 @@ pub struct ServiceCore {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleAction {
     /// Launch `server`; it becomes dispatchable at `ready_us` (the driver
-    /// calls [`ServiceCore::server_ready`] then).
+    /// calls `ServiceCore::server_ready` then).
     Out {
         /// Server index in the provisioned fleet.
         server: usize,
@@ -633,7 +634,7 @@ pub enum ScaleAction {
 
 impl ServiceCore {
     /// Builds a core over a fleet, model and policy.
-    pub fn new(
+    pub(crate) fn new(
         cfg: ServeConfig,
         fleet: Fleet,
         model: CostModel,
@@ -732,11 +733,6 @@ impl ServiceCore {
         }
     }
 
-    /// The observability plane (read-only; entry points feed it).
-    pub fn obs(&self) -> &ObsPlane {
-        &self.obs
-    }
-
     /// Folds a burn-rate transition into the event log as an `Alert`.
     fn record_alert(&mut self, tr: AlertTransition) {
         self.metrics.alert_transitions.add(1);
@@ -750,12 +746,12 @@ impl ServiceCore {
     }
 
     /// The fleet this core serves.
-    pub fn fleet(&self) -> &Fleet {
+    pub(crate) fn fleet(&self) -> &Fleet {
         &self.fleet
     }
 
     /// The cost model (drivers bill truth from it).
-    pub fn model(&self) -> &CostModel {
+    pub(crate) fn model(&self) -> &CostModel {
         &self.model
     }
 
@@ -764,7 +760,12 @@ impl ServiceCore {
     /// covering `frames` of a `total`-frame clip costs that fraction of
     /// the whole-clip time (never rounded below 1 µs); with no segment
     /// plan this is exactly [`CostModel::true_us`].
-    pub fn true_service_us(&self, spec: &JobSpec, server_idx: usize, server: &ServerSpec) -> u64 {
+    pub(crate) fn true_service_us(
+        &self,
+        spec: &JobSpec,
+        server_idx: usize,
+        server: &ServerSpec,
+    ) -> u64 {
         let t = self.model.true_us(spec, server_idx, server);
         match self.cfg.unit_frames.get(spec.id as usize) {
             Some(&(frames, total)) if total > 0 => {
@@ -794,7 +795,12 @@ impl ServiceCore {
     /// transcode is skipped entirely: the driver bills only the returned
     /// lookup cost as service time. Returns `None` on a miss or with the
     /// cache disabled (misses are counted; disabled is free).
-    pub fn cache_lookup(&mut self, job: &PendingJob, server: usize, now_us: u64) -> Option<u64> {
+    pub(crate) fn cache_lookup(
+        &mut self,
+        job: &PendingJob,
+        server: usize,
+        now_us: u64,
+    ) -> Option<u64> {
         self.cache.as_ref()?;
         let key = self.cache_key(&job.spec);
         let cache = self.cache.as_mut().expect("checked above");
@@ -819,7 +825,7 @@ impl ServiceCore {
     /// knob-based estimate sizes the entry. The entry's recompute cost is
     /// the port-refined prediction scaled to the unit's share of the clip,
     /// which is what the GDSF policy protects.
-    pub fn cache_insert(
+    pub(crate) fn cache_insert(
         &mut self,
         job: &PendingJob,
         server_idx: usize,
@@ -851,18 +857,13 @@ impl ServiceCore {
         self.metrics.cache_entries.set(stats.entries as f64);
     }
 
-    /// The policy's report name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Jobs currently queued.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.queue.len()
     }
 
     /// The chaos configuration (drivers read the plan and detector from it).
-    pub fn chaos(&self) -> &ChaosConfig {
+    pub(crate) fn chaos(&self) -> &ChaosConfig {
         &self.cfg.chaos
     }
 
@@ -872,7 +873,7 @@ impl ServiceCore {
     }
 
     /// Detector belief per server, fleet order.
-    pub fn health(&self) -> &[Health] {
+    pub(crate) fn health(&self) -> &[Health] {
         &self.health
     }
 
@@ -898,7 +899,7 @@ impl ServiceCore {
     }
 
     /// Marks a server suspected (no-op unless it is currently `Up`).
-    pub fn mark_suspected(&mut self, server: usize, now_us: u64) {
+    pub(crate) fn mark_suspected(&mut self, server: usize, now_us: u64) {
         if self.health[server] == Health::Up {
             self.health[server] = Health::Suspected;
             self.on_health_transition();
@@ -912,7 +913,7 @@ impl ServiceCore {
     }
 
     /// Marks a server down (no-op if already down).
-    pub fn mark_down(&mut self, server: usize, now_us: u64) {
+    pub(crate) fn mark_down(&mut self, server: usize, now_us: u64) {
         if self.health[server] != Health::Down {
             self.health[server] = Health::Down;
             self.on_health_transition();
@@ -970,7 +971,7 @@ impl ServiceCore {
     /// the driver to act on — scheduling [`ServiceCore::server_ready`] at
     /// each `Out` action's `ready_us` and draining any job running on an
     /// `In` action's server through [`ServiceCore::fail`].
-    pub fn autoscale_tick(&mut self, now_us: u64) -> Vec<ScaleAction> {
+    pub(crate) fn autoscale_tick(&mut self, now_us: u64) -> Vec<ScaleAction> {
         let cfg = self.cfg.chaos.autoscale;
         if !cfg.enabled {
             return Vec::new();
@@ -1049,7 +1050,7 @@ impl ServiceCore {
     /// Finishes a scale-out's warm-up: the server becomes active (and
     /// dispatchable) unless it died while warming. Returns whether it
     /// activated, so the driver knows to mark it idle.
-    pub fn server_ready(&mut self, server: usize, now_us: u64) -> bool {
+    pub(crate) fn server_ready(&mut self, server: usize, now_us: u64) -> bool {
         self.warming[server] = false;
         if self.active[server] {
             return true;
@@ -1067,7 +1068,7 @@ impl ServiceCore {
 
     /// Books one injected fault (the driver calls this when a planned fault
     /// actually fires).
-    pub fn record_fault(&mut self, server: usize, kind: FaultKind, now_us: u64) {
+    pub(crate) fn record_fault(&mut self, server: usize, kind: FaultKind, now_us: u64) {
         chaos_metrics::faults_injected().add(1);
         if kind == FaultKind::Crash {
             chaos_metrics::crashes().add(1);
@@ -1083,7 +1084,7 @@ impl ServiceCore {
     /// charged against the retry budget (the work is lost) but the dead
     /// server is *not* billed busy time for it. The job rejoins the front
     /// of its class queue if budget and deadline allow.
-    pub fn fail(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
+    pub(crate) fn fail(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
         self.requeued += 1;
         self.lost_spans.push(now_us.saturating_sub(started_us));
         chaos_metrics::requeues().add(1);
@@ -1149,18 +1150,18 @@ impl ServiceCore {
 
     /// The earliest instant a parked job becomes due (`None` = nothing
     /// parked). Drivers schedule their release wake-up from this.
-    pub fn next_parked_due(&self) -> Option<u64> {
+    pub(crate) fn next_parked_due(&self) -> Option<u64> {
         self.parked.keys().next().map(|&(due, _)| due)
     }
 
     /// Jobs currently parked under backoff.
-    pub fn parked_count(&self) -> usize {
+    pub(crate) fn parked_count(&self) -> usize {
         self.parked.len()
     }
 
     /// Re-admits every parked job whose delay has elapsed, due order —
     /// the same admission rules as the immediate path, just later.
-    pub fn release_parked(&mut self, now_us: u64) {
+    pub(crate) fn release_parked(&mut self, now_us: u64) {
         while let Some(&(due, id)) = self.parked.keys().next() {
             if due > now_us {
                 break;
@@ -1217,7 +1218,7 @@ impl ServiceCore {
     }
 
     /// Books a hedged duplicate dispatch (the driver schedules the copy).
-    pub fn hedge_dispatch(&mut self, job: &PendingJob, server: usize, now_us: u64) {
+    pub(crate) fn hedge_dispatch(&mut self, job: &PendingJob, server: usize, now_us: u64) {
         self.hedges_launched += 1;
         chaos_metrics::hedges().add(1);
         self.obs.on_hedge(now_us, job.spec.id, server);
@@ -1232,21 +1233,21 @@ impl ServiceCore {
     /// Books a hedge copy of job `id` whose work was discarded (the other
     /// copy won, or both attempts timed out). The server still did the
     /// work, so it is billed busy time.
-    pub fn hedge_discard(&mut self, id: u64, server: usize, started_us: u64, now_us: u64) {
+    pub(crate) fn hedge_discard(&mut self, id: u64, server: usize, started_us: u64, now_us: u64) {
         self.server_busy_us[server] += now_us.saturating_sub(started_us);
         self.hedges_wasted += 1;
         self.obs.on_hedge_discard(now_us, id, server);
     }
 
     /// Books a completion that was won by the hedge copy, not the original.
-    pub fn note_hedge_won(&mut self) {
+    pub(crate) fn note_hedge_won(&mut self) {
         self.hedges_won += 1;
     }
 
     /// Sheds everything still queued. Called by drivers when the whole
     /// fleet is down and nothing can ever be served again, so every
     /// admitted job still reaches a terminal state.
-    pub fn shed_stranded(&mut self, now_us: u64) {
+    pub(crate) fn shed_stranded(&mut self, now_us: u64) {
         for job in self.queue.drain_all() {
             self.shed_job(&job, ShedReason::Expired, now_us);
         }
@@ -1302,7 +1303,7 @@ impl ServiceCore {
     }
 
     /// Offers an arriving job to admission control.
-    pub fn offer(&mut self, spec: JobSpec, now_us: u64) {
+    pub(crate) fn offer(&mut self, spec: JobSpec, now_us: u64) {
         self.offered += 1;
         self.metrics.offered.add(1);
         let id = spec.id;
@@ -1353,7 +1354,7 @@ impl ServiceCore {
     /// Returns `(job, server index)` pairs for the driver to start. `idle`
     /// must hold only servers that may take work — down, deactivated and
     /// breaker-open servers stay out of it (see [`crate::inflight`]).
-    pub fn dispatch(&mut self, idle: &IdleIndex, now_us: u64) -> Vec<(PendingJob, usize)> {
+    pub(crate) fn dispatch(&mut self, idle: &IdleIndex, now_us: u64) -> Vec<(PendingJob, usize)> {
         let level = self.pre_dispatch(now_us);
         if idle.total() == 0 || self.queue.is_empty() {
             return Vec::new();
@@ -1442,7 +1443,13 @@ impl ServiceCore {
     }
 
     /// Books a finished job: `started_us` is when the dispatch began.
-    pub fn complete(&mut self, job: &PendingJob, server: usize, started_us: u64, now_us: u64) {
+    pub(crate) fn complete(
+        &mut self,
+        job: &PendingJob,
+        server: usize,
+        started_us: u64,
+        now_us: u64,
+    ) {
         self.server_busy_us[server] += now_us.saturating_sub(started_us);
         self.server_jobs[server] += 1;
         // A success closes the breaker's consecutive-failure run.
@@ -1480,7 +1487,7 @@ impl ServiceCore {
 
     /// Books a timed-out dispatch attempt. The job goes back through
     /// admission if it has retry budget left; otherwise it is shed.
-    pub fn timeout(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
+    pub(crate) fn timeout(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
         self.server_busy_us[server] += now_us.saturating_sub(started_us);
         self.metrics.timeouts.add(1);
         self.obs.on_timeout(now_us, job.spec.id, server);
@@ -1495,26 +1502,15 @@ impl ServiceCore {
     }
 
     /// The `(job id, server)` sequence committed so far, dispatch order.
-    pub fn assignments(&self) -> &[(u64, usize)] {
+    pub(crate) fn assignments(&self) -> &[(u64, usize)] {
         &self.assignments
     }
 
-    /// The event log (empty when `collect_event_log` is off).
-    pub fn event_log(&self) -> &[EventRecord] {
-        &self.log
-    }
-
-    /// Finalizes the run into a report; `makespan_us` is the timestamp of
-    /// the last event the driver processed.
-    pub fn into_report(self, seed: u64, makespan_us: u64) -> (ServingReport, Vec<EventRecord>) {
-        let (report, log, _obs) = self.finish(seed, makespan_us);
-        (report, log)
-    }
-
-    /// Like [`ServiceCore::into_report`] but also returns the finalized
+    /// Finalizes the run into a report, the event log and the finalized
     /// observability plane (stranded job spans closed), so drivers can
-    /// export traces, live quantiles and the alert stream.
-    pub fn finish(
+    /// export traces, live quantiles and the alert stream; `makespan_us` is
+    /// the timestamp of the last event the driver processed.
+    pub(crate) fn finish(
         mut self,
         seed: u64,
         makespan_us: u64,
@@ -1700,7 +1696,7 @@ mod tests {
         for (job, server) in &started {
             core.complete(job, *server, 1_000_000, 1_500_000);
         }
-        let (report, log) = core.into_report(7, 1_500_000);
+        let (report, log, _) = core.finish(7, 1_500_000);
         assert_eq!(report.offered, 3);
         assert_eq!(report.completed, 3);
         assert_eq!(report.sojourn.count, 3);
@@ -1729,7 +1725,7 @@ mod tests {
         assert_eq!(job.attempts, 2);
         core.timeout(job, server, 30, 40);
         assert_eq!(core.queued(), 0, "retry budget spent");
-        let (report, _) = core.into_report(7, 40);
+        let (report, _, _) = core.finish(7, 40);
         assert_eq!(report.shed[ShedReason::RetriesExhausted as usize], 1);
         assert_eq!(report.retries, 1);
         assert_eq!(report.completed, 0);
@@ -1744,7 +1740,7 @@ mod tests {
         let started = core.dispatch(&idle(&[0]), 1);
         let (job, server) = started.into_iter().next().unwrap();
         core.complete(&job, server, 1, 100);
-        let (report, _) = core.into_report(7, 100);
+        let (report, _, _) = core.finish(7, 100);
         assert_eq!(report.slo_violations, 1);
         assert!(report.violation_rate() > 0.99);
     }
@@ -1761,7 +1757,7 @@ mod tests {
         let started = core.dispatch(&idle(&[0]), 10);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].0.spec.id, jobs[1].id);
-        let (report, _) = core.into_report(7, 10);
+        let (report, _, _) = core.finish(7, 10);
         assert_eq!(report.shed[ShedReason::Expired as usize], 1);
     }
 
@@ -1775,8 +1771,8 @@ mod tests {
         for j in &jobs {
             core.offer(j.clone(), j.arrival_us);
         }
-        assert!(core.event_log().is_empty());
-        let (report, log) = core.into_report(7, 100);
+        assert!(core.log.is_empty());
+        let (report, log, _) = core.finish(7, 100);
         assert!(log.is_empty());
         assert_eq!(report.offered, 2);
     }
@@ -1786,7 +1782,7 @@ mod tests {
         let mut core = core_with(ServeConfig::default());
         let jobs = spec_jobs(1);
         core.offer(jobs[0].clone(), 0);
-        let text = render_event_log(core.event_log());
+        let text = render_event_log(&core.log);
         assert_eq!(text.lines().count(), 2); // arrive + admit
         assert!(text.contains("arrive"));
         assert!(text.contains("admit"));
@@ -1815,7 +1811,7 @@ mod tests {
         core.offer(jobs[6].clone(), 2_000_000); // id 6, tenant 0
         core.offer(jobs[7].clone(), 2_000_000); // id 7, tenant 1
         assert_eq!(core.queued(), 3);
-        let (report, log) = core.into_report(7, 2_000_000);
+        let (report, log, _) = core.finish(7, 2_000_000);
         assert_eq!(report.shed[ShedReason::Throttled as usize], 5);
         assert_eq!(report.shed_by_tenant, vec![3, 2]);
         assert!(render_event_log(&log).contains("reason=throttled"));
@@ -1849,7 +1845,7 @@ mod tests {
         core.release_parked(due);
         assert_eq!(core.parked_count(), 0);
         assert_eq!(core.queued(), 1, "released job rejoins admission");
-        let (_, log) = core.into_report(7, due);
+        let (_, log, _) = core.finish(7, due);
         assert!(render_event_log(&log).contains("backoff"));
     }
 
@@ -1877,7 +1873,7 @@ mod tests {
             core.fail(job, server, t, t + 5);
             t += 10;
         }
-        let log = render_event_log(core.event_log());
+        let log = render_event_log(&core.log);
         assert!(log.contains("breaker"), "two consecutive fails trip it");
         assert!(
             !core.takes_work(0, t) && core.closed_breakers(t).is_empty(),
@@ -1952,7 +1948,7 @@ mod tests {
         let i2 = core.autoscale_tick(500_000);
         assert_eq!(i2, vec![ScaleAction::In { server: 1 }]);
         assert!(core.autoscale_tick(600_000).is_empty(), "min_servers floor");
-        let (report, log) = core.into_report(7, 700_000);
+        let (report, log, _) = core.finish(7, 700_000);
         let scale = report.scale.expect("autoscale stats exported");
         assert_eq!(scale.scale_outs, 2);
         assert_eq!(scale.scale_ins, 2);

@@ -3,12 +3,12 @@
 //!
 //! Arrivals come from a pre-generated trace; service times come from
 //! [`CostModel::true_us`], which is a pure function of `(seed, job,
-//! server)`. [`crate::engine`] pops events in ascending `(time, sequence)`
+//! server)`. `crate::engine` pops events in ascending `(time, sequence)`
 //! so ties break identically run-to-run; given the same workload, fleet and
 //! policy, two runs produce byte-identical event logs, assignment vectors
 //! and reports.
 //!
-//! This module owns only the virtual [`Transport`]: an event due at `t` is
+//! This module owns only the virtual `Transport`: an event due at `t` is
 //! handled at `t`, a started copy's finish is known the moment it starts
 //! and nothing is ever waited for. Everything else — the event calendar,
 //! its seeding from the fault plan, the ground truth of which servers

@@ -35,7 +35,7 @@ impl Priority {
     pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Standard, Priority::Batch];
 
     /// Stable index into per-class arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Priority::Interactive => 0,
             Priority::Standard => 1,
@@ -53,7 +53,7 @@ impl Priority {
     }
 
     /// Parses a class name.
-    pub fn from_name(s: &str) -> Option<Self> {
+    fn from_name(s: &str) -> Option<Self> {
         Self::ALL.iter().copied().find(|p| p.name() == s)
     }
 }
@@ -127,7 +127,7 @@ pub enum ArrivalShape {
 
 impl ArrivalShape {
     /// Rate multiplier at `t_s` seconds from trace start.
-    pub fn multiplier(&self, t_s: f64) -> f64 {
+    fn multiplier(&self, t_s: f64) -> f64 {
         match *self {
             ArrivalShape::Stationary => 1.0,
             ArrivalShape::Diurnal { period_s, depth } => {
@@ -158,7 +158,7 @@ impl ArrivalShape {
     }
 
     /// The shape's peak multiplier (the thinning envelope).
-    pub fn peak(&self) -> f64 {
+    fn peak(&self) -> f64 {
         match *self {
             ArrivalShape::Stationary => 1.0,
             ArrivalShape::Diurnal { depth, .. } => 1.0 + depth.max(0.0),
@@ -201,7 +201,7 @@ pub struct TenantSpec {
 
 /// A composable surge scenario: an arrival shape plus an optional
 /// multi-tenant mix. Job ids encode the tenant (`id % n_tenants`, see
-/// [`tenant_of`]) so the rendered trace format needs no extra column and
+/// `tenant_of`) so the rendered trace format needs no extra column and
 /// sim and real executors recover the same tenancy from the same trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -213,7 +213,7 @@ pub struct ScenarioSpec {
 
 /// The tenant a job id belongs to under an `n_tenants`-way mix (0 when the
 /// mix is empty or single-tenant).
-pub fn tenant_of(id: u64, n_tenants: usize) -> usize {
+pub(crate) fn tenant_of(id: u64, n_tenants: usize) -> usize {
     if n_tenants <= 1 {
         0
     } else {
@@ -422,7 +422,8 @@ impl WorkloadSpec {
     }
 
     /// Number of tenants in the attached scenario (1 when none).
-    pub fn n_tenants(&self) -> usize {
+    #[cfg(test)]
+    fn n_tenants(&self) -> usize {
         self.scenario.as_ref().map_or(1, |s| s.tenants.len().max(1))
     }
 

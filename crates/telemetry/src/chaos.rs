@@ -30,7 +30,7 @@ pub fn hedges() -> &'static Counter {
 }
 
 /// Servers the failure detector currently believes are up.
-pub fn servers_up_gauge() -> &'static Gauge {
+fn servers_up_gauge() -> &'static Gauge {
     metrics::gauge("chaos/servers_up")
 }
 
@@ -55,12 +55,12 @@ pub fn scale_ins() -> &'static Counter {
 }
 
 /// Servers currently active (admitted to dispatch by the autoscaler).
-pub fn active_servers_gauge() -> &'static Gauge {
+fn active_servers_gauge() -> &'static Gauge {
     metrics::gauge("chaos/active_servers")
 }
 
 /// Detected-up capacity of the active fleet, in speed units.
-pub fn fleet_capacity_gauge() -> &'static Gauge {
+fn fleet_capacity_gauge() -> &'static Gauge {
     metrics::gauge("chaos/fleet_capacity")
 }
 

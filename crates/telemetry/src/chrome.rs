@@ -20,7 +20,7 @@ use crate::ring::EventKind;
 use crate::span::ArgValue;
 
 /// The `pid` used for recorded wall-clock events.
-pub const WALL_PID: u64 = 1;
+const WALL_PID: u64 = 1;
 
 /// A builder accumulating trace-event records; [`ChromeTrace::to_json`]
 /// renders the final document.
@@ -67,7 +67,7 @@ impl ChromeTrace {
     }
 
     /// Converts a drained [`Trace`] into trace-event records under
-    /// [`WALL_PID`], including thread-name metadata for every registered
+    /// `WALL_PID`, including thread-name metadata for every registered
     /// thread.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut out = ChromeTrace::new();
@@ -171,16 +171,6 @@ impl ChromeTrace {
         escape_json_into(&mut rec, name);
         rec.push_str("\"}}");
         self.records.push(rec);
-    }
-
-    /// Number of records accumulated so far (including metadata).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records have been added.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Renders the `{"traceEvents": [...]}` document. Ring-buffer drops are

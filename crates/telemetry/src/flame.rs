@@ -38,16 +38,6 @@ impl CollapsedStacks {
         *self.totals.entry(key).or_insert(0) += weight;
     }
 
-    /// Number of distinct stacks accumulated.
-    pub fn len(&self) -> usize {
-        self.totals.len()
-    }
-
-    /// Whether no stacks have been added.
-    pub fn is_empty(&self) -> bool {
-        self.totals.is_empty()
-    }
-
     /// Renders the collapsed-stack text, one `stack weight` line per entry.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -69,7 +59,7 @@ mod tests {
         cs.add(&["transcode", "encode", "me_sad"], 100);
         cs.add(&["transcode", "encode", "me_sad"], 50);
         cs.add(&["transcode", "decode", "idct"], 25);
-        assert_eq!(cs.len(), 2);
+        assert_eq!(cs.totals.len(), 2);
         let text = cs.render();
         assert!(text.contains("transcode;encode;me_sad 150\n"));
         assert!(text.contains("transcode;decode;idct 25\n"));
@@ -87,7 +77,7 @@ mod tests {
         let mut cs = CollapsedStacks::new();
         cs.add::<&str>(&[], 10);
         cs.add(&["x"], 0);
-        assert!(cs.is_empty());
+        assert!(cs.totals.is_empty());
         assert_eq!(cs.render(), "");
     }
 

@@ -6,7 +6,7 @@
 //! exportable traces. It is deliberately tiny and dependency-free:
 //!
 //! * [`Span`] — RAII guards timing a region of host execution. Guards record
-//!   into a bounded per-thread [`ring::EventRing`]; the global [`Collector`]
+//!   into a bounded per-thread `ring::EventRing`; the global [`Collector`]
 //!   drains all rings into one [`Trace`]. When the collector is disabled
 //!   (the default) every span operation is a single relaxed atomic load and
 //!   **performs no allocation**.
@@ -51,7 +51,7 @@ pub mod flame;
 pub mod metrics;
 pub mod ports;
 pub mod progress;
-pub mod ring;
+mod ring;
 mod span;
 
 pub use collector::{Collector, Trace};
@@ -60,7 +60,7 @@ pub use span::{counter_sample, instant, ArgValue, Args, Span};
 
 /// Escapes a string for inclusion inside a JSON string literal (quotes not
 /// included).
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
+fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -79,7 +79,7 @@ pub(crate) fn escape_json_into(out: &mut String, s: &str) {
 /// Serializes unit tests that touch the global collector (enable/disable/
 /// drain are process-wide; parallel tests would steal each other's events).
 #[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -46,14 +46,15 @@ impl Gauge {
     }
 
     /// Current value (0.0 if never set).
-    pub fn value(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn value(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
 /// Number of histogram buckets: bucket `i` covers `[2^(i-1), 2^i)` (bucket 0
 /// holds zeros), so 65 buckets cover the whole `u64` range.
-pub const BUCKETS: usize = 65;
+const BUCKETS: usize = 65;
 
 /// A log₂-bucket histogram of `u64` samples (typically microseconds).
 ///
@@ -67,8 +68,9 @@ pub struct Histogram {
 }
 
 /// p50/p90/p99 plus count and mean, as reported by [`Histogram::summary`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
+struct HistogramSummary {
     /// Total samples recorded.
     pub count: u64,
     /// Mean sample value.
@@ -106,11 +108,6 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Sum of all recorded samples (wrapping on u64 overflow).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
     /// Upper bound of the bucket containing the `q`-quantile sample
     /// (`0.0 < q <= 1.0`).
     ///
@@ -120,7 +117,8 @@ impl Histogram {
     /// sentinel or panic, matching `LatencyStats::from_samples` in the
     /// serving layer (empty → all-zero stats). Out-of-range `q` values are
     /// clamped into the valid rank range rather than rejected.
-    pub fn quantile(&self, q: f64) -> u64 {
+    #[cfg(test)]
+    fn quantile(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -150,7 +148,8 @@ impl Histogram {
     }
 
     /// The p50/p90/p99 summary.
-    pub fn summary(&self) -> HistogramSummary {
+    #[cfg(test)]
+    fn summary(&self) -> HistogramSummary {
         let count = self.count();
         let mean = if count == 0 {
             0.0
@@ -241,7 +240,8 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
 /// metric name: every character outside `[a-zA-Z0-9_:]` becomes `_`, and a
 /// leading digit gets a `_` prefix so the result matches
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn sanitize_metric_name(name: &str) -> String {
+#[cfg(test)]
+fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         let valid =
@@ -257,41 +257,6 @@ pub fn sanitize_metric_name(name: &str) -> String {
     }
     if out.is_empty() {
         out.push('_');
-    }
-    out
-}
-
-/// Renders every registered metric in the Prometheus text exposition
-/// format: each metric gets a `# TYPE` line and sanitized name
-/// ([`sanitize_metric_name`]); counters and gauges are single samples,
-/// histograms are exposed as summaries (`{quantile="..."}` samples plus
-/// `_sum` and `_count`). The registry is a `BTreeMap`, so output order is
-/// deterministic.
-pub fn render_all() -> String {
-    use std::fmt::Write as _;
-    let reg = registry();
-    let mut out = String::new();
-    for (name, metric) in reg.iter() {
-        let pname = sanitize_metric_name(name);
-        match metric {
-            Metric::Counter(c) => {
-                let _ = writeln!(out, "# TYPE {pname} counter");
-                let _ = writeln!(out, "{pname} {}", c.value());
-            }
-            Metric::Gauge(g) => {
-                let _ = writeln!(out, "# TYPE {pname} gauge");
-                let _ = writeln!(out, "{pname} {}", g.value());
-            }
-            Metric::Histogram(h) => {
-                let s = h.summary();
-                let _ = writeln!(out, "# TYPE {pname} summary");
-                for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-                    let _ = writeln!(out, "{pname}{{quantile=\"{q}\"}} {v}");
-                }
-                let _ = writeln!(out, "{pname}_sum {}", h.sum());
-                let _ = writeln!(out, "{pname}_count {}", s.count);
-            }
-        }
     }
     out
 }
@@ -475,19 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn render_all_lists_metrics() {
-        counter("test/metrics/render").add(1);
-        histogram("test/metrics/render_hist").record(10);
-        let text = render_all();
-        assert!(text.contains("# TYPE test_metrics_render counter"));
-        assert!(text.contains("test_metrics_render "));
-        assert!(text.contains("# TYPE test_metrics_render_hist summary"));
-        assert!(text.contains("test_metrics_render_hist{quantile=\"0.99\"}"));
-        assert!(text.contains("test_metrics_render_hist_count "));
-        assert!(text.contains("test_metrics_render_hist_sum "));
-    }
-
-    #[test]
     fn sanitize_produces_valid_prometheus_names() {
         assert_eq!(sanitize_metric_name("serve/sojourn_us"), "serve_sojourn_us");
         assert_eq!(sanitize_metric_name("a-b.c d"), "a_b_c_d");
@@ -506,58 +458,6 @@ mod tests {
                 chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
                 "{s}"
             );
-        }
-    }
-
-    /// Exposition-format conformance: every non-comment line must be
-    /// `name[{labels}] value` with a valid metric name and a parseable
-    /// float value, and every `# TYPE` line must name a known type.
-    #[test]
-    fn render_all_conforms_to_exposition_format() {
-        counter("test/metrics/conform_c").add(7);
-        gauge("test/metrics/conform_g").set(1.25);
-        histogram("test/metrics/conform_h").record(1000);
-        let text = render_all();
-        assert!(!text.is_empty());
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut parts = rest.split(' ');
-                let name = parts.next().unwrap();
-                let kind = parts.next().unwrap();
-                assert!(
-                    matches!(kind, "counter" | "gauge" | "summary" | "histogram"),
-                    "{line}"
-                );
-                assert!(!name.is_empty());
-                continue;
-            }
-            assert!(!line.starts_with('#'), "unexpected comment: {line}");
-            let name_end = line.find(['{', ' ']).unwrap_or(line.len());
-            let name = &line[..name_end];
-            let first = name.chars().next().unwrap();
-            assert!(
-                first.is_ascii_alphabetic() || first == '_' || first == ':',
-                "{line}"
-            );
-            assert!(
-                name.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-                "bad name in: {line}"
-            );
-            if let Some(open) = line.find('{') {
-                let close = line.find('}').expect("labels closed");
-                assert!(close > open, "{line}");
-                let labels = &line[open + 1..close];
-                for pair in labels.split(',') {
-                    let (k, v) = pair.split_once('=').expect("label k=v");
-                    assert!(
-                        !k.is_empty() && v.starts_with('"') && v.ends_with('"'),
-                        "{line}"
-                    );
-                }
-            }
-            let value = line.rsplit(' ').next().unwrap();
-            assert!(value.parse::<f64>().is_ok(), "bad value in: {line}");
         }
     }
 }

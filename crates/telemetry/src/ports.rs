@@ -3,14 +3,14 @@
 //! The port-level execution model (`vtx-port`) reports how saturated each
 //! issue port of the simulated core is at steady state. Gauges need
 //! `&'static` names, so this module pre-declares one gauge per port slot up
-//! to [`MAX_PORTS`] and hands them out by index; the solver publishes into
+//! to `MAX_PORTS` and hands them out by index; the solver publishes into
 //! them after every solve and they flow through the existing metric dump /
 //! trace-export layer like every other gauge.
 
 use crate::metrics::{self, Counter, Gauge};
 
 /// Largest port index with a pre-declared gauge (real layouts use 6–8).
-pub const MAX_PORTS: usize = 16;
+const MAX_PORTS: usize = 16;
 
 /// Static gauge names, one per port slot (`port/p0_util` … `port/p15_util`).
 const UTIL_NAMES: [&str; MAX_PORTS] = [
@@ -38,7 +38,7 @@ const UTIL_NAMES: [&str; MAX_PORTS] = [
 ///
 /// Panics if `port >= MAX_PORTS`; no modelled core has that many issue
 /// ports, so an out-of-range index is a caller bug.
-pub fn utilization_gauge(port: usize) -> &'static Gauge {
+fn utilization_gauge(port: usize) -> &'static Gauge {
     assert!(
         port < MAX_PORTS,
         "port index {port} out of range (max {MAX_PORTS})"
@@ -52,7 +52,7 @@ pub fn solver_runs() -> &'static Counter {
 }
 
 /// The gauge holding the most recent port-model dispatch bound (uops/cycle).
-pub fn dispatch_bound_gauge() -> &'static Gauge {
+fn dispatch_bound_gauge() -> &'static Gauge {
     metrics::gauge("port/dispatch_bound")
 }
 

@@ -14,7 +14,7 @@ use crate::span::instant;
 
 /// Whether progress heartbeats should print: either telemetry is enabled or
 /// the `VTX_PROGRESS` environment variable is set (to anything but `0`).
-pub fn progress_wanted() -> bool {
+fn progress_wanted() -> bool {
     if Collector::is_enabled() {
         return true;
     }
@@ -47,7 +47,7 @@ impl ProgressReporter {
     }
 
     /// Creates a reporter with an explicit minimum print interval.
-    pub fn with_interval(label: &'static str, total: u64, interval_us: u64) -> Self {
+    fn with_interval(label: &'static str, total: u64, interval_us: u64) -> Self {
         ProgressReporter {
             label,
             total,
@@ -60,7 +60,8 @@ impl ProgressReporter {
     }
 
     /// Items completed so far.
-    pub fn completed(&self) -> u64 {
+    #[cfg(test)]
+    fn completed(&self) -> u64 {
         self.completed.load(Ordering::Relaxed)
     }
 

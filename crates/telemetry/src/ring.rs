@@ -10,7 +10,7 @@ use crate::span::ArgValue;
 
 /// Default per-thread capacity (events). At ~100 bytes/event this bounds a
 /// thread's buffer to a few MiB.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// What kind of record an [`Event`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub struct Event {
 
 /// A bounded buffer of events belonging to one thread.
 #[derive(Debug)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     events: Vec<Event>,
     capacity: usize,
     dropped: u64,
@@ -53,7 +53,7 @@ pub struct EventRing {
 
 impl EventRing {
     /// Creates a ring with the given capacity (events).
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         EventRing {
             events: Vec::new(),
             capacity: capacity.max(1),
@@ -62,7 +62,7 @@ impl EventRing {
     }
 
     /// Appends an event, or counts it as dropped when the ring is full.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         if self.events.len() < self.capacity {
             self.events.push(event);
         } else {
@@ -70,24 +70,9 @@ impl EventRing {
         }
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Takes all buffered events, leaving the ring empty; returns the events
     /// and the drop count accumulated since the last take.
-    pub fn take(&mut self) -> (Vec<Event>, u64) {
+    pub(crate) fn take(&mut self) -> (Vec<Event>, u64) {
         let dropped = std::mem::take(&mut self.dropped);
         (std::mem::take(&mut self.events), dropped)
     }
@@ -121,14 +106,14 @@ mod tests {
         r.push(ev("b"));
         r.push(ev("c"));
         r.push(ev("d"));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.events.len(), 2);
+        assert_eq!(r.dropped, 2);
         let (events, dropped) = r.take();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "a");
         assert_eq!(dropped, 2);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
+        assert!(r.events.is_empty());
+        assert_eq!(r.dropped, 0);
     }
 
     #[test]
@@ -136,7 +121,7 @@ mod tests {
         let mut r = EventRing::with_capacity(0);
         r.push(ev("a"));
         r.push(ev("b"));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.dropped(), 1);
+        assert_eq!(r.events.len(), 1);
+        assert_eq!(r.dropped, 1);
     }
 }

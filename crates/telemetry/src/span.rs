@@ -55,12 +55,6 @@ impl Args {
         self
     }
 
-    /// Adds a signed-integer argument.
-    pub fn i64(&mut self, key: &'static str, value: i64) -> &mut Self {
-        self.items.push((key, ArgValue::I64(value)));
-        self
-    }
-
     /// Adds a floating-point argument.
     pub fn f64(&mut self, key: &'static str, value: f64) -> &mut Self {
         self.items.push((key, ArgValue::F64(value)));
@@ -99,7 +93,7 @@ impl Span {
 
     /// Opens a span with an explicit category.
     #[inline]
-    pub fn enter_cat(name: &'static str, cat: &'static str) -> Span {
+    fn enter_cat(name: &'static str, cat: &'static str) -> Span {
         if !Collector::is_enabled() {
             return Span::inert(name, cat);
         }
@@ -140,12 +134,6 @@ impl Span {
             args: Vec::new(),
             active: false,
         }
-    }
-
-    /// Whether this guard is recording (false when the collector was
-    /// disabled at entry).
-    pub fn is_recording(&self) -> bool {
-        self.active
     }
 }
 
@@ -246,7 +234,7 @@ mod tests {
         let _guard = crate::test_lock();
         Collector::disable();
         let s = Span::enter("disabled_span_is_inert");
-        assert!(!s.is_recording());
+        assert!(!s.active);
         drop(s);
         instant("disabled_span_is_inert", |a| {
             a.u64("never", 1);

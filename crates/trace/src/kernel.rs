@@ -30,7 +30,7 @@ impl KernelDesc {
     }
 
     /// Number of 64-byte instruction lines this kernel spans.
-    pub fn code_lines(&self) -> u32 {
+    pub(crate) fn code_lines(&self) -> u32 {
         self.code_bytes.div_ceil(64)
     }
 }
@@ -97,7 +97,7 @@ impl KernelProfile {
 
     /// Kernels sorted by attributed instruction count, descending — the
     /// hotspot list.
-    pub fn hotspots(&self) -> Vec<(KernelId, u64)> {
+    pub(crate) fn hotspots(&self) -> Vec<(KernelId, u64)> {
         let mut v: Vec<(KernelId, u64)> = self.instructions.iter().copied().enumerate().collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v

@@ -18,10 +18,10 @@ use crate::kernel::{KernelDesc, KernelId};
 /// the next hot kernel. Chosen so that the transcoder's hot working set
 /// spans more instruction pages than the baseline 128-entry iTLB covers,
 /// matching the front-end pressure the paper observes on the real binary.
-pub const DEFAULT_GAP_FACTOR: u32 = 7;
+const DEFAULT_GAP_FACTOR: u32 = 7;
 
 /// Base address of the synthetic text section (arbitrary, page aligned).
-pub const TEXT_BASE: u64 = 0x40_0000;
+const TEXT_BASE: u64 = 0x40_0000;
 
 /// An assignment of code address ranges to kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,19 +87,19 @@ impl CodeLayout {
     }
 
     /// First byte address of a kernel's hot region.
-    pub fn base(&self, k: KernelId) -> u64 {
+    pub(crate) fn base(&self, k: KernelId) -> u64 {
         self.bases[k]
     }
 
     /// Cache-line numbers (address / 64) spanned by a kernel's hot region.
-    pub fn lines(&self, k: KernelId) -> std::ops::Range<u64> {
+    pub(crate) fn lines(&self, k: KernelId) -> std::ops::Range<u64> {
         let start = self.bases[k] / 64;
         start..start + u64::from(self.sizes[k].div_ceil(64))
     }
 
     /// Synthetic PC for a branch site within a kernel (sites are spaced 8
     /// bytes apart inside the hot region so different sites rarely alias).
-    pub fn branch_pc(&self, k: KernelId, site: u32) -> u64 {
+    pub(crate) fn branch_pc(&self, k: KernelId, site: u32) -> u64 {
         self.bases[k] + 16 + u64::from(site) * 8
     }
 
@@ -109,13 +109,8 @@ impl CodeLayout {
     }
 
     /// Number of kernels laid out.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bases.len()
-    }
-
-    /// Whether the layout is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
     }
 }
 

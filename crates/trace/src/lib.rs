@@ -13,7 +13,7 @@
 //! The simulation runs beside the program, not inside it: each profiler
 //! keeps its exact accounting on the caller's thread and hands the models
 //! their work, in program order, on a thread of their own (see
-//! [`profiler`]). A report is the same, bit for bit, as if the models had
+//! `profiler`). A report is the same, bit for bit, as if the models had
 //! been driven inline; only the wall time changes.
 //!
 //! Two design points matter for reproducibility:
@@ -58,10 +58,9 @@ mod companion;
 pub mod kernel;
 pub mod layout;
 pub mod plan;
-pub mod profiler;
+mod profiler;
 pub mod report;
 
-pub use kernel::{KernelDesc, KernelId};
-pub use plan::DataPlan;
+pub use kernel::KernelDesc;
 pub use profiler::{ProfEvent, Profiler};
 pub use report::ProfileReport;

@@ -32,7 +32,7 @@ const DATA_BASE: u64 = 0x1000_0000;
 /// Fixed per-invocation instruction overhead (call, prologue, epilogue).
 const CALL_OVERHEAD_INSNS: u64 = 12;
 /// Consecutive units traced per sampling burst (see [`Profiler::begin_unit`]).
-pub const SAMPLE_BURST: u64 = 16;
+const SAMPLE_BURST: u64 = 16;
 
 /// One instrumentation event captured by a recording shard (see
 /// [`Profiler::recording_shard`]).
@@ -58,7 +58,7 @@ pub enum ProfEvent {
     LoadRange(u64, u64),
     /// A [`Profiler::store_range`]: `(addr, bytes)`.
     StoreRange(u64, u64),
-    /// A [`Profiler::straightline`] instruction count.
+    /// A `Profiler::straightline` instruction count.
     Straightline(u64),
 }
 
@@ -125,7 +125,7 @@ impl Measured {
 /// runs the interval core model over the accumulated counts.
 ///
 /// A profiler from [`Profiler::new`] drives its models on a companion
-/// thread (see the [module documentation](self)). Dropping it without
+/// thread (see the `profiler` module documentation). Dropping it without
 /// `finish` joins that thread; a panic there resurfaces on the caller's.
 ///
 /// # Sampling
@@ -228,7 +228,8 @@ impl Profiler {
     }
 
     /// Whether this profiler is a recording shard.
-    pub fn is_recording(&self) -> bool {
+    #[cfg(test)]
+    fn is_recording(&self) -> bool {
         matches!(self.backend, Backend::Record(_))
     }
 
@@ -290,7 +291,7 @@ impl Profiler {
     /// Marks the start of a sampling unit (the transcoder calls this once
     /// per macroblock with a monotonically increasing index).
     ///
-    /// Sampling is *bursty*: runs of [`SAMPLE_BURST`] consecutive units are
+    /// Sampling is *bursty*: runs of `SAMPLE_BURST` consecutive units are
     /// traced together, then `2^shift - 1` runs are skipped. Isolated
     /// sampled units would miss the cache warmth their skipped neighbours
     /// provide and systematically overestimate miss rates; bursts preserve
@@ -305,18 +306,6 @@ impl Profiler {
         if let Backend::Record(rec) = &mut self.backend {
             rec.push(ProfEvent::BeginUnit(index));
         }
-    }
-
-    /// Whether the current unit is being fed to the detailed simulation.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// Registered data buffers as `(name, base, bytes)` — the workload's
-    /// declared data footprint.
-    pub fn allocations(&self) -> &[(String, u64, u64)] {
-        &self.allocations
     }
 
     /// Records an invocation of kernel `k` executing `iters` loop iterations
@@ -441,7 +430,7 @@ impl Profiler {
 
     /// Adds plain (non-loop) instructions to the current kernel's account
     /// without any fetch or branch modelling — for straight-line sections.
-    pub fn straightline(&mut self, insns: u64) {
+    fn straightline(&mut self, insns: u64) {
         match &mut self.backend {
             Backend::Record(rec) => rec.push(ProfEvent::Straightline(insns)),
             Backend::Simulate(_) => {
@@ -451,11 +440,6 @@ impl Profiler {
                 }
             }
         }
-    }
-
-    /// The configuration being simulated.
-    pub fn config(&self) -> &UarchConfig {
-        &self.cfg
     }
 
     /// Finalizes the profile: waits for the models to apply everything,
@@ -564,7 +548,7 @@ fn report(
 /// caller's thread, event by event, and every kernel transition fetched one
 /// line at a time. Only the report assembly is shared.
 #[cfg(test)]
-pub(crate) mod oracle {
+mod oracle {
     use vtx_uarch::branch::{BranchPredictor, Predictor};
     use vtx_uarch::hierarchy::{HitLevel, MemoryHierarchy};
 
@@ -859,7 +843,7 @@ mod tests {
         ] {
             clamped.begin_unit(index);
             max.begin_unit(index);
-            assert_eq!(clamped.is_active(), max.is_active(), "unit {index}");
+            assert_eq!(clamped.active, max.active, "unit {index}");
         }
     }
 
@@ -1095,7 +1079,7 @@ mod tests {
         for index in [0u64, 16, 128, 129, 1024] {
             shard.begin_unit(index);
             p.begin_unit(index);
-            assert_eq!(shard.is_active(), p.is_active(), "unit {index}");
+            assert_eq!(shard.active, p.active, "unit {index}");
         }
     }
 

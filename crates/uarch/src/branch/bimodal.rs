@@ -14,7 +14,7 @@ impl Bimodal {
     /// # Panics
     ///
     /// Panics if `log2_entries` is zero or greater than 24.
-    pub fn new(log2_entries: u32) -> Self {
+    pub(crate) fn new(log2_entries: u32) -> Self {
         assert!(log2_entries > 0 && log2_entries <= 24);
         let n = 1usize << log2_entries;
         Bimodal {

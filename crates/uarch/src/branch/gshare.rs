@@ -18,7 +18,7 @@ impl Gshare {
     /// # Panics
     ///
     /// Panics if `log2_entries` is not in `1..=24` or `history_bits > 63`.
-    pub fn new(log2_entries: u32, history_bits: u32) -> Self {
+    pub(crate) fn new(log2_entries: u32, history_bits: u32) -> Self {
         assert!(log2_entries > 0 && log2_entries <= 24);
         assert!(history_bits <= 63);
         let n = 1usize << log2_entries;

@@ -22,17 +22,19 @@ pub use pentium_m::PentiumM;
 pub use tage::Tage;
 
 /// Accumulated branch prediction statistics.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BranchStats {
+struct BranchStats {
     /// Conditional branches observed.
     pub branches: u64,
     /// Branches whose direction was mispredicted.
     pub mispredicts: u64,
 }
 
+#[cfg(test)]
 impl BranchStats {
     /// Misprediction ratio in [0, 1]; zero when no branches were observed.
-    pub fn mispredict_ratio(&self) -> f64 {
+    fn mispredict_ratio(&self) -> f64 {
         if self.branches == 0 {
             0.0
         } else {
@@ -128,7 +130,7 @@ impl BranchPredictor for Predictor {
 
 /// A heap table of `N` copies of `fill`, built without an `N`-sized
 /// temporary on the stack.
-pub(crate) fn table<T: Copy, const N: usize>(fill: T) -> Box<[T; N]> {
+fn table<T: Copy, const N: usize>(fill: T) -> Box<[T; N]> {
     vec![fill; N]
         .into_boxed_slice()
         .try_into()
@@ -137,20 +139,20 @@ pub(crate) fn table<T: Copy, const N: usize>(fill: T) -> Box<[T; N]> {
 
 /// A saturating 2-bit counter, the building block of most predictors here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Counter2(u8);
+struct Counter2(u8);
 
 impl Counter2 {
-    pub(crate) fn weakly_taken() -> Self {
+    fn weakly_taken() -> Self {
         Counter2(2)
     }
 
     #[inline]
-    pub(crate) fn predict(self) -> bool {
+    fn predict(self) -> bool {
         self.0 >= 2
     }
 
     #[inline]
-    pub(crate) fn update(&mut self, taken: bool) {
+    fn update(&mut self, taken: bool) {
         if taken {
             self.0 = (self.0 + 1).min(3);
         } else {

@@ -32,7 +32,7 @@ impl CacheParams {
     }
 
     /// Number of sets implied by the geometry.
-    pub fn num_sets(&self) -> u64 {
+    fn num_sets(&self) -> u64 {
         self.size_bytes / (u64::from(self.assoc) * u64::from(self.line_bytes))
     }
 
@@ -43,7 +43,7 @@ impl CacheParams {
     /// Returns a [`ConfigError`] if any field is zero, the capacity is not an
     /// exact multiple of `assoc * line_bytes`, or the set count is not a
     /// power of two.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.size_bytes == 0 {
             return Err(ConfigError::Zero { what: "cache size" });
         }
@@ -87,7 +87,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Miss ratio in [0, 1]; zero when there were no accesses.
-    pub fn miss_ratio(&self) -> f64 {
+    #[cfg(test)]
+    fn miss_ratio(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
@@ -113,7 +114,6 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    params: CacheParams,
     sets: LruSets,
     stats: CacheStats,
 }
@@ -123,29 +123,18 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Propagates [`CacheParams::validate`] failures.
+    /// Propagates `CacheParams::validate` failures.
     pub fn new(params: CacheParams) -> Result<Self, ConfigError> {
         params.validate()?;
         Ok(Cache {
-            params,
             sets: LruSets::new(params.num_sets(), params.assoc as usize),
             stats: CacheStats::default(),
         })
     }
 
-    /// The cache geometry.
-    pub fn params(&self) -> &CacheParams {
-        &self.params
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Looks up a line, inserting it on miss. Returns `true` on hit.
@@ -158,12 +147,14 @@ impl Cache {
     }
 
     /// Probes for a line without updating contents or statistics.
-    pub fn contains_line(&self, line: u64) -> bool {
+    #[cfg(test)]
+    fn contains_line(&self, line: u64) -> bool {
         self.sets.contains(line)
     }
 
     /// Invalidates all contents (statistics are preserved).
-    pub fn flush(&mut self) {
+    #[cfg(test)]
+    fn flush(&mut self) {
         self.sets.flush();
     }
 }
@@ -235,13 +226,15 @@ impl LruSets {
     }
 
     /// Probes for `key` without touching recency.
-    pub(crate) fn contains(&self, key: u64) -> bool {
+    #[cfg(test)]
+    fn contains(&self, key: u64) -> bool {
         let (base, slot) = self.locate(key);
         self.rows[base..base + self.ways].contains(&slot)
     }
 
     /// Empties every set.
-    pub(crate) fn flush(&mut self) {
+    #[cfg(test)]
+    fn flush(&mut self) {
         self.rows.fill(0);
     }
 }

@@ -94,7 +94,7 @@ impl UarchConfig {
 
     /// `be_op1`: larger data caches (plus a 16 MiB L4) to reduce memory-bound
     /// back-end stalls.
-    pub fn be_op1() -> Self {
+    pub(crate) fn be_op1() -> Self {
         UarchConfig {
             name: "be_op1".to_owned(),
             l1d: CacheParams::new(64, 8, 4),

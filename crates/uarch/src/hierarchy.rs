@@ -6,9 +6,9 @@
 //! write-allocate stores, so a store miss traverses the hierarchy like a
 //! load.
 
-use crate::cache::{Cache, CacheStats};
+use crate::cache::Cache;
 use crate::config::UarchConfig;
-use crate::prefetch::{PrefetchStats, Prefetcher};
+use crate::prefetch::Prefetcher;
 use crate::tlb::{Tlb, TlbStats};
 use crate::ConfigError;
 
@@ -229,21 +229,6 @@ impl MemoryHierarchy {
     pub fn itlb_stats(&self) -> TlbStats {
         self.itlb.stats()
     }
-
-    /// Raw L1 instruction cache statistics.
-    pub fn l1i_stats(&self) -> CacheStats {
-        self.l1i.stats()
-    }
-
-    /// Raw L1 data cache statistics.
-    pub fn l1d_stats(&self) -> CacheStats {
-        self.l1d.stats()
-    }
-
-    /// Prefetcher statistics.
-    pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetcher.stats()
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +312,7 @@ mod tests {
             with.load_counters().l1_misses(),
             without.load_counters().l1_misses()
         );
-        assert!(with.prefetch_stats().issued > 0);
+        assert!(with.prefetcher.stats().issued > 0);
     }
 
     #[test]
@@ -403,7 +388,7 @@ mod tests {
                         (
                             [m.inst_counters(), m.load_counters(), m.store_counters()],
                             m.itlb_stats(),
-                            [m.l1i_stats(), m.l1d_stats()],
+                            [m.l1i.stats(), m.l1d.stats()],
                         )
                     };
                     assert_eq!(counters(&ranged), counters(&looped), "{} #{i}", cfg.name);

@@ -47,7 +47,8 @@ pub struct ExecutionCounts {
 
 impl ExecutionCounts {
     /// Merges another region's counts into this one.
-    pub fn merge(&mut self, other: &ExecutionCounts) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &ExecutionCounts) {
         self.instructions += other.instructions;
         self.uops += other.uops;
         self.branches += other.branches;
@@ -70,6 +71,7 @@ impl ExecutionCounts {
     }
 }
 
+#[cfg(test)]
 fn merge_levels(a: &mut LevelCounters, b: &LevelCounters) {
     a.l1 += b.l1;
     a.l2 += b.l2;
@@ -83,7 +85,7 @@ fn merge_levels(a: &mut LevelCounters, b: &LevelCounters) {
 /// The defaults are calibrated against the shapes the paper reports; they
 /// are exposed so ablation studies can vary them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelParams {
+struct ModelParams {
     /// Fraction of an instruction-fetch miss penalty actually exposed
     /// (fetch-ahead hides the rest).
     pub fetch_exposure: f64,
@@ -153,15 +155,6 @@ impl CycleBreakdown {
         self.rob_stall_cycles + self.rs_stall_cycles + self.sb_stall_cycles
     }
 
-    /// Cycles-per-instruction given an instruction count.
-    pub fn cpi(&self, instructions: u64) -> f64 {
-        if instructions == 0 {
-            0.0
-        } else {
-            self.total_cycles as f64 / instructions as f64
-        }
-    }
-
     /// Execution time in seconds at the given core frequency.
     pub fn seconds(&self, freq_ghz: f64) -> f64 {
         self.total_cycles as f64 / (freq_ghz * 1e9)
@@ -211,7 +204,7 @@ pub struct CoreModel {
 }
 
 impl CoreModel {
-    /// Creates a model with default [`ModelParams`].
+    /// Creates a model with default `ModelParams`.
     pub fn new(cfg: &UarchConfig) -> Self {
         CoreModel {
             cfg: cfg.clone(),
@@ -227,13 +220,15 @@ impl CoreModel {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] of [`UarchConfig::validate`].
-    pub fn try_new(cfg: &UarchConfig) -> Result<Self, ConfigError> {
+    #[cfg(test)]
+    fn try_new(cfg: &UarchConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         Ok(Self::new(cfg))
     }
 
     /// Creates a model with explicit parameters (for ablation studies).
-    pub fn with_params(cfg: &UarchConfig, params: ModelParams) -> Self {
+    #[cfg(test)]
+    fn with_params(cfg: &UarchConfig, params: ModelParams) -> Self {
         CoreModel {
             cfg: cfg.clone(),
             params,
@@ -246,7 +241,8 @@ impl CoreModel {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] of [`UarchConfig::validate`].
-    pub fn try_with_params(cfg: &UarchConfig, params: ModelParams) -> Result<Self, ConfigError> {
+    #[cfg(test)]
+    fn try_with_params(cfg: &UarchConfig, params: ModelParams) -> Result<Self, ConfigError> {
         cfg.validate()?;
         Ok(Self::with_params(cfg, params))
     }
@@ -266,16 +262,6 @@ impl CoreModel {
         }
         self.dispatch_bound = Some(bound);
         Ok(self)
-    }
-
-    /// The installed dispatch bound, if any.
-    pub fn dispatch_bound(&self) -> Option<f64> {
-        self.dispatch_bound
-    }
-
-    /// The configuration this model simulates.
-    pub fn config(&self) -> &UarchConfig {
-        &self.cfg
     }
 
     /// Converts accumulated execution counts into a cycle breakdown.
@@ -525,7 +511,7 @@ mod tests {
         assert!(CoreModel::new(&cfg).with_dispatch_bound(-1.0).is_err());
         assert!(CoreModel::new(&cfg).with_dispatch_bound(f64::NAN).is_err());
         let m = CoreModel::new(&cfg).with_dispatch_bound(2.5).unwrap();
-        assert_eq!(m.dispatch_bound(), Some(2.5));
+        assert_eq!(m.dispatch_bound, Some(2.5));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum PrefetcherKind {
 
 /// Prefetch issue statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
+pub(crate) struct PrefetchStats {
     /// Prefetches issued to the hierarchy.
     pub issued: u64,
 }
@@ -41,7 +41,7 @@ const NO_PREFETCH: ([u64; 2], usize) = ([0; 2], 0);
 /// A stream prefetcher: observes the demand-miss line sequence and emits
 /// lines to fetch ahead.
 #[derive(Debug, Clone)]
-pub struct Prefetcher {
+pub(crate) struct Prefetcher {
     kind: PrefetcherKind,
     streams: [Stream; 8],
     stats: PrefetchStats,
@@ -49,7 +49,7 @@ pub struct Prefetcher {
 
 impl Prefetcher {
     /// Creates a prefetcher of the given kind.
-    pub fn new(kind: PrefetcherKind) -> Self {
+    pub(crate) fn new(kind: PrefetcherKind) -> Self {
         Prefetcher {
             kind,
             streams: [Stream::default(); 8],
@@ -58,12 +58,13 @@ impl Prefetcher {
     }
 
     /// The model in use.
-    pub fn kind(&self) -> PrefetcherKind {
+    pub(crate) fn kind(&self) -> PrefetcherKind {
         self.kind
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> PrefetchStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> PrefetchStats {
         self.stats
     }
 
@@ -74,7 +75,7 @@ impl Prefetcher {
     /// Stream detectors train on *all* accesses — hits keep a stream's
     /// position current so run-ahead continues once the stream is covered
     /// by its own prefetches.
-    pub fn on_access(&mut self, line: u64, missed: bool) -> ([u64; 2], usize) {
+    pub(crate) fn on_access(&mut self, line: u64, missed: bool) -> ([u64; 2], usize) {
         let out = match self.kind {
             PrefetcherKind::None => NO_PREFETCH,
             PrefetcherKind::NextLine if missed => ([line + 1, 0], 1),

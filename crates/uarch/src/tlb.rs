@@ -9,7 +9,8 @@ use crate::cache::LruSets;
 use crate::ConfigError;
 
 /// Page size assumed by the TLB model (4 KiB, as on the paper's Xeon E3).
-pub const PAGE_BYTES: u64 = 4096;
+#[cfg(test)]
+const PAGE_BYTES: u64 = 4096;
 
 /// Hit/miss counters for a TLB.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,7 +34,6 @@ pub struct TlbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: u32,
     sets: LruSets,
     stats: TlbStats,
 }
@@ -51,7 +51,6 @@ impl Tlb {
     pub fn new(entries: u32) -> Result<Self, ConfigError> {
         Self::validate(entries)?;
         Ok(Tlb {
-            entries,
             sets: LruSets::new(u64::from(entries) / WAYS as u64, WAYS),
             stats: TlbStats::default(),
         })
@@ -85,13 +84,8 @@ impl Tlb {
         Ok(())
     }
 
-    /// Total entry count.
-    pub fn entries(&self) -> u32 {
-        self.entries
-    }
-
     /// Accumulated statistics.
-    pub fn stats(&self) -> TlbStats {
+    pub(crate) fn stats(&self) -> TlbStats {
         self.stats
     }
 
@@ -108,14 +102,15 @@ impl Tlb {
     /// translation in between: the first lookup may miss and fill, the rest
     /// find the page most recently used in its set, so they only count.
     #[inline]
-    pub fn access_page_run(&mut self, page: u64, n: u64) {
+    pub(crate) fn access_page_run(&mut self, page: u64, n: u64) {
         debug_assert!(n > 0);
         self.access_page(page);
         self.stats.accesses += n - 1;
     }
 
     /// Translates a code byte address (convenience over [`Tlb::access_page`]).
-    pub fn access_addr(&mut self, addr: u64) -> bool {
+    #[cfg(test)]
+    fn access_addr(&mut self, addr: u64) -> bool {
         self.access_page(addr / PAGE_BYTES)
     }
 }

@@ -34,35 +34,6 @@ impl TopDown {
     pub fn sum(&self) -> f64 {
         self.retiring + self.frontend + self.bad_speculation + self.backend()
     }
-
-    /// The dominant non-retiring bottleneck category.
-    pub fn bottleneck(&self) -> Bottleneck {
-        let fe = self.frontend;
-        let bs = self.bad_speculation;
-        let be = self.backend();
-        if fe >= bs && fe >= be {
-            Bottleneck::FrontEnd
-        } else if bs >= be {
-            Bottleneck::BadSpeculation
-        } else if self.backend_memory >= self.backend_core {
-            Bottleneck::BackEndMemory
-        } else {
-            Bottleneck::BackEndCore
-        }
-    }
-}
-
-/// The dominant bottleneck class — what the smart scheduler keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Bottleneck {
-    /// Fetch/decode limited: bigger L1i / iTLB helps (`fe_op`).
-    FrontEnd,
-    /// Mispredict limited: a better predictor helps (`bs_op`).
-    BadSpeculation,
-    /// Data-access limited: bigger data caches help (`be_op1`).
-    BackEndMemory,
-    /// Execution-window limited: bigger ROB/RS helps (`be_op2`).
-    BackEndCore,
 }
 
 #[cfg(test)]
@@ -84,25 +55,5 @@ mod tests {
         let t = td(0.4, 0.1, 0.1, 0.3, 0.1);
         assert!((t.sum() - 1.0).abs() < 1e-12);
         assert!((t.backend() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bottleneck_selection() {
-        assert_eq!(
-            td(0.4, 0.3, 0.1, 0.1, 0.1).bottleneck(),
-            Bottleneck::FrontEnd
-        );
-        assert_eq!(
-            td(0.4, 0.1, 0.3, 0.1, 0.1).bottleneck(),
-            Bottleneck::BadSpeculation
-        );
-        assert_eq!(
-            td(0.3, 0.1, 0.1, 0.4, 0.1).bottleneck(),
-            Bottleneck::BackEndMemory
-        );
-        assert_eq!(
-            td(0.3, 0.1, 0.1, 0.1, 0.4).bottleneck(),
-            Bottleneck::BackEndCore
-        );
     }
 }

@@ -41,7 +41,7 @@ pub struct Slowdown {
     /// Window start (µs).
     pub from_us: u64,
     /// Window end (µs, exclusive).
-    pub until_us: u64,
+    pub(crate) until_us: u64,
     /// Wall-time multiplier (> 1).
     pub factor: f64,
 }
@@ -52,7 +52,7 @@ pub struct Stall {
     /// Stall start (µs).
     pub at_us: u64,
     /// Stall duration (µs).
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
 }
 
 /// Everything scheduled against one server.

@@ -23,15 +23,15 @@ use vtx_trace::Profiler;
 #[derive(Debug, Clone)]
 pub(crate) struct CodecBufs {
     /// Base of the raw source video region (encoder only).
-    pub src: u64,
+    pub(crate) src: u64,
     /// One reconstructed-frame buffer per reference slot (newest-first pool).
-    pub ref_pool: Vec<u64>,
+    pub(crate) ref_pool: Vec<u64>,
     /// Residual/coefficient scratch (macroblock-sized working set).
-    pub scratch: u64,
+    pub(crate) scratch: u64,
     /// Output (or input) bitstream bytes.
-    pub bitstream: u64,
+    pub(crate) bitstream: u64,
     /// Quantization / context tables.
-    pub tables: u64,
+    pub(crate) tables: u64,
     width: u64,
     height: u64,
     scale: u64,

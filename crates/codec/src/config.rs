@@ -7,15 +7,15 @@ use crate::CodecError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSet {
     /// Allow 8x8 inter partitions in P macroblocks.
-    pub p8x8: bool,
+    pub(crate) p8x8: bool,
     /// Allow 4x4 inter partitions (x264 default disables: `-p4x4`).
-    pub p4x4: bool,
+    pub(crate) p4x4: bool,
     /// Allow 8x8 intra prediction.
-    pub i8x8: bool,
+    pub(crate) i8x8: bool,
     /// Allow 4x4 intra prediction.
-    pub i4x4: bool,
+    pub(crate) i4x4: bool,
     /// Allow 8x8 partitions in B macroblocks.
-    pub b8x8: bool,
+    pub(crate) b8x8: bool,
 }
 
 impl PartitionSet {

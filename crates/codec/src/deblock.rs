@@ -20,11 +20,11 @@ use crate::types::Qp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DeblockStrength {
     /// Edge activation threshold on |p0 - q0|.
-    pub alpha: i32,
+    pub(crate) alpha: i32,
     /// Side flatness threshold on |p1 - p0| and |q1 - q0|.
-    pub beta: i32,
+    pub(crate) beta: i32,
     /// Clipping bound for the filter delta.
-    pub tc: i32,
+    pub(crate) tc: i32,
 }
 
 impl DeblockStrength {

@@ -33,14 +33,11 @@ pub struct DecodedVideo {
     pub width: usize,
     /// Luma height.
     pub height: usize,
-    /// Frame rate from the container.
-    pub fps: u32,
 }
 
 struct Header {
     width: usize,
     height: usize,
-    fps: u32,
     frame_count: usize,
     cabac: bool,
     deblock: Option<(i8, i8)>,
@@ -65,7 +62,7 @@ fn parse_header(data: &[u8]) -> Result<(Header, usize), DecodeError> {
     }
     let width = usize::from(u16::from_le_bytes([data[5], data[6]]));
     let height = usize::from(u16::from_le_bytes([data[7], data[8]]));
-    let fps = u32::from(data[9]);
+    // data[9] is the frame rate, which decoding does not need.
     let frame_count = usize::from(u16::from_le_bytes([data[10], data[11]]));
     let flags = data[12];
     let refs = data[13].clamp(1, 16);
@@ -91,7 +88,6 @@ fn parse_header(data: &[u8]) -> Result<(Header, usize), DecodeError> {
         Header {
             width,
             height,
-            fps,
             frame_count,
             cabac: flags & 1 != 0,
             deblock: if flags & 2 != 0 { Some((da, db)) } else { None },
@@ -223,7 +219,6 @@ pub fn decode_video(bs: &Bitstream, prof: &mut Profiler) -> Result<DecodedVideo,
         frames: frames?,
         width: hdr.width,
         height: hdr.height,
-        fps: hdr.fps,
     })
 }
 

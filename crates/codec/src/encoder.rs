@@ -70,26 +70,26 @@ impl Bitstream {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameStat {
     /// Display-order index.
-    pub display: u32,
+    pub(crate) display: u32,
     /// Frame type.
-    pub ftype: FrameType,
+    pub(crate) ftype: FrameType,
     /// Base QP used.
-    pub qp: u8,
+    pub(crate) qp: u8,
     /// Coded bits for this frame.
-    pub bits: u64,
+    pub(crate) bits: u64,
 }
 
 /// Aggregate encoding statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EncodeStats {
     /// Per-frame records in coding order.
-    pub frames: Vec<FrameStat>,
+    pub(crate) frames: Vec<FrameStat>,
     /// Macroblocks coded as skip.
-    pub skip_mbs: u64,
+    pub(crate) skip_mbs: u64,
     /// Macroblocks coded intra.
-    pub intra_mbs: u64,
+    pub(crate) intra_mbs: u64,
     /// Macroblocks coded inter.
-    pub inter_mbs: u64,
+    pub(crate) inter_mbs: u64,
 }
 
 impl EncodeStats {}

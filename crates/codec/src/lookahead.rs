@@ -15,11 +15,11 @@ use crate::types::FrameType;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LookaheadResult {
     /// Frame types in display order.
-    pub types: Vec<FrameType>,
+    pub(crate) types: Vec<FrameType>,
     /// Display indices in coding order (anchors before their B frames).
-    pub coding_order: Vec<usize>,
+    pub(crate) coding_order: Vec<usize>,
     /// Per-frame complexity estimate (mean absolute luma delta), display order.
-    pub complexity: Vec<f64>,
+    pub(crate) complexity: Vec<f64>,
 }
 
 /// Scene-cut floor: a mean absolute luma delta below `480 / scenecut`

@@ -19,12 +19,12 @@ use crate::types::{se_len, MeMethod, MotionVector};
 #[derive(Debug)]
 pub(crate) struct RefView<'a> {
     /// Reconstructed luma plane of the reference frame, border-extended.
-    pub plane: &'a PaddedPlane,
+    pub(crate) plane: &'a PaddedPlane,
     /// Virtual address of the plane's first sample.
-    pub vaddr: u64,
+    pub(crate) vaddr: u64,
     /// Address scale factor (nominal / simulated resolution; see
     /// `vtx_codec::bufs` for the scaled-addressing scheme).
-    pub scale: u64,
+    pub(crate) scale: u64,
 }
 
 impl RefView<'_> {
@@ -40,24 +40,24 @@ impl RefView<'_> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MeParams {
     /// Search strategy.
-    pub method: MeMethod,
+    pub(crate) method: MeMethod,
     /// Maximum motion range in full pixels.
-    pub merange: i32,
+    pub(crate) merange: i32,
     /// Sub-pel refinement level (0 = integer only; >= 4 uses SATD).
-    pub subme: u8,
+    pub(crate) subme: u8,
     /// RD lambda for motion-vector rate costing.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
 }
 
 /// Result of a motion search against one reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MeResult {
     /// Best motion vector (half-pel units).
-    pub mv: MotionVector,
+    pub(crate) mv: MotionVector,
     /// Rate-distortion cost (metric + lambda * mv bits).
-    pub cost: u32,
+    pub(crate) cost: u32,
     /// Raw distortion metric (SAD, or SATD at high subme).
-    pub metric: u32,
+    pub(crate) metric: u32,
 }
 
 /// SAD between a 16x16 source block and the reference at full-pel `(rx, ry)`,

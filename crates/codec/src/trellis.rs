@@ -18,17 +18,17 @@ use crate::types::{se_len, Qp};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrellisOutcome {
     /// Nonzero levels remaining after optimization.
-    pub nonzero: u32,
+    pub(crate) nonzero: u32,
     /// Number of level-adjustment decisions that were evaluated (drives
     /// instruction accounting).
-    pub decisions: u32,
+    pub(crate) decisions: u32,
     /// Number of coefficients the RD search considered.
-    pub considered: u32,
+    pub(crate) considered: u32,
     /// Per-considered-coefficient outcome bits (LSB = first considered):
     /// 1 = the level was modified. These drive branch-prediction events —
     /// the trellis's accept/reject comparisons are the data-dependent
     /// branches that make it expensive on real hardware.
-    pub changed_bits: u32,
+    pub(crate) changed_bits: u32,
 }
 
 /// Quantizes `coefs` (forward-transform output) in place with RD refinement.

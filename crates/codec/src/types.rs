@@ -139,9 +139,9 @@ impl MeMethod {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MotionVector {
     /// Horizontal component, half-pel units.
-    pub x: i16,
+    pub(crate) x: i16,
     /// Vertical component, half-pel units.
-    pub y: i16,
+    pub(crate) y: i16,
 }
 
 impl MotionVector {

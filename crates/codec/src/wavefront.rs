@@ -65,9 +65,9 @@ pub(crate) enum MbClass {
 /// Accumulated macroblock classes for one frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MbCounts {
-    pub skip: u64,
-    pub intra: u64,
-    pub inter: u64,
+    pub(crate) skip: u64,
+    pub(crate) intra: u64,
+    pub(crate) inter: u64,
 }
 
 impl MbCounts {
@@ -200,9 +200,9 @@ impl MbSink for RecordSink {
 /// Everything one macroblock produced, ready for in-order stitching.
 #[derive(Debug)]
 pub(crate) struct MbRecord {
-    pub class: MbClass,
-    pub syn: Vec<SynCmd>,
-    pub events: Vec<ProfEvent>,
+    pub(crate) class: MbClass,
+    pub(crate) syn: Vec<SynCmd>,
+    pub(crate) events: Vec<ProfEvent>,
 }
 
 impl MbRecord {
@@ -223,9 +223,9 @@ impl MbRecord {
 /// frame plus the MV / intra maps the MV predictor reads from neighbours.
 #[derive(Debug)]
 pub(crate) struct FrameShared {
-    pub recon: Frame,
-    pub mvs: Vec<MotionVector>,
-    pub intra_map: Vec<bool>,
+    pub(crate) recon: Frame,
+    pub(crate) mvs: Vec<MotionVector>,
+    pub(crate) intra_map: Vec<bool>,
 }
 
 /// Shared wavefront coordination state.
@@ -257,11 +257,11 @@ pub(crate) struct WfShared {
     /// `progress[r]` = number of macroblocks of row `r` published.
     progress: Vec<AtomicU32>,
     next_row: AtomicUsize,
-    pub mb_w: usize,
-    pub mb_h: usize,
+    pub(crate) mb_w: usize,
+    pub(crate) mb_h: usize,
     /// Set when a worker panics so the spin loops abort instead of
     /// deadlocking on progress that will never come.
-    pub poisoned: AtomicBool,
+    pub(crate) poisoned: AtomicBool,
 }
 
 // SAFETY: see the struct-level invariant — the wavefront protocol makes

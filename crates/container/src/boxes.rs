@@ -13,11 +13,11 @@ use crate::error::ContainerError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MpBox<'a> {
     /// The four-character code.
-    pub fourcc: [u8; 4],
+    pub(crate) fourcc: [u8; 4],
     /// Payload bytes (everything after the 8-byte box header).
-    pub payload: &'a [u8],
+    pub(crate) payload: &'a [u8],
     /// Byte offset of the box header within the walked range.
-    pub offset: usize,
+    pub(crate) offset: usize,
 }
 
 /// Appends a complete box (header + payload) to `out`.

@@ -20,7 +20,7 @@ pub struct InitInfo {
     /// Track height in pixels (from `tkhd`).
     pub height: u32,
     /// Track timescale in ticks per second (= fps).
-    pub timescale: u32,
+    pub(crate) timescale: u32,
     /// Track duration in ticks (= frame count).
     pub duration: u32,
 }

@@ -15,11 +15,11 @@ use crate::error::ContainerError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Variant {
     /// Rendition name (the ladder rung name).
-    pub name: String,
+    pub(crate) name: String,
     /// Nominal bandwidth in bits per second.
-    pub bandwidth: u64,
+    pub(crate) bandwidth: u64,
     /// URI of the rung's media playlist.
-    pub uri: String,
+    pub(crate) uri: String,
 }
 
 /// A master playlist: the rung directory of one serving job.
@@ -33,9 +33,9 @@ pub struct MasterPlaylist {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEntry {
     /// Segment duration in integer milliseconds.
-    pub duration_ms: u32,
+    pub(crate) duration_ms: u32,
     /// Segment URI.
-    pub uri: String,
+    pub(crate) uri: String,
 }
 
 /// A media playlist: init segment plus the ordered media segments of one
@@ -43,9 +43,9 @@ pub struct SegmentEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MediaPlaylist {
     /// URI of the init segment (`EXT-X-MAP`).
-    pub init_uri: String,
+    pub(crate) init_uri: String,
     /// Segments in presentation order.
-    pub segments: Vec<SegmentEntry>,
+    pub(crate) segments: Vec<SegmentEntry>,
 }
 
 /// Formats integer milliseconds as seconds with exactly three decimals.

@@ -29,11 +29,11 @@ const FTYPE_IDR: u8 = 3;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Record<'a> {
     /// Frame-type byte (0=I, 1=P, 2=B, 3=IDR).
-    pub ftype: u8,
+    pub(crate) ftype: u8,
     /// Display index within the clip.
-    pub display: u16,
+    pub(crate) display: u16,
     /// The complete record bytes (header + payload).
-    pub bytes: &'a [u8],
+    pub(crate) bytes: &'a [u8],
 }
 
 impl Record<'_> {

@@ -24,7 +24,7 @@ pub struct ReportScope {
     /// Videos for the cross-video study (`None` = whole catalog).
     pub videos: Option<Vec<String>>,
     /// Seed for clip synthesis.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for ReportScope {
@@ -54,13 +54,13 @@ impl Default for ReportScope {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Characterization {
     /// Scope that produced this report.
-    pub scope: ReportScope,
+    pub(crate) scope: ReportScope,
     /// The crf × refs sweep points.
-    pub sweep: Vec<SweepPoint>,
+    pub(crate) sweep: Vec<SweepPoint>,
     /// Preset study results.
-    pub presets: Vec<PresetRun>,
+    pub(crate) presets: Vec<PresetRun>,
     /// Cross-video study results.
-    pub videos: Vec<VideoRun>,
+    pub(crate) videos: Vec<VideoRun>,
 }
 
 impl Characterization {

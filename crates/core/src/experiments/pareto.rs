@@ -49,7 +49,7 @@ pub struct LadderPlan {
     /// Chosen operating points, ascending bitrate.
     pub rungs: Vec<SweepPoint>,
     /// Total simulated compute for one pass over the ladder, seconds.
-    pub total_seconds: f64,
+    pub(crate) total_seconds: f64,
 }
 
 /// Minimum PSNR separation between ladder rungs: adjacent renditions closer

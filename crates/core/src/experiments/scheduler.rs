@@ -82,13 +82,13 @@ pub fn scheduler_study(seed: u64, sample_shift: u32) -> Result<SchedulerStudy, C
 #[derive(Debug, Clone, PartialEq)]
 struct MeasuredMatrix {
     /// Modified configuration names, column order of `times`.
-    pub config_names: Vec<String>,
+    pub(crate) config_names: Vec<String>,
     /// Measured seconds on the baseline configuration, per task.
-    pub baseline_times: Vec<f64>,
+    pub(crate) baseline_times: Vec<f64>,
     /// Measured seconds, `times[task][config]`.
-    pub times: Vec<Vec<f64>>,
+    pub(crate) times: Vec<Vec<f64>>,
     /// Characterization-driven benefit predictions, `benefit[task][config]`.
-    pub benefit: Vec<Vec<f64>>,
+    pub(crate) benefit: Vec<Vec<f64>>,
 }
 
 /// Measures every (task, config) pair on the Table IV configurations plus

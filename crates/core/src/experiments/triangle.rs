@@ -44,9 +44,9 @@ pub struct TriangleReport {
     /// Measured grid points.
     pub points: Vec<SweepPoint>,
     /// CRF values of the grid.
-    pub crfs: Vec<u8>,
+    pub(crate) crfs: Vec<u8>,
     /// refs values of the grid.
-    pub refs: Vec<u8>,
+    pub(crate) refs: Vec<u8>,
 }
 
 impl TriangleReport {

@@ -17,9 +17,9 @@ pub struct VideoRun {
     /// Catalog metadata (name, resolution, fps, entropy).
     pub spec: VideoSpec,
     /// Transcoded bitrate in kbit/s.
-    pub bitrate_kbps: f64,
+    pub(crate) bitrate_kbps: f64,
     /// PSNR in dB.
-    pub psnr_db: f64,
+    pub(crate) psnr_db: f64,
     /// Microarchitectural summary.
     pub summary: RunSummary,
 }

@@ -11,7 +11,7 @@ pub struct RunSummary {
     /// Instructions per cycle.
     pub ipc: f64,
     /// Retired instructions.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Top-down slot breakdown.
     pub topdown: TopDown,
     /// Cache / branch / TLB miss rates.

@@ -28,7 +28,7 @@ pub struct TranscodeOptions {
     /// `threads` field, `Some(n)` overrides it (`Some(0)` = auto). The
     /// parallel encoder is bit-identical to the serial one, so this only
     /// changes wall-clock time, never the report.
-    pub threads: Option<u32>,
+    pub(crate) threads: Option<u32>,
 }
 
 impl Default for TranscodeOptions {

@@ -20,19 +20,19 @@ use crate::{Frame, Video, VideoSpec};
 #[derive(Debug, Clone, PartialEq)]
 struct ContentProfile {
     /// Number of independently moving foreground objects.
-    pub object_count: usize,
+    pub(crate) object_count: usize,
     /// Peak object speed in simulated pixels per frame.
-    pub motion_px: f64,
+    pub(crate) motion_px: f64,
     /// Global pan speed in simulated pixels per frame.
-    pub pan_px: f64,
+    pub(crate) pan_px: f64,
     /// Peak-to-peak amplitude of the background texture.
-    pub texture_amp: f64,
+    pub(crate) texture_amp: f64,
     /// Spatial frequency of the background texture (radians per pixel).
-    pub texture_freq: f64,
+    pub(crate) texture_freq: f64,
     /// Amplitude of per-pixel uniform noise.
-    pub noise_amp: f64,
+    pub(crate) noise_amp: f64,
     /// Frames between hard scene cuts (`None` = no cuts).
-    pub cut_period: Option<u32>,
+    pub(crate) cut_period: Option<u32>,
 }
 
 impl ContentProfile {

@@ -46,11 +46,11 @@ pub struct ObsConfig {
     /// Master switch; when false every hook is a cheap no-op.
     pub enabled: bool,
     /// Tumbling-window width for live quantiles, microseconds.
-    pub window_us: u64,
+    pub(crate) window_us: u64,
     /// Recent windows merged into a live quantile reading.
-    pub windows_kept: usize,
+    pub(crate) windows_kept: usize,
     /// SLO burn-rate alerting parameters.
-    pub slo: SloConfig,
+    pub(crate) slo: SloConfig,
 }
 
 impl Default for ObsConfig {
@@ -78,11 +78,11 @@ impl ObsConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ScaleEvent {
     /// When the decision was committed (µs).
-    pub t_us: u64,
+    pub(crate) t_us: u64,
     /// Server index the decision targets.
-    pub server: usize,
+    pub(crate) server: usize,
     /// `true` = scale-out (launch), `false` = scale-in (deactivate).
-    pub out: bool,
+    pub(crate) out: bool,
 }
 
 /// The observability plane one serving run feeds: job tracker + windowed

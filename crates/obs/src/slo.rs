@@ -17,17 +17,17 @@
 pub struct SloConfig {
     /// Error budget: allowed bad-outcome fraction, in milli-units
     /// (e.g. 50 ⇒ 5% of outcomes may be bad).
-    pub budget_milli: u64,
+    pub(crate) budget_milli: u64,
     /// Burn-rate multiple that fires the alert, in milli-units
     /// (e.g. 2000 ⇒ burning budget at 2× the sustainable rate).
-    pub fire_burn_milli: u64,
+    pub(crate) fire_burn_milli: u64,
     /// Fast window width, microseconds.
-    pub fast_window_us: u64,
+    pub(crate) fast_window_us: u64,
     /// Slow window width, microseconds (≥ fast).
-    pub slow_window_us: u64,
+    pub(crate) slow_window_us: u64,
     /// Minimum outcomes in the fast window before it can vote — keeps a
     /// single early failure from firing on a 1/1 = 100% bad rate.
-    pub min_events: u64,
+    pub(crate) min_events: u64,
 }
 
 impl Default for SloConfig {

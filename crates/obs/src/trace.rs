@@ -55,18 +55,18 @@ impl SpanEnd {
 #[derive(Debug, Clone)]
 struct AttemptSpan {
     /// Server index the attempt ran on.
-    pub server: usize,
+    pub(crate) server: usize,
     /// Attempt ordinal as reported by the dispatcher (0-based; hedges share
     /// the ordinal of the primary they shadow).
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Dispatch time, microseconds.
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// End time; `None` while in flight.
-    pub end_us: Option<u64>,
+    pub(crate) end_us: Option<u64>,
     /// How the span ended; `None` while in flight.
-    pub end: Option<SpanEnd>,
+    pub(crate) end: Option<SpanEnd>,
     /// Whether this span is a hedge twin.
-    pub hedge: bool,
+    pub(crate) hedge: bool,
 }
 
 /// Terminal state of a job.
@@ -94,19 +94,19 @@ pub(crate) enum Terminal {
 #[derive(Debug, Clone)]
 struct JobRecord {
     /// Job id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Service class index (set at admission).
-    pub class: usize,
+    pub(crate) class: usize,
     /// Arrival time, microseconds.
-    pub arrive_us: u64,
+    pub(crate) arrive_us: u64,
     /// Admission time; `None` if the job was shed at the door.
-    pub admit_us: Option<u64>,
+    pub(crate) admit_us: Option<u64>,
     /// Dispatch attempts in dispatch order.
-    pub spans: Vec<AttemptSpan>,
+    pub(crate) spans: Vec<AttemptSpan>,
     /// Terminal state; `None` only for a malformed stream.
-    pub terminal: Option<Terminal>,
+    pub(crate) terminal: Option<Terminal>,
     /// Requeue count.
-    pub requeues: u32,
+    pub(crate) requeues: u32,
 }
 
 impl JobRecord {
@@ -144,13 +144,13 @@ pub struct ConservationStats {
     /// Jobs that arrived.
     pub arrived: u64,
     /// Jobs admitted past the door.
-    pub admitted: u64,
+    pub(crate) admitted: u64,
     /// Jobs with a `Completed` terminal.
     pub completed: u64,
     /// Jobs with a `Shed` terminal.
     pub shed: u64,
     /// Total dispatch attempts (including hedges).
-    pub attempts: u64,
+    pub(crate) attempts: u64,
 }
 
 /// Tracks per-job lifecycles from the deterministic serving event stream.

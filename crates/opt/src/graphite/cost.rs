@@ -9,9 +9,9 @@ use super::nest::LoopNest;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReplayCost {
     /// Total accesses replayed.
-    pub accesses: u64,
+    pub(crate) accesses: u64,
     /// Misses observed.
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 impl ReplayCost {

@@ -14,18 +14,18 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Access {
     /// Base byte address.
-    pub base: u64,
+    pub(crate) base: u64,
     /// Per-dimension byte strides (same length as the nest's dims).
-    pub strides: Vec<i64>,
+    pub(crate) strides: Vec<i64>,
     /// Whether the access writes.
-    pub is_store: bool,
+    pub(crate) is_store: bool,
 }
 
 /// A data dependence summarized as a constant distance vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Dependence {
     /// Per-dimension iteration distance (outermost first).
-    pub distance: Vec<i64>,
+    pub(crate) distance: Vec<i64>,
 }
 
 impl Dependence {
@@ -97,13 +97,13 @@ impl Error for TransformError {}
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LoopNest {
     /// Human-readable name (for reports).
-    pub name: String,
+    pub(crate) name: String,
     /// Loop extents, outermost first.
-    pub extents: Vec<i64>,
+    pub(crate) extents: Vec<i64>,
     /// Body accesses.
-    pub accesses: Vec<Access>,
+    pub(crate) accesses: Vec<Access>,
     /// Dependence distance vectors.
-    pub deps: Vec<Dependence>,
+    pub(crate) deps: Vec<Dependence>,
 }
 
 impl LoopNest {

@@ -48,8 +48,6 @@ impl BinaryVariant {
 /// A compiled-binary model: what to run the workload under.
 #[derive(Debug, Clone)]
 pub struct CompiledBinary {
-    /// Variant that produced this binary.
-    pub variant: BinaryVariant,
     /// Code layout for the profiler.
     pub layout: CodeLayout,
     /// Loop-transformation plan for the instrumentation.
@@ -85,20 +83,17 @@ pub fn compile(
 ) -> Result<CompiledBinary, MissingProfile> {
     let binary = match variant {
         BinaryVariant::Baseline => CompiledBinary {
-            variant,
             layout: CodeLayout::default_order(kernels),
             plan: DataPlan::canonical(),
         },
         BinaryVariant::AutoFdo => {
             let profile = profile.ok_or(MissingProfile)?;
             CompiledBinary {
-                variant,
                 layout: autofdo::optimized_layout(kernels, profile),
                 plan: DataPlan::canonical(),
             }
         }
         BinaryVariant::Graphite => CompiledBinary {
-            variant,
             layout: CodeLayout::default_order(kernels),
             plan: graphite::derive_plan(cfg),
         },

@@ -127,11 +127,11 @@ impl BlockedPortBench {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbstractResource {
     /// Ports pooled by this resource.
-    pub ports: PortMask,
+    pub(crate) ports: PortMask,
     /// Classes that load this resource.
-    pub classes: ClassMask,
+    pub(crate) classes: ClassMask,
     /// Slots per cycle (`ports.count_ones()`).
-    pub throughput: f64,
+    pub(crate) throughput: f64,
 }
 
 /// A port mapping recovered purely from measurements.
@@ -142,7 +142,7 @@ pub struct InferredModel {
     pub layout: PortLayout,
     /// Conjunctive resources: predicted load is `max` over resources of
     /// `flow(classes) / throughput`.
-    pub resources: Vec<AbstractResource>,
+    pub(crate) resources: Vec<AbstractResource>,
     /// Measurements spent.
     pub experiments: u64,
 }
@@ -275,7 +275,7 @@ pub struct Validation {
     /// Worst relative error across the suite.
     pub max_rel_error: f64,
     /// Mean relative error across the suite.
-    pub mean_rel_error: f64,
+    pub(crate) mean_rel_error: f64,
     /// Mixes evaluated.
     pub cases: usize,
 }

@@ -22,23 +22,23 @@ use crate::solver::{solve, ThroughputSolve};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortRefinement {
     /// Config the refinement ran under.
-    pub config_name: String,
+    pub(crate) config_name: String,
     /// Aggregate uop mix the refinement used (from the report's hotspots).
-    pub mix: UopMix,
+    pub(crate) mix: UopMix,
     /// Full solver result (per-port utilization, bottleneck group).
-    pub solve: ThroughputSolve,
+    pub(crate) solve: ThroughputSolve,
     /// Sustained issue rate fed to the interval model, uops/cycle.
-    pub dispatch_bound: f64,
+    pub(crate) dispatch_bound: f64,
     /// Nominal dispatch width of the config.
-    pub nominal_width: f64,
+    pub(crate) nominal_width: f64,
     /// Top-down shares before refinement.
-    pub topdown_before: TopDown,
+    pub(crate) topdown_before: TopDown,
     /// Top-down shares after refinement.
-    pub topdown_after: TopDown,
+    pub(crate) topdown_after: TopDown,
     /// Total cycles before refinement.
-    pub cycles_before: u64,
+    pub(crate) cycles_before: u64,
     /// Total cycles after refinement.
-    pub cycles_after: u64,
+    pub(crate) cycles_after: u64,
 }
 
 impl PortRefinement {
@@ -67,8 +67,8 @@ pub fn dispatch_bound(cfg: &UarchConfig, mix: &UopMix) -> Result<f64, PortError>
 
 /// Re-runs `report`'s cycle accounting with the port-model dispatch bound
 /// for its own hotspot mix, updating the breakdown, Top-down shares,
-/// stall rates, IPC, and simulated seconds in place. Per-port utilization
-/// and the bound are published to the telemetry registry.
+/// stall rates, IPC, and simulated seconds in place. The returned
+/// [`PortRefinement`] carries the bound and the per-port utilization.
 ///
 /// # Errors
 ///
@@ -122,7 +122,6 @@ pub fn refine_report(
     report.breakdown = breakdown;
     report.topdown = topdown;
 
-    vtx_telemetry::ports::publish(&refinement.solve.utilization, bound);
     Ok(refinement)
 }
 
@@ -223,14 +222,5 @@ mod tests {
             b_be2 >= b_base,
             "widened layout should not bind tighter: {b_be2} vs {b_base}"
         );
-    }
-
-    #[test]
-    fn refinement_publishes_port_gauges() {
-        let cfg = UarchConfig::baseline();
-        let mut report = fake_report(&cfg);
-        let before = vtx_telemetry::ports::solver_runs().value();
-        refine_report(&mut report, &cfg).unwrap();
-        assert!(vtx_telemetry::ports::solver_runs().value() > before);
     }
 }

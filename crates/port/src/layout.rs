@@ -87,7 +87,7 @@ pub(crate) type ClassMask = u16;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortLayout {
     /// Layout name (shown in reports; usually the config name).
-    pub name: String,
+    pub(crate) name: String,
     /// `ports[p]` is the [`ClassMask`] of uop classes port `p` accepts.
     ports: Vec<ClassMask>,
 }

@@ -24,8 +24,8 @@
 //!   measurements. Byte-deterministic for a fixed seed.
 //! * `integrate` — wiring into the rest of the pipeline: the solver's
 //!   dispatch bound feeds `CoreModel::with_dispatch_bound`, so port
-//!   contention shows up as backend-core Top-down share, and per-port
-//!   utilizations publish to `vtx-telemetry` gauges.
+//!   contention shows up as backend-core Top-down share, and the returned
+//!   `PortRefinement` carries the bound and per-port utilization.
 //!
 //! # Quickstart
 //!

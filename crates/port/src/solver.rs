@@ -30,12 +30,12 @@ pub struct ThroughputSolve {
     pub uops_per_cycle: f64,
     /// Per-unit cycle cost `L*` of the binding class subset (the port
     /// bound alone, before the width clamp).
-    pub bound_load: f64,
+    pub(crate) bound_load: f64,
     /// Fraction of cycles each port is busy at the sustained rate,
     /// `utilization[p]` in `[0, 1]`.
     pub utilization: Vec<f64>,
     /// Ports of the binding subset — the bottleneck group.
-    pub bottleneck: PortMask,
+    pub(crate) bottleneck: PortMask,
 }
 
 impl ThroughputSolve {

@@ -12,10 +12,10 @@
 #[derive(Debug, Clone, PartialEq)]
 struct BatchSchedule {
     /// `per_server[s]` lists the task indices placed on server `s`.
-    pub per_server: Vec<Vec<usize>>,
+    pub(crate) per_server: Vec<Vec<usize>>,
     /// Predicted makespan (max per-server load) under the times used to
     /// build the schedule.
-    pub predicted_makespan: f64,
+    pub(crate) predicted_makespan: f64,
 }
 
 impl BatchSchedule {

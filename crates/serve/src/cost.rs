@@ -114,14 +114,14 @@ pub struct CostModel {
     pub seed: u64,
     /// Multiplier on the affinity benefit share: how strongly a matching
     /// Table IV configuration speeds a task up.
-    pub affinity_gain: f64,
+    pub(crate) affinity_gain: f64,
     /// Lognormal sigma of the per-job size surprise (same on all servers).
-    pub sigma_job: f64,
+    pub(crate) sigma_job: f64,
     /// Lognormal sigma of the per-(job, server) residual.
-    pub sigma_pair: f64,
+    pub(crate) sigma_pair: f64,
     /// Multiplier on the port-model relief: how strongly a wider port
     /// layout shortens a port-bound job. 1.0 = take the solver at its word.
-    pub port_gain: f64,
+    pub(crate) port_gain: f64,
     /// The catalog and port-relief tables, shared by every model.
     table: &'static StaticTable,
 }

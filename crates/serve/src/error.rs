@@ -31,6 +31,14 @@ pub enum ServeError {
         /// The name that failed to resolve.
         name: String,
     },
+    /// A popularity model's Zipf skew was negative or non-finite, or its
+    /// live fraction fell outside `[0, 1]`.
+    InvalidPopularity {
+        /// The Zipf skew exponent.
+        zipf_s: f64,
+        /// The live-class fraction.
+        live_frac: f64,
+    },
     /// An arrival-trace line failed to parse.
     Trace {
         /// 1-based line number.
@@ -62,6 +70,13 @@ impl fmt::Display for ServeError {
             }
             ServeError::UnknownVideo { name } => {
                 write!(f, "video '{name}' is not in the vbench catalog")
+            }
+            ServeError::InvalidPopularity { zipf_s, live_frac } => {
+                write!(
+                    f,
+                    "popularity needs a finite Zipf skew >= 0 and a live fraction in [0, 1], \
+                     got skew {zipf_s} and live fraction {live_frac}"
+                )
             }
             ServeError::Trace { line, message } => {
                 write!(f, "arrival trace line {line}: {message}")

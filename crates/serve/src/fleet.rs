@@ -10,11 +10,11 @@ use crate::error::ServeError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     /// Display name (unique within a fleet).
-    pub name: String,
+    pub(crate) name: String,
     /// Microarchitecture configuration (Table IV column).
-    pub uarch: UarchConfig,
+    pub(crate) uarch: UarchConfig,
     /// Relative speed multiplier (>1 = faster part).
-    pub speed: f64,
+    pub(crate) speed: f64,
 }
 
 impl ServerSpec {

@@ -38,18 +38,18 @@ struct Running {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Started {
     /// Job id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Server the copy occupies; [`InFlight::job`] returns the job there.
-    pub server: usize,
+    pub(crate) server: usize,
     /// Serial of this copy within the run. A finish report is current only
     /// while [`InFlight::holds`] this `(server, instance)` pair.
-    pub instance: u64,
+    pub(crate) instance: u64,
     /// `Some(lookup cost)` when the segment cache satisfied the dispatch:
     /// no transcode runs.
-    pub cached_us: Option<u64>,
+    pub(crate) cached_us: Option<u64>,
     /// When the driver should call [`InFlight::hedge`] for this job (set on
     /// the first dispatch of an interactive job that missed the cache).
-    pub hedge_due_us: Option<u64>,
+    pub(crate) hedge_due_us: Option<u64>,
 }
 
 /// How the transport saw a copy's run end.

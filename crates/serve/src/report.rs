@@ -21,7 +21,7 @@ pub struct LatencyStats {
     /// Mean (µs, rounded).
     pub mean_us: u64,
     /// Minimum (µs).
-    pub min_us: u64,
+    pub(crate) min_us: u64,
     /// Exact p50 (µs).
     pub p50_us: u64,
     /// Exact p90 (µs).
@@ -29,7 +29,7 @@ pub struct LatencyStats {
     /// Exact p99 (µs).
     pub p99_us: u64,
     /// Maximum (µs).
-    pub max_us: u64,
+    pub(crate) max_us: u64,
 }
 
 impl LatencyStats {
@@ -39,10 +39,9 @@ impl LatencyStats {
     ///
     /// An empty slice yields the all-zero stats block (`count == 0`,
     /// every quantile 0) rather than a panic or sentinel — the same
-    /// contract as `vtx_telemetry::metrics::Histogram::quantile` and
-    /// `vtx_obs::QuantileSketch::quantile_permille`. Renderers and the
-    /// bench trajectory rely on this: a class that served no jobs prints
-    /// a zero row and stays byte-deterministic.
+    /// contract as `vtx_obs::QuantileSketch::quantile_permille`. Renderers
+    /// and the bench trajectory rely on this: a class that served no jobs
+    /// prints a zero row and stays byte-deterministic.
     pub(crate) fn from_samples(samples: &[u64]) -> Self {
         if samples.is_empty() {
             return LatencyStats {
@@ -80,13 +79,13 @@ impl LatencyStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
     /// Server name.
-    pub name: String,
+    pub(crate) name: String,
     /// Jobs completed on this server.
     pub jobs: u64,
     /// Busy time (µs).
     pub busy_us: u64,
     /// Busy fraction of the run's makespan (0..=1).
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 /// What the chaos layer injected and what recovery did about it.
@@ -97,7 +96,7 @@ pub struct FaultAccounting {
     /// Fail-slow slowdown windows scheduled by the plan.
     pub slowdowns: u64,
     /// Transient stalls scheduled by the plan.
-    pub stalls: u64,
+    pub(crate) stalls: u64,
     /// In-flight jobs requeued off servers declared down.
     pub requeued: u64,
     /// Hedged duplicate dispatches launched.
@@ -106,7 +105,7 @@ pub struct FaultAccounting {
     pub hedges_won: u64,
     /// Hedge copies whose work was discarded (the other copy won or both
     /// attempts timed out).
-    pub hedges_wasted: u64,
+    pub(crate) hedges_wasted: u64,
     /// Dispatches whose preset the degradation ladder stepped down.
     pub degraded_jobs: u64,
     /// Highest ladder level reached during the run.
@@ -126,15 +125,15 @@ pub struct SegmentStats {
     /// Parents serving a *degraded* manifest: at least one rung finished
     /// every segment, but not all rungs did (see
     /// [`crate::segment::SegmentPlan::manifests_partial`]).
-    pub parents_degraded: u64,
+    pub(crate) parents_degraded: u64,
     /// Dispatch units offered (Σ segments × rungs over parents).
     pub units: u64,
     /// Units that completed.
     pub units_complete: u64,
     /// Per-rung `(name, units, completed)`, ladder order.
-    pub per_rung: Vec<(String, u64, u64)>,
+    pub(crate) per_rung: Vec<(String, u64, u64)>,
     /// Per-segment-index `(units, completed)`; index = position in clip.
-    pub per_segment: Vec<(u64, u64)>,
+    pub(crate) per_segment: Vec<(u64, u64)>,
 }
 
 /// Everything a serving run produces.
@@ -143,7 +142,7 @@ pub struct ServingReport {
     /// Dispatch policy name.
     pub policy: String,
     /// Workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Jobs offered by the load generator.
     pub offered: u64,
     /// Jobs completed (possibly after retry, possibly past deadline).
@@ -156,7 +155,7 @@ pub struct ServingReport {
     /// Dispatch attempts beyond the first, summed over jobs.
     pub retries: u64,
     /// Last event timestamp (µs).
-    pub makespan_us: u64,
+    pub(crate) makespan_us: u64,
     /// Completed jobs per second of makespan.
     pub throughput_jps: f64,
     /// Fraction of server-time the fleet was actually alive: 1.0 with no
@@ -206,7 +205,7 @@ pub struct ScaleStats {
     /// Time-averaged provisioned capacity (∫cap dt / makespan), × 1000.
     pub served_capacity_milli: u64,
     /// Σ per-server active time (µs) — the cost-of-capacity integral.
-    pub active_server_us: u64,
+    pub(crate) active_server_us: u64,
 }
 
 impl ServingReport {

@@ -81,31 +81,31 @@ impl Default for SegmentOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParentInfo {
     /// The catalog job's original id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// vbench short name, the allocation every unit's task shares.
-    pub video: Arc<str>,
+    pub(crate) video: Arc<str>,
     /// Reference-frame count inherited by every unit.
-    pub refs: u8,
+    pub(crate) refs: u8,
     /// Frame width at plan geometry.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Frame height at plan geometry.
-    pub height: u32,
+    pub(crate) height: u32,
     /// Clip length in frames at plan geometry.
-    pub frames: u32,
+    pub(crate) frames: u32,
     /// Frame rate.
-    pub fps: u32,
+    pub(crate) fps: u32,
     /// Segment start frames (`[0, g, 2g, …]`).
-    pub points: Vec<u32>,
+    pub(crate) points: Vec<u32>,
     /// Ladder rung indices this parent fans across (trimmed for live
     /// parents when [`SegmentOptions::live_rungs`] is set).
-    pub rungs: Vec<usize>,
+    pub(crate) rungs: Vec<usize>,
 }
 
 /// Where one dispatch unit sits in the (parent, segment, rung) grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitMeta {
     /// Index into [`SegmentPlan::parents`].
-    pub parent: usize,
+    pub(crate) parent: usize,
     /// The parent catalog job's original id.
     pub parent_job: u64,
     /// Segment index within the clip.
@@ -113,12 +113,12 @@ pub struct UnitMeta {
     /// Rung index within the ladder.
     pub rung: usize,
     /// First frame of the segment.
-    pub start_frame: u32,
+    pub(crate) start_frame: u32,
     /// Frames in this segment.
-    pub frames: u32,
+    pub(crate) frames: u32,
     /// Frames in the whole clip (the unit costs `frames / total_frames`
     /// of the whole-clip service time).
-    pub total_frames: u32,
+    pub(crate) total_frames: u32,
 }
 
 /// A fully-expanded segment plan: the unit trace plus everything needed to
@@ -136,7 +136,7 @@ pub struct SegmentPlan {
     /// Target segment duration the cut points were derived from.
     pub target_ms: u32,
     /// Whether plan geometry is thumbnail-sized.
-    pub tiny: bool,
+    pub(crate) tiny: bool,
 }
 
 impl SegmentPlan {

@@ -16,8 +16,6 @@ use vtx_cache::{CacheKey, CacheSpec, SegmentCache};
 use vtx_chaos::degrade::{downgrade, DegradeLadder};
 use vtx_chaos::{Cause, FaultKind, Health};
 use vtx_obs::{AlertTransition, ObsConfig, ObsPlane};
-use vtx_telemetry::chaos as chaos_metrics;
-use vtx_telemetry::metrics::{self, Counter, Gauge, Histogram};
 
 use crate::cells::IdleIndex;
 use crate::chaos::ChaosConfig;
@@ -111,13 +109,13 @@ impl Default for ServeConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantAdmissionConfig {
     /// Tenant count (must match the workload's tenant encoding).
-    pub n_tenants: usize,
+    pub(crate) n_tenants: usize,
     /// Per-tenant sustained admission rate, milli-jobs per second,
     /// `crate::workload::tenant_of` index order. Shorter vectors repeat
     /// their last entry; empty disables throttling.
-    pub rate_milli_per_s: Vec<u64>,
+    pub(crate) rate_milli_per_s: Vec<u64>,
     /// Bucket depth in milli-jobs (shared by all tenants).
-    pub burst_milli: u64,
+    pub(crate) burst_milli: u64,
 }
 
 impl TenantAdmissionConfig {
@@ -486,43 +484,6 @@ impl EventRecord {
     }
 }
 
-/// The `serve/*` metrics, resolved once per run: a registry lookup takes
-/// the registry lock and walks a map, which is too much per offer.
-#[derive(Debug)]
-struct ServeMetrics {
-    offered: &'static Counter,
-    completed: &'static Counter,
-    slo_violations: &'static Counter,
-    shed: &'static Counter,
-    throttled: &'static Counter,
-    timeouts: &'static Counter,
-    alert_transitions: &'static Counter,
-    cache_hits: &'static Counter,
-    cache_misses: &'static Counter,
-    sojourn_us: &'static Histogram,
-    cache_occupancy_bytes: &'static Gauge,
-    cache_entries: &'static Gauge,
-}
-
-impl ServeMetrics {
-    fn resolve() -> Self {
-        ServeMetrics {
-            offered: metrics::counter("serve/offered"),
-            completed: metrics::counter("serve/completed"),
-            slo_violations: metrics::counter("serve/slo_violations"),
-            shed: metrics::counter("serve/shed"),
-            throttled: metrics::counter("serve/throttled"),
-            timeouts: metrics::counter("serve/timeouts"),
-            alert_transitions: metrics::counter("serve/alert_transitions"),
-            cache_hits: metrics::counter("serve/cache_hits"),
-            cache_misses: metrics::counter("serve/cache_misses"),
-            sojourn_us: metrics::histogram("serve/sojourn_us"),
-            cache_occupancy_bytes: metrics::gauge("serve/cache_occupancy_bytes"),
-            cache_entries: metrics::gauge("serve/cache_entries"),
-        }
-    }
-}
-
 /// The state machine under the engine loop.
 #[derive(Debug)]
 pub struct ServiceCore {
@@ -530,7 +491,6 @@ pub struct ServiceCore {
     fleet: Fleet,
     /// The fleet's server classes, lent to the policy every round.
     classes: ClassMap,
-    metrics: ServeMetrics,
     model: CostModel,
     policy: Box<dyn DispatchPolicy>,
     queue: AdmissionQueue,
@@ -684,7 +644,6 @@ impl ServiceCore {
             cfg,
             classes: ClassMap::of(&fleet),
             fleet,
-            metrics: ServeMetrics::resolve(),
             model,
             policy,
             queue,
@@ -735,7 +694,6 @@ impl ServiceCore {
 
     /// Folds a burn-rate transition into the event log as an `Alert`.
     fn record_alert(&mut self, tr: AlertTransition) {
-        self.metrics.alert_transitions.add(1);
         self.record(EventRecord::Alert {
             t: tr.t_us,
             class: Priority::ALL[tr.class.min(Priority::ALL.len() - 1)],
@@ -806,7 +764,6 @@ impl ServiceCore {
         let cache = self.cache.as_mut().expect("checked above");
         if cache.lookup(&key) {
             let lookup_us = cache.lookup_us();
-            self.metrics.cache_hits.add(1);
             self.record(EventRecord::CacheHit {
                 t: now_us,
                 id: job.spec.id,
@@ -814,7 +771,6 @@ impl ServiceCore {
             });
             Some(lookup_us)
         } else {
-            self.metrics.cache_misses.add(1);
             None
         }
     }
@@ -850,11 +806,6 @@ impl ServiceCore {
         };
         let cache = self.cache.as_mut().expect("checked above");
         cache.insert(key, bytes, cost_us);
-        let stats = cache.stats();
-        self.metrics
-            .cache_occupancy_bytes
-            .set(stats.occupancy_bytes as f64);
-        self.metrics.cache_entries.set(stats.entries as f64);
     }
 
     /// Jobs currently queued.
@@ -875,11 +826,6 @@ impl ServiceCore {
     /// Detector belief per server, fleet order.
     pub(crate) fn health(&self) -> &[Health] {
         &self.health
-    }
-
-    fn publish_health(&self) {
-        let up = self.health.iter().filter(|&&h| h == Health::Up).count();
-        chaos_metrics::publish_detector(up);
     }
 
     /// Books a health or activation transition: bumps the cache epoch and
@@ -908,7 +854,6 @@ impl ServiceCore {
                 server,
                 cause: Cause::HeartbeatMiss,
             });
-            self.publish_health();
         }
     }
 
@@ -922,7 +867,6 @@ impl ServiceCore {
                 server,
                 cause: Cause::HeartbeatMiss,
             });
-            self.publish_health();
         }
     }
 
@@ -1000,7 +944,6 @@ impl ServiceCore {
                 self.warming[s] = true;
                 let ready_us = now_us.saturating_add(cfg.warmup_delay_us(self.model.seed, s));
                 self.scale_outs += 1;
-                chaos_metrics::scale_outs().add(1);
                 self.record(EventRecord::ScaleOut {
                     t: now_us,
                     server: s,
@@ -1028,7 +971,6 @@ impl ServiceCore {
                 self.recompute_cap_now();
                 self.on_health_transition();
                 self.scale_ins += 1;
-                chaos_metrics::scale_ins().add(1);
                 self.record(EventRecord::ScaleIn {
                     t: now_us,
                     server: s,
@@ -1037,12 +979,6 @@ impl ServiceCore {
                 actions.push(ScaleAction::In { server: s });
                 dropped += 1;
             }
-        }
-        if !actions.is_empty() {
-            chaos_metrics::publish_autoscale(
-                self.active.iter().filter(|&&a| a).count(),
-                self.up_capacity,
-            );
         }
         actions
     }
@@ -1069,10 +1005,6 @@ impl ServiceCore {
     /// Books one injected fault (the driver calls this when a planned fault
     /// actually fires).
     pub(crate) fn record_fault(&mut self, server: usize, kind: FaultKind, now_us: u64) {
-        chaos_metrics::faults_injected().add(1);
-        if kind == FaultKind::Crash {
-            chaos_metrics::crashes().add(1);
-        }
         self.record(EventRecord::Fault {
             t: now_us,
             server,
@@ -1087,7 +1019,6 @@ impl ServiceCore {
     pub(crate) fn fail(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
         self.requeued += 1;
         self.lost_spans.push(now_us.saturating_sub(started_us));
-        chaos_metrics::requeues().add(1);
         self.obs.on_requeue(now_us, job.spec.id, server);
         self.record(EventRecord::Requeue {
             t: now_us,
@@ -1188,7 +1119,6 @@ impl ServiceCore {
             self.breaker_until[server] = until;
             self.open_breakers.push(server);
             self.breaker_fails[server] = 0;
-            chaos_metrics::breaker_trips().add(1);
             self.record(EventRecord::Breaker {
                 t: now_us,
                 server,
@@ -1220,7 +1150,6 @@ impl ServiceCore {
     /// Books a hedged duplicate dispatch (the driver schedules the copy).
     pub(crate) fn hedge_dispatch(&mut self, job: &PendingJob, server: usize, now_us: u64) {
         self.hedges_launched += 1;
-        chaos_metrics::hedges().add(1);
         self.obs.on_hedge(now_us, job.spec.id, server);
         self.record(EventRecord::Hedge {
             t: now_us,
@@ -1271,7 +1200,6 @@ impl ServiceCore {
 
     fn shed_job(&mut self, job: &PendingJob, reason: ShedReason, now_us: u64) {
         self.shed[reason as usize] += 1;
-        self.metrics.shed.add(1);
         if !self.shed_by_tenant.is_empty() {
             let n = self.shed_by_tenant.len();
             self.shed_by_tenant[crate::workload::tenant_of(job.spec.id, n)] += 1;
@@ -1305,7 +1233,6 @@ impl ServiceCore {
     /// Offers an arriving job to admission control.
     pub(crate) fn offer(&mut self, spec: JobSpec, now_us: u64) {
         self.offered += 1;
-        self.metrics.offered.add(1);
         let id = spec.id;
         let class = spec.priority;
         self.obs.on_arrive(now_us, id);
@@ -1320,7 +1247,6 @@ impl ServiceCore {
         if let Some(buckets) = &mut self.buckets {
             let tenant = crate::workload::tenant_of(id, buckets.cfg.n_tenants);
             if !buckets.admit(tenant, now_us) {
-                self.metrics.throttled.add(1);
                 self.shed_job(&job, ShedReason::Throttled, now_us);
                 return;
             }
@@ -1436,7 +1362,6 @@ impl ServiceCore {
                 level,
                 cause,
             });
-            chaos_metrics::degrade_level_gauge().set(f64::from(level));
             self.peak_degrade = self.peak_degrade.max(level);
         }
         level
@@ -1459,10 +1384,7 @@ impl ServiceCore {
         let violation = now_us > job.spec.deadline_us;
         if violation {
             self.violations += 1;
-            self.metrics.slo_violations.add(1);
         }
-        self.metrics.completed.add(1);
-        self.metrics.sojourn_us.record(sojourn);
         self.sojourns.push(sojourn);
         self.sojourns_by_class[job.spec.priority.index()].push(sojourn);
         let alert = self.obs.on_complete(
@@ -1489,7 +1411,6 @@ impl ServiceCore {
     /// admission if it has retry budget left; otherwise it is shed.
     pub(crate) fn timeout(&mut self, job: PendingJob, server: usize, started_us: u64, now_us: u64) {
         self.server_busy_us[server] += now_us.saturating_sub(started_us);
-        self.metrics.timeouts.add(1);
         self.obs.on_timeout(now_us, job.spec.id, server);
         self.record(EventRecord::Timeout {
             t: now_us,

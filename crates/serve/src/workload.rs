@@ -63,16 +63,16 @@ impl Priority {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Unique, dense id (position in the trace).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Arrival time in microseconds from trace start.
     pub arrival_us: u64,
     /// What to transcode.
     pub task: TranscodeTask,
     /// Service class.
-    pub priority: Priority,
+    pub(crate) priority: Priority,
     /// Absolute completion deadline; finishing later is an SLO violation,
     /// still being *queued* past it gets the job shed.
-    pub deadline_us: u64,
+    pub(crate) deadline_us: u64,
     /// Per-attempt service cap: an attempt running longer is killed and the
     /// job retried (up to the configured retry budget).
     pub timeout_us: u64,
@@ -89,9 +89,9 @@ pub struct JobSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopularitySpec {
     /// Zipf skew exponent `s` over the video list (0 = uniform).
-    pub zipf_s: f64,
+    pub(crate) zipf_s: f64,
     /// Fraction of jobs in the live (interactive) class, in `[0, 1]`.
-    pub live_frac: f64,
+    pub(crate) live_frac: f64,
 }
 
 /// Shape of a non-stationary arrival process, as a time-varying multiplier
@@ -191,12 +191,12 @@ impl ArrivalShape {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Share of the arrival stream (relative weight, any positive scale).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Zipf skew of this tenant's catalog popularity (0 = uniform).
-    pub zipf_s: f64,
+    pub(crate) zipf_s: f64,
     /// Admission quota in jobs per second the tenant is entitled to;
     /// the serving layer's token buckets enforce it when armed.
-    pub quota_hz: f64,
+    pub(crate) quota_hz: f64,
 }
 
 /// A composable surge scenario: an arrival shape plus an optional
@@ -439,7 +439,9 @@ impl WorkloadSpec {
     /// # Errors
     ///
     /// Returns [`ServeError::EmptyWorkload`] when `jobs` is 0 or any choice
-    /// list is empty.
+    /// list is empty, and [`ServeError::InvalidPopularity`] when the
+    /// popularity model's skew is negative or non-finite or its live
+    /// fraction is outside `[0, 1]`.
     pub fn generate(&self) -> Result<Vec<JobSpec>, ServeError> {
         if self.jobs == 0
             || self.videos.is_empty()
@@ -448,6 +450,11 @@ impl WorkloadSpec {
             || self.refs_choices.is_empty()
         {
             return Err(ServeError::EmptyWorkload);
+        }
+        if let Some(&PopularitySpec { zipf_s, live_frac }) = self.popularity.as_ref() {
+            if !(zipf_s.is_finite() && zipf_s >= 0.0 && (0.0..=1.0).contains(&live_frac)) {
+                return Err(ServeError::InvalidPopularity { zipf_s, live_frac });
+            }
         }
         if let Some(scenario) = &self.scenario {
             return self.generate_scenario(scenario);
@@ -753,6 +760,19 @@ mod tests {
                 assert_eq!(j.task.preset, *spec.presets.last().unwrap());
                 assert_eq!(j.task.crf, *spec.crf_choices.last().unwrap());
             }
+        }
+    }
+
+    #[test]
+    fn invalid_popularity_is_an_error_not_a_panic() {
+        for (zipf_s, live_frac) in [(-1.0, 0.3), (f64::NAN, 0.3), (1.0, 2.0), (1.0, f64::NAN)] {
+            let r = WorkloadSpec::bundled(42)
+                .with_popularity(zipf_s, live_frac)
+                .generate();
+            assert!(
+                matches!(r, Err(ServeError::InvalidPopularity { .. })),
+                "skew {zipf_s}, live fraction {live_frac}: {r:?}"
+            );
         }
     }
 

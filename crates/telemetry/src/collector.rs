@@ -30,9 +30,9 @@ pub struct Trace {
     pub events: Vec<Event>,
     /// `(tid, name)` for every thread that recorded at least one event
     /// since the process started.
-    pub threads: Vec<(u64, String)>,
+    pub(crate) threads: Vec<(u64, String)>,
     /// Events lost to ring-capacity limits since the last drain.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 impl Trace {

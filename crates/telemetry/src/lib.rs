@@ -2,7 +2,7 @@
 //!
 //! The simulator observes the *simulated* machine; this crate observes the
 //! *host-side pipeline that drives it* — the 816-point parameter sweeps, the
-//! preset/video studies, the scheduler — with wall-clock spans, metrics and
+//! preset/video studies, the scheduler — with wall-clock spans, a histogram and
 //! exportable traces. It is deliberately tiny and dependency-free:
 //!
 //! * [`Span`] — RAII guards timing a region of host execution. Guards record
@@ -10,8 +10,7 @@
 //!   drains all rings into one [`Trace`]. When the collector is disabled
 //!   (the default) every span operation is a single relaxed atomic load and
 //!   **performs no allocation**.
-//! * [`metrics`] — process-wide counters, gauges and log₂-bucket latency
-//!   histograms with p50/p90/p99 summaries, keyed by static names.
+//! * [`metrics::Histogram`] — a standalone log₂-bucket latency histogram.
 //! * [`chrome`] — a Chrome trace-event JSON exporter; the output loads in
 //!   Perfetto or `chrome://tracing` and can carry synthetic tracks (e.g.
 //!   simulated-time cycle breakdowns) alongside the wall-clock tracks.
@@ -43,13 +42,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chaos;
 pub mod chrome;
 mod clock;
 mod collector;
 pub mod flame;
 pub mod metrics;
-pub mod ports;
 pub mod progress;
 mod ring;
 mod span;

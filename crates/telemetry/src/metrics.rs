@@ -1,56 +1,18 @@
-//! Process-wide metrics: counters, gauges and log₂-bucket histograms.
+//! A log₂-bucket latency histogram.
 //!
-//! Metrics are keyed by static names and live for the whole process:
-//! [`counter`], [`gauge`] and [`histogram`] hand out `&'static` handles, so
-//! hot paths pay a registry lookup only once if they cache the handle, and
-//! updates are plain atomic operations either way.
+//! [`Histogram`] is a standalone value that threads share by reference;
+//! nothing registers it process-wide.
 //!
 //! ```
-//! use vtx_telemetry::metrics;
+//! use vtx_telemetry::metrics::Histogram;
 //!
-//! metrics::counter("doc/points").add(3);
-//! metrics::histogram("doc/latency_us").record(1500);
-//! assert!(metrics::counter("doc/points").value() >= 3);
+//! let h = Histogram::new();
+//! h.record(1500);
+//! h.record(0);
+//! assert_eq!(h.count(), 2);
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge holding the latest `f64` sample.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value (0.0 if never set).
-    #[cfg(test)]
-    pub(crate) fn value(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
 
 /// Number of histogram buckets: bucket `i` covers `[2^(i-1), 2^i)` (bucket 0
 /// holds zeros), so 65 buckets cover the whole `u64` range.
@@ -72,15 +34,15 @@ pub struct Histogram {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HistogramSummary {
     /// Total samples recorded.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Mean sample value.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Median upper bound.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// 90th-percentile upper bound.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th-percentile upper bound.
-    pub p99: u64,
+    pub(crate) p99: u64,
 }
 
 fn bucket_of(v: u64) -> usize {
@@ -172,71 +134,7 @@ impl Default for Histogram {
     }
 }
 
-enum Metric {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
-}
-
-fn registry() -> MutexGuard<'static, BTreeMap<&'static str, Metric>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Metric>>> = OnceLock::new();
-    // A panic while registering (e.g. a kind mismatch) never leaves the map
-    // half-updated, so a poisoned lock is still safe to reuse.
-    REGISTRY
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The counter registered under `name` (created on first use).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric kind.
-pub fn counter(name: &'static str) -> &'static Counter {
-    let mut reg = registry();
-    match reg
-        .entry(name)
-        .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::default()))))
-    {
-        Metric::Counter(c) => c,
-        _ => panic!("metric '{name}' already registered with a different kind"),
-    }
-}
-
-/// The gauge registered under `name` (created on first use).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric kind.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = registry();
-    match reg
-        .entry(name)
-        .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::default()))))
-    {
-        Metric::Gauge(g) => g,
-        _ => panic!("metric '{name}' already registered with a different kind"),
-    }
-}
-
-/// The histogram registered under `name` (created on first use).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric kind.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut reg = registry();
-    match reg
-        .entry(name)
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))))
-    {
-        Metric::Histogram(h) => h,
-        _ => panic!("metric '{name}' already registered with a different kind"),
-    }
-}
-
-/// Maps a registry name (e.g. `serve/sojourn_us`) to a valid Prometheus
+/// Maps a slash-separated name (e.g. `serve/sojourn_us`) to a valid Prometheus
 /// metric name: every character outside `[a-zA-Z0-9_:]` becomes `_`, and a
 /// leading digit gets a `_` prefix so the result matches
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
@@ -264,31 +162,6 @@ fn sanitize_metric_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_roundtrip() {
-        let c = counter("test/metrics/counter");
-        c.add(2);
-        c.add(3);
-        assert!(c.value() >= 5);
-        let g = gauge("test/metrics/gauge");
-        g.set(2.5);
-        assert_eq!(g.value(), 2.5);
-    }
-
-    #[test]
-    fn registry_returns_same_instance() {
-        let a = counter("test/metrics/same") as *const Counter;
-        let b = counter("test/metrics/same") as *const Counter;
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind")]
-    fn kind_mismatch_panics() {
-        let _ = counter("test/metrics/mismatch");
-        let _ = gauge("test/metrics/mismatch");
-    }
 
     #[test]
     fn bucket_boundaries() {

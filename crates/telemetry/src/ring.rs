@@ -30,17 +30,17 @@ pub enum EventKind {
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Static event name (span or marker name).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Category (groups related events in trace viewers).
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Record kind.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Microseconds since the process epoch.
-    pub ts_us: u64,
+    pub(crate) ts_us: u64,
     /// Small stable id of the recording thread (assigned at registration).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Structured arguments (empty for most events).
-    pub args: Vec<(&'static str, ArgValue)>,
+    pub(crate) args: Vec<(&'static str, ArgValue)>,
 }
 
 /// A bounded buffer of events belonging to one thread.

@@ -40,7 +40,7 @@ impl KernelDesc {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelProfile {
     /// Invocation count per kernel.
-    pub invocations: Vec<u64>,
+    pub(crate) invocations: Vec<u64>,
     /// Retired instructions attributed to each kernel.
     pub instructions: Vec<u64>,
     /// Directed call-pair transition counts: `pairs[from][to]` increments

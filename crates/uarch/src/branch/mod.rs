@@ -26,9 +26,9 @@ pub use tage::Tage;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BranchStats {
     /// Conditional branches observed.
-    pub branches: u64,
+    pub(crate) branches: u64,
     /// Branches whose direction was mispredicted.
-    pub mispredicts: u64,
+    pub(crate) mispredicts: u64,
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub struct CacheParams {
     /// Line size in bytes.
     pub line_bytes: u32,
     /// Load-to-use latency in cycles (used by the interval model).
-    pub latency: u32,
+    pub(crate) latency: u32,
 }
 
 impl CacheParams {
@@ -80,7 +80,7 @@ impl CacheParams {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
-    pub accesses: u64,
+    pub(crate) accesses: u64,
     /// Lookups that missed.
     pub misses: u64,
 }

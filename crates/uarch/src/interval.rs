@@ -88,22 +88,22 @@ fn merge_levels(a: &mut LevelCounters, b: &LevelCounters) {
 struct ModelParams {
     /// Fraction of an instruction-fetch miss penalty actually exposed
     /// (fetch-ahead hides the rest).
-    pub fetch_exposure: f64,
+    pub(crate) fetch_exposure: f64,
     /// Decode-restart penalty per front-end redirect, cycles.
-    pub redirect_penalty: f64,
+    pub(crate) redirect_penalty: f64,
     /// Exposed penalty of an L2-hit load (mostly hidden by OoO), cycles.
-    pub l2_hit_exposed: f64,
+    pub(crate) l2_hit_exposed: f64,
     /// Maximum memory-level parallelism the model will credit.
-    pub max_mlp: f64,
+    pub(crate) max_mlp: f64,
     /// Extra cycles of port pressure per heavy (mul/div) uop.
-    pub heavy_cost: f64,
+    pub(crate) heavy_cost: f64,
     /// Store-buffer occupancy (fraction of capacity) above which stalls
     /// accrue. Average occupancy understates burst pressure, so the
     /// threshold is a small fraction of capacity.
-    pub sb_threshold: f64,
+    pub(crate) sb_threshold: f64,
     /// Dispatch-to-issue bubble charged per uop when `issue_at_dispatch` is
     /// false (fraction of a cycle, amortized).
-    pub dispatch_bubble: f64,
+    pub(crate) dispatch_bubble: f64,
 }
 
 impl Default for ModelParams {

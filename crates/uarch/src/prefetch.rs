@@ -25,7 +25,7 @@ pub enum PrefetcherKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PrefetchStats {
     /// Prefetches issued to the hierarchy.
-    pub issued: u64,
+    pub(crate) issued: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]

@@ -16,7 +16,7 @@ const PAGE_BYTES: u64 = 4096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Total translations requested.
-    pub accesses: u64,
+    pub(crate) accesses: u64,
     /// Translations that missed (page walk required).
     pub misses: u64,
 }

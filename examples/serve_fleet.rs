@@ -326,7 +326,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let policy = EvictPolicy::from_name(&evict)
             .ok_or_else(|| format!("unknown eviction policy: {evict} (want lru|lfu|gdsf)"))?;
         Some(CacheSpec {
-            capacity_bytes: cache_mb << 20,
+            capacity_bytes: cache_mb
+                .checked_mul(1 << 20)
+                .ok_or("--cache-mb is too large: the capacity overflows 64-bit bytes")?,
             policy,
             ..CacheSpec::default()
         })

@@ -1,6 +1,6 @@
-//! Seeded mutation fuzz of every text parser that reads outside input: a
-//! `.y4m` header, a rendition ladder spec, HLS master and media playlists,
-//! JSON, and a serving arrival trace.
+//! Seeded mutation fuzz of every parser that reads outside input: a `.y4m`
+//! header, a rendition ladder spec, HLS master and media playlists, JSON, a
+//! serving arrival trace, and CMAF init and media segments.
 //!
 //! Each case takes a valid input, applies one to three mutations (byte flip,
 //! insert, delete, truncate, duplicate a span) from a SplitMix64 stream, and
@@ -9,7 +9,9 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
+use vtx_container::demux;
 use vtx_container::manifest::{parse_master, parse_media, render_master, render_media};
+use vtx_container::mux::{self, Sample};
 use vtx_container::package::{master_playlist, media_playlist};
 use vtx_container::Ladder;
 use vtx_frame::y4m::{video_from_y4m, write_y4m};
@@ -119,5 +121,39 @@ fn trace_mutations_never_panic() {
     let valid = render_trace(&jobs[..6.min(jobs.len())]);
     fuzz("parse_trace", 6, valid.as_bytes(), |b| {
         let _ = parse_trace(&text(b));
+    });
+}
+
+#[test]
+fn cmaf_segment_mutations_never_panic() {
+    // A 17-byte codec header: magic, version, 64x48, 24 fps, 6 frames,
+    // then the coding knobs.
+    let mut header = b"VTXB\x01".to_vec();
+    header.extend_from_slice(&64u16.to_le_bytes());
+    header.extend_from_slice(&48u16.to_le_bytes());
+    header.push(24);
+    header.extend_from_slice(&6u16.to_le_bytes());
+    header.extend_from_slice(&[3, 3, 1, 0, 8]);
+    let init = mux::init_segment(&header).unwrap();
+    demux::parse_init(&init).unwrap();
+    fuzz("demux::parse_init", 7, &init, |b| {
+        let _ = demux::parse_init(b);
+    });
+    let samples = [
+        Sample {
+            duration: 1,
+            sync: true,
+            data: vec![3, 0, 0, 30, 2, 0, 0, 0, 0xAA, 0xBB],
+        },
+        Sample {
+            duration: 1,
+            sync: false,
+            data: vec![1, 1, 0, 30, 1, 0, 0, 0, 0xCC],
+        },
+    ];
+    let media = mux::media_segment(7, 12, &samples);
+    demux::parse_media(&media).unwrap();
+    fuzz("demux::parse_media", 8, &media, |b| {
+        let _ = demux::parse_media(b);
     });
 }

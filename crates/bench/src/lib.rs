@@ -12,6 +12,7 @@
 use std::path::PathBuf;
 
 use vtx_core::{CoreError, TranscodeOptions, Transcoder};
+use vtx_serve::report::ServingReport;
 
 /// Seed used by every harness: results are fully reproducible.
 pub const SEED: u64 = 42;
@@ -54,6 +55,27 @@ pub fn banner(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}", "=".repeat(72));
+}
+
+/// Prints the fleet-scale per-policy table: sojourn p50/p99, throughput,
+/// shed and violation rates, and each run's wall time.
+pub fn print_xl_table<'a>(runs: impl IntoIterator<Item = (&'a ServingReport, u64)>) {
+    println!(
+        "{:<12} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10}",
+        "policy", "p50_ms", "p99_ms", "tput", "shed%", "viol%", "wall_ms"
+    );
+    for (r, wall) in runs {
+        println!(
+            "{:<12} {:>10.1} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>10}",
+            r.policy,
+            r.sojourn.p50_us as f64 / 1e3,
+            r.sojourn.p99_us as f64 / 1e3,
+            r.throughput_jps,
+            r.shed_rate() * 100.0,
+            r.violation_rate() * 100.0,
+            wall
+        );
+    }
 }
 
 #[cfg(test)]

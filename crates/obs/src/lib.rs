@@ -74,17 +74,6 @@ impl ObsConfig {
     }
 }
 
-/// One autoscaler decision as seen by the observability plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ScaleEvent {
-    /// When the decision was committed (µs).
-    pub(crate) t_us: u64,
-    /// Server index the decision targets.
-    pub(crate) server: usize,
-    /// `true` = scale-out (launch), `false` = scale-in (deactivate).
-    pub(crate) out: bool,
-}
-
 /// The observability plane one serving run feeds: job tracker + windowed
 /// quantiles + burn-rate monitor, with deterministic exports.
 ///
@@ -98,7 +87,6 @@ pub struct ObsPlane {
     windows: WindowedQuantiles,
     monitor: BurnRateMonitor,
     alerts: Vec<AlertTransition>,
-    scale_events: Vec<ScaleEvent>,
 }
 
 impl ObsPlane {
@@ -112,7 +100,6 @@ impl ObsPlane {
             windows,
             monitor,
             alerts: Vec::new(),
-            scale_events: Vec::new(),
         }
     }
 
@@ -210,13 +197,6 @@ impl ObsPlane {
         }
     }
 
-    /// Autoscaler committed a decision on `server` (`out` = scale-out).
-    pub fn on_scale(&mut self, t_us: u64, server: usize, out: bool) {
-        if self.cfg.enabled {
-            self.scale_events.push(ScaleEvent { t_us, server, out });
-        }
-    }
-
     /// Run ended; closes stranded spans.
     pub fn on_finish(&mut self, makespan_us: u64) {
         if self.cfg.enabled {
@@ -242,18 +222,6 @@ impl ObsPlane {
     /// All alert transitions in emission order.
     pub fn alerts(&self) -> &[AlertTransition] {
         &self.alerts
-    }
-
-    /// Deterministic plain-text autoscaler decision stream, one line per
-    /// event, matching the alert-stream layout.
-    pub fn render_scale_events(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.scale_events {
-            let dir = if e.out { "out" } else { "in" };
-            let _ = writeln!(out, "{:>12} scale dir={dir} server={}", e.t_us, e.server);
-        }
-        out
     }
 
     /// Deterministic plain-text alert stream, one line per transition.
@@ -366,23 +334,9 @@ mod tests {
     fn disabled_plane_is_inert() {
         let mut plane = ObsPlane::new(ObsConfig::disabled(), 2);
         drive(&mut plane);
-        plane.on_scale(10, 3, true);
         assert!(plane.tracker().is_empty());
         assert_eq!(plane.windows().overall().count(), 0);
         assert!(plane.alerts().is_empty());
-        assert!(plane.scale_events.is_empty());
-    }
-
-    #[test]
-    fn scale_events_record_and_render_deterministically() {
-        let mut plane = ObsPlane::new(ObsConfig::default(), 2);
-        plane.on_scale(1_000, 5, true);
-        plane.on_scale(9_000, 5, false);
-        assert_eq!(plane.scale_events.len(), 2);
-        let text = plane.render_scale_events();
-        assert!(text.contains("scale dir=out server=5"));
-        assert!(text.contains("scale dir=in server=5"));
-        assert_eq!(text, plane.render_scale_events());
     }
 
     #[test]

@@ -81,6 +81,15 @@ impl Default for BackoffConfig {
 }
 
 impl BackoffConfig {
+    /// The overload runs' backoff: a 50 ms first retry, the default cap
+    /// and jitter.
+    pub fn overload() -> Self {
+        BackoffConfig {
+            base_us: 50_000,
+            ..BackoffConfig::default()
+        }
+    }
+
     /// Whether backoff is active.
     fn enabled(&self) -> bool {
         self.base_us > 0
@@ -271,6 +280,41 @@ impl ChaosConfig {
         ChaosConfig {
             plan,
             ..ChaosConfig::default()
+        }
+    }
+
+    /// The overload configuration of the surge runs on top of `self`:
+    /// [`BackoffConfig::overload`] on every requeue, and the autoscaler
+    /// armed between `min_servers` and `max_servers` with its other knobs
+    /// at their defaults.
+    pub fn with_overload(self, min_servers: usize, max_servers: usize) -> Self {
+        ChaosConfig {
+            backoff: BackoffConfig::overload(),
+            autoscale: AutoscaleConfig {
+                enabled: true,
+                min_servers,
+                max_servers,
+                ..AutoscaleConfig::default()
+            },
+            ..self
+        }
+    }
+
+    /// `serve_fleet --faults`: [`ChaosConfig::kill_two_straggle_one`] with
+    /// hedging at half the deadline budget and the degradation ladder
+    /// armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers < 3`, as [`ChaosConfig::kill_two_straggle_one`].
+    pub fn hedged_kill_two_straggle_one(seed: u64, servers: usize, horizon_us: u64) -> Self {
+        ChaosConfig {
+            hedge_after: 0.5,
+            degrade: DegradeConfig {
+                enabled: true,
+                ..DegradeConfig::default()
+            },
+            ..ChaosConfig::kill_two_straggle_one(seed, servers, horizon_us)
         }
     }
 }

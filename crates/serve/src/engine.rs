@@ -333,7 +333,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::chaos::{AutoscaleConfig, BackoffConfig, BreakerConfig, ChaosConfig, DegradeConfig};
+    use crate::chaos::{BreakerConfig, ChaosConfig};
     use crate::cost::CostModel;
     use crate::fleet::Fleet;
     use crate::policy::policy_by_name;
@@ -424,14 +424,7 @@ mod tests {
             let horizon = jobs.iter().map(|j| j.arrival_us).max().unwrap();
             let fleet = Fleet::sized(8).unwrap();
             let cfg = ServeConfig {
-                chaos: ChaosConfig {
-                    hedge_after: 0.5,
-                    degrade: DegradeConfig {
-                        enabled: true,
-                        ..DegradeConfig::default()
-                    },
-                    ..ChaosConfig::kill_two_straggle_one(seed, 8, horizon)
-                },
+                chaos: ChaosConfig::hedged_kill_two_straggle_one(seed, 8, horizon),
                 ..ServeConfig::default()
             };
             let r = differential(&jobs, seed, &fleet, &cfg).report;
@@ -454,41 +447,33 @@ mod tests {
             ..SegmentOptions::default()
         };
         let plan = SegmentPlan::expand(&parents, &opts).unwrap();
-        let cfg = ServeConfig {
+        let mut cfg = ServeConfig {
             cache: Some(vtx_cache::CacheSpec {
                 capacity_bytes: 64 << 20,
                 policy: vtx_cache::EvictPolicy::Gdsf,
                 lookup_us: 250,
             }),
-            unit_frames: plan.unit_frames(),
-            unit_rungs: plan.unit_rungs(),
-            unit_segs: plan.unit_segs(),
-            unit_bytes: plan.unit_bytes().unwrap(),
             ..ServeConfig::default()
         };
+        plan.fill_unit_tables(&mut cfg);
         let out = differential(&plan.units, seed, &Fleet::table_iv(), &cfg);
         assert!(out.report.cache.unwrap().hits > 0);
     }
 
     fn surge_cfg() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        cfg.chaos.backoff = BackoffConfig {
-            base_us: 50_000,
-            cap_us: 2_000_000,
-            jitter_milli: 500,
-        };
-        cfg.chaos.breaker = BreakerConfig {
+        let breaker = BreakerConfig {
             enabled: true,
             failures: 2,
             open_us: 1_000_000,
         };
-        cfg.chaos.autoscale = AutoscaleConfig {
-            enabled: true,
-            min_servers: 2,
-            max_servers: 5,
-            ..AutoscaleConfig::default()
-        };
-        cfg
+        ServeConfig {
+            chaos: ChaosConfig {
+                breaker,
+                ..ChaosConfig::default()
+            }
+            .with_overload(2, 5),
+            ..ServeConfig::default()
+        }
     }
 
     #[test]

@@ -114,10 +114,12 @@ fn run_real_trace(
 
 /// Runs a segment plan's units with real transcodes: each worker encodes
 /// the unit's actual GOP-aligned slice of the source clip at the unit's
-/// rung. True service times are scaled to the unit's frame share via
-/// [`ServeConfig::unit_frames`], and clip geometry follows the plan's
-/// `tiny` flag (not [`ExecConfig::tiny_videos`]) so the slice boundaries
-/// match the plan's cut points.
+/// rung. The plan fills the four per-unit tables of the config
+/// ([`SegmentPlan::fill_unit_tables`]): true service times scale to the
+/// unit's frame share, and rung, segment and artifact size key the cache
+/// and the per-rung accounting as in the simulator. Clip geometry follows
+/// the plan's `tiny` flag (not [`ExecConfig::tiny_videos`]) so the slice
+/// boundaries match the plan's cut points.
 ///
 /// # Errors
 ///
@@ -130,7 +132,7 @@ pub fn run_real_segmented(
     cfg: &ExecConfig,
 ) -> Result<SimOutcome, ServeError> {
     let mut cfg = cfg.clone();
-    cfg.serve.unit_frames = plan.unit_frames();
+    plan.fill_unit_tables(&mut cfg.serve);
     let mut jobs = plan.units.clone();
     compress_arrivals(&mut jobs, cfg.arrival_compression);
     run_real_inner(&jobs, seed, fleet, policy, &cfg, Some(plan))

@@ -42,7 +42,7 @@ impl LatencyStats {
     /// contract as `vtx_obs::QuantileSketch::quantile_permille`. Renderers
     /// and the bench trajectory rely on this: a class that served no jobs
     /// prints a zero row and stays byte-deterministic.
-    pub(crate) fn from_samples(samples: &[u64]) -> Self {
+    pub fn from_samples(samples: &[u64]) -> Self {
         if samples.is_empty() {
             return LatencyStats {
                 count: 0,

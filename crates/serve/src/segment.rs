@@ -37,7 +37,7 @@ use vtx_uarch::config::UarchConfig;
 
 use crate::error::ServeError;
 use crate::report::SegmentStats;
-use crate::service::EventRecord;
+use crate::service::{EventRecord, ServeConfig};
 use crate::workload::JobSpec;
 
 /// How to decompose catalog jobs into dispatch units.
@@ -249,6 +249,16 @@ impl SegmentPlan {
         })
     }
 
+    /// Fills all four per-unit tables of `cfg` from this plan:
+    /// [`ServeConfig::unit_frames`], `unit_rungs`, `unit_segs` and
+    /// `unit_bytes`.
+    pub fn fill_unit_tables(&self, cfg: &mut ServeConfig) {
+        cfg.unit_frames = self.unit_frames();
+        cfg.unit_rungs = self.unit_rungs();
+        cfg.unit_segs = self.unit_segs();
+        cfg.unit_bytes = self.artifact_bytes();
+    }
+
     /// Per-unit `(frames, total_frames)` for
     /// [`crate::service::ServeConfig::unit_frames`], indexed by unit id.
     pub fn unit_frames(&self) -> Vec<(u32, u32)> {
@@ -270,18 +280,23 @@ impl SegmentPlan {
         self.meta.iter().map(|m| m.seg as u32).collect()
     }
 
-    /// Per-unit encoded-artifact size estimate in bytes, for cache
-    /// occupancy accounting: raw YUV420 bytes of the segment divided by a
-    /// CRF-driven compression factor. Deterministic in the plan alone, so
-    /// both drivers account occupancy identically.
+    /// Per-unit encoded-artifact size estimate in bytes, for
+    /// [`crate::service::ServeConfig::unit_bytes`].
     ///
     /// # Errors
     ///
     /// None today: the geometry was resolved by [`SegmentPlan::expand`],
     /// which is where an out-of-catalog name is refused.
     pub fn unit_bytes(&self) -> Result<Vec<u64>, ServeError> {
-        Ok(self
-            .meta
+        Ok(self.artifact_bytes())
+    }
+
+    /// Per-unit encoded-artifact size estimate in bytes, for cache
+    /// occupancy accounting: raw YUV420 bytes of the segment divided by a
+    /// CRF-driven compression factor. Deterministic in the plan alone, so
+    /// both drivers account occupancy identically.
+    fn artifact_bytes(&self) -> Vec<u64> {
+        self.meta
             .iter()
             .map(|m| {
                 let p = &self.parents[m.parent];
@@ -289,7 +304,7 @@ impl SegmentPlan {
                 let raw = u64::from(m.frames) * u64::from(p.width) * u64::from(p.height) * 3 / 2;
                 (raw / (crf + 4)).max(1)
             })
-            .collect())
+            .collect()
     }
 
     /// Unit ids that completed, read from the event log alone.

@@ -33,8 +33,6 @@ pub struct ServeConfig {
     pub queue: QueueConfig,
     /// Dispatch attempts allowed after a timeout (0 = fail on first).
     pub max_retries: u32,
-    /// How many queued candidates the policy sees per dispatch round.
-    pub candidate_window: usize,
     /// Whether to keep the full event log (reports always work).
     pub collect_event_log: bool,
     /// Fault injection and recovery (default: fully disabled — an
@@ -84,7 +82,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue: QueueConfig::default(),
             max_retries: 1,
-            candidate_window: 8,
             collect_event_log: true,
             chaos: ChaosConfig::default(),
             obs: ObsConfig::default(),
@@ -98,6 +95,22 @@ impl Default for ServeConfig {
         }
     }
 }
+
+impl ServeConfig {
+    /// The fleet-scale configuration: no event log and no observability
+    /// plane. At hundreds of servers both are pure overhead, and the report
+    /// carries the findings.
+    pub fn xl() -> Self {
+        ServeConfig {
+            collect_event_log: false,
+            obs: ObsConfig::disabled(),
+            ..ServeConfig::default()
+        }
+    }
+}
+
+/// How many queued candidates the policy sees per dispatch round.
+const CANDIDATE_WINDOW: usize = 8;
 
 /// Per-tenant token-bucket admission quotas.
 ///
@@ -119,6 +132,13 @@ pub struct TenantAdmissionConfig {
 }
 
 impl TenantAdmissionConfig {
+    /// Quotas for the tenant mix of `workload`'s scenario, or `None` when
+    /// the workload has no tenant mix.
+    pub fn for_workload(workload: &crate::workload::WorkloadSpec) -> Option<Self> {
+        let tenants = &workload.scenario.as_ref()?.tenants;
+        (!tenants.is_empty()).then(|| TenantAdmissionConfig::from_tenants(tenants))
+    }
+
     /// Builds quotas from a scenario's tenant specs: each tenant's bucket
     /// refills at its declared `quota_hz`.
     pub fn from_tenants(tenants: &[crate::workload::TenantSpec]) -> Self {
@@ -554,7 +574,8 @@ pub struct ServiceCore {
     /// Servers a scale-out has launched but whose warm-up has not
     /// finished.
     warming: Vec<bool>,
-    /// When each server's current active span began (autoscale only).
+    /// When each server's current active span began (`None` while
+    /// parked).
     active_since: Vec<Option<u64>>,
     /// Closed active span time per server (µs).
     active_us_acc: Vec<u64>,
@@ -949,7 +970,6 @@ impl ServiceCore {
                     server: s,
                     ready_us,
                 });
-                self.obs.on_scale(now_us, s, true);
                 actions.push(ScaleAction::Out {
                     server: s,
                     ready_us,
@@ -975,7 +995,6 @@ impl ServiceCore {
                     t: now_us,
                     server: s,
                 });
-                self.obs.on_scale(now_us, s, false);
                 actions.push(ScaleAction::In { server: s });
                 dropped += 1;
             }
@@ -1286,7 +1305,7 @@ impl ServiceCore {
             return Vec::new();
         }
         let picks: Vec<(u64, usize)> = {
-            let candidates = self.queue.candidates(self.cfg.candidate_window);
+            let candidates = self.queue.candidates(CANDIDATE_WINDOW);
             let ctx = DispatchCtx {
                 fleet: &self.fleet,
                 classes: &self.classes,
@@ -1459,44 +1478,24 @@ impl ServiceCore {
                 },
             })
             .collect();
-        // Availability: fraction of server-time the fleet was actually
-        // alive. A server that crashes at 30% of the run contributes 0.3;
-        // with no crashes (or a zero-length run) availability is 1.0.
-        // Under the autoscaler the denominator is *provisioned* time (the
-        // union of each server's active spans), not n·makespan — a parked
-        // server is neither available nor unavailable, it just isn't paid
-        // for.
-        let n = self.fleet.len();
+        // Availability: fraction of provisioned server-time the fleet was
+        // actually alive. A server that crashes at 30% of the run
+        // contributes 0.3; with no crashes (or a zero-length run)
+        // availability is 1.0. Without the autoscaler every server's active
+        // span is [0, makespan]; under it the denominator is the union of
+        // each server's active spans, not n·makespan — a parked server is
+        // neither available nor unavailable, it just isn't paid for.
         let autoscale_on = self.cfg.chaos.autoscale.enabled;
-        if autoscale_on {
-            self.cap_advance(makespan_us);
-            for s in 0..n {
-                self.close_active_span(s, makespan_us);
-            }
+        self.cap_advance(makespan_us);
+        for s in 0..self.fleet.len() {
+            self.close_active_span(s, makespan_us);
         }
-        let availability = if makespan_us == 0 || n == 0 {
+        let active_total: u64 = self.active_us_acc.iter().sum();
+        let alive_total: u64 = self.alive_us_acc.iter().sum();
+        let availability = if active_total == 0 {
             1.0
-        } else if autoscale_on {
-            let active_total: u64 = self.active_us_acc.iter().sum();
-            let alive_total: u64 = self.alive_us_acc.iter().sum();
-            if active_total == 0 {
-                1.0
-            } else {
-                alive_total as f64 / active_total as f64
-            }
         } else {
-            let up: f64 = (0..n)
-                .map(|s| {
-                    let up_us = self
-                        .cfg
-                        .chaos
-                        .plan
-                        .crash_us(s)
-                        .map_or(makespan_us, |c| c.min(makespan_us));
-                    up_us as f64
-                })
-                .sum();
-            up / (n as f64 * makespan_us as f64)
+            alive_total as f64 / active_total as f64
         };
         let scale = if autoscale_on {
             Some(ScaleStats {
@@ -1508,7 +1507,7 @@ impl ServiceCore {
                 } else {
                     (self.cap_integral / makespan_us as f64 * 1000.0).round() as u64
                 },
-                active_server_us: self.active_us_acc.iter().sum(),
+                active_server_us: active_total,
             })
         } else {
             None

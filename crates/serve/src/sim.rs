@@ -405,44 +405,25 @@ mod tests {
         );
     }
 
-    fn surge_cfg(autoscale_max: Option<usize>) -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        cfg.chaos.backoff = crate::chaos::BackoffConfig {
-            base_us: 50_000,
-            cap_us: 2_000_000,
-            jitter_milli: 500,
-        };
-        if let Some(max) = autoscale_max {
-            cfg.chaos.autoscale = crate::chaos::AutoscaleConfig {
-                enabled: true,
-                min_servers: 2,
-                max_servers: max,
-                eval_every_us: 500_000,
-                warmup_us: 2_000_000,
-                warmup_jitter_milli: 250,
-                backlog_high: 3.0,
-                backlog_low: 1.0,
-                step: 1,
-            };
-        }
-        cfg
-    }
-
-    fn flash_run(autoscale_max: Option<usize>, seed: u64) -> SimOutcome {
+    fn flash_run(seed: u64) -> SimOutcome {
         let w = WorkloadSpec::flash_crowd(seed);
+        let cfg = ServeConfig {
+            chaos: ChaosConfig::default().with_overload(2, 5),
+            ..ServeConfig::default()
+        };
         simulate(
             &w,
             Fleet::table_iv(),
             policy_by_name("smart", seed).unwrap(),
-            surge_cfg(autoscale_max),
+            cfg,
         )
         .unwrap()
     }
 
     #[test]
     fn flash_crowd_autoscaled_runs_are_byte_identical() {
-        let a = flash_run(Some(5), 42);
-        let b = flash_run(Some(5), 42);
+        let a = flash_run(42);
+        let b = flash_run(42);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.report, b.report);
         assert_eq!(
@@ -450,12 +431,11 @@ mod tests {
             render_event_log(&b.event_log)
         );
         assert_eq!(a.report.render(), b.report.render());
-        assert_eq!(a.obs.render_scale_events(), b.obs.render_scale_events());
     }
 
     #[test]
     fn flash_crowd_autoscaler_scales_out_and_conserves_jobs() {
-        let out = flash_run(Some(5), 42);
+        let out = flash_run(42);
         let r = &out.report;
         assert_eq!(r.offered, 300);
         assert_eq!(r.completed + r.shed_total(), r.offered);
@@ -478,18 +458,15 @@ mod tests {
         let w = WorkloadSpec::flash_crowd(42);
         let jobs = w.generate().unwrap();
         let horizon = jobs.iter().map(|j| j.arrival_us).max().unwrap();
-        let mut cfg = surge_cfg(Some(8));
-        let faults = ChaosConfig::kill_two_straggle_one(42, 8, horizon);
-        cfg.chaos.plan = faults.plan;
-        cfg.chaos.detector = faults.detector;
-        let out = simulate_trace(
-            &jobs,
-            42,
-            Fleet::sized(8).unwrap(),
-            policy_by_name("smart", 42).unwrap(),
-            cfg,
-        )
-        .unwrap();
+        let run = || {
+            let cfg = ServeConfig {
+                chaos: ChaosConfig::kill_two_straggle_one(42, 8, horizon).with_overload(2, 8),
+                ..ServeConfig::default()
+            };
+            let policy = policy_by_name("smart", 42).unwrap();
+            simulate_trace(&jobs, 42, Fleet::sized(8).unwrap(), policy, cfg).unwrap()
+        };
+        let out = run();
         let r = &out.report;
         assert_eq!(r.completed + r.shed_total(), r.offered);
         assert!(r.completed > 0, "the fleet keeps serving through the spike");
@@ -497,20 +474,7 @@ mod tests {
         assert_eq!(stats.arrived, r.offered);
         assert_eq!(stats.completed, r.completed);
         // Determinism holds under surge x faults too.
-        let again = {
-            let mut cfg = surge_cfg(Some(8));
-            let faults = ChaosConfig::kill_two_straggle_one(42, 8, horizon);
-            cfg.chaos.plan = faults.plan;
-            cfg.chaos.detector = faults.detector;
-            simulate_trace(
-                &jobs,
-                42,
-                Fleet::sized(8).unwrap(),
-                policy_by_name("smart", 42).unwrap(),
-                cfg,
-            )
-            .unwrap()
-        };
+        let again = run();
         assert_eq!(again.report, out.report);
         assert_eq!(
             render_event_log(&again.event_log),
@@ -527,14 +491,12 @@ mod tests {
         let w = WorkloadSpec::smoke(42);
         let jobs = w.generate().unwrap();
         let horizon = jobs.iter().map(|j| j.arrival_us).max().unwrap();
-        let mut cfg = ServeConfig {
-            chaos: ChaosConfig::kill_two_straggle_one(42, 8, horizon),
+        let cfg = ServeConfig {
+            chaos: ChaosConfig {
+                backoff: crate::chaos::BackoffConfig::overload(),
+                ..ChaosConfig::kill_two_straggle_one(42, 8, horizon)
+            },
             ..ServeConfig::default()
-        };
-        cfg.chaos.backoff = crate::chaos::BackoffConfig {
-            base_us: 50_000,
-            cap_us: 2_000_000,
-            jitter_milli: 500,
         };
         let out = simulate_trace(
             &jobs,

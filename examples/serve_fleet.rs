@@ -12,7 +12,11 @@
 //! take the two-level dispatch path (consistent-hash cells, the exact
 //! solve per cell) and print the compact per-fleet report instead of 10k
 //! per-server lines; `--cells N` overrides the auto-sized cell count.
-//! Still byte-deterministic per seed.
+//! Still byte-deterministic per seed. `--xl` is simulated only.
+//!
+//! Both transports run the same config: only the default workload
+//! (`--real` replays a small trace), the `--faults` plan and the driver
+//! call differ.
 //!
 //! `--faults` switches on the chaos study: an 8-way fleet where two
 //! servers are killed at 30% of the run and a third is a 3× fail-slow
@@ -75,7 +79,7 @@ use vtx_cache::{CacheSpec, EvictPolicy};
 use vtx_container::Ladder;
 use vtx_core::trace_export;
 use vtx_obs::ObsPlane;
-use vtx_serve::chaos::{AutoscaleConfig, BackoffConfig, ChaosConfig, DegradeConfig, FaultPlan};
+use vtx_serve::chaos::{ChaosConfig, FaultPlan};
 use vtx_serve::exec::{run_real, run_real_segmented, ExecConfig};
 use vtx_serve::fleet::Fleet;
 use vtx_serve::policy::policy_by_name;
@@ -296,6 +300,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    if xl && real {
+        return Err("--xl is a simulated mode; it does not combine with --real".into());
+    }
     if xl && segments_ms.is_some() {
         return Err("--segments is a catalog-scale mode; it does not combine with --xl".into());
     }
@@ -344,182 +351,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let multi = policies.len() > 1;
 
-    if real {
+    let surge_workload = surge.as_deref().map(|kind| match kind {
+        "flash" => WorkloadSpec::flash_crowd(seed),
+        "diurnal" => WorkloadSpec::diurnal(seed),
+        _ => WorkloadSpec::multi_tenant(seed),
+    });
+    let mut workload = if real {
         // The real executor replays a small trace with actual transcodes;
         // arrivals are compressed so the run takes seconds, not minutes.
-        let mut workload = WorkloadSpec::real_smoke(seed);
-        if let Some((s, live)) = popularity {
-            workload = workload.with_popularity(s, live);
-            println!("popularity: zipf(s={s}) request trace, live fraction {live}");
+        let smoke = WorkloadSpec::real_smoke(seed);
+        match surge_workload.and_then(|w| w.scenario) {
+            Some(scenario) => smoke.with_scenario(scenario),
+            None => smoke,
         }
-        let surge_scenario = surge.as_deref().map(|kind| {
-            match kind {
-                "flash" => WorkloadSpec::flash_crowd(seed).scenario,
-                "diurnal" => WorkloadSpec::diurnal(seed).scenario,
-                _ => WorkloadSpec::multi_tenant(seed).scenario,
-            }
-            .expect("surge specs carry a scenario")
-        });
-        if let Some(scenario) = surge_scenario {
-            println!(
-                "surge: {} scenario over the real-smoke trace",
-                surge.as_deref().unwrap_or_default()
-            );
-            workload = workload.with_scenario(scenario);
-        }
+    } else if xl && xl_full {
+        WorkloadSpec::xl(seed)
+    } else if xl {
+        WorkloadSpec::xl_smoke(seed)
+    } else if let Some(w) = surge_workload {
+        w
+    } else if smoke {
+        WorkloadSpec::smoke(seed)
+    } else {
+        WorkloadSpec::bundled(seed)
+    };
+    if let Some(kind) = &surge {
+        println!("surge: {kind} scenario ({} jobs)", workload.jobs);
+    }
+    if let Some((s, live)) = popularity {
+        workload = workload.with_popularity(s, live);
+        println!("popularity: zipf(s={s}) request trace, live fraction {live}");
+    }
+    let fleet = if xl && xl_full {
+        Fleet::sized(10_000)?
+    } else if xl {
+        Fleet::sized(500)?
+    } else if faults && !real {
+        Fleet::sized(8)?
+    } else {
+        Fleet::table_iv()
+    };
+    if real {
         println!(
             "real executor: {} jobs over {} videos, fleet = Table IV ({} servers)",
             workload.jobs,
             workload.videos.len(),
-            Fleet::table_iv().len()
+            fleet.len()
         );
-        let mut cfg = ExecConfig {
-            arrival_compression: 20,
-            ..ExecConfig::default()
-        };
-        if surge.as_deref() == Some("tenants") {
-            let tenants = workload
-                .scenario
-                .as_ref()
-                .map(|s| s.tenants.clone())
-                .unwrap_or_default();
-            cfg.serve.tenants = Some(TenantAdmissionConfig::from_tenants(&tenants));
-            println!(
-                "admission quotas: {} tenants, token buckets armed",
-                tenants.len()
-            );
-        }
-        if autoscale_max > 0 {
-            let fleet_len = Fleet::table_iv().len();
-            if autoscale_max > fleet_len {
-                return Err(format!(
-                    "--autoscale {autoscale_max} exceeds the {fleet_len}-server fleet"
-                )
-                .into());
-            }
-            cfg.serve.chaos.backoff = BackoffConfig {
-                base_us: 50_000,
-                cap_us: 2_000_000,
-                jitter_milli: 500,
-            };
-            cfg.serve.chaos.autoscale = AutoscaleConfig {
-                enabled: true,
-                min_servers: autoscale_max.min(2),
-                max_servers: autoscale_max,
-                eval_every_us: 500_000,
-                warmup_us: 2_000_000,
-                warmup_jitter_milli: 250,
-                backlog_high: 3.0,
-                backlog_low: 1.0,
-                step: 1,
-            };
-            println!(
-                "autoscale: {}..{} servers, 500 ms ticks, seeded warmup; backoff+jitter armed",
-                autoscale_max.min(2),
-                autoscale_max
-            );
-        }
-        if let Some(spec) = &cache_spec {
-            cfg.serve.cache = Some(spec.clone());
-            println!(
-                "segment cache: {} MiB, {} eviction",
-                spec.capacity_bytes >> 20,
-                spec.policy.name()
-            );
-        }
-        if faults {
-            // Kill one real worker thread early: the detector notices the
-            // missing heartbeats and the service requeues its lost work.
-            cfg.serve.chaos = ChaosConfig {
-                plan: FaultPlan::none(Fleet::table_iv().len())
-                    .with_crash(2, 40_000)
-                    .expect("index in range"),
-                ..ChaosConfig::default()
-            };
-            println!("faults: worker 2 killed 40 ms into the run");
-        }
-        let plan = match segments_ms {
-            Some(ms) => {
-                let parents = workload.generate()?;
-                let plan =
-                    SegmentPlan::expand(&parents, &segment_opts(ms, ladder_spec.as_deref())?)?;
-                println!(
-                    "segmented: {} jobs -> {} units ({} rungs, target {} ms)",
-                    plan.parents.len(),
-                    plan.units.len(),
-                    plan.ladder.rungs.len(),
-                    plan.target_ms
-                );
-                Some(plan)
-            }
-            None => None,
-        };
-        if let Some(plan) = &plan {
-            // Rung/segment identity plus true output sizes let the cache key
-            // and byte accounting line up with the simulated path.
-            cfg.serve.unit_rungs = plan.unit_rungs();
-            cfg.serve.unit_segs = plan.unit_segs();
-            cfg.serve.unit_bytes = plan.unit_bytes()?;
-        }
-        for name in policies {
-            let policy =
-                policy_by_name(name, seed).ok_or_else(|| format!("unknown policy: {name}"))?;
-            let mut out = match &plan {
-                Some(plan) => run_real_segmented(plan, seed, Fleet::table_iv(), policy, &cfg)?,
-                None => run_real(&workload, Fleet::table_iv(), policy, &cfg)?,
-            };
-            if let Some(plan) = &plan {
-                out.report.segments = Some(plan.stats(&out.event_log));
-            }
-            println!("\n{}", out.report.render());
-            if let (Some(plan), Some(dir)) = (&plan, &manifest_out) {
-                write_manifest_artifacts(dir, name, multi, plan, seed, &out.event_log)?;
-            }
-            write_obs_outputs(
-                &out.obs,
-                metrics_out.as_deref(),
-                job_trace.as_deref(),
-                name,
-                multi,
-            )?;
-        }
     } else {
-        let mut workload = if xl && xl_full {
-            WorkloadSpec::xl(seed)
-        } else if xl {
-            WorkloadSpec::xl_smoke(seed)
-        } else if let Some(kind) = surge.as_deref() {
-            match kind {
-                "flash" => WorkloadSpec::flash_crowd(seed),
-                "diurnal" => WorkloadSpec::diurnal(seed),
-                _ => WorkloadSpec::multi_tenant(seed),
-            }
-        } else if smoke {
-            WorkloadSpec::smoke(seed)
-        } else {
-            WorkloadSpec::bundled(seed)
-        };
-        if let Some(kind) = &surge {
-            println!("surge: {kind} scenario ({} jobs)", workload.jobs);
-        }
-        if let Some((s, live)) = popularity {
-            workload = workload.with_popularity(s, live);
-            println!("popularity: zipf(s={s}) request trace, live fraction {live}");
-        }
-        if let Some(path) = &dump_trace {
-            let jobs = workload.generate()?;
-            std::fs::write(path, render_trace(&jobs))?;
-            println!("wrote {} trace lines to {path}", jobs.len());
-        }
-        let fleet = if xl && xl_full {
-            Fleet::sized(10_000)?
-        } else if xl {
-            Fleet::sized(500)?
-        } else if faults {
-            Fleet::sized(8)?
-        } else {
-            Fleet::table_iv()
-        };
         println!(
             "simulated fleet: {} jobs at {} Hz over {} videos, {} servers{}",
             workload.jobs,
@@ -532,139 +411,117 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 " (Table IV)"
             }
         );
-        let jobs = workload.generate()?;
-        let plan = match segments_ms {
-            Some(ms) => {
-                let plan = SegmentPlan::expand(&jobs, &segment_opts(ms, ladder_spec.as_deref())?)?;
-                println!(
-                    "segmented: {} jobs -> {} units ({} rungs, target {} ms)",
-                    plan.parents.len(),
-                    plan.units.len(),
-                    plan.ladder.rungs.len(),
-                    plan.target_ms
-                );
-                Some(plan)
-            }
-            None => None,
-        };
-        let sim_jobs = plan.as_ref().map_or(&jobs[..], |p| &p.units[..]);
+    }
+    if autoscale_max > fleet.len() {
+        return Err(format!(
+            "--autoscale {autoscale_max} exceeds the {}-server fleet",
+            fleet.len()
+        )
+        .into());
+    }
+    let jobs = workload.generate()?;
+    if let Some(path) = &dump_trace {
+        std::fs::write(path, render_trace(&jobs))?;
+        println!("wrote {} trace lines to {path}", jobs.len());
+    }
+    let plan = match segments_ms {
+        Some(ms) => {
+            let plan = SegmentPlan::expand(&jobs, &segment_opts(ms, ladder_spec.as_deref())?)?;
+            println!(
+                "segmented: {} jobs -> {} units ({} rungs, target {} ms)",
+                plan.parents.len(),
+                plan.units.len(),
+                plan.ladder.rungs.len(),
+                plan.target_ms
+            );
+            Some(plan)
+        }
+        None => None,
+    };
+    let sim_jobs = plan.as_ref().map_or(&jobs[..], |p| &p.units[..]);
+
+    let mut cfg = if xl {
+        ServeConfig::xl()
+    } else {
+        ServeConfig::default()
+    };
+    cfg.cells = cells;
+    if faults && real {
+        // Kill one real worker thread early: the detector notices the
+        // missing heartbeats and the service requeues its lost work.
+        cfg.chaos.plan = FaultPlan::none(fleet.len()).with_crash(2, 40_000)?;
+        println!("faults: worker 2 killed 40 ms into the run");
+    } else if faults {
         let horizon = sim_jobs.iter().map(|j| j.arrival_us).max().unwrap_or(0);
-        let mut cfg = if faults {
-            ServeConfig {
-                chaos: ChaosConfig {
-                    hedge_after: 0.5,
-                    degrade: DegradeConfig {
-                        enabled: true,
-                        ..DegradeConfig::default()
-                    },
-                    ..ChaosConfig::kill_two_straggle_one(seed, fleet.len(), horizon)
-                },
-                ..ServeConfig::default()
-            }
-        } else if xl {
-            // XL runs skip the event log and obs plane: at fleet scale both
-            // are overhead, and the compact report carries the findings.
-            ServeConfig {
-                collect_event_log: false,
-                obs: vtx_obs::ObsConfig::disabled(),
-                cells,
-                ..ServeConfig::default()
-            }
-        } else {
-            ServeConfig {
-                cells,
-                ..ServeConfig::default()
-            }
+        cfg.chaos = ChaosConfig::hedged_kill_two_straggle_one(seed, fleet.len(), horizon);
+    }
+    cfg.tenants = TenantAdmissionConfig::for_workload(&workload);
+    if cfg.tenants.is_some() {
+        println!(
+            "admission quotas: {} tenants, token buckets armed",
+            workload.scenario.as_ref().map_or(0, |s| s.tenants.len())
+        );
+    }
+    if autoscale_max > 0 {
+        let min = autoscale_max.min(2);
+        cfg.chaos = cfg.chaos.with_overload(min, autoscale_max);
+        println!(
+            "autoscale: {min}..{autoscale_max} servers, 500 ms ticks, seeded warmup; backoff+jitter armed"
+        );
+    }
+    if let Some(spec) = &cache_spec {
+        cfg.cache = Some(spec.clone());
+        println!(
+            "segment cache: {} MiB, {} eviction",
+            spec.capacity_bytes >> 20,
+            spec.policy.name()
+        );
+    }
+    // The real executor fills a plan's unit tables itself.
+    if let (Some(plan), false) = (&plan, real) {
+        plan.fill_unit_tables(&mut cfg);
+    }
+    let exec = ExecConfig {
+        serve: cfg.clone(),
+        arrival_compression: 20,
+        ..ExecConfig::default()
+    };
+
+    for name in policies {
+        let policy = policy_by_name(name, seed).ok_or_else(|| format!("unknown policy: {name}"))?;
+        let mut out = match &plan {
+            Some(plan) if real => run_real_segmented(plan, seed, fleet.clone(), policy, &exec)?,
+            None if real => run_real(&workload, fleet.clone(), policy, &exec)?,
+            _ => simulate_trace(sim_jobs, seed, fleet.clone(), policy, cfg.clone())?,
         };
-        if surge.as_deref() == Some("tenants") {
-            let tenants = workload
-                .scenario
-                .as_ref()
-                .map(|s| s.tenants.clone())
-                .unwrap_or_default();
-            cfg.tenants = Some(TenantAdmissionConfig::from_tenants(&tenants));
-            println!(
-                "admission quotas: {} tenants, token buckets armed",
-                tenants.len()
-            );
-        }
-        if autoscale_max > 0 {
-            if autoscale_max > fleet.len() {
-                return Err(format!(
-                    "--autoscale {autoscale_max} exceeds the {}-server fleet",
-                    fleet.len()
-                )
-                .into());
-            }
-            cfg.chaos.backoff = BackoffConfig {
-                base_us: 50_000,
-                cap_us: 2_000_000,
-                jitter_milli: 500,
-            };
-            cfg.chaos.autoscale = AutoscaleConfig {
-                enabled: true,
-                min_servers: autoscale_max.min(2),
-                max_servers: autoscale_max,
-                eval_every_us: 500_000,
-                warmup_us: 2_000_000,
-                warmup_jitter_milli: 250,
-                backlog_high: 3.0,
-                backlog_low: 1.0,
-                step: 1,
-            };
-            println!(
-                "autoscale: {}..{} servers, 500 ms ticks, seeded warmup; backoff+jitter armed",
-                autoscale_max.min(2),
-                autoscale_max
-            );
-        }
-        if let Some(spec) = &cache_spec {
-            cfg.cache = Some(spec.clone());
-            println!(
-                "segment cache: {} MiB, {} eviction",
-                spec.capacity_bytes >> 20,
-                spec.policy.name()
-            );
-        }
         if let Some(plan) = &plan {
-            cfg.unit_frames = plan.unit_frames();
-            cfg.unit_rungs = plan.unit_rungs();
-            cfg.unit_segs = plan.unit_segs();
-            cfg.unit_bytes = plan.unit_bytes()?;
+            out.report.segments = Some(plan.stats(&out.event_log));
         }
-        for name in policies {
-            let policy =
-                policy_by_name(name, seed).ok_or_else(|| format!("unknown policy: {name}"))?;
-            let mut out = simulate_trace(sim_jobs, seed, fleet.clone(), policy, cfg.clone())?;
-            if let Some(plan) = &plan {
-                out.report.segments = Some(plan.stats(&out.event_log));
-            }
-            if xl {
-                println!("\n{}", out.report.render_compact());
-            } else {
-                println!("\n{}", out.report.render());
-            }
-            if let (Some(plan), Some(dir)) = (&plan, &manifest_out) {
-                write_manifest_artifacts(dir, name, multi, plan, seed, &out.event_log)?;
-            }
-            if smoke || surge.is_some() {
-                // The smoke/surge event log is small enough to print whole;
-                // the CI determinism checks byte-compare it across runs.
-                println!("event log ({} events):", out.event_log.len());
-                print!("{}", render_event_log(&out.event_log));
-            }
-            if !out.obs.alerts().is_empty() {
-                println!("alert transitions ({}):", out.obs.alerts().len());
-                print!("{}", out.obs.render_alerts(&CLASS_NAMES));
-            }
-            write_obs_outputs(
-                &out.obs,
-                metrics_out.as_deref(),
-                job_trace.as_deref(),
-                name,
-                multi,
-            )?;
+        if xl {
+            println!("\n{}", out.report.render_compact());
+        } else {
+            println!("\n{}", out.report.render());
         }
+        if let (Some(plan), Some(dir)) = (&plan, &manifest_out) {
+            write_manifest_artifacts(dir, name, multi, plan, seed, &out.event_log)?;
+        }
+        if !real && (smoke || surge.is_some()) {
+            // The smoke/surge event log is small enough to print whole;
+            // the CI determinism checks byte-compare it across runs.
+            println!("event log ({} events):", out.event_log.len());
+            print!("{}", render_event_log(&out.event_log));
+        }
+        if !out.obs.alerts().is_empty() {
+            println!("alert transitions ({}):", out.obs.alerts().len());
+            print!("{}", out.obs.render_alerts(&CLASS_NAMES));
+        }
+        write_obs_outputs(
+            &out.obs,
+            metrics_out.as_deref(),
+            job_trace.as_deref(),
+            name,
+            multi,
+        )?;
     }
 
     if let Some(path) = trace_out {

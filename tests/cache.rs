@@ -35,14 +35,11 @@ fn cached_segmented_sim(seed: u64, policy: EvictPolicy) -> (SegmentPlan, SimOutc
         ..SegmentOptions::default()
     };
     let plan = SegmentPlan::expand(&jobs, &opts).expect("plan expands");
-    let cfg = ServeConfig {
+    let mut cfg = ServeConfig {
         cache: Some(spec(policy)),
-        unit_frames: plan.unit_frames(),
-        unit_rungs: plan.unit_rungs(),
-        unit_segs: plan.unit_segs(),
-        unit_bytes: plan.unit_bytes().expect("unit bytes"),
         ..ServeConfig::default()
     };
+    plan.fill_unit_tables(&mut cfg);
     let pol = policy_by_name("smart", seed).expect("policy exists");
     let out =
         simulate_trace(&plan.units, seed, Fleet::table_iv(), pol, cfg).expect("simulation runs");
@@ -124,9 +121,6 @@ fn cached_real_runs_agree_on_artifacts() {
         ..ExecConfig::default()
     };
     cfg.serve.cache = Some(spec(EvictPolicy::Gdsf));
-    cfg.serve.unit_rungs = plan.unit_rungs();
-    cfg.serve.unit_segs = plan.unit_segs();
-    cfg.serve.unit_bytes = plan.unit_bytes().expect("unit bytes");
 
     let run = |seed| {
         let pol = policy_by_name("smart", seed).expect("policy exists");
@@ -136,6 +130,11 @@ fn cached_real_runs_agree_on_artifacts() {
     for out in [&a, &b] {
         let r = &out.report;
         assert_eq!(r.offered, r.completed + r.shed_total());
+        assert_eq!(
+            r.shed_by_rung.len(),
+            plan.ladder.rungs.len(),
+            "the executor fills the plan's rung table: one shed slot per rung"
+        );
         let stats = r.cache.as_ref().expect("cache stats present");
         assert!(
             stats.hits + stats.misses >= r.completed,

@@ -3,7 +3,6 @@
 //! shedding under pressure, and the real threaded executor driving actual
 //! transcodes through the same service core.
 
-use vtx_obs::ObsConfig;
 use vtx_sched::{auction, hungarian};
 use vtx_serve::exec::{run_real, ExecConfig};
 use vtx_serve::fleet::Fleet;
@@ -209,14 +208,11 @@ fn real_executor_accounts_for_every_job() {
     assert!(busy > 0, "servers must have accumulated busy time");
 }
 
-/// XL configuration used by the fleet-scale tests: no event log, obs
-/// plane off — mirrors what the fig9_xl bench and `--xl` example run.
+/// The fleet-scale config ([`ServeConfig::xl`]) at `cells` cells.
 fn xl_config(cells: usize) -> ServeConfig {
     ServeConfig {
-        collect_event_log: false,
-        obs: ObsConfig::disabled(),
         cells,
-        ..ServeConfig::default()
+        ..ServeConfig::xl()
     }
 }
 
@@ -266,7 +262,7 @@ fn auction_matches_hungarian_on_fig9_sized_matrices() {
 
 #[test]
 fn hungarian_matches_auction_oracle_on_dispatch_shaped_matrices() {
-    // The shapes dispatch really produces: at most `candidate_window` (8)
+    // The shapes dispatch really produces: at most the candidate window (8)
     // jobs against up to a cell's worth (≤ 72) of idle servers, and the
     // transposed backlog case, with servers priced by class — five classes,
     // so most of a row is exact ties — and a few suspects at ×64.

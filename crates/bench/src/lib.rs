@@ -1,13 +1,14 @@
-//! Shared scaffolding for the per-figure benchmark harnesses.
+//! Shared scaffolding for the benchmark harnesses. The targets:
 //!
-//! Every `[[bench]]` target in this crate regenerates one table or figure of
-//! the paper (see DESIGN.md's experiment index). Each harness prints the
-//! rows/series the paper reports and saves a `Debug` dump of them under
-//! `target/vtx-results/` so runs are diffable.
+//! * `paper`: Tables I–IV, Figures 2–9 and the four ablations in one pass,
+//!   every run defined once; it writes the `BENCH_paper.json` ledger (see
+//!   DESIGN.md's experiment index and EXPERIMENTS.md).
+//! * `fig9_serving`: every `BENCH_serving.json` row in one pass.
+//! * `fig9_xl`: the 10k-server / 1M-job tier, `BENCH_serving_xl.json`.
+//! * `port_throughput`: the inferred port model against the ground-truth
+//!   solver.
 //!
-//! Figure 3 runs its full 816-point crf × refs plane; the other grids are
-//! strided subsets of it, and every number in EXPERIMENTS.md comes from
-//! them.
+//! Each prints its tables; the JSON files land in `target/vtx-results/`.
 
 use std::path::PathBuf;
 
@@ -26,10 +27,10 @@ pub fn sweep_transcoder() -> Result<Transcoder, CoreError> {
 /// Profiler sampling for sweep-sized workloads: detailed enough for stable
 /// Top-down shares, fast enough for hundreds of points.
 ///
-/// Burst sampling at shift 1 carries a consistent ~15% absolute-time bias
-/// versus full tracing (quantified by the `ablation_sampling` bench); since
-/// every point of a figure runs at the same shift, the *shapes* the paper
-/// reports are unaffected.
+/// Burst sampling at shift 1 biases absolute simulated time upward versus
+/// full tracing, by the amount `BENCH_paper.json` records as
+/// `ablation_sampling.shift1_bias_milli_pct`; since every point of a figure
+/// runs at the same shift, the *shapes* the paper reports are unaffected.
 pub fn sweep_options() -> TranscodeOptions {
     TranscodeOptions::default().with_sample_shift(1)
 }

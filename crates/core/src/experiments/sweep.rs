@@ -3,10 +3,10 @@
 //! The paper varies `crf` 1–51 and `refs` 1–16 (816 combinations) on a
 //! single video and plots Top-down heat maps (Figure 3), the
 //! quality/size/time projections (Figure 4) and eight microarchitectural
-//! event rates (Figure 5). [`crf_refs_sweep`] regenerates any grid of that
-//! plane; [`default_crf_grid`]/[`default_refs_grid`] give a strided subset
-//! that keeps the default bench run fast, while the full 816-point grid is
-//! available through [`full_crf_grid`]/[`full_refs_grid`].
+//! event rates (Figure 5). [`crf_refs_sweep`] measures any grid of that
+//! plane, the full 816 points through [`full_crf_grid`]/[`full_refs_grid`];
+//! [`subgrid`] reads a smaller grid, such as Figure 5's
+//! [`default_crf_grid`] × [`default_refs_grid`], out of a measured plane.
 
 use vtx_codec::EncoderConfig;
 use vtx_telemetry::{progress::ProgressReporter, Span};
@@ -27,6 +27,15 @@ pub struct SweepPoint {
     pub psnr_db: f64,
     /// Microarchitectural summary (Figures 3 and 5).
     pub summary: RunSummary,
+}
+
+/// One of the plane's two knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Knob {
+    /// The constant rate factor.
+    Crf,
+    /// The reference-frame count.
+    Refs,
 }
 
 /// The paper's full CRF axis (1..=51).
@@ -89,6 +98,27 @@ pub fn crf_refs_sweep(
             summary: report.summary,
         })
     })
+}
+
+/// The `crfs` × `refs_list` points of a measured plane, crf-major: how
+/// Figures 2, 4 and 5 read their grids from Figure 3's plane instead of
+/// transcoding them again.
+///
+/// # Panics
+///
+/// If the plane lacks one of the points.
+pub fn subgrid(plane: &[SweepPoint], crfs: &[u8], refs_list: &[u8]) -> Vec<SweepPoint> {
+    crfs.iter()
+        .flat_map(|&crf| {
+            refs_list.iter().map(move |&refs| {
+                plane
+                    .iter()
+                    .find(|p| p.crf == crf && p.refs == refs)
+                    .expect("the plane holds every point of the subgrid")
+                    .clone()
+            })
+        })
+        .collect()
 }
 
 /// Figure 4's projection B helper: for each crf, the (refs, seconds)

@@ -3,127 +3,60 @@
 //! Figure 2 is a conceptual diagram: raising `crf` actively degrades
 //! quality while passively shrinking files and speeding up transcoding;
 //! raising `refs` actively shrinks files while passively slowing
-//! transcoding. [`triangle_study`] measures a small grid and
-//! [`TriangleReport::directions`] checks each arrow of the diagram
-//! empirically.
+//! transcoding. [`TriangleReport::from_plane`] reads a small grid from a
+//! measured crf × refs plane, and [`TriangleReport::ends`] gives the two ends
+//! each arrow of the diagram compares.
 
-use vtx_codec::EncoderConfig;
+use super::sweep::{subgrid, Knob, SweepPoint};
 
-use super::sweep::{crf_refs_sweep, SweepPoint};
-use crate::{CoreError, TranscodeOptions, Transcoder};
-
-/// Empirical verification of Figure 2's arrows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TriangleDirections {
-    /// Raising crf lowers PSNR (active effect, red arrow).
-    pub crf_degrades_quality: bool,
-    /// Raising crf shrinks the file (passive effect, green arrow).
-    pub crf_shrinks_size: bool,
-    /// Raising crf speeds up transcoding (passive effect, green arrow).
-    pub crf_speeds_up: bool,
-    /// Raising refs shrinks the file (active effect, green arrow).
-    pub refs_shrink_size: bool,
-    /// Raising refs slows down transcoding (passive effect, red arrow).
-    pub refs_slow_down: bool,
-}
-
-impl TriangleDirections {
-    /// Whether every arrow of the diagram holds.
-    pub fn all_hold(&self) -> bool {
-        self.crf_degrades_quality
-            && self.crf_shrinks_size
-            && self.crf_speeds_up
-            && self.refs_shrink_size
-            && self.refs_slow_down
-    }
-}
-
-/// The measured grid plus its direction summary.
+/// A measured crf × refs grid, read as the diagram's arrows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriangleReport {
     /// Measured grid points.
     pub points: Vec<SweepPoint>,
     /// CRF values of the grid.
-    pub(crate) crfs: Vec<u8>,
+    crfs: Vec<u8>,
     /// refs values of the grid.
-    pub(crate) refs: Vec<u8>,
+    refs: Vec<u8>,
 }
 
 impl TriangleReport {
-    /// Checks the diagram's arrows by comparing the grid corners, averaged
-    /// over the other axis.
-    pub fn directions(&self) -> TriangleDirections {
-        let lo_crf = *self.crfs.first().expect("nonempty grid");
-        let hi_crf = *self.crfs.last().expect("nonempty grid");
-        let lo_refs = *self.refs.first().expect("nonempty grid");
-        let hi_refs = *self.refs.last().expect("nonempty grid");
-
-        let avg = |f: &dyn Fn(&SweepPoint) -> bool, g: &dyn Fn(&SweepPoint) -> f64| {
-            let sel: Vec<f64> = self.points.iter().filter(|p| f(p)).map(g).collect();
-            sel.iter().sum::<f64>() / sel.len().max(1) as f64
-        };
-
-        let at_crf =
-            |crf: u8, g: &dyn Fn(&SweepPoint) -> f64| avg(&move |p: &SweepPoint| p.crf == crf, g);
-        let at_refs =
-            |r: u8, g: &dyn Fn(&SweepPoint) -> f64| avg(&move |p: &SweepPoint| p.refs == r, g);
-
-        TriangleDirections {
-            crf_degrades_quality: at_crf(hi_crf, &|p| p.psnr_db) < at_crf(lo_crf, &|p| p.psnr_db),
-            crf_shrinks_size: at_crf(hi_crf, &|p| p.bitrate_kbps)
-                < at_crf(lo_crf, &|p| p.bitrate_kbps),
-            crf_speeds_up: at_crf(hi_crf, &|p| p.summary.seconds)
-                < at_crf(lo_crf, &|p| p.summary.seconds),
-            refs_shrink_size: at_refs(hi_refs, &|p| p.bitrate_kbps)
-                <= at_refs(lo_refs, &|p| p.bitrate_kbps),
-            refs_slow_down: at_refs(hi_refs, &|p| p.summary.seconds)
-                > at_refs(lo_refs, &|p| p.summary.seconds),
+    /// The report over the `crfs` × `refs` grid, read from a measured crf ×
+    /// refs plane that contains every point of it (see [`subgrid`]).
+    pub fn from_plane(plane: &[SweepPoint], crfs: Vec<u8>, refs: Vec<u8>) -> Self {
+        TriangleReport {
+            points: subgrid(plane, &crfs, &refs),
+            crfs,
+            refs,
         }
     }
-}
 
-/// Measures the triangle on the default crf × refs grid.
-///
-/// # Errors
-///
-/// Propagates transcoding failures.
-pub fn triangle_study(
-    transcoder: &Transcoder,
-    opts: &TranscodeOptions,
-) -> Result<TriangleReport, CoreError> {
-    triangle_study_with(
-        transcoder,
-        vec![16, 24, 32, 40],
-        vec![1, 4, 8, 16],
-        &EncoderConfig::default(),
-        opts,
-    )
-}
-
-/// Measures the triangle on a custom grid and base configuration.
-///
-/// Note that `refs` values beyond the number of anchor frames the clip
-/// produces cannot change behaviour (there is nothing more to reference);
-/// pick grids compatible with the clip length and B-frame settings.
-///
-/// # Errors
-///
-/// Propagates transcoding failures.
-fn triangle_study_with(
-    transcoder: &Transcoder,
-    crfs: Vec<u8>,
-    refs: Vec<u8>,
-    base_cfg: &EncoderConfig,
-    opts: &TranscodeOptions,
-) -> Result<TriangleReport, CoreError> {
-    let _span = vtx_telemetry::Span::enter("experiment/triangle");
-    let points = crf_refs_sweep(transcoder, &crfs, &refs, base_cfg, opts)?;
-    Ok(TriangleReport { points, crfs, refs })
+    /// Mean of `metric` at `knob`'s lowest and at its highest grid value,
+    /// each averaged over the other knob: the two ends of one arrow.
+    pub fn ends(&self, knob: Knob, metric: impl Fn(&SweepPoint) -> f64) -> (f64, f64) {
+        let (axis, value): (&[u8], fn(&SweepPoint) -> u8) = match knob {
+            Knob::Crf => (&self.crfs, |p| p.crf),
+            Knob::Refs => (&self.refs, |p| p.refs),
+        };
+        let mean_at = |v: u8| {
+            let sel: Vec<f64> = self
+                .points
+                .iter()
+                .filter(|p| value(p) == v)
+                .map(&metric)
+                .collect();
+            sel.iter().sum::<f64>() / sel.len().max(1) as f64
+        };
+        (mean_at(axis[0]), mean_at(axis[axis.len() - 1]))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::crf_refs_sweep;
+    use crate::{TranscodeOptions, Transcoder};
+    use vtx_codec::EncoderConfig;
     use vtx_frame::{synth, vbench};
 
     #[test]
@@ -140,13 +73,17 @@ mod tests {
             bframes: 0,
             ..EncoderConfig::default()
         };
-        let report =
-            triangle_study_with(&t, vec![16, 24, 32, 40], vec![1, 2, 4], &cfg, &opts).unwrap();
+        let (crfs, refs) = (vec![16, 24, 32, 40], vec![1, 2, 4]);
+        let plane = crf_refs_sweep(&t, &crfs, &refs, &cfg, &opts).unwrap();
+        let report = TriangleReport::from_plane(&plane, crfs, refs);
         assert_eq!(report.points.len(), 12);
-        let d = report.directions();
-        assert!(d.crf_degrades_quality, "{d:?}");
-        assert!(d.crf_shrinks_size, "{d:?}");
-        assert!(d.crf_speeds_up, "{d:?}");
-        assert!(d.refs_slow_down, "{d:?}");
+        let psnr = report.ends(Knob::Crf, |p| p.psnr_db);
+        assert!(psnr.1 < psnr.0, "crf degrades quality: {psnr:?}");
+        let size = report.ends(Knob::Crf, |p| p.bitrate_kbps);
+        assert!(size.1 < size.0, "crf shrinks size: {size:?}");
+        let time = report.ends(Knob::Crf, |p| p.summary.seconds);
+        assert!(time.1 < time.0, "crf speeds up: {time:?}");
+        let time = report.ends(Knob::Refs, |p| p.summary.seconds);
+        assert!(time.1 > time.0, "refs slow down: {time:?}");
     }
 }

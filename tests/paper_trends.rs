@@ -1,11 +1,12 @@
 //! The paper's qualitative findings, asserted as integration tests: if a
 //! refactor breaks one of these shapes, the reproduction no longer
-//! reproduces.
+//! reproduces. The last test reads the committed paper ledger instead.
 
 use vtx_codec::{EncoderConfig, Preset};
 use vtx_core::experiments::presets::preset_study_subset;
 use vtx_core::experiments::sweep::crf_refs_sweep;
 use vtx_core::TranscodeOptions;
+use vtx_obs::json::{self, JsonValue};
 use vtx_tests::tiny_transcoder;
 
 fn opts() -> TranscodeOptions {
@@ -152,4 +153,51 @@ fn complex_videos_cost_more_bits() {
         busy_r.bitrate_kbps,
         calm_r.bitrate_kbps
     );
+}
+
+/// The trends the committed ledger expects ✗ for: the paper's claims this
+/// model does not reproduce (EXPERIMENTS.md, "Known divergences").
+const EXPECTED_FAILURES: [&str; 5] = [
+    "fig4_line_length_falls_with_crf",
+    "fig5_a_branch_mpki_falls_with_crf",
+    "fig5_h_sb_falls_with_refs",
+    "fig7_be_falls_with_entropy_1080p",
+    "fig7_fe_rises_with_entropy_480p",
+];
+
+#[test]
+fn committed_paper_ledger_is_integral_and_every_verdict_is_expected() {
+    // `cargo bench -p vtx-bench --bench paper` writes this file; reading the
+    // committed copy runs no transcode.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_paper.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_paper.json is committed");
+    let ledger = json::parse(&text).expect("the ledger parses");
+    assert!(ledger.get("schema").and_then(JsonValue::as_u64).is_some());
+
+    fn integers(value: &JsonValue, at: &str) {
+        match value {
+            JsonValue::Object(fields) => {
+                for (key, value) in fields {
+                    integers(value, &format!("{at}.{key}"));
+                }
+            }
+            JsonValue::Number(n) => assert_eq!(n.fract(), 0.0, "{at} = {n}"),
+            other => panic!("{at} is not an integer: {other:?}"),
+        }
+    }
+    integers(&ledger, "ledger");
+
+    let Some(JsonValue::Object(trends)) = ledger.get("trends") else {
+        panic!("the ledger has no trends");
+    };
+    let mut failures = Vec::new();
+    for (name, row) in trends {
+        let flag = |key| row.get(key).and_then(JsonValue::as_u64);
+        assert!(matches!(flag("expected"), Some(0 | 1)), "{name}");
+        assert_eq!(flag("holds"), flag("expected"), "{name}");
+        if flag("expected") == Some(0) {
+            failures.push(name.as_str());
+        }
+    }
+    assert_eq!(failures, EXPECTED_FAILURES);
 }

@@ -2,11 +2,14 @@
 //! ablations, every run defined once in [`SECTIONS`].
 //!
 //! Figure 3's 816-point crf × refs plane is measured once; Figures 2, 4 and 5
-//! read their grids from it. Each section prints its tables and fills one
-//! section of the ledger `BENCH_paper.json`, which the pass writes to
-//! `crates/bench/target/vtx-results/` (CI `cmp`s it against the committed
-//! copy; `tests/paper_trends.rs` reads that copy). A section holds
-//! `transcodes` (0 for a grid read from the plane), `digest` (FNV-1a over the
+//! read their grids from it. The bike transcode at the default config is run
+//! once, as the plane's (23, 3) point, and is also Figure 6's `medium`,
+//! Figure 7's `bike` and each ablation's default row. Each section prints its
+//! tables and fills one section of the ledger `BENCH_paper.json`, which the
+//! pass writes to `crates/bench/target/vtx-results/` (CI `cmp`s it against
+//! the committed copy; `tests/paper_trends.rs` reads that copy). A section
+//! holds `transcodes` (the transcodes its rows are, the shared default run
+//! included; 0 for a grid read from the plane), `digest` (FNV-1a over the
 //! `Debug` text of every run it read; float `Debug` text round-trips, so the
 //! digest pins every bit) and one integer per cell of its row tables, named
 //! `<row>_<column>_<unit>` (`milli_pct` is 0.001 %, `milli_mpki` 0.001 MPKI,
@@ -29,14 +32,14 @@ use std::time::Instant;
 
 use vtx_codec::{EncoderConfig, Preset};
 use vtx_core::experiments::compiler_opts::{compiler_opt_study, mean_speedups, quick_combos};
-use vtx_core::experiments::presets::preset_study;
+use vtx_core::experiments::presets::{preset_study_subset, PresetRun};
 use vtx_core::experiments::scheduler::scheduler_study;
 use vtx_core::experiments::sweep::{
     crf_refs_sweep, default_crf_grid, default_refs_grid, full_crf_grid, full_refs_grid,
     projection_bitrate_range, projection_time_vs_refs, subgrid, Knob, SweepPoint,
 };
 use vtx_core::experiments::triangle::TriangleReport;
-use vtx_core::experiments::videos::video_study;
+use vtx_core::experiments::videos::{video_study, VideoRun};
 use vtx_core::{RunSummary, TranscodeOptions, TranscodeReport, Transcoder};
 use vtx_frame::{vbench, VideoSpec};
 use vtx_sched::TranscodeTask;
@@ -112,11 +115,15 @@ const STALLS: [Num<RunSummary>; 4] = [
     ("sb", 1, PKI, |s| s.stalls.sb),
 ];
 
-/// What the sections read: the sweep video, its options and Figure 3's plane.
+/// What the sections read: the sweep video, its options, the default run
+/// and Figure 3's plane.
 struct Inputs {
     bike: Transcoder,
     opts: TranscodeOptions,
-    /// crf 1–51 × refs 1–16, crf-major.
+    /// The bike transcode at `EncoderConfig::default()` (crf 23, refs 3,
+    /// `medium`) and `opts`, with the host seconds it took.
+    default_run: (TranscodeReport, f64),
+    /// crf 1–51 × refs 1–16, crf-major; (23, 3) is `default_run`.
     plane: Vec<SweepPoint>,
 }
 
@@ -132,6 +139,32 @@ impl Inputs {
         edit(&mut opts);
         Ok(self.bike.transcode(&EncoderConfig::default(), &opts)?)
     }
+}
+
+/// Figure 3's plane, crf-major, with the default run as its (23, 3) point
+/// instead of a second transcode of it.
+fn plane(
+    bike: &Transcoder,
+    opts: &TranscodeOptions,
+    default_run: &TranscodeReport,
+) -> Res<Vec<SweepPoint>> {
+    let cfg = EncoderConfig::default();
+    assert_eq!(cfg.clone().with_crf(23.0).with_refs(3), cfg);
+    let (crfs, refs) = (full_crf_grid(), full_refs_grid());
+    let others = |axis: &[u8], skip: u8| -> Vec<u8> {
+        axis.iter().copied().filter(|&v| v != skip).collect()
+    };
+    let mut plane = crf_refs_sweep(bike, &others(&crfs, 23), &refs, &cfg, opts)?;
+    plane.extend(crf_refs_sweep(bike, &[23], &others(&refs, 3), &cfg, opts)?);
+    plane.push(SweepPoint {
+        crf: 23,
+        refs: 3,
+        bitrate_kbps: default_run.bitrate_kbps,
+        psnr_db: default_run.psnr_db,
+        summary: default_run.summary.clone(),
+    });
+    plane.sort_by_key(|p| (p.crf, p.refs));
+    Ok(plane)
 }
 
 /// One number read off a plane point.
@@ -161,6 +194,8 @@ struct Trend {
 struct Section {
     name: &'static str,
     transcodes: usize,
+    /// One of the `transcodes` is the plane's default run, not run again.
+    reads_default_run: bool,
     digest: u64,
     fields: Vec<(String, i64)>,
     trends: Vec<Trend>,
@@ -297,10 +332,16 @@ fn main() -> Res {
     let start = Instant::now();
     let bike = vtx_bench::sweep_transcoder()?;
     let opts = vtx_bench::sweep_options();
-    let (crfs, refs) = (full_crf_grid(), full_refs_grid());
-    let cfg = EncoderConfig::default();
-    let plane = crf_refs_sweep(&bike, &crfs, &refs, &cfg, &opts)?;
-    let inputs = Inputs { bike, opts, plane };
+    let run_start = Instant::now();
+    let report = bike.transcode(&EncoderConfig::default(), &opts)?;
+    let default_run = (report, run_start.elapsed().as_secs_f64());
+    let plane = plane(&bike, &opts, &default_run.0)?;
+    let inputs = Inputs {
+        bike,
+        opts,
+        default_run,
+        plane,
+    };
     println!("[host] plane: {:.2} s", start.elapsed().as_secs_f64());
 
     let mut sections = Vec::new();
@@ -313,13 +354,16 @@ fn main() -> Res {
         sections.push(s);
     }
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/target/vtx-results");
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/BENCH_paper.json");
+    let path = vtx_bench::results_dir().join("BENCH_paper.json");
     std::fs::write(&path, ledger_json(&sections))?;
     let transcodes: usize = sections.iter().map(|s| s.transcodes).sum();
+    let shared = sections.iter().filter(|s| s.reads_default_run).count();
     let secs = start.elapsed().as_secs_f64();
-    println!("\n[artifact] {path}\n{transcodes} transcodes, {secs:.1} s host wall-clock");
+    println!(
+        "\n[artifact] {}\n{} transcodes ({transcodes} rows, {shared} of them the plane's default run), {secs:.1} s host wall-clock",
+        path.display(),
+        transcodes - shared
+    );
 
     let trends = sections.iter().flat_map(|s| &s.trends);
     let off: Vec<_> = trends.filter(|t| t.holds != t.expected).collect();
@@ -569,7 +613,27 @@ fn fig5(i: &Inputs, s: &mut Section) -> Res {
 
 fn fig6(i: &Inputs, s: &mut Section) -> Res {
     vtx_bench::banner("Figure 6: profiling results for different transcoding presets");
-    let runs = preset_study(&i.bike, &i.opts)?;
+    // `medium` at crf 23 / refs 3 is the default config: the default run.
+    let medium = Preset::Medium;
+    assert_eq!(
+        medium.config().with_crf(23.0).with_refs(3),
+        EncoderConfig::default()
+    );
+    let others: Vec<Preset> = Preset::ALL.into_iter().filter(|&p| p != medium).collect();
+    let mut runs = preset_study_subset(&i.bike, &others, &i.opts)?;
+    let r = &i.default_run.0;
+    let at = Preset::ALL
+        .iter()
+        .position(|&p| p == medium)
+        .expect("a preset");
+    let default = PresetRun {
+        preset: medium,
+        bitrate_kbps: r.bitrate_kbps,
+        psnr_db: r.psnr_db,
+        summary: r.summary.clone(),
+    };
+    runs.insert(at, default);
+    s.reads_default_run = true;
     let cols: [Num<(f64, f64, f64)>; 3] = [
         ("time", 3, US, |r| r.0),
         ("bitrate", 1, KBPS, |r| r.1),
@@ -601,7 +665,26 @@ fn fig6(i: &Inputs, s: &mut Section) -> Res {
 
 fn fig7(i: &Inputs, s: &mut Section) -> Res {
     vtx_bench::banner("Figure 7: profiling results for different videos");
-    let runs = video_study(None, vtx_bench::SEED, &i.opts)?;
+    // The sweep video is the catalog's bike at the same seed: the default run.
+    let catalog = vbench::catalog();
+    let names = catalog.iter().map(|v| v.short_name.as_str());
+    let others: Vec<&str> = names.filter(|&n| n != "bike").collect();
+    let mut runs = video_study(Some(&others), vtx_bench::SEED, &i.opts)?;
+    let r = &i.default_run.0;
+    runs.push(VideoRun {
+        spec: vbench::by_name("bike").expect("bike is in the catalog"),
+        bitrate_kbps: r.bitrate_kbps,
+        psnr_db: r.psnr_db,
+        summary: r.summary.clone(),
+    });
+    // `video_study`'s order: resolution, then entropy.
+    runs.sort_by(|a, b| {
+        let (a, b) = (&a.spec, &b.spec);
+        a.nominal_height
+            .cmp(&b.nominal_height)
+            .then(a.entropy.total_cmp(&b.entropy))
+    });
+    s.reads_default_run = true;
     // Table I lists each video's resolution and entropy.
     let summaries = map(&runs, |r| (r.spec.short_name.clone(), r.summary.clone()));
     s.table("(a) Top-down slots (%)", &summaries, &TOPDOWN);
@@ -690,14 +773,22 @@ fn fig9(i: &Inputs, s: &mut Section) -> Res {
     Ok(())
 }
 
-/// A bike transcode variant: its label and how it edits the options.
-type Variant = (&'static str, fn(&mut TranscodeOptions));
+/// A bike transcode variant: its label and how it edits the options;
+/// `None` leaves them at the defaults, which is the default run.
+type Variant = (&'static str, Option<fn(&mut TranscodeOptions)>);
 
 /// One bike transcode per variant.
 fn variants(i: &Inputs, s: &mut Section, all: &[Variant]) -> Res<Vec<(String, TranscodeReport)>> {
     let mut runs = Vec::new();
     for &(label, edit) in all {
-        runs.push((label.to_owned(), i.bike_run(edit)?));
+        let run = match edit {
+            Some(edit) => i.bike_run(edit)?,
+            None => {
+                s.reads_default_run = true;
+                i.default_run.0.clone()
+            }
+        };
+        runs.push((label.to_owned(), run));
     }
     s.transcodes = runs.len();
     s.hash(&map(&runs, |(label, r)| (label.clone(), r.summary.clone())));
@@ -707,11 +798,12 @@ fn variants(i: &Inputs, s: &mut Section, all: &[Variant]) -> Res<Vec<(String, Tr
 fn ablation_predictors(i: &Inputs, s: &mut Section) -> Res {
     vtx_bench::banner("Ablation: branch predictors on the bike transcode (crf 23, refs 3)");
     use PredictorKind::{Bimodal, Gshare, PentiumM, Tage};
+    assert_eq!(i.opts.uarch.predictor, PentiumM, "the default");
     let all: [Variant; 4] = [
-        ("bimodal", |o| o.uarch.predictor = Bimodal),
-        ("gshare", |o| o.uarch.predictor = Gshare),
-        ("pentium_m", |o| o.uarch.predictor = PentiumM),
-        ("tage", |o| o.uarch.predictor = Tage),
+        ("bimodal", Some(|o| o.uarch.predictor = Bimodal)),
+        ("gshare", Some(|o| o.uarch.predictor = Gshare)),
+        ("pentium_m", None),
+        ("tage", Some(|o| o.uarch.predictor = Tage)),
     ];
     let runs = variants(i, s, &all)?;
     let cols: [Num<TranscodeReport>; 3] = [
@@ -736,12 +828,17 @@ fn ablation_layout(i: &Inputs, s: &mut Section) -> Res {
         CodeLayout::with_order_and_gap(kernels, &order, gap)
     }
     let all: [Variant; 5] = [
-        ("gap0", |o| o.layout = Some(layout(0))),
-        ("gap2", |o| o.layout = Some(layout(2))),
-        ("gap4", |o| o.layout = Some(layout(4))),
-        ("gap7", |o| o.layout = Some(layout(7))),
-        ("gap12", |o| o.layout = Some(layout(12))),
+        ("gap0", Some(|o| o.layout = Some(layout(0)))),
+        ("gap2", Some(|o| o.layout = Some(layout(2)))),
+        ("gap4", Some(|o| o.layout = Some(layout(4)))),
+        ("gap7", None),
+        ("gap12", Some(|o| o.layout = Some(layout(12)))),
     ];
+    let default = CodeLayout::default_order(vtx_codec::instr::kernel_table());
+    assert!(
+        i.opts.layout.is_none() && layout(7) == default,
+        "the default is gap 7"
+    );
     let runs = variants(i, s, &all)?;
     for gap in [0, 2, 4, 7, 12] {
         let kib = layout(gap).span_bytes() / 1024;
@@ -764,9 +861,16 @@ fn ablation_sampling(i: &Inputs, s: &mut Section) -> Res {
     vtx_bench::banner("Ablation: simulation sampling shift (detail vs host cost)");
     let mut runs = Vec::new();
     for shift in 0..=4u32 {
+        let label = format!("shift{shift}");
+        if shift == i.opts.sample_shift {
+            let (r, wall) = &i.default_run;
+            runs.push((label, r.clone(), *wall));
+            s.reads_default_run = true;
+            continue;
+        }
         let start = Instant::now();
         let r = i.bike_run(|o| o.sample_shift = shift)?;
-        runs.push((format!("shift{shift}"), r, start.elapsed().as_secs_f64()));
+        runs.push((label, r, start.elapsed().as_secs_f64()));
     }
     let (full, full_wall) = (&runs[0].1, runs[0].2);
     let rows = map(&runs, |(label, r, wall)| {
@@ -794,10 +898,15 @@ fn ablation_sampling(i: &Inputs, s: &mut Section) -> Res {
 fn ablation_prefetch(i: &Inputs, s: &mut Section) -> Res {
     vtx_bench::banner("Ablation: L1d prefetchers on the bike transcode (crf 23, refs 3)");
     use PrefetcherKind::{NextLine, Stream};
+    assert_eq!(
+        i.opts.uarch.l1d_prefetcher,
+        PrefetcherKind::None,
+        "the default"
+    );
     let all: [Variant; 3] = [
-        ("none", |o| o.uarch.l1d_prefetcher = PrefetcherKind::None),
-        ("next_line", |o| o.uarch.l1d_prefetcher = NextLine),
-        ("stream", |o| o.uarch.l1d_prefetcher = Stream),
+        ("none", None),
+        ("next_line", Some(|o| o.uarch.l1d_prefetcher = NextLine)),
+        ("stream", Some(|o| o.uarch.l1d_prefetcher = Stream)),
     ];
     let runs = variants(i, s, &all)?;
     let cols: [Num<TranscodeReport>; 4] = [

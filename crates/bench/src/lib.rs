@@ -35,11 +35,12 @@ pub fn sweep_options() -> TranscodeOptions {
     TranscodeOptions::default().with_sample_shift(1)
 }
 
-/// Directory for artifacts (`target/vtx-results`).
+/// Directory for artifacts, created if missing: `target/vtx-results`
+/// beside this crate's manifest, fixed when the crate is compiled, so every
+/// harness writes beside the checkout it was built from whatever target
+/// directory built it.
 pub fn results_dir() -> PathBuf {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_owned()))
-            .join("vtx-results");
+    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/target/vtx-results"));
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }

@@ -17,9 +17,9 @@ pub struct VideoRun {
     /// Catalog metadata (name, resolution, fps, entropy).
     pub spec: VideoSpec,
     /// Transcoded bitrate in kbit/s.
-    pub(crate) bitrate_kbps: f64,
+    pub bitrate_kbps: f64,
     /// PSNR in dB.
-    pub(crate) psnr_db: f64,
+    pub psnr_db: f64,
     /// Microarchitectural summary.
     pub summary: RunSummary,
 }

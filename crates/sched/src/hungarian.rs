@@ -513,6 +513,38 @@ mod tests {
     }
 
     #[test]
+    fn one_row_picks_equal_the_oracle_and_the_first_minimum() {
+        // The shape of a one-job dispatch round: 1 × c over four price
+        // levels, most trials with one to three planted copies of a strict
+        // minimum. The reused flat solver, the oracle and the row's first
+        // strict-`<` minimum agree pick for pick; the serving layer takes
+        // that minimum without the solver.
+        let mut state = 0x0_1E5_EEDu64;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut solver = Solver::new();
+        for c in [1, 2, 40, 64, 500] {
+            for trial in 0..24 {
+                let mut row: Vec<f64> = (0..c).map(|_| 2.0 + next(4) as f64 * 0.5).collect();
+                if trial % 4 != 0 {
+                    for _ in 0..=next(3) {
+                        row[next(c)] = 1.0;
+                    }
+                }
+                let first_min = (0..c).fold(0, |best, j| if row[j] < row[best] { j } else { best });
+                let got = solver.solve_padded(&row, 1, c).unwrap()[0];
+                let what = format!("1x{c} trial {trial}: {row:?}");
+                assert_eq!(got, Some(oracle_solve(&[row.clone()])[0]), "oracle, {what}");
+                assert_eq!(got, Some(first_min), "first minimum, {what}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "columns")]
     fn more_rows_than_cols_panics() {
         let cost = vec![vec![1.0], vec![2.0]];

@@ -250,35 +250,26 @@ impl IdleIndex {
         self.nth_idle(before)
     }
 
-    /// Replaces `out` with the idle servers of cell `c`, ascending. The
-    /// count is known ([`IdleIndex::idle_in_cell`]), so a buffer that has
-    /// held a cell before is not reallocated.
-    pub(crate) fn fill_cell_idle(&self, c: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(self.idle_in_cell(c));
-        out.extend(self.plan.range(c).filter(|&s| self.idle[s]));
+    /// The idle servers of cell `c`, ascending.
+    pub(crate) fn cell_servers(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
+        self.plan.range(c).filter(|&s| self.idle[s])
     }
 
-    /// Replaces `out` with all idle servers, ascending.
-    pub(crate) fn fill_idle(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(self.total);
-        out.extend((0..self.idle.len()).filter(|&s| self.idle[s]));
+    /// The idle servers, ascending.
+    pub(crate) fn servers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.idle.len()).filter(|&s| self.idle[s])
     }
 
     /// The idle servers of cell `c`, ascending.
     #[cfg(test)]
     pub(crate) fn cell_idle(&self, c: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.fill_cell_idle(c, &mut out);
-        out
+        self.cell_servers(c).collect()
     }
 
     /// All idle servers, ascending.
+    #[cfg(test)]
     pub(crate) fn to_vec(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.fill_idle(&mut out);
-        out
+        self.servers().collect()
     }
 }
 
@@ -391,7 +382,6 @@ mod tests {
         let mut idx = IdleIndex::new(CellPlan::build(n, 7, 1));
         let mut bits = vec![true; n];
         let mut rng = SplitMix64::new(0x1D1E);
-        let (mut cell_buf, mut all_buf) = (Vec::new(), Vec::new());
         for step in 0..10_000 {
             let s = rng.next_range(n as u64) as usize;
             let to_idle = rng.next_range(2) == 0;
@@ -406,15 +396,11 @@ mod tests {
                 continue;
             }
             let want: Vec<usize> = (0..n).filter(|&s| bits[s]).collect();
-            idx.fill_idle(&mut all_buf);
-            assert_eq!(all_buf, want, "step {step}");
-            assert_eq!(idx.to_vec(), want);
+            assert_eq!(idx.to_vec(), want, "step {step}");
             assert_eq!(idx.total(), want.len());
             for c in 0..idx.plan().n_cells() {
                 let want: Vec<usize> = idx.plan().range(c).filter(|&s| bits[s]).collect();
-                idx.fill_cell_idle(c, &mut cell_buf);
-                assert_eq!(cell_buf, want, "step {step} cell {c}");
-                assert_eq!(idx.cell_idle(c), want);
+                assert_eq!(idx.cell_idle(c), want, "step {step} cell {c}");
                 assert_eq!(idx.idle_in_cell(c), want.len());
             }
         }

@@ -159,38 +159,50 @@ impl CostModel {
     /// Baseline-server seconds for a task of `px` pixels per clip (speed
     /// 1.0, no affinity gain).
     fn base_seconds(task: &TranscodeTask, px: f64) -> f64 {
-        let rank = Preset::ALL
-            .iter()
-            .position(|&p| p == task.preset)
-            .unwrap_or(5);
-        let preset_factor = PRESET_COST[rank];
+        let preset_factor = PRESET_COST[preset_rank(task.preset)];
         // Lower CRF = more bits = more work (Figure 2's speed edge).
         let crf_factor = 1.6 - 0.015 * f64::from(task.crf);
         let refs_factor = 1.0 + 0.06 * f64::from(task.refs.saturating_sub(1));
         (px * preset_factor * crf_factor.max(0.2) * refs_factor / PIXEL_RATE).max(1e-3)
     }
 
-    /// The policy-visible prediction in microseconds (≥ 1).
-    pub fn predicted_us(&self, job: &JobSpec, server: &ServerSpec) -> u64 {
+    /// What a prediction reads of the job, whatever the server.
+    fn terms(&self, job: &JobSpec) -> JobTerms {
         let (px, entropy) = self.lookup(&job.task.video);
+        JobTerms {
+            base_secs: Self::base_seconds(&job.task, px),
+            benefit: predict_benefit(&job.task, entropy),
+            rank: preset_rank(job.task.preset),
+        }
+    }
+
+    /// [`CostModel::predicted_us`] from the job's terms.
+    fn predicted_with(&self, t: &JobTerms, server: &ServerSpec) -> u64 {
         let gain = server
             .config_index()
-            .map(|k| self.affinity_gain * predict_benefit(&job.task, entropy)[k])
+            .map(|k| self.affinity_gain * t.benefit[k])
             .unwrap_or(0.0);
-        let secs = Self::base_seconds(&job.task, px) / (server.speed * (1.0 + gain));
+        let secs = t.base_secs / (server.speed * (1.0 + gain));
         ((secs * 1e6).round() as u64).max(1)
     }
 
-    /// The port-model speedup factor (`<= 1.0`) for this (job, server)
-    /// pair: how much the server's port layout shortens the job relative to
-    /// the baseline layout, for the job's preset-rank uop mix. 1.0 for
+    /// `CostModel::port_predicted_us` from the job's terms.
+    fn port_predicted_with(&self, t: &JobTerms, server: &ServerSpec) -> u64 {
+        let refined = self.predicted_with(t, server) as f64 * self.port_factor(t.rank, server);
+        (refined.round() as u64).max(1)
+    }
+
+    /// The policy-visible prediction in microseconds (≥ 1).
+    pub fn predicted_us(&self, job: &JobSpec, server: &ServerSpec) -> u64 {
+        self.predicted_with(&self.terms(job), server)
+    }
+
+    /// The port-model speedup factor (`<= 1.0`) for a job of preset rank
+    /// `rank` on `server`: how much the server's port layout shortens the
+    /// job relative to the baseline layout, for the rank's uop mix. 1.0 for
     /// every layout identical to the baseline (only the core-widened
     /// `be_op2` differs) and for unknown configs.
-    fn port_factor(&self, job: &JobSpec, server: &ServerSpec) -> f64 {
-        let rank = Preset::ALL
-            .iter()
-            .position(|&p| p == job.task.preset)
-            .unwrap_or(5);
+    fn port_factor(&self, rank: usize, server: &ServerSpec) -> f64 {
         let relief = self
             .table
             .port_relief
@@ -200,10 +212,30 @@ impl CostModel {
     }
 
     /// The port-refined prediction in microseconds (≥ 1):
-    /// [`CostModel::predicted_us`] × [`CostModel::port_factor`].
+    /// [`CostModel::predicted_us`] × the server's port factor.
     pub(crate) fn port_predicted_us(&self, job: &JobSpec, server: &ServerSpec) -> u64 {
-        let refined = self.predicted_us(job, server) as f64 * self.port_factor(job, server);
-        (refined.round() as u64).max(1)
+        self.port_predicted_with(&self.terms(job), server)
+    }
+
+    /// The prediction of `job` on each of `servers` into `out`, port-refined
+    /// when `port` is set: [`CostModel::predicted_us`] (or
+    /// `port_predicted_us`) value for value, with what the prediction reads
+    /// of the job computed once for the row.
+    pub(crate) fn predict_row<'s>(
+        &self,
+        job: &JobSpec,
+        port: bool,
+        servers: impl IntoIterator<Item = &'s ServerSpec>,
+        out: &mut [u64],
+    ) {
+        let t = self.terms(job);
+        for (price, server) in out.iter_mut().zip(servers) {
+            *price = if port {
+                self.port_predicted_with(&t, server)
+            } else {
+                self.predicted_with(&t, server)
+            };
+        }
     }
 
     /// The engine-billed truth in microseconds: port-refined prediction ×
@@ -221,6 +253,21 @@ impl CostModel {
         );
         ((predicted * job_noise * pair_noise).round() as u64).max(1)
     }
+}
+
+/// What a prediction reads of the job, computed once per row of servers.
+struct JobTerms {
+    /// Baseline-server seconds ([`CostModel::base_seconds`]).
+    base_secs: f64,
+    /// Predicted benefit per Table IV configuration.
+    benefit: [f64; 4],
+    /// Index of the preset in [`Preset::ALL`] (5, `medium`, if absent).
+    rank: usize,
+}
+
+/// Index of `preset` in [`Preset::ALL`] (5, `medium`, if absent).
+pub(crate) fn preset_rank(preset: Preset) -> usize {
+    Preset::ALL.iter().position(|&p| p == preset).unwrap_or(5)
 }
 
 /// A cheap lognormal-ish multiplier: exp(sigma · z) with z an
@@ -329,7 +376,7 @@ mod tests {
         let f = Fleet::table_iv();
         let j = job("bike", 23, 3, Preset::Slower); // SATD/trellis-heavy rank
         for s in f.servers() {
-            let factor = m.port_factor(&j, s);
+            let factor = m.port_factor(preset_rank(j.task.preset), s);
             assert!(
                 factor <= 1.0 + 1e-12 && factor > 0.5,
                 "{}: {factor}",

@@ -217,6 +217,8 @@ pub(crate) fn run<T: Transport>(
     // exactly one RequeueDue event).
     let mut requeue_wakeups: BTreeSet<u64> = BTreeSet::new();
     let mut arrivals_left = jobs.len();
+    // Each round's started copies, a buffer kept across rounds.
+    let mut started = Vec::new();
 
     let mut now: u64 = 0;
     while !(eng.events.is_empty() && flight.is_empty()) {
@@ -296,7 +298,8 @@ pub(crate) fn run<T: Transport>(
             }
         }
         // Every state change is a dispatch opportunity.
-        for copy in flight.dispatch(&mut core, now) {
+        flight.dispatch(&mut core, now, &mut started);
+        for copy in started.drain(..) {
             if let Some(due) = copy.hedge_due_us {
                 eng.push(due, Event::HedgeDue { id: copy.id });
             }

@@ -2,17 +2,17 @@
 //!
 //! Between a dispatch and its terminal booking a job lives here, not in the
 //! [`ServiceCore`]: one running slot per server, the servers holding a copy
-//! of each job (two while hedged), the ids already completed, and the
-//! [`IdleIndex`] every dispatch round reads. The engine loop owns one
-//! [`InFlight`] beside the core and calls its handlers as events pop; a
-//! transport only decides *when* an event is handled and what a started
-//! copy costs.
+//! of each job (two while hedged) and whether a hedged job already
+//! completed, and the [`IdleIndex`] every dispatch round reads. The engine
+//! loop owns one [`InFlight`] beside the core and calls its handlers as
+//! events pop; a transport only decides *when* an event is handled and what
+//! a started copy costs.
 //!
 //! A server is in the idle index exactly when its slot is empty and the core
 //! would give it work (not detected down, active, breaker closed). Policies
 //! therefore never see a server they may not use, at any fleet size.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use vtx_chaos::Health;
 
@@ -32,6 +32,34 @@ struct Running {
     /// Satisfied from the segment cache: the server only fronts the
     /// lookup, and completion must not re-insert the artifact.
     cached: bool,
+}
+
+/// The copies of one in-flight job: the servers holding one (two while
+/// hedged), oldest first, and whether one of them already completed it.
+#[derive(Debug, Default)]
+struct Copies {
+    servers: [usize; 2],
+    len: usize,
+    done: bool,
+}
+
+impl Copies {
+    fn holders(&self) -> &[usize] {
+        &self.servers[..self.len]
+    }
+
+    fn push(&mut self, server: usize) {
+        assert!(self.len < 2, "a job runs at most its origin and one hedge");
+        self.servers[self.len] = server;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, server: usize) {
+        if let Some(i) = self.holders().iter().position(|&s| s == server) {
+            self.servers.copy_within(i + 1..self.len, i);
+            self.len -= 1;
+        }
+    }
 }
 
 /// A copy the driver must now put on its transport.
@@ -95,12 +123,13 @@ impl Resolution {
 pub(crate) struct InFlight {
     idle: IdleIndex,
     running: Vec<Option<Running>>,
-    /// Servers holding a copy of each in-flight job, so hedge triggers find
-    /// the origin without scanning the fleet and hedged jobs terminate
-    /// exactly once.
-    holders: BTreeMap<u64, Vec<usize>>,
-    done: BTreeSet<u64>,
+    /// The copies of each in-flight job, so hedge triggers find the origin
+    /// without scanning the fleet and hedged jobs terminate exactly once.
+    /// An entry lives from a job's dispatch to its last copy's end.
+    copies: BTreeMap<u64, Copies>,
     instance: u64,
+    /// The round's picks, a buffer kept across rounds.
+    picks: Vec<(PendingJob, usize)>,
 }
 
 impl InFlight {
@@ -115,15 +144,15 @@ impl InFlight {
         InFlight {
             idle,
             running: (0..n).map(|_| None).collect(),
-            holders: BTreeMap::new(),
-            done: BTreeSet::new(),
+            copies: BTreeMap::new(),
             instance: 0,
+            picks: Vec::new(),
         }
     }
 
     /// Whether no copy occupies any server.
     pub(crate) fn is_empty(&self) -> bool {
-        self.holders.is_empty()
+        self.copies.is_empty()
     }
 
     /// The job running on `server`. Panics on an empty slot: drivers ask
@@ -161,7 +190,7 @@ impl InFlight {
     ) -> Started {
         self.instance += 1;
         self.idle.set_busy(server);
-        self.holders.entry(job.spec.id).or_default().push(server);
+        self.copies.entry(job.spec.id).or_default().push(server);
         let started = Started {
             id: job.spec.id,
             server,
@@ -179,50 +208,55 @@ impl InFlight {
         started
     }
 
-    /// Empties `server`'s slot; returns the copy and how many copies of its
-    /// job are still running elsewhere.
-    fn take(&mut self, server: usize) -> Option<(Running, usize)> {
+    /// Empties `server`'s slot; returns the copy, how many copies of its
+    /// job are still running elsewhere, and whether the job already
+    /// completed.
+    fn take(&mut self, server: usize) -> Option<(Running, usize, bool)> {
         let r = self.running[server].take()?;
         let id = r.job.spec.id;
-        let holders = self
-            .holders
+        let copies = self
+            .copies
             .get_mut(&id)
             .expect("running copies are indexed");
-        holders.retain(|&s| s != server);
-        let left = holders.len();
+        copies.remove(server);
+        let (left, done) = (copies.len, copies.done);
         if left == 0 {
-            self.holders.remove(&id);
+            self.copies.remove(&id);
         }
-        Some((r, left))
+        Some((r, left, done))
     }
 
     /// One dispatch round over the idle servers; drivers call it after every
-    /// event. Each started copy has consulted the segment cache (a hit
-    /// occupies the server for the lookup only, and hedging it would be
-    /// pointless) and carries its hedge trigger, if any.
-    pub(crate) fn dispatch(&mut self, core: &mut ServiceCore, now_us: u64) -> Vec<Started> {
+    /// event. Appends the started copies to `started`: each has consulted
+    /// the segment cache (a hit occupies the server for the lookup only, and
+    /// hedging it would be pointless) and carries its hedge trigger, if any.
+    pub(crate) fn dispatch(
+        &mut self,
+        core: &mut ServiceCore,
+        now_us: u64,
+        started: &mut Vec<Started>,
+    ) {
         for server in core.closed_breakers(now_us) {
             self.settle(core, server, now_us);
         }
-        let picks = core.dispatch(&self.idle, now_us);
+        let mut picks = std::mem::take(&mut self.picks);
+        core.dispatch_into(&self.idle, now_us, &mut picks);
         let hedge_after = core.chaos().hedge_after;
-        picks
-            .into_iter()
-            .map(|(job, server)| {
-                let cached_us = core.cache_lookup(&job, server, now_us);
-                let spec = &job.spec;
-                let hedge_due_us = (cached_us.is_none()
-                    && spec.priority == Priority::Interactive
-                    && job.attempts == 1)
-                    .then(|| hedge_due_us(spec.arrival_us, spec.deadline_us, hedge_after))
-                    .flatten()
-                    .filter(|&due| due > now_us && due < spec.deadline_us);
-                Started {
-                    hedge_due_us,
-                    ..self.start(job, server, now_us, false, cached_us)
-                }
-            })
-            .collect()
+        for (job, server) in picks.drain(..) {
+            let cached_us = core.cache_lookup(&job, server, now_us);
+            let spec = &job.spec;
+            let hedge_due_us = (cached_us.is_none()
+                && spec.priority == Priority::Interactive
+                && job.attempts == 1)
+                .then(|| hedge_due_us(spec.arrival_us, spec.deadline_us, hedge_after))
+                .flatten()
+                .filter(|&due| due > now_us && due < spec.deadline_us);
+            started.push(Started {
+                hedge_due_us,
+                ..self.start(job, server, now_us, false, cached_us)
+            });
+        }
+        self.picks = picks;
     }
 
     /// A hedge trigger fired for job `id`. Launches a duplicate only if
@@ -235,18 +269,23 @@ impl InFlight {
         id: u64,
         now_us: u64,
     ) -> Option<Started> {
-        if self.done.contains(&id) {
-            return None;
-        }
-        let &[origin] = self.holders.get(&id)?.as_slice() else {
+        let copies = self.copies.get(&id)?;
+        let &[origin] = copies.holders() else {
             return None;
         };
+        if copies.done {
+            return None;
+        }
         let job = self.job(origin);
-        let server = self
-            .idle
-            .to_vec()
+        // A prediction reads a server only through its class: price the
+        // first up idle server of each class, ties to the lower server.
+        let health = core.health();
+        let up = self.idle.servers().filter(|&s| health[s] == Health::Up);
+        let mut firsts = Vec::new();
+        core.classes().first_of_each(up, |_| false, &mut firsts);
+        let server = firsts
             .into_iter()
-            .filter(|&s| core.health()[s] == Health::Up)
+            .filter(|&s| s != usize::MAX)
             .min_by_key(|&s| {
                 let predicted = core.model().predicted_us(&job.spec, core.fleet().server(s));
                 (predicted, s)
@@ -266,13 +305,16 @@ impl InFlight {
         outcome: Outcome,
         now_us: u64,
     ) -> Resolution {
-        let (r, left) = self.take(server).expect("finish names a running copy");
+        let (r, left, done) = self.take(server).expect("finish names a running copy");
         let id = r.job.spec.id;
-        let resolution = Resolution::of(self.done.contains(&id), left, outcome);
+        let resolution = Resolution::of(done, left, outcome);
         match (resolution, outcome) {
             (Resolution::Complete, Outcome::Finished { bytes }) => {
                 core.complete(&r.job, server, r.started_us, now_us);
-                self.done.insert(id);
+                // A twin still running must not complete the job again.
+                if let Some(copies) = self.copies.get_mut(&id) {
+                    copies.done = true;
+                }
                 if r.is_hedge {
                     core.note_hedge_won();
                 }
@@ -295,8 +337,8 @@ impl InFlight {
     /// copy it held is requeued unless a twin can still finish the job (or
     /// already has).
     pub(crate) fn server_lost(&mut self, core: &mut ServiceCore, server: usize, now_us: u64) {
-        if let Some((r, left)) = self.take(server) {
-            if left == 0 && !self.done.contains(&r.job.spec.id) {
+        if let Some((r, left, done)) = self.take(server) {
+            if left == 0 && !done {
                 core.fail(r.job, server, r.started_us, now_us);
             }
         }
@@ -335,6 +377,15 @@ mod tests {
     const DEADLINE: u64 = 1_000_000;
     const FINISHED: Outcome = Outcome::Finished { bytes: None };
 
+    impl InFlight {
+        /// One dispatch round's started copies, returned.
+        fn dispatch_now(&mut self, core: &mut ServiceCore, now_us: u64) -> Vec<Started> {
+            let mut started = Vec::new();
+            self.dispatch(core, now_us, &mut started);
+            started
+        }
+    }
+
     /// Table IV under `smart` with a generous retry budget.
     fn machine(mut cfg: ServeConfig) -> (ServiceCore, InFlight) {
         cfg.max_retries = 5;
@@ -362,7 +413,7 @@ mod tests {
             timeout_us: u64::MAX,
         };
         m.0.offer(spec, t);
-        let started = m.1.dispatch(&mut m.0, t);
+        let started = m.1.dispatch_now(&mut m.0, t);
         assert_eq!(started.len(), 1);
         started[0]
     }
@@ -416,7 +467,7 @@ mod tests {
         flight.server_lost(&mut core, copy.server, 20); // the real sweep repeats
         assert_eq!((core.queued(), flight.is_empty()), (1, true));
         assert!(!flight.holds(copy.server, copy.instance), "finish is stale");
-        let again = flight.dispatch(&mut core, 30)[0];
+        let again = flight.dispatch_now(&mut core, 30)[0];
         assert_ne!(again.server, copy.server);
         assert_eq!(flight.job(again.server).attempts, 2);
         assert_eq!(core.finish(7, 30).0.faults.requeued, 1);
@@ -432,7 +483,7 @@ mod tests {
         // A retry never re-arms.
         let res = m.1.finish(&mut m.0, first.server, Outcome::TimedOut, 20);
         assert_eq!(res, Resolution::Timeout);
-        let retry = m.1.dispatch(&mut m.0, 30)[0];
+        let retry = m.1.dispatch_now(&mut m.0, 30)[0];
         assert_eq!((retry.id, retry.hedge_due_us), (0, None));
         // Nor does a first dispatch at or past the due instant.
         let late = submit(&mut m, 2, Priority::Interactive, DEADLINE / 2);
@@ -488,11 +539,11 @@ mod tests {
         assert!(!flight.idle.is_idle(best), "held out while open");
         // Post-filtering the policy's pick (it would choose `best` again)
         // would leave the job waiting a round beside four idle servers.
-        let retry = flight.dispatch(&mut core, 10);
+        let retry = flight.dispatch_now(&mut core, 10);
         assert_eq!(retry.len(), 1, "placed in the same round");
         assert_ne!(retry[0].server, best);
         // Once the window passes the server is dispatchable again.
-        flight.dispatch(&mut core, 10 + 500_000);
+        flight.dispatch_now(&mut core, 10 + 500_000);
         assert!(flight.idle.is_idle(best));
     }
 }

@@ -17,28 +17,31 @@
 //! [`XL_FLEET_THRESHOLD`] servers one solve over the whole idle set; from
 //! the threshold up each candidate is routed to one of two
 //! consistent-hashed cells (power-of-two-choices on idle capacity) and the
-//! same solve runs *within* each chosen cell, so nothing is O(fleet).
+//! same solve runs *within* each chosen cell, so nothing is O(fleet). A
+//! solve with one row needs no solver: the cheapest (class, suspected)
+//! group's lowest idle server is the pick the Hungarian would return (see
+//! [`SmartPolicy`]).
 //!
 //! The model-driven policies also memoize predictions: the cost model is a
 //! pure function of (task parameters, server class), so each task owns one
-//! row of base prices indexed by class, filled as classes are first seen
-//! and invalidated wholesale on any Suspect/Down/Degrade transition (the
-//! epoch bump in [`DispatchCtx::health_epoch`]). The server → class map is
-//! the run's, not the policy's ([`DispatchCtx::classes`]), and the cost
-//! matrix, the idle list, the cell routing and the solver's state are
-//! buffers the policy keeps: a round in steady state allocates only the
-//! pick list it returns.
+//! row of base prices indexed by class, priced for every class when the
+//! task is first seen and invalidated wholesale on any Suspect/Down/Degrade
+//! transition (the epoch bump in [`DispatchCtx::health_epoch`]). The
+//! server → class map is the run's, not the policy's
+//! ([`DispatchCtx::classes`]), and the cost matrix, the idle list, the
+//! group firsts, the cell routing and the solver's state are buffers the
+//! policy keeps: a round in steady state allocates only the pick list it
+//! returns.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vtx_chaos::Health;
-use vtx_codec::Preset;
 
 use crate::cells::{IdleIndex, XL_FLEET_THRESHOLD};
-use crate::cost::CostModel;
+use crate::cost::{preset_rank, CostModel};
 use crate::fleet::Fleet;
 use crate::queue::PendingJob;
 use crate::rng::SplitMix64;
@@ -63,7 +66,8 @@ pub struct ClassMap {
     /// reused across them one refill of its memo.
     id: u64,
     class_of: Vec<u16>,
-    n_classes: usize,
+    /// The first server of each class: what a class is priced on.
+    reps: Vec<usize>,
 }
 
 impl ClassMap {
@@ -71,19 +75,24 @@ impl ClassMap {
     pub fn of(fleet: &Fleet) -> Self {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let mut ids: BTreeMap<(&str, u64), u16> = BTreeMap::new();
+        let mut reps = Vec::new();
         let class_of = fleet
             .servers()
             .iter()
-            .map(|sv| {
+            .enumerate()
+            .map(|(s, sv)| {
                 let key = (sv.uarch.name.as_str(), sv.speed.to_bits());
                 let next = ids.len() as u16;
-                *ids.entry(key).or_insert(next)
+                *ids.entry(key).or_insert_with(|| {
+                    reps.push(s);
+                    next
+                })
             })
             .collect();
         ClassMap {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             class_of,
-            n_classes: ids.len(),
+            reps,
         }
     }
 
@@ -94,7 +103,28 @@ impl ClassMap {
 
     /// Number of distinct classes.
     fn n_classes(&self) -> usize {
-        self.n_classes
+        self.reps.len()
+    }
+
+    /// The first of `servers` (ascending) in each (class, `flag`) group:
+    /// slot `2 × class + flag` of `firsts`, `usize::MAX` where the group
+    /// is empty. Servers of one group are interchangeable to anything that
+    /// prices by class, so a minimum over these firsts, ties to the lower
+    /// server, is the first minimum over all of `servers`.
+    pub(crate) fn first_of_each(
+        &self,
+        servers: impl IntoIterator<Item = usize>,
+        flag: impl Fn(usize) -> bool,
+        firsts: &mut Vec<usize>,
+    ) {
+        firsts.clear();
+        firsts.resize(2 * self.n_classes(), usize::MAX);
+        for s in servers {
+            let slot = &mut firsts[2 * self.class_of(s) + usize::from(flag(s))];
+            if *slot == usize::MAX {
+                *slot = s;
+            }
+        }
     }
 }
 
@@ -122,12 +152,19 @@ pub struct DispatchCtx<'a> {
 }
 
 impl DispatchCtx<'_> {
+    /// Whether the detector suspects `server` (out-of-range indices count
+    /// as up, for bare test contexts).
+    fn suspected(&self, server: usize) -> bool {
+        self.health.get(server) == Some(&Health::Suspected)
+    }
+
     /// `base` cost inflated by [`SUSPECT_PENALTY`] when `server` is
-    /// suspected (out-of-range indices count as up, for bare test contexts).
+    /// suspected.
     fn penalized(&self, base: f64, server: usize) -> f64 {
-        match self.health.get(server) {
-            Some(Health::Suspected) => base * SUSPECT_PENALTY,
-            _ => base,
+        if self.suspected(server) {
+            base * SUSPECT_PENALTY
+        } else {
+            base
         }
     }
 }
@@ -264,19 +301,28 @@ enum PredictionKind {
     Port,
 }
 
-/// One video's entry of the prediction memo: (crf, refs, preset rank) →
-/// base (un-penalized) predicted µs per server class; 0 = not yet priced
-/// (a prediction is at least 1).
-type KnobPrices = BTreeMap<(u8, u8, u8), Box<[u64]>>;
-
 /// Shared machinery of the model-driven policies (`smart` / `port`): the
 /// prediction memo, the exact solve, and the two routings
-/// [`ModelCore::assign`] chooses between.
+/// [`ModelCore::assign`] chooses between. A solve over more than one job
+/// builds the cost matrix and runs the rectangular Hungarian; a solve over
+/// one job (the one-job rule) takes the same pick as a class argmin, in
+/// time linear in the idle servers and without the matrix.
 #[derive(Debug)]
 struct ModelCore {
     kind: PredictionKind,
-    /// Prediction memo, by video.
-    memo: BTreeMap<Arc<str>, KnobPrices>,
+    /// Prediction memo: where in `rows` the row of each (video slot, crf,
+    /// refs, preset rank) starts, packed into one key by
+    /// [`ModelCore::prices`]. Only probed, never iterated, and emptied only
+    /// by `clear`, so neither its order nor its growth reaches an output or
+    /// an allocation count.
+    memo: HashMap<u64, usize>,
+    /// The memo's rows: per server class, the base (un-penalized)
+    /// predicted µs, all classes priced when the row is made.
+    rows: Vec<u64>,
+    /// The videos the memo has priced, by slot. A trace hands every task of
+    /// one video the same `Arc`, so a slot is found by pointer; a task
+    /// carrying its own copy of a known name costs a string comparison.
+    videos: Vec<Arc<str>>,
     /// ([`ClassMap`] identity, detector epoch) the memo was filled under;
     /// any mismatch clears it.
     memo_key: (u64, u64),
@@ -284,6 +330,8 @@ struct ModelCore {
     cost: Vec<f64>,
     /// The idle servers the round solves over.
     idle: Vec<usize>,
+    /// A one-job round's first idle server per (class, suspected) group.
+    firsts: Vec<usize>,
     /// Cell routing of the round: (cell, job position).
     routed: Vec<(usize, usize)>,
     solver: Solver,
@@ -293,53 +341,89 @@ impl ModelCore {
     fn new(kind: PredictionKind) -> Self {
         ModelCore {
             kind,
-            memo: BTreeMap::new(),
+            memo: HashMap::new(),
+            rows: Vec::new(),
+            videos: Vec::new(),
             memo_key: (0, 0),
             cost: Vec::new(),
             idle: Vec::new(),
+            firsts: Vec::new(),
             routed: Vec::new(),
             solver: Solver::new(),
         }
     }
 
-    /// Raw (un-cached, un-penalized) prediction for this kind — the
-    /// reference the memo is tested against.
-    fn predict_raw(kind: PredictionKind, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
-        let server = ctx.fleet.server(s);
-        match kind {
-            PredictionKind::Affinity => ctx.model.predicted_us(&job.spec, server),
-            PredictionKind::Port => ctx.model.port_predicted_us(&job.spec, server),
-        }
-    }
-
-    /// Appends one job's row of the cost matrix over `servers` to
-    /// `self.cost`: the memo is probed once for the job, its class row
-    /// filled where a class is seen for the first time, and suspects are
-    /// penalized per server.
-    fn cost_row(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, servers: &[usize]) {
+    /// `job`'s memo row, one base price per class, priced on first sight.
+    fn prices(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob) -> &[u64] {
         let key = (ctx.classes.id, ctx.health_epoch);
         if self.memo_key != key {
             self.memo.clear();
+            self.rows.clear();
             self.memo_key = key;
         }
         let t = &job.spec.task;
-        let rank = Preset::ALL.iter().position(|&p| p == t.preset).unwrap_or(5) as u8;
-        if !self.memo.contains_key(&*t.video) {
-            self.memo.insert(t.video.clone(), KnobPrices::new());
-        }
-        let prices = self
-            .memo
-            .get_mut(&*t.video)
-            .expect("inserted above")
-            .entry((t.crf, t.refs, rank))
-            .or_insert_with(|| vec![0; ctx.classes.n_classes()].into());
+        let videos = &mut self.videos;
+        let slot = videos
+            .iter()
+            .position(|v| Arc::ptr_eq(v, &t.video))
+            .or_else(|| videos.iter().position(|v| *v == t.video))
+            .unwrap_or_else(|| {
+                videos.push(t.video.clone());
+                videos.len() - 1
+            });
+        let rank = preset_rank(t.preset) as u64;
+        let knobs = (slot as u64) << 24 | u64::from(t.crf) << 16 | u64::from(t.refs) << 8 | rank;
+        let n = ctx.classes.n_classes();
+        let rows = &mut self.rows;
+        let at = *self.memo.entry(knobs).or_insert_with(|| {
+            let at = rows.len();
+            rows.resize(at + n, 0);
+            let reps = ctx.classes.reps.iter().map(|&s| ctx.fleet.server(s));
+            let port = self.kind == PredictionKind::Port;
+            ctx.model
+                .predict_row(&job.spec, port, reps, &mut rows[at..]);
+            at
+        });
+        &rows[at..at + n]
+    }
+
+    /// Appends one job's row of the cost matrix over `servers` to
+    /// `self.cost`: the memo is probed once for the job, and suspects are
+    /// penalized per server.
+    fn cost_row(&mut self, ctx: &DispatchCtx<'_>, job: &PendingJob, servers: &[usize]) {
+        let mut cost = std::mem::take(&mut self.cost);
+        let prices = self.prices(ctx, job);
         for &s in servers {
-            let base = &mut prices[ctx.classes.class_of(s)];
-            if *base == 0 {
-                *base = Self::predict_raw(self.kind, ctx, job, s);
-            }
-            self.cost.push(ctx.penalized(*base as f64, s));
+            cost.push(ctx.penalized(prices[ctx.classes.class_of(s)] as f64, s));
         }
+        self.cost = cost;
+    }
+
+    /// The server [`Solver`] gives a one-row round over `idle` (ascending),
+    /// without the row: a server's cost depends on it only through its
+    /// (class, suspected) group, so each group is priced once, at its first
+    /// idle server, and the cheapest group's first server wins, ties to the
+    /// lower server. That is the row's first strict-`<` minimum, which is
+    /// what the potentials loop returns for one row.
+    fn cheapest(
+        &mut self,
+        ctx: &DispatchCtx<'_>,
+        job: &PendingJob,
+        idle: impl IntoIterator<Item = usize>,
+    ) -> Option<usize> {
+        let mut firsts = std::mem::take(&mut self.firsts);
+        ctx.classes
+            .first_of_each(idle, |s| ctx.suspected(s), &mut firsts);
+        let prices = self.prices(ctx, job);
+        let mut best: Option<(f64, usize)> = None;
+        for (group, &s) in firsts.iter().enumerate().filter(|&(_, &s)| s != usize::MAX) {
+            let cost = ctx.penalized(prices[group / 2] as f64, s);
+            if best.is_none_or(|(c, b)| cost < c || (cost == c && s < b)) {
+                best = Some((cost, s));
+            }
+        }
+        self.firsts = firsts;
+        best.map(|(_, s)| s)
     }
 
     /// One dispatch round: one global solve below [`XL_FLEET_THRESHOLD`]
@@ -353,22 +437,18 @@ impl ModelCore {
         if jobs.is_empty() || idle.total() == 0 {
             return Vec::new();
         }
-        let mut servers = std::mem::take(&mut self.idle);
-        let out = if idle.plan().n_servers() < XL_FLEET_THRESHOLD {
-            idle.fill_idle(&mut servers);
-            let mut out = Vec::with_capacity(jobs.len().min(servers.len()));
-            self.assign_exact(jobs, 0..jobs.len(), &servers, ctx, &mut out);
-            out
-        } else {
-            self.assign_cells(jobs, idle, &mut servers, ctx)
-        };
-        self.idle = servers;
+        if idle.plan().n_servers() >= XL_FLEET_THRESHOLD {
+            return self.assign_cells(jobs, idle, ctx);
+        }
+        let mut out = Vec::with_capacity(jobs.len().min(idle.total()));
+        self.assign_exact(jobs, 0..jobs.len(), idle.servers(), ctx, &mut out);
         out
     }
 
     /// The exact solver over rows `jobs[p]` for `p` in `job_ps` and columns
-    /// `idle`: rectangular Hungarian over the f64 matrix,
-    /// O(min(r,c)²·max(r,c)), picks pushed onto `out` as `(p, server)`.
+    /// `servers` (ascending): rectangular Hungarian over the f64 matrix,
+    /// O(min(r,c)²·max(r,c)), picks pushed onto `out` as `(p, server)`; one
+    /// row is [`ModelCore::cheapest`], the same pick without the matrix.
     /// Costs are byte-identical to the pre-memo implementation (the memo
     /// returns the very same `u64` the model would); among equally priced
     /// servers the lowest index wins.
@@ -376,13 +456,21 @@ impl ModelCore {
         &mut self,
         jobs: &[&PendingJob],
         job_ps: impl ExactSizeIterator<Item = usize> + Clone,
-        idle: &[usize],
+        servers: impl Iterator<Item = usize>,
         ctx: &DispatchCtx<'_>,
         out: &mut Vec<(usize, usize)>,
     ) {
+        if job_ps.len() == 1 {
+            let p = job_ps.clone().next().expect("one row");
+            out.extend(self.cheapest(ctx, jobs[p], servers).map(|s| (p, s)));
+            return;
+        }
+        let mut idle = std::mem::take(&mut self.idle);
+        idle.clear();
+        idle.extend(servers);
         self.cost.clear();
         for p in job_ps.clone() {
-            self.cost_row(ctx, jobs[p], idle);
+            self.cost_row(ctx, jobs[p], &idle);
         }
         match self
             .solver
@@ -398,16 +486,15 @@ impl ModelCore {
             // serving loop.
             Err(_) => out.extend(job_ps.zip(idle.iter().copied())),
         }
+        self.idle = idle;
     }
 
     /// Two-level dispatch: consistent-hash + power-of-two-choices cell
     /// routing, then [`ModelCore::assign_exact`] within each cell.
-    /// `servers` is the idle-list buffer.
     fn assign_cells(
         &mut self,
         jobs: &[&PendingJob],
         idle: &IdleIndex,
-        servers: &mut Vec<usize>,
         ctx: &DispatchCtx<'_>,
     ) -> Vec<(usize, usize)> {
         // Level 1: route each candidate to the roomier of its two hashed
@@ -435,8 +522,8 @@ impl ModelCore {
         routed.sort_unstable();
         let mut out = Vec::with_capacity(routed.len());
         for group in routed.chunk_by(|x, y| x.0 == y.0) {
-            idle.fill_cell_idle(group[0].0, servers);
             let job_ps = group.iter().map(|&(_, job_pos)| job_pos);
+            let servers = idle.cell_servers(group[0].0);
             self.assign_exact(jobs, job_ps, servers, ctx, &mut out);
         }
         self.routed = routed;
@@ -450,7 +537,10 @@ impl ModelCore {
 /// Fleets below [`XL_FLEET_THRESHOLD`] servers get one exact Hungarian
 /// solve, larger ones the same solve per consistent-hashed cell. When
 /// queued jobs outnumber idle servers the rectangular solve picks which
-/// jobs run *now* (the rest wait), still minimizing predicted cost.
+/// jobs run *now* (the rest wait), still minimizing predicted cost. A
+/// solve over one job is the one-job rule: the cheapest (class, suspected)
+/// group's lowest idle server, which is exactly the first minimum of the
+/// job's cost row that the Hungarian returns for one row.
 #[derive(Debug)]
 pub struct SmartPolicy {
     core: ModelCore,
@@ -542,10 +632,12 @@ pub fn policy_by_name(name: &str, seed: u64) -> Option<Box<dyn DispatchPolicy>> 
 mod tests {
     use super::*;
     use crate::cells::idle_only;
+    use crate::fleet::ServerSpec;
     use crate::queue::PendingJob;
     use crate::workload::{JobSpec, Priority};
     use vtx_codec::Preset;
     use vtx_sched::TranscodeTask;
+    use vtx_uarch::config::UarchConfig;
 
     fn pending(id: u64, video: &str, preset: Preset) -> PendingJob {
         PendingJob {
@@ -559,6 +651,16 @@ mod tests {
             },
             admitted_us: 0,
             attempts: 0,
+        }
+    }
+
+    /// Raw (un-cached, un-penalized) prediction of `kind` — the reference
+    /// the memo is tested against.
+    fn predict_raw(kind: PredictionKind, ctx: &DispatchCtx<'_>, job: &PendingJob, s: usize) -> u64 {
+        let server = ctx.fleet.server(s);
+        match kind {
+            PredictionKind::Affinity => ctx.model.predicted_us(&job.spec, server),
+            PredictionKind::Port => ctx.model.port_predicted_us(&job.spec, server),
         }
     }
 
@@ -694,17 +796,15 @@ mod tests {
                         j.spec.task = TranscodeTask::new(&video.short_name, crf, refs, preset);
                         let by_server: Vec<f64> = servers
                             .iter()
-                            .map(|&s| {
-                                ctx.penalized(ModelCore::predict_raw(kind, &ctx, &j, s) as f64, s)
-                            })
+                            .map(|&s| ctx.penalized(predict_raw(kind, &ctx, &j, s) as f64, s))
                             .collect();
                         for pass in ["fill", "hit"] {
                             core.cost.clear();
                             core.cost_row(&ctx, &j, &servers);
                             assert_eq!(core.cost, by_server, "row {pass}");
                         }
-                        // One server at a time: the classes it skips stay
-                        // unpriced, not mispriced.
+                        // One server at a time: a row made for one server
+                        // prices every class.
                         for (i, &s) in servers.iter().enumerate() {
                             core.cost.clear();
                             core.cost_row(&ctx, &j, &[s]);
@@ -852,6 +952,95 @@ mod tests {
     }
 
     #[test]
+    fn a_one_job_round_picks_what_the_full_row_solve_picks() {
+        // Seeded fleets of 5, 64 and 500 servers (every class repeated),
+        // random idle sets and suspects, some rounds with every server
+        // suspected: the one-job pick equals the Hungarian solve over the
+        // job's full cost row, under both prediction faces, for the global
+        // solve and per routed cell. The five are two classes the model
+        // prices alike (the baseline under a second name) with a twin
+        // each, interleaved so that a tie between classes must go to the
+        // lower server, and one slow server.
+        let server = |name: &str, uarch: &UarchConfig, speed: f64| ServerSpec {
+            name: name.to_owned(),
+            uarch: uarch.clone(),
+            speed,
+        };
+        let (a, slow) = (UarchConfig::baseline(), &UarchConfig::modified_configs()[0]);
+        let b = UarchConfig {
+            name: "baseline_b".to_owned(),
+            ..a.clone()
+        };
+        let five = vec![
+            server("b-0", &b, 2.0),
+            server("a-0", &a, 2.0),
+            server("b-1", &b, 2.0),
+            server("slow-0", slow, 0.5),
+            server("a-1", &a, 2.0),
+        ];
+        let fleets = [
+            Fleet::try_new(five).unwrap(),
+            Fleet::sized(64).unwrap(),
+            Fleet::sized(500).unwrap(),
+        ];
+        let videos = ["bike", "hall", "cat", "girl", "desktop"];
+        let mut rng = SplitMix64::new(0x0E_70B);
+        for fleet in fleets {
+            let n = fleet.len();
+            let w = World::new(fleet);
+            for round in 0..60u64 {
+                let mut idle = IdleIndex::new(crate::cells::CellPlan::build(n, 0, 42));
+                for s in 0..n {
+                    if rng.next_range(3) == 0 && idle.total() > 1 {
+                        idle.set_busy(s);
+                    }
+                }
+                let health: Vec<Health> = (0..n)
+                    .map(|_| match (round % 10, rng.next_range(4)) {
+                        (9, _) | (_, 0) => Health::Suspected,
+                        _ => Health::Up,
+                    })
+                    .collect();
+                let mut j = pending(
+                    rng.next_range(1 << 40),
+                    videos[round as usize % 5],
+                    Preset::Fast,
+                );
+                j.spec.task = TranscodeTask::new(
+                    videos[round as usize % 5],
+                    [18, 23, 28, 35][rng.next_range(4) as usize],
+                    [1, 3, 6][rng.next_range(3) as usize],
+                    Preset::ALL[rng.next_range(10) as usize],
+                );
+                let ctx = w.ctx_with(&health, round);
+                for (kind, name) in [
+                    (PredictionKind::Affinity, "smart"),
+                    (PredictionKind::Port, "port"),
+                ] {
+                    let picks = policy_by_name(name, 1).unwrap().assign(&[&j], &idle, &ctx);
+                    assert_eq!(picks.len(), 1, "n={n} round {round} {name}");
+                    let seen = if n < XL_FLEET_THRESHOLD {
+                        idle.to_vec()
+                    } else {
+                        idle.cell_idle(idle.plan().cell_of(picks[0].1))
+                    };
+                    let mut core = ModelCore::new(kind);
+                    core.cost_row(&ctx, &j, &seen);
+                    let solved = Solver::new()
+                        .solve_padded(&core.cost, 1, seen.len())
+                        .unwrap()[0];
+                    assert_eq!(
+                        Some(picks[0].1),
+                        solved.map(|i| seen[i]),
+                        "n={n} round {round} {name}: {:?}",
+                        core.cost
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn assign_cells_is_injective_routed_and_optimal_per_cell() {
         let n = 200;
         let w = World::new(Fleet::sized(n).unwrap());
@@ -877,7 +1066,7 @@ mod tests {
         let ctx = w.ctx_with(&health, 0);
         for kind in [PredictionKind::Affinity, PredictionKind::Port] {
             let mut core = ModelCore::new(kind);
-            let picks = core.assign_cells(&refs, &idle, &mut Vec::new(), &ctx);
+            let picks = core.assign_cells(&refs, &idle, &ctx);
             assert_eq!(picks.len(), refs.len(), "every cell has room");
             let mut by_cell: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
             let mut seen_jobs = vec![false; refs.len()];
@@ -902,9 +1091,7 @@ mod tests {
             let total = |picks: &[(usize, usize)]| {
                 picks
                     .iter()
-                    .map(|&(jp, s)| {
-                        ctx.penalized(ModelCore::predict_raw(kind, &ctx, refs[jp], s) as f64, s)
-                    })
+                    .map(|&(jp, s)| ctx.penalized(predict_raw(kind, &ctx, refs[jp], s) as f64, s))
                     .sum::<f64>()
             };
             for (cell, group) in by_cell {
@@ -912,7 +1099,7 @@ mod tests {
                 ModelCore::new(kind).assign_exact(
                     &refs,
                     group.iter().map(|&(jp, _)| jp),
-                    &idle.cell_idle(cell),
+                    idle.cell_servers(cell),
                     &ctx,
                     &mut alone,
                 );

@@ -7,6 +7,8 @@
 //! samples (rank = ⌈q·n⌉), not histogram-bucketed, so two runs with the same
 //! seed render identical bytes.
 
+use std::fmt::Write;
+
 use vtx_cache::CacheStats;
 use vtx_obs::{milli, wall_clock_enabled, TrajectoryRow};
 
@@ -277,125 +279,16 @@ impl ServingReport {
     /// Renders the report as deterministic plain text (fixed field order,
     /// fixed float formatting — byte-identical across identical runs).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "serving report: policy={} seed={}\n",
-            self.policy, self.seed
-        ));
-        out.push_str(&format!(
-            "  offered={} completed={} violations={} retries={}\n",
-            self.offered, self.completed, self.slo_violations, self.retries
-        ));
-        // The throttled column appends only when non-zero so legacy runs
-        // (no tenant admission) keep their exact historical bytes.
-        let throttled = if self.shed[4] > 0 {
-            format!(" throttled={}", self.shed[4])
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  shed: total={} queue_full={} displaced={} expired={} retries_exhausted={}{}\n",
-            self.shed_total(),
-            self.shed[0],
-            self.shed[1],
-            self.shed[2],
-            self.shed[3],
-            throttled
-        ));
-        out.push_str(&format!(
-            "  makespan_us={} throughput_jps={:.4} shed_rate={:.4} violation_rate={:.4}\n",
-            self.makespan_us,
-            self.throughput_jps,
-            self.shed_rate(),
-            self.violation_rate()
-        ));
-        out.push_str(&format!(
-            "  availability={:.4} goodput_jps={:.4} mttr_us={}\n",
-            self.availability, self.goodput_jps, self.mttr_us
-        ));
-        let f = &self.faults;
-        out.push_str(&format!(
-            "  faults: crashes={} slowdowns={} stalls={} requeued={} hedges={}/{}/{} degraded={} peak_level={}\n",
-            f.crashes,
-            f.slowdowns,
-            f.stalls,
-            f.requeued,
-            f.hedges_launched,
-            f.hedges_won,
-            f.hedges_wasted,
-            f.degraded_jobs,
-            f.peak_degrade_level
-        ));
-        if let Some(c) = &self.cache {
-            out.push_str(&format!(
-                "  cache: hits={} misses={} hit_milli={} evictions={} inserted={} rejected={} occupancy={}/{} entries={}\n",
-                c.hits,
-                c.misses,
-                c.hit_milli(),
-                c.evictions,
-                c.inserted,
-                c.rejected,
-                c.occupancy_bytes,
-                c.capacity_bytes,
-                c.entries
-            ));
-        }
-        if !self.shed_by_rung.is_empty() {
-            out.push_str("  shed_by_rung:");
-            for (i, n) in self.shed_by_rung.iter().enumerate() {
-                out.push_str(&format!(" r{i}={n}"));
-            }
-            out.push('\n');
-        }
-        if !self.shed_by_tenant.is_empty() {
-            out.push_str("  shed_by_tenant:");
-            for (i, n) in self.shed_by_tenant.iter().enumerate() {
-                out.push_str(&format!(" t{i}={n}"));
-            }
-            out.push('\n');
-        }
-        if let Some(sc) = &self.scale {
-            out.push_str(&format!(
-                "  scale: outs={} ins={} peak_capacity_milli={} served_capacity_milli={} active_server_us={}\n",
-                sc.scale_outs,
-                sc.scale_ins,
-                sc.peak_capacity_milli,
-                sc.served_capacity_milli,
-                sc.active_server_us
-            ));
-        }
-        if let Some(seg) = &self.segments {
-            let degraded = if seg.parents_degraded > 0 {
-                format!(" degraded={}", seg.parents_degraded)
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "  segments: parents={}/{} units={}/{}{}\n",
-                seg.parents_complete, seg.parents, seg.units_complete, seg.units, degraded
-            ));
-            for (name, units, done) in &seg.per_rung {
-                out.push_str(&format!(
-                    "  rung {:<12} units={:<5} completed={}\n",
-                    name, units, done
-                ));
-            }
-            for (i, (units, done)) in seg.per_segment.iter().enumerate() {
-                out.push_str(&format!(
-                    "  seg  {:<12} units={:<5} completed={}\n",
-                    i, units, done
-                ));
-            }
-        }
-        render_latency(&mut out, "sojourn(all)", &self.sojourn);
-        for (p, stats) in Priority::ALL.iter().zip(self.sojourn_by_class.iter()) {
-            render_latency(&mut out, p.name(), stats);
-        }
+        // A server line is 66 bytes unless a field outgrows its column.
+        let mut out = String::with_capacity(1024 + 72 * self.servers.len());
+        self.render_head(&mut out);
         for s in &self.servers {
-            out.push_str(&format!(
-                "  server {:<12} jobs={:<4} busy_us={:<12} util={:.4}\n",
+            // Writing to a `String` cannot fail.
+            let _ = writeln!(
+                out,
+                "  server {:<12} jobs={:<4} busy_us={:<12} util={:.4}",
                 s.name, s.jobs, s.busy_us, s.utilization
-            ));
+            );
         }
         out
     }
@@ -407,10 +300,8 @@ impl ServingReport {
     ///
     /// [`render`]: ServingReport::render
     pub fn render_compact(&self) -> String {
-        let mut out = self.render();
-        if let Some(pos) = out.find("  server ") {
-            out.truncate(pos);
-        }
+        let mut out = String::with_capacity(1024);
+        self.render_head(&mut out);
         let (jobs, busy_us) = self
             .servers
             .iter()
@@ -420,22 +311,153 @@ impl ServingReport {
         } else {
             self.servers.iter().map(|s| s.utilization).sum::<f64>() / self.servers.len() as f64
         };
-        out.push_str(&format!(
-            "  fleet: servers={} jobs={} busy_us={} mean_util={:.4}\n",
+        let _ = writeln!(
+            out,
+            "  fleet: servers={} jobs={} busy_us={} mean_util={:.4}",
             self.servers.len(),
             jobs,
             busy_us,
             mean_util
-        ));
+        );
         out
+    }
+
+    /// Appends everything [`render`] writes above the per-server block.
+    ///
+    /// [`render`]: ServingReport::render
+    fn render_head(&self, out: &mut String) {
+        // Writing to a `String` cannot fail: every `writeln!` result below
+        // is `Ok`.
+        let _ = writeln!(
+            out,
+            "serving report: policy={} seed={}",
+            self.policy, self.seed
+        );
+        let _ = writeln!(
+            out,
+            "  offered={} completed={} violations={} retries={}",
+            self.offered, self.completed, self.slo_violations, self.retries
+        );
+        let _ = write!(
+            out,
+            "  shed: total={} queue_full={} displaced={} expired={} retries_exhausted={}",
+            self.shed_total(),
+            self.shed[0],
+            self.shed[1],
+            self.shed[2],
+            self.shed[3],
+        );
+        // The throttled column appends only when non-zero so legacy runs
+        // (no tenant admission) keep their exact historical bytes.
+        if self.shed[4] > 0 {
+            let _ = write!(out, " throttled={}", self.shed[4]);
+        }
+        out.push('\n');
+        let _ = writeln!(
+            out,
+            "  makespan_us={} throughput_jps={:.4} shed_rate={:.4} violation_rate={:.4}",
+            self.makespan_us,
+            self.throughput_jps,
+            self.shed_rate(),
+            self.violation_rate()
+        );
+        let _ = writeln!(
+            out,
+            "  availability={:.4} goodput_jps={:.4} mttr_us={}",
+            self.availability, self.goodput_jps, self.mttr_us
+        );
+        let f = &self.faults;
+        let _ = writeln!(
+            out,
+            "  faults: crashes={} slowdowns={} stalls={} requeued={} hedges={}/{}/{} degraded={} peak_level={}",
+            f.crashes,
+            f.slowdowns,
+            f.stalls,
+            f.requeued,
+            f.hedges_launched,
+            f.hedges_won,
+            f.hedges_wasted,
+            f.degraded_jobs,
+            f.peak_degrade_level
+        );
+        if let Some(c) = &self.cache {
+            let _ = writeln!(
+                out,
+                "  cache: hits={} misses={} hit_milli={} evictions={} inserted={} rejected={} occupancy={}/{} entries={}",
+                c.hits,
+                c.misses,
+                c.hit_milli(),
+                c.evictions,
+                c.inserted,
+                c.rejected,
+                c.occupancy_bytes,
+                c.capacity_bytes,
+                c.entries
+            );
+        }
+        if !self.shed_by_rung.is_empty() {
+            out.push_str("  shed_by_rung:");
+            for (i, n) in self.shed_by_rung.iter().enumerate() {
+                let _ = write!(out, " r{i}={n}");
+            }
+            out.push('\n');
+        }
+        if !self.shed_by_tenant.is_empty() {
+            out.push_str("  shed_by_tenant:");
+            for (i, n) in self.shed_by_tenant.iter().enumerate() {
+                let _ = write!(out, " t{i}={n}");
+            }
+            out.push('\n');
+        }
+        if let Some(sc) = &self.scale {
+            let _ = writeln!(
+                out,
+                "  scale: outs={} ins={} peak_capacity_milli={} served_capacity_milli={} active_server_us={}",
+                sc.scale_outs,
+                sc.scale_ins,
+                sc.peak_capacity_milli,
+                sc.served_capacity_milli,
+                sc.active_server_us
+            );
+        }
+        if let Some(seg) = &self.segments {
+            let _ = write!(
+                out,
+                "  segments: parents={}/{} units={}/{}",
+                seg.parents_complete, seg.parents, seg.units_complete, seg.units
+            );
+            if seg.parents_degraded > 0 {
+                let _ = write!(out, " degraded={}", seg.parents_degraded);
+            }
+            out.push('\n');
+            for (name, units, done) in &seg.per_rung {
+                let _ = writeln!(
+                    out,
+                    "  rung {:<12} units={:<5} completed={}",
+                    name, units, done
+                );
+            }
+            for (i, (units, done)) in seg.per_segment.iter().enumerate() {
+                let _ = writeln!(
+                    out,
+                    "  seg  {:<12} units={:<5} completed={}",
+                    i, units, done
+                );
+            }
+        }
+        render_latency(out, "sojourn(all)", &self.sojourn);
+        for (p, stats) in Priority::ALL.iter().zip(self.sojourn_by_class.iter()) {
+            render_latency(out, p.name(), stats);
+        }
     }
 }
 
 fn render_latency(out: &mut String, label: &str, s: &LatencyStats) {
-    out.push_str(&format!(
-        "  {:<14} n={:<5} mean={:<10} p50={:<10} p90={:<10} p99={:<10} max={}\n",
+    let _ = writeln!(
+        out,
+        "  {:<14} n={:<5} mean={:<10} p50={:<10} p90={:<10} p99={:<10} max={}",
         label, s.count, s.mean_us, s.p50_us, s.p90_us, s.p99_us, s.max_us
-    ));
+    );
 }
 
 #[cfg(test)]
@@ -537,6 +559,105 @@ mod tests {
             shed_by_tenant: Vec::new(),
             scale: None,
         }
+    }
+
+    /// A report with every optional section present and `n` servers.
+    fn full_report(n: usize) -> ServingReport {
+        let mut r = dummy_report();
+        r.shed = [4, 1, 2, 0, 3];
+        r.faults.hedges_launched = 5;
+        r.faults.hedges_won = 2;
+        r.cache = Some(vtx_cache::CacheStats {
+            hits: 30,
+            misses: 12,
+            evictions: 4,
+            inserted: 12,
+            ..Default::default()
+        });
+        r.shed_by_rung = vec![2, 0, 1];
+        r.shed_by_tenant = vec![3, 0];
+        r.scale = Some(ScaleStats {
+            scale_outs: 2,
+            scale_ins: 1,
+            peak_capacity_milli: 8_150,
+            served_capacity_milli: 6_020,
+            active_server_us: 41_000_000,
+        });
+        r.segments = Some(SegmentStats {
+            parents: 4,
+            parents_complete: 3,
+            parents_degraded: 1,
+            units: 24,
+            units_complete: 21,
+            per_rung: vec![
+                ("hi".into(), 8, 6),
+                ("mid".into(), 8, 8),
+                ("lo".into(), 8, 7),
+            ],
+            per_segment: vec![(12, 11), (12, 10)],
+        });
+        r.servers = (0..n)
+            .map(|i| ServerStats {
+                name: format!("cfg{}-{}", i % 5, i / 5),
+                jobs: (i as u64 * 7) % 13,
+                busy_us: 1_000 * i as u64 + 17,
+                utilization: (i as f64 + 0.5) / (n as f64 + 1.0),
+            })
+            .collect();
+        r
+    }
+
+    /// The pinned bytes [`full_report`] renders above its first server line,
+    /// every optional line present.
+    const FULL_HEAD: &str = concat!(
+        "serving report: policy=smart seed=42\n",
+        "  offered=10 completed=8 violations=1 retries=2\n",
+        "  shed: total=10 queue_full=4 displaced=1 expired=2 retries_exhausted=0 throttled=3\n",
+        "  makespan_us=2000000 throughput_jps=4.0000 shed_rate=1.0000 violation_rate=0.1250\n",
+        "  availability=0.8750 goodput_jps=3.5000 mttr_us=500000\n",
+        "  faults: crashes=1 slowdowns=0 stalls=0 requeued=2 hedges=5/2/0 degraded=0 peak_level=0\n",
+        "  cache: hits=30 misses=12 hit_milli=714 evictions=4 inserted=12 rejected=0 occupancy=0/0 entries=0\n",
+        "  shed_by_rung: r0=2 r1=0 r2=1\n",
+        "  shed_by_tenant: t0=3 t1=0\n",
+        "  scale: outs=2 ins=1 peak_capacity_milli=8150 served_capacity_milli=6020 active_server_us=41000000\n",
+        "  segments: parents=3/4 units=21/24 degraded=1\n",
+        "  rung hi           units=8     completed=6\n",
+        "  rung mid          units=8     completed=8\n",
+        "  rung lo           units=8     completed=7\n",
+        "  seg  0            units=12    completed=11\n",
+        "  seg  1            units=12    completed=10\n",
+        "  sojourn(all)   n=3     mean=200        p50=200        p90=300        p99=300        max=300\n",
+        "  interactive    n=1     mean=100        p50=100        p90=100        p99=100        max=100\n",
+        "  standard       n=1     mean=200        p50=200        p90=200        p99=200        max=200\n",
+        "  batch          n=1     mean=300        p50=300        p90=300        p99=300        max=300\n",
+    );
+
+    #[test]
+    fn renderings_keep_their_bytes_at_8_and_500_servers() {
+        let small = full_report(8);
+        let servers = concat!(
+            "  server cfg0-0       jobs=0    busy_us=17           util=0.0556\n",
+            "  server cfg1-0       jobs=7    busy_us=1017         util=0.1667\n",
+            "  server cfg2-0       jobs=1    busy_us=2017         util=0.2778\n",
+            "  server cfg3-0       jobs=8    busy_us=3017         util=0.3889\n",
+            "  server cfg4-0       jobs=2    busy_us=4017         util=0.5000\n",
+            "  server cfg0-1       jobs=9    busy_us=5017         util=0.6111\n",
+            "  server cfg1-1       jobs=3    busy_us=6017         util=0.7222\n",
+            "  server cfg2-1       jobs=10   busy_us=7017         util=0.8333\n",
+        );
+        assert_eq!(small.render(), [FULL_HEAD, servers].concat());
+        let fleet = "  fleet: servers=8 jobs=40 busy_us=28136 mean_util=0.4444\n";
+        assert_eq!(small.render_compact(), [FULL_HEAD, fleet].concat());
+        let big = full_report(500);
+        let fleet = "  fleet: servers=500 jobs=2991 busy_us=124758500 mean_util=0.4990\n";
+        assert_eq!(big.render_compact(), [FULL_HEAD, fleet].concat());
+        let full = big.render();
+        assert!(full.starts_with(FULL_HEAD));
+        assert_eq!(full.lines().count(), FULL_HEAD.lines().count() + 500);
+        assert_eq!(
+            full.lines().last(),
+            Some("  server cfg4-99      jobs=9    busy_us=499017       util=0.9970")
+        );
     }
 
     #[test]

@@ -844,6 +844,11 @@ impl ServiceCore {
         self.cfg.cells
     }
 
+    /// The fleet's server classes.
+    pub(crate) fn classes(&self) -> &ClassMap {
+        &self.classes
+    }
+
     /// Detector belief per server, fleet order.
     pub(crate) fn health(&self) -> &[Health] {
         &self.health
@@ -1296,13 +1301,19 @@ impl ServiceCore {
 
     /// Runs one dispatch round: expire stale jobs, show the policy the
     /// front of the queue and the idle servers, and commit its choices.
-    /// Returns `(job, server index)` pairs for the driver to start. `idle`
-    /// must hold only servers that may take work — down, deactivated and
-    /// breaker-open servers stay out of it (see [`crate::inflight`]).
-    pub(crate) fn dispatch(&mut self, idle: &IdleIndex, now_us: u64) -> Vec<(PendingJob, usize)> {
+    /// Appends `(job, server index)` pairs for the driver to start to
+    /// `started`. `idle` must hold only servers that may take work — down,
+    /// deactivated and breaker-open servers stay out of it (see
+    /// [`crate::inflight`]).
+    pub(crate) fn dispatch_into(
+        &mut self,
+        idle: &IdleIndex,
+        now_us: u64,
+        started: &mut Vec<(PendingJob, usize)>,
+    ) {
         let level = self.pre_dispatch(now_us);
         if idle.total() == 0 || self.queue.is_empty() {
-            return Vec::new();
+            return;
         }
         let picks: Vec<(u64, usize)> = {
             let candidates = self.queue.candidates(CANDIDATE_WINDOW);
@@ -1322,7 +1333,6 @@ impl ServiceCore {
         };
         // Commit the picks: pull each job out of the queue, apply the
         // degrade ladder's preset downgrade, and book the dispatch.
-        let mut started = Vec::with_capacity(picks.len());
         for (id, server) in picks {
             // A policy returning stale or duplicate ids is a bug; skip
             // rather than poison the run.
@@ -1351,7 +1361,6 @@ impl ServiceCore {
             self.assignments.push((id, server));
             started.push((job, server));
         }
-        started
     }
 
     /// Dispatch preamble: expire stale jobs and feed the degradation
@@ -1581,6 +1590,15 @@ mod tests {
     use super::*;
     use crate::policy::RoundRobinPolicy;
     use crate::workload::WorkloadSpec;
+
+    impl ServiceCore {
+        /// One dispatch round's picks, returned.
+        fn dispatch(&mut self, idle: &IdleIndex, now_us: u64) -> Vec<(PendingJob, usize)> {
+            let mut started = Vec::new();
+            self.dispatch_into(idle, now_us, &mut started);
+            started
+        }
+    }
 
     /// Table IV's five servers with exactly `servers` idle.
     fn idle(servers: &[usize]) -> IdleIndex {

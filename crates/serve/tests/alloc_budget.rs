@@ -4,9 +4,10 @@
 //! and nothing else: the cost matrix, the idle list, the cell routing, the
 //! solver's potentials and the price memo are buffers the policy keeps.
 //! `CostModel::new` may allocate nothing once the process-wide table
-//! exists. The counts repeat exactly, so they are pinned as constants; a
-//! change that makes a round allocate again fails here before any
-//! benchmark has to notice.
+//! exists. A whole `fleet_xl`-shaped run is held to a per-job budget. The
+//! counts repeat exactly, so they are pinned as constants; a change that
+//! makes a round or a job allocate again fails here before any benchmark
+//! has to notice.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +17,8 @@ use vtx_serve::cells::{CellPlan, IdleIndex};
 use vtx_serve::cost::CostModel;
 use vtx_serve::policy::{ClassMap, DispatchCtx, DispatchPolicy, SmartPolicy};
 use vtx_serve::queue::PendingJob;
-use vtx_serve::{Fleet, JobSpec, WorkloadSpec};
+use vtx_serve::sim::simulate_trace;
+use vtx_serve::{Fleet, JobSpec, ServeConfig, WorkloadSpec};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
@@ -184,4 +186,36 @@ fn a_cost_model_is_free_once_the_table_exists() {
     });
     assert_eq!(allocations, 0);
     assert!(first.knows("bike"));
+}
+
+/// Allocations of one `fleet_xl`-shaped run over the first `jobs` jobs of
+/// one trace: 500 servers, the event log and the obs plane off.
+fn xl_run_allocations(policy: &str, jobs: usize) -> u64 {
+    let trace = WorkloadSpec {
+        jobs,
+        ..WorkloadSpec::xl_smoke(42)
+    }
+    .generate()
+    .unwrap();
+    let fleet = Fleet::sized(500).unwrap();
+    let policy = vtx_serve::policy_by_name(policy, 42).unwrap();
+    allocations_in(|| {
+        let out = simulate_trace(&trace, 42, fleet, policy, ServeConfig::xl()).unwrap();
+        assert_eq!(out.report.offered, jobs as u64);
+    })
+}
+
+#[test]
+fn an_xl_job_stays_inside_its_allocation_budget() {
+    // What 2,000 more jobs cost a run, so that the run's fixed setup (the
+    // fleet, the cell plan, the calendar, the report) cancels out: 3.46 a
+    // job. A job allocates its round's candidate window and pick list;
+    // the rest is the node churn of the queue's and the in-flight table's
+    // B-trees and the growth of the run's records. Nothing is allocated
+    // for each job in flight, nor for a price the memo already holds.
+    for (policy, want) in [("smart", 6_912), ("port", 6_933)] {
+        xl_run_allocations(policy, 100); // builds the process-wide cost table
+        let extra = xl_run_allocations(policy, 4_000) - xl_run_allocations(policy, 2_000);
+        assert_eq!(extra, want, "{policy}: allocations of 2,000 more jobs");
+    }
 }

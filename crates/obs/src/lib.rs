@@ -9,10 +9,10 @@
 //!    enqueue → dispatch → fault/requeue/hedge → terminal, exportable as
 //!    Chrome trace-event tracks (one per job) and as a plain-text log.
 //!    Conservation and exactly-once are checkable from the trace alone.
-//! 2. **Windowed quantiles** ([`window::WindowedQuantiles`] over
-//!    [`sketch::QuantileSketch`]) — deterministic mergeable log₂-bucketed
-//!    sketches powering live p50/p95/p99 per service class with a fixed
-//!    relative-error bound.
+//! 2. **Sojourn quantiles** ([`sketch::QuantileSketch`]) — one
+//!    deterministic log₂-bucketed sketch per service class over the whole
+//!    run, read by the Prometheus exposition's p50/p95/p99 summaries with a
+//!    fixed relative-error bound.
 //! 3. **SLO burn-rate monitoring** ([`slo::BurnRateMonitor`]) — a
 //!    multi-window burn-rate alert per class whose transitions are emitted
 //!    into the deterministic event stream and feed the chaos layer's
@@ -23,32 +23,27 @@
 //!    byte-deterministic per seed, plus Prometheus-format metric
 //!    exposition ([`ObsPlane::render_prometheus`]).
 //!
-//! Everything here is integer arithmetic over ordered containers: two runs
-//! with the same seed produce byte-identical traces, alert streams, and
-//! trajectory documents on any platform.
+//! Every per-job hook is O(1) on flat storage, and everything here is
+//! integer arithmetic with exports in job-id order: two runs with the same
+//! seed produce byte-identical traces, alert streams, and trajectory
+//! documents on any platform.
 
 pub mod json;
 mod sketch;
 mod slo;
 mod trace;
 mod trajectory;
-mod window;
 
 pub use sketch::QuantileSketch;
 pub use slo::{AlertTransition, BurnRateMonitor, SloConfig};
 pub use trace::{ConservationStats, JobTracker, JOB_PID};
 pub use trajectory::{milli, wall_clock_enabled, BenchTrajectory, TrajectoryRow};
-pub use window::WindowedQuantiles;
 
 /// Configuration of the observability plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Master switch; when false every hook is a cheap no-op.
     pub enabled: bool,
-    /// Tumbling-window width for live quantiles, microseconds.
-    pub(crate) window_us: u64,
-    /// Recent windows merged into a live quantile reading.
-    pub(crate) windows_kept: usize,
     /// SLO burn-rate alerting parameters.
     pub(crate) slo: SloConfig,
 }
@@ -57,8 +52,6 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             enabled: true,
-            window_us: 2_000_000,
-            windows_kept: 5,
             slo: SloConfig::default(),
         }
     }
@@ -74,8 +67,8 @@ impl ObsConfig {
     }
 }
 
-/// The observability plane one serving run feeds: job tracker + windowed
-/// quantiles + burn-rate monitor, with deterministic exports.
+/// The observability plane one serving run feeds: job tracker + per-class
+/// sojourn sketches + burn-rate monitor, with deterministic exports.
 ///
 /// Callers identify service classes by index plus a parallel name slice
 /// (e.g. `["interactive", "standard", "batch"]`), so this crate stays
@@ -84,7 +77,8 @@ impl ObsConfig {
 pub struct ObsPlane {
     cfg: ObsConfig,
     tracker: JobTracker,
-    windows: WindowedQuantiles,
+    /// Whole-run sojourn sketch per service class.
+    cumulative: Vec<QuantileSketch>,
     monitor: BurnRateMonitor,
     alerts: Vec<AlertTransition>,
 }
@@ -92,14 +86,20 @@ pub struct ObsPlane {
 impl ObsPlane {
     /// A plane over `classes` service classes.
     pub fn new(cfg: ObsConfig, classes: usize) -> Self {
-        let windows = WindowedQuantiles::new(classes, cfg.window_us, cfg.windows_kept);
         let monitor = BurnRateMonitor::new(classes, cfg.slo.clone());
         ObsPlane {
             cfg,
             tracker: JobTracker::new(),
-            windows,
+            cumulative: vec![QuantileSketch::new(); classes],
             monitor,
             alerts: Vec::new(),
+        }
+    }
+
+    /// Makes room for `jobs` more jobs (a no-op on a disabled plane).
+    pub fn reserve(&mut self, jobs: usize) {
+        if self.cfg.enabled {
+            self.tracker.reserve(jobs);
         }
     }
 
@@ -124,7 +124,7 @@ impl ObsPlane {
         t_us: u64,
         id: u64,
         class: usize,
-        reason: &str,
+        reason: &'static str,
     ) -> Option<AlertTransition> {
         if !self.cfg.enabled {
             return None;
@@ -145,8 +145,8 @@ impl ObsPlane {
     }
 
     /// Job `id` (class `class`) completed on `server` with the given
-    /// sojourn. Feeds the windowed quantiles and the burn monitor; returns
-    /// an alert transition if the monitor flipped.
+    /// sojourn. Feeds the class's sojourn sketch and the burn monitor;
+    /// returns an alert transition if the monitor flipped.
     pub fn on_complete(
         &mut self,
         t_us: u64,
@@ -161,7 +161,10 @@ impl ObsPlane {
         }
         self.tracker
             .on_complete(t_us, id, server, sojourn_us, violation);
-        self.windows.record(class, t_us, sojourn_us);
+        // Out-of-range classes are ignored (callers pass validated indices).
+        if let Some(sketch) = self.cumulative.get_mut(class) {
+            sketch.record(sojourn_us);
+        }
         let tr = self.monitor.observe(class, t_us, violation);
         if let Some(tr) = &tr {
             self.alerts.push(tr.clone());
@@ -214,9 +217,13 @@ impl ObsPlane {
         &self.tracker
     }
 
-    /// The windowed per-class quantiles.
-    pub fn windows(&self) -> &WindowedQuantiles {
-        &self.windows
+    /// Whole-run sojourn sketch for `class`.
+    ///
+    /// # Panics
+    /// Panics if `class` is not below the plane's class count: recording
+    /// ignores bad indices, but a query for an unknown class is a caller bug.
+    pub fn cumulative(&self, class: usize) -> &QuantileSketch {
+        &self.cumulative[class]
     }
 
     /// All alert transitions in emission order.
@@ -248,18 +255,17 @@ impl ObsPlane {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("# TYPE vtx_serve_completed_total counter\n");
-        for class in 0..self.windows.classes() {
+        for (class, s) in self.cumulative.iter().enumerate() {
             let name = class_names.get(class).copied().unwrap_or("unknown");
             let _ = writeln!(
                 out,
                 "vtx_serve_completed_total{{class=\"{name}\"}} {}",
-                self.windows.cumulative(class).count()
+                s.count()
             );
         }
         out.push_str("# TYPE vtx_serve_sojourn_us summary\n");
-        for class in 0..self.windows.classes() {
+        for (class, s) in self.cumulative.iter().enumerate() {
             let name = class_names.get(class).copied().unwrap_or("unknown");
-            let s = self.windows.cumulative(class);
             for (q, label) in [(500u32, "0.5"), (950, "0.95"), (990, "0.99")] {
                 let _ = writeln!(
                     out,
@@ -318,6 +324,139 @@ mod tests {
         plane.on_finish(500_000);
     }
 
+    const NAMES: [&str; 3] = ["interactive", "standard", "batch"];
+
+    /// Feeds a plane 40 shuffled, sparse ids — gaps, strides of 2^33, ids
+    /// above 2^40 and next to `u64::MAX` — in five interleaved phases that
+    /// visit every hook: door and queue sheds, requeues, timeouts, hedges
+    /// won and lost, a shed mid-flight that strands its copy, and a job
+    /// first seen at admission.
+    fn sparse_stream(plane: &mut ObsPlane) {
+        let mut rng = vtx_rng::SplitMix64::new(44);
+        let mut ids: Vec<u64> = (0..40u64)
+            .map(|i| match i % 4 {
+                0 => i * 7 + 3,
+                1 => (1 << 40) + i * 1_000_003,
+                2 => u64::MAX - i * 977,
+                _ => (i << 33) | 5,
+            })
+            .collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.next_range(i as u64 + 1) as usize);
+        }
+        for phase in 0..5u64 {
+            for (n, &id) in ids.iter().enumerate() {
+                let t = phase * 100_000 + n as u64 * 1_000;
+                let (kind, class) = (n % 8, n % 3);
+                let (server, other) = (n % 5, (n + 1) % 5);
+                let sojourn = id.rotate_left(n as u32 * 7) >> (n % 24);
+                match (phase, kind) {
+                    (0, 7) => {}
+                    (0, _) => plane.on_arrive(t, id),
+                    (1, 0) => {
+                        plane.on_shed(t, id, class, "queue_full");
+                    }
+                    (1, _) => plane.on_admit(t, id, class),
+                    (2, 6) => {
+                        plane.on_shed(t, id, class, "expired");
+                    }
+                    (2, 1..=7) => {
+                        plane.on_dispatch(t, id, server, 1);
+                        if kind == 4 || kind == 5 {
+                            plane.on_hedge(t + 10, id, other);
+                        }
+                    }
+                    (3, 1) => {
+                        plane.on_complete(t, id, server, class, sojourn, false);
+                    }
+                    (3, 2) => {
+                        plane.on_requeue(t, id, server);
+                        plane.on_dispatch(t + 20, id, other, 2);
+                    }
+                    (3, 3) => {
+                        plane.on_timeout(t, id, server);
+                        plane.on_dispatch(t + 20, id, other, 2);
+                    }
+                    (3, 4) => {
+                        plane.on_complete(t, id, other, class, sojourn, true);
+                        plane.on_hedge_discard(t, id, server);
+                    }
+                    (3, 5) => {
+                        plane.on_complete(t, id, server, class, sojourn, false);
+                        plane.on_hedge_discard(t, id, other);
+                    }
+                    (3, 7) => {
+                        plane.on_shed(t, id, class, "retries_exhausted");
+                    }
+                    (4, 2 | 3) => {
+                        plane.on_complete(t, id, other, class, sojourn, n % 2 == 0);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Everything a plane exports, as one text, and its Chrome tracks.
+    fn exports(plane: &ObsPlane) -> (String, String) {
+        let tracker = plane.tracker();
+        let text = format!(
+            "{}--- conservation\n{:?}\n--- prometheus\n{}--- alerts\n{}",
+            tracker.render_text(&NAMES),
+            tracker.check_conservation(),
+            plane.render_prometheus(&NAMES),
+            plane.render_alerts(&NAMES),
+        );
+        let mut chrome = vtx_telemetry::chrome::ChromeTrace::new();
+        tracker.add_chrome_tracks(&mut chrome, &NAMES);
+        (text, chrome.to_json())
+    }
+
+    #[test]
+    fn sparse_shuffled_ids_export_the_pinned_bytes() {
+        // The expected files were rendered by the B-tree tracker and
+        // sketch these flat ones replaced, from this same stream.
+        let mut plane = ObsPlane::new(ObsConfig::default(), 3);
+        sparse_stream(&mut plane);
+        let mut unfinished = plane.clone();
+        plane.on_finish(1_000_000);
+        let (text, json) = exports(&plane);
+        assert_eq!(text, include_str!("../testdata/sparse_stream.txt"));
+        assert_eq!(json, include_str!("../testdata/sparse_stream.json"));
+        // The first problem is reported in id order, not arrival order.
+        const OPEN: &str = "job 255: open span on server 2 (call on_finish first)";
+        let arrivals = [
+            (None, OPEN),
+            (Some(1_000), OPEN),
+            (Some(1), "job 1: no terminal state"),
+        ];
+        for (id, want) in arrivals {
+            if let Some(id) = id {
+                unfinished.on_arrive(900_000, id);
+            }
+            let got = unfinished.tracker().check_conservation();
+            assert_eq!(got, Err(want.to_owned()), "after job {id:?} arrived");
+        }
+    }
+
+    #[test]
+    fn classes_are_independent() {
+        let mut plane = ObsPlane::new(ObsConfig::default(), 3);
+        plane.on_complete(5, 1, 0, 0, 10, false);
+        plane.on_complete(5, 2, 0, 2, 9_999_999, false);
+        assert_eq!(plane.cumulative(0).count(), 1);
+        assert_eq!(plane.cumulative(1).count(), 0);
+        assert_eq!(plane.cumulative(1).quantile_permille(990), 0);
+        assert!(plane.cumulative(2).quantile_permille(990) > 1_000_000);
+    }
+
+    #[test]
+    fn out_of_range_class_is_ignored() {
+        let mut plane = ObsPlane::new(ObsConfig::default(), 2);
+        plane.on_complete(0, 1, 0, 7, 123, false);
+        assert_eq!(plane.cumulative(0).count() + plane.cumulative(1).count(), 0);
+    }
+
     #[test]
     fn plane_feeds_all_pillars() {
         let mut plane = ObsPlane::new(ObsConfig::default(), 2);
@@ -325,9 +464,8 @@ mod tests {
         let stats = plane.tracker().check_conservation().unwrap();
         assert_eq!(stats.arrived, 40);
         assert_eq!(stats.completed, 40);
-        assert_eq!(plane.windows().cumulative(0).count(), 20);
-        assert_eq!(plane.windows().cumulative(1).count(), 20);
-        assert_eq!(plane.windows().overall().count(), 40);
+        assert_eq!(plane.cumulative(0).count(), 20);
+        assert_eq!(plane.cumulative(1).count(), 20);
     }
 
     #[test]
@@ -335,7 +473,7 @@ mod tests {
         let mut plane = ObsPlane::new(ObsConfig::disabled(), 2);
         drive(&mut plane);
         assert!(plane.tracker().is_empty());
-        assert_eq!(plane.windows().overall().count(), 0);
+        assert_eq!(plane.cumulative(0).count() + plane.cumulative(1).count(), 0);
         assert!(plane.alerts().is_empty());
     }
 

@@ -1,4 +1,4 @@
-//! Deterministic mergeable quantile sketches.
+//! Deterministic quantile sketches.
 //!
 //! A [`QuantileSketch`] is a log₂-linear (HDR-histogram-style) bucketing of
 //! `u64` samples: values below `2^K` land in exact unit buckets; above that,
@@ -7,14 +7,11 @@
 //! is within a relative error of `2^-(K+1)` of any sample in it
 //! ([`QuantileSketch::RELATIVE_ERROR_BOUND`]).
 //!
-//! Everything is integer arithmetic over a sparse `BTreeMap`, so recording,
-//! merging (bucketwise add in ascending key order) and quantile queries are
-//! byte-deterministic across platforms — no floating-point logarithms, no
-//! hash-map iteration order. Merge is associative and commutative, which is
-//! what lets windowed sub-sketches be combined into live quantiles in any
-//! grouping without changing the answer.
-
-use std::collections::BTreeMap;
+//! The counts live in a dense array indexed by bucket, grown to the largest
+//! bucket seen (at most 1,920 entries, ~700 for microsecond sojourns under
+//! an hour), so a record is one increment. Everything is integer
+//! arithmetic, so recording and quantile queries are byte-deterministic
+//! across platforms — no floating-point logarithms.
 
 /// Sub-bucket resolution: each power-of-two decade is split into `2^K`
 /// linear buckets.
@@ -23,10 +20,11 @@ const K: u32 = 5;
 /// Number of exact unit buckets (values `< LINEAR_MAX` are stored exactly).
 const LINEAR_MAX: u64 = 1 << (K + 1);
 
-/// A mergeable quantile sketch over `u64` samples (typically microseconds).
+/// A quantile sketch over `u64` samples (typically microseconds).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
-    buckets: BTreeMap<u32, u64>,
+    /// Samples per bucket index; as long as the largest index recorded.
+    buckets: Vec<u64>,
     count: u64,
     sum: u128,
     min: u64,
@@ -76,7 +74,7 @@ impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> Self {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -86,24 +84,15 @@ impl QuantileSketch {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        *self.buckets.entry(index_of(v)).or_insert(0) += 1;
+        let idx = index_of(v) as usize;
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += 1;
         self.count += 1;
         self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Merges another sketch in (bucketwise add, ascending bucket order —
-    /// the result is independent of merge grouping).
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &QuantileSketch) {
-        for (&idx, &c) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Total samples recorded.
@@ -114,26 +103,6 @@ impl QuantileSketch {
     /// Exact sum of all recorded samples.
     pub(crate) fn sum(&self) -> u128 {
         self.sum
-    }
-
-    /// Exact minimum (0 when empty — the zero-stats contract).
-    #[cfg(test)]
-    fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Integer mean, truncated (0 when empty).
-    #[cfg(test)]
-    fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            (self.sum / u128::from(self.count)) as u64
-        }
     }
 
     /// The `q`-permille quantile (nearest-rank: the bucket holding the
@@ -147,48 +116,15 @@ impl QuantileSketch {
         let rank = (u128::from(self.count) * u128::from(q)).div_ceil(1000);
         let rank = rank.clamp(1, u128::from(self.count)) as u64;
         let mut seen = 0u64;
-        for (&idx, &c) in &self.buckets {
+        for (idx, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
                 // Never report outside the observed range: exact min/max
                 // tighten the bucket estimate at the distribution edges.
-                return bucket_mid(idx).clamp(self.min, self.max);
+                return bucket_mid(idx as u32).clamp(self.min, self.max);
             }
         }
         self.max
-    }
-
-    /// `(p50, p95, p99)` in one call.
-    #[cfg(test)]
-    pub(crate) fn summary(&self) -> (u64, u64, u64) {
-        (
-            self.quantile_permille(500),
-            self.quantile_permille(950),
-            self.quantile_permille(990),
-        )
-    }
-
-    /// One deterministic text line encoding the full sketch state —
-    /// byte-comparable across runs and platforms.
-    #[cfg(test)]
-    fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(32 + self.buckets.len() * 8);
-        let _ = write!(
-            out,
-            "k={K} n={} sum={} min={} max={} buckets=",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max
-        );
-        for (i, (&idx, &c)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{idx}:{c}");
-        }
-        out
     }
 }
 
@@ -232,11 +168,10 @@ mod tests {
     #[test]
     fn empty_sketch_is_all_zeros() {
         let s = QuantileSketch::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.quantile_permille(500), 0);
-        assert_eq!(s.quantile_permille(990), 0);
-        assert_eq!((s.min(), s.max, s.mean()), (0, 0, 0));
-        assert_eq!(s.summary(), (0, 0, 0));
+        assert_eq!((s.count(), s.sum(), s.max), (0, 0, 0));
+        for q in [0u32, 500, 950, 990, 1000] {
+            assert_eq!(s.quantile_permille(q), 0);
+        }
     }
 
     #[test]
@@ -247,29 +182,40 @@ mod tests {
         }
         assert_eq!(s.quantile_permille(500), 5);
         assert_eq!(s.quantile_permille(1000), 55);
-        assert_eq!(s.min(), 0);
+        assert_eq!(s.min, 0);
         assert_eq!(s.max, 55);
+    }
+
+    /// The seeded streams the tests share: four shapes, a ramp, and the
+    /// whole `u64` range with its top values.
+    fn streams() -> Vec<Vec<u64>> {
+        let mut rng = SplitMix64::new(7);
+        (0..6)
+            .map(|dist| {
+                (0..4000u64)
+                    .map(|i| match dist {
+                        0 => rng.next_u64() % 1_000_000,
+                        1 => 1u64 << (rng.next_u64() % 30),
+                        2 => (rng.next_u64() % 1000).pow(2),
+                        3 => 10_000 + rng.next_u64() % 64,
+                        4 => i,
+                        _ if i % 7 == 0 => u64::MAX - i,
+                        _ => rng.next_u64() >> (rng.next_u64() % 64),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn quantiles_stay_within_relative_error_bound() {
-        let mut rng = SplitMix64::new(7);
-        for dist in 0..5 {
-            let samples: Vec<u64> = (0..4000)
-                .map(|i| match dist {
-                    0 => rng.next_u64() % 1_000_000,
-                    1 => 1u64 << (rng.next_u64() % 30),
-                    2 => (rng.next_u64() % 1000).pow(2),
-                    3 => 10_000 + rng.next_u64() % 64,
-                    _ => i,
-                })
-                .collect();
+        for (dist, samples) in streams().iter().enumerate().take(5) {
             let mut s = QuantileSketch::new();
-            for &v in &samples {
+            for &v in samples {
                 s.record(v);
             }
             for q in [500u32, 900, 950, 990, 999] {
-                let exact = exact_quantile(&samples, q);
+                let exact = exact_quantile(samples, q);
                 let est = s.quantile_permille(q);
                 let err = est.abs_diff(exact) as f64;
                 let bound = exact as f64 * QuantileSketch::RELATIVE_ERROR_BOUND + 1.0;
@@ -282,50 +228,30 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_everything_in_one_sketch() {
-        let mut rng = SplitMix64::new(42);
-        let samples: Vec<u64> = (0..3000).map(|_| rng.next_u64() % 500_000).collect();
-        let mut whole = QuantileSketch::new();
-        for &v in &samples {
-            whole.record(v);
-        }
-        // Split into uneven chunks, merge in two different groupings.
-        let mut parts: Vec<QuantileSketch> = Vec::new();
-        for chunk in samples.chunks(700) {
-            let mut p = QuantileSketch::new();
-            for &v in chunk {
-                p.record(v);
+    fn every_reading_equals_the_nearest_rank_oracle() {
+        // The rank-th sample's bucket is the bucket holding the rank-th
+        // sample, so a reading is the exact nearest-rank sample's bucket
+        // midpoint, clamped to the observed range — at every permille,
+        // after every prefix length the loop reaches.
+        for (dist, samples) in streams().iter().enumerate() {
+            let mut s = QuantileSketch::new();
+            for (n, &v) in samples.iter().enumerate() {
+                s.record(v);
+                if n % 997 != 0 && n + 1 != samples.len() {
+                    continue;
+                }
+                let seen = &samples[..=n];
+                let (lo, hi) = (*seen.iter().min().unwrap(), *seen.iter().max().unwrap());
+                assert_eq!(s.count(), seen.len() as u64, "dist {dist}");
+                let sum: u128 = seen.iter().map(|&v| u128::from(v)).sum();
+                assert_eq!(s.sum(), sum, "dist {dist}");
+                for q in (0..=1000u32).step_by(7).chain([500, 950, 990, 999, 1000]) {
+                    let exact = exact_quantile(seen, q);
+                    let want = bucket_mid(index_of(exact)).clamp(lo, hi);
+                    assert_eq!(s.quantile_permille(q), want, "dist {dist} n {n} q {q}");
+                }
             }
-            parts.push(p);
         }
-        let mut left_to_right = QuantileSketch::new();
-        for p in &parts {
-            left_to_right.merge(p);
-        }
-        let mut pairwise = QuantileSketch::new();
-        for pair in parts.chunks(2) {
-            let mut m = QuantileSketch::new();
-            for p in pair {
-                m.merge(p);
-            }
-            pairwise.merge(&m);
-        }
-        assert_eq!(whole, left_to_right);
-        assert_eq!(whole, pairwise);
-        assert_eq!(whole.encode(), pairwise.encode());
-    }
-
-    #[test]
-    fn encode_is_deterministic_and_complete() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        for v in [3u64, 70_000, 3, 999_999_999] {
-            a.record(v);
-            b.record(v);
-        }
-        assert_eq!(a.encode(), b.encode());
-        assert!(a.encode().starts_with("k=5 n=4 "));
-        assert!(a.encode().contains("3:2"), "{}", a.encode());
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! every admitted job reaches exactly one terminal state, every dispatch
 //! span is closed, and nothing completes twice.
 //!
+//! Records sit in one `Vec` in first-sight order. A job whose id equals its
+//! slot (the serving engine's dense trace positions) is found there; any
+//! other id (`parse_trace` allows any `u64`, sparse or shuffled) goes
+//! through a hash index with the standard library's randomly keyed hasher.
+//! Either way every hook is O(1), no table is sized by the largest id, and
+//! the exports and the conservation check walk the records in job-id order.
+//!
 //! Two export formats, both byte-deterministic per seed:
 //! * [`JobTracker::render_text`] — a plain-text job log, one block per job
 //!   in job-id order.
@@ -15,7 +22,7 @@
 //!   requeue/hedge/shed instants, loadable in Perfetto alongside the
 //!   wall-clock trace.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use vtx_telemetry::chrome::ChromeTrace;
 use vtx_telemetry::ArgValue;
@@ -86,7 +93,7 @@ pub(crate) enum Terminal {
         /// Shed time, microseconds.
         t_us: u64,
         /// Deterministic reason label.
-        reason: String,
+        reason: &'static str,
     },
 }
 
@@ -101,8 +108,10 @@ struct JobRecord {
     pub(crate) arrive_us: u64,
     /// Admission time; `None` if the job was shed at the door.
     pub(crate) admit_us: Option<u64>,
-    /// Dispatch attempts in dispatch order.
-    pub(crate) spans: Vec<AttemptSpan>,
+    /// The first dispatch attempt, inline: most jobs make exactly one.
+    pub(crate) first: Option<AttemptSpan>,
+    /// The attempts after the first (retries, hedges), dispatch order.
+    pub(crate) more: Vec<AttemptSpan>,
     /// Terminal state; `None` only for a malformed stream.
     pub(crate) terminal: Option<Terminal>,
     /// Requeue count.
@@ -116,16 +125,33 @@ impl JobRecord {
             class: 0,
             arrive_us,
             admit_us: None,
-            spans: Vec::new(),
+            first: None,
+            more: Vec::new(),
             terminal: None,
             requeues: 0,
         }
     }
 
+    /// Dispatch attempts in dispatch order.
+    fn spans(&self) -> impl Iterator<Item = &AttemptSpan> {
+        self.first.iter().chain(&self.more)
+    }
+
+    fn spans_mut(&mut self) -> impl Iterator<Item = &mut AttemptSpan> {
+        self.first.iter_mut().chain(&mut self.more)
+    }
+
+    fn push_span(&mut self, span: AttemptSpan) {
+        if self.first.is_none() {
+            self.first = Some(span);
+        } else {
+            self.more.push(span);
+        }
+    }
+
     fn close_span(&mut self, server: usize, t_us: u64, end: SpanEnd) -> bool {
         if let Some(span) = self
-            .spans
-            .iter_mut()
+            .spans_mut()
             .find(|s| s.server == server && s.end.is_none())
         {
             span.end_us = Some(t_us);
@@ -156,7 +182,10 @@ pub struct ConservationStats {
 /// Tracks per-job lifecycles from the deterministic serving event stream.
 #[derive(Debug, Clone, Default)]
 pub struct JobTracker {
-    jobs: BTreeMap<u64, JobRecord>,
+    /// One record per job, in first-sight order.
+    jobs: Vec<JobRecord>,
+    /// Job id → index into `jobs`, for the jobs not stored at their id.
+    slots: HashMap<u64, usize>,
     /// Invariant violations observed while ingesting (duplicate terminals,
     /// events for unknown jobs, ...). Deterministic order.
     anomalies: Vec<String>,
@@ -177,7 +206,34 @@ impl JobTracker {
     /// The record for `id`, if the job has been seen.
     #[cfg(test)]
     fn job(&self, id: u64) -> Option<&JobRecord> {
-        self.jobs.get(&id)
+        self.slot(id).map(|slot| &self.jobs[slot])
+    }
+
+    /// Where job `id`'s record is, if it has been seen: at index `id`
+    /// itself when the record there is job `id`'s (ids are unique), else
+    /// wherever the hash index says.
+    fn slot(&self, id: u64) -> Option<usize> {
+        match usize::try_from(id).ok().filter(|&i| i < self.jobs.len()) {
+            Some(i) if self.jobs[i].id == id => Some(i),
+            _ => self.slots.get(&id).copied(),
+        }
+    }
+
+    /// Appends a record for a job not seen before.
+    fn insert(&mut self, id: u64, t_us: u64) -> usize {
+        let slot = self.jobs.len();
+        if id != slot as u64 {
+            self.slots.insert(id, slot);
+        }
+        self.jobs.push(JobRecord::new(id, t_us));
+        slot
+    }
+
+    /// The records in job-id order, the order every export uses.
+    fn in_id_order(&self) -> Vec<&JobRecord> {
+        let mut order: Vec<&JobRecord> = self.jobs.iter().collect();
+        order.sort_unstable_by_key(|job| job.id);
+        order
     }
 
     fn anomaly(&mut self, msg: String) {
@@ -188,20 +244,28 @@ impl JobTracker {
     }
 
     fn job_mut(&mut self, id: u64, t_us: u64) -> &mut JobRecord {
-        self.jobs.entry(id).or_insert_with(|| {
-            // Normally on_arrive creates the record; tolerate streams that
-            // start mid-run by synthesizing an arrival at first sight.
-            JobRecord::new(id, t_us)
-        })
+        // Normally on_arrive creates the record; tolerate streams that
+        // start mid-run by synthesizing an arrival at first sight.
+        let slot = match self.slot(id) {
+            Some(slot) => slot,
+            None => self.insert(id, t_us),
+        };
+        &mut self.jobs[slot]
+    }
+
+    /// Makes room for `jobs` more records, so a run that knows its trace
+    /// length fills one table instead of regrowing it.
+    pub(crate) fn reserve(&mut self, jobs: usize) {
+        self.jobs.reserve(jobs);
     }
 
     /// Job `id` arrived at `t_us`.
     pub(crate) fn on_arrive(&mut self, t_us: u64, id: u64) {
-        if self.jobs.contains_key(&id) {
+        if self.slot(id).is_some() {
             self.anomaly(format!("job {id}: duplicate arrival at {t_us}"));
             return;
         }
-        self.jobs.insert(id, JobRecord::new(id, t_us));
+        self.insert(id, t_us);
     }
 
     /// Job `id` was admitted into service class `class`.
@@ -216,7 +280,7 @@ impl JobTracker {
     }
 
     /// Job `id` was shed with a deterministic `reason` label.
-    pub(crate) fn on_shed(&mut self, t_us: u64, id: u64, reason: &str) {
+    pub(crate) fn on_shed(&mut self, t_us: u64, id: u64, reason: &'static str) {
         let job = self.job_mut(id, t_us);
         if job.terminal.is_some() {
             self.anomaly(format!("job {id}: shed after terminal at {t_us}"));
@@ -224,15 +288,12 @@ impl JobTracker {
         }
         // A shed mid-flight (stranded) may leave an open span; close it.
         job.close_span(usize::MAX, t_us, SpanEnd::Faulted);
-        job.terminal = Some(Terminal::Shed {
-            t_us,
-            reason: reason.to_string(),
-        });
+        job.terminal = Some(Terminal::Shed { t_us, reason });
     }
 
     /// Job `id` was dispatched to `server` (attempt `attempt`).
     pub(crate) fn on_dispatch(&mut self, t_us: u64, id: u64, server: usize, attempt: u32) {
-        self.job_mut(id, t_us).spans.push(AttemptSpan {
+        self.job_mut(id, t_us).push_span(AttemptSpan {
             server,
             attempt,
             start_us: t_us,
@@ -245,8 +306,8 @@ impl JobTracker {
     /// A hedge twin of job `id` was launched on `server`.
     pub(crate) fn on_hedge(&mut self, t_us: u64, id: u64, server: usize) {
         let job = self.job_mut(id, t_us);
-        let attempt = job.spans.last().map_or(0, |s| s.attempt);
-        job.spans.push(AttemptSpan {
+        let attempt = job.spans().last().map_or(0, |s| s.attempt);
+        job.push_span(AttemptSpan {
             server,
             attempt,
             start_us: t_us,
@@ -312,8 +373,8 @@ impl JobTracker {
     /// The run ended at `makespan_us`: close any still-open spans as
     /// stranded so exported traces never contain dangling intervals.
     pub(crate) fn on_finish(&mut self, makespan_us: u64) {
-        for job in self.jobs.values_mut() {
-            for span in &mut job.spans {
+        for job in &mut self.jobs {
+            for span in job.spans_mut() {
                 if span.end.is_none() {
                     span.end_us = Some(makespan_us.max(span.start_us));
                     span.end = Some(SpanEnd::Stranded);
@@ -345,25 +406,33 @@ impl JobTracker {
             shed: 0,
             attempts: 0,
         };
-        for job in self.jobs.values() {
+        // The problem of the lowest job id is reported, as a walk in id
+        // order would find it first.
+        let mut first_bad: Option<&JobRecord> = None;
+        for job in &self.jobs {
             stats.arrived += 1;
             if job.admit_us.is_some() {
                 stats.admitted += 1;
             }
-            stats.attempts += job.spans.len() as u64;
+            stats.attempts += job.spans().count() as u64;
             match &job.terminal {
                 Some(Terminal::Completed { .. }) => stats.completed += 1,
                 Some(Terminal::Shed { .. }) => stats.shed += 1,
-                None => {
-                    return Err(format!("job {}: no terminal state", job.id));
-                }
+                None => {}
             }
-            if let Some(span) = job.spans.iter().find(|s| s.end.is_none()) {
-                return Err(format!(
+            let bad = job.terminal.is_none() || job.spans().any(|s| s.end.is_none());
+            if bad && first_bad.is_none_or(|b| job.id < b.id) {
+                first_bad = Some(job);
+            }
+        }
+        if let Some(job) = first_bad {
+            return Err(match job.spans().find(|s| s.end.is_none()) {
+                Some(span) if job.terminal.is_some() => format!(
                     "job {}: open span on server {} (call on_finish first)",
                     job.id, span.server
-                ));
-            }
+                ),
+                _ => format!("job {}: no terminal state", job.id),
+            });
         }
         if stats.completed + stats.shed != stats.arrived {
             return Err(format!(
@@ -378,7 +447,7 @@ impl JobTracker {
     pub fn render_text(&self, class_names: &[&str]) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for job in self.jobs.values() {
+        for job in self.in_id_order() {
             let class = class_names.get(job.class).copied().unwrap_or("?");
             let _ = write!(
                 out,
@@ -392,7 +461,7 @@ impl JobTracker {
                 None => out.push_str(" admit=-"),
             }
             let _ = writeln!(out);
-            for span in &job.spans {
+            for span in job.spans() {
                 let kind = if span.hedge { "hedge   " } else { "dispatch" };
                 let end_us = span.end_us.unwrap_or(0);
                 let end = span.end.map_or("open", SpanEnd::name);
@@ -429,15 +498,15 @@ impl JobTracker {
     /// `attempt` span per dispatch, and instants for requeues and sheds.
     pub fn add_chrome_tracks(&self, trace: &mut ChromeTrace, class_names: &[&str]) {
         trace.add_process_name(JOB_PID, "vtx jobs");
-        for job in self.jobs.values() {
+        for job in self.in_id_order() {
             let class = class_names.get(job.class).copied().unwrap_or("?");
             let tid = job.id;
             let name = format!("job {} ({class})", job.id);
             trace.add_thread_name(JOB_PID, tid, &name);
             if let Some(admit) = job.admit_us {
                 let first_dispatch = job
-                    .spans
-                    .first()
+                    .first
+                    .as_ref()
                     .map(|s| s.start_us)
                     .or(match &job.terminal {
                         Some(Terminal::Shed { t_us, .. }) => Some(*t_us),
@@ -453,7 +522,7 @@ impl JobTracker {
                     &[("class", ArgValue::Str(class.to_string()))],
                 );
             }
-            for span in &job.spans {
+            for span in job.spans() {
                 let name = if span.hedge { "hedge" } else { "attempt" };
                 let end_us = span.end_us.unwrap_or(span.start_us);
                 trace.add_complete(
@@ -473,7 +542,7 @@ impl JobTracker {
                 );
             }
             if job.requeues > 0 {
-                for span in job.spans.iter().filter(|s| s.end == Some(SpanEnd::Faulted)) {
+                for span in job.spans().filter(|s| s.end == Some(SpanEnd::Faulted)) {
                     trace.add_instant(
                         "requeue",
                         "job",
@@ -492,7 +561,7 @@ impl JobTracker {
                         *t_us,
                         JOB_PID,
                         tid,
-                        &[("reason", ArgValue::Str(reason.clone()))],
+                        &[("reason", ArgValue::Str((*reason).to_owned()))],
                     );
                 }
                 Some(Terminal::Completed {
@@ -546,8 +615,8 @@ mod tests {
         assert_eq!(stats.attempts, 2);
         let job = tr.job(9).unwrap();
         assert_eq!(job.requeues, 1);
-        assert_eq!(job.spans[0].end, Some(SpanEnd::Faulted));
-        assert_eq!(job.spans[1].end, Some(SpanEnd::Completed));
+        let ends: Vec<_> = job.spans().map(|s| s.end).collect();
+        assert_eq!(ends, [Some(SpanEnd::Faulted), Some(SpanEnd::Completed)]);
     }
 
     #[test]
@@ -563,9 +632,35 @@ mod tests {
         let stats = tr.check_conservation().unwrap();
         assert_eq!(stats.attempts, 2);
         let job = tr.job(4).unwrap();
-        assert!(job.spans[1].hedge);
-        assert_eq!(job.spans[0].end, Some(SpanEnd::Discarded));
-        assert_eq!(job.spans[1].end, Some(SpanEnd::Completed));
+        let spans: Vec<_> = job.spans().map(|s| (s.hedge, s.end)).collect();
+        assert_eq!(
+            spans,
+            [
+                (false, Some(SpanEnd::Discarded)),
+                (true, Some(SpanEnd::Completed))
+            ]
+        );
+    }
+
+    #[test]
+    fn ids_at_their_slot_and_elsewhere_are_both_found() {
+        let mut tr = JobTracker::new();
+        // 0..=2 and 4 land at their own index; 10 and 3 do not.
+        for id in [0, 1, 2, 10, 4, 3] {
+            tr.on_arrive(id * 100, id);
+        }
+        for id in [0, 1, 2, 10, 4, 3] {
+            assert_eq!(
+                tr.job(id).map(|j| (j.id, j.arrive_us)),
+                Some((id, id * 100))
+            );
+        }
+        assert!(tr.job(5).is_none() && tr.job(u64::MAX).is_none());
+        assert_eq!(tr.slots.len(), 2, "only the displaced ids are hashed");
+        for id in [4, 3] {
+            tr.on_arrive(7, id);
+        }
+        assert_eq!(tr.anomalies.len(), 2, "duplicates of both kinds are caught");
     }
 
     #[test]

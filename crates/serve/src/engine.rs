@@ -69,8 +69,11 @@ enum Event {
     Down {
         server: usize,
     },
+    /// The hedge trigger armed when `instance`, the first copy of job
+    /// `id`, started.
     HedgeDue {
         id: u64,
+        instance: u64,
     },
     /// A parked (backed-off) job becomes due for re-admission.
     RequeueDue,
@@ -209,6 +212,7 @@ pub(crate) fn run<T: Transport>(
     for j in jobs {
         eng.push(j.arrival_us, Event::Arrive(j.clone()));
     }
+    core.reserve(jobs.len());
     if autoscale.enabled {
         eng.push(autoscale.eval_every_us.max(1), Event::AutoscaleTick);
     }
@@ -291,8 +295,8 @@ pub(crate) fn run<T: Transport>(
             Event::ServerReady { server } => {
                 flight.server_ready(&mut core, server, !eng.crashed[server], now);
             }
-            Event::HedgeDue { id } => {
-                if let Some(copy) = flight.hedge(&mut core, id, now) {
+            Event::HedgeDue { id, instance } => {
+                if let Some(copy) = flight.hedge(&mut core, id, instance, now) {
                     eng.start(&core, &flight, copy, now);
                 }
             }
@@ -301,7 +305,13 @@ pub(crate) fn run<T: Transport>(
         flight.dispatch(&mut core, now, &mut started);
         for copy in started.drain(..) {
             if let Some(due) = copy.hedge_due_us {
-                eng.push(due, Event::HedgeDue { id: copy.id });
+                eng.push(
+                    due,
+                    Event::HedgeDue {
+                        id: copy.id,
+                        instance: copy.instance,
+                    },
+                );
             }
             eng.start(&core, &flight, copy, now);
         }

@@ -1,5 +1,7 @@
 //! Heterogeneous worker fleets built from the Table IV configurations.
 
+use std::sync::Arc;
+
 use vtx_sched::affinity::CONFIG_NAMES;
 use vtx_uarch::config::UarchConfig;
 
@@ -25,10 +27,13 @@ impl ServerSpec {
     }
 }
 
-/// A validated, nonempty set of servers.
+/// A validated, nonempty set of servers. Never changed once built, so the
+/// servers are shared: a clone is a reference-count bump. (An `Arc<[_]>`
+/// would save a pointer hop but costs `sized` a copy or a slower in-place
+/// build of the list.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
-    servers: Vec<ServerSpec>,
+    servers: Arc<Vec<ServerSpec>>,
 }
 
 impl Fleet {
@@ -61,7 +66,9 @@ impl Fleet {
                 });
             }
         }
-        Ok(Fleet { servers })
+        Ok(Fleet {
+            servers: Arc::new(servers),
+        })
     }
 
     /// The panicking wrapper around [`Fleet::try_new`], for static fleets
@@ -97,7 +104,9 @@ impl Fleet {
                 speed: speeds[i + 1],
             });
         }
-        Fleet { servers }
+        Fleet {
+            servers: Arc::new(servers),
+        }
     }
 
     /// A fleet of `n` replicas of every Table IV configuration.
@@ -120,7 +129,9 @@ impl Fleet {
                 speed: s.speed,
             }));
         }
-        Ok(Fleet { servers })
+        Ok(Fleet {
+            servers: Arc::new(servers),
+        })
     }
 
     /// A fleet of exactly `n` servers: the first `n` slots of enough
@@ -136,7 +147,9 @@ impl Fleet {
         }
         let per = CONFIG_NAMES.len() + 1; // the baseline plus the modified four
         let mut f = Fleet::table_iv_replicated(n.div_ceil(per))?;
-        f.servers.truncate(n);
+        Arc::get_mut(&mut f.servers)
+            .expect("a fleet just built is not shared")
+            .truncate(n);
         Ok(f)
     }
 

@@ -259,21 +259,23 @@ impl InFlight {
         self.picks = picks;
     }
 
-    /// A hedge trigger fired for job `id`. Launches a duplicate only if
-    /// exactly the original copy is still in flight (not done, not
-    /// requeued, not already hedged), on the predicted-fastest idle server
-    /// the detector calls up (not merely "not down"); first completion wins.
+    /// The hedge trigger armed by copy `instance` of job `id` fired.
+    /// Launches a duplicate only if exactly that copy is still in flight
+    /// (not done, not requeued — a retry copy is never hedged — not already
+    /// hedged), on the predicted-fastest idle server the detector calls up
+    /// (not merely "not down"); first completion wins.
     pub(crate) fn hedge(
         &mut self,
         core: &mut ServiceCore,
         id: u64,
+        instance: u64,
         now_us: u64,
     ) -> Option<Started> {
         let copies = self.copies.get(&id)?;
         let &[origin] = copies.holders() else {
             return None;
         };
-        if copies.done {
+        if copies.done || !self.holds(origin, instance) {
             return None;
         }
         let job = self.job(origin);
@@ -441,10 +443,11 @@ mod tests {
         let origin = submit(&mut m, 0, Priority::Interactive, 0);
         let (mut core, mut flight) = m;
         let twin = flight
-            .hedge(&mut core, 0, DEADLINE / 2)
+            .hedge(&mut core, 0, origin.instance, DEADLINE / 2)
             .expect("idle up server");
         assert_ne!(twin.server, origin.server);
-        assert_eq!(flight.hedge(&mut core, 0, DEADLINE / 2), None, "one hedge");
+        let again = flight.hedge(&mut core, 0, origin.instance, DEADLINE / 2);
+        assert_eq!(again, None, "one hedge");
         core.mark_down(origin.server, 600_000);
         flight.server_lost(&mut core, origin.server, 600_000);
         assert_eq!((core.queued(), flight.is_empty()), (0, false));
@@ -492,6 +495,25 @@ mod tests {
         let mut off = machine(ServeConfig::default());
         let copy = submit(&mut off, 3, Priority::Interactive, 10);
         assert_eq!(copy.hedge_due_us, None);
+    }
+
+    #[test]
+    fn a_retry_copy_is_never_hedged() {
+        // Submitted at 10 µs (arming a hedge), timed out at 20 µs and
+        // re-dispatched at 30 µs: the trigger fires on the retry copy.
+        let mut m = hedging();
+        let first = submit(&mut m, 0, Priority::Interactive, 10);
+        assert_eq!(first.hedge_due_us, Some(DEADLINE / 2));
+        let (mut core, mut flight) = m;
+        flight.finish(&mut core, first.server, Outcome::TimedOut, 20);
+        let retry = flight.dispatch_now(&mut core, 30)[0];
+        assert_eq!(retry.id, 0);
+        let hedge = flight.hedge(&mut core, 0, first.instance, DEADLINE / 2);
+        assert_eq!(hedge, None);
+        assert!(
+            flight.holds(retry.server, retry.instance),
+            "the retry runs on"
+        );
     }
 
     #[test]

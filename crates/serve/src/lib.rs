@@ -81,7 +81,7 @@
 //!
 //! Every run also feeds an observability plane (`vtx-obs`) through the
 //! shared service core: per-job lifecycle traces (exportable as Chrome
-//! trace-event tracks), windowed per-class quantile sketches, and a
+//! trace-event tracks), per-class sojourn quantile sketches, and a
 //! multi-window SLO burn-rate monitor whose alert transitions appear in
 //! the deterministic event stream and attribute degrade steps.
 //!

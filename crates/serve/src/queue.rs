@@ -10,42 +10,58 @@
 //! while still queued are dropped at dispatch time (they could only waste a
 //! server).
 //!
-//! Internally each class is an *indexed* FIFO rather than a plain
-//! `VecDeque`: jobs live in a `BTreeMap` keyed by a monotonically assigned
-//! sequence key (FIFO = ascending key, front-insertion = descending keys
-//! below the start), with an earliest-deadline index per class and a global
-//! id index. That keeps every hot-path operation — `AdmissionQueue::take`
-//! by id, `AdmissionQueue::candidates`, and the
-//! `AdmissionQueue::drop_expired` sweep — logarithmic in the backlog,
-//! which is what lets the XL discrete-event engine dispatch against
-//! thousand-deep queues without per-event O(queue) scans. The observable
-//! ordering contract is unchanged from the `VecDeque` version.
+//! Each class is one flat ring buffer kept in `(deadline, id)` order, every
+//! entry stamped with a sequence number that gives its FIFO place (front
+//! insertions count down below the first back insertion). Capacities are
+//! small (16/32/64 by default), so a binary-search insert and a linear
+//! scan cost less than a tree walk and allocate nothing once a class has
+//! grown to its high-water mark. The dispatch round reads the front of that
+//! order (`AdmissionQueue::candidates`), its picks are found near the front
+//! (`AdmissionQueue::take`), and the expired jobs are always a prefix
+//! (`AdmissionQueue::drop_expired`); only displacement and the final drain
+//! scan a whole class. Displacement admits past a class's cap (the victim
+//! leaves a lower class), so a cap bounds what a class accepts on its own
+//! account, not its length.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 
 use crate::workload::{JobSpec, Priority};
 
-/// First sequence key handed out; front-insertions count down from here.
+/// First sequence number handed out; front-insertions count down from here.
 const SEQ_MID: u64 = u64::MAX / 2;
 
-/// One service class: an indexed FIFO with an earliest-deadline view.
+/// A queued job and its FIFO place.
+#[derive(Debug, Clone)]
+struct Queued {
+    /// FIFO order is ascending `seq`.
+    seq: u64,
+    job: PendingJob,
+}
+
+impl Queued {
+    /// The candidate order within a class: earliest deadline first, ties
+    /// broken by id so the order is total.
+    fn edf_key(&self) -> (u64, u64) {
+        (self.job.spec.deadline_us, self.job.spec.id)
+    }
+}
+
+/// One service class, in earliest-deadline order.
 #[derive(Debug, Clone)]
 struct ClassQueue {
-    /// Sequence key → job. FIFO order is ascending key order.
-    jobs: BTreeMap<u64, PendingJob>,
-    /// `(deadline_us, id, seqkey)` — EDF order with a total tie-break.
-    by_deadline: BTreeSet<(u64, u64, u64)>,
-    /// Next key for a front insertion (pre-decremented).
+    /// Sorted by [`Queued::edf_key`]. A ring, so the removals at the front
+    /// (picks, expiries) shift only what lies before them.
+    jobs: VecDeque<Queued>,
+    /// Next sequence number for a front insertion (pre-decremented).
     front: u64,
-    /// Next key for a back insertion (post-incremented).
+    /// Next sequence number for a back insertion (post-incremented).
     back: u64,
 }
 
 impl ClassQueue {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         ClassQueue {
-            jobs: BTreeMap::new(),
-            by_deadline: BTreeSet::new(),
+            jobs: VecDeque::with_capacity(cap),
             front: SEQ_MID,
             back: SEQ_MID,
         }
@@ -55,62 +71,55 @@ impl ClassQueue {
         self.jobs.len()
     }
 
-    fn insert_back(&mut self, job: PendingJob) -> u64 {
-        let k = self.back;
+    fn insert(&mut self, seq: u64, job: PendingJob) {
+        let q = Queued { seq, job };
+        let at = self.jobs.partition_point(|e| e.edf_key() < q.edf_key());
+        self.jobs.insert(at, q);
+    }
+
+    fn insert_back(&mut self, job: PendingJob) {
+        let seq = self.back;
         self.back += 1;
-        self.by_deadline
-            .insert((job.spec.deadline_us, job.spec.id, k));
-        self.jobs.insert(k, job);
-        k
+        self.insert(seq, job);
     }
 
-    fn insert_front(&mut self, job: PendingJob) -> u64 {
+    fn insert_front(&mut self, job: PendingJob) {
         self.front -= 1;
-        let k = self.front;
-        self.by_deadline
-            .insert((job.spec.deadline_us, job.spec.id, k));
-        self.jobs.insert(k, job);
-        k
+        self.insert(self.front, job);
     }
 
-    fn remove_key(&mut self, k: u64) -> Option<PendingJob> {
-        let job = self.jobs.remove(&k)?;
-        self.by_deadline
-            .remove(&(job.spec.deadline_us, job.spec.id, k));
-        Some(job)
-    }
-
-    /// Removes the newest back-of-line job (the displacement victim).
-    fn pop_back(&mut self) -> Option<PendingJob> {
-        let (&k, _) = self.jobs.last_key_value()?;
-        self.remove_key(k)
-    }
-
-    /// Removes the displacement victim under a rung table: the queued unit
-    /// on the *highest-quality* rung (lowest rung index, `hi` = 0) goes
-    /// first, newest within a rung — shedding a `hi` rendition of one job
-    /// beats shedding a whole competing job. Falls back to [`pop_back`]
-    /// when no table is set (whole-clip runs).
-    ///
-    /// [`pop_back`]: ClassQueue::pop_back
+    /// Removes the displacement victim: the newest job (largest `seq`) on
+    /// whole-clip runs. Under a rung table the queued unit on the
+    /// *highest-quality* rung (lowest rung index, `hi` = 0) goes first,
+    /// newest within a rung — shedding a `hi` rendition of one job beats
+    /// shedding a whole competing job.
     fn pop_victim(&mut self, rungs: &[u8]) -> Option<PendingJob> {
-        if rungs.is_empty() {
-            return self.pop_back();
-        }
-        let k = self
+        let rung = |q: &Queued| rungs.get(q.job.spec.id as usize).copied().unwrap_or(0);
+        let (at, _) = self
             .jobs
             .iter()
-            .map(|(&k, j)| {
-                let r = rungs.get(j.spec.id as usize).copied().unwrap_or(0);
-                (r, std::cmp::Reverse(k))
-            })
-            .min()
-            .map(|(_, std::cmp::Reverse(k))| k)?;
-        self.remove_key(k)
+            .enumerate()
+            .min_by_key(|(_, q)| (rung(q), std::cmp::Reverse(q.seq)))?;
+        self.jobs.remove(at).map(|q| q.job)
     }
 
-    fn min_deadline(&self) -> Option<u64> {
-        self.by_deadline.first().map(|&(d, _, _)| d)
+    /// Removes every job with a deadline at or before `now_us` into `out`,
+    /// FIFO order. They are a prefix of the class's order.
+    fn drain_expired(&mut self, now_us: u64, out: &mut Vec<PendingJob>) {
+        if self
+            .jobs
+            .front()
+            .is_none_or(|q| q.job.spec.deadline_us > now_us)
+        {
+            return;
+        }
+        let n = self
+            .jobs
+            .partition_point(|q| q.job.spec.deadline_us <= now_us);
+        if n > 1 {
+            self.jobs.make_contiguous()[..n].sort_unstable_by_key(|q| q.seq);
+        }
+        out.extend(self.jobs.drain(..n).map(|q| q.job));
     }
 }
 
@@ -183,13 +192,21 @@ pub(crate) enum Admission {
     Refused(PendingJob),
 }
 
-/// Bounded, priority-segregated admission queue.
+/// An emptied candidate list with `buf`'s allocation, under any lifetime.
+/// Collecting an emptied `vec::IntoIter` into a `Vec` of a same-sized
+/// element reuses its buffer, so a list the core keeps across rounds (as
+/// `Vec<&'static PendingJob>`, empty between rounds) costs no allocation
+/// once the first round has sized it.
+pub(crate) fn recycle<'b>(mut buf: Vec<&PendingJob>) -> Vec<&'b PendingJob> {
+    buf.clear();
+    buf.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+/// Bounded, priority-segregated admission queue. Queued ids are unique: a
+/// job is either queued or in flight, never both.
 #[derive(Debug, Clone)]
 pub(crate) struct AdmissionQueue {
     classes: [ClassQueue; 3],
-    /// Job id → (class index, sequence key). Queued ids are unique: a job
-    /// is either queued or in flight, never both.
-    index: BTreeMap<u64, (usize, u64)>,
     cfg: QueueConfig,
     /// Ladder rung per job id (0 = `hi`) on segmented runs; empty on
     /// whole-clip runs. Switches displacement from job-granular newest-
@@ -201,8 +218,7 @@ impl AdmissionQueue {
     /// Creates an empty queue with the given sizing.
     pub(crate) fn new(cfg: QueueConfig) -> Self {
         AdmissionQueue {
-            classes: [ClassQueue::new(), ClassQueue::new(), ClassQueue::new()],
-            index: BTreeMap::new(),
+            classes: cfg.per_class_cap.map(ClassQueue::new),
             cfg,
             rungs: Vec::new(),
         }
@@ -210,19 +226,19 @@ impl AdmissionQueue {
 
     /// Installs the per-unit rung table (indexed by job id, 0 = `hi`) that
     /// makes displacement unit-granular and rung-ordered. An empty table
-    /// restores the legacy job-granular newest-first victim choice.
+    /// restores the job-granular newest-first victim choice.
     pub(crate) fn set_rung_table(&mut self, rungs: Vec<u8>) {
         self.rungs = rungs;
     }
 
     /// Total queued jobs.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.classes.iter().map(ClassQueue::len).sum()
     }
 
     /// Whether nothing is queued.
     pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.classes.iter().all(|q| q.jobs.is_empty())
     }
 
     /// Queued jobs in one class.
@@ -238,7 +254,6 @@ impl AdmissionQueue {
     fn displace_below(&mut self, k: usize) -> Option<PendingJob> {
         for lower in (k + 1..Priority::ALL.len()).rev() {
             if let Some(victim) = self.classes[lower].pop_victim(&self.rungs) {
-                self.index.remove(&victim.spec.id);
                 return Some(victim);
             }
         }
@@ -252,17 +267,14 @@ impl AdmissionQueue {
     /// batch arrivals outright (pure backpressure).
     pub(crate) fn offer(&mut self, job: PendingJob) -> Admission {
         let k = job.spec.priority.index();
-        let id = job.spec.id;
         if self.classes[k].len() < self.cfg.per_class_cap[k] {
-            let key = self.classes[k].insert_back(job);
-            self.index.insert(id, (k, key));
+            self.classes[k].insert_back(job);
             return Admission::Admitted;
         }
         // Class full: try to displace from the lowest-priority backlogged
         // class below this job's priority.
         if let Some(victim) = self.displace_below(k) {
-            let key = self.classes[k].insert_back(job);
-            self.index.insert(id, (k, key));
+            self.classes[k].insert_back(job);
             return Admission::AdmittedDisplacing(victim);
         }
         Admission::Refused(job)
@@ -274,15 +286,12 @@ impl AdmissionQueue {
     /// Capacity and displacement rules are identical to [`Self::offer`].
     pub(crate) fn offer_front(&mut self, job: PendingJob) -> Admission {
         let k = job.spec.priority.index();
-        let id = job.spec.id;
         if self.classes[k].len() < self.cfg.per_class_cap[k] {
-            let key = self.classes[k].insert_front(job);
-            self.index.insert(id, (k, key));
+            self.classes[k].insert_front(job);
             return Admission::Admitted;
         }
         if let Some(victim) = self.displace_below(k) {
-            let key = self.classes[k].insert_front(job);
-            self.index.insert(id, (k, key));
+            self.classes[k].insert_front(job);
             return Admission::AdmittedDisplacing(victim);
         }
         Admission::Refused(job)
@@ -294,12 +303,7 @@ impl AdmissionQueue {
     pub(crate) fn drain_all(&mut self) -> Vec<PendingJob> {
         let mut out = Vec::with_capacity(self.len());
         for q in &mut self.classes {
-            // FIFO order = ascending sequence key.
-            while let Some((&k, _)) = q.jobs.first_key_value() {
-                let job = q.remove_key(k).expect("key just observed");
-                self.index.remove(&job.spec.id);
-                out.push(job);
-            }
+            q.drain_expired(u64::MAX, &mut out);
         }
         out
     }
@@ -309,46 +313,30 @@ impl AdmissionQueue {
     pub(crate) fn drop_expired(&mut self, now_us: u64) -> Vec<PendingJob> {
         let mut dropped = Vec::new();
         for q in &mut self.classes {
-            if q.min_deadline().is_none_or(|d| d > now_us) {
-                continue;
-            }
-            let mut keys: Vec<u64> = q
-                .by_deadline
-                .iter()
-                .take_while(|&&(d, _, _)| d <= now_us)
-                .map(|&(_, _, k)| k)
-                .collect();
-            keys.sort_unstable();
-            for k in keys {
-                let job = q.remove_key(k).expect("indexed key");
-                self.index.remove(&job.spec.id);
-                dropped.push(job);
-            }
+            q.drain_expired(now_us, &mut dropped);
         }
         dropped
     }
 
-    /// The first `limit` dispatch candidates: strict priority order, and
-    /// earliest-deadline-first within a class (FIFO ties broken by id, so
-    /// the order is total and deterministic). Reads the per-class deadline
-    /// index directly — no sort, O(limit · log backlog).
-    pub(crate) fn candidates(&self, limit: usize) -> Vec<&PendingJob> {
-        let mut out: Vec<&PendingJob> = Vec::new();
+    /// Replaces `out`'s contents with the first `limit` dispatch
+    /// candidates: strict priority order, and earliest-deadline-first
+    /// within a class (ties broken by id, so the order is total and
+    /// deterministic). O(limit): each class is kept in that order.
+    pub(crate) fn candidates<'a>(&'a self, limit: usize, out: &mut Vec<&'a PendingJob>) {
+        out.clear();
         for q in &self.classes {
-            for &(_, _, k) in &q.by_deadline {
-                if out.len() == limit {
-                    return out;
-                }
-                out.push(&q.jobs[&k]);
-            }
+            let room = limit - out.len();
+            out.extend(q.jobs.iter().take(room).map(|q| &q.job));
         }
-        out
     }
 
-    /// Removes a specific job by id (after the policy chose it).
+    /// Removes a specific job by id (after the policy chose it). Picks come
+    /// from the front of the candidate order, so the scan is short.
     pub(crate) fn take(&mut self, id: u64) -> Option<PendingJob> {
-        let (class, key) = self.index.remove(&id)?;
-        self.classes[class].remove_key(key)
+        self.classes.iter_mut().find_map(|q| {
+            let at = q.jobs.iter().position(|e| e.job.spec.id == id)?;
+            q.jobs.remove(at).map(|q| q.job)
+        })
     }
 }
 
@@ -371,6 +359,12 @@ mod tests {
             admitted_us: 0,
             attempts: 0,
         }
+    }
+
+    fn candidate_ids(q: &AdmissionQueue, limit: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        q.candidates(limit, &mut out);
+        out.iter().map(|j| j.spec.id).collect()
     }
 
     fn tiny() -> AdmissionQueue {
@@ -456,10 +450,8 @@ mod tests {
         q.offer(job(1, Priority::Interactive, 500));
         q.offer(job(2, Priority::Standard, 50));
         q.offer(job(3, Priority::Standard, 20));
-        let ids: Vec<u64> = q.candidates(10).iter().map(|j| j.spec.id).collect();
-        assert_eq!(ids, vec![1, 3, 2, 0]);
-        let ids: Vec<u64> = q.candidates(2).iter().map(|j| j.spec.id).collect();
-        assert_eq!(ids, vec![1, 3]);
+        assert_eq!(candidate_ids(&q, 10), vec![1, 3, 2, 0]);
+        assert_eq!(candidate_ids(&q, 2), vec![1, 3]);
     }
 
     #[test]
@@ -514,5 +506,144 @@ mod tests {
         assert!(q.take(8).is_none());
         assert_eq!(q.take(7).unwrap().spec.id, 7);
         assert!(q.is_empty());
+    }
+
+    /// The queue's contract written the plain way: one FIFO `VecDeque` per
+    /// class, the victim found by position, candidates by sorting a copy.
+    struct Reference {
+        classes: [VecDeque<PendingJob>; 3],
+        caps: [usize; 3],
+        rungs: Vec<u8>,
+    }
+
+    impl Reference {
+        fn admit(&mut self, job: PendingJob, front: bool) -> Admission {
+            let k = job.spec.priority.index();
+            let mut victim = None;
+            if self.classes[k].len() >= self.caps[k] {
+                victim = (k + 1..3).rev().find_map(|lower| {
+                    let q = &mut self.classes[lower];
+                    // Newest first within the lowest rung; plain newest
+                    // (the back) without a rung table.
+                    let rung = |j: &PendingJob| self.rungs.get(j.spec.id as usize).copied();
+                    let at = (0..q.len())
+                        .rev()
+                        .min_by_key(|&i| rung(&q[i]).unwrap_or(0))?;
+                    q.remove(at)
+                });
+                if victim.is_none() {
+                    return Admission::Refused(job);
+                }
+            }
+            if front {
+                self.classes[k].push_front(job);
+            } else {
+                self.classes[k].push_back(job);
+            }
+            victim.map_or(Admission::Admitted, Admission::AdmittedDisplacing)
+        }
+
+        fn take(&mut self, id: u64) -> Option<PendingJob> {
+            self.classes.iter_mut().find_map(|q| {
+                let at = q.iter().position(|j| j.spec.id == id)?;
+                q.remove(at)
+            })
+        }
+
+        fn drop_expired(&mut self, now_us: u64) -> Vec<PendingJob> {
+            let mut out = Vec::new();
+            for q in &mut self.classes {
+                out.extend(q.iter().filter(|j| j.spec.deadline_us <= now_us).cloned());
+                q.retain(|j| j.spec.deadline_us > now_us);
+            }
+            out
+        }
+
+        fn candidates(&self, limit: usize) -> Vec<u64> {
+            let mut out = Vec::new();
+            for q in &self.classes {
+                let mut class: Vec<&PendingJob> = q.iter().collect();
+                class.sort_by_key(|j| (j.spec.deadline_us, j.spec.id));
+                out.extend(class.iter().map(|j| j.spec.id));
+            }
+            out.truncate(limit);
+            out
+        }
+    }
+
+    #[test]
+    fn the_flat_queue_equals_the_reference_on_random_sequences() {
+        for caps in [[1, 1, 1], [2, 2, 2], QueueConfig::default().per_class_cap] {
+            for with_rungs in [false, true] {
+                for seed in 0..20u64 {
+                    let mut rng = vtx_rng::SplitMix64::new(seed);
+                    // Some ids fall past the table (rung 0 by default).
+                    let rungs: Vec<u8> = if with_rungs {
+                        (0..150).map(|_| rng.next_range(3) as u8).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let mut q = AdmissionQueue::new(QueueConfig {
+                        per_class_cap: caps,
+                    });
+                    q.set_rung_table(rungs.clone());
+                    let mut r = Reference {
+                        classes: Default::default(),
+                        caps,
+                        rungs,
+                    };
+                    // Jobs out of the queue, which an `offer_front` may
+                    // bring back (a requeue).
+                    let mut out: Vec<PendingJob> = Vec::new();
+                    let mut next_id = 0u64;
+                    let mut now = 0u64;
+                    for step in 0..400 {
+                        now += rng.next_range(4);
+                        let ctx =
+                            format!("caps {caps:?} rungs {with_rungs} seed {seed} step {step}");
+                        match rng.next_range(20) {
+                            0..=7 => {
+                                let p = Priority::ALL[rng.next_range(3) as usize];
+                                let deadline = now + rng.next_range(40);
+                                let j = job(next_id, p, deadline);
+                                next_id += 1;
+                                assert_eq!(q.offer(j.clone()), r.admit(j, false), "{ctx}");
+                            }
+                            8..=9 if !out.is_empty() => {
+                                let j = out.swap_remove(rng.next_range(out.len() as u64) as usize);
+                                assert_eq!(q.offer_front(j.clone()), r.admit(j, true), "{ctx}");
+                            }
+                            10..=13 => {
+                                let limit = rng.next_range(10) as usize;
+                                assert_eq!(candidate_ids(&q, limit), r.candidates(limit), "{ctx}");
+                                // Take a candidate, or an id that may not be queued.
+                                let ids = r.candidates(limit);
+                                let id = match ids.len() {
+                                    0 => rng.next_range(next_id + 1),
+                                    n => ids[rng.next_range(n as u64) as usize],
+                                };
+                                let got = q.take(id);
+                                assert_eq!(got, r.take(id), "{ctx}");
+                                out.extend(got);
+                            }
+                            14..=17 => {
+                                let got = q.drop_expired(now);
+                                assert_eq!(got, r.drop_expired(now), "{ctx}");
+                            }
+                            18 if step % 50 == 0 => {
+                                assert_eq!(q.drain_all(), r.drop_expired(u64::MAX), "{ctx}");
+                            }
+                            _ => {}
+                        }
+                        assert_eq!(q.len(), r.classes.iter().map(VecDeque::len).sum(), "{ctx}");
+                        assert_eq!(
+                            q.is_empty(),
+                            r.classes.iter().all(VecDeque::is_empty),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

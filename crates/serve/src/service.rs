@@ -22,7 +22,7 @@ use crate::chaos::ChaosConfig;
 use crate::cost::CostModel;
 use crate::fleet::{Fleet, ServerSpec};
 use crate::policy::{ClassMap, DispatchCtx, DispatchPolicy};
-use crate::queue::{Admission, AdmissionQueue, PendingJob, QueueConfig, ShedReason};
+use crate::queue::{recycle, Admission, AdmissionQueue, PendingJob, QueueConfig, ShedReason};
 use crate::report::{FaultAccounting, LatencyStats, ScaleStats, ServerStats, ServingReport};
 use crate::workload::{JobSpec, Priority};
 
@@ -38,8 +38,8 @@ pub struct ServeConfig {
     /// Fault injection and recovery (default: fully disabled — an
     /// un-faulted run behaves and renders exactly as before).
     pub chaos: ChaosConfig,
-    /// Observability plane: per-job tracing, windowed quantiles and SLO
-    /// burn-rate alerting (enabled by default; alerting only changes the
+    /// Observability plane: per-job tracing, per-class sojourn sketches and
+    /// SLO burn-rate alerting (enabled by default; alerting only changes the
     /// event stream when an SLO actually burns).
     pub obs: ObsConfig,
     /// Cell count the idle index shards the fleet into (0 = auto-size at
@@ -514,6 +514,9 @@ pub struct ServiceCore {
     model: CostModel,
     policy: Box<dyn DispatchPolicy>,
     queue: AdmissionQueue,
+    /// The round's candidate list, kept empty between rounds so its
+    /// allocation is reused (see [`recycle`]).
+    candidates: Vec<&'static PendingJob>,
     log: Vec<EventRecord>,
     offered: u64,
     completed: u64,
@@ -668,6 +671,7 @@ impl ServiceCore {
             model,
             policy,
             queue,
+            candidates: Vec::new(),
             log: Vec::new(),
             offered: 0,
             completed: 0,
@@ -1254,6 +1258,11 @@ impl ServiceCore {
         }
     }
 
+    /// Makes room in the per-job records for `jobs` arrivals to come.
+    pub(crate) fn reserve(&mut self, jobs: usize) {
+        self.obs.reserve(jobs);
+    }
+
     /// Offers an arriving job to admission control.
     pub(crate) fn offer(&mut self, spec: JobSpec, now_us: u64) {
         self.offered += 1;
@@ -1316,7 +1325,8 @@ impl ServiceCore {
             return;
         }
         let picks: Vec<(u64, usize)> = {
-            let candidates = self.queue.candidates(CANDIDATE_WINDOW);
+            let mut candidates = recycle(std::mem::take(&mut self.candidates));
+            self.queue.candidates(CANDIDATE_WINDOW, &mut candidates);
             let ctx = DispatchCtx {
                 fleet: &self.fleet,
                 classes: &self.classes,
@@ -1325,11 +1335,14 @@ impl ServiceCore {
                 health: &self.health,
                 health_epoch: self.health_epoch,
             };
-            self.policy
+            let picks = self
+                .policy
                 .assign(&candidates, idle, &ctx)
                 .into_iter()
                 .map(|(job_pos, server)| (candidates[job_pos].spec.id, server))
-                .collect()
+                .collect();
+            self.candidates = recycle(candidates);
+            picks
         };
         // Commit the picks: pull each job out of the queue, apply the
         // degrade ladder's preset downgrade, and book the dispatch.
@@ -1457,7 +1470,7 @@ impl ServiceCore {
 
     /// Finalizes the run into a report, the event log and the finalized
     /// observability plane (stranded job spans closed), so drivers can
-    /// export traces, live quantiles and the alert stream; `makespan_us` is
+    /// export traces, sojourn quantiles and the alert stream; `makespan_us` is
     /// the timestamp of the last event the driver processed.
     pub(crate) fn finish(
         mut self,

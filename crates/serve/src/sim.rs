@@ -47,7 +47,7 @@ pub struct SimOutcome {
     /// `(job id, server)` pairs in dispatch order.
     pub assignments: Vec<(u64, usize)>,
     /// The finalized observability plane: per-job lifecycle traces,
-    /// windowed quantiles and the SLO alert stream.
+    /// per-class sojourn sketches and the SLO alert stream.
     pub obs: vtx_obs::ObsPlane,
 }
 

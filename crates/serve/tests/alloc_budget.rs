@@ -4,7 +4,8 @@
 //! and nothing else: the cost matrix, the idle list, the cell routing, the
 //! solver's potentials and the price memo are buffers the policy keeps.
 //! `CostModel::new` may allocate nothing once the process-wide table
-//! exists. A whole `fleet_xl`-shaped run is held to a per-job budget. The
+//! exists. Whole `fleet_xl`- and `fleet_small`-shaped runs are held to
+//! per-job budgets. The
 //! counts repeat exactly, so they are pinned as constants; a change that
 //! makes a round or a job allocate again fails here before any benchmark
 //! has to notice.
@@ -208,14 +209,47 @@ fn xl_run_allocations(policy: &str, jobs: usize) -> u64 {
 #[test]
 fn an_xl_job_stays_inside_its_allocation_budget() {
     // What 2,000 more jobs cost a run, so that the run's fixed setup (the
-    // fleet, the cell plan, the calendar, the report) cancels out: 3.46 a
-    // job. A job allocates its round's candidate window and pick list;
-    // the rest is the node churn of the queue's and the in-flight table's
-    // B-trees and the growth of the run's records. Nothing is allocated
-    // for each job in flight, nor for a price the memo already holds.
-    for (policy, want) in [("smart", 6_912), ("port", 6_933)] {
+    // fleet, the cell plan, the report) cancels out: 2.46 a job. A job
+    // allocates its round's pick list (the core's id list reuses it, and
+    // the candidate list is kept across rounds); the rest is the first
+    // push into each of the calendar's buckets, whose count grows with
+    // the trace, the node churn of the in-flight table's B-tree and the
+    // growth of the run's records. The flat admission queue allocates
+    // nothing once a class reaches its high-water mark, nor does a job in
+    // flight or a price the memo already holds.
+    for (policy, want) in [("smart", 4_912), ("port", 4_933)] {
         xl_run_allocations(policy, 100); // builds the process-wide cost table
         let extra = xl_run_allocations(policy, 4_000) - xl_run_allocations(policy, 2_000);
         assert_eq!(extra, want, "{policy}: allocations of 2,000 more jobs");
     }
+}
+
+/// Allocations of one `fleet_small`-shaped run over the first `jobs` jobs
+/// of the bundled trace: 8 servers, the event log and the obs plane on.
+fn small_run_allocations(jobs: usize) -> u64 {
+    let trace = WorkloadSpec {
+        jobs,
+        ..WorkloadSpec::bundled(42)
+    }
+    .generate()
+    .unwrap();
+    let fleet = Fleet::sized(8).unwrap();
+    let policy = vtx_serve::policy_by_name("smart", 42).unwrap();
+    allocations_in(|| {
+        let out = simulate_trace(&trace, 42, fleet, policy, ServeConfig::default()).unwrap();
+        assert_eq!(out.report.offered, jobs as u64);
+    })
+}
+
+#[test]
+fn a_small_fleet_job_stays_inside_its_allocation_budget() {
+    // What 400 more jobs cost, as above but with both planes writing:
+    // 2.40 a job, the same pick list and calendar buckets. The event log
+    // and the run's records grow by doubling, and the obs plane adds
+    // nothing per job — its tracker keeps a job's first attempt inline in
+    // one flat table, its sketches count into arrays, and a shed reason
+    // is a static label.
+    small_run_allocations(100); // builds the process-wide cost table
+    let extra = small_run_allocations(800) - small_run_allocations(400);
+    assert_eq!(extra, 960, "allocations of 400 more jobs");
 }

@@ -1,5 +1,5 @@
 //! Observability-plane acceptance tests: the Chrome trace roundtrip
-//! (parses, spans nest, byte-identical per seed), the windowed-sketch
+//! (parses, spans nest, byte-identical per seed), the sojourn-sketch
 //! error bound against the exact report quantiles on the fig9 workload,
 //! conservation checked from the job trace alone, determinism of the
 //! alert stream and Prometheus exposition, and the bench-trajectory
@@ -128,7 +128,7 @@ fn sketch_p99_matches_exact_report_within_error_bound() {
     let out = sim(&w, "smart");
     for (i, class) in Priority::ALL.iter().enumerate() {
         let exact = &out.report.sojourn_by_class[i];
-        let sketch = out.obs.windows().cumulative(i);
+        let sketch = out.obs.cumulative(i);
         assert_eq!(
             sketch.count(),
             exact.count,

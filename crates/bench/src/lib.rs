@@ -5,8 +5,6 @@
 //!   DESIGN.md's experiment index and EXPERIMENTS.md).
 //! * `fig9_serving`: every `BENCH_serving.json` row in one pass.
 //! * `fig9_xl`: the 10k-server / 1M-job tier, `BENCH_serving_xl.json`.
-//! * `port_throughput`: the inferred port model against the ground-truth
-//!   solver.
 //!
 //! Each prints its tables; the JSON files land in `target/vtx-results/`.
 

@@ -11,27 +11,19 @@
 
 use vtx_codec::Preset;
 
+/// Queued jobs tolerated per unit of detected-up capacity (sum of healthy
+/// servers' speed grades) before the ladder escalates a level.
+const BACKLOG_PER_UNIT: f64 = 4.0;
+
+/// Maximum preset steps the ladder may take toward `ultrafast`.
+const MAX_LEVEL: u8 = 4;
+
 /// Ladder tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradeConfig {
     /// Master switch (off by default: failures alone never change output
     /// quality unless the operator opts in).
     pub enabled: bool,
-    /// Queued jobs tolerated per unit of detected-up capacity (sum of
-    /// healthy servers' speed grades) before the ladder escalates a level.
-    pub backlog_per_unit: f64,
-    /// Maximum preset steps the ladder may take toward `ultrafast`.
-    pub max_level: u8,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            enabled: false,
-            backlog_per_unit: 4.0,
-            max_level: 4,
-        }
-    }
 }
 
 /// The ladder state machine: one step up or down per observation.
@@ -60,9 +52,9 @@ impl DegradeLadder {
         if !self.cfg.enabled {
             return 0;
         }
-        let unit = (self.cfg.backlog_per_unit * up_capacity.max(0.0)).max(1.0);
+        let unit = (BACKLOG_PER_UNIT * up_capacity.max(0.0)).max(1.0);
         let b = backlog as f64;
-        if b > unit * f64::from(self.level + 1) && self.level < self.cfg.max_level {
+        if b > unit * f64::from(self.level + 1) && self.level < MAX_LEVEL {
             self.level += 1;
         } else if self.level > 0 && b < unit * f64::from(self.level) * 0.5 {
             self.level -= 1;
@@ -84,11 +76,7 @@ mod tests {
     use super::*;
 
     fn ladder() -> DegradeLadder {
-        DegradeLadder::new(DegradeConfig {
-            enabled: true,
-            backlog_per_unit: 2.0,
-            max_level: 3,
-        })
+        DegradeLadder::new(DegradeConfig { enabled: true })
     }
 
     #[test]
@@ -101,24 +89,26 @@ mod tests {
     #[test]
     fn escalates_one_step_per_observation_and_saturates() {
         let mut l = ladder();
-        // Capacity 1.0 → threshold 2 jobs per level; backlog 100 is over
+        // Capacity 0.5 → threshold 2 jobs per level; backlog 100 is over
         // every level's bar but the ladder still walks one step at a time.
-        assert_eq!(l.observe(100, 1.0), 1);
-        assert_eq!(l.observe(100, 1.0), 2);
-        assert_eq!(l.observe(100, 1.0), 3);
-        assert_eq!(l.observe(100, 1.0), 3, "clamped at max_level");
+        assert_eq!(l.observe(100, 0.5), 1);
+        assert_eq!(l.observe(100, 0.5), 2);
+        assert_eq!(l.observe(100, 0.5), 3);
+        assert_eq!(l.observe(100, 0.5), 4);
+        assert_eq!(l.observe(100, 0.5), 4, "clamped at MAX_LEVEL");
     }
 
     #[test]
     fn hysteresis_deescalates_only_well_below_the_bar() {
         let mut l = ladder();
-        l.observe(100, 1.0); // level 1 (threshold was 2)
-                             // Backlog 3 is below the level-2 escalation bar (4) but not below
-                             // half the level-1 bar (1): hold.
-        assert_eq!(l.observe(3, 1.0), 1);
+        // Level 1 (its threshold was 2).
+        l.observe(100, 0.5);
+        // Backlog 3 is below the level-2 escalation bar (4) but not below
+        // half the level-1 bar (1): hold.
+        assert_eq!(l.observe(3, 0.5), 1);
         // Backlog 0 clears the de-escalation bar.
-        assert_eq!(l.observe(0, 1.0), 0);
-        assert_eq!(l.observe(0, 1.0), 0, "stays at full quality");
+        assert_eq!(l.observe(0, 0.5), 0);
+        assert_eq!(l.observe(0, 0.5), 0, "stays at full quality");
     }
 
     #[test]
@@ -130,15 +120,15 @@ mod tests {
 
     #[test]
     fn escalation_boundary_is_strictly_greater_than() {
-        // backlog_per_unit 2, capacity 1 → the level-1 escalation bar sits
-        // at exactly 2 jobs. Landing *on* the bar must not escalate
+        // BACKLOG_PER_UNIT 4, capacity 0.5 → the level-1 escalation bar
+        // sits at exactly 2 jobs. Landing *on* the bar must not escalate
         // (strict >); one job past it must.
         let mut l = ladder();
-        assert_eq!(l.observe(2, 1.0), 0, "b == unit*(level+1) holds");
-        assert_eq!(l.observe(3, 1.0), 1, "b > unit*(level+1) escalates");
+        assert_eq!(l.observe(2, 0.5), 0, "b == unit*(level+1) holds");
+        assert_eq!(l.observe(3, 0.5), 1, "b > unit*(level+1) escalates");
         // At level 1 the next bar is 4: again exact stays, above steps.
-        assert_eq!(l.observe(4, 1.0), 1);
-        assert_eq!(l.observe(5, 1.0), 2);
+        assert_eq!(l.observe(4, 0.5), 1);
+        assert_eq!(l.observe(5, 0.5), 2);
     }
 
     #[test]
@@ -146,14 +136,14 @@ mod tests {
         // Climb to level 2 (bars at 2 and 4), then probe the de-escalation
         // bar: half of the *current* level's threshold = 2·2·0.5 = 2.
         let mut l = ladder();
-        l.observe(100, 1.0);
-        l.observe(100, 1.0);
+        l.observe(100, 0.5);
+        l.observe(100, 0.5);
         assert_eq!(l.level(), 2);
-        assert_eq!(l.observe(2, 1.0), 2, "b == unit*level*0.5 holds");
-        assert_eq!(l.observe(1, 1.0), 1, "b < unit*level*0.5 de-escalates");
+        assert_eq!(l.observe(2, 0.5), 2, "b == unit*level*0.5 holds");
+        assert_eq!(l.observe(1, 0.5), 1, "b < unit*level*0.5 de-escalates");
         // Level 1's de-escalation bar is 1: exactly 1 holds, 0 clears it.
-        assert_eq!(l.observe(1, 1.0), 1);
-        assert_eq!(l.observe(0, 1.0), 0);
+        assert_eq!(l.observe(1, 0.5), 1);
+        assert_eq!(l.observe(0, 0.5), 0);
     }
 
     #[test]

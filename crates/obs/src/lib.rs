@@ -329,7 +329,7 @@ mod tests {
     /// Feeds a plane 40 shuffled, sparse ids — gaps, strides of 2^33, ids
     /// above 2^40 and next to `u64::MAX` — in five interleaved phases that
     /// visit every hook: door and queue sheds, requeues, timeouts, hedges
-    /// won and lost, a shed mid-flight that strands its copy, and a job
+    /// won and lost, a shed mid-flight that ends its open copy, and a job
     /// first seen at admission.
     fn sparse_stream(plane: &mut ObsPlane) {
         let mut rng = vtx_rng::SplitMix64::new(44);
@@ -423,7 +423,9 @@ mod tests {
         let (text, json) = exports(&plane);
         assert_eq!(text, include_str!("../testdata/sparse_stream.txt"));
         assert_eq!(json, include_str!("../testdata/sparse_stream.json"));
-        // The first problem is reported in id order, not arrival order.
+        // The first problem is reported in id order, not arrival order. A
+        // copy dispatched after the stream's last event is still open.
+        unfinished.on_dispatch(900_000, 255, 2, 2);
         const OPEN: &str = "job 255: open span on server 2 (call on_finish first)";
         let arrivals = [
             (None, OPEN),

@@ -286,8 +286,11 @@ impl JobTracker {
             self.anomaly(format!("job {id}: shed after terminal at {t_us}"));
             return;
         }
-        // A shed mid-flight (stranded) may leave an open span; close it.
-        job.close_span(usize::MAX, t_us, SpanEnd::Faulted);
+        // A shed mid-flight (stranded) may leave open spans; they end here.
+        for span in job.spans_mut().filter(|s| s.end.is_none()) {
+            span.end_us = Some(t_us);
+            span.end = Some(SpanEnd::Faulted);
+        }
         job.terminal = Some(Terminal::Shed { t_us, reason });
     }
 
@@ -694,6 +697,21 @@ mod tests {
         assert_eq!(stats.arrived, 1);
         assert_eq!(stats.admitted, 0);
         assert_eq!(stats.shed, 1);
+    }
+
+    #[test]
+    fn shed_mid_flight_closes_every_open_span_as_faulted() {
+        let mut tr = JobTracker::new();
+        tr.on_arrive(0, 1);
+        tr.on_admit(0, 1, 0);
+        tr.on_dispatch(5, 1, 3, 0);
+        tr.on_hedge(9, 1, 4);
+        tr.on_shed(307, 1, "retries_exhausted");
+        tr.on_finish(1000);
+        tr.check_conservation().unwrap();
+        let text = tr.render_text(&["interactive"]);
+        assert_eq!(text.matches("end=307 outcome=faulted").count(), 2, "{text}");
+        assert!(!text.contains("stranded"), "{text}");
     }
 
     #[test]

@@ -6,16 +6,12 @@
 //! rebuilds the essential machinery:
 //!
 //! * [`nest`] — an affine loop-nest IR with dependence-distance vectors,
-//!   legality-checked interchange/tiling/fusion, and address-stream
-//!   generation;
-//! * [`cost`] — a cache-replay cost model that scores a candidate nest by
-//!   simulating its address stream against a target cache;
-//! * [`plan`] — models of the transcoder's data-traversal loops; running
-//!   the optimizer over them derives the [`vtx_trace::plan::DataPlan`] the
-//!   instrumented codec honours.
+//!   legality-checked tiling and fusion, and address-stream generation;
+//! * [`plan`] — models of the transcoder's data-traversal loops; each
+//!   candidate transformation is scored by replaying its address stream
+//!   against the target's L1D, and the accepted ones derive the
+//!   [`vtx_trace::plan::DataPlan`] the instrumented codec honours.
 
-#[cfg(test)]
-mod cost;
 mod nest;
 mod plan;
 

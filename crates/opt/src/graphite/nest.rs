@@ -146,39 +146,6 @@ impl LoopNest {
         self.extents.iter().product::<i64>() as u64
     }
 
-    /// Interchanges loops `a` and `b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransformError::BadDimension`] for out-of-range indices and
-    /// [`TransformError::IllegalDependence`] if any permuted distance vector
-    /// becomes lexicographically negative.
-    #[cfg(test)]
-    pub(crate) fn interchange(&self, a: usize, b: usize) -> Result<LoopNest, TransformError> {
-        let n = self.ndims();
-        if a >= n || b >= n {
-            return Err(TransformError::BadDimension {
-                dim: a.max(b),
-                ndims: n,
-            });
-        }
-        let mut out = self.clone();
-        out.extents.swap(a, b);
-        for acc in &mut out.accesses {
-            acc.strides.swap(a, b);
-        }
-        for dep in &mut out.deps {
-            dep.distance.swap(a, b);
-            if !dep.is_legal() {
-                return Err(TransformError::IllegalDependence {
-                    distance: dep.distance.clone(),
-                });
-            }
-        }
-        out.name = format!("{}_ic{}{}", self.name, a, b);
-        Ok(out)
-    }
-
     /// Strip-mines dimension `dim` by `tile` and moves the tile loop
     /// outermost (classic tiling step for one dimension).
     ///
@@ -295,7 +262,7 @@ impl LoopNest {
     /// Generates the byte-address stream of one execution of the nest
     /// (row-major iteration order, body accesses in declaration order).
     ///
-    /// Intended for the cost model; the stream length is
+    /// Replayed by the plan's cost model; the stream length is
     /// `iterations() * accesses.len()`.
     pub(crate) fn address_stream(&self) -> AddressStream<'_> {
         AddressStream {
@@ -380,44 +347,6 @@ mod tests {
         assert_eq!(stream[1], 8);
         assert_eq!(stream[8], 64);
         assert_eq!(*stream.last().unwrap(), 3 * 64 + 7 * 8);
-    }
-
-    #[test]
-    fn interchange_swaps_order() {
-        let n = row_major_2d();
-        let ic = n.interchange(0, 1).unwrap();
-        let stream: Vec<u64> = ic.address_stream().map(|(a, _)| a).collect();
-        assert_eq!(stream.len(), 32);
-        // Now the column loop is outermost: first two accesses stride by 64.
-        assert_eq!(stream[0], 0);
-        assert_eq!(stream[1], 64);
-    }
-
-    #[test]
-    fn interchange_rejects_illegal_dependence() {
-        // Dependence (1, -1): legal as-is, illegal when swapped.
-        let n = LoopNest::new(
-            "d",
-            vec![4, 4],
-            vec![],
-            vec![Dependence {
-                distance: vec![1, -1],
-            }],
-        );
-        assert!(n.interchange(0, 1).is_err());
-    }
-
-    #[test]
-    fn interchange_keeps_legal_dependence() {
-        let n = LoopNest::new(
-            "d",
-            vec![4, 4],
-            vec![],
-            vec![Dependence {
-                distance: vec![1, 1],
-            }],
-        );
-        assert!(n.interchange(0, 1).is_ok());
     }
 
     #[test]
@@ -522,26 +451,6 @@ mod properties {
             }],
             vec![],
         )
-    }
-
-    /// Interchange never changes the multiset of touched addresses.
-    #[test]
-    fn interchange_preserves_address_set() {
-        let mut rng = Xoshiro256pp::new(0x1C4A);
-        for _ in 0..256 {
-            let nest = LoopNest::new(
-                "p",
-                vec![rng.next_i64_in(1, 8), rng.next_i64_in(1, 8)],
-                vec![Access {
-                    base: 1 << 20,
-                    strides: vec![rng.next_i64_in(-64, 64), rng.next_i64_in(-64, 64)],
-                    is_store: false,
-                }],
-                vec![],
-            );
-            let ic = nest.interchange(0, 1).unwrap();
-            assert_eq!(sorted_addresses(&nest), sorted_addresses(&ic), "{nest:?}");
-        }
     }
 
     /// Tiling preserves the touched address set and the iteration count.

@@ -19,17 +19,6 @@ pub enum PortError {
     ZeroWidth,
     /// A layout declares no ports at all.
     EmptyLayout,
-    /// Inference measured contradictory throughputs for one class: the
-    /// port-by-port membership probe disagrees with the unblocked
-    /// throughput by more than the noise budget.
-    InferenceConflict {
-        /// The class whose measurements disagree.
-        class: UopClass,
-        /// Ports recovered by the membership probes.
-        recovered_ports: u32,
-        /// Throughput measured with nothing blocked.
-        unblocked: f64,
-    },
 }
 
 impl fmt::Display for PortError {
@@ -40,15 +29,6 @@ impl fmt::Display for PortError {
             }
             PortError::ZeroWidth => write!(f, "dispatch width must be nonzero"),
             PortError::EmptyLayout => write!(f, "port layout must declare at least one port"),
-            PortError::InferenceConflict {
-                class,
-                recovered_ports,
-                unblocked,
-            } => write!(
-                f,
-                "inference conflict for {class:?}: membership probes found {recovered_ports} \
-                 ports but unblocked throughput is {unblocked:.3}"
-            ),
         }
     }
 }
@@ -67,11 +47,5 @@ mod tests {
         };
         assert!(e.to_string().contains("Load"));
         assert!(PortError::ZeroWidth.to_string().contains("nonzero"));
-        let e = PortError::InferenceConflict {
-            class: UopClass::Mul,
-            recovered_ports: 2,
-            unblocked: 1.0,
-        };
-        assert!(e.to_string().contains("Mul"));
     }
 }

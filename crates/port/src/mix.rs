@@ -149,12 +149,6 @@ impl UopMix {
         UopMix { fractions }
     }
 
-    /// The fraction of uops in class `c`.
-    #[cfg(test)]
-    fn fraction(&self, c: crate::layout::UopClass) -> f64 {
-        self.fractions[c.index()]
-    }
-
     /// All fractions, [`UopClass::ALL`](crate::layout::UopClass::ALL) order.
     pub(crate) fn fractions(&self) -> [f64; NUM_CLASSES] {
         self.fractions
@@ -167,17 +161,6 @@ impl UopMix {
             .find(|(n, _)| *n == name)
             .map_or(DEFAULT_MIX, |(_, m)| *m);
         UopMix::new(weights)
-    }
-
-    /// Whether the static table knows this kernel name.
-    #[cfg(test)]
-    fn knows_kernel(name: &str) -> bool {
-        KERNEL_MIXES.iter().any(|(n, _)| *n == name)
-    }
-
-    /// Every kernel name in the static table, table order.
-    pub(crate) fn kernel_names() -> impl Iterator<Item = &'static str> {
-        KERNEL_MIXES.iter().map(|(n, _)| *n)
     }
 
     /// Blends weighted mixes into one (weights need not sum to 1; non-
@@ -203,30 +186,6 @@ impl UopMix {
         UopMix::blend(&parts)
     }
 
-    /// The aggregate mix of a `KernelProfile` given its descriptor table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernels` is shorter than the profile (a profile always
-    /// matches the descriptor table it was collected against).
-    #[cfg(test)]
-    fn from_profile(
-        profile: &vtx_trace::kernel::KernelProfile,
-        kernels: &[vtx_trace::KernelDesc],
-    ) -> Self {
-        assert!(
-            kernels.len() >= profile.len(),
-            "kernel table shorter than profile"
-        );
-        let parts: Vec<(UopMix, f64)> = profile
-            .instructions
-            .iter()
-            .enumerate()
-            .map(|(k, insns)| (UopMix::for_kernel(kernels[k].name), *insns as f64))
-            .collect();
-        UopMix::blend(&parts)
-    }
-
     /// The pre-profiling mix for a preset speed rank (0 = ultrafast …
     /// 9 = placebo; out-of-range ranks clamp to the slowest).
     pub fn for_preset_rank(rank: usize) -> Self {
@@ -236,17 +195,6 @@ impl UopMix {
             .map(|(name, w)| (UopMix::for_kernel(name), *w))
             .collect();
         UopMix::blend(&parts)
-    }
-
-    /// Compact rendering: `alu 0.30 simd 0.15 ...` (fixed precision, stable
-    /// across runs — safe to byte-compare).
-    #[cfg(test)]
-    fn render(&self) -> String {
-        crate::layout::UopClass::ALL
-            .iter()
-            .map(|c| format!("{} {:.4}", c.name(), self.fraction(*c)))
-            .collect::<Vec<_>>()
-            .join(" ")
     }
 }
 
@@ -260,8 +208,6 @@ impl Default for UopMix {
 mod tests {
     use super::*;
     use crate::layout::UopClass;
-    use vtx_trace::kernel::KernelProfile;
-    use vtx_trace::KernelDesc;
 
     fn assert_sums_to_one(mix: &UopMix) {
         let sum: f64 = mix.fractions().iter().sum();
@@ -279,17 +225,18 @@ mod tests {
     #[test]
     fn unknown_kernel_gets_default() {
         assert_eq!(UopMix::for_kernel("not_a_kernel"), UopMix::default());
-        assert!(!UopMix::knows_kernel("not_a_kernel"));
-        assert!(UopMix::knows_kernel("satd"));
+        assert_ne!(UopMix::for_kernel("satd"), UopMix::default());
     }
 
     #[test]
     fn sad_is_simd_dominated_cabac_is_not() {
         let sad = UopMix::for_kernel("sad");
         let cabac = UopMix::for_kernel("cabac");
-        assert!(sad.fraction(UopClass::Simd) > 0.5);
-        assert!(cabac.fraction(UopClass::Simd) < 0.01);
-        assert!(cabac.fraction(UopClass::Branch) > sad.fraction(UopClass::Branch));
+        assert!(sad.fractions()[UopClass::Simd.index()] > 0.5);
+        assert!(cabac.fractions()[UopClass::Simd.index()] < 0.01);
+        assert!(
+            cabac.fractions()[UopClass::Branch.index()] > sad.fractions()[UopClass::Branch.index()]
+        );
     }
 
     #[test]
@@ -298,18 +245,8 @@ mod tests {
         let mix = UopMix::from_hotspots(&hot);
         assert_sums_to_one(&mix);
         // 90% sad: the blend must sit close to sad's SIMD share.
-        assert!(mix.fraction(UopClass::Simd) > 0.4);
+        assert!(mix.fractions()[UopClass::Simd.index()] > 0.4);
         assert_eq!(UopMix::from_hotspots(&[]), UopMix::default());
-    }
-
-    #[test]
-    fn profile_weighting_matches_hotspot_weighting() {
-        let kernels = [KernelDesc::new("sad", 1024), KernelDesc::new("cabac", 4096)];
-        let mut p = KernelProfile::new(2);
-        p.instructions = vec![900, 100];
-        let from_profile = UopMix::from_profile(&p, &kernels);
-        let from_hot = UopMix::from_hotspots(&[("sad".to_owned(), 900), ("cabac".to_owned(), 100)]);
-        assert_eq!(from_profile, from_hot);
     }
 
     #[test]
@@ -320,19 +257,12 @@ mod tests {
         assert_sums_to_one(&slow);
         // Slow presets do more SATD/trellis; rank 9 clamps out of range too.
         assert_eq!(UopMix::for_preset_rank(99), slow);
-        assert!(slow.fraction(UopClass::Mul) > fast.fraction(UopClass::Mul));
+        assert!(slow.fractions()[UopClass::Mul.index()] > fast.fractions()[UopClass::Mul.index()]);
     }
 
     #[test]
     fn zero_weights_fall_back() {
         assert_eq!(UopMix::new([0.0; NUM_CLASSES]), UopMix::default());
         assert_eq!(UopMix::blend(&[]), UopMix::default());
-    }
-
-    #[test]
-    fn render_is_fixed_width() {
-        let text = UopMix::default().render();
-        assert!(text.starts_with("alu 0.3"));
-        assert_eq!(text.split(' ').count(), NUM_CLASSES * 2);
     }
 }

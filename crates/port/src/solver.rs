@@ -38,14 +38,6 @@ pub struct ThroughputSolve {
     pub(crate) bottleneck: PortMask,
 }
 
-impl ThroughputSolve {
-    /// Whether the ports (not the dispatch width) limit throughput.
-    #[cfg(test)]
-    fn port_limited(&self, width: f64) -> bool {
-        self.bound_load > 1.0 / width + 1e-12
-    }
-}
-
 /// Finds the binding class subset: max of `f(S) / |union_ports(S)|`.
 /// Returns `(load, subset, ports)`. Classes with zero flow are skipped so
 /// an unserved-but-unused class does not poison the solve.
@@ -231,7 +223,10 @@ mod tests {
         // Alu spreads over 3 ports; at width 2 the width binds first.
         let s = solve(&l, &mix_of(&[(UopClass::Alu, 1.0)]), 2.0).unwrap();
         assert!((s.uops_per_cycle - 2.0).abs() < 1e-9);
-        assert!(!s.port_limited(2.0));
+        assert!(
+            s.bound_load <= 1.0 / 2.0 + 1e-12,
+            "the width binds, not the ports"
+        );
         // Utilization: 2 uops/cycle over 3 ports = 2/3 each.
         assert!((s.utilization[0] - 2.0 / 3.0).abs() < 1e-9);
     }
@@ -301,7 +296,7 @@ mod tests {
                 }
                 // Bottleneck ports saturate (utilization 1) whenever the
                 // ports, not the width, bind.
-                if s.port_limited(4.0) {
+                if s.bound_load > 1.0 / 4.0 + 1e-12 {
                     let p = s.bottleneck.trailing_zeros() as usize;
                     assert!((s.utilization[p] - 1.0).abs() < 1e-6);
                 }

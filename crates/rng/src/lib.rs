@@ -8,7 +8,7 @@
 //!   cheap independent streams via [`derive()`], which the serving cost model
 //!   uses to make per-(job, server) service noise a pure function of
 //!   `(seed, job, server)` rather than of the order in which a policy
-//!   happens to probe pairs. Fault plans and port inference use it too.
+//!   happens to probe pairs. Fault plans use it too.
 //! - [`Xoshiro256pp`]: the clip synthesizer's generator, seeded through
 //!   SplitMix64. Its stream and range arithmetic are what every pinned
 //!   digest under `perf/baseline/` was recorded with.

@@ -7,25 +7,18 @@
 //! slots it loses to that category. The share estimates come either from a
 //! cheap baseline profiling run (`benefit_from_topdown`) or, when no
 //! profile is available, from the parameter-trend model the paper's heatmaps
-//! establish (`predict_topdown`). `port_informed_benefit`, compiled only
-//! for tests so far, layers the issue-port execution model (`vtx-port`) on
-//! top: a kernel mix that saturates the SIMD ports gains extra from the
-//! core-widened `be_op2` column, which category shares alone cannot see.
+//! establish (`predict_topdown`).
 //!
 //! # Degenerate inputs
 //!
 //! Every predictor here is total — the scheduler calls them on whatever it
 //! has — so the edge cases are contracts, not accidents:
 //!
-//! * **Empty kernel profile**: `port_informed_benefit` with no hotspots
-//!   falls back to the default (scalar-control) uop mix and still returns a
-//!   finite, non-negative benefit vector — it degrades to
-//!   [`benefit_from_characterization`] plus the default mix's port relief.
 //! * **Single-server fleet**: a fleet with one server means one column in
 //!   the assignment matrices. The one-to-one Hungarian path accepts the
 //!   1×1 case (the only possible assignment) and rejects over-subscription
-//!   (more tasks than servers) with a typed error, never a panic — batching
-//!   the surplus is the caller's job (`batch` / the serving queue).
+//!   (more tasks than servers) with a typed error, never a panic — queueing
+//!   the surplus is the caller's job (the serving queue).
 //! * **All-zero Top-down shares**: benefit vectors come out all-zero, never
 //!   NaN; an argmax over them picks the first configuration
 //!   deterministically.
@@ -117,40 +110,6 @@ pub fn predict_benefit(task: &TranscodeTask, entropy: f64) -> [f64; 4] {
     benefit_from_topdown(&predict_topdown(task, entropy))
 }
 
-/// Port-informed benefit: [`benefit_from_characterization`] plus, per
-/// configuration, the issue-port relief the config's port layout offers the
-/// task's own uop mix.
-///
-/// The mix comes from the task's profiled hotspots (empty profile → default
-/// mix, see the module docs). For each Table IV column the port model
-/// computes the sustainable issue rate of that mix; the relative gain over
-/// the baseline layout — nonzero only for the core-widened `be_op2`, whose
-/// seventh port relieves SIMD pressure — is scaled by the task's core-bound
-/// share, since port relief only helps code that actually waits on ports.
-#[cfg(test)]
-fn port_informed_benefit(
-    td: &TopDown,
-    l2_mpki: f64,
-    l3_mpki: f64,
-    hotspots: &[(String, u64)],
-) -> [f64; 4] {
-    use vtx_port::{dispatch_bound, UopMix};
-    use vtx_uarch::config::UarchConfig;
-
-    let mut benefit = benefit_from_characterization(td, l2_mpki, l3_mpki);
-    let mix = UopMix::from_hotspots(hotspots);
-    let Ok(base_bound) = dispatch_bound(&UarchConfig::baseline(), &mix) else {
-        return benefit;
-    };
-    for (b, cfg) in benefit.iter_mut().zip(UarchConfig::modified_configs()) {
-        if let Ok(bound) = dispatch_bound(&cfg, &mix) {
-            let relief = ((bound - base_bound) / base_bound.max(f64::MIN_POSITIVE)).max(0.0);
-            *b += relief * td.backend_core;
-        }
-    }
-    benefit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,48 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn port_informed_boosts_be_op2_for_simd_mixes() {
-        let core_bound = TopDown {
-            retiring: 0.35,
-            frontend: 0.05,
-            bad_speculation: 0.05,
-            backend_memory: 0.15,
-            backend_core: 0.4,
-        };
-        let simd_hot = vec![("satd".to_owned(), 800_000u64), ("sad".to_owned(), 200_000)];
-        let plain = benefit_from_characterization(&core_bound, 1.0, 0.2);
-        let ported = port_informed_benefit(&core_bound, 1.0, 0.2, &simd_hot);
-        // The seventh port of be_op2 relieves SIMD pressure: only its entry
-        // grows; the other columns share the baseline layout.
-        let be_op2 = CONFIG_NAMES.iter().position(|n| *n == "be_op2").unwrap();
-        for i in 0..4 {
-            if i == be_op2 {
-                assert!(ported[i] > plain[i], "{ported:?} vs {plain:?}");
-            } else {
-                assert!((ported[i] - plain[i]).abs() < 1e-12, "{}", CONFIG_NAMES[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_kernel_profile_degrades_gracefully() {
-        let td = TopDown {
-            retiring: 0.5,
-            frontend: 0.1,
-            bad_speculation: 0.05,
-            backend_memory: 0.25,
-            backend_core: 0.1,
-        };
-        let b = port_informed_benefit(&td, 2.0, 0.5, &[]);
-        let plain = benefit_from_characterization(&td, 2.0, 0.5);
-        for (i, v) in b.iter().enumerate() {
-            assert!(v.is_finite() && *v >= 0.0, "{b:?}");
-            // The default mix's relief can only add benefit, never remove.
-            assert!(*v >= plain[i] - 1e-12);
-        }
-    }
-
-    #[test]
     fn all_zero_topdown_yields_all_zero_benefit() {
         let td = TopDown {
             retiring: 0.0,
@@ -278,7 +195,8 @@ mod tests {
             backend_memory: 0.0,
             backend_core: 0.0,
         };
-        for v in port_informed_benefit(&td, 0.0, 0.0, &[]) {
+        let characterized = benefit_from_characterization(&td, 0.0, 0.0);
+        for v in characterized.into_iter().chain(benefit_from_topdown(&td)) {
             assert_eq!(v, 0.0);
         }
     }

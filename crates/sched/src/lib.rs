@@ -19,8 +19,6 @@
 
 pub mod affinity;
 pub mod auction;
-#[cfg(test)]
-mod batch;
 mod error;
 pub mod hungarian;
 pub mod scheduler;

@@ -310,10 +310,7 @@ impl ChaosConfig {
     pub fn hedged_kill_two_straggle_one(seed: u64, servers: usize, horizon_us: u64) -> Self {
         ChaosConfig {
             hedge_after: 0.5,
-            degrade: DegradeConfig {
-                enabled: true,
-                ..DegradeConfig::default()
-            },
+            degrade: DegradeConfig { enabled: true },
             ..ChaosConfig::kill_two_straggle_one(seed, servers, horizon_us)
         }
     }
@@ -338,10 +335,7 @@ mod tests {
         };
         assert!(c.enabled());
         let c = ChaosConfig {
-            degrade: DegradeConfig {
-                enabled: true,
-                ..DegradeConfig::default()
-            },
+            degrade: DegradeConfig { enabled: true },
             ..ChaosConfig::default()
         };
         assert!(c.enabled());

@@ -25,7 +25,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use vtx_core::{TranscodeOptions, Transcoder};
-use vtx_frame::{synth, vbench, Video};
+use vtx_frame::{synth, Video};
 use vtx_telemetry::Span;
 
 use crate::cost::CostModel;
@@ -35,7 +35,7 @@ use crate::fleet::Fleet;
 use crate::inflight::{Outcome, Started};
 use crate::policy::DispatchPolicy;
 use crate::queue::PendingJob;
-use crate::segment::SegmentPlan;
+use crate::segment::{thumbnail_spec, SegmentPlan};
 use crate::service::{ServeConfig, ServiceCore};
 use crate::sim::SimOutcome;
 use crate::workload::{JobSpec, WorkloadSpec};
@@ -49,11 +49,6 @@ pub struct ExecConfig {
     /// quickly; deadline and timeout *budgets* (relative to arrival) are
     /// preserved. 1 = real time.
     pub arrival_compression: u64,
-    /// Shrink inputs to thumbnail size (64×48×6 frames) so a smoke run
-    /// finishes in seconds. Production-shaped runs set this to `false`.
-    pub tiny_videos: bool,
-    /// Profiler sampling shift for the transcodes (higher = faster).
-    pub sample_shift: u32,
 }
 
 impl Default for ExecConfig {
@@ -61,11 +56,12 @@ impl Default for ExecConfig {
         ExecConfig {
             serve: ServeConfig::default(),
             arrival_compression: 1,
-            tiny_videos: true,
-            sample_shift: 4,
         }
     }
 }
+
+/// Profiler sampling shift for the workers' transcodes (higher = faster).
+const SAMPLE_SHIFT: u32 = 4;
 
 /// Rescales arrivals in place, keeping per-job deadline/timeout budgets.
 fn compress_arrivals(jobs: &mut [JobSpec], divisor: u64) {
@@ -117,9 +113,9 @@ fn run_real_trace(
 /// rung. The plan fills the four per-unit tables of the config
 /// ([`SegmentPlan::fill_unit_tables`]): true service times scale to the
 /// unit's frame share, and rung, segment and artifact size key the cache
-/// and the per-rung accounting as in the simulator. Clip geometry follows
-/// the plan's `tiny` flag (not [`ExecConfig::tiny_videos`]) so the slice
-/// boundaries match the plan's cut points.
+/// and the per-rung accounting as in the simulator. Clips are synthesized
+/// at the plan's thumbnail geometry, so the slice boundaries match its cut
+/// points.
 ///
 /// # Errors
 ///
@@ -138,14 +134,14 @@ pub fn run_real_segmented(
     run_real_inner(&jobs, seed, fleet, policy, &cfg, Some(plan))
 }
 
-/// Builds the worker transcoder pool. Whole-clip runs get one mezzanine
-/// per distinct video keyed by name; segmented runs get one per distinct
-/// (video, segment) slice keyed `"{video}#{seg}"`, cut from the same
-/// seeded synthesis the plan's packaging path uses.
+/// Builds the worker transcoder pool, every clip at thumbnail geometry
+/// (`thumbnail_spec`) so a run finishes in seconds. Whole-clip runs get
+/// one mezzanine per distinct video keyed by name; segmented runs get one
+/// per distinct (video, segment) slice keyed `"{video}#{seg}"`, cut from
+/// the same seeded synthesis the plan's packaging path uses.
 fn build_pool(
     jobs: &[JobSpec],
     seed: u64,
-    cfg: &ExecConfig,
     seg: Option<&SegmentPlan>,
 ) -> Result<BTreeMap<String, Transcoder>, ServeError> {
     let mut transcoders: BTreeMap<String, Transcoder> = BTreeMap::new();
@@ -153,16 +149,7 @@ fn build_pool(
         let mut fulls: BTreeMap<&str, Video> = BTreeMap::new();
         for p in &plan.parents {
             if !fulls.contains_key(&*p.video) {
-                let mut spec =
-                    vbench::by_name(&p.video).ok_or_else(|| ServeError::UnknownVideo {
-                        name: p.video.to_string(),
-                    })?;
-                if plan.tiny {
-                    spec.sim_width = 64;
-                    spec.sim_height = 48;
-                    spec.sim_frames = 6;
-                }
-                fulls.insert(&p.video, synth::generate(&spec, seed));
+                fulls.insert(&p.video, synth::generate(&thumbnail_spec(&p.video)?, seed));
             }
             let full = &fulls[&*p.video];
             for (si, &start) in p.points.iter().enumerate() {
@@ -183,14 +170,7 @@ fn build_pool(
         if transcoders.contains_key(&*j.task.video) {
             continue;
         }
-        let mut spec = vbench::by_name(&j.task.video).ok_or_else(|| ServeError::UnknownVideo {
-            name: j.task.video.to_string(),
-        })?;
-        if cfg.tiny_videos {
-            spec.sim_width = 64;
-            spec.sim_height = 48;
-            spec.sim_frames = 6;
-        }
+        let spec = thumbnail_spec(&j.task.video)?;
         let t = Transcoder::from_video(synth::generate(&spec, seed))?;
         transcoders.insert(j.task.video.to_string(), t);
     }
@@ -279,7 +259,7 @@ fn run_real_inner(
         a.u64("seed", seed);
     });
 
-    let pool = &build_pool(jobs, seed, cfg, seg)?;
+    let pool = &build_pool(jobs, seed, seg)?;
     // Segment index per dense unit id; `None` = whole-clip pool keys.
     let seg_of: &Option<Vec<u32>> =
         &seg.map(|plan| plan.meta.iter().map(|m| m.seg as u32).collect());
@@ -305,8 +285,7 @@ fn run_real_inner(
                         // verdict recovers the job.
                         break;
                     }
-                    let opts =
-                        TranscodeOptions::on(uarch.clone()).with_sample_shift(cfg.sample_shift);
+                    let opts = TranscodeOptions::on(uarch.clone()).with_sample_shift(SAMPLE_SHIFT);
                     let work_start = start.elapsed().as_micros() as u64;
                     let key = match seg_of {
                         Some(m) => format!("{}#{}", job.spec.task.video, m[job.spec.id as usize]),

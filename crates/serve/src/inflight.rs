@@ -236,7 +236,8 @@ impl InFlight {
         now_us: u64,
         started: &mut Vec<Started>,
     ) {
-        for server in core.closed_breakers(now_us) {
+        core.close_breakers(now_us);
+        for &server in core.closed_breakers() {
             self.settle(core, server, now_us);
         }
         let mut picks = std::mem::take(&mut self.picks);
@@ -388,9 +389,8 @@ mod tests {
         }
     }
 
-    /// Table IV under `smart` with a generous retry budget.
-    fn machine(mut cfg: ServeConfig) -> (ServiceCore, InFlight) {
-        cfg.max_retries = 5;
+    /// Table IV under `smart`.
+    fn machine(cfg: ServeConfig) -> (ServiceCore, InFlight) {
         let policy = Box::new(SmartPolicy::new());
         let core = ServiceCore::new(cfg, Fleet::table_iv(), CostModel::new(7), policy);
         let flight = InFlight::new(&core);

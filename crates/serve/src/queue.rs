@@ -154,20 +154,8 @@ impl ShedReason {
     }
 }
 
-/// Queue sizing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueueConfig {
-    /// Per-class capacity, [`Priority::ALL`] order.
-    pub per_class_cap: [usize; 3],
-}
-
-impl Default for QueueConfig {
-    fn default() -> Self {
-        QueueConfig {
-            per_class_cap: [16, 32, 64],
-        }
-    }
-}
+/// Per-class queue capacity, [`Priority::ALL`] order.
+pub(crate) const PER_CLASS_CAP: [usize; 3] = [16, 32, 64];
 
 /// A job waiting in (or flowing through) the service: the immutable spec
 /// plus its service history so far.
@@ -207,7 +195,8 @@ pub(crate) fn recycle<'b>(mut buf: Vec<&PendingJob>) -> Vec<&'b PendingJob> {
 #[derive(Debug, Clone)]
 pub(crate) struct AdmissionQueue {
     classes: [ClassQueue; 3],
-    cfg: QueueConfig,
+    /// Per-class capacity, [`Priority::ALL`] order.
+    caps: [usize; 3],
     /// Ladder rung per job id (0 = `hi`) on segmented runs; empty on
     /// whole-clip runs. Switches displacement from job-granular newest-
     /// first to unit-granular rung-ordered (see [`ClassQueue::pop_victim`]).
@@ -215,11 +204,16 @@ pub(crate) struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
-    /// Creates an empty queue with the given sizing.
-    pub(crate) fn new(cfg: QueueConfig) -> Self {
+    /// Creates an empty queue of [`PER_CLASS_CAP`] capacity.
+    pub(crate) fn new() -> Self {
+        Self::with_caps(PER_CLASS_CAP)
+    }
+
+    /// Creates an empty queue with per-class capacity `caps`.
+    pub(crate) fn with_caps(caps: [usize; 3]) -> Self {
         AdmissionQueue {
-            classes: cfg.per_class_cap.map(ClassQueue::new),
-            cfg,
+            classes: caps.map(ClassQueue::new),
+            caps,
             rungs: Vec::new(),
         }
     }
@@ -267,7 +261,7 @@ impl AdmissionQueue {
     /// batch arrivals outright (pure backpressure).
     pub(crate) fn offer(&mut self, job: PendingJob) -> Admission {
         let k = job.spec.priority.index();
-        if self.classes[k].len() < self.cfg.per_class_cap[k] {
+        if self.classes[k].len() < self.caps[k] {
             self.classes[k].insert_back(job);
             return Admission::Admitted;
         }
@@ -286,7 +280,7 @@ impl AdmissionQueue {
     /// Capacity and displacement rules are identical to [`Self::offer`].
     pub(crate) fn offer_front(&mut self, job: PendingJob) -> Admission {
         let k = job.spec.priority.index();
-        if self.classes[k].len() < self.cfg.per_class_cap[k] {
+        if self.classes[k].len() < self.caps[k] {
             self.classes[k].insert_front(job);
             return Admission::Admitted;
         }
@@ -368,9 +362,7 @@ mod tests {
     }
 
     fn tiny() -> AdmissionQueue {
-        AdmissionQueue::new(QueueConfig {
-            per_class_cap: [1, 1, 1],
-        })
+        AdmissionQueue::with_caps([1, 1, 1])
     }
 
     #[test]
@@ -400,9 +392,7 @@ mod tests {
 
     #[test]
     fn rung_table_makes_displacement_rung_ordered() {
-        let mut q = AdmissionQueue::new(QueueConfig {
-            per_class_cap: [1, 1, 4],
-        });
+        let mut q = AdmissionQueue::with_caps([1, 1, 4]);
         // Unit rungs by job id: 0→mid, 1→hi, 2→lo, 3→hi.
         q.set_rung_table(vec![1, 0, 2, 0]);
         for id in 0..4 {
@@ -434,7 +424,7 @@ mod tests {
 
     #[test]
     fn drop_expired_removes_only_past_deadline() {
-        let mut q = AdmissionQueue::new(QueueConfig::default());
+        let mut q = AdmissionQueue::new();
         q.offer(job(0, Priority::Standard, 50));
         q.offer(job(1, Priority::Standard, 150));
         let dropped = q.drop_expired(100);
@@ -445,7 +435,7 @@ mod tests {
 
     #[test]
     fn candidates_are_priority_then_edf_ordered() {
-        let mut q = AdmissionQueue::new(QueueConfig::default());
+        let mut q = AdmissionQueue::new();
         q.offer(job(0, Priority::Batch, 10));
         q.offer(job(1, Priority::Interactive, 500));
         q.offer(job(2, Priority::Standard, 50));
@@ -456,7 +446,7 @@ mod tests {
 
     #[test]
     fn offer_front_jumps_the_class_line() {
-        let mut q = AdmissionQueue::new(QueueConfig::default());
+        let mut q = AdmissionQueue::new();
         q.offer(job(0, Priority::Standard, 100));
         q.offer_front(job(1, Priority::Standard, 100));
         // Same deadline: candidates tie-break by id, so check raw order via
@@ -488,7 +478,7 @@ mod tests {
 
     #[test]
     fn drain_all_empties_every_class() {
-        let mut q = AdmissionQueue::new(QueueConfig::default());
+        let mut q = AdmissionQueue::new();
         q.offer(job(0, Priority::Batch, 100));
         q.offer(job(1, Priority::Interactive, 100));
         q.offer(job(2, Priority::Standard, 100));
@@ -501,7 +491,7 @@ mod tests {
 
     #[test]
     fn take_removes_by_id() {
-        let mut q = AdmissionQueue::new(QueueConfig::default());
+        let mut q = AdmissionQueue::new();
         q.offer(job(7, Priority::Batch, 100));
         assert!(q.take(8).is_none());
         assert_eq!(q.take(7).unwrap().spec.id, 7);
@@ -573,7 +563,7 @@ mod tests {
 
     #[test]
     fn the_flat_queue_equals_the_reference_on_random_sequences() {
-        for caps in [[1, 1, 1], [2, 2, 2], QueueConfig::default().per_class_cap] {
+        for caps in [[1, 1, 1], [2, 2, 2], PER_CLASS_CAP] {
             for with_rungs in [false, true] {
                 for seed in 0..20u64 {
                     let mut rng = vtx_rng::SplitMix64::new(seed);
@@ -583,9 +573,7 @@ mod tests {
                     } else {
                         Vec::new()
                     };
-                    let mut q = AdmissionQueue::new(QueueConfig {
-                        per_class_cap: caps,
-                    });
+                    let mut q = AdmissionQueue::with_caps(caps);
                     q.set_rung_table(rungs.clone());
                     let mut r = Reference {
                         classes: Default::default(),

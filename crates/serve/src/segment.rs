@@ -46,23 +46,8 @@ pub struct SegmentOptions {
     /// Target segment duration in milliseconds (cut points land on whole
     /// GOPs of `fps * target_ms / 1000` frames).
     pub target_ms: u32,
-    /// The ABR ladder every segment fans out across.
+    /// The ABR ladder every segment of every parent fans out across.
     pub ladder: Ladder,
-    /// Use thumbnail geometry (64×48×6 frames), matching the real
-    /// executor's smoke mode. Production-shaped plans set this to `false`.
-    pub tiny: bool,
-    /// Rung indices live (interactive) parents fan across — a trimmed
-    /// per-class ladder, since a live edge serves fewer renditions than a
-    /// VOD packaging job. Empty (the default) fans every parent across
-    /// the full ladder; out-of-range indices are ignored.
-    pub live_rungs: Vec<usize>,
-    /// Stagger unit deadlines by rung so low rungs ship first: with `n`
-    /// rungs, the unit for rung position `i` (0 = `hi`) gets
-    /// `budget × (n − i) / n` of the parent's deadline budget. The lowest
-    /// rung then has the earliest deadline, so EDF admission drains it
-    /// first and a degraded manifest has something to serve. `false` (the
-    /// default) keeps every unit on the parent's deadline.
-    pub rung_deadlines: bool,
 }
 
 impl Default for SegmentOptions {
@@ -70,9 +55,6 @@ impl Default for SegmentOptions {
         SegmentOptions {
             target_ms: 2_000,
             ladder: Ladder::standard(),
-            tiny: true,
-            live_rungs: Vec::new(),
-            rung_deadlines: false,
         }
     }
 }
@@ -96,9 +78,6 @@ pub struct ParentInfo {
     pub(crate) fps: u32,
     /// Segment start frames (`[0, g, 2g, …]`).
     pub(crate) points: Vec<u32>,
-    /// Ladder rung indices this parent fans across (trimmed for live
-    /// parents when [`SegmentOptions::live_rungs`] is set).
-    pub(crate) rungs: Vec<usize>,
 }
 
 /// Where one dispatch unit sits in the (parent, segment, rung) grid.
@@ -135,17 +114,17 @@ pub struct SegmentPlan {
     pub ladder: Ladder,
     /// Target segment duration the cut points were derived from.
     pub target_ms: u32,
-    /// Whether plan geometry is thumbnail-sized.
-    pub(crate) tiny: bool,
 }
 
 impl SegmentPlan {
     /// Decomposes catalog jobs into per-(segment, rung) dispatch units.
     ///
-    /// Units inherit the parent's arrival, priority, deadline and timeout;
-    /// the task swaps in the rung's preset and CRF (refs stay the
-    /// parent's). Unit ids are dense positions in the returned trace, so
-    /// the expanded plan is itself a valid workload for both drivers.
+    /// Every parent fans out across the whole ladder at thumbnail geometry
+    /// (`thumbnail_spec`). Units inherit the parent's arrival, priority,
+    /// deadline and timeout; the task swaps in the rung's preset and CRF
+    /// (refs stay the parent's). Unit ids are dense positions in the
+    /// returned trace, so the expanded plan is itself a valid workload for
+    /// both drivers.
     ///
     /// # Errors
     ///
@@ -158,18 +137,6 @@ impl SegmentPlan {
         if opts.ladder.rungs.is_empty() {
             return Err(ServeError::EmptyWorkload);
         }
-        let all_rungs: Vec<usize> = (0..opts.ladder.rungs.len()).collect();
-        let mut live_rungs: Vec<usize> = opts
-            .live_rungs
-            .iter()
-            .copied()
-            .filter(|&ri| ri < opts.ladder.rungs.len())
-            .collect();
-        live_rungs.sort_unstable();
-        live_rungs.dedup();
-        if live_rungs.is_empty() {
-            live_rungs = all_rungs.clone();
-        }
         let mut infos = Vec::with_capacity(parents.len());
         let mut meta = Vec::new();
         let mut units = Vec::new();
@@ -181,28 +148,15 @@ impl SegmentPlan {
             let (video, spec) = match known {
                 Some(k) => &resolved[k],
                 None => {
-                    resolved.push((p.task.video.clone(), plan_spec(&p.task.video, opts.tiny)?));
+                    resolved.push((p.task.video.clone(), thumbnail_spec(&p.task.video)?));
                     resolved.last().expect("just pushed")
                 }
             };
             let frames = spec.sim_frames;
             let points = segment_points(frames, spec.fps, opts.target_ms);
-            let rungs = if p.priority == crate::workload::Priority::Interactive {
-                live_rungs.clone()
-            } else {
-                all_rungs.clone()
-            };
             for (si, &start) in points.iter().enumerate() {
                 let end = points.get(si + 1).copied().unwrap_or(frames);
-                for (pos, &ri) in rungs.iter().enumerate() {
-                    let rung = &opts.ladder.rungs[ri];
-                    let deadline_us = if opts.rung_deadlines {
-                        let budget = p.deadline_us.saturating_sub(p.arrival_us);
-                        let n = rungs.len() as u64;
-                        p.arrival_us + budget * (n - pos as u64) / n
-                    } else {
-                        p.deadline_us
-                    };
+                for (ri, rung) in opts.ladder.rungs.iter().enumerate() {
                     units.push(JobSpec {
                         id: units.len() as u64,
                         arrival_us: p.arrival_us,
@@ -213,7 +167,7 @@ impl SegmentPlan {
                             preset: rung.preset,
                         },
                         priority: p.priority,
-                        deadline_us,
+                        deadline_us: p.deadline_us,
                         timeout_us: p.timeout_us,
                     });
                     meta.push(UnitMeta {
@@ -236,7 +190,6 @@ impl SegmentPlan {
                 frames,
                 fps: spec.fps,
                 points,
-                rungs,
             });
         }
         Ok(SegmentPlan {
@@ -245,7 +198,6 @@ impl SegmentPlan {
             units,
             ladder: opts.ladder.clone(),
             target_ms: opts.target_ms,
-            tiny: opts.tiny,
         })
     }
 
@@ -321,10 +273,11 @@ impl SegmentPlan {
     /// jobs whose manifest is assemblable.
     pub fn complete_parents(&self, log: &[EventRecord]) -> Vec<usize> {
         let done = self.completed_units(log);
+        let rungs = self.ladder.rungs.len() as u64;
         let mut left: Vec<u64> = self
             .parents
             .iter()
-            .map(|p| p.points.len() as u64 * p.rungs.len() as u64)
+            .map(|p| p.points.len() as u64 * rungs)
             .collect();
         for &id in &done {
             left[self.meta[id as usize].parent] -= 1;
@@ -360,11 +313,9 @@ impl SegmentPlan {
             }
         }
         let complete = self.rungs_complete(&done);
-        let degraded = self
-            .parents
+        let degraded = complete
             .iter()
-            .zip(&complete)
-            .filter(|(p, c)| !c.is_empty() && c.len() < p.rungs.len())
+            .filter(|c| !c.is_empty() && c.len() < self.ladder.rungs.len())
             .count() as u64;
         SegmentStats {
             parents: self.parents.len() as u64,
@@ -379,29 +330,17 @@ impl SegmentPlan {
 
     /// Per-parent list of rung indices whose every segment unit completed.
     fn rungs_complete(&self, done: &BTreeSet<u64>) -> Vec<Vec<usize>> {
-        let mut left: Vec<BTreeMap<usize, u64>> = self
+        let mut left: Vec<Vec<u64>> = self
             .parents
             .iter()
-            .map(|p| {
-                p.rungs
-                    .iter()
-                    .map(|&ri| (ri, p.points.len() as u64))
-                    .collect()
-            })
+            .map(|p| vec![p.points.len() as u64; self.ladder.rungs.len()])
             .collect();
         for &id in done {
             let m = &self.meta[id as usize];
-            if let Some(l) = left[m.parent].get_mut(&m.rung) {
-                *l -= 1;
-            }
+            left[m.parent][m.rung] -= 1;
         }
         left.into_iter()
-            .map(|map| {
-                map.into_iter()
-                    .filter(|&(_, l)| l == 0)
-                    .map(|(ri, _)| ri)
-                    .collect()
-            })
+            .map(|rungs| (0..rungs.len()).filter(|&ri| rungs[ri] == 0).collect())
             .collect()
     }
 
@@ -426,10 +365,9 @@ impl SegmentPlan {
             let p = &self.parents[pi];
             out.push((
                 format!("job{}/master.m3u8", p.id),
-                manifest::render_master(&master_playlist(&self.sub_ladder(&p.rungs))),
+                manifest::render_master(&master_playlist(&self.ladder)),
             ));
-            for &ri in &p.rungs {
-                let rung = &self.ladder.rungs[ri];
+            for rung in &self.ladder.rungs {
                 out.push((
                     format!("job{}/{}/media.m3u8", p.id, rung.name),
                     manifest::render_media(&media_playlist(&rung.name, &p.points, p.frames, p.fps)),
@@ -455,7 +393,7 @@ impl SegmentPlan {
                 continue;
             }
             let master = master_playlist(&self.sub_ladder(rungs));
-            let body = if rungs.len() == p.rungs.len() {
+            let body = if rungs.len() == self.ladder.rungs.len() {
                 manifest::render_master(&master)
             } else {
                 manifest::render_master_degraded(&master)
@@ -500,7 +438,7 @@ impl SegmentPlan {
                 continue;
             }
             if !videos.contains_key(&*p.video) {
-                let spec = plan_spec(&p.video, self.tiny)?;
+                let spec = thumbnail_spec(&p.video)?;
                 videos.insert(&p.video, synth::generate(&spec, seed));
             }
             for &ri in rungs {
@@ -546,16 +484,16 @@ impl SegmentPlan {
     }
 }
 
-/// Resolves a catalog video to the geometry the plan runs at.
-fn plan_spec(video: &str, tiny: bool) -> Result<VideoSpec, ServeError> {
+/// Resolves a catalog video at thumbnail geometry (64×48, 6 frames): the
+/// size every segment plan and every real-executor transcode runs at, so a
+/// run finishes in seconds.
+pub(crate) fn thumbnail_spec(video: &str) -> Result<VideoSpec, ServeError> {
     let mut spec = vbench::by_name(video).ok_or_else(|| ServeError::UnknownVideo {
         name: video.to_string(),
     })?;
-    if tiny {
-        spec.sim_width = 64;
-        spec.sim_height = 48;
-        spec.sim_frames = 6;
-    }
+    spec.sim_width = 64;
+    spec.sim_height = 48;
+    spec.sim_frames = 6;
     Ok(spec)
 }
 
@@ -645,24 +583,19 @@ mod tests {
 
     #[test]
     fn unit_bytes_come_from_the_geometry_expand_resolved() {
-        for tiny in [true, false] {
-            let opts = SegmentOptions {
-                tiny,
-                ..SegmentOptions::default()
-            };
-            let plan =
-                SegmentPlan::expand(&[parent(0, "desktop"), parent(1, "cat")], &opts).unwrap();
-            let bytes = plan.unit_bytes().unwrap();
-            for (m, &b) in plan.meta.iter().zip(&bytes) {
-                let spec = plan_spec(&plan.parents[m.parent].video, tiny).unwrap();
-                let raw = u64::from(m.frames)
-                    * u64::from(spec.sim_width)
-                    * u64::from(spec.sim_height)
-                    * 3
+        let plan = SegmentPlan::expand(
+            &[parent(0, "desktop"), parent(1, "cat")],
+            &SegmentOptions::default(),
+        )
+        .unwrap();
+        let bytes = plan.unit_bytes().unwrap();
+        for (m, &b) in plan.meta.iter().zip(&bytes) {
+            let spec = thumbnail_spec(&plan.parents[m.parent].video).unwrap();
+            let raw =
+                u64::from(m.frames) * u64::from(spec.sim_width) * u64::from(spec.sim_height) * 3
                     / 2;
-                let crf = u64::from(plan.ladder.rungs[m.rung].crf);
-                assert_eq!(b, (raw / (crf + 4)).max(1));
-            }
+            let crf = u64::from(plan.ladder.rungs[m.rung].crf);
+            assert_eq!(b, (raw / (crf + 4)).max(1));
         }
         let err = SegmentPlan::expand(&[parent(0, "nope")], &SegmentOptions::default());
         assert!(matches!(err, Err(ServeError::UnknownVideo { .. })));
@@ -698,146 +631,6 @@ mod tests {
         assert!(m.iter().all(|(p, _)| p.starts_with("job0/")));
         assert_eq!(m.len(), 1 + plan.ladder.rungs.len());
         assert!(m[0].0.ends_with("master.m3u8"));
-    }
-
-    #[test]
-    fn live_rungs_trim_interactive_parents() {
-        let mut live = parent(0, "desktop");
-        live.priority = Priority::Interactive;
-        let vod = parent(1, "desktop");
-        let opts = SegmentOptions {
-            target_ms: 100,
-            live_rungs: vec![1, 2, 99], // out-of-range index ignored
-            ..SegmentOptions::default()
-        };
-        let plan = SegmentPlan::expand(&[live, vod], &opts).unwrap();
-        assert_eq!(plan.parents[0].rungs, vec![1, 2]);
-        assert_eq!(plan.parents[1].rungs, vec![0, 1, 2]);
-        // The live parent's units never reference the trimmed rung 0.
-        for (u, m) in plan.units.iter().zip(&plan.meta) {
-            if m.parent == 0 {
-                assert!(m.rung >= 1, "live unit on trimmed rung");
-                assert_eq!(u.task.crf, plan.ladder.rungs[m.rung].crf);
-            }
-        }
-        // A clean run completes everything: manifests list only the
-        // trimmed ladder for the live parent and nothing is degraded.
-        let log: Vec<EventRecord> = plan
-            .units
-            .iter()
-            .map(|u| EventRecord::Complete {
-                t: 1,
-                id: u.id,
-                server: 0,
-                sojourn_us: 1,
-                violation: false,
-            })
-            .collect();
-        let s = plan.stats(&log);
-        assert_eq!(s.parents_complete, 2);
-        assert_eq!(s.parents_degraded, 0);
-        let masters: Vec<String> = plan
-            .manifests(&log)
-            .into_iter()
-            .filter(|(p, _)| p.ends_with("master.m3u8"))
-            .map(|(_, b)| b)
-            .collect();
-        assert!(!masters[0].contains("NAME=\"hi\""), "live master trimmed");
-        assert!(masters[1].contains("NAME=\"hi\""), "vod master full");
-    }
-
-    #[test]
-    fn rung_deadlines_ship_low_rungs_first() {
-        let opts = SegmentOptions {
-            target_ms: 100,
-            rung_deadlines: true,
-            ..SegmentOptions::default()
-        };
-        let plan = SegmentPlan::expand(&[parent(3, "cat")], &opts).unwrap();
-        for (u, m) in plan.units.iter().zip(&plan.meta) {
-            let p = &plan.parents[m.parent];
-            let budget = 5_000_000u64;
-            let n = p.rungs.len() as u64;
-            let expect = u.arrival_us + budget * (n - m.rung as u64) / n;
-            assert_eq!(u.deadline_us, expect);
-        }
-        // Within a segment, the lowest rung has the earliest deadline.
-        let seg0: Vec<&JobSpec> = plan
-            .units
-            .iter()
-            .zip(&plan.meta)
-            .filter(|(_, m)| m.seg == 0)
-            .map(|(u, _)| u)
-            .collect();
-        assert!(seg0[0].deadline_us > seg0[2].deadline_us, "hi after lo");
-    }
-
-    #[test]
-    fn low_rungs_complete_first_under_pressure() {
-        // A plan sized for 8 servers squeezed onto 2: the queue stays deep,
-        // so EDF dispatch — not displacement — decides what ships. With
-        // rung-staggered deadlines the lowest rung holds the earliest
-        // deadline, so it must finish earlier than the top rung.
-        let parents: Vec<JobSpec> = (0..10)
-            .map(|i| parent(i, if i % 2 == 0 { "desktop" } else { "cat" }))
-            .collect();
-        let opts = SegmentOptions {
-            target_ms: 100,
-            rung_deadlines: true,
-            ..SegmentOptions::default()
-        };
-        let plan = SegmentPlan::expand(&parents, &opts).unwrap();
-        let cfg = ServeConfig {
-            unit_frames: plan.unit_frames(),
-            ..ServeConfig::default()
-        };
-        let out = simulate_trace(
-            &plan.units,
-            42,
-            Fleet::sized(2).unwrap(),
-            policy_by_name("smart", 42).unwrap(),
-            cfg,
-        )
-        .unwrap();
-        let n_rungs = plan.ladder.rungs.len();
-        let lo = n_rungs - 1;
-        let completions: Vec<(u64, usize)> = out
-            .event_log
-            .iter()
-            .filter_map(|e| match e {
-                EventRecord::Complete { t, id, .. } => Some((*t, plan.meta[*id as usize].rung)),
-                _ => None,
-            })
-            .collect();
-        let done = |rung: usize| completions.iter().filter(|&&(_, r)| r == rung).count();
-        assert!(done(lo) > 0, "the lowest rung must ship under pressure");
-        // The deadline stagger — not displacement — orders completions:
-        // the early completions are dominated by the low rung, and on
-        // average low-rung units finish strictly before top-rung units.
-        let head = &completions[..completions.len() / 3];
-        let head_lo = head.iter().filter(|&&(_, r)| r == lo).count();
-        let head_hi = head.iter().filter(|&&(_, r)| r == 0).count();
-        assert!(
-            head_lo > head_hi,
-            "the first third of completions must favor the low rung \
-             ({head_lo} lo vs {head_hi} hi)"
-        );
-        let mean = |rung: usize| {
-            let ts: Vec<u64> = completions
-                .iter()
-                .filter(|&&(_, r)| r == rung)
-                .map(|&(t, _)| t)
-                .collect();
-            ts.iter().sum::<u64>() / ts.len().max(1) as u64
-        };
-        if done(0) > 0 {
-            assert!(
-                mean(lo) < mean(0),
-                "low rungs must finish earlier on average: lo {} vs hi {}",
-                mean(lo),
-                mean(0)
-            );
-        }
     }
 
     #[test]

@@ -22,17 +22,13 @@ use crate::chaos::ChaosConfig;
 use crate::cost::CostModel;
 use crate::fleet::{Fleet, ServerSpec};
 use crate::policy::{ClassMap, DispatchCtx, DispatchPolicy};
-use crate::queue::{recycle, Admission, AdmissionQueue, PendingJob, QueueConfig, ShedReason};
+use crate::queue::{recycle, Admission, AdmissionQueue, PendingJob, ShedReason};
 use crate::report::{FaultAccounting, LatencyStats, ScaleStats, ServerStats, ServingReport};
 use crate::workload::{JobSpec, Priority};
 
 /// Service-layer tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Admission-queue sizing.
-    pub queue: QueueConfig,
-    /// Dispatch attempts allowed after a timeout (0 = fail on first).
-    pub max_retries: u32,
     /// Whether to keep the full event log (reports always work).
     pub collect_event_log: bool,
     /// Fault injection and recovery (default: fully disabled — an
@@ -80,8 +76,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            queue: QueueConfig::default(),
-            max_retries: 1,
             collect_event_log: true,
             chaos: ChaosConfig::default(),
             obs: ObsConfig::default(),
@@ -111,6 +105,10 @@ impl ServeConfig {
 
 /// How many queued candidates the policy sees per dispatch round.
 const CANDIDATE_WINDOW: usize = 8;
+
+/// Dispatch attempts allowed after a lost or timed-out one: a job's second
+/// failure sheds it.
+const MAX_RETRIES: u32 = 1;
 
 /// Per-tenant token-bucket admission quotas.
 ///
@@ -568,8 +566,11 @@ pub struct ServiceCore {
     /// Breaker-open horizon per server (0 = closed).
     breaker_until: Vec<u64>,
     /// Servers whose breaker tripped and has not been seen closed again, so
-    /// [`ServiceCore::closed_breakers`] never scans the fleet.
+    /// [`ServiceCore::close_breakers`] never scans the fleet.
     open_breakers: Vec<usize>,
+    /// The servers the last [`ServiceCore::close_breakers`] moved off
+    /// `open_breakers`, in their open order.
+    closed_breakers: Vec<usize>,
     /// Which servers currently take work. All-true unless the autoscaler
     /// is enabled, in which case only the first `min_servers` start
     /// active.
@@ -653,7 +654,7 @@ impl ServiceCore {
             .as_ref()
             .map(|t| vec![0; t.n_tenants.max(1)])
             .unwrap_or_default();
-        let mut queue = AdmissionQueue::new(cfg.queue.clone());
+        let mut queue = AdmissionQueue::new();
         if !cfg.unit_rungs.is_empty() {
             queue.set_rung_table(cfg.unit_rungs.clone());
         }
@@ -703,6 +704,7 @@ impl ServiceCore {
             breaker_fails: vec![0; n],
             breaker_until: vec![0; n],
             open_breakers: Vec::new(),
+            closed_breakers: Vec::new(),
             active,
             warming: vec![false; n],
             active_since,
@@ -1064,7 +1066,7 @@ impl ServiceCore {
     /// with backoff enabled, parked for a seeded delay instead of storming
     /// straight back.
     fn retry_or_shed(&mut self, job: PendingJob, front: bool, now_us: u64) {
-        if job.attempts > self.cfg.max_retries {
+        if job.attempts > MAX_RETRIES {
             return self.shed_job(&job, ShedReason::RetriesExhausted, now_us);
         }
         if job.spec.deadline_us <= now_us {
@@ -1165,14 +1167,24 @@ impl ServiceCore {
             && self.breaker_until[server] <= now_us
     }
 
-    /// Drains the servers whose breaker open window has elapsed by
-    /// `now_us`, for the idle index to take back.
-    pub(crate) fn closed_breakers(&mut self, now_us: u64) -> Vec<usize> {
-        let (closed, open) = std::mem::take(&mut self.open_breakers)
-            .into_iter()
-            .partition(|&s| self.breaker_until[s] <= now_us);
-        self.open_breakers = open;
-        closed
+    /// Moves the servers whose breaker open window has elapsed by `now_us`
+    /// off the open list, in place, into [`ServiceCore::closed_breakers`].
+    pub(crate) fn close_breakers(&mut self, now_us: u64) {
+        self.closed_breakers.clear();
+        let (until, closed) = (&self.breaker_until, &mut self.closed_breakers);
+        self.open_breakers.retain(|&s| {
+            let open = until[s] > now_us;
+            if !open {
+                closed.push(s);
+            }
+            open
+        });
+    }
+
+    /// The servers the last [`ServiceCore::close_breakers`] closed, in the
+    /// order their breakers opened, for the idle index to take back.
+    pub(crate) fn closed_breakers(&self) -> &[usize] {
+        &self.closed_breakers
     }
 
     /// Books a hedged duplicate dispatch (the driver schedules the copy).
@@ -1660,10 +1672,7 @@ mod tests {
 
     #[test]
     fn timeout_requeues_then_exhausts() {
-        let mut core = core_with(ServeConfig {
-            max_retries: 1,
-            ..ServeConfig::default()
-        });
+        let mut core = core_with(ServeConfig::default());
         let jobs = spec_jobs(1);
         core.offer(jobs[0].clone(), 0);
         let started = core.dispatch(&idle(&[0]), 10);
@@ -1771,7 +1780,6 @@ mod tests {
     #[test]
     fn backoff_parks_requeued_jobs_and_releases_them_on_time() {
         let cfg = ServeConfig {
-            max_retries: 10,
             chaos: ChaosConfig {
                 backoff: crate::chaos::BackoffConfig {
                     base_us: 10_000,
@@ -1803,7 +1811,6 @@ mod tests {
     #[test]
     fn breaker_trips_after_consecutive_failures_and_reopens() {
         let cfg = ServeConfig {
-            max_retries: 10,
             chaos: ChaosConfig {
                 breaker: crate::chaos::BreakerConfig {
                     enabled: true,
@@ -1826,14 +1833,17 @@ mod tests {
         }
         let log = render_event_log(&core.log);
         assert!(log.contains("breaker"), "two consecutive fails trip it");
+        core.close_breakers(t);
         assert!(
-            !core.takes_work(0, t) && core.closed_breakers(t).is_empty(),
+            !core.takes_work(0, t) && core.closed_breakers().is_empty(),
             "an open breaker holds the server out of dispatch"
         );
         let after = t + 1_000_000;
-        assert_eq!(core.closed_breakers(after), vec![0]);
+        core.close_breakers(after);
+        assert_eq!(core.closed_breakers(), [0]);
+        core.close_breakers(after);
         assert!(
-            core.takes_work(0, after) && core.closed_breakers(after).is_empty(),
+            core.takes_work(0, after) && core.closed_breakers().is_empty(),
             "the breaker re-admits the server, once, after open_us"
         );
     }

@@ -233,23 +233,19 @@ mod tests {
 
     #[test]
     fn tiny_queues_shed_under_load() {
-        let w = WorkloadSpec::smoke(42);
-        let cfg = ServeConfig {
-            queue: crate::queue::QueueConfig {
-                per_class_cap: [1, 1, 1],
-            },
-            ..ServeConfig::default()
-        };
+        // The per-class caps are fixed (16/32/64); a 12x flash crowd on
+        // five servers overflows them.
+        let w = WorkloadSpec::flash_crowd(42);
         let out = simulate(
             &w,
             Fleet::table_iv(),
             policy_by_name("rr", 42).unwrap(),
-            cfg,
+            ServeConfig::default(),
         )
         .unwrap();
         assert!(
             out.report.shed_total() > 0,
-            "1-deep queues under a 60-job burst must shed"
+            "the queues under a 12x flash crowd must shed"
         );
     }
 

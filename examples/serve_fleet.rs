@@ -484,7 +484,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exec = ExecConfig {
         serve: cfg.clone(),
         arrival_compression: 20,
-        ..ExecConfig::default()
     };
 
     for name in policies {

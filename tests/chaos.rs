@@ -156,11 +156,7 @@ fn degradation_ladder_sheds_quality_not_jobs() {
     let cfg = ServeConfig {
         chaos: ChaosConfig {
             plan,
-            degrade: DegradeConfig {
-                enabled: true,
-                backlog_per_unit: 2.0,
-                max_level: 4,
-            },
+            degrade: DegradeConfig { enabled: true },
             ..ChaosConfig::default()
         },
         ..ServeConfig::default()
@@ -240,7 +236,6 @@ fn real_executor_survives_a_worker_crash() {
             },
             ..ServeConfig::default()
         },
-        ..ExecConfig::default()
     };
     let out = run_real(
         &w,

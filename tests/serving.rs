@@ -7,7 +7,6 @@ use vtx_sched::{auction, hungarian};
 use vtx_serve::exec::{run_real, ExecConfig};
 use vtx_serve::fleet::Fleet;
 use vtx_serve::policy::policy_by_name;
-use vtx_serve::queue::QueueConfig;
 use vtx_serve::service::{render_event_log, ServeConfig};
 use vtx_serve::sim::{simulate, simulate_trace, SimOutcome};
 use vtx_serve::workload::{parse_trace, render_trace, WorkloadSpec};
@@ -74,23 +73,19 @@ fn smart_beats_random_on_p99_sojourn() {
 
 #[test]
 fn tiny_queues_shed_and_interactive_survives() {
-    let w = WorkloadSpec::bundled(42);
-    let cfg = ServeConfig {
-        queue: QueueConfig {
-            per_class_cap: [2, 2, 2],
-        },
-        ..ServeConfig::default()
-    };
+    // The queues keep their fixed caps (16/32/64); a 12x flash crowd on
+    // the five Table IV servers overflows them.
+    let w = WorkloadSpec::flash_crowd(42);
     let out = simulate(
         &w,
         Fleet::table_iv(),
         policy_by_name("smart", w.seed).unwrap(),
-        cfg,
+        ServeConfig::default(),
     )
     .unwrap();
     let r = &out.report;
     assert_eq!(r.completed + r.shed_total(), r.offered, "conservation");
-    assert!(r.shed_total() > 0, "2-deep queues under 2.4 Hz must shed");
+    assert!(r.shed_total() > 0, "a flash crowd must overflow the queues");
     // Priority shedding: interactive jobs displace batch, never vice versa,
     // so the interactive completion rate stays above the batch rate.
     let frac = |class: usize| {
@@ -119,10 +114,7 @@ fn timeouts_retry_deterministically() {
             w.seed,
             Fleet::table_iv(),
             policy_by_name("round_robin", w.seed).unwrap(),
-            ServeConfig {
-                max_retries: 1,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         )
         .unwrap()
     };

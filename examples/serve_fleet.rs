@@ -2,10 +2,11 @@
 //! deadline-aware dispatch and load shedding over the Table IV configs.
 //!
 //! Simulated mode (default) is fully deterministic: two runs with the same
-//! seed print byte-identical output — the CI `serve-determinism` job
-//! asserts exactly that. `--real` drives actual `vtx_core::Transcoder`
-//! jobs on worker threads through the same service core (wall-clock, so
-//! not byte-reproducible).
+//! seed print byte-identical output, and each line of the root `PINS`
+//! manifest pins one simulated run's digest (`cargo test -p vtx-examples
+//! --test pins`). `--real` drives actual `vtx_core::Transcoder` jobs on
+//! worker threads through the same service core (wall-clock, so not
+//! byte-reproducible).
 //!
 //! `--xl` runs the fleet-scale restatement: 500 servers (20k jobs) by
 //! default, `--xl --full` for 10 000 servers and a million jobs. XL runs
@@ -21,8 +22,7 @@
 //! `--faults` switches on the chaos study: an 8-way fleet where two
 //! servers are killed at 30% of the run and a third is a 3× fail-slow
 //! straggler, with hedged re-dispatch and the graceful-degradation ladder
-//! armed. Still a pure function of the seed — the CI `chaos-determinism`
-//! job byte-compares two faulted runs.
+//! armed. Still a pure function of the seed.
 //!
 //! `--segments MS` switches on segmented ABR serving: every catalog job
 //! decomposes into per-(segment, rung) dispatch units (GOP-aligned ~MS-
@@ -41,10 +41,9 @@
 //! request trace so a Zipf(S)-popular head of the catalog is requested
 //! repeatedly, and `--live-frac F` routes the given fraction of requests
 //! to the live (interactive) class. Cached runs stay byte-deterministic
-//! per seed in simulated mode — the CI `cache-determinism` job
-//! byte-compares two same-seed cached runs. With `--segments`, manifests
-//! are written via partial delivery: finished rungs are served and
-//! jobs missing rungs are flagged degraded instead of dropped.
+//! per seed in simulated mode. With `--segments`, manifests are written
+//! via partial delivery: finished rungs are served and jobs missing rungs
+//! are flagged degraded instead of dropped.
 //!
 //! `--surge flash|diurnal|tenants` swaps the stationary arrival process
 //! for a surge scenario: a 12x flash crowd with ramps, a 60 s diurnal
@@ -54,7 +53,7 @@
 //! grows to N against backlog per detected-up capacity, with seeded
 //! warm-up on scale-out, drain-via-requeue on scale-in, and seeded
 //! backoff+jitter on every requeue. Both stay byte-deterministic per
-//! seed — the CI `surge-determinism` job byte-compares two runs.
+//! seed.
 //!
 //! Observability exports: `--metrics-out FILE` writes the run's Prometheus
 //! exposition (per-class completion counters, sojourn quantile summaries,
@@ -65,7 +64,7 @@
 //! the extension so runs don't clobber each other.
 //!
 //! ```text
-//! cargo run --release --example serve_fleet -- [--seed N] [--smoke]
+//! cargo run --release --bin serve_fleet -- [--seed N] [--smoke]
 //!     [--xl [--full]] [--cells N]
 //!     [--policy random|rr|smart|port|all] [--real] [--faults]
 //!     [--surge flash|diurnal|tenants] [--autoscale N]
@@ -151,8 +150,8 @@ fn segment_opts(
 /// `dir` (per-policy subdir when several policies run). Delivery is
 /// partial: a job with every rung complete gets the full master playlist,
 /// while a job missing rungs gets a degraded-flagged master listing only
-/// its finished rungs. The CI `container-determinism` job `diff -r`s two
-/// same-seed dumps.
+/// its finished rungs. The `segments` and `cache_seg_*` lines of `PINS`
+/// pin every file of a same-seed dump.
 fn write_manifest_artifacts(
     base: &str,
     policy: &str,

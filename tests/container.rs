@@ -114,8 +114,7 @@ fn truncated_and_corrupted_boxes_are_structured_errors() {
 #[test]
 fn same_seed_double_run_is_byte_identical() {
     // The full path — synth, encode, package, playlists — twice from the
-    // same seed, compared byte for byte. This is the in-process version of
-    // the CI container-determinism job's two-run `diff -r`.
+    // same seed, compared byte for byte.
     let run = |seed: u64| -> (Packaged, String, String) {
         let stream = encoded_stream(seed);
         let pkg = package_stream(&stream, &POINTS).unwrap();

@@ -14,7 +14,7 @@
 use vtx_codec::encoder::encode_video;
 use vtx_codec::{EncoderConfig, MeMethod, PartitionSet, Preset, RateControlMode};
 use vtx_frame::synth;
-use vtx_tests::tiny_spec;
+use vtx_tests::{tiny_spec, Fnv};
 use vtx_trace::layout::CodeLayout;
 use vtx_trace::Profiler;
 use vtx_uarch::config::UarchConfig;
@@ -25,39 +25,21 @@ use vtx_uarch::interval::ExecutionCounts;
 const CLIPS: [&str; 2] = ["desktop", "holi"];
 const CONTENT_SEED: u64 = 17;
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn levels(&mut self, l: &LevelCounters) {
-        for v in [l.l1, l.l2, l.l3, l.l4, l.mem] {
-            self.u64(v);
-        }
+fn levels(h: &mut Fnv, l: &LevelCounters) {
+    for v in [l.l1, l.l2, l.l3, l.l4, l.mem] {
+        h.u64(v);
     }
 }
 
 fn counts_digest(c: &ExecutionCounts) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     for v in [c.instructions, c.uops, c.branches, c.branch_mispredicts] {
         h.u64(v);
     }
-    h.levels(&c.inst_fetch);
+    levels(&mut h, &c.inst_fetch);
     h.u64(c.itlb_misses);
-    h.levels(&c.loads);
-    h.levels(&c.stores);
+    levels(&mut h, &c.loads);
+    levels(&mut h, &c.stores);
     h.u64(c.heavy_ops);
     h.u64(c.redirects);
     h.0
@@ -110,9 +92,9 @@ fn digests(clip: &str, cfg: &EncoderConfig, frames: u32) -> [u64; 3] {
     let r = encode_video(&video, cfg, &mut prof).unwrap();
     let report = prof.finish();
 
-    let mut bits = Fnv::new();
+    let mut bits = Fnv::default();
     bits.bytes(&r.bitstream.data);
-    let mut recon = Fnv::new();
+    let mut recon = Fnv::default();
     for f in &r.recon {
         for p in [f.y(), f.u(), f.v()] {
             recon.bytes(p.samples());
